@@ -305,15 +305,14 @@ def optimize_trajectory(
     degree,
     continuity,
     weights,
-    x0=None,
 ):
     """Minimum-cost trajectory through a corridor sequence.
 
     The robot starts at rest at start, ends at rest at goal, keeps
     derivatives continuous through order continuity at the knots, and
     every piece stays inside its corridor because all its control points
-    do.  Returns (trajectory, objective, x) with x reusable as a warm
-    start for a later solve with the same shape.
+    do.  Returns (trajectory, objective, x) with x the QP solution: the
+    control points of every piece, stacked.
 
     Raises QPInfeasibleError when the corridors admit no such curve.
     """
@@ -399,7 +398,7 @@ def optimize_trajectory(
         h /= h_scale
 
     qp = QuadraticProgram(H=h, g=np.zeros(n), A_eq=a_eq, b_eq=b_eq, A_in=a_in, b_in=b_in)
-    result = opt_engine.solve_qp(qp, x0=x0)
+    result = opt_engine.solve_qp(qp)
     x = result.x
 
     # The refinement loop treats an inaccurate answer the same as an

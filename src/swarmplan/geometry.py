@@ -102,20 +102,10 @@ class ConvexPolyhedron:
     def num_faces(self):
         return self.A.shape[0]
 
-    def add_face(self, normal, offset):
-        self.A = np.vstack([self.A, np.asarray(normal, dtype=float)])
-        self.b = np.append(self.b, float(offset))
-
     def contains(self, x, tol=1e-9):
         if self.num_faces == 0:
             return True
         return bool((self.A @ np.asarray(x, dtype=float) <= self.b + tol).all())
-
-    def contains_all(self, points, tol=1e-9):
-        if self.num_faces == 0:
-            return True
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return bool((pts @ self.A.T <= self.b[None, :] + tol).all())
 
     def max_violation(self, points):
         if self.num_faces == 0:

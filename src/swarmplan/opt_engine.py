@@ -1,31 +1,31 @@
 """Shared numerical core: convex QP, max flow, and binary ILP solvers.
 
-The QP solver is a first-order operator-splitting (ADMM) method in the style
-of OSQP: Ruiz equilibration, a cached factorization of the reduced KKT
-system with adaptive penalty updates, and a direct polish solve on the
-detected active set so that returned solutions meet tight KKT tolerances.
-A vectorized variant solves many small inequality-only QPs of identical
-shape in one pass; the separating-hyperplane stage issues thousands of
-4-variable problems per refinement iteration and would otherwise be bound
-by Python overhead.
+The QP solver is a Mehrotra predictor-corrector interior-point method.  Its
+Newton step factors the sparse KKT matrix with sparse LU, so the same path
+serves the tiny dense programs of the tests and the smoothing QPs, whose
+KKT matrix is block-banded.  Programs whose best iterate misses the
+tolerance are classified by HiGHS LPs: a feasibility LP for infeasibility
+and a recession LP for unboundedness.  A vectorized ADMM variant solves
+many small inequality-only QPs of identical shape in one pass; the
+separating-hyperplane stage issues thousands of 4-variable problems per
+refinement iteration and would otherwise be bound by Python overhead.
 
 Max flow is plain Edmonds-Karp on unit-capacity networks.  The ILP solver
 is branch and bound over the LP relaxation with most-fractional branching.
-The LP relaxations are solved with scipy's HiGHS interface rather than the
-ADMM loop: branching needs vertex solutions and certified bounds, and a
-first-order method on a degenerate flow polytope provides neither.
+The LP relaxations are solved with scipy's HiGHS interface: branching
+needs vertex solutions and certified bounds, which an interior point on a
+degenerate flow polytope does not provide.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
 
 class SolverError(Exception):
@@ -41,7 +41,8 @@ class QPUnboundedError(SolverError):
 
 
 class QPMaxIterationsError(SolverError):
-    """ADMM hit the iteration cap before reaching tolerance."""
+    """The interior point's best iterate missed the tolerance, and neither
+    an infeasibility nor an unboundedness certificate was found."""
 
     def __init__(self, message, primal_residual, dual_residual):
         super().__init__(message)
@@ -139,7 +140,7 @@ class QPResult:
     primal_residual: float
     dual_residual: float
     duals: np.ndarray  # stacked [eq; in] multipliers
-    polished: bool
+    polished: bool  # always False: no active-set step follows the interior point
 
 
 @dataclass
@@ -201,497 +202,230 @@ class FlowNetwork:
 
 
 # ---------------------------------------------------------------------------
-# Ruiz equilibration
+# interior-point QP solver
 # ---------------------------------------------------------------------------
 
-
-def _ruiz_equilibrate(H, g, A, iters=10):
-    """Scale variables/constraints so the stacked KKT matrix has rows and
-    columns of roughly unit infinity norm.  Returns (Hs, gs, As, d, e, c)
-    with x = d * x_scaled, y = e * y_scaled / c."""
-    n = H.shape[0]
-    m = A.shape[0]
-    d = np.ones(n)
-    e = np.ones(m)
-    c = 1.0
-    Hs = H.copy()
-    gs = g.copy()
-    As = A.copy() if not sp.issparse(A) else A.copy().tocsr()
-    for _ in range(iters):
-        if sp.issparse(As):
-            col_a = np.asarray(abs(As).max(axis=0).todense()).ravel() if m else np.zeros(n)
-            row_a = np.asarray(abs(As).max(axis=1).todense()).ravel() if m else np.zeros(0)
-        else:
-            col_a = np.abs(As).max(axis=0) if m else np.zeros(n)
-            row_a = np.abs(As).max(axis=1) if m else np.zeros(0)
-        col_h = np.abs(Hs).max(axis=0) if n else np.zeros(0)
-        dn = np.sqrt(np.maximum(col_h, col_a))
-        dn[dn < 1e-12] = 1.0
-        dd = 1.0 / np.sqrt(dn)
-        en = np.sqrt(row_a)
-        en[en < 1e-12] = 1.0
-        ee = 1.0 / np.sqrt(en)
-        Hs = Hs * dd[:, None] * dd[None, :]
-        gs = gs * dd
-        if m:
-            if sp.issparse(As):
-                As = sp.diags(ee) @ As @ sp.diags(dd)
-            else:
-                As = As * ee[:, None] * dd[None, :]
-        d *= dd
-        e *= ee
-        # cost scaling keeps the quadratic and linear parts comparable
-        h_cols = np.abs(Hs).max(axis=0) if n else np.zeros(1)
-        denom = max(np.mean(h_cols), np.abs(gs).max() if gs.size else 0.0)
-        if denom > 1e-12:
-            gamma = 1.0 / denom
-            gamma = min(max(gamma, 1e-6), 1e6)
-            Hs = Hs * gamma
-            gs = gs * gamma
-            c *= gamma
-    return Hs, gs, As, d, e, c
+_IPM_MAX_ITER = 100
+# the best iterate is final once the residual reaches this fraction of the
+# data scale, or has not improved for _IPM_STALL steps; the smoothing QPs
+# have objectives near 1e-9 after normalization, so a looser stop shows up
+# directly in the trajectory cost
+_IPM_TARGET = 1e-12
+_IPM_STALL = 8
+_KKT_DELTA = 1e-11
+# a recession direction must lower the objective by more than this (relative
+# to |g|) to count as an unboundedness certificate
+_CERT_TOL = 1e-9
 
 
-# ---------------------------------------------------------------------------
-# ADMM QP solver
-# ---------------------------------------------------------------------------
-
-_RHO_MIN = 1e-6
-_RHO_MAX = 1e6
-_EQ_RHO_FACTOR = 1e3
+def _norm(v):
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _admm_factor(Hs, As, sigma, rho):
-    n = Hs.shape[0]
-    if As.shape[0]:
-        if sp.issparse(As):
-            AtRA = (As.multiply(rho[:, None])).T @ As
-            AtRA = np.asarray(AtRA.todense())
-        else:
-            AtRA = As.T @ (As * rho[:, None])
-    else:
-        AtRA = np.zeros((n, n))
-    M = Hs + sigma * np.eye(n) + AtRA
-    return scipy.linalg.cho_factor(M, check_finite=False)
+def _max_step(v, dv):
+    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _kkt_residuals(H, g, A, l, u, x, y, z):
-    """Unscaled primal/dual residuals for the l <= Ax <= u formulation."""
-    ax = A @ x if A.shape[0] else np.zeros(0)
-    r_prim = np.abs(ax - z).max() if z.size else 0.0
-    dual_vec = H @ x + g
-    if A.shape[0]:
-        dual_vec = dual_vec + A.T @ y
-    r_dual = np.abs(dual_vec).max() if dual_vec.size else 0.0
-    return r_prim, r_dual, ax
+def _kkt_solver(M, A_eq):
+    """Sparse LU of the quasidefinite [[M + dI, A_eq'], [A_eq, -dI]].
+
+    Returns solve(r_x, r_y) for the unregularized system
+    [[M, A_eq'], [A_eq, 0]] (x, y) = (r_x, r_y): two steps of iterative
+    refinement against it remove the O(d) error of the regularization, so
+    equality residuals are not floored at d * |y|.  Raises RuntimeError when
+    the factorization breaks down.
+    """
+    n = M.shape[0]
+    m = A_eq.shape[0]
+    kkt = sp.bmat(
+        [[M + _KKT_DELTA * sp.eye(n), A_eq.T], [A_eq, -_KKT_DELTA * sp.eye(m)]],
+        format="csc",
+    )
+    lu = splu(kkt)
+
+    def solve(r_x, r_y):
+        rhs = np.concatenate([r_x, r_y])
+        sol = lu.solve(rhs)
+        for _ in range(2):
+            x, y = sol[:n], sol[n:]
+            sol = sol + lu.solve(rhs - np.concatenate([M @ x + A_eq.T @ y, A_eq @ x]))
+        return sol[:n], sol[n:]
+
+    return solve
 
 
-def solve_qp(qp, x0=None, eps_abs=1e-6, eps_rel=1e-6, max_iter=20000):
+def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     """Solve a convex QP to the requested KKT tolerance.
 
-    Returns a QPResult.  Raises QPInfeasibleError / QPUnboundedError when a
-    certificate is found, QPMaxIterationsError when the iteration budget is
-    exhausted without convergence.
+    One method serves every QP: a Mehrotra predictor-corrector interior
+    point whose Newton step factors the sparse KKT matrix
+    [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]] with sparse LU.
+    Equality-only programs take one solve through the same factorization.
+    The smoothness objectives weight derivative orders whose magnitudes
+    differ by many decades, so the Hessian on the equality manifold can
+    carry near-zero eigenvalues; a barrier method converges to a
+    well-centered point of such a flat optimal face without naming its
+    active rows.
+
+    Returns a QPResult with the best iterate found.  When that iterate misses
+    the tolerance, HiGHS LPs classify the program: QPInfeasibleError when
+    the constraints admit no point, QPUnboundedError when a recession
+    direction lowers the objective, QPMaxIterationsError otherwise.
     """
     qp.check_psd()
-    n = qp.n
-    m_eq = qp.A_eq.shape[0]
-    m_in = qp.A_in.shape[0]
-    m = m_eq + m_in
-
-    if m == 0:
-        # unconstrained: solve the regularized normal equations
-        try:
-            x = np.linalg.lstsq(qp.H, -qp.g, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            raise QPUnboundedError("unconstrained QP with singular H") from None
-        resid = qp.H @ x + qp.g
-        if np.abs(resid).max() > 1e-8 * max(1.0, np.abs(qp.g).max()):
-            raise QPUnboundedError("objective unbounded below (g not in range of H)")
-        return QPResult(x, qp.objective(x), 0, 0.0, 0.0, np.zeros(0), False)
-
-    if sp.issparse(qp.A_eq) or sp.issparse(qp.A_in):
-        A = sp.vstack([sp.csr_matrix(qp.A_eq), sp.csr_matrix(qp.A_in)]).tocsr()
-    else:
-        A = np.vstack([qp.A_eq, qp.A_in])
-    l = np.concatenate([qp.b_eq, np.full(m_in, -np.inf)])
-    u = np.concatenate([qp.b_eq, qp.b_in])
-    is_eq = np.zeros(m, dtype=bool)
-    is_eq[:m_eq] = True
-
-    Hs, gs, As, d_scale, e_scale, c_scale = _ruiz_equilibrate(qp.H, qp.g, A)
-    ls = l * e_scale
-    us = u * e_scale
-
-    sigma = 1e-6
-    alpha = 1.6
-    rho_base = 0.1
-    rho = np.full(m, rho_base)
-    rho[is_eq] *= _EQ_RHO_FACTOR
-    factor = _admm_factor(Hs, As, sigma, rho)
-
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / d_scale
-    z = As @ x if m else np.zeros(0)
-    z = np.clip(z, ls, us)
-    y = np.zeros(m)
-
-    eps_pinf = 1e-7
-    eps_dinf = 1e-7
-    check_every = 25
-    x_prev_u = d_scale * x
-    y_prev_u = e_scale * y / c_scale
-
-    def _accept(cand):
-        """KKT residuals of a candidate against the loop's stopping rule."""
-        rp_c, rd_c, ax_c = _kkt_residuals(qp.H, qp.g, A, l, u, *cand)
-        hx_c = qp.H @ cand[0]
-        aty_c = A.T @ cand[1] if m else np.zeros(n)
-        ep_c = eps_abs + eps_rel * max(
-            np.abs(ax_c).max() if ax_c.size else 0.0,
-            np.abs(cand[2]).max() if cand[2].size else 0.0,
-        )
-        ed_c = eps_abs + eps_rel * max(
-            np.abs(hx_c).max() if hx_c.size else 0.0,
-            np.abs(aty_c).max() if aty_c.size else 0.0,
-            np.abs(qp.g).max() if qp.g.size else 0.0,
-        )
-        return (rp_c <= ep_c and rd_c <= ed_c), rp_c, rd_c
-
-    def _finish(x_cur, y_cur, z_cur):
-        """Direct finishers: cheap active-set pass, then barrier fallback."""
-        cand = _polish(qp, A, l, u, is_eq, x_cur, y_cur, z_cur)
-        if cand is not None:
-            ok, rp_c, rd_c = _accept(cand)
-            if ok:
-                return (*cand, rp_c, rd_c)
-        nonlocal ipm_tried
-        if not ipm_tried:
-            ipm_tried = True
-            cand = _ipm_solve(qp, A, l, u, is_eq)
-            if cand is not None:
-                ok, rp_c, rd_c = _accept(cand)
-                if ok:
-                    return (*cand, rp_c, rd_c)
-        return None
-
-    it = 0
-    status = "max_iter"
-    r_prim = r_dual = np.inf
-    next_polish = 250
-    polish_state = None
-    ipm_tried = False
-    for it in range(1, max_iter + 1):
-        rhs = sigma * x - gs + (As.T @ (rho * z - y) if m else 0.0)
-        x_t = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        z_t = As @ x_t if m else np.zeros(0)
-        x = alpha * x_t + (1 - alpha) * x
-        w = alpha * z_t + (1 - alpha) * z
-        z = np.clip(w + y / rho, ls, us)
-        y = y + rho * (w - z)
-
-        if it % check_every != 0 and it != max_iter:
-            continue
-
-        x_u = d_scale * x
-        y_u = e_scale * y / c_scale
-        z_u = z / e_scale
-        r_prim, r_dual, ax_u = _kkt_residuals(qp.H, qp.g, A, l, u, x_u, y_u, z_u)
-        norm_ax = np.abs(ax_u).max() if ax_u.size else 0.0
-        norm_z = np.abs(z_u).max() if z_u.size else 0.0
-        hx = qp.H @ x_u
-        aty = A.T @ y_u if m else np.zeros(n)
-        eps_p = eps_abs + eps_rel * max(norm_ax, norm_z)
-        eps_d = eps_abs + eps_rel * max(
-            np.abs(hx).max() if hx.size else 0.0,
-            np.abs(aty).max() if aty.size else 0.0,
-            np.abs(qp.g).max() if qp.g.size else 0.0,
-        )
-        if r_prim <= eps_p and r_dual <= eps_d:
-            status = "solved"
-            break
-
-        # tail convergence can be sublinear; once the iterate is in the
-        # right basin a direct finisher gets the rest of the way
-        if it >= next_polish:
-            next_polish *= 2
-            fin = _finish(x_u, y_u, z_u)
-            if fin is not None:
-                polish_state = fin
-                status = "solved"
-                break
-
-        # infeasibility certificates from one-step differences
-        dy = y_u - y_prev_u
-        dy_norm = np.abs(dy).max() if dy.size else 0.0
-        if dy_norm > 1e-12:
-            aty_d = A.T @ dy
-            ineq = ~is_eq
-            ok_cone = not np.any(dy[ineq] < -eps_pinf * dy_norm)
-            support = float(u[is_eq] @ dy[is_eq]) + float(
-                u[ineq] @ np.maximum(dy[ineq], 0.0)
-            )
-            if (
-                ok_cone
-                and np.abs(aty_d).max() <= eps_pinf * dy_norm
-                and support <= -eps_pinf * dy_norm
-            ):
-                raise QPInfeasibleError("primal infeasibility certificate found")
-        dx = d_scale * x - x_prev_u
-        dx_norm = np.abs(dx).max() if dx.size else 0.0
-        if dx_norm > 1e-12 and float(qp.g @ dx) <= -eps_dinf * dx_norm:
-            hdx = qp.H @ dx
-            adx = A @ dx if m else np.zeros(0)
-            in_cone = not (
-                np.any(np.abs(adx[is_eq]) > eps_dinf * dx_norm)
-                or np.any(adx[~is_eq] > eps_dinf * dx_norm)
-            )
-            if in_cone and np.abs(hdx).max() <= eps_dinf * dx_norm:
-                raise QPUnboundedError("dual infeasibility certificate found")
-        x_prev_u = d_scale * x
-        y_prev_u = y_u
-
-        # adaptive penalty: rebalance primal vs dual progress
-        if it % 100 == 0 and r_prim > 0 and r_dual > 0:
-            num = r_prim / max(norm_ax, norm_z, 1e-12)
-            den = r_dual / max(
-                np.abs(hx).max(), np.abs(aty).max(), np.abs(qp.g).max(), 1e-12
-            )
-            ratio = math.sqrt(num / max(den, 1e-16))
-            if ratio > 5.0 or ratio < 0.2:
-                rho_base = min(max(rho_base * ratio, _RHO_MIN), _RHO_MAX)
-                rho = np.full(m, rho_base)
-                rho[is_eq] *= _EQ_RHO_FACTOR
-                factor = _admm_factor(Hs, As, sigma, rho)
-
-    if polish_state is not None:
-        x_u, y_u, z_u, r_prim, r_dual = polish_state
-        return QPResult(x_u, qp.objective(x_u), it, r_prim, r_dual, y_u, True)
-
-    x_u = d_scale * x
-    y_u = e_scale * y / c_scale
-    z_u = z / e_scale
-
-    polished = False
-    fin = _finish(x_u, y_u, z_u)
-    if fin is not None:
-        x_u, y_u, z_u, r_prim, r_dual = fin
-        polished = True
-        status = "solved"
-
-    if status != "solved":
-        raise QPMaxIterationsError(
-            f"ADMM did not converge in {max_iter} iterations "
-            f"(primal {r_prim:.2e}, dual {r_dual:.2e})",
-            r_prim,
-            r_dual,
-        )
-    return QPResult(x_u, qp.objective(x_u), it, r_prim, r_dual, y_u, polished)
+    H = sp.csr_matrix(qp.H)
+    A_eq = sp.csr_matrix(qp.A_eq)
+    A_in = sp.csr_matrix(qp.A_in)
+    x = np.zeros(qp.n)
+    y = np.zeros(A_eq.shape[0])
+    z = np.zeros(A_in.shape[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if A_in.shape[0]:
+            x, y, z, iterations = _ipm(qp, H, A_eq, A_in)
+        else:
+            iterations = 1
+            try:
+                x, y = _kkt_solver(H, A_eq)(-qp.g, qp.b_eq)
+            except RuntimeError:
+                pass
+        ok, r_prim, r_dual = _accept(qp, H, A_eq, A_in, x, y, z, eps_abs, eps_rel)
+    if not ok:
+        _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations)
+    duals = np.concatenate([y, z])
+    return QPResult(x, qp.objective(x), iterations, r_prim, r_dual, duals, False)
 
 
-def _polish(qp, A, l, u, is_eq, x, y, z):
-    """Active-set finisher seeded from an ADMM iterate.
-
-    Solves the KKT system with the working set pinned as equalities,
-    drops rows whose multipliers come out negative, and admits the few
-    most-violated rows, until the set is consistent.  Adding rows in
-    small batches keeps the working set near the true active set (which
-    is tiny for these problems); flooding it with every violated row
-    makes the KKT system degenerate and the multipliers meaningless.
-    The regularizer is anchored at the ADMM iterate rather than the
-    origin so that directions the objective barely penalizes stay where
-    the iterate put them instead of drifting out of the feasible set.
-    Returns (x, y, z) or None; the caller re-verifies the KKT residuals
-    before trusting the result.
-    """
-    m = A.shape[0]
-    n = qp.n
-    if m == 0:
-        return None
-    A_dense = A.toarray() if sp.issparse(A) else np.asarray(A)
-    delta = 1e-7 * max(1.0, float(np.abs(qp.H).max()))
-    feas_tol = 1e-8 * np.maximum(1.0, np.abs(u))
-    cap = max(n - int(is_eq.sum()), 8)
-    batch = 8
-    anchor = x
-
-    ax = A_dense @ x
-    y_scale = np.abs(y).max() if y.size else 0.0
-    work = (~is_eq) & (
-        (y > 1e-6 * y_scale) | (u - ax <= 1e-7 * np.maximum(1.0, np.abs(u)))
+def _accept(qp, H, A_eq, A_in, x, y, z, eps_abs, eps_rel):
+    """KKT residuals of (x, y, z) and whether they meet the stopping rule."""
+    ax_eq = A_eq @ x
+    ax_in = A_in @ x
+    r_prim = max(_norm(ax_eq - qp.b_eq), _norm(np.maximum(ax_in - qp.b_in, 0.0)))
+    hx = H @ x
+    aty = A_eq.T @ y + A_in.T @ z
+    r_dual = _norm(hx + qp.g + aty)
+    eps_p = eps_abs + eps_rel * max(
+        _norm(ax_eq), _norm(ax_in), _norm(qp.b_eq), _norm(np.minimum(ax_in, qp.b_in))
     )
-    seen = set()
-    for _ in range(12):
-        key = work.tobytes()
-        if key in seen or int(work.sum()) > cap:
-            return None
-        seen.add(key)
-        idx = np.flatnonzero(is_eq | work)
-        A_act = A_dense[idx]
-        k = idx.size
-        kkt = np.block(
-            [
-                [qp.H + delta * np.eye(n), A_act.T],
-                [A_act, -delta * np.eye(k)],
-            ]
-        )
-        rhs = np.concatenate([-qp.g + delta * anchor, u[idx]])
-        try:
-            lu_piv = scipy.linalg.lu_factor(kkt, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        sol = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
-        # the -delta block lets pinned rows slip by O(delta*|y|), so refine
-        # against the unregularized system with the regularized LU as the
-        # preconditioner; best-iterate tracking bounds the damage when the
-        # working set is dependent and the refinement stalls
-        kkt0 = np.block([[qp.H, A_act.T], [A_act, np.zeros((k, k))]])
-        rhs0 = np.concatenate([-qp.g, u[idx]])
-        rhs_scale = max(1.0, float(np.abs(rhs0).max()))
-        best_res, best_sol = np.inf, sol
-        for _ in range(30):
-            res = rhs0 - kkt0 @ sol
-            r_now = float(np.abs(res).max())
-            if r_now < best_res:
-                best_res, best_sol = r_now, sol
-            if r_now <= 1e-13 * rhs_scale:
-                break
-            sol = sol + scipy.linalg.lu_solve(lu_piv, res, check_finite=False)
-        sol = best_sol
-        x_p = sol[:n]
-        y_p = np.zeros(m)
-        y_p[idx] = sol[n:]
-        ax = A_dense @ x_p
-        viol = ax - u
-        neg = (~is_eq) & work & (y_p < -1e-9)
-        newly = (~is_eq) & ~work & (viol > feas_tol)
-        if not neg.any() and not newly.any():
-            return x_p, y_p, np.clip(ax, l, u)
-        work = work & ~neg
-        n_new = int(newly.sum())
-        if n_new > batch:
-            order = np.argsort(np.where(newly, viol, -np.inf))[::-1][:batch]
-            newly = np.zeros(m, dtype=bool)
-            newly[order] = True
-        work |= newly
-    return None
+    eps_d = eps_abs + eps_rel * max(_norm(hx), _norm(aty), _norm(qp.g))
+    return (r_prim <= eps_p and r_dual <= eps_d), r_prim, r_dual
 
 
-def _ipm_solve(qp, A, l, u, is_eq, max_iter=50):
-    """Dense predictor-corrector interior-point fallback.
+def _ipm(qp, H, A_eq, A_in):
+    """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0.
 
-    The smoothness objectives weight several derivative orders whose
-    magnitudes differ by many decades, so the Hessian restricted to the
-    equality manifold can carry near-zero eigenvalues.  Active-set
-    identification is unreliable on such flat faces, but a barrier
-    method is indifferent to them: it converges to a well-centered
-    point of the optimal face without ever naming the active rows.
-    Returns (x, y, z) in the same convention as the ADMM loop, or None.
+    Starts from the minimum-norm solution of the equalities and returns the
+    best iterate (x, y_eq, z_in, iterations) by the largest of the residuals
+    and the duality measure.
     """
     n = qp.n
-    m = A.shape[0]
-    m_eq = int(is_eq.sum())
-    m_in = m - m_eq
-    if m_in == 0:
-        return None
-    Aeq = qp.A_eq.toarray() if sp.issparse(qp.A_eq) else np.asarray(qp.A_eq)
-    Aeq = Aeq.reshape(m_eq, n)
-    Ain = sp.csr_matrix(qp.A_in)
-    AinT = Ain.T.tocsr()
-    b_eq = np.asarray(qp.b_eq, dtype=float).reshape(m_eq)
-    b_in = np.asarray(qp.b_in, dtype=float).reshape(m_in)
+    m_in = A_in.shape[0]
+    g, b_eq, b_in = qp.g, qp.b_eq, qp.b_in
+    A_eqT = A_eq.T.tocsr()
+    A_inT = A_in.T.tocsr()
 
-    x = np.linalg.lstsq(Aeq, b_eq, rcond=None)[0] if m_eq else np.zeros(n)
-    s_raw = b_in - Ain @ x
+    try:
+        x, _ = _kkt_solver(sp.eye(n, format="csr"), A_eq)(np.zeros(n), b_eq)
+    except RuntimeError:
+        x = np.zeros(n)
+    s_raw = b_in - A_in @ x
     s = s_raw + max(0.0, -1.5 * float(s_raw.min())) + 1.0
-    zi = np.ones(m_in)
-    ye = np.zeros(m_eq)
+    z = np.ones(m_in)
+    y = np.zeros(A_eq.shape[0])
 
-    scale = max(
-        1.0,
-        np.abs(qp.g).max() if qp.g.size else 0.0,
-        np.abs(b_eq).max() if m_eq else 0.0,
-        np.abs(b_in).max(),
-    )
-    delta = 1e-11
-    best = None
+    scale = max(1.0, _norm(g), _norm(b_eq), _norm(b_in))
+    best = (x.copy(), y.copy(), z.copy())
     best_res = np.inf
     stall = 0
-    for _ in range(max_iter):
-        r_d = qp.H @ x + qp.g + (Aeq.T @ ye if m_eq else 0.0) + AinT @ zi
-        r_eq = Aeq @ x - b_eq if m_eq else np.zeros(0)
-        r_in = Ain @ x + s - b_in
-        mu = float(s @ zi) / m_in
-        res = max(
-            np.abs(r_d).max(),
-            np.abs(r_eq).max() if m_eq else 0.0,
-            np.abs(r_in).max(),
-            mu,
-        )
+    it = 0
+    while it < _IPM_MAX_ITER:
+        r_d = H @ x + g + A_eqT @ y + A_inT @ z
+        r_eq = A_eq @ x - b_eq
+        r_in = A_in @ x + s - b_in
+        mu = float(s @ z) / m_in
+        res = max(_norm(r_d), _norm(r_eq), _norm(r_in), mu)
+        if not np.isfinite(res):
+            break
         if res < best_res:
             best_res = res
-            best = (x.copy(), ye.copy(), zi.copy())
+            best = (x.copy(), y.copy(), z.copy())
             stall = 0
         else:
             stall += 1
-        if res <= 1e-9 * scale or stall >= 5:
+        if res <= _IPM_TARGET * scale or stall >= _IPM_STALL:
             break
 
-        w = zi / s
-        M = qp.H + (AinT.multiply(w) @ Ain).toarray()
-        kkt = np.block([[M, Aeq.T], [Aeq, -delta * np.eye(m_eq)]])
         try:
-            lu_piv = scipy.linalg.lu_factor(kkt, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
+            solve = _kkt_solver(H + A_inT @ sp.diags(z / s) @ A_in, A_eq)
+        except RuntimeError:
             break
 
         def newton(r_cs):
-            rhs_x = -r_d - AinT @ ((zi * r_in - r_cs) / s)
-            rhs = np.concatenate([rhs_x, -r_eq])
-            sol = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
-            # refine against the unregularized operator so the equality
-            # residual is not floored at delta * |y|
-            for _ in range(2):
-                res_x = rhs_x - (M @ sol[:n] + (Aeq.T @ sol[n:] if m_eq else 0.0))
-                res_y = -r_eq - (Aeq @ sol[:n]) if m_eq else np.zeros(0)
-                corr = scipy.linalg.lu_solve(
-                    lu_piv, np.concatenate([res_x, res_y]), check_finite=False
-                )
-                sol = sol + corr
-            dx = sol[:n]
-            dy = sol[n:]
-            ds = -r_in - Ain @ dx
-            dz = -(r_cs + zi * ds) / s
+            dx, dy = solve(-r_d - A_inT @ ((z * r_in - r_cs) / s), -r_eq)
+            ds = -r_in - A_in @ dx
+            dz = -(r_cs + z * ds) / s
             return dx, dy, ds, dz
 
-        def max_step(v, dv):
-            negm = dv < 0
-            if not negm.any():
-                return 1.0
-            return min(1.0, float((-v[negm] / dv[negm]).min()))
-
-        dx, dy, ds, dz = newton(s * zi)
-        ap = max_step(s, ds)
-        ad = max_step(zi, dz)
-        mu_aff = float((s + ap * ds) @ (zi + ad * dz)) / m_in
+        dx, dy, ds, dz = newton(s * z)
+        mu_aff = float((s + _max_step(s, ds) * ds) @ (z + _max_step(z, dz) * dz)) / m_in
         sigma = min(1.0, (mu_aff / max(mu, 1e-300)) ** 3)
-        dx, dy, ds, dz = newton(s * zi + ds * dz - sigma * mu)
-        ap = 0.995 * max_step(s, ds)
-        ad = 0.995 * max_step(zi, dz)
+        dx, dy, ds, dz = newton(s * z + ds * dz - sigma * mu)
+        ap = 0.995 * _max_step(s, ds)
+        ad = 0.995 * _max_step(z, dz)
         x += ap * dx
         s += ap * ds
-        ye += ad * dy
-        zi += ad * dz
+        y += ad * dy
+        z += ad * dz
+        it += 1
+    return (*best, it)
 
-    if best is None:
-        return None
-    x, ye, zi = best
-    y_full = np.concatenate([ye, zi])
-    return x, y_full, np.clip(A @ x, l, u)
+
+def _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations):
+    """Classify a program whose best iterate missed the tolerance."""
+    n = qp.n
+    eq = A_eq if A_eq.shape[0] else None
+    ineq = A_in if A_in.shape[0] else None
+    feasible = linprog(
+        np.zeros(n),
+        A_ub=ineq,
+        b_ub=qp.b_in if ineq is not None else None,
+        A_eq=eq,
+        b_eq=qp.b_eq if eq is not None else None,
+        bounds=(None, None),
+        method="highs",
+    )
+    if feasible.status == 2:
+        raise QPInfeasibleError("primal infeasible: the constraints admit no point")
+    # min g'd over recession directions of the feasible set along which the
+    # objective has no curvature; a negative value is an unbounded ray
+    ray = linprog(
+        qp.g,
+        A_ub=ineq,
+        b_ub=np.zeros(A_in.shape[0]) if ineq is not None else None,
+        A_eq=sp.vstack([A_eq, H]),
+        b_eq=np.zeros(A_eq.shape[0] + n),
+        bounds=(-1.0, 1.0),
+        method="highs",
+    )
+    if ray.status == 0 and ray.fun < -_CERT_TOL * max(1.0, _norm(qp.g)):
+        raise QPUnboundedError("dual infeasible: objective unbounded below along a ray")
+    raise QPMaxIterationsError(
+        f"interior point missed tolerance after {iterations} iterations "
+        f"(primal {r_prim:.2e}, dual {r_dual:.2e})",
+        r_prim,
+        r_dual,
+    )
 
 
 # ---------------------------------------------------------------------------
 # batched small-QP solver (inequality-only, identical shapes)
 # ---------------------------------------------------------------------------
+
+_RHO_MIN = 1e-6
+_RHO_MAX = 1e6
 
 
 def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6, max_iter=20000):
@@ -952,6 +686,10 @@ def max_flow(network):
 # ---------------------------------------------------------------------------
 
 
+# a node whose LP bound is within this of the incumbent cannot improve it
+_ILP_GAP_TOL = 1e-6
+
+
 def _lp_relaxation(ilp, lb, ub):
     bounds = list(zip(lb, ub))
     res = linprog(
@@ -970,9 +708,9 @@ def _lp_relaxation(ilp, lb, ub):
     return res.x, -res.fun
 
 
-def solve_ilp(ilp, node_limit=100000, gap_tol=1e-6):
+def solve_ilp(ilp, node_limit=100000):
     """Branch and bound with most-fractional branching (DFS, fixed child
-    order for determinism).  Returns an ILPResult with gap <= gap_tol."""
+    order for determinism).  Returns an ILPResult with gap <= 1e-6."""
     n = ilp.n
     if n == 0:
         # a fully presolved program is feasible exactly when its constant
@@ -998,7 +736,7 @@ def solve_ilp(ilp, node_limit=100000, gap_tol=1e-6):
         if rel is None:
             continue
         x, bound = rel
-        if bound <= best_obj + gap_tol:
+        if bound <= best_obj + _ILP_GAP_TOL:
             pruned_bound = max(pruned_bound, bound)
             continue
         frac = np.abs(x - np.round(x))
@@ -1031,34 +769,3 @@ def solve_ilp(ilp, node_limit=100000, gap_tol=1e-6):
     gap = max(0.0, pruned_bound - best_obj)
     return ILPResult(best_z.astype(int), best_obj, nodes, gap)
 
-
-def export_lp(ilp, path):
-    """Write the ILP in CPLEX LP text format."""
-
-    def term(coef, j, first):
-        sign = "-" if coef < 0 else ("" if first else "+")
-        mag = abs(coef)
-        return f" {sign} {mag:.17g} z{j}" if not first else f" {sign}{mag:.17g} z{j}"
-
-    def row(a):
-        a = np.asarray(a.todense()).ravel() if sp.issparse(a) else np.asarray(a).ravel()
-        parts = []
-        first = True
-        for j in np.flatnonzero(a):
-            parts.append(term(a[j], j, first))
-            first = False
-        return "".join(parts) if parts else " 0 z0"
-
-    lines = ["Maximize", f" obj:{row(ilp.c)}", "Subject To"]
-    for i in range(ilp.A_in.shape[0]):
-        a = ilp.A_in[i] if not sp.issparse(ilp.A_in) else ilp.A_in.getrow(i)
-        lines.append(f" c{i}:{row(a)} <= {ilp.b_in[i]:.17g}")
-    for i in range(ilp.A_eq.shape[0]):
-        a = ilp.A_eq[i] if not sp.issparse(ilp.A_eq) else ilp.A_eq.getrow(i)
-        lines.append(f" e{i}:{row(a)} = {ilp.b_eq[i]:.17g}")
-    lines.append("Binaries")
-    names = " ".join(f"z{j}" for j in range(ilp.n))
-    lines.append(f" {names}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

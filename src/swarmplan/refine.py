@@ -5,7 +5,7 @@ along its plan segments; those share one velocity profile, so the grid
 plan's safety margins carry over and the set always exists.  Each later
 round rebuilds safe corridors from the current curves (segment endpoints
 on the first pass, dense samples afterwards) and re-optimizes every
-robot inside its corridor, warm-started from the previous solution.
+robot inside its corridor.
 
 Failures degrade per robot instead of aborting: a pair whose occupied
 sets admit no margin plane is pinned to the straight-line fallback for
@@ -57,18 +57,15 @@ def _total_cost(trajectories, weights):
 
 
 def _solve_one(args):
-    start, goal, durations, corridors, degree, continuity, weights, x0 = args
     try:
-        traj, obj, x = optimize_trajectory(
-            start, goal, durations, corridors, degree, continuity, weights, x0=x0
-        )
-        return "ok", traj, x
+        traj, _, _ = optimize_trajectory(*args)
+        return "ok", traj
     except (
         opt_engine.QPInfeasibleError,
         opt_engine.QPMaxIterationsError,
         opt_engine.SolverError,
     ) as exc:
-        return "fail", str(exc), None
+        return "fail", str(exc)
 
 
 def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
@@ -111,7 +108,6 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
 
     hard_fallback = set()
     skip_pairs = set()
-    warm = {}
     prev_cost = None
     executor = None
     if jobs > 1:
@@ -161,15 +157,13 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
                     degree,
                     continuity,
                     weights,
-                    warm.get(i),
                 )
                 for i in free
             ]
             results = executor.map(_solve_one, args) if executor else map(_solve_one, args)
-            for i, (status, payload, x) in zip(free, results):
+            for i, (status, payload) in zip(free, results):
                 if status == "ok":
                     candidates[i] = payload
-                    warm[i] = x
                 else:
                     emit(f"iteration {it}: robot {i} keeps previous curve ({payload})")
 

@@ -353,11 +353,3 @@ class TestOptimizeTrajectory:
             optimize_trajectory(
                 np.zeros(3), np.ones(3), [0.25] * 2, self.free_corridors(3), 9, 4, WEIGHTS
             )
-
-    def test_warm_start_reproduces_objective(self):
-        rng = np.random.default_rng(16)
-        start, goal = rng.normal(size=3), rng.normal(size=3)
-        args = (start, goal, [0.25] * 3, self.free_corridors(3), 9, 4, WEIGHTS)
-        _, obj, x = optimize_trajectory(*args)
-        _, obj2, _ = optimize_trajectory(*args, x0=x)
-        assert obj2 == pytest.approx(obj, rel=1e-6, abs=1e-9)

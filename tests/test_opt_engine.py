@@ -212,15 +212,6 @@ class TestQP:
         with pytest.raises(ValueError):
             qp.check_psd()
 
-    def test_warm_start_agrees_with_cold(self):
-        rng = np.random.default_rng(5)
-        qp = random_feasible_qp(rng, n=5)
-        cold = solve_qp(qp, eps_abs=1e-9, eps_rel=1e-9)
-        warm = solve_qp(
-            qp, x0=cold.x + 0.01 * rng.normal(size=qp.n), eps_abs=1e-9, eps_rel=1e-9
-        )
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
-
 
 class TestQPBatch:
     def test_batch_matches_individual_solves(self):
