@@ -559,10 +559,10 @@ def solve_discrete(scenario, k_max=None, node_limit=20000):
     for K in range(lb, cap + 1):
         graph = TimeExpandedGraph(scenario, env, K)
         try:
-            result = opt_engine.solve_ilp(graph.binary_program(), node_limit=node_limit)
+            result = opt_engine.solve_ilp(
+                graph.binary_program(), target=n, node_limit=node_limit
+            )
         except ILPInfeasibleError:
-            continue
-        if int(round(result.objective)) < n:
             continue
         cell_paths, goal_choice = graph.extract_paths(result.z)
 

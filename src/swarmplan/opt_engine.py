@@ -10,21 +10,23 @@ many small inequality-only QPs of identical shape in one pass; the
 separating-hyperplane stage issues thousands of 4-variable problems per
 refinement iteration and would otherwise be bound by Python overhead.
 
-Max flow is plain Edmonds-Karp on unit-capacity networks.  The ILP solver
-is branch and bound over the LP relaxation with most-fractional branching.
-The LP relaxations are solved with scipy's HiGHS interface: branching
-needs vertex solutions and certified bounds, which an interior point on a
-degenerate flow polytope does not provide.
+Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
+ILPs start from the root LP relaxation, solved by HiGHS' simplex: the
+time-expanded flow programs usually have an integral vertex there, which
+is returned as is.  Only a fractional root goes on to HiGHS' branch and
+cut (scipy.optimize.milp).  Both need vertex solutions and certified
+bounds, which an interior point on a degenerate flow polytope does not
+provide.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse.csgraph import maximum_flow
 from scipy.sparse.linalg import splu
 
 
@@ -55,7 +57,7 @@ class ILPInfeasibleError(SolverError):
 
 
 class ILPBudgetExceededError(SolverError):
-    """Branch and bound exceeded its node budget."""
+    """The branch-and-cut search reached its node limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -629,143 +631,112 @@ def _polish_small(H, g, A, b, x, y):
 
 
 # ---------------------------------------------------------------------------
-# Edmonds-Karp max flow
+# max flow and binary ILPs on scipy
 # ---------------------------------------------------------------------------
 
 
 def max_flow(network):
-    """Edmonds-Karp on a unit-capacity network.
+    """Maximum flow of a unit-capacity network by scipy's csgraph routine.
 
-    Returns (value, flows) where flows[i] is the 0/1 flow on edges[i].
+    Parallel unit edges sum into one capacity.  Returns (value, flows)
+    where flows[i] is the 0/1 flow on edges[i].
     """
+    if not network.edges:
+        return 0, []
+    tails, heads = np.array(network.edges).T
     nv = network.num_vertices
-    adj = [[] for _ in range(nv)]
-    to = []
-    cap = []
-    for t, h in network.edges:
-        adj[t].append(len(to))
-        to.append(h)
-        cap.append(1)
-        adj[h].append(len(to))
-        to.append(t)
-        cap.append(0)
-    s, k = network.source, network.sink
-    value = 0
-    parent_edge = [-1] * nv
-    while True:
-        for i in range(nv):
-            parent_edge[i] = -1
-        parent_edge[s] = -2
-        queue = deque([s])
-        found = False
-        while queue:
-            v = queue.popleft()
-            if v == k:
-                found = True
-                break
-            for eid in adj[v]:
-                w = to[eid]
-                if cap[eid] > 0 and parent_edge[w] == -1:
-                    parent_edge[w] = eid
-                    queue.append(w)
-        if not found:
-            break
-        v = k
-        while v != s:
-            eid = parent_edge[v]
-            cap[eid] -= 1
-            cap[eid ^ 1] += 1
-            v = to[eid ^ 1]
-        value += 1
-    flows = [cap[2 * i + 1] for i in range(len(network.edges))]
-    return value, flows
+    cap = sp.csr_array(
+        (np.ones(tails.size, dtype=np.int32), (tails, heads)), shape=(nv, nv)
+    )
+    res = maximum_flow(cap, network.source, network.sink)
+    # the net flow from tail to head goes to the first edges of that pair,
+    # in edge order: rank counts the earlier edges with the same endpoints.
+    # A negative net flow leaves the edge empty; its antiparallel twin
+    # carries it, which keeps every vertex balanced.
+    net = np.asarray(res.flow[tails, heads]).ravel()
+    key = tails * nv + heads
+    order = np.argsort(key, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(key.size) - np.searchsorted(key[order], key[order])
+    return int(res.flow_value), (rank < net).astype(int).tolist()
 
 
-# ---------------------------------------------------------------------------
-# branch and bound for binary ILPs
-# ---------------------------------------------------------------------------
-
-
-# a node whose LP bound is within this of the incumbent cannot improve it
+# an LP bound within this of the target still admits it
 _ILP_GAP_TOL = 1e-6
 
 
-def _lp_relaxation(ilp, lb, ub):
-    bounds = list(zip(lb, ub))
-    res = linprog(
+def solve_ilp(ilp, target=None, node_limit=100000):
+    """Maximize a binary ILP; with target, only an optimum >= target counts.
+
+    The root LP relaxation is solved first with HiGHS' simplex: a vertex
+    that is already integral and feasible is returned as is (1 node), and a
+    root bound below target is infeasible without branching.  Otherwise
+    HiGHS' branch and cut (scipy.optimize.milp) solves the program, with
+    the row c'z >= target when a target is given.  Presolve stays off: on
+    the time-expanded flow programs it costs more time and memory than the
+    search it saves.
+
+    Returns an ILPResult whose nodes counts the search nodes, root
+    included.  Raises ILPInfeasibleError when no binary assignment (with
+    objective >= target) exists and ILPBudgetExceededError when the search
+    reaches node_limit nodes.
+    """
+    n = ilp.n
+    if n == 0:
+        # a fully presolved program is feasible exactly when its constant
+        # rows already hold
+        z = np.zeros(0, dtype=int)
+        if ilp.feasible(z) and (target is None or target <= _ILP_GAP_TOL):
+            return ILPResult(z, 0.0, 0, 0.0)
+        raise ILPInfeasibleError("no feasible binary assignment")
+    root = linprog(
         -ilp.c,
         A_ub=ilp.A_in if ilp.A_in.shape[0] else None,
         b_ub=ilp.b_in if ilp.A_in.shape[0] else None,
         A_eq=ilp.A_eq if ilp.A_eq.shape[0] else None,
         b_eq=ilp.b_eq if ilp.A_eq.shape[0] else None,
-        bounds=bounds,
+        bounds=(0.0, 1.0),
         method="highs",
     )
+    if root.status == 2:
+        raise ILPInfeasibleError("LP relaxation is infeasible")
+    if root.status != 0:
+        raise SolverError(f"LP relaxation failed with status {root.status}")
+    x, bound = root.x, -root.fun
+    if target is not None and bound < target - _ILP_GAP_TOL:
+        raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
+    z = np.round(x)
+    if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
+        return ILPResult(z.astype(int), float(ilp.c @ z), 1, 0.0)
+
+    constraints = []
+    if ilp.A_eq.shape[0]:
+        constraints.append(LinearConstraint(ilp.A_eq, ilp.b_eq, ilp.b_eq))
+    if ilp.A_in.shape[0]:
+        constraints.append(LinearConstraint(ilp.A_in, -np.inf, ilp.b_in))
+    if target is not None:
+        constraints.append(
+            LinearConstraint(ilp.c[None, :], target - _ILP_GAP_TOL, np.inf)
+        )
+    # with the relative gap off, HiGHS stops at its absolute gap of 1e-6
+    res = milp(
+        -ilp.c,
+        integrality=np.ones(n),
+        bounds=Bounds(0.0, 1.0),
+        constraints=constraints,
+        options={"presolve": False, "node_limit": node_limit, "mip_rel_gap": 0.0},
+    )
     if res.status == 2:
-        return None
+        raise ILPInfeasibleError("no feasible binary assignment")
     if res.status != 0:
-        raise SolverError(f"LP relaxation failed with status {res.status}")
-    return res.x, -res.fun
-
-
-def solve_ilp(ilp, node_limit=100000):
-    """Branch and bound with most-fractional branching (DFS, fixed child
-    order for determinism).  Returns an ILPResult with gap <= 1e-6."""
-    n = ilp.n
-    if n == 0:
-        # a fully presolved program is feasible exactly when its constant
-        # rows already hold
-        z = np.zeros(0)
-        if ilp.feasible(z):
-            return ILPResult(z.astype(int), 0.0, 0, 0.0)
-        raise ILPInfeasibleError("no feasible binary assignment")
-    best_z = None
-    best_obj = -np.inf
-    nodes = 0
-    pruned_bound = -np.inf
-    # stack entries: (lb, ub); the z=1 child is pushed last so it pops first
-    stack = [(np.zeros(n), np.ones(n))]
-    while stack:
-        if nodes >= node_limit:
-            raise ILPBudgetExceededError(
-                f"node limit {node_limit} reached (incumbent {best_obj})"
-            )
-        lb, ub = stack.pop()
-        nodes += 1
-        rel = _lp_relaxation(ilp, lb, ub)
-        if rel is None:
-            continue
-        x, bound = rel
-        if bound <= best_obj + _ILP_GAP_TOL:
-            pruned_bound = max(pruned_bound, bound)
-            continue
-        frac = np.abs(x - np.round(x))
-        if frac.max() <= 1e-6:
-            z = np.round(x)
-            if ilp.feasible(z):
-                obj = float(ilp.c @ z)
-                if obj > best_obj:
-                    best_obj = obj
-                    best_z = z
-                continue
-            # integral but infeasible after rounding: branch on the largest
-            # residual coordinate to split the node
-            j = int(np.argmax(frac))
-        else:
-            # most fractional: largest distance to the nearest integer,
-            # lowest index on ties
-            j = int(np.argmax(np.minimum(frac, 1.0 - frac)))
-        if lb[j] == ub[j]:
-            # cannot branch further; treat as pruned
-            continue
-        lb0, ub0 = lb.copy(), ub.copy()
-        ub0[j] = 0.0
-        lb1, ub1 = lb.copy(), ub.copy()
-        lb1[j] = 1.0
-        stack.append((lb0, ub0))
-        stack.append((lb1, ub1))
-    if best_z is None:
-        raise ILPInfeasibleError("no feasible binary assignment")
-    gap = max(0.0, pruned_bound - best_obj)
-    return ILPResult(best_z.astype(int), best_obj, nodes, gap)
-
+        # node_limit is the only limit set; HiGHS reports it as a "solution
+        # limit", a model status scipy leaves unmapped (status 4)
+        if res.status == 1 or "limit reached" in res.message:
+            raise ILPBudgetExceededError(f"node limit {node_limit} reached")
+        raise SolverError(f"branch and cut failed: {res.message}")
+    z = np.round(res.x)
+    if not ilp.feasible(z):
+        raise SolverError("branch and cut returned an infeasible assignment")
+    objective = float(ilp.c @ z)
+    gap = max(0.0, -res.mip_dual_bound - objective)
+    return ILPResult(z.astype(int), objective, int(res.mip_node_count), gap)

@@ -9,9 +9,10 @@ robot inside its corridor.
 
 Failures degrade per robot instead of aborting: a pair whose occupied
 sets admit no margin plane is pinned to the straight-line fallback for
-good, a robot whose program is infeasible keeps its previous curve, and
-a whole round is discarded if the resulting set does not validate.  The
-result is usable after any round and only improves with more of them.
+good, a robot with a failed obstacle separator or an infeasible program
+keeps its previous curve (each is logged), and a whole round is discarded
+if the resulting set does not validate.  The result is usable after any
+round and only improves with more of them.
 """
 
 from __future__ import annotations
@@ -143,11 +144,13 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
             for i in hard_fallback:
                 candidates[i] = straight[i]
 
-            free = [
-                i
-                for i in range(n)
-                if i not in hard_fallback and i not in corridors.failed_robots
-            ]
+            frozen = sorted(corridors.failed_robots - hard_fallback)
+            if frozen:
+                emit(
+                    f"iteration {it}: robots {frozen} frozen on their previous "
+                    f"curves: an obstacle separator failed"
+                )
+            free = [i for i in range(n) if i not in hard_fallback and i not in frozen]
             args = [
                 (
                     starts[i],

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from swarmplan import opt_engine
 from swarmplan.cli import main
 from swarmplan.scenario import GridSpec, ScenarioSpec
 
@@ -139,6 +140,16 @@ class TestFailureModes:
         code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_ilp_node_budget_exits_with_code_3(self, scenario_file, tmp_path,
+                                               monkeypatch, capsys):
+        def over_budget(*args, **kwargs):
+            raise opt_engine.ILPBudgetExceededError("node limit 3 reached")
+
+        monkeypatch.setattr(opt_engine, "solve_ilp", over_budget)
+        code = main(["plan", "--scenario", scenario_file, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "budget exceeded: node limit 3 reached" in capsys.readouterr().err
 
     def test_invalid_scenario_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -4,8 +4,13 @@ Hand cases are small enough to reason through on paper; the broad random
 comparison against the joint-state search lives in the acceptance suite.
 """
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from swarmplan.discrete_planner import (
     DiscreteInfeasibleError,
@@ -19,6 +24,8 @@ from swarmplan.discrete_planner import (
 from swarmplan.opt_engine import ILPInfeasibleError, solve_ilp
 from swarmplan.scenario import GridSpec, ScenarioSpec
 from swarmplan.validate import mapf_oracle
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def scenario(dims, starts, goals, obstacles=(), cell_size=0.5, radii=(0.12, 0.12, 0.3)):
@@ -235,6 +242,39 @@ class TestSolveDiscrete:
             assert int(round(result.objective)) < sc.num_robots
         except ILPInfeasibleError:
             pass
+
+    def test_fractional_root_goes_to_branch_and_cut(self):
+        # two robots on two layers: the root LP of the K = 3 program is
+        # fractional, so the plan comes from HiGHS' branch and cut
+        sc = scenario((3, 3, 2), [(1, 0, 0), (2, 2, 1)], [(0, 1, 1), (2, 2, 0)])
+        env = EnvironmentGraph(sc)
+        K = lower_bound_makespan(sc, env)
+        ilp = TimeExpandedGraph(sc, env, K).binary_program()
+        root = linprog(
+            -ilp.c, A_ub=ilp.A_in, b_ub=ilp.b_in, A_eq=ilp.A_eq, b_eq=ilp.b_eq,
+            bounds=(0, 1), method="highs",
+        )
+        assert root.status == 0
+        assert np.abs(root.x - np.round(root.x)).max() > 0.1
+
+        plan = solve_discrete(sc)
+        assert check_discrete_rules(plan.cell_paths, sc) == []
+        assert plan.num_segments == K == mapf_oracle(sc)[0]
+
+        first = solve_ilp(ilp, target=sc.num_robots)
+        second = solve_ilp(ilp, target=sc.num_robots)
+        assert first.objective == sc.num_robots
+        assert np.array_equal(first.z, second.z)
+        assert first.nodes == second.nodes
+
+    def test_wall_cell_paths_are_pinned(self):
+        # the wall's root LP is integral, so the plan is that vertex; a
+        # different plan changes every later stage of the bundled scenario
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        plan = solve_discrete(sc)
+        assert plan.num_segments == 11
+        digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
+        assert digest == "0761b0b1176e1a1a01633ae3ac021c5b15c5944030a8d1885d7f499c6a2a3b42"
 
 
 class TestDiscretePlan:

@@ -294,14 +294,32 @@ class TestILP:
                 assert res.objective == pytest.approx(ref, abs=1e-6)
                 assert ilp.feasible(res.z)
 
+    def test_target_above_optimum_is_infeasible(self):
+        # max z0 + z1 + z2 with pairwise exclusion: the root LP is
+        # (1/2, 1/2, 1/2) with bound 3/2, the binary optimum is 1
+        ilp = BinaryILP(
+            np.ones(3),
+            None,
+            None,
+            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+            np.ones(3),
+        )
+        assert solve_ilp(ilp, target=1).objective == 1.0
+        with pytest.raises(ILPInfeasibleError):
+            solve_ilp(ilp, target=1.5)  # root bound meets it, branch and cut does not
+        with pytest.raises(ILPInfeasibleError):
+            solve_ilp(ilp, target=2)  # root bound already below it
+
     def test_node_budget_raises(self):
-        rng = np.random.default_rng(1)
-        n = 16
-        c = rng.uniform(1, 2, size=n)
-        A_in = np.vstack([rng.uniform(1, 2, size=(1, n))])
-        b_in = np.array([float(n) / 2])
+        # a Cornuejols-Dawande market-split instance: 3 rows, 20 binaries,
+        # a_ij uniform in [0, 99], d_i = floor(sum_j a_ij / 2); its LP
+        # relaxation is feasible and fractional, and proving it has no
+        # binary point takes HiGHS far more than 3 nodes
+        rng = np.random.default_rng(0)
+        A_eq = rng.integers(0, 100, size=(3, 20)).astype(float)
+        b_eq = np.floor(A_eq.sum(axis=1) / 2)
         with pytest.raises(ILPBudgetExceededError):
-            solve_ilp(BinaryILP(c, None, None, A_in, b_in), node_limit=3)
+            solve_ilp(BinaryILP(np.ones(20), A_eq, b_eq), node_limit=3)
 
     def test_deterministic_solution(self):
         rng = np.random.default_rng(23)

@@ -133,6 +133,27 @@ class TestDegradation:
                 atol=1e-12,
             )
 
+    def test_failed_obstacle_separator_freezes_robot_and_says_so(self, small, monkeypatch):
+        sc, plan = small
+        real = refine_mod.build_corridors
+
+        def no_obstacle_plane_for_robot_1(point_sets, scenario, skip_pairs=frozenset()):
+            out = real(point_sets, scenario, skip_pairs)
+            return CorridorSet(out.polyhedra, out.failed_pairs, {1})
+
+        monkeypatch.setattr(refine_mod, "build_corridors", no_obstacle_plane_for_robot_1)
+        messages = []
+        result = refine_trajectories(plan, sc, iterations=2, log=messages.append)
+        assert result.ok
+        frozen = [m for m in messages if "frozen" in m]
+        assert frozen == [
+            f"iteration {it}: robots [1] frozen on their previous curves: "
+            f"an obstacle separator failed"
+            for it in range(len(result.rows))
+        ]
+        # robot 1 was never optimized, so it still flies the straight line
+        assert result.rows[-1]["fallback_count"] == 1
+
     def test_infeasible_robot_keeps_previous_curve(self, small, monkeypatch):
         sc, plan = small
 
