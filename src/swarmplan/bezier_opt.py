@@ -297,6 +297,55 @@ def fallback_trajectory(waypoints, durations, degree, continuity, weights):
     return PiecewiseBezierTrajectory(pieces)
 
 
+def boundary_rows(start, goal, durations, degree, continuity):
+    """Equality rows over the stacked control points of all pieces.
+
+    Three rows (one per axis) per condition: the curve starts at start and
+    ends at goal at rest through derivative order continuity, and at every
+    knot the derivatives of orders 0..continuity of the two pieces agree.
+    Returns (A_eq, b_eq) with A_eq a CSR matrix.
+    """
+    d = int(degree)
+    c = int(continuity)
+    width = (d + 1) * 3
+    last = len(durations) - 1
+    zero = np.zeros(3)
+    # (piece, coefficients) terms of each condition, and its right-hand side
+    terms = []
+    rhs = []
+    for piece, at_start, point in ((0, True, start), (last, False, goal)):
+        for order in range(c + 1):
+            row = endpoint_derivative_row(d, order, durations[piece], at_start)
+            terms.append([(piece, row)])
+            rhs.append(np.asarray(point, dtype=float) if order == 0 else zero)
+    for k in range(last):
+        for order in range(c + 1):
+            terms.append(
+                [
+                    (k, endpoint_derivative_row(d, order, durations[k], False)),
+                    (k + 1, -endpoint_derivative_row(d, order, durations[k + 1], True)),
+                ]
+            )
+            rhs.append(zero)
+    entries = [
+        (i, p * width + 3 * r, v)
+        for i, cond_terms in enumerate(terms)
+        for p, row in cond_terms
+        for r, v in enumerate(row)
+        if v != 0.0
+    ]
+    cond, first_col, coeff = map(np.array, zip(*entries))
+    axis = np.arange(3)
+    a_eq = sparse.csr_matrix(
+        (
+            np.repeat(coeff, 3),
+            ((3 * cond[:, None] + axis).ravel(), (first_col[:, None] + axis).ravel()),
+        ),
+        shape=(3 * len(terms), len(durations) * width),
+    )
+    return a_eq, np.concatenate(rhs)
+
+
 def optimize_trajectory(
     start,
     goal,
@@ -330,45 +379,7 @@ def optimize_trajectory(
         hk = np.kron(control_point_cost(d, tau, tuple(weights)), np.eye(3))
         h[k * width : (k + 1) * width, k * width : (k + 1) * width] = 2.0 * hk
 
-    eq_rows = []
-    eq_rhs = []
-
-    # constraint rows touch at most two pieces, so build them sparse;
-    # dense rows make the solver's matvecs quadratic in piece count
-    def add_row(piece, row, rhs3, other_piece=None, other_row=None):
-        block = sparse.lil_matrix((3, n))
-        base = piece * width
-        for axis in range(3):
-            block[axis, base + axis : base + width : 3] = row
-            if other_piece is not None:
-                ob = other_piece * width
-                block[axis, ob + axis : ob + width : 3] = -other_row
-        eq_rows.append(block)
-        eq_rhs.append(np.asarray(rhs3, dtype=float))
-
-    zero = np.zeros(3)
-    add_row(0, endpoint_derivative_row(d, 0, durations[0], True), np.asarray(start, dtype=float))
-    for order in range(1, c + 1):
-        add_row(0, endpoint_derivative_row(d, order, durations[0], True), zero)
-    add_row(
-        num_pieces - 1,
-        endpoint_derivative_row(d, 0, durations[-1], False),
-        np.asarray(goal, dtype=float),
-    )
-    for order in range(1, c + 1):
-        add_row(num_pieces - 1, endpoint_derivative_row(d, order, durations[-1], False), zero)
-    for k in range(num_pieces - 1):
-        for order in range(c + 1):
-            add_row(
-                k,
-                endpoint_derivative_row(d, order, durations[k], False),
-                zero,
-                other_piece=k + 1,
-                other_row=endpoint_derivative_row(d, order, durations[k + 1], True),
-            )
-
-    a_eq = sparse.vstack(eq_rows, format="csr")
-    b_eq = np.concatenate(eq_rhs)
+    a_eq, b_eq = boundary_rows(start, goal, durations, d, c)
 
     in_rows = []
     in_rhs = []
@@ -397,7 +408,19 @@ def optimize_trajectory(
     if h_scale > 0:
         h /= h_scale
 
-    qp = QuadraticProgram(H=h, g=np.zeros(n), A_eq=a_eq, b_eq=b_eq, A_in=a_in, b_in=b_in)
+    # the knot rows carry factors up to d!/(d-c)!/tau^c; scaled to a unit
+    # largest coefficient, their residual floors at the rounding of the
+    # positions instead, and the solver's residuals then measure how far it
+    # has converged
+    unit = 1.0 / abs(a_eq).max(axis=1).toarray().ravel()
+    qp = QuadraticProgram(
+        H=h,
+        g=np.zeros(n),
+        A_eq=sparse.diags(unit) @ a_eq,
+        b_eq=unit * b_eq,
+        A_in=a_in,
+        b_in=b_in,
+    )
     result = opt_engine.solve_qp(qp)
     x = result.x
 

@@ -62,6 +62,10 @@ class EnvironmentGraph:
         for i, j in edges:
             self.adjacency[i].append(j)
             self.adjacency[j].append(i)
+        # the tightest time expansion lower_bound_makespan found routable,
+        # by K; solve_discrete starts there and takes it instead of
+        # building it again
+        self.routed = {}
 
     def distances_from(self, seed_cells):
         """BFS hop counts from a set of cells; inf where unreachable."""
@@ -522,6 +526,9 @@ def lower_bound_makespan(scenario, env=None, k_max=None):
     def routable(K):
         graph = TimeExpandedGraph(scenario, env, K)
         value, _ = opt_engine.max_flow(graph.flow_network())
+        if value >= n:
+            # every later routable K is smaller: keep only the newest
+            env.routed = {K: graph}
         return value >= n
 
     if routable(0):
@@ -557,7 +564,7 @@ def solve_discrete(scenario, k_max=None, node_limit=20000):
     n = scenario.num_robots
 
     for K in range(lb, cap + 1):
-        graph = TimeExpandedGraph(scenario, env, K)
+        graph = env.routed.pop(K, None) or TimeExpandedGraph(scenario, env, K)
         try:
             result = opt_engine.solve_ilp(
                 graph.binary_program(), target=n, node_limit=node_limit

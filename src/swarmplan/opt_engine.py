@@ -1,14 +1,15 @@
 """Shared numerical core: convex QP, max flow, and binary ILP solvers.
 
-The QP solver is a Mehrotra predictor-corrector interior-point method.  Its
-Newton step factors the sparse KKT matrix with sparse LU, so the same path
-serves the tiny dense programs of the tests and the smoothing QPs, whose
-KKT matrix is block-banded.  Programs whose best iterate misses the
-tolerance are classified by HiGHS LPs: a feasibility LP for infeasibility
-and a recession LP for unboundedness.  A vectorized ADMM variant solves
-many small inequality-only QPs of identical shape in one pass; the
-separating-hyperplane stage issues thousands of 4-variable problems per
-refinement iteration and would otherwise be bound by Python overhead.
+The QP solver is one Mehrotra predictor-corrector interior-point method
+with a Newton step shaped to the program.  A single QP (the tests' small
+dense programs, the per-robot smoothing QPs) factors its KKT matrix with a
+banded LU in a reverse Cuthill-McKee order; the smoothing QPs' KKT matrix
+is block-banded, so the band is narrow.  A batch of small inequality-only
+QPs of identical shape (the thousands of 4-variable separating-hyperplane
+problems per refinement round) runs as one vectorized iteration whose
+Newton step is a stacked solve of small dense systems.  Programs whose
+best iterate misses the tolerance are classified by HiGHS LPs: a
+feasibility LP for infeasibility and a recession LP for unboundedness.
 
 Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
 ILPs start from the root LP relaxation, solved by HiGHS' simplex: the
@@ -22,12 +23,13 @@ provide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse.csgraph import maximum_flow
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import maximum_flow, reverse_cuthill_mckee
 
 
 class SolverError(Exception):
@@ -208,11 +210,10 @@ class FlowNetwork:
 # ---------------------------------------------------------------------------
 
 _IPM_MAX_ITER = 100
-# the best iterate is final once the residual reaches this fraction of the
-# data scale, or has not improved for _IPM_STALL steps; the smoothing QPs
-# have objectives near 1e-9 after normalization, so a looser stop shows up
-# directly in the trajectory cost
-_IPM_TARGET = 1e-12
+# the best iterate is final once the residual has not improved for
+# _IPM_STALL steps: the smoothing QPs have objectives near 1e-9 after
+# normalization and flat optimal faces, so any stop short of the rounding
+# floor shows up directly in the trajectory cost
 _IPM_STALL = 8
 _KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
@@ -221,57 +222,205 @@ _CERT_TOL = 1e-9
 
 
 def _norm(v):
-    return float(np.abs(v).max()) if v.size else 0.0
+    """Largest absolute entry along the last axis (0 when it is empty)."""
+    return np.abs(v).max(axis=-1, initial=0.0)
+
+
+def _largest(*values):
+    return reduce(np.maximum, values)
 
 
 def _max_step(v, dv):
-    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float((-v[neg] / dv[neg]).min()))
+    """Largest step in [0, 1] per instance that keeps v + step * dv nonnegative."""
+    ratio = np.where(dv < 0, -v / dv, 1.0)
+    return np.minimum(1.0, ratio.min(axis=-1, initial=1.0))
 
 
-def _kkt_solver(M, A_eq):
-    """Sparse LU of the quasidefinite [[M + dI, A_eq'], [A_eq, -dI]].
+def _apply(M, v):
+    """M times each row of v, for a sparse M."""
+    return (M @ v.T).T
 
-    Returns solve(r_x, r_y) for the unregularized system
-    [[M, A_eq'], [A_eq, 0]] (x, y) = (r_x, r_y): two steps of iterative
-    refinement against it remove the O(d) error of the regularization, so
-    equality residuals are not floored at d * |y|.  Raises RuntimeError when
-    the factorization breaks down.
+
+def _kkt_solver(H, A_eq, A_in):
+    """Banded LU of the quasidefinite [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]].
+
+    The sparsity pattern and a reverse Cuthill-McKee order of it are
+    computed once.  A smoothing QP's corridor rows touch one piece and its
+    continuity rows two neighbouring ones, so the reordered matrix has a
+    narrow band; a dense program simply has a full one.  Returns factor(w),
+    which scatters W = diag(w) into LAPACK band storage with one bincount,
+    factors it with dgbtrf and returns solve(r_x, r_y) for the
+    unregularized system [[H + A_in' W A_in, A_eq'], [A_eq, 0]] (x, y) =
+    (r_x, r_y): two steps of iterative refinement against it remove the
+    O(d) error of the regularization, so equality residuals are not floored
+    at d * |y|.  Vectors carry a leading axis of length one, as in a batch
+    of one program.  factor raises RuntimeError when the factorization
+    breaks down.
     """
-    n = M.shape[0]
-    m = A_eq.shape[0]
-    kkt = sp.bmat(
-        [[M + _KKT_DELTA * sp.eye(n), A_eq.T], [A_eq, -_KKT_DELTA * sp.eye(m)]],
-        format="csc",
+    n = H.shape[0]
+    size = n + A_eq.shape[0]
+    h = H.tocoo()
+    e = A_eq.tocoo()
+    diag = np.arange(size)
+    rows = np.concatenate([h.row, diag, e.row + n, e.col])
+    cols = np.concatenate([h.col, diag, e.col, e.row + n])
+    vals = np.concatenate(
+        [h.data, np.where(diag < n, _KKT_DELTA, -_KKT_DELTA), e.data, e.data]
     )
-    lu = splu(kkt)
+    # row r of A_in adds w[r] a_ri a_rj at (i, j) for each pair of its nonzeros
+    A_in = A_in.tocsr()
+    A_inT = A_in.T.tocsr()
+    A_eqT = A_eq.T.tocsr()
+    counts = np.diff(A_in.indptr)
+    nz_row = np.repeat(np.arange(A_in.shape[0]), counts)
+    partners = counts[nz_row]
+    first = np.repeat(np.arange(nz_row.size), partners)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    second = A_in.indptr[nz_row[first]] + offset
+    w_row = nz_row[first]
+    w_coef = A_in.data[first] * A_in.data[second]
+    w_i = A_in.indices[first]
+    w_j = A_in.indices[second]
 
-    def solve(r_x, r_y):
-        rhs = np.concatenate([r_x, r_y])
-        sol = lu.solve(rhs)
-        for _ in range(2):
-            x, y = sol[:n], sol[n:]
-            sol = sol + lu.solve(rhs - np.concatenate([M @ x + A_eq.T @ y, A_eq @ x]))
-        return sol[:n], sol[n:]
+    all_i = np.concatenate([rows, w_i])
+    all_j = np.concatenate([cols, w_j])
+    pattern = sp.csr_array((np.ones(all_i.size), (all_i, all_j)), shape=(size, size))
+    perm = reverse_cuthill_mckee(pattern)
+    rank = np.empty(size, dtype=np.int64)
+    rank[perm] = np.arange(size)
+    bw = int(np.abs(rank[all_i] - rank[all_j]).max())
+    ldab = 3 * bw + 1
 
-    return solve
+    def band_index(i, j):
+        # entry (i, j) of the reordered matrix sits at ab[2 bw + i - j, j];
+        # ab is column-major, as LAPACK reads it
+        return rank[j] * ldab + 2 * bw + rank[i] - rank[j]
+
+    const = np.bincount(band_index(rows, cols), weights=vals, minlength=ldab * size)
+    w_index = band_index(w_i, w_j)
+
+    def factor(w):
+        w = w[0]
+        ab = const + np.bincount(w_index, weights=w_coef * w[w_row], minlength=ldab * size)
+        lu, piv, info = dgbtrf(ab.reshape(size, ldab).T, bw, bw, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"banded LU broke down (info {info})")
+
+        def lu_solve(r):
+            sol, _ = dgbtrs(lu, bw, bw, r[perm], piv)
+            out = np.empty(size)
+            out[perm] = sol
+            return out
+
+        def solve(r_x, r_y):
+            rhs = np.concatenate([r_x[0], r_y[0]])
+            sol = lu_solve(rhs)
+            for _ in range(2):
+                x, y = sol[:n], sol[n:]
+                kx = H @ x + A_inT @ (w * (A_in @ x)) + A_eqT @ y
+                sol = sol + lu_solve(rhs - np.concatenate([kx, A_eq @ x]))
+            return sol[None, :n], sol[None, n:]
+
+        return solve
+
+    return factor
+
+
+class _SparseProgram:
+    """One QP with sparse data, as a batch of one: its products, and the
+    banded Newton step of _kkt_solver."""
+
+    def __init__(self, H, A_eq, A_in):
+        self.H, self.A_eq, self.A_in = H, A_eq, A_in
+        self.A_eqT = A_eq.T.tocsr()
+        self.A_inT = A_in.T.tocsr()
+        self.newton = _kkt_solver(H, A_eq, A_in)
+
+    def hess(self, x):
+        return _apply(self.H, x)
+
+    def eq(self, x):
+        return _apply(self.A_eq, x)
+
+    def eq_t(self, y):
+        return _apply(self.A_eqT, y)
+
+    def ineq(self, x):
+        return _apply(self.A_in, x)
+
+    def ineq_t(self, z):
+        return _apply(self.A_inT, z)
+
+
+class _DenseBatch:
+    """Inequality-only QPs with rows A (T, m, n) and a shared H: the Newton
+    step is one stacked solve of (T, n, n) systems."""
+
+    def __init__(self, H, A):
+        self.H, self.A = H, A
+
+    def hess(self, x):
+        return x @ self.H.T
+
+    def eq(self, x):
+        return np.zeros((x.shape[0], 0))
+
+    def eq_t(self, y):
+        return 0.0
+
+    def ineq(self, x):
+        return (self.A @ x[:, :, None])[:, :, 0]
+
+    def ineq_t(self, z):
+        return (z[:, None, :] @ self.A)[:, 0, :]
+
+    def newton(self, w):
+        # H may be singular (the separators' offset has no curvature): d
+        # keeps every system of the stack nonsingular, and two refinement
+        # steps against H + A' W A, applied factor by factor, remove its
+        # error and the rounding of the formed matrix, as in _kkt_solver
+        M = self.H + self.A.transpose(0, 2, 1) @ (w[:, :, None] * self.A)
+        M += _KKT_DELTA * np.eye(self.H.shape[0])
+        good = None
+
+        def stacked_solve(r):
+            nonlocal good
+            if good is None:
+                try:
+                    return np.linalg.solve(M, r[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    det = np.linalg.det(M)
+                    good = np.isfinite(det) & (det != 0)
+            # a breakdown ends only its own instance, at its best iterate:
+            # its step is NaN
+            out = np.full(r.shape, np.nan)
+            out[good] = np.linalg.solve(M[good], r[good, :, None])[:, :, 0]
+            return out
+
+        def solve(r_x, r_y):
+            dx = stacked_solve(r_x)
+            for _ in range(2):
+                dx = dx + stacked_solve(r_x - self.hess(dx) - self.ineq_t(w * self.ineq(dx)))
+            return dx, r_y
+
+        return solve
+
+    def take(self, keep):
+        return _DenseBatch(self.H, self.A[keep])
 
 
 def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     """Solve a convex QP to the requested KKT tolerance.
 
     One method serves every QP: a Mehrotra predictor-corrector interior
-    point whose Newton step factors the sparse KKT matrix
-    [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]] with sparse LU.
-    Equality-only programs take one solve through the same factorization.
-    The smoothness objectives weight derivative orders whose magnitudes
-    differ by many decades, so the Hessian on the equality manifold can
-    carry near-zero eigenvalues; a barrier method converges to a
-    well-centered point of such a flat optimal face without naming its
-    active rows.
+    point whose Newton step factors the KKT matrix
+    [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]] with a banded LU in a
+    reverse Cuthill-McKee order fixed for the call.  Equality-only programs
+    take one solve through the same factorization.  The smoothness
+    objectives weight derivative orders whose magnitudes differ by many
+    decades, so the Hessian on the equality manifold can carry near-zero
+    eigenvalues; a barrier method converges to a well-centered point of
+    such a flat optimal face without naming its active rows.
 
     Returns a QPResult with the best iterate found.  When that iterate misses
     the tolerance, HiGHS LPs classify the program: QPInfeasibleError when
@@ -279,108 +428,127 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     direction lowers the objective, QPMaxIterationsError otherwise.
     """
     qp.check_psd()
+    n = qp.n
     H = sp.csr_matrix(qp.H)
     A_eq = sp.csr_matrix(qp.A_eq)
     A_in = sp.csr_matrix(qp.A_in)
-    x = np.zeros(qp.n)
-    y = np.zeros(A_eq.shape[0])
-    z = np.zeros(A_in.shape[0])
+    program = _SparseProgram(H, A_eq, A_in)
+    b_eq = qp.b_eq[None]
+    b_in = qp.b_in[None]
+    x = np.zeros((1, n))
+    y = np.zeros(b_eq.shape)
+    z = np.zeros(b_in.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if A_in.shape[0]:
-            x, y, z, iterations = _ipm(qp, H, A_eq, A_in)
+            # start from the minimum-norm solution of the equalities
+            try:
+                start = _kkt_solver(sp.eye(n, format="csr"), A_eq, sp.csr_matrix((0, n)))
+                x, _ = start(np.zeros((1, 0)))(np.zeros((1, n)), b_eq)
+            except RuntimeError:
+                pass
+            x, y, z, iterations = _ipm(program, qp.g, b_eq, b_in, x)
         else:
             iterations = 1
             try:
-                x, y = _kkt_solver(H, A_eq)(-qp.g, qp.b_eq)
+                x, y = program.newton(np.zeros((1, 0)))(-qp.g[None], b_eq)
             except RuntimeError:
                 pass
-        ok, r_prim, r_dual = _accept(qp, H, A_eq, A_in, x, y, z, eps_abs, eps_rel)
-    if not ok:
+        ok, r_prim, r_dual = _accept(program, qp.g, b_eq, b_in, x, y, z, eps_abs, eps_rel)
+    r_prim, r_dual = float(r_prim[0]), float(r_dual[0])
+    if not ok[0]:
         _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations)
-    duals = np.concatenate([y, z])
-    return QPResult(x, qp.objective(x), iterations, r_prim, r_dual, duals, False)
+    duals = np.concatenate([y[0], z[0]])
+    return QPResult(x[0], qp.objective(x[0]), iterations, r_prim, r_dual, duals, False)
 
 
-def _accept(qp, H, A_eq, A_in, x, y, z, eps_abs, eps_rel):
-    """KKT residuals of (x, y, z) and whether they meet the stopping rule."""
-    ax_eq = A_eq @ x
-    ax_in = A_in @ x
-    r_prim = max(_norm(ax_eq - qp.b_eq), _norm(np.maximum(ax_in - qp.b_in, 0.0)))
-    hx = H @ x
-    aty = A_eq.T @ y + A_in.T @ z
-    r_dual = _norm(hx + qp.g + aty)
-    eps_p = eps_abs + eps_rel * max(
-        _norm(ax_eq), _norm(ax_in), _norm(qp.b_eq), _norm(np.minimum(ax_in, qp.b_in))
+def _accept(program, g, b_eq, b_in, x, y, z, eps_abs, eps_rel):
+    """Per instance: whether (x, y, z) meets the KKT stopping rule, and the
+    primal and dual residuals."""
+    ax_eq = program.eq(x)
+    ax_in = program.ineq(x)
+    r_prim = np.maximum(_norm(ax_eq - b_eq), _norm(np.maximum(ax_in - b_in, 0.0)))
+    hx = program.hess(x)
+    aty = program.eq_t(y) + program.ineq_t(z)
+    r_dual = _norm(hx + g + aty)
+    eps_p = eps_abs + eps_rel * _largest(
+        _norm(ax_eq), _norm(ax_in), _norm(b_eq), _norm(np.minimum(ax_in, b_in))
     )
-    eps_d = eps_abs + eps_rel * max(_norm(hx), _norm(aty), _norm(qp.g))
-    return (r_prim <= eps_p and r_dual <= eps_d), r_prim, r_dual
+    eps_d = eps_abs + eps_rel * _largest(_norm(hx), _norm(aty), _norm(g))
+    return (r_prim <= eps_p) & (r_dual <= eps_d), r_prim, r_dual
 
 
-def _ipm(qp, H, A_eq, A_in):
+def _ipm(program, g, b_eq, b_in, x):
     """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0.
 
-    Starts from the minimum-norm solution of the equalities and returns the
-    best iterate (x, y_eq, z_in, iterations) by the largest of the residuals
-    and the duality measure.
+    Solves a batch of programs at once: arrays carry the instance on their
+    first axis, and program supplies the products and the Newton step.
+    Each instance keeps its own step length, stopping rule and best
+    iterate, and leaves the batch when it stops.  Starts from x and returns
+    the best iterates (x, y_eq, z_in), by the largest of the residuals and
+    the square root of the duality measure, and the number of iterations
+    run.
     """
-    n = qp.n
-    m_in = A_in.shape[0]
-    g, b_eq, b_in = qp.g, qp.b_eq, qp.b_in
-    A_eqT = A_eq.T.tocsr()
-    A_inT = A_in.T.tocsr()
+    m_in = b_in.shape[1]
+    s_raw = b_in - program.ineq(x)
+    s = s_raw + np.maximum(0.0, -1.5 * s_raw.min(axis=1))[:, None] + 1.0
+    z = np.ones(b_in.shape)
+    y = np.zeros(b_eq.shape)
 
-    try:
-        x, _ = _kkt_solver(sp.eye(n, format="csr"), A_eq)(np.zeros(n), b_eq)
-    except RuntimeError:
-        x = np.zeros(n)
-    s_raw = b_in - A_in @ x
-    s = s_raw + max(0.0, -1.5 * float(s_raw.min())) + 1.0
-    z = np.ones(m_in)
-    y = np.zeros(A_eq.shape[0])
-
-    scale = max(1.0, _norm(g), _norm(b_eq), _norm(b_in))
-    best = (x.copy(), y.copy(), z.copy())
-    best_res = np.inf
-    stall = 0
+    best = [x.copy(), y.copy(), z.copy()]
+    best_res = np.full(x.shape[0], np.inf)
+    stall = np.zeros(x.shape[0], dtype=int)
+    live = np.arange(x.shape[0])
     it = 0
     while it < _IPM_MAX_ITER:
-        r_d = H @ x + g + A_eqT @ y + A_inT @ z
-        r_eq = A_eq @ x - b_eq
-        r_in = A_in @ x + s - b_in
-        mu = float(s @ z) / m_in
-        res = max(_norm(r_d), _norm(r_eq), _norm(r_in), mu)
-        if not np.isfinite(res):
+        r_d = program.hess(x) + g + program.eq_t(y) + program.ineq_t(z)
+        r_eq = program.eq(x) - b_eq
+        r_in = program.ineq(x) + s - b_in
+        mu = np.einsum("tm,tm->t", s, z) / m_in
+        # on a degenerate face the distance to the solution shrinks like
+        # sqrt(mu), not like mu
+        res = _largest(_norm(r_d), _norm(r_eq), _norm(r_in), np.sqrt(mu))
+        better = res < best_res[live]
+        for kept, current in zip(best, (x, y, z)):
+            kept[live[better]] = current[better]
+        best_res[live[better]] = res[better]
+        stall[live] = np.where(better, 0, stall[live] + 1)
+        stop = ~np.isfinite(res) | (stall[live] >= _IPM_STALL)
+        if stop.all():
             break
-        if res < best_res:
-            best_res = res
-            best = (x.copy(), y.copy(), z.copy())
-            stall = 0
-        else:
-            stall += 1
-        if res <= _IPM_TARGET * scale or stall >= _IPM_STALL:
-            break
+        if stop.any():
+            # only a batch of several gets here: one program stops whole
+            keep = ~stop
+            live = live[keep]
+            program = program.take(keep)
+            x, y, s, z, r_d, r_eq, r_in, mu, b_eq, b_in = (
+                v[keep] for v in (x, y, s, z, r_d, r_eq, r_in, mu, b_eq, b_in)
+            )
 
         try:
-            solve = _kkt_solver(H + A_inT @ sp.diags(z / s) @ A_in, A_eq)
+            solve = program.newton(z / s)
         except RuntimeError:
             break
 
         def newton(r_cs):
-            dx, dy = solve(-r_d - A_inT @ ((z * r_in - r_cs) / s), -r_eq)
-            ds = -r_in - A_in @ dx
+            dx, dy = solve(-r_d - program.ineq_t((z * r_in - r_cs) / s), -r_eq)
+            ds = -r_in - program.ineq(dx)
             dz = -(r_cs + z * ds) / s
             return dx, dy, ds, dz
 
         dx, dy, ds, dz = newton(s * z)
-        mu_aff = float((s + _max_step(s, ds) * ds) @ (z + _max_step(z, dz) * dz)) / m_in
-        sigma = min(1.0, (mu_aff / max(mu, 1e-300)) ** 3)
-        dx, dy, ds, dz = newton(s * z + ds * dz - sigma * mu)
-        ap = 0.995 * _max_step(s, ds)
-        ad = 0.995 * _max_step(z, dz)
-        x += ap * dx
-        s += ap * ds
-        y += ad * dy
-        z += ad * dz
+        s_aff = s + _max_step(s, ds)[:, None] * ds
+        z_aff = z + _max_step(z, dz)[:, None] * dz
+        mu_aff = np.einsum("tm,tm->t", s_aff, z_aff) / m_in
+        sigma = np.minimum(1.0, (mu_aff / np.maximum(mu, 1e-300)) ** 3)
+        dx, dy, ds, dz = newton(s * z + ds * dz - (sigma * mu)[:, None])
+        # one step length for primal and dual: with curvature in H, unequal
+        # lengths leave (a_p - a_d) H dx in the dual residual, which stalls
+        # degenerate separators
+        step = 0.995 * np.minimum(_max_step(s, ds), _max_step(z, dz))[:, None]
+        x = x + step * dx
+        s = s + step * ds
+        y = y + step * dy
+        z = z + step * dz
         it += 1
     return (*best, it)
 
@@ -422,212 +590,39 @@ def _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations):
     )
 
 
-# ---------------------------------------------------------------------------
-# batched small-QP solver (inequality-only, identical shapes)
-# ---------------------------------------------------------------------------
-
-_RHO_MIN = 1e-6
-_RHO_MAX = 1e6
-
-
-def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6, max_iter=20000):
+def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6):
     """Solve T small QPs  min 0.5 x'Hx + g'x  s.t.  A[t] x <= b[t]  at once.
 
     H and g are shared across the batch; A has shape (T, m, n) and b has
-    shape (T, m).  Returns (x, objective, status) where status[t] is one of
-    "solved", "infeasible", "max_iter".  Each solved instance is polished
-    individually so active constraints hold to direct-solve accuracy.
+    shape (T, m).  The method is solve_qp's interior point run over the
+    whole batch, with one stacked (T, n, n) solve per Newton step.  An
+    instance whose best iterate misses the tolerance goes to solve_qp,
+    whose HiGHS feasibility LP names it "infeasible"; otherwise it stays
+    "max_iter".  Returns (x, objective, status) where status[t] is one of
+    "solved", "infeasible", "max_iter".
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    T, m, n = A.shape
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-
-    # normalize rows so a shared penalty works across the batch
-    row_norm = np.maximum(np.abs(A).max(axis=2), 1e-12)
-    An = A / row_norm[:, :, None]
-    bn = b / row_norm
-
-    sigma = 1e-6
-    alpha = 1.6
-
-    def factor(An_w, rho_vec):
-        M = H[None, :, :] + sigma * np.eye(n)[None, :, :] + rho_vec[
-            :, None, None
-        ] * np.einsum("tmi,tmj->tij", An_w, An_w)
-        return np.linalg.inv(M)
-
-    # full-size outputs; the working arrays below shrink as instances finish
-    x_full = np.zeros((T, n))
-    y_full = np.zeros((T, m))
-    status = np.full(T, "max_iter", dtype=object)
-
-    live = np.arange(T)
-    An_w = An
-    bn_w = bn
-    rho = np.full(T, 0.1)
-    Minv = factor(An_w, rho)
-    x = np.zeros((T, n))
-    z = np.minimum(np.einsum("tmn,tn->tm", An_w, x), bn_w)
-    y = np.zeros((T, m))
-    y_prev = y.copy()
-
-    eps_pinf = 1e-7
-    check_every = 25
-    next_polish = 500
-    for it in range(1, max_iter + 1):
-        rhs = sigma * x - g[None, :] + np.einsum(
-            "tmn,tm->tn", An_w, rho[:, None] * z - y
-        )
-        x_t = np.einsum("tij,tj->ti", Minv, rhs)
-        z_t = np.einsum("tmn,tn->tm", An_w, x_t)
-        x = alpha * x_t + (1 - alpha) * x
-        w = alpha * z_t + (1 - alpha) * z
-        z = np.minimum(w + y / rho[:, None], bn_w)
-        y = y + rho[:, None] * (w - z)
-
-        if it % check_every != 0 and it != max_iter:
-            continue
-
-        ax = np.einsum("tmn,tn->tm", An_w, x)
-        r_prim = np.abs(ax - z).max(axis=1) if m else np.zeros(live.size)
-        dual_vec = x @ H.T + g[None, :] + np.einsum("tmn,tm->tn", An_w, y)
-        r_dual = np.abs(dual_vec).max(axis=1)
-        eps_p = eps_abs + eps_rel * np.maximum(
-            np.abs(ax).max(axis=1), np.abs(z).max(axis=1)
-        )
-        eps_d = eps_abs + eps_rel * np.maximum(
-            np.abs(x @ H.T).max(axis=1),
-            np.maximum(
-                np.abs(np.einsum("tmn,tm->tn", An_w, y)).max(axis=1),
-                np.abs(g).max() if g.size else 0.0,
-            ),
-        )
-        done = (r_prim <= eps_p) & (r_dual <= eps_d)
-        status[live[done]] = "solved"
-
-        dy = y - y_prev
-        dy_norm = np.abs(dy).max(axis=1)
-        with np.errstate(invalid="ignore"):
-            aty = np.abs(np.einsum("tmn,tm->tn", An_w, dy)).max(axis=1)
-            support = np.sum(bn_w * np.maximum(dy, 0.0), axis=1)
-            cone_ok = (
-                dy >= -eps_pinf * np.maximum(dy_norm, 1e-300)[:, None]
-            ).all(axis=1)
-            infeas = (
-                ~done
-                & (dy_norm > 1e-12)
-                & cone_ok
-                & (aty <= eps_pinf * dy_norm)
-                & (support <= -eps_pinf * dy_norm)
-            )
-        status[live[infeas]] = "infeasible"
-        done = done | infeas
-        y_prev = y.copy()
-
-        # finish lingering instances directly rather than iterating them out
-        if it >= next_polish and not done.all():
-            next_polish *= 2
-            for k in np.flatnonzero(~done):
-                res = _polish_small(H, g, An_w[k], bn_w[k], x[k], y[k])
-                if res is not None:
-                    x[k] = res
-                    status[live[k]] = "solved"
-                    done[k] = True
-
-        if it % 200 == 0:
-            scale_p = np.maximum(np.abs(ax).max(axis=1), np.abs(z).max(axis=1))
-            scale_d = np.maximum(np.abs(x @ H.T).max(axis=1), 1e-12)
-            ratio = np.sqrt(
-                (r_prim / np.maximum(scale_p, 1e-12))
-                / np.maximum(r_dual / scale_d, 1e-16)
-            )
-            ratio = np.clip(ratio, 1.0 / 100.0, 100.0)
-            upd = ~done & ((ratio > 5.0) | (ratio < 0.2))
-            if upd.any():
-                rho = np.where(upd, np.clip(rho * ratio, _RHO_MIN, _RHO_MAX), rho)
-                Minv = factor(An_w, rho)
-
-        if done.any():
-            x_full[live[done]] = x[done]
-            y_full[live[done]] = y[done]
-            keep = ~done
-            if not keep.any():
-                break
-            live = live[keep]
-            An_w = An_w[keep]
-            bn_w = bn_w[keep]
-            rho = rho[keep]
-            Minv = Minv[keep]
-            x = x[keep]
-            z = z[keep]
-            y = y[keep]
-            y_prev = y_prev[keep]
-
-    x_full[live] = x
-    y_full[live] = y
-
-    obj = 0.5 * np.einsum("ti,ij,tj->t", x_full, H, x_full) + x_full @ g
-
-    # per-instance polish on entries the loop finished without one
-    for t in range(T):
-        if status[t] != "solved":
-            continue
-        res = _polish_small(H, g, An[t], bn[t], x_full[t], y_full[t])
-        if res is not None:
-            x_full[t] = res
-            obj[t] = 0.5 * float(res @ H @ res) + float(g @ res)
-    return x_full, obj, status
-
-
-def _polish_small(H, g, A, b, x, y):
-    n = H.shape[0]
-    ax = A @ x
-    active = b - ax < 1e-6 * np.maximum(1.0, np.abs(b))
-    if y is not None:
-        active |= y > 1e-8 * max(1.0, y.max(initial=0.0))
-    for _ in range(12):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            try:
-                x_p = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                return None
-            viol = A @ x_p - b
-            new = viol > 1e-8 * np.maximum(1.0, np.abs(b))
-            if not new.any():
-                return x_p
-            active |= new
-            continue
-        A_act = A[idx]
-        k = idx.size
-        kkt = np.block(
-            [[H + 1e-12 * np.eye(n), A_act.T], [A_act, -1e-12 * np.eye(k)]]
-        )
-        rhs = np.concatenate([-g, b[idx]])
+    T, _, n = A.shape
+    batch = _DenseBatch(H, A)
+    no_eq = np.zeros((T, 0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, _, z, _ = _ipm(batch, g, no_eq, b, np.zeros((T, n)))
+        ok, _, _ = _accept(batch, g, no_eq, b, x, no_eq, z, eps_abs, eps_rel)
+    status = np.where(ok, "solved", "max_iter").astype(object)
+    for t in np.flatnonzero(~ok):
+        qp = QuadraticProgram(H, g, A_in=A[t], b_in=b[t])
         try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        x_p = sol[:n]
-        nu = sol[n:]
-        if (nu < -1e-9).any():
-            active[idx[nu < -1e-9]] = False
-            continue
-        viol = A @ x_p - b
-        if (viol > 1e-8 * np.maximum(1.0, np.abs(b))).any():
-            new = viol > 1e-8 * np.maximum(1.0, np.abs(b))
-            if not (new & ~active).any():
-                return None
-            active |= new
-            continue
-        stat = H @ x_p + g + A_act.T @ nu
-        scale = max(1.0, np.abs(g).max() if g.size else 0.0, np.abs(nu).max(initial=0.0))
-        if np.abs(stat).max() <= 1e-7 * scale:
-            return x_p
-        return None
-    return None
+            x[t] = solve_qp(qp, eps_abs, eps_rel).x
+            status[t] = "solved"
+        except QPInfeasibleError:
+            status[t] = "infeasible"
+        except SolverError:
+            pass
+    obj = 0.5 * np.einsum("ti,ij,tj->t", x, H, x) + x @ g
+    return x, obj, status
 
 
 # ---------------------------------------------------------------------------

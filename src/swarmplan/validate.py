@@ -191,10 +191,14 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
         jerk = traj.evaluate_many(ts, 3)
         thrust = acc + np.array([0.0, 0.0, gravity])
         tnorm = np.linalg.norm(thrust, axis=1)
-        tnorm_safe = np.maximum(tnorm, 1e-12)
+        # the body rate is undefined where the thrust vanishes (at rest
+        # with gravity=0): thrust at the rounding level of its peak has no
+        # direction, and dividing jerk noise by it reports no rotation
+        pointed = tnorm > 1e-9 * tnorm.max()
+        tnorm_safe = np.where(pointed, tnorm, 1.0)
         unit = thrust / tnorm_safe[:, None]
         jerk_par = np.sum(jerk * unit, axis=1)[:, None] * unit
-        omega = np.linalg.norm(jerk - jerk_par, axis=1) / tnorm_safe
+        omega = np.where(pointed, np.linalg.norm(jerk - jerk_par, axis=1) / tnorm_safe, 0.0)
         peak["speed"] = max(peak["speed"], float(np.linalg.norm(vel, axis=1).max()))
         peak["accel"] = max(peak["accel"], float(np.linalg.norm(acc, axis=1).max()))
         peak["thrust"] = max(peak["thrust"], float(tnorm.max()))

@@ -142,10 +142,12 @@ def run_pipeline(scenario, iterations):
     t0 = time.perf_counter()
     plan = solve_discrete(scenario).postprocessed()
     iterates = []
+    log = []
     result = refine_trajectories(
         plan,
         scenario,
         iterations=iterations,
+        log=log.append,
         on_accept=lambda it, trajs: iterates.append(trajs),
     )
     return {
@@ -153,6 +155,7 @@ def run_pipeline(scenario, iterations):
         "plan": plan,
         "result": result,
         "iterates": iterates,
+        "log": log,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -465,3 +468,20 @@ def test_13_wall_round_zero_cost_reaches_reference(wall_run):
     rows = wall_run["result"].rows
     assert rows[0]["iteration"] == 0
     assert rows[0]["cost"] <= 19672.696126809213 * (1 + 1e-6)
+
+
+def test_14_wall_refines_every_robot(wall_run):
+    # a failed obstacle separator freezes its robot on its previous curve
+    # for the round; on the bundled scenario every separator solves, so
+    # every robot is re-optimized in every round
+    result = wall_run["result"]
+    assert not result.hard_fallback
+    assert not [msg for msg in wall_run["log"] if "frozen" in msg or "keeps" in msg]
+    iterates = wall_run["iterates"]
+    assert len(iterates) >= 2
+    for before, after in zip(iterates, iterates[1:]):
+        for robot, (old, new) in enumerate(zip(before, after)):
+            changed = any(
+                not np.array_equal(p.points, q.points) for p, q in zip(old.pieces, new.pieces)
+            )
+            assert changed, f"robot {robot} kept its curve"

@@ -14,6 +14,7 @@ from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
     bernstein_to_monomial,
+    boundary_rows,
     control_point_cost,
     endpoint_derivative_row,
     fallback_trajectory,
@@ -277,6 +278,39 @@ class TestFallback:
 class TestOptimizeTrajectory:
     def free_corridors(self, k):
         return [ConvexPolyhedron() for _ in range(k)]
+
+    def test_boundary_rows_match_row_by_row_assembly(self):
+        d, c = 9, 4
+        durations = [0.25, 0.4, 0.3]
+        start, goal = np.array([0.5, -1.0, 2.0]), np.array([3.0, 0.25, -0.5])
+        width = 3 * (d + 1)
+        rows, rhs = [], []
+
+        def condition(terms, value):
+            # one row per axis; terms are (piece, coefficients over its points)
+            for axis in range(3):
+                row = np.zeros(len(durations) * width)
+                for piece, coeffs in terms:
+                    row[piece * width + axis : (piece + 1) * width : 3] += coeffs
+                rows.append(row)
+                rhs.append(value[axis])
+
+        zero = np.zeros(3)
+        for order in range(c + 1):
+            row = endpoint_derivative_row(d, order, durations[0], True)
+            condition([(0, row)], start if order == 0 else zero)
+        for order in range(c + 1):
+            row = endpoint_derivative_row(d, order, durations[-1], False)
+            condition([(2, row)], goal if order == 0 else zero)
+        for k in range(2):
+            for order in range(c + 1):
+                left = endpoint_derivative_row(d, order, durations[k], False)
+                right = endpoint_derivative_row(d, order, durations[k + 1], True)
+                condition([(k, left), (k + 1, -right)], zero)
+
+        a_eq, b_eq = boundary_rows(start, goal, durations, d, c)
+        assert np.array_equal(a_eq.toarray(), np.array(rows))
+        assert np.array_equal(b_eq, np.array(rhs))
 
     def test_endpoints_and_rest(self):
         start, goal = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.25])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from swarmplan import discrete_planner
 from swarmplan.discrete_planner import (
     DiscreteInfeasibleError,
     DiscretePlan,
@@ -275,6 +276,21 @@ class TestSolveDiscrete:
         assert plan.num_segments == 11
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
         assert digest == "0761b0b1176e1a1a01633ae3ac021c5b15c5944030a8d1885d7f499c6a2a3b42"
+
+    def test_wall_builds_one_graph_per_horizon(self, monkeypatch):
+        # the lower bound's bisection already built and routed the graph at
+        # K = lower bound; the ILP there must reuse it
+        built = []
+
+        def recording(scenario, env, K):
+            built.append(K)
+            return TimeExpandedGraph(scenario, env, K)
+
+        monkeypatch.setattr(discrete_planner, "TimeExpandedGraph", recording)
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        plan = solve_discrete(sc)
+        assert plan.num_segments in built
+        assert len(built) == len(set(built))
 
 
 class TestDiscretePlan:

@@ -179,6 +179,23 @@ class TestDynamicsMetrics:
         assert scaled["accel"] == pytest.approx(base["accel"] / s**2, rel=1e-6)
         assert scaled["omega"] == pytest.approx(base["omega"] / s, rel=1e-6)
 
+    def test_rest_endpoint_with_rounding_level_jerk_has_no_body_rate(self):
+        # acceleration exactly zero at t = 0 while the jerk there is
+        # rounding noise: 0/0, which must not surface as a peak body rate
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(10, 3))
+        pts[:3] = pts[0]
+        pts[3] = pts[0]
+        rest = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        pts = pts.copy()
+        pts[3, 0] += 1e-13
+        noisy = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        base = dynamics_metrics([rest], sample_dt=0.01, gravity=0.0)
+        peaks = dynamics_metrics([noisy], sample_dt=0.01, gravity=0.0)
+        assert peaks["omega"] == pytest.approx(base["omega"], rel=1e-6)
+        slow = dynamics_metrics([noisy.scaled(2.0)], sample_dt=0.02, gravity=0.0)
+        assert slow["omega"] == pytest.approx(peaks["omega"] / 2.0, rel=1e-6)
+
     def test_gravity_breaks_omega_scaling(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))
