@@ -110,17 +110,41 @@ def endpoint_derivative_row(degree, order, duration, at_start):
     return row
 
 
-def _de_casteljau(points, s):
-    """Evaluate Bernstein curves at parameters s in [0, 1].
+@lru_cache(maxsize=None)
+def _binomials(degree):
+    """comb(m, i) for m, i in 0..degree (zero where i > m)."""
+    return np.array(
+        [[math.comb(m, i) for i in range(degree + 1)] for m in range(degree + 1)],
+        dtype=float,
+    )
 
-    points has shape (..., degree + 1, dim); s broadcasts against the
-    leading axes.  Works for batches of curves and parameters at once.
+
+def bernstein_basis(degree, s):
+    """Bernstein basis values comb(m, i) s^i (1 - s)^(m - i) at s in [0, 1].
+
+    degree and s broadcast against each other; the result gains a last
+    axis i = 0..max(degree), zero where i > m, so curves of different
+    degrees can share one zero-padded stack of control points.  At s = 0
+    and s = 1 the basis is exactly a unit vector, so a curve's endpoints
+    come out as its first and last control points.
     """
-    pts = np.array(points, dtype=float)
-    s = np.asarray(s, dtype=float)[..., None, None]
-    while pts.shape[-2] > 1:
-        pts = (1.0 - s) * pts[..., :-1, :] + s * pts[..., 1:, :]
-    return pts[..., 0, :]
+    m = np.asarray(degree)[..., None]
+    s = np.asarray(s, dtype=float)[..., None]
+    top = int(m.max(initial=0))
+    i = np.arange(top + 1)
+    return _binomials(top)[m, i] * s**i * (1.0 - s) ** np.maximum(m - i, 0)
+
+
+def stacked_points(pieces, order=0):
+    """Control points of each piece's order-th derivative, zero-padded to
+    the highest degree: ((pieces, degree + 1, dim) points, (pieces,) degrees).
+    """
+    pts = [p.derivative_points(order) for p in pieces]
+    degrees = np.array([len(q) - 1 for q in pts])
+    out = np.zeros((len(pts), degrees.max() + 1, pts[0].shape[1]))
+    for k, q in enumerate(pts):
+        out[k, : len(q)] = q
+    return out, degrees
 
 
 @dataclass
@@ -155,9 +179,9 @@ class BezierPiece:
         return self.evaluate_many(np.atleast_1d(t), order)[0]
 
     def evaluate_many(self, ts, order=0):
-        pts = self.points if order == 0 else self.derivative_points(order)
+        pts = self.derivative_points(order)
         s = np.asarray(ts, dtype=float) / self.duration
-        return _de_casteljau(pts[None, :, :], s)
+        return bernstein_basis(len(pts) - 1, s) @ pts
 
 
 @dataclass
@@ -190,11 +214,12 @@ class PiecewiseBezierTrajectory:
 
     def evaluate_many(self, ts, order=0):
         idx, local = self._locate(ts)
-        out = np.empty((len(local), self.dim))
-        for k in np.unique(idx):
-            mask = idx == k
-            out[mask] = self.pieces[k].evaluate_many(local[mask], order)
-        return out
+        pts, degrees = stacked_points(self.pieces, order)
+        durations = np.array([p.duration for p in self.pieces])
+        basis = bernstein_basis(degrees[idx], local / durations[idx])
+        # the basis stops at the highest degree sampled; beyond it the
+        # sampled pieces' points are padding
+        return np.einsum("ji,jid->jd", basis, pts[idx, : basis.shape[1]])
 
     def cost(self, weights):
         # integrate in the Bernstein basis of each derivative curve:

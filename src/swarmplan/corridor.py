@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .bezier_opt import bernstein_basis, stacked_points
 from .geometry import ConvexPolyhedron, svm_separate_batch
 
 _FACE_PRUNE_THRESHOLD = 64
@@ -56,14 +57,11 @@ def sample_point_sets(trajectories, samples_per_piece):
     Samples include both knots, so consecutive pieces share their joint
     and the union covers the whole curve.
     """
-    sets = []
-    for traj in trajectories:
-        rows = []
-        for piece in traj.pieces:
-            ts = np.linspace(0.0, piece.duration, samples_per_piece)
-            rows.append(piece.evaluate_many(ts))
-        sets.append(rows)
-    return np.asarray(sets)
+    pieces = [p for traj in trajectories for p in traj.pieces]
+    pts, degrees = stacked_points(pieces)
+    basis = bernstein_basis(degrees[:, None], np.linspace(0.0, 1.0, samples_per_piece))
+    samples = np.einsum("psi,pid->psd", basis, pts)
+    return samples.reshape(len(trajectories), -1, samples_per_piece, pts.shape[-1])
 
 
 def workspace_faces(scenario):

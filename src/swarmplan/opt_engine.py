@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse.csgraph import maximum_flow, reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, maximum_flow, reverse_cuthill_mckee
 
 
 class SolverError(Exception):
@@ -122,15 +122,26 @@ class QuadraticProgram:
         return self.H.shape[0]
 
     def check_psd(self):
-        """Raise if H is not symmetric PSD within 1e-8 relative tolerance."""
-        h_norm = np.abs(self.H).max() if self.H.size else 0.0
-        if h_norm and np.abs(self.H - self.H.T).max() > 1e-8 * h_norm:
+        """Raise if H is not symmetric PSD within 1e-8 relative tolerance.
+
+        H is block diagonal over the connected components of its nonzero
+        pattern, and it is PSD exactly when every block is, so each block
+        is factored on its own.
+        """
+        rows, cols = np.nonzero(self.H)
+        values = self.H[rows, cols]
+        h_norm = np.abs(values).max(initial=0.0)
+        if h_norm and np.abs(values - self.H[cols, rows]).max() > 1e-8 * h_norm:
             raise ValueError("H is not symmetric")
         shift = 1e-8 * max(h_norm, 1.0)
-        try:
-            np.linalg.cholesky(self.H + shift * np.eye(self.n))
-        except np.linalg.LinAlgError:
-            raise ValueError("H is not positive semidefinite") from None
+        pattern = sp.coo_matrix((values, (rows, cols)), shape=self.H.shape)
+        count, labels = connected_components(pattern, directed=False)
+        for block in range(count):
+            idx = np.flatnonzero(labels == block)
+            try:
+                np.linalg.cholesky(self.H[np.ix_(idx, idx)] + shift * np.eye(len(idx)))
+            except np.linalg.LinAlgError:
+                raise ValueError("H is not positive semidefinite") from None
 
     def objective(self, x):
         return 0.5 * float(x @ (self.H @ x)) + float(self.g @ x)

@@ -10,9 +10,10 @@ robot inside its corridor.
 Failures degrade per robot instead of aborting: a pair whose occupied
 sets admit no margin plane is pinned to the straight-line fallback for
 good, a robot with a failed obstacle separator or an infeasible program
-keeps its previous curve (each is logged), and a whole round is discarded
-if the resulting set does not validate.  The result is usable after any
-round and only improves with more of them.
+keeps its previous curve (each is logged), and a whole round is discarded,
+ending refinement, if the resulting set does not validate or costs more
+than the set it would replace.  The result is usable after any round and
+only improves with more of them.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
         best, scenario, expected_starts=starts, expected_goals=goals
     )
     rows = []
-    emit(f"baseline: straight-line set, cost {_total_cost(best, weights):.6g}, ok={validation.ok}")
+    best_cost = _total_cost(best, weights)
+    emit(f"baseline: straight-line set, cost {best_cost:.6g}, ok={validation.ok}")
     if not validation.ok:
         # The grid plan's own margins should make this impossible; hand
         # back the evidence rather than trying to repair it here.
@@ -178,7 +180,14 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
                 break
 
             cost = _total_cost(candidates, weights)
+            if cost > best_cost:
+                emit(
+                    f"iteration {it}: candidate cost {cost:.6g} is above the "
+                    f"accepted {best_cost:.6g}, keeping previous"
+                )
+                break
             best = candidates
+            best_cost = cost
             validation = candidate_validation
             if on_accept is not None:
                 on_accept(it, list(best))

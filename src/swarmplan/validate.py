@@ -4,8 +4,11 @@ Everything in here re-derives safety from first principles rather than
 trusting planner internals: grid plans are compared against a
 breadth-first search over joint configurations, and continuous
 trajectories are sampled densely and checked against the ellipsoid
-metric, the obstacle clearance, the workspace box, and the smoothness
-requirements.  Dynamic feasibility comes from differential flatness:
+metric, the obstacle clearance and the workspace box.  The smoothness
+requirements are checked exactly rather than sampled: a Bernstein curve
+starts at its first control point and ends at its last, so rest endpoints
+and knot continuity are read off the control points of the derivative
+curves.  Dynamic feasibility comes from differential flatness:
 the thrust vector is the acceleration plus gravity, and the body
 angular rate is the component of jerk orthogonal to the thrust,
 divided by the thrust magnitude.
@@ -19,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .bezier_opt import stacked_points
 
 GRAVITY = 9.81
 
@@ -208,38 +213,34 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
 
 def smoothness_report(trajectories, continuity, tol=1e-5):
     """Endpoint rest and knot continuity violations, scaled relative to
-    the largest derivative magnitude of the same order."""
+    the largest derivative magnitude of the same order.
+
+    A Bernstein curve starts at its first control point and ends at its
+    last, so every endpoint and knot derivative is read off the control
+    points of the derivative curves, with no curve evaluation.
+    """
     problems = []
     for r, traj in enumerate(trajectories):
+        heads, tails, scales = [], [], []
+        for order in range(continuity + 1):
+            pts, degrees = stacked_points(traj.pieces, order)
+            heads.append(pts[:, 0])
+            tails.append(pts[np.arange(len(pts)), degrees])
+            scales.append(1.0 if order == 0 else max(1.0, float(np.abs(pts).max())))
         for order in range(1, continuity + 1):
-            for label, t in (("start", 0.0), ("end", traj.duration)):
-                v = np.linalg.norm(traj.evaluate(t, order))
-                if v > tol * _derivative_scale(traj, order):
+            for label, point in (("start", heads[order][0]), ("end", tails[order][-1])):
+                v = np.linalg.norm(point)
+                if v > tol * scales[order]:
                     problems.append(
                         f"robot {r} order-{order} derivative at {label} is {v:.3e}"
                     )
-        for k in range(len(traj.pieces) - 1):
-            left = traj.pieces[k]
-            right = traj.pieces[k + 1]
-            for order in range(continuity + 1):
-                a = left.evaluate(left.duration, order)
-                b = right.evaluate(0.0, order)
-                gap = np.linalg.norm(a - b)
-                if gap > tol * _derivative_scale(traj, order):
-                    problems.append(
-                        f"robot {r} order-{order} jump {gap:.3e} at knot {k + 1}"
-                    )
+        # (order, knot) gaps between each piece's end and the next one's start
+        gaps = np.linalg.norm(np.array(tails)[:, :-1] - np.array(heads)[:, 1:], axis=2)
+        for k, order in zip(*np.nonzero(gaps.T > tol * np.array(scales))):
+            problems.append(
+                f"robot {r} order-{order} jump {gaps[order, k]:.3e} at knot {k + 1}"
+            )
     return problems
-
-
-def _derivative_scale(traj, order):
-    if order == 0:
-        return 1.0
-    peak = 0.0
-    for piece in traj.pieces:
-        pts = piece.derivative_points(order)
-        peak = max(peak, float(np.abs(pts).max(initial=0.0)))
-    return max(1.0, peak)
 
 
 @dataclass

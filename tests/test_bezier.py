@@ -37,6 +37,35 @@ def bernstein_eval(points, s):
     return out
 
 
+def de_casteljau(points, s):
+    """Curve value at s by repeated linear interpolation of control points."""
+    pts = np.array(points, dtype=float)
+    while len(pts) > 1:
+        pts = (1.0 - s) * pts[:-1] + s * pts[1:]
+    return pts[0]
+
+
+def hodograph(points, duration, order):
+    """Control points of the order-th derivative curve, by differencing."""
+    pts = np.array(points, dtype=float)
+    for _ in range(order):
+        d = len(pts) - 1
+        if d == 0:
+            return np.zeros_like(pts[:1])
+        pts = d / duration * np.diff(pts, axis=0)
+    return pts
+
+
+def de_casteljau_trajectory(traj, t, order):
+    """De Casteljau oracle for a piecewise curve: times outside [0, T] are
+    clipped, and a knot time belongs to the piece that starts there."""
+    t = min(max(float(t), 0.0), traj.duration)
+    k = max(i for i in range(len(traj.pieces)) if traj.knots[i] <= t)
+    piece = traj.pieces[k]
+    pts = hodograph(piece.points, piece.duration, order)
+    return de_casteljau(pts, (t - traj.knots[k]) / piece.duration), np.abs(pts).max()
+
+
 def quadrature_cost(traj, weights, nodes=16):
     """Weighted squared-derivative integral by Gauss-Legendre quadrature."""
     s, w = np.polynomial.legendre.leggauss(nodes)
@@ -116,6 +145,19 @@ class TestEvaluation:
                 expected = bernstein_eval(pts, s)
                 assert np.allclose(piece.evaluate(0.7 * s), expected, atol=1e-12)
 
+    def test_kernel_matches_de_casteljau(self):
+        rng = np.random.default_rng(20)
+        for d in range(1, 10):
+            tau = float(rng.uniform(0.1, 3.0))
+            pts = rng.normal(size=(d + 1, 3)) * rng.uniform(0.1, 10)
+            piece = BezierPiece(tau, pts)
+            ts = np.concatenate([[0.0, tau], rng.uniform(0, tau, size=25)])
+            for order in range(5):
+                ref = hodograph(pts, tau, order)
+                expected = np.array([de_casteljau(ref, t / tau) for t in ts])
+                got = piece.evaluate_many(ts, order)
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(ref).max()
+
     def test_partition_of_unity(self):
         # identical control points pin the whole curve to that point
         rng = np.random.default_rng(3)
@@ -182,6 +224,30 @@ class TestTrajectory:
         t0 = traj.knots[1] + 0.4 * (traj.knots[2] - traj.knots[1])
         direct = traj.pieces[1].evaluate(t0 - traj.knots[1])
         assert np.allclose(traj.evaluate(t0), direct, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "durations, degrees",
+        [([0.3, 1.1, 0.45, 0.8], [5, 5, 5, 5]), ([0.5, 0.5, 0.5, 0.5], [9, 2, 1, 6])],
+        ids=["durations-differ", "degrees-differ"],
+    )
+    def test_kernel_matches_de_casteljau(self, durations, degrees):
+        rng = np.random.default_rng(21)
+        traj = PiecewiseBezierTrajectory(
+            [BezierPiece(tau, rng.normal(size=(d + 1, 3))) for tau, d in zip(durations, degrees)]
+        )
+        ts = np.concatenate(
+            [traj.knots, [-0.7, -1e-9, traj.duration + 1e-9, traj.duration + 3.0],
+             rng.uniform(0, traj.duration, size=40)]
+        )
+        for order in range(5):
+            got = traj.evaluate_many(ts, order)
+            for t, value in zip(ts, got):
+                expected, scale = de_casteljau_trajectory(traj, t, order)
+                assert np.abs(value - expected).max() <= 1e-12 * scale
+                assert np.abs(traj.evaluate(t, order) - expected).max() <= 1e-12 * scale
+            # a piece's start is its first control point, to the last bit
+            for k, piece in enumerate(traj.pieces):
+                assert np.array_equal(got[k], piece.derivative_points(order)[0])
 
     def test_evaluation_clamps_to_domain(self):
         rng = np.random.default_rng(8)

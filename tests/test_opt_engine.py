@@ -9,7 +9,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from swarmplan.bezier_opt import control_point_cost
 from swarmplan.opt_engine import (
     BinaryILP,
     FlowNetwork,
@@ -211,6 +213,34 @@ class TestQP:
         qp = QuadraticProgram(np.diag([1.0, -1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             qp.check_psd()
+
+    def test_check_psd_decides_block_by_block(self):
+        rng = np.random.default_rng(4)
+        blocks = [m @ m.T for m in (rng.normal(size=(k, k)) for k in (3, 4, 1, 5))]
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for extra in ([], [indefinite]):
+            H = scipy.linalg.block_diag(*blocks, *extra)
+            # interleave the blocks so no block is a contiguous index range
+            order = rng.permutation(H.shape[0])
+            qp = QuadraticProgram(H[np.ix_(order, order)], np.zeros(H.shape[0]))
+            if extra:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    qp.check_psd()
+            else:
+                qp.check_psd()
+        # one component whose diagonal blocks are PSD but whose coupling is not
+        coupled = np.block([[np.eye(2), 1.5 * np.eye(2)], [1.5 * np.eye(2), np.eye(2)]])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuadraticProgram(coupled, np.zeros(4)).check_psd()
+
+    def test_check_psd_accepts_smoothing_hessian(self):
+        # the wall scenario's shape: 24 pieces of degree 9 in 3 axes, each
+        # piece's cost block on the diagonal, normalized to a unit entry
+        pieces = [np.kron(control_point_cost(9, 0.5, (0.0, 1.0, 0.0, 1.0)), np.eye(3))] * 24
+        H = scipy.linalg.block_diag(*pieces)
+        H /= np.abs(H).max()
+        np.linalg.cholesky(H + 1e-8 * np.eye(H.shape[0]))  # the whole-matrix test agrees
+        QuadraticProgram(H, np.zeros(H.shape[0])).check_psd()
 
 
 class TestQPBatch:

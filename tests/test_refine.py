@@ -169,6 +169,39 @@ class TestDegradation:
         assert all(row["fallback_count"] == plan.num_robots for row in result.rows)
 
 
+    def test_round_that_raises_the_cost_is_rejected(self, small, monkeypatch):
+        sc, plan = small
+        n = plan.num_robots
+        real = refine_mod.optimize_trajectory
+        calls = []
+
+        def straight_lines_in_round_1(*args):
+            # valid curves, but costlier than the round-0 optimum
+            calls.append(args)
+            if len(calls) <= n:
+                return real(*args)
+            start, _, durations, _, degree, continuity, weights = args
+            i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
+            straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
+            return straight, None, None
+
+        monkeypatch.setattr(refine_mod, "optimize_trajectory", straight_lines_in_round_1)
+        accepted = []
+        messages = []
+        result = refine_trajectories(
+            plan, sc, iterations=4, log=messages.append,
+            on_accept=lambda it, trajs: accepted.append(trajs),
+        )
+        assert result.ok
+        assert len(result.rows) == 1 and len(accepted) == 1
+        assert result.trajectories == accepted[0]
+        assert result.rows[0]["cost"] == sum(t.cost(sc.weights) for t in result.trajectories)
+        rejected = [m for m in messages if m.startswith("iteration 1: candidate cost")]
+        assert len(rejected) == 1 and "keeping previous" in rejected[0]
+        # refinement ended with round 1
+        assert len(calls) == 2 * n
+
+
 class TestReportCsv:
     def test_round_trip(self, small, tmp_path):
         sc, plan = small

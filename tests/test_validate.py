@@ -206,6 +206,35 @@ class TestDynamicsMetrics:
         assert scaled["omega"] != pytest.approx(base["omega"] / 2.0, rel=1e-3)
 
 
+def per_knot_smoothness_report(trajectories, continuity, tol=1e-5):
+    """smoothness_report computed from curve evaluations at the endpoints
+    and at both sides of every knot."""
+
+    def derivative_scale(traj, order):
+        if order == 0:
+            return 1.0
+        peak = max(float(np.abs(p.derivative_points(order)).max()) for p in traj.pieces)
+        return max(1.0, peak)
+
+    problems = []
+    for r, traj in enumerate(trajectories):
+        for order in range(1, continuity + 1):
+            for label, t in (("start", 0.0), ("end", traj.duration)):
+                v = np.linalg.norm(traj.evaluate(t, order))
+                if v > tol * derivative_scale(traj, order):
+                    problems.append(f"robot {r} order-{order} derivative at {label} is {v:.3e}")
+        for k in range(len(traj.pieces) - 1):
+            left = traj.pieces[k]
+            right = traj.pieces[k + 1]
+            for order in range(continuity + 1):
+                a = left.evaluate(left.duration, order)
+                b = right.evaluate(0.0, order)
+                gap = np.linalg.norm(a - b)
+                if gap > tol * derivative_scale(traj, order):
+                    problems.append(f"robot {r} order-{order} jump {gap:.3e} at knot {k + 1}")
+    return problems
+
+
 class TestSmoothnessReport:
     def make_smooth(self):
         wp = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0.5, 0]], dtype=float)
@@ -225,6 +254,38 @@ class TestSmoothnessReport:
         traj.pieces[0].points[1] += 0.2  # nonzero start velocity
         problems = smoothness_report([traj], continuity=4)
         assert any("order-1" in p and "start" in p for p in problems)
+
+
+    def test_matches_per_knot_evaluation(self):
+        rng = np.random.default_rng(30)
+        reported = 0
+        for _ in range(40):
+            trajs = []
+            for _ in range(int(rng.integers(1, 4))):
+                pieces = int(rng.integers(2, 6))
+                wp = rng.uniform(0, 2, size=(pieces + 1, 3))
+                durations = rng.uniform(0.2, 1.2, size=pieces)
+                traj = fallback_trajectory(wp, durations, degree=9, continuity=4, weights=WEIGHTS)
+                for _ in range(int(rng.integers(0, 4))):
+                    # a control point within order + 1 of a knot shifts that
+                    # order's derivative there; sizes straddle the tolerance
+                    k = int(rng.integers(len(traj.pieces)))
+                    order = int(rng.integers(5))
+                    index = order if rng.random() < 0.5 else 9 - order
+                    step = rng.normal(size=3) * 10.0 ** rng.uniform(-9, -1)
+                    traj.pieces[k].points[index] += step
+                trajs.append(traj)
+            # pieces of different degrees end at different control point indices
+            degrees = rng.integers(1, 10, size=3)
+            trajs.append(
+                PiecewiseBezierTrajectory(
+                    [BezierPiece(0.5, rng.normal(size=(d + 1, 3))) for d in degrees]
+                )
+            )
+            expected = per_knot_smoothness_report(trajs, continuity=4)
+            assert smoothness_report(trajs, continuity=4) == expected
+            reported += len(expected)
+        assert reported > 0
 
 
 class TestValidateTrajectories:
