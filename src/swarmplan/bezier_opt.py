@@ -1,13 +1,16 @@
 """Piecewise Bezier trajectories and the per-robot smoothing program.
 
 Each robot's trajectory is one polynomial piece per plan segment, written
-in the Bernstein basis.  That basis gives two properties the planner
-leans on: the curve stays inside the convex hull of its control points,
-so linear constraints on control points confine the whole curve to a
-safe corridor, and endpoint derivatives are short difference expressions
-of the leading or trailing control points, so smoothness across pieces
-is a sparse set of equalities.  Minimizing an integral of squared
-derivatives subject to those constraints is a convex QP per robot.
+in the Bernstein basis.  That basis keeps the curve inside the convex
+hull of its control points, so linear constraints on control points
+confine the whole curve to a safe corridor.  The smoothing program
+writes the whole curve in the coefficients of a B-spline that is C^k at
+the knots by construction (de Boor, A Practical Guide to Splines, 1978):
+a fixed banded map takes those coefficients to the pieces' Bernstein
+control points, and the rest endpoints fix the first and last k + 1 of
+them.  Minimizing an integral of squared derivatives over the remaining
+coefficients, subject to the corridor rows on the control points, is a
+convex QP per robot with no equality rows.
 """
 
 from __future__ import annotations
@@ -90,24 +93,6 @@ def control_point_cost(degree, duration, weights):
             q += w * monomial_derivative_cost(degree, c, duration)
     h = b.T @ q @ b
     return 0.5 * (h + h.T)
-
-
-def endpoint_derivative_row(degree, order, duration, at_start):
-    """Coefficients over control values giving an endpoint derivative.
-
-    The order-th derivative at a piece boundary is a scaled finite
-    difference of the first (or last) order+1 control values.
-    """
-    row = np.zeros(degree + 1)
-    factor = math.perm(degree, order) / float(duration) ** order
-    for r in range(order + 1):
-        sign = (-1.0) ** (order - r)
-        coeff = factor * sign * math.comb(order, r)
-        if at_start:
-            row[r] = coeff
-        else:
-            row[degree - order + r] = coeff
-    return row
 
 
 @lru_cache(maxsize=None)
@@ -322,53 +307,59 @@ def fallback_trajectory(waypoints, durations, degree, continuity, weights):
     return PiecewiseBezierTrajectory(pieces)
 
 
-def boundary_rows(start, goal, durations, degree, continuity):
-    """Equality rows over the stacked control points of all pieces.
+@lru_cache(maxsize=None)
+def spline_to_bernstein(durations, degree, continuity):
+    """Map from a spline's B-spline coefficients to its pieces' stacked
+    Bernstein control values, for one axis.
 
-    Three rows (one per axis) per condition: the curve starts at start and
-    ends at goal at rest through derivative order continuity, and at every
-    knot the derivatives of orders 0..continuity of the two pieces agree.
-    Returns (A_eq, b_eq) with A_eq a CSR matrix.
+    The spline has one piece of the given degree per duration, end knots
+    of multiplicity degree + 1 and interior knots of multiplicity
+    degree - continuity, so it is C^continuity at every knot.  Inserting
+    each interior knot until its multiplicity is degree (Boehm's
+    algorithm) leaves each piece's Bernstein control values as
+    consecutive coefficients.  Returns a CSR array whose row
+    k (degree + 1) + i gives control value i of piece k; each row is a
+    convex combination of at most degree + 1 consecutive coefficients.
     """
     d = int(degree)
-    c = int(continuity)
-    width = (d + 1) * 3
-    last = len(durations) - 1
-    zero = np.zeros(3)
-    # (piece, coefficients) terms of each condition, and its right-hand side
-    terms = []
-    rhs = []
-    for piece, at_start, point in ((0, True, start), (last, False, goal)):
-        for order in range(c + 1):
-            row = endpoint_derivative_row(d, order, durations[piece], at_start)
-            terms.append([(piece, row)])
-            rhs.append(np.asarray(point, dtype=float) if order == 0 else zero)
-    for k in range(last):
-        for order in range(c + 1):
-            terms.append(
-                [
-                    (k, endpoint_derivative_row(d, order, durations[k], False)),
-                    (k + 1, -endpoint_derivative_row(d, order, durations[k + 1], True)),
-                ]
-            )
-            rhs.append(zero)
-    entries = [
-        (i, p * width + 3 * r, v)
-        for i, cond_terms in enumerate(terms)
-        for p, row in cond_terms
-        for r, v in enumerate(row)
-        if v != 0.0
-    ]
-    cond, first_col, coeff = map(np.array, zip(*entries))
-    axis = np.arange(3)
-    a_eq = sparse.csr_matrix(
-        (
-            np.repeat(coeff, 3),
-            ((3 * cond[:, None] + axis).ravel(), (first_col[:, None] + axis).ravel()),
-        ),
-        shape=(3 * len(terms), len(durations) * width),
+    knots = np.concatenate([[0.0], np.cumsum(durations)])
+    u = np.concatenate(
+        [[0.0] * (d + 1), np.repeat(knots[1:-1], d - continuity), [knots[-1]] * (d + 1)]
     )
-    return a_eq, np.concatenate(rhs)
+    m = np.eye(len(u) - d - 1)
+    for t in knots[1:-1]:
+        for _ in range(continuity):
+            # coefficient i becomes (1 - a_i) m[i - 1] + a_i m[i] for the
+            # d coefficients around t; those after them shift by one
+            l = np.searchsorted(u, t, side="right") - 1
+            i = np.arange(l - d + 1, l + 1)
+            a = ((t - u[i]) / (u[i + d] - u[i]))[:, None]
+            m = np.vstack([m[: l - d + 1], (1.0 - a) * m[i - 1] + a * m[i], m[l:]])
+            u = np.insert(u, l + 1, t)
+    rows = (d * np.arange(len(durations))[:, None] + np.arange(d + 1)).ravel()
+    return sparse.csr_array(m[rows])
+
+
+@lru_cache(maxsize=16)
+def _smoothing_space(durations, degree, continuity, weights):
+    """The parts of the smoothing QP that every robot shares: its Hessian
+    over the stacked control points (normalized to a unit largest entry),
+    the map Z from the free B-spline coefficients to those points, with
+    each axis interleaved, and the (points, 2) weights of start and goal
+    in them.  The cached matrices are shared: callers must not modify
+    them."""
+    c = continuity
+    costs = [control_point_cost(degree, tau, weights) for tau in durations]
+    h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
+    # snap weights at sub-second pieces push |H| to ~1e9; the minimizer is
+    # scale-free (g = 0), so normalize and let the solver see O(1) data
+    h_scale = float(abs(h).max())
+    if h_scale > 0:
+        h /= h_scale
+    basis = spline_to_bernstein(durations, degree, continuity)
+    z = sparse.kron(basis[:, c + 1 : -(c + 1)], sparse.identity(3), format="csr")
+    ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
+    return h, z, ends
 
 
 def optimize_trajectory(
@@ -385,8 +376,11 @@ def optimize_trajectory(
     The robot starts at rest at start, ends at rest at goal, keeps
     derivatives continuous through order continuity at the knots, and
     every piece stays inside its corridor because all its control points
-    do.  Returns (trajectory, objective, x) with x the QP solution: the
-    control points of every piece, stacked.
+    do.  The curve is a B-spline with those knots (spline_to_bernstein),
+    whose first and last continuity + 1 coefficients per axis sit at
+    start and goal; the QP runs over the other coefficients.  Returns
+    (trajectory, objective, x) with x the control points of every piece,
+    stacked.
 
     Raises QPInfeasibleError when the corridors admit no such curve.
     """
@@ -399,12 +393,8 @@ def optimize_trajectory(
     width = (d + 1) * 3
     n = num_pieces * width
 
-    h = np.zeros((n, n))
-    for k, tau in enumerate(durations):
-        hk = np.kron(control_point_cost(d, tau, tuple(weights)), np.eye(3))
-        h[k * width : (k + 1) * width, k * width : (k + 1) * width] = 2.0 * hk
-
-    a_eq, b_eq = boundary_rows(start, goal, durations, d, c)
+    h, z, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
+    x0 = (ends @ np.vstack([start, goal])).ravel()
 
     in_rows = []
     in_rhs = []
@@ -427,33 +417,12 @@ def optimize_trajectory(
     a_in = sparse.vstack(in_rows, format="csr") if in_rows else None
     b_in = np.concatenate(in_rhs) if in_rhs else None
 
-    # snap weights at sub-second pieces push |H| to ~1e9; the minimizer is
-    # scale-free (g = 0), so normalize and let the solver see O(1) data
-    h_scale = float(np.abs(h).max())
-    if h_scale > 0:
-        h /= h_scale
-
-    # the knot rows carry factors up to d!/(d-c)!/tau^c; scaled to a unit
-    # largest coefficient, their residual floors at the rounding of the
-    # positions instead, and the solver's residuals then measure how far it
-    # has converged
-    unit = 1.0 / abs(a_eq).max(axis=1).toarray().ravel()
-    qp = QuadraticProgram(
-        H=h,
-        g=np.zeros(n),
-        A_eq=sparse.diags(unit) @ a_eq,
-        b_eq=unit * b_eq,
-        A_in=a_in,
-        b_in=b_in,
-    )
+    qp = QuadraticProgram(H=h, g=np.zeros(n), A_in=a_in, b_in=b_in, Z=z, x0=x0)
     result = opt_engine.solve_qp(qp)
     x = result.x
 
     # The refinement loop treats an inaccurate answer the same as an
     # infeasible one, so fail loudly rather than return a sloppy curve.
-    scale = max(1.0, float(np.abs(b_eq).max()))
-    if np.abs(a_eq @ x - b_eq).max() > 1e-6 * scale:
-        raise opt_engine.QPInfeasibleError("smoothing QP returned an inaccurate solution")
     if a_in is not None and (a_in @ x - b_in).max() > 1e-6:
         raise opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
 

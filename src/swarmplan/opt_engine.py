@@ -2,10 +2,14 @@
 
 The QP solver is one Mehrotra predictor-corrector interior-point method
 with a Newton step shaped to the program.  A single QP (the tests' small
-dense programs, the per-robot smoothing QPs) factors its KKT matrix with a
-banded LU in a reverse Cuthill-McKee order; the smoothing QPs' KKT matrix
-is block-banded, so the band is narrow.  A batch of small inequality-only
-QPs of identical shape (the thousands of 4-variable separating-hyperplane
+dense programs, the per-robot smoothing QPs) is solved over the
+coordinates c of its affine set x = x0 + Z c, so only inequality rows
+remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
+definite and is factored with a banded Cholesky in natural order.  The
+smoothing QPs pass a banded Z (a B-spline basis), which keeps that band
+narrow; a program given equality rows instead gets a dense orthonormal
+null-space basis and a full band.  A batch of small inequality-only QPs
+of identical shape (the thousands of 4-variable separating-hyperplane
 problems per refinement round) runs as one vectorized iteration whose
 Newton step is a stacked solve of small dense systems.  Programs whose
 best iterate misses the tolerance are classified by HiGHS LPs: a
@@ -27,9 +31,10 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg import null_space
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse.csgraph import connected_components, maximum_flow, reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 
 class SolverError(Exception):
@@ -94,20 +99,26 @@ def _as_vector(b, m, name):
 
 @dataclass
 class QuadraticProgram:
-    """min 0.5 x'Hx + g'x  s.t.  A_eq x = b_eq,  A_in x <= b_in.
+    """min 0.5 x'Hx + g'x  s.t.  x = x0 + Z c for some c,  A_in x <= b_in.
 
-    H must be symmetric positive semidefinite (within 1e-8 relative).
+    The affine set is given either as (Z, x0) or as A_eq x = b_eq, not
+    both; equality rows become an orthonormal basis Z of their null space
+    and the least-squares point x0.  With neither, x is free.  H must be
+    symmetric positive semidefinite (within 1e-8 relative); a sparse H is
+    kept as CSR, a dense one as an array.
     """
 
-    H: np.ndarray
+    H: object
     g: np.ndarray
     A_eq: object = None
     b_eq: object = None
     A_in: object = None
     b_in: object = None
+    Z: object = None
+    x0: object = None
 
     def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
+        self.H = self.H.tocsr() if sp.issparse(self.H) else np.asarray(self.H, dtype=float)
         if self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
             raise ValueError("H must be square")
         n = self.H.shape[0]
@@ -116,6 +127,18 @@ class QuadraticProgram:
         self.b_eq = _as_vector(self.b_eq, self.A_eq.shape[0], "b_eq")
         self.A_in = _as_matrix(self.A_in, n, "A_in")
         self.b_in = _as_vector(self.b_in, self.A_in.shape[0], "b_in")
+        if self.Z is not None and self.A_eq.shape[0]:
+            raise ValueError("give the affine set as A_eq or as (Z, x0), not both")
+        if self.A_eq.shape[0]:
+            a_eq = self.A_eq.toarray() if sp.issparse(self.A_eq) else self.A_eq
+            self.Z = null_space(a_eq)
+            self.x0 = np.linalg.lstsq(a_eq, self.b_eq, rcond=None)[0]
+        elif self.Z is None:
+            self.Z = sp.identity(n)
+        self.Z = sp.csr_matrix(self.Z)
+        if self.Z.shape[0] != n:
+            raise ValueError(f"Z has {self.Z.shape[0]} rows, expected {n}")
+        self.x0 = _as_vector(np.zeros(n) if self.x0 is None else self.x0, n, "x0")
 
     @property
     def n(self):
@@ -126,20 +149,30 @@ class QuadraticProgram:
 
         H is block diagonal over the connected components of its nonzero
         pattern, and it is PSD exactly when every block is, so each block
-        is factored on its own.
+        is factored on its own: the blocks of one size as one stack.
         """
-        rows, cols = np.nonzero(self.H)
-        values = self.H[rows, cols]
-        h_norm = np.abs(values).max(initial=0.0)
-        if h_norm and np.abs(values - self.H[cols, rows]).max() > 1e-8 * h_norm:
+        H = sp.csr_matrix(self.H)
+        h_norm = abs(H).max()
+        if h_norm and abs(H - H.T).max() > 1e-8 * h_norm:
             raise ValueError("H is not symmetric")
         shift = 1e-8 * max(h_norm, 1.0)
-        pattern = sp.coo_matrix((values, (rows, cols)), shape=self.H.shape)
-        count, labels = connected_components(pattern, directed=False)
-        for block in range(count):
-            idx = np.flatnonzero(labels == block)
+        count, labels = connected_components(H, directed=False)
+        sizes = np.bincount(labels)
+        # each index's position within its block
+        order = np.argsort(labels, kind="stable")
+        pos = np.empty_like(labels)
+        pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        h = H.tocoo()
+        block = labels[h.row]
+        for size in np.unique(sizes):
+            same = np.flatnonzero(sizes == size)
+            slot = np.zeros(count, dtype=int)
+            slot[same] = np.arange(same.size)
+            mine = sizes[block] == size
+            stack = np.zeros((same.size, size, size))
+            stack[slot[block[mine]], pos[h.row[mine]], pos[h.col[mine]]] = h.data[mine]
             try:
-                np.linalg.cholesky(self.H[np.ix_(idx, idx)] + shift * np.eye(len(idx)))
+                np.linalg.cholesky(stack + shift * np.eye(size))
             except np.linalg.LinAlgError:
                 raise ValueError("H is not positive semidefinite") from None
 
@@ -154,7 +187,7 @@ class QPResult:
     iterations: int
     primal_residual: float
     dual_residual: float
-    duals: np.ndarray  # stacked [eq; in] multipliers
+    duals: np.ndarray  # stacked [eq; in] multipliers, eq only for A_eq rows
     polished: bool  # always False: no active-set step follows the interior point
 
 
@@ -222,9 +255,10 @@ class FlowNetwork:
 
 _IPM_MAX_ITER = 100
 # the best iterate is final once the residual has not improved for
-# _IPM_STALL steps: the smoothing QPs have objectives near 1e-9 after
-# normalization and flat optimal faces, so any stop short of the rounding
-# floor shows up directly in the trajectory cost
+# _IPM_STALL steps: the smoothing QPs have objectives of 1e-10 to 1e-8 after
+# normalization (control points of about 5 m) and flat optimal faces, so
+# any stop short of the rounding floor shows up directly in the trajectory
+# cost
 _IPM_STALL = 8
 _KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
@@ -252,115 +286,101 @@ def _apply(M, v):
     return (M @ v.T).T
 
 
-def _kkt_solver(H, A_eq, A_in):
-    """Banded LU of the quasidefinite [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]].
+def _pair_products(M, rows_a, rows_b):
+    """Every pair (nonzero of row rows_a[k], nonzero of row rows_b[k]) of
+    the CSR matrix M: returns k and the two nonzeros' positions in M.data."""
+    count = np.diff(M.indptr)
+    ca, cb = count[rows_a], count[rows_b]
+    per = ca * cb
+    k = np.repeat(np.arange(len(rows_a)), per)
+    local = np.arange(k.size) - np.repeat(np.cumsum(per) - per, per)
+    return k, M.indptr[rows_a][k] + local // cb[k], M.indptr[rows_b][k] + local % cb[k]
 
-    The sparsity pattern and a reverse Cuthill-McKee order of it are
-    computed once.  A smoothing QP's corridor rows touch one piece and its
-    continuity rows two neighbouring ones, so the reordered matrix has a
-    narrow band; a dense program simply has a full one.  Returns factor(w),
-    which scatters W = diag(w) into LAPACK band storage with one bincount,
-    factors it with dgbtrf and returns solve(r_x, r_y) for the
-    unregularized system [[H + A_in' W A_in, A_eq'], [A_eq, 0]] (x, y) =
-    (r_x, r_y): two steps of iterative refinement against it remove the
-    O(d) error of the regularization, so equality residuals are not floored
-    at d * |y|.  Vectors carry a leading axis of length one, as in a batch
-    of one program.  factor raises RuntimeError when the factorization
-    breaks down.
+
+class _ReducedProgram:
+    """One QP over the coordinates c of its affine set x = x0 + Z c, as a
+    batch of one: its products, and a Newton step that factors
+    Z'(H + A_in' W A_in)Z + dI with a banded Cholesky in natural order.
+
+    The band and two fixed sparse maps are set up once: a row of A_in
+    adds w a_i a_j to the x-space entry (i, j) for each pair of its
+    nonzeros, and an x-space entry (i, j) adds Z_ik Z_jl to the reduced
+    entry (k, l).  The smoothing QPs' rows each touch one control point
+    and their Z is banded, so both maps and the band stay small.
     """
-    n = H.shape[0]
-    size = n + A_eq.shape[0]
-    h = H.tocoo()
-    e = A_eq.tocoo()
-    diag = np.arange(size)
-    rows = np.concatenate([h.row, diag, e.row + n, e.col])
-    cols = np.concatenate([h.col, diag, e.col, e.row + n])
-    vals = np.concatenate(
-        [h.data, np.where(diag < n, _KKT_DELTA, -_KKT_DELTA), e.data, e.data]
-    )
-    # row r of A_in adds w[r] a_ri a_rj at (i, j) for each pair of its nonzeros
-    A_in = A_in.tocsr()
-    A_inT = A_in.T.tocsr()
-    A_eqT = A_eq.T.tocsr()
-    counts = np.diff(A_in.indptr)
-    nz_row = np.repeat(np.arange(A_in.shape[0]), counts)
-    partners = counts[nz_row]
-    first = np.repeat(np.arange(nz_row.size), partners)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
-    second = A_in.indptr[nz_row[first]] + offset
-    w_row = nz_row[first]
-    w_coef = A_in.data[first] * A_in.data[second]
-    w_i = A_in.indices[first]
-    w_j = A_in.indices[second]
 
-    all_i = np.concatenate([rows, w_i])
-    all_j = np.concatenate([cols, w_j])
-    pattern = sp.csr_array((np.ones(all_i.size), (all_i, all_j)), shape=(size, size))
-    perm = reverse_cuthill_mckee(pattern)
-    rank = np.empty(size, dtype=np.int64)
-    rank[perm] = np.arange(size)
-    bw = int(np.abs(rank[all_i] - rank[all_j]).max())
-    ldab = 3 * bw + 1
+    def __init__(self, H, A_in, Z):
+        self.H = (Z.T @ H @ Z).tocsr()
+        self.A = (A_in @ Z).tocsr()
+        self.AT = self.A.T.tocsr()
+        n, r = Z.shape
+        rows = np.arange(A_in.shape[0])
+        row, first, second = _pair_products(A_in, rows, rows)
+        entry = A_in.indices[first] * n + A_in.indices[second]
+        entries, slot = np.unique(entry, return_inverse=True)
+        self.to_x = sp.csr_matrix(
+            (A_in.data[first] * A_in.data[second], (slot, row)),
+            shape=(entries.size, A_in.shape[0]),
+        )
+        pair, zi, zj = _pair_products(Z, entries // n, entries % n)
+        k, l = Z.indices[zi], Z.indices[zj]
+        upper = k <= l
+        h = sp.triu(self.H).tocoo()
+        bw = int(max(np.max(l[upper] - k[upper], initial=0), np.max(h.col - h.row, initial=0)))
+        self.band_shape = (r, bw + 1)
 
-    def band_index(i, j):
-        # entry (i, j) of the reordered matrix sits at ab[2 bw + i - j, j];
-        # ab is column-major, as LAPACK reads it
-        return rank[j] * ldab + 2 * bw + rank[i] - rank[j]
+        def band_index(i, j):
+            # entry (i, j), i <= j, is stored as (j, i) of the lower triangle,
+            # at ab[j - i, i]; ab is column-major
+            return i * (bw + 1) + j - i
 
-    const = np.bincount(band_index(rows, cols), weights=vals, minlength=ldab * size)
-    w_index = band_index(w_i, w_j)
+        self.to_band = sp.csr_matrix(
+            ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], pair[upper])),
+            shape=(r * (bw + 1), entries.size),
+        )
+        diag = np.arange(r)
+        self.const = np.bincount(
+            np.concatenate([band_index(h.row, h.col), band_index(diag, diag)]),
+            weights=np.concatenate([h.data, np.full(r, _KKT_DELTA)]),
+            minlength=r * (bw + 1),
+        )
 
-    def factor(w):
-        w = w[0]
-        ab = const + np.bincount(w_index, weights=w_coef * w[w_row], minlength=ldab * size)
-        lu, piv, info = dgbtrf(ab.reshape(size, ldab).T, bw, bw, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"banded LU broke down (info {info})")
+    def hess(self, c):
+        return _apply(self.H, c)
 
-        def lu_solve(r):
-            sol, _ = dgbtrs(lu, bw, bw, r[perm], piv)
-            out = np.empty(size)
-            out[perm] = sol
-            return out
-
-        def solve(r_x, r_y):
-            rhs = np.concatenate([r_x[0], r_y[0]])
-            sol = lu_solve(rhs)
-            for _ in range(2):
-                x, y = sol[:n], sol[n:]
-                kx = H @ x + A_inT @ (w * (A_in @ x)) + A_eqT @ y
-                sol = sol + lu_solve(rhs - np.concatenate([kx, A_eq @ x]))
-            return sol[None, :n], sol[None, n:]
-
-        return solve
-
-    return factor
-
-
-class _SparseProgram:
-    """One QP with sparse data, as a batch of one: its products, and the
-    banded Newton step of _kkt_solver."""
-
-    def __init__(self, H, A_eq, A_in):
-        self.H, self.A_eq, self.A_in = H, A_eq, A_in
-        self.A_eqT = A_eq.T.tocsr()
-        self.A_inT = A_in.T.tocsr()
-        self.newton = _kkt_solver(H, A_eq, A_in)
-
-    def hess(self, x):
-        return _apply(self.H, x)
-
-    def eq(self, x):
-        return _apply(self.A_eq, x)
-
-    def eq_t(self, y):
-        return _apply(self.A_eqT, y)
-
-    def ineq(self, x):
-        return _apply(self.A_in, x)
+    def ineq(self, c):
+        return _apply(self.A, c)
 
     def ineq_t(self, z):
-        return _apply(self.A_inT, z)
+        return _apply(self.AT, z)
+
+    def newton(self, w):
+        """Factor the Newton matrix for W = diag(w) and return solve(r) for
+        the unregularized system Z'(H + A_in' W A_in)Z dc = r: two steps of
+        iterative refinement against it remove the O(d) error of the
+        regularization.  Raises RuntimeError when the factorization breaks
+        down."""
+        ab = self.const + self.to_band @ (self.to_x @ w[0])
+        # the lower form: OpenBLAS threads the upper form's rank-one
+        # updates, which at this size costs more than it saves (0.6 against
+        # 0.14 ms at n = 345 on 2 cores, and spikes of 100+ ms when another
+        # process holds a core)
+        chol, info = dpbtrf(ab.reshape(self.band_shape).T, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"banded Cholesky broke down (info {info})")
+
+        def chol_solve(r):
+            # LAPACK rejects an empty right-hand side: with no free
+            # coordinate (one piece fixed by its rest endpoints) the step is empty
+            return dpbtrs(chol, r.T, lower=1)[0].T if r.size else r
+
+        def solve(r):
+            dc = chol_solve(r)
+            for _ in range(2):
+                dc = dc + chol_solve(r - self.hess(dc) - self.ineq_t(w * self.ineq(dc)))
+            return dc
+
+        return solve
 
 
 class _DenseBatch:
@@ -373,12 +393,6 @@ class _DenseBatch:
     def hess(self, x):
         return x @ self.H.T
 
-    def eq(self, x):
-        return np.zeros((x.shape[0], 0))
-
-    def eq_t(self, y):
-        return 0.0
-
     def ineq(self, x):
         return (self.A @ x[:, :, None])[:, :, 0]
 
@@ -389,7 +403,7 @@ class _DenseBatch:
         # H may be singular (the separators' offset has no curvature): d
         # keeps every system of the stack nonsingular, and two refinement
         # steps against H + A' W A, applied factor by factor, remove its
-        # error and the rounding of the formed matrix, as in _kkt_solver
+        # error and the rounding of the formed matrix, as in _ReducedProgram
         M = self.H + self.A.transpose(0, 2, 1) @ (w[:, :, None] * self.A)
         M += _KKT_DELTA * np.eye(self.H.shape[0])
         good = None
@@ -408,11 +422,11 @@ class _DenseBatch:
             out[good] = np.linalg.solve(M[good], r[good, :, None])[:, :, 0]
             return out
 
-        def solve(r_x, r_y):
-            dx = stacked_solve(r_x)
+        def solve(r):
+            dx = stacked_solve(r)
             for _ in range(2):
-                dx = dx + stacked_solve(r_x - self.hess(dx) - self.ineq_t(w * self.ineq(dx)))
-            return dx, r_y
+                dx = dx + stacked_solve(r - self.hess(dx) - self.ineq_t(w * self.ineq(dx)))
+            return dx
 
         return solve
 
@@ -424,102 +438,89 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     """Solve a convex QP to the requested KKT tolerance.
 
     One method serves every QP: a Mehrotra predictor-corrector interior
-    point whose Newton step factors the KKT matrix
-    [[H + A_in' W A_in + dI, A_eq'], [A_eq, -dI]] with a banded LU in a
-    reverse Cuthill-McKee order fixed for the call.  Equality-only programs
-    take one solve through the same factorization.  The smoothness
-    objectives weight derivative orders whose magnitudes differ by many
-    decades, so the Hessian on the equality manifold can carry near-zero
-    eigenvalues; a barrier method converges to a well-centered point of
-    such a flat optimal face without naming its active rows.
+    point over the coordinates c of the affine set x = x0 + Z c, whose
+    Newton step factors Z'(H + A_in' W A_in)Z + dI with a banded Cholesky
+    (LAPACK dpbtrf) in natural order.  A program without inequality rows
+    runs the same iteration.  The smoothness objectives weight derivative
+    orders whose magnitudes differ by many decades, so the reduced
+    Hessian can carry near-zero eigenvalues; a barrier method converges to
+    a well-centered point of such a flat optimal face without naming its
+    active rows.  The equality multipliers of a program given A_eq are
+    recovered by least squares from the stationarity condition.
 
     Returns a QPResult with the best iterate found.  When that iterate misses
     the tolerance, HiGHS LPs classify the program: QPInfeasibleError when
     the constraints admit no point, QPUnboundedError when a recession
     direction lowers the objective, QPMaxIterationsError otherwise.
+    Inconsistent equality rows raise QPInfeasibleError before any
+    iteration.
     """
     qp.check_psd()
-    n = qp.n
+    if _norm(qp.A_eq @ qp.x0 - qp.b_eq) > eps_abs + eps_rel * _norm(qp.b_eq):
+        raise QPInfeasibleError("primal infeasible: the equality rows admit no point")
     H = sp.csr_matrix(qp.H)
-    A_eq = sp.csr_matrix(qp.A_eq)
     A_in = sp.csr_matrix(qp.A_in)
-    program = _SparseProgram(H, A_eq, A_in)
-    b_eq = qp.b_eq[None]
-    b_in = qp.b_in[None]
-    x = np.zeros((1, n))
-    y = np.zeros(b_eq.shape)
-    z = np.zeros(b_in.shape)
+    program = _ReducedProgram(H, A_in, qp.Z)
+    g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
+    b = (qp.b_in - A_in @ qp.x0)[None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if A_in.shape[0]:
-            # start from the minimum-norm solution of the equalities
-            try:
-                start = _kkt_solver(sp.eye(n, format="csr"), A_eq, sp.csr_matrix((0, n)))
-                x, _ = start(np.zeros((1, 0)))(np.zeros((1, n)), b_eq)
-            except RuntimeError:
-                pass
-            x, y, z, iterations = _ipm(program, qp.g, b_eq, b_in, x)
-        else:
-            iterations = 1
-            try:
-                x, y = program.newton(np.zeros((1, 0)))(-qp.g[None], b_eq)
-            except RuntimeError:
-                pass
-        ok, r_prim, r_dual = _accept(program, qp.g, b_eq, b_in, x, y, z, eps_abs, eps_rel)
+        c, z, iterations = _ipm(program, g, b, np.zeros(g.shape))
+        ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
     r_prim, r_dual = float(r_prim[0]), float(r_dual[0])
     if not ok[0]:
-        _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations)
-    duals = np.concatenate([y[0], z[0]])
-    return QPResult(x[0], qp.objective(x[0]), iterations, r_prim, r_dual, duals, False)
+        _raise_failure(program, g[0], b[0], r_prim, r_dual, iterations)
+    x = qp.x0 + qp.Z @ c[0]
+    duals = z[0]
+    if qp.A_eq.shape[0]:
+        residual = H @ x + qp.g + A_in.T @ duals
+        a_eq = sp.csr_matrix(qp.A_eq).toarray()
+        y = np.linalg.lstsq(a_eq.T, -residual, rcond=None)[0]
+        duals = np.concatenate([y, duals])
+    return QPResult(x, qp.objective(x), iterations, r_prim, r_dual, duals, False)
 
 
-def _accept(program, g, b_eq, b_in, x, y, z, eps_abs, eps_rel):
-    """Per instance: whether (x, y, z) meets the KKT stopping rule, and the
+def _accept(program, g, b_in, x, z, eps_abs, eps_rel):
+    """Per instance: whether (x, z) meets the KKT stopping rule, and the
     primal and dual residuals."""
-    ax_eq = program.eq(x)
-    ax_in = program.ineq(x)
-    r_prim = np.maximum(_norm(ax_eq - b_eq), _norm(np.maximum(ax_in - b_in, 0.0)))
+    ax = program.ineq(x)
+    r_prim = _norm(np.maximum(ax - b_in, 0.0))
     hx = program.hess(x)
-    aty = program.eq_t(y) + program.ineq_t(z)
-    r_dual = _norm(hx + g + aty)
-    eps_p = eps_abs + eps_rel * _largest(
-        _norm(ax_eq), _norm(ax_in), _norm(b_eq), _norm(np.minimum(ax_in, b_in))
-    )
-    eps_d = eps_abs + eps_rel * _largest(_norm(hx), _norm(aty), _norm(g))
+    atz = program.ineq_t(z)
+    r_dual = _norm(hx + g + atz)
+    eps_p = eps_abs + eps_rel * _largest(_norm(ax), _norm(b_in), _norm(np.minimum(ax, b_in)))
+    eps_d = eps_abs + eps_rel * _largest(_norm(hx), _norm(atz), _norm(g))
     return (r_prim <= eps_p) & (r_dual <= eps_d), r_prim, r_dual
 
 
-def _ipm(program, g, b_eq, b_in, x):
+def _ipm(program, g, b_in, x):
     """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0.
 
     Solves a batch of programs at once: arrays carry the instance on their
     first axis, and program supplies the products and the Newton step.
     Each instance keeps its own step length, stopping rule and best
     iterate, and leaves the batch when it stops.  Starts from x and returns
-    the best iterates (x, y_eq, z_in), by the largest of the residuals and
-    the square root of the duality measure, and the number of iterations
-    run.
+    the best iterates (x, z), by the largest of the residuals and the
+    square root of the duality measure, and the number of iterations run.
     """
     m_in = b_in.shape[1]
     s_raw = b_in - program.ineq(x)
-    s = s_raw + np.maximum(0.0, -1.5 * s_raw.min(axis=1))[:, None] + 1.0
+    s = s_raw + np.maximum(0.0, -1.5 * s_raw.min(axis=1, initial=0.0))[:, None] + 1.0
     z = np.ones(b_in.shape)
-    y = np.zeros(b_eq.shape)
 
-    best = [x.copy(), y.copy(), z.copy()]
+    best = [x.copy(), z.copy()]
     best_res = np.full(x.shape[0], np.inf)
     stall = np.zeros(x.shape[0], dtype=int)
     live = np.arange(x.shape[0])
     it = 0
     while it < _IPM_MAX_ITER:
-        r_d = program.hess(x) + g + program.eq_t(y) + program.ineq_t(z)
-        r_eq = program.eq(x) - b_eq
+        r_d = program.hess(x) + g + program.ineq_t(z)
         r_in = program.ineq(x) + s - b_in
-        mu = np.einsum("tm,tm->t", s, z) / m_in
+        mu = np.einsum("tm,tm->t", s, z) / max(m_in, 1)
         # on a degenerate face the distance to the solution shrinks like
         # sqrt(mu), not like mu
-        res = _largest(_norm(r_d), _norm(r_eq), _norm(r_in), np.sqrt(mu))
+        res = _largest(_norm(r_d), _norm(r_in), np.sqrt(mu))
         better = res < best_res[live]
-        for kept, current in zip(best, (x, y, z)):
+        for kept, current in zip(best, (x, z)):
             kept[live[better]] = current[better]
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
@@ -531,9 +532,7 @@ def _ipm(program, g, b_eq, b_in, x):
             keep = ~stop
             live = live[keep]
             program = program.take(keep)
-            x, y, s, z, r_d, r_eq, r_in, mu, b_eq, b_in = (
-                v[keep] for v in (x, y, s, z, r_d, r_eq, r_in, mu, b_eq, b_in)
-            )
+            x, s, z, r_d, r_in, mu, b_in = (v[keep] for v in (x, s, z, r_d, r_in, mu, b_in))
 
         try:
             solve = program.newton(z / s)
@@ -541,57 +540,55 @@ def _ipm(program, g, b_eq, b_in, x):
             break
 
         def newton(r_cs):
-            dx, dy = solve(-r_d - program.ineq_t((z * r_in - r_cs) / s), -r_eq)
+            dx = solve(-r_d - program.ineq_t((z * r_in - r_cs) / s))
             ds = -r_in - program.ineq(dx)
             dz = -(r_cs + z * ds) / s
-            return dx, dy, ds, dz
+            return dx, ds, dz
 
-        dx, dy, ds, dz = newton(s * z)
+        dx, ds, dz = newton(s * z)
         s_aff = s + _max_step(s, ds)[:, None] * ds
         z_aff = z + _max_step(z, dz)[:, None] * dz
-        mu_aff = np.einsum("tm,tm->t", s_aff, z_aff) / m_in
+        mu_aff = np.einsum("tm,tm->t", s_aff, z_aff) / max(m_in, 1)
         sigma = np.minimum(1.0, (mu_aff / np.maximum(mu, 1e-300)) ** 3)
-        dx, dy, ds, dz = newton(s * z + ds * dz - (sigma * mu)[:, None])
+        dx, ds, dz = newton(s * z + ds * dz - (sigma * mu)[:, None])
         # one step length for primal and dual: with curvature in H, unequal
         # lengths leave (a_p - a_d) H dx in the dual residual, which stalls
         # degenerate separators
         step = 0.995 * np.minimum(_max_step(s, ds), _max_step(z, dz))[:, None]
         x = x + step * dx
         s = s + step * ds
-        y = y + step * dy
         z = z + step * dz
         it += 1
     return (*best, it)
 
 
-def _raise_failure(qp, H, A_eq, A_in, r_prim, r_dual, iterations):
-    """Classify a program whose best iterate missed the tolerance."""
-    n = qp.n
-    eq = A_eq if A_eq.shape[0] else None
-    ineq = A_in if A_in.shape[0] else None
-    feasible = linprog(
-        np.zeros(n),
-        A_ub=ineq,
-        b_ub=qp.b_in if ineq is not None else None,
-        A_eq=eq,
-        b_eq=qp.b_eq if eq is not None else None,
+def _raise_failure(program, g, b, r_prim, r_dual, iterations):
+    """Classify a program whose best iterate missed the tolerance, in the
+    coordinates c of its affine set: program.A c <= b."""
+    r = program.H.shape[0]
+    rows = program.A if b.size else None
+    # with no free coordinate the program is its fixed point, which can
+    # only miss its rows
+    if not r or linprog(
+        np.zeros(r),
+        A_ub=rows,
+        b_ub=b if b.size else None,
         bounds=(None, None),
         method="highs",
-    )
-    if feasible.status == 2:
+    ).status == 2:
         raise QPInfeasibleError("primal infeasible: the constraints admit no point")
     # min g'd over recession directions of the feasible set along which the
     # objective has no curvature; a negative value is an unbounded ray
     ray = linprog(
-        qp.g,
-        A_ub=ineq,
-        b_ub=np.zeros(A_in.shape[0]) if ineq is not None else None,
-        A_eq=sp.vstack([A_eq, H]),
-        b_eq=np.zeros(A_eq.shape[0] + n),
+        g,
+        A_ub=rows,
+        b_ub=np.zeros(b.size) if b.size else None,
+        A_eq=program.H,
+        b_eq=np.zeros(r),
         bounds=(-1.0, 1.0),
         method="highs",
     )
-    if ray.status == 0 and ray.fun < -_CERT_TOL * max(1.0, _norm(qp.g)):
+    if ray.status == 0 and ray.fun < -_CERT_TOL * max(1.0, _norm(g)):
         raise QPUnboundedError("dual infeasible: objective unbounded below along a ray")
     raise QPMaxIterationsError(
         f"interior point missed tolerance after {iterations} iterations "
@@ -618,10 +615,9 @@ def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6):
     g = np.asarray(g, dtype=float)
     T, _, n = A.shape
     batch = _DenseBatch(H, A)
-    no_eq = np.zeros((T, 0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, _, z, _ = _ipm(batch, g, no_eq, b, np.zeros((T, n)))
-        ok, _, _ = _accept(batch, g, no_eq, b, x, no_eq, z, eps_abs, eps_rel)
+        x, z, _ = _ipm(batch, g, b, np.zeros((T, n)))
+        ok, _, _ = _accept(batch, g, b, x, z, eps_abs, eps_rel)
     status = np.where(ok, "solved", "max_iter").astype(object)
     for t in np.flatnonzero(~ok):
         qp = QuadraticProgram(H, g, A_in=A[t], b_in=b[t])

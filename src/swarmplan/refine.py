@@ -62,11 +62,7 @@ def _solve_one(args):
     try:
         traj, _, _ = optimize_trajectory(*args)
         return "ok", traj
-    except (
-        opt_engine.QPInfeasibleError,
-        opt_engine.QPMaxIterationsError,
-        opt_engine.SolverError,
-    ) as exc:
+    except opt_engine.SolverError as exc:
         return "fail", str(exc)
 
 

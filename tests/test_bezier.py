@@ -9,20 +9,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.interpolate import BSpline
 
 from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
     bernstein_to_monomial,
-    boundary_rows,
     control_point_cost,
-    endpoint_derivative_row,
     fallback_trajectory,
     monomial_derivative_cost,
     optimize_trajectory,
+    spline_to_bernstein,
 )
 from swarmplan.geometry import ConvexPolyhedron
-from swarmplan.opt_engine import QPInfeasibleError
+from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
 
 WEIGHTS = (0.0, 1.0, 0.0, 1.0)
 
@@ -64,6 +65,70 @@ def de_casteljau_trajectory(traj, t, order):
     piece = traj.pieces[k]
     pts = hodograph(piece.points, piece.duration, order)
     return de_casteljau(pts, (t - traj.knots[k]) / piece.duration), np.abs(pts).max()
+
+
+def endpoint_derivative_row(degree, order, duration, at_start):
+    """Coefficients over a piece's control values giving an endpoint
+    derivative: a scaled finite difference of the first (or last)
+    order + 1 control values."""
+    row = np.zeros(degree + 1)
+    factor = math.perm(degree, order) / float(duration) ** order
+    for r in range(order + 1):
+        coeff = factor * (-1.0) ** (order - r) * math.comb(order, r)
+        row[r if at_start else degree - order + r] = coeff
+    return row
+
+
+def bernstein_program(start, goal, durations, corridors, d, c, weights):
+    """The smoothing QP over every piece's control points, with the rest
+    endpoints and the knot continuity as equality rows assembled row by
+    row; the reference formulation for optimize_trajectory."""
+    width = 3 * (d + 1)
+    n = len(durations) * width
+    rows, rhs = [], []
+
+    def condition(terms, value):
+        # one row per axis; terms are (piece, coefficients over its points)
+        for axis in range(3):
+            row = np.zeros(n)
+            for piece, coeffs in terms:
+                row[piece * width + axis : (piece + 1) * width : 3] += coeffs
+            rows.append(row)
+            rhs.append(value[axis])
+
+    zero = np.zeros(3)
+    last = len(durations) - 1
+    for order in range(c + 1):
+        row = endpoint_derivative_row(d, order, durations[0], True)
+        condition([(0, row)], start if order == 0 else zero)
+        row = endpoint_derivative_row(d, order, durations[last], False)
+        condition([(last, row)], goal if order == 0 else zero)
+    for k in range(last):
+        for order in range(c + 1):
+            left = endpoint_derivative_row(d, order, durations[k], False)
+            right = endpoint_derivative_row(d, order, durations[k + 1], True)
+            condition([(k, left), (k + 1, -right)], zero)
+
+    in_rows, in_rhs = [], []
+    for k, poly in enumerate(corridors):
+        for face, bound in zip(poly.A, poly.b):
+            for point in range(d + 1):
+                row = np.zeros(n)
+                row[k * width + 3 * point : k * width + 3 * point + 3] = face
+                in_rows.append(row)
+                in_rhs.append(bound)
+    h = np.zeros((n, n))
+    for k, tau in enumerate(durations):
+        block = np.kron(control_point_cost(d, tau, tuple(weights)), np.eye(3))
+        h[k * width : (k + 1) * width, k * width : (k + 1) * width] = block
+    return QuadraticProgram(
+        h / np.abs(h).max(),
+        np.zeros(n),
+        scipy.sparse.csr_matrix(np.array(rows)),
+        np.array(rhs),
+        np.array(in_rows) if in_rows else None,
+        np.array(in_rhs) if in_rhs else None,
+    )
 
 
 def quadrature_cost(traj, weights, nodes=16):
@@ -209,6 +274,53 @@ class TestEvaluation:
             assert np.allclose(row_e @ pts, piece.evaluate(tau, order), atol=1e-8)
 
 
+class TestSplineMap:
+    def knot_vector(self, durations, d, c):
+        knots = np.concatenate([[0.0], np.cumsum(durations)])
+        interior = np.repeat(knots[1:-1], d - c)
+        return np.concatenate([[0.0] * (d + 1), interior, [knots[-1]] * (d + 1)])
+
+    def spline(self, rng, d, c, pieces):
+        durations = tuple(rng.uniform(0.4, 1.2, size=pieces))
+        m = spline_to_bernstein(durations, d, c).toarray()
+        coef = rng.normal(size=m.shape[1])
+        points = (m @ coef).reshape(pieces, d + 1)
+        traj = PiecewiseBezierTrajectory(
+            [BezierPiece(tau, p[:, None]) for tau, p in zip(durations, points)]
+        )
+        return BSpline(self.knot_vector(durations, d, c), coef, d), traj
+
+    @pytest.mark.parametrize(
+        "d, c, pieces", [(9, 4, 5), (9, 4, 1), (5, 2, 4), (3, 1, 6), (7, 3, 3)]
+    )
+    def test_matches_scipy_bspline(self, d, c, pieces):
+        rng = np.random.default_rng(30 + d)
+        bspline, traj = self.spline(rng, d, c, pieces)
+        ts = np.concatenate([traj.knots, rng.uniform(0, traj.duration, size=60)])
+        expected = bspline(ts)
+        assert np.abs(traj.evaluate_many(ts)[:, 0] - expected).max() <= 1e-12
+        for t, value in zip(ts, expected):
+            casteljau, _ = de_casteljau_trajectory(traj, t, 0)
+            assert abs(casteljau[0] - value) <= 1e-12
+
+    def test_random_coefficients_are_c4_at_every_knot(self):
+        rng = np.random.default_rng(31)
+        d, c = 9, 4
+        for _ in range(10):
+            _, traj = self.spline(rng, d, c, 4)
+            jumps = []
+            for left, right in zip(traj.pieces, traj.pieces[1:]):
+                for order in range(c + 2):
+                    a = hodograph(left.points, left.duration, order)
+                    b = hodograph(right.points, right.duration, order)
+                    scale = max(np.abs(a).max(), np.abs(b).max())
+                    jumps.append(abs(a[-1, 0] - b[0, 0]) / scale)
+            jumps = np.array(jumps).reshape(-1, c + 2)
+            assert jumps[:, : c + 1].max() <= 1e-12
+            # order c + 1 is free to jump: the knots are not over-smoothed
+            assert jumps[:, c + 1].min() > 1e-6
+
+
 class TestTrajectory:
     def make_traj(self, rng, pieces=3, d=5):
         return PiecewiseBezierTrajectory(
@@ -345,38 +457,31 @@ class TestOptimizeTrajectory:
     def free_corridors(self, k):
         return [ConvexPolyhedron() for _ in range(k)]
 
-    def test_boundary_rows_match_row_by_row_assembly(self):
-        d, c = 9, 4
-        durations = [0.25, 0.4, 0.3]
-        start, goal = np.array([0.5, -1.0, 2.0]), np.array([3.0, 0.25, -0.5])
-        width = 3 * (d + 1)
-        rows, rhs = [], []
-
-        def condition(terms, value):
-            # one row per axis; terms are (piece, coefficients over its points)
-            for axis in range(3):
-                row = np.zeros(len(durations) * width)
-                for piece, coeffs in terms:
-                    row[piece * width + axis : (piece + 1) * width : 3] += coeffs
-                rows.append(row)
-                rhs.append(value[axis])
-
-        zero = np.zeros(3)
-        for order in range(c + 1):
-            row = endpoint_derivative_row(d, order, durations[0], True)
-            condition([(0, row)], start if order == 0 else zero)
-        for order in range(c + 1):
-            row = endpoint_derivative_row(d, order, durations[-1], False)
-            condition([(2, row)], goal if order == 0 else zero)
-        for k in range(2):
-            for order in range(c + 1):
-                left = endpoint_derivative_row(d, order, durations[k], False)
-                right = endpoint_derivative_row(d, order, durations[k + 1], True)
-                condition([(k, left), (k + 1, -right)], zero)
-
-        a_eq, b_eq = boundary_rows(start, goal, durations, d, c)
-        assert np.array_equal(a_eq.toarray(), np.array(rows))
-        assert np.array_equal(b_eq, np.array(rhs))
+    def test_matches_equality_constrained_bernstein_formulation(self):
+        # acceptance test 6's cases, each solved a second time over the
+        # pieces' control points with continuity as equality rows
+        rng = np.random.default_rng(11)
+        for case in range(50):
+            pieces = int(rng.integers(2, 6))
+            durations = list(rng.uniform(0.4, 1.2, size=pieces))
+            start = rng.uniform(-1.0, 1.0, size=3)
+            goal = rng.uniform(-1.0, 1.0, size=3)
+            if case % 2:
+                corridors = [ConvexPolyhedron() for _ in range(pieces)]
+            else:
+                lo = np.minimum(start, goal) - 0.8
+                hi = np.maximum(start, goal) + 0.8
+                a = np.vstack([np.eye(3), -np.eye(3)])
+                corridors = [ConvexPolyhedron(a, np.concatenate([hi, -lo]))] * pieces
+            _, objective, _ = optimize_trajectory(
+                start, goal, durations, corridors, 9, 4, WEIGHTS
+            )
+            qp = bernstein_program(start, goal, durations, corridors, 9, 4, WEIGHTS)
+            points = np.split(solve_qp(qp).x, pieces)
+            reference = PiecewiseBezierTrajectory(
+                [BezierPiece(tau, p.reshape(10, 3)) for tau, p in zip(durations, points)]
+            ).cost(WEIGHTS)
+            assert objective == pytest.approx(reference, rel=1e-8)
 
     def test_endpoints_and_rest(self):
         start, goal = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.25])
@@ -447,6 +552,19 @@ class TestOptimizeTrajectory:
             optimize_trajectory(
                 np.zeros(3), np.array([3.0, 0, 0]), [0.25] * 2, [bad, bad], 9, 4, WEIGHTS
             )
+
+    def test_single_piece_is_fixed_by_its_rest_endpoints(self, capfd):
+        # degree 2c + 1 on one piece leaves no free coefficient: the curve
+        # is the rest-to-rest one, and the corridor only gets checked
+        start, goal = np.zeros(3), np.array([1.0, 0.5, 0.25])
+        box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 2.0))
+        traj, _, _ = optimize_trajectory(start, goal, [0.5], [box], 9, 4, WEIGHTS)
+        assert np.array_equal(traj.pieces[0].points, np.array([start] * 5 + [goal] * 5))
+        with pytest.raises(QPInfeasibleError):
+            empty = ConvexPolyhedron(box.A, -box.b)
+            optimize_trajectory(start, goal, [0.5], [empty], 9, 4, WEIGHTS)
+        # LAPACK reports an illegal argument on its output, not by raising
+        assert "illegal" not in "".join(capfd.readouterr())
 
     def test_corridor_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corridor"):

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from swarmplan.bezier_opt import control_point_cost
 from swarmplan.opt_engine import (
@@ -179,6 +180,14 @@ class TestQP:
         with pytest.raises(QPInfeasibleError):
             solve_qp(qp)
 
+    def test_inconsistent_equalities_raise(self):
+        # x0 + x1 = 1 and x0 + x1 = 2: the least-squares point meets neither
+        qp = QuadraticProgram(
+            np.eye(2), np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])
+        )
+        with pytest.raises(QPInfeasibleError):
+            solve_qp(qp)
+
     def test_unbounded_raises(self):
         # free fall along x1: no curvature, negative gradient, no constraint
         qp = QuadraticProgram(
@@ -218,20 +227,23 @@ class TestQP:
         rng = np.random.default_rng(4)
         blocks = [m @ m.T for m in (rng.normal(size=(k, k)) for k in (3, 4, 1, 5))]
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        for extra in ([], [indefinite]):
-            H = scipy.linalg.block_diag(*blocks, *extra)
-            # interleave the blocks so no block is a contiguous index range
-            order = rng.permutation(H.shape[0])
-            qp = QuadraticProgram(H[np.ix_(order, order)], np.zeros(H.shape[0]))
-            if extra:
-                with pytest.raises(ValueError, match="positive semidefinite"):
-                    qp.check_psd()
-            else:
-                qp.check_psd()
-        # one component whose diagonal blocks are PSD but whose coupling is not
         coupled = np.block([[np.eye(2), 1.5 * np.eye(2)], [1.5 * np.eye(2), np.eye(2)]])
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            QuadraticProgram(coupled, np.zeros(4)).check_psd()
+        for form in (np.asarray, scipy.sparse.csr_matrix):
+            for extra in ([], [indefinite]):
+                H = scipy.linalg.block_diag(*blocks, *extra)
+                # interleave the blocks so no block is a contiguous index range
+                order = rng.permutation(H.shape[0])
+                qp = QuadraticProgram(form(H[np.ix_(order, order)]), np.zeros(H.shape[0]))
+                if extra:
+                    with pytest.raises(ValueError, match="positive semidefinite"):
+                        qp.check_psd()
+                else:
+                    qp.check_psd()
+            # one component whose diagonal blocks are PSD but whose coupling is not
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                QuadraticProgram(form(coupled), np.zeros(4)).check_psd()
+            with pytest.raises(ValueError, match="not symmetric"):
+                QuadraticProgram(form(np.triu(coupled)), np.zeros(4)).check_psd()
 
     def test_check_psd_accepts_smoothing_hessian(self):
         # the wall scenario's shape: 24 pieces of degree 9 in 3 axes, each
