@@ -7,10 +7,18 @@ radii E stay disjoint.  Separating hyperplanes between point sets are found
 by a hard-margin SVM weighted by the ellipsoid: minimizing a'E^2 a under
 unit-margin constraints makes the achieved slab width exactly wide enough
 for two ellipsoids iff the optimum satisfies ||E a|| <= 1.
+
+That SVM is a distance problem.  In coordinates scaled by E^-1 its
+optimum is determined by the min-norm point of the difference of the two
+sets' convex hulls, which a batched Gilbert-Johnson-Keerthi iteration
+finds exactly, with the duality gap as its certificate (Gilbert, Johnson
+& Keerthi 1988; Wolfe 1976).  Every plane it returns is then checked
+against both point sets.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +127,140 @@ def _center(A_pts, B_pts):
     return all_pts.mean(axis=-2)
 
 
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+# the faces of a simplex of up to four points, grouped by size, and the
+# members of all 15 faces in that order as masks
+_FACES = [np.array(list(itertools.combinations(range(4), k))) for k in (1, 2, 3, 4)]
+_FACE_MEMBERS = np.array([np.isin(range(4), face) for faces in _FACES for face in faces])
+# an instance stops once its duality gap |v|^2 - min_y v.y is at most this
+# fraction of |v|^2
+_GAP_TOL = 1e-12
+# instances still running after this many steps go to the interior point;
+# the wall scenario needs at most 16
+_MIN_NORM_MAX_ITER = 64
+# a face is affinely dependent when the sine between its edges (triangles)
+# or its volume relative to its edge lengths (tetrahedra) is below this
+_AFFINE_TOL = 1e-12
+# slack of the direct check of each plane, relative to its promised margin
+_MARGIN_RTOL = 1e-6
+
+
+def _simplex_min_norm(Y, used):
+    """Min-norm point of each simplex conv(Y[l, used[l]]), Y of shape (L, 4, 3).
+
+    Every face is tried: the min-norm point of its affine hull counts when
+    the face is affinely independent and the point's barycentric weights
+    are nonnegative, and the shortest such point wins.  Returns the points
+    (L, 3) and the winning faces' members as a mask (L, 4).
+    """
+    points, valid = [], []
+    for faces in _FACES:
+        y0 = Y[:, faces[:, 0]]
+        d = [Y[:, faces[:, j]] - y0 for j in range(1, faces.shape[1])]
+        if len(d) == 0:
+            lam = np.zeros(y0.shape[:2] + (0,))
+            indep = np.ones(y0.shape[:2], dtype=bool)
+            p = y0
+        elif len(d) == 1:
+            g = _dot(d[0], d[0])
+            lam = (-_dot(d[0], y0) / g)[..., None]
+            indep = g > 0.0
+            p = y0 + lam * d[0]
+        elif len(d) == 2:
+            # the projection along the normal, with the weights as signed
+            # areas: the normal equations would square the condition of the
+            # long, thin faces a box edge and a curve step make
+            n = np.cross(d[0], d[1])
+            nn = _dot(n, n)
+            p = n * (_dot(n, y0) / nn)[..., None]
+            y1, y2 = y0 + d[0], y0 + d[1]
+            lam = np.stack(
+                [_dot(n, np.cross(y2 - p, y0 - p)), _dot(n, np.cross(y0 - p, y1 - p))], axis=-1
+            ) / nn[..., None]
+            indep = nn > _AFFINE_TOL**2 * _dot(d[0], d[0]) * _dot(d[1], d[1])
+        else:
+            # the origin's barycentric weights by Cramer's rule; a valid
+            # tetrahedron contains the origin
+            n12, n20, n01 = np.cross(d[1], d[2]), np.cross(d[2], d[0]), np.cross(d[0], d[1])
+            det = _dot(d[0], n12)
+            lam = -np.stack([_dot(y0, n12), _dot(y0, n20), _dot(y0, n01)], axis=-1) / det[..., None]
+            scale = np.sqrt(_dot(d[0], d[0]) * _dot(d[1], d[1]) * _dot(d[2], d[2]))
+            indep = np.abs(det) > _AFFINE_TOL * scale
+            p = np.zeros_like(y0)
+        weights = np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+        valid.append(indep & (weights >= 0.0).all(axis=-1) & used[:, faces].all(axis=-1))
+        points.append(p)
+    points = np.concatenate(points, axis=1)
+    valid = np.concatenate(valid, axis=1)
+    best = np.argmin(np.where(valid, _dot(points, points), np.inf), axis=1)
+    return points[np.arange(Y.shape[0]), best], _FACE_MEMBERS[best]
+
+
+def _min_norm_points(P, Q):
+    """The min-norm point w of conv(Q) - conv(P) per instance, by GJK.
+
+    P has shape (T, mP, 3) and Q (T, mQ, 3).  Each step takes the support
+    point y of the difference (one argmax over P, one argmin over Q) and
+    replaces the simplex by the minimal face of the simplex plus y.  An
+    instance stops when its duality gap |v|^2 - min_y v.y certifies v, or
+    when its support point cannot lower |v| (it is already in the simplex,
+    or it leaves the minimal face at once: the gap is then rounding).
+    Returns (w, p_max, q_min, status): p_max = max over P of w.p, q_min =
+    min over Q of w.q, and status 0 when solved, 1 when the hulls overlap,
+    2 when the iteration cap was reached.
+    """
+    T, mQ = Q.shape[0], Q.shape[1]
+    w = np.zeros((T, 3))
+    p_max = np.zeros(T)
+    q_min = np.zeros(T)
+    status = np.full(T, 2)
+    live = np.arange(T)
+
+    def support(v):
+        vp = np.einsum("tmi,ti->tm", P[live], v)
+        vq = np.einsum("tmi,ti->tm", Q[live], v)
+        ia, ib = vp.argmax(axis=1), vq.argmin(axis=1)
+        rows = np.arange(live.size)
+        return Q[live, ib] - P[live, ia], vp[rows, ia], vq[rows, ib], ia * mQ + ib
+
+    def finish(stop, v, pm, qm, code):
+        idx = live[stop]
+        w[idx], p_max[idx], q_min[idx], status[idx] = v[stop], pm[stop], qm[stop], code
+
+    v, _, _, key = support(Q.mean(axis=1) - P.mean(axis=1))
+    Y = np.zeros((T, 4, 3))
+    Y[:, 0] = v
+    keys = np.full((T, 4), -1)
+    keys[:, 0] = key
+    for _ in range(_MIN_NORM_MAX_ITER):
+        y, pm, qm, key = support(v)
+        vv = _dot(v, v)
+        rows = np.arange(live.size)
+        slot = (keys >= 0).sum(axis=1)
+        repeat = (keys == key[:, None]).any(axis=1)
+        Y[rows, slot] = y
+        keys[rows, slot] = key
+        v_new, face = _simplex_min_norm(Y, keys >= 0)
+        solved = (vv > 0.0) & ((vv - (qm - pm) <= _GAP_TOL * vv) | repeat | ~face[rows, slot])
+        # the simplex holds the origin (a tetrahedron that contains it yields
+        # exactly 0): the hulls share a point
+        overlap = ~solved & (_dot(v_new, v_new) == 0.0)
+        finish(solved, v, pm, qm, 0)
+        finish(overlap, v, pm, qm, 1)
+        go = ~(solved | overlap)
+        # the minimal face's vertices move to the front, in their order
+        order = np.argsort(~face, axis=1, kind="stable")
+        Y = np.take_along_axis(Y, order[:, :, None], axis=1)[go]
+        keys = np.take_along_axis(np.where(face, keys, -1), order, axis=1)[go]
+        live, v = live[go], v_new[go]
+        if not live.size:
+            break
+    return w, p_max, q_min, status
+
+
 def svm_separate_batch(A_sets, B_sets, ellipsoid):
     """Solve the ellipsoid-weighted hard-margin SVM for a batch of set pairs.
 
@@ -126,45 +268,67 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     (alpha, beta, enorm, ok) where alpha (T, 3) / beta (T,) describe planes
     with the A side at a'x - b <= -1/||alpha_raw|| after normalization,
     enorm is ||E alpha_raw|| of the raw optimum (the margin certificate),
-    and ok marks instances whose QP solved.  Coordinates are centered per
-    instance before solving so the result is translation invariant.
+    and ok marks instances whose plane was found and passed the direct
+    check of that margin on both sets.  Coordinates are centered per
+    instance, so the result is translation invariant.
+
+    The SVM is a distance problem: with p -> E^-1 p, the optimum is
+    E alpha_raw = u = 2w/|w|^2 for the min-norm point w of
+    conv(B) - conv(A), beta_raw puts the plane midway between the sets
+    along u, and enorm = 2/|w|.  w comes from a batched GJK
+    (_min_norm_points); an instance it leaves at the iteration cap is
+    solved as a QP by opt_engine.solve_qp_batch.
     """
     A_sets = np.asarray(A_sets, dtype=float)
     B_sets = np.asarray(B_sets, dtype=float)
     if A_sets.ndim == 2:
         A_sets = A_sets[None]
         B_sets = B_sets[None]
-    T, mA, _ = A_sets.shape
-    mB = B_sets.shape[1]
+    mA = A_sets.shape[1]
+    radii = np.asarray(ellipsoid.radii)
 
     centers = _center(A_sets, B_sets)
     A_c = A_sets - centers[:, None, :]
     B_c = B_sets - centers[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w, p_max, q_min, status = _min_norm_points(A_c / radii, B_c / radii)
+        ww = _dot(w, w)
+        alpha_raw = 2.0 * w / (ww[:, None] * radii)
+        beta_raw = (p_max + q_min) / ww
+    ok = status == 0
+    alpha_raw[~ok] = 0.0
+    beta_raw[~ok] = 0.0
+    capped = np.flatnonzero(status == 2)
+    if capped.size:
+        alpha_raw[capped], beta_raw[capped], ok[capped] = _margin_qp(A_c[capped], B_c[capped], ellipsoid)
 
-    E2 = np.diag(np.square(ellipsoid.radii))
-    H = np.zeros((4, 4))
-    H[:3, :3] = 2.0 * E2
-    g = np.zeros(4)
-
-    m = mA + mB
-    A_con = np.zeros((T, m, 4))
-    A_con[:, :mA, :3] = A_c
-    A_con[:, :mA, 3] = -1.0
-    A_con[:, mA:, :3] = -B_c
-    A_con[:, mA:, 3] = 1.0
-    b_con = np.full((T, m), -1.0)
-
-    x, _, status = opt_engine.solve_qp_batch(H, g, A_con, b_con)
-    ok = status == "solved"
-    alpha_raw = x[:, :3]
-    beta_raw = x[:, 3]
-    enorm = np.linalg.norm(alpha_raw * np.asarray(ellipsoid.radii), axis=1)
+    enorm = np.linalg.norm(alpha_raw * radii, axis=1)
     norms = np.linalg.norm(alpha_raw, axis=1)
     safe = np.maximum(norms, 1e-300)
     alpha = alpha_raw / safe[:, None]
     beta = beta_raw / safe + np.einsum("ti,ti->t", alpha, centers)
     ok = ok & (norms > 1e-12)
+    # the direct check: the sets lie the promised margin 1/||alpha_raw||
+    # off the plane, each on its own side
+    side = np.einsum("tmi,ti->tm", np.concatenate([A_sets, B_sets], axis=1), alpha)
+    margin = (1.0 - _MARGIN_RTOL) / safe
+    ok &= (side[:, :mA].max(axis=1) <= beta - margin) & (side[:, mA:].min(axis=1) >= beta + margin)
     return alpha, beta, enorm, ok
+
+
+def _margin_qp(A_c, B_c, ellipsoid):
+    """The margin SVM of each instance as a 4-variable QP over
+    (alpha_raw, beta_raw): returns alpha_raw, beta_raw and whether it solved."""
+    T, mA, _ = A_c.shape
+    H = np.zeros((4, 4))
+    H[:3, :3] = 2.0 * np.diag(np.square(ellipsoid.radii))
+    A_con = np.zeros((T, mA + B_c.shape[1], 4))
+    A_con[:, :mA, :3] = A_c
+    A_con[:, :mA, 3] = -1.0
+    A_con[:, mA:, :3] = -B_c
+    A_con[:, mA:, 3] = 1.0
+    x, _, status = opt_engine.solve_qp_batch(H, np.zeros(4), A_con, np.full(A_con.shape[:2], -1.0))
+    return x[:, :3], x[:, 3], status == "solved"
 
 
 def separate_point_sets(A_points, B_points, ellipsoid, tol=1e-6):

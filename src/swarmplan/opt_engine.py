@@ -8,12 +8,15 @@ remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
 definite and is factored with a banded Cholesky in natural order.  The
 smoothing QPs pass a banded Z (a B-spline basis), which keeps that band
 narrow; a program given equality rows instead gets a dense orthonormal
-null-space basis and a full band.  A batch of small inequality-only QPs
-of identical shape (the thousands of 4-variable separating-hyperplane
-problems per refinement round) runs as one vectorized iteration whose
-Newton step is a stacked solve of small dense systems.  Programs whose
-best iterate misses the tolerance are classified by HiGHS LPs: a
-feasibility LP for infeasibility and a recession LP for unboundedness.
+null-space basis and a full band.  The maps that assemble that band
+depend only on H, Z and the sparsity pattern of the inequality rows, so
+programs that share them (every robot of a plan) build them once.
+Programs whose best iterate misses the tolerance are classified by HiGHS
+LPs: a feasibility LP for infeasibility and a recession LP for
+unboundedness.  solve_qp_batch runs a batch of small programs one
+solve_qp at a time; the separating-hyperplane problems take it only for
+the rare instance their min-norm-point solver (geometry) leaves at its
+iteration cap.
 
 Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
 ILPs start from the root LP relaxation, solved by HiGHS' simplex: the
@@ -27,7 +30,7 @@ provide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -297,53 +300,91 @@ def _pair_products(M, rows_a, rows_b):
     return k, M.indptr[rows_a][k] + local // cb[k], M.indptr[rows_b][k] + local % cb[k]
 
 
+class _Contents:
+    """A sparse matrix as a cache key, equal to another when their contents
+    are (with values=False, when their sparsity patterns are)."""
+
+    def __init__(self, M, values=True):
+        self.M = M
+        self.key = (M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes() if values else None)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=8)
+def _newton_maps(H, A_pattern, Z):
+    """The parts of a _ReducedProgram that depend only on H, on Z and on the
+    sparsity pattern of A_in, built once for all programs that share them
+    (every robot of a plan, in every round) and shared read-only.
+
+    A row of A_in adds w a_i a_j to the x-space entry (i, j) for each pair
+    of its nonzeros, and an x-space entry (i, j) adds Z_ik Z_jl to the
+    reduced entry (k, l).  Returns Z'HZ, the band's shape and its constant
+    part (Z'HZ + dI), the map from x-space entries to the band, and the
+    map from A_in's rows to x-space entries as a CSR template whose k-th
+    stored value is A_in.data[first[k]] * A_in.data[second[k]].
+    """
+    H, A_in, Z = H.M, A_pattern.M, Z.M
+    H_red = (Z.T @ H @ Z).tocsr()
+    n, r = Z.shape
+    rows = np.arange(A_in.shape[0])
+    row, first, second = _pair_products(A_in, rows, rows)
+    entry = A_in.indices[first] * n + A_in.indices[second]
+    entries, slot = np.unique(entry, return_inverse=True)
+    # each (entry, row) pair occurs once, so the stored values are a
+    # permutation of the pair numbers
+    to_x = sp.csr_matrix(
+        (np.arange(row.size, dtype=float), (slot, row)), shape=(entries.size, A_in.shape[0])
+    )
+    order = to_x.data.astype(np.intp)
+    pair, zi, zj = _pair_products(Z, entries // n, entries % n)
+    k, l = Z.indices[zi], Z.indices[zj]
+    upper = k <= l
+    h = sp.triu(H_red).tocoo()
+    bw = int(max(np.max(l[upper] - k[upper], initial=0), np.max(h.col - h.row, initial=0)))
+
+    def band_index(i, j):
+        # entry (i, j), i <= j, is stored as (j, i) of the lower triangle,
+        # at ab[j - i, i]; ab is column-major
+        return i * (bw + 1) + j - i
+
+    to_band = sp.csr_matrix(
+        ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], pair[upper])),
+        shape=(r * (bw + 1), entries.size),
+    )
+    diag = np.arange(r)
+    const = np.bincount(
+        np.concatenate([band_index(h.row, h.col), band_index(diag, diag)]),
+        weights=np.concatenate([h.data, np.full(r, _KKT_DELTA)]),
+        minlength=r * (bw + 1),
+    )
+    return H_red, (r, bw + 1), const, to_band, to_x, first[order], second[order]
+
+
 class _ReducedProgram:
     """One QP over the coordinates c of its affine set x = x0 + Z c, as a
     batch of one: its products, and a Newton step that factors
     Z'(H + A_in' W A_in)Z + dI with a banded Cholesky in natural order.
 
-    The band and two fixed sparse maps are set up once: a row of A_in
-    adds w a_i a_j to the x-space entry (i, j) for each pair of its
-    nonzeros, and an x-space entry (i, j) adds Z_ik Z_jl to the reduced
-    entry (k, l).  The smoothing QPs' rows each touch one control point
-    and their Z is banded, so both maps and the band stay small.
+    The band and two fixed sparse maps come from _newton_maps; only the
+    values of A_in are the program's own.  The smoothing QPs' rows each
+    touch one control point and their Z is banded, so both maps and the
+    band stay small.
     """
 
     def __init__(self, H, A_in, Z):
-        self.H = (Z.T @ H @ Z).tocsr()
+        self.H, self.band_shape, self.const, self.to_band, to_x, first, second = _newton_maps(
+            _Contents(H), _Contents(A_in, values=False), _Contents(Z)
+        )
+        self.to_x = sp.csr_matrix(
+            (A_in.data[first] * A_in.data[second], to_x.indices, to_x.indptr), shape=to_x.shape
+        )
         self.A = (A_in @ Z).tocsr()
         self.AT = self.A.T.tocsr()
-        n, r = Z.shape
-        rows = np.arange(A_in.shape[0])
-        row, first, second = _pair_products(A_in, rows, rows)
-        entry = A_in.indices[first] * n + A_in.indices[second]
-        entries, slot = np.unique(entry, return_inverse=True)
-        self.to_x = sp.csr_matrix(
-            (A_in.data[first] * A_in.data[second], (slot, row)),
-            shape=(entries.size, A_in.shape[0]),
-        )
-        pair, zi, zj = _pair_products(Z, entries // n, entries % n)
-        k, l = Z.indices[zi], Z.indices[zj]
-        upper = k <= l
-        h = sp.triu(self.H).tocoo()
-        bw = int(max(np.max(l[upper] - k[upper], initial=0), np.max(h.col - h.row, initial=0)))
-        self.band_shape = (r, bw + 1)
-
-        def band_index(i, j):
-            # entry (i, j), i <= j, is stored as (j, i) of the lower triangle,
-            # at ab[j - i, i]; ab is column-major
-            return i * (bw + 1) + j - i
-
-        self.to_band = sp.csr_matrix(
-            ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], pair[upper])),
-            shape=(r * (bw + 1), entries.size),
-        )
-        diag = np.arange(r)
-        self.const = np.bincount(
-            np.concatenate([band_index(h.row, h.col), band_index(diag, diag)]),
-            weights=np.concatenate([h.data, np.full(r, _KKT_DELTA)]),
-            minlength=r * (bw + 1),
-        )
 
     def hess(self, c):
         return _apply(self.H, c)
@@ -381,57 +422,6 @@ class _ReducedProgram:
             return dc
 
         return solve
-
-
-class _DenseBatch:
-    """Inequality-only QPs with rows A (T, m, n) and a shared H: the Newton
-    step is one stacked solve of (T, n, n) systems."""
-
-    def __init__(self, H, A):
-        self.H, self.A = H, A
-
-    def hess(self, x):
-        return x @ self.H.T
-
-    def ineq(self, x):
-        return (self.A @ x[:, :, None])[:, :, 0]
-
-    def ineq_t(self, z):
-        return (z[:, None, :] @ self.A)[:, 0, :]
-
-    def newton(self, w):
-        # H may be singular (the separators' offset has no curvature): d
-        # keeps every system of the stack nonsingular, and two refinement
-        # steps against H + A' W A, applied factor by factor, remove its
-        # error and the rounding of the formed matrix, as in _ReducedProgram
-        M = self.H + self.A.transpose(0, 2, 1) @ (w[:, :, None] * self.A)
-        M += _KKT_DELTA * np.eye(self.H.shape[0])
-        good = None
-
-        def stacked_solve(r):
-            nonlocal good
-            if good is None:
-                try:
-                    return np.linalg.solve(M, r[:, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    det = np.linalg.det(M)
-                    good = np.isfinite(det) & (det != 0)
-            # a breakdown ends only its own instance, at its best iterate:
-            # its step is NaN
-            out = np.full(r.shape, np.nan)
-            out[good] = np.linalg.solve(M[good], r[good, :, None])[:, :, 0]
-            return out
-
-        def solve(r):
-            dx = stacked_solve(r)
-            for _ in range(2):
-                dx = dx + stacked_solve(r - self.hess(dx) - self.ineq_t(w * self.ineq(dx)))
-            return dx
-
-        return solve
-
-    def take(self, keep):
-        return _DenseBatch(self.H, self.A[keep])
 
 
 def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
@@ -498,7 +488,9 @@ def _ipm(program, g, b_in, x):
     Solves a batch of programs at once: arrays carry the instance on their
     first axis, and program supplies the products and the Newton step.
     Each instance keeps its own step length, stopping rule and best
-    iterate, and leaves the batch when it stops.  Starts from x and returns
+    iterate, and leaves the batch when it stops (a program of several
+    instances supplies take(keep) for that; solve_qp passes one).  Starts
+    from x and returns
     the best iterates (x, z), by the largest of the residuals and the
     square root of the duality measure, and the number of iterations run.
     """
@@ -599,30 +591,24 @@ def _raise_failure(program, g, b, r_prim, r_dual, iterations):
 
 
 def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6):
-    """Solve T small QPs  min 0.5 x'Hx + g'x  s.t.  A[t] x <= b[t]  at once.
+    """Solve T small QPs  min 0.5 x'Hx + g'x  s.t.  A[t] x <= b[t], one
+    solve_qp each.
 
     H and g are shared across the batch; A has shape (T, m, n) and b has
-    shape (T, m).  The method is solve_qp's interior point run over the
-    whole batch, with one stacked (T, n, n) solve per Newton step.  An
-    instance whose best iterate misses the tolerance goes to solve_qp,
-    whose HiGHS feasibility LP names it "infeasible"; otherwise it stays
-    "max_iter".  Returns (x, objective, status) where status[t] is one of
-    "solved", "infeasible", "max_iter".
+    shape (T, m).  Returns (x, objective, status) where status[t] is one of
+    "solved", "infeasible" (the feasibility LP found no point) and
+    "max_iter" (any other solver failure); x[t] is 0 unless solved.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     T, _, n = A.shape
-    batch = _DenseBatch(H, A)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, z, _ = _ipm(batch, g, b, np.zeros((T, n)))
-        ok, _, _ = _accept(batch, g, b, x, z, eps_abs, eps_rel)
-    status = np.where(ok, "solved", "max_iter").astype(object)
-    for t in np.flatnonzero(~ok):
-        qp = QuadraticProgram(H, g, A_in=A[t], b_in=b[t])
+    x = np.zeros((T, n))
+    status = np.full(T, "max_iter", dtype=object)
+    for t in range(T):
         try:
-            x[t] = solve_qp(qp, eps_abs, eps_rel).x
+            x[t] = solve_qp(QuadraticProgram(H, g, A_in=A[t], b_in=b[t]), eps_abs, eps_rel).x
             status[t] = "solved"
         except QPInfeasibleError:
             status[t] = "infeasible"

@@ -12,7 +12,8 @@ sets admit no margin plane is pinned to the straight-line fallback for
 good, a robot with a failed obstacle separator or an infeasible program
 keeps its previous curve (each is logged), and a whole round is discarded,
 ending refinement, if the resulting set does not validate or costs more
-than the set it would replace.  The result is usable after any round and
+than the set it would replace (by more than a relative 1e-12, so rounding
+alone never ends it).  The result is usable after any round and
 only improves with more of them.
 """
 
@@ -30,6 +31,9 @@ from .corridor import build_corridors, sample_point_sets, segment_point_sets
 from .validate import validate_trajectories
 
 _RELATIVE_COST_STOP = 1e-3
+# a round is rejected only when it raises the set cost by more than this,
+# relative: a round in which nothing moved can still differ in the last bits
+_RELATIVE_COST_RISE = 1e-12
 
 
 @dataclass
@@ -176,7 +180,7 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
                 break
 
             cost = _total_cost(candidates, weights)
-            if cost > best_cost:
+            if cost - best_cost > _RELATIVE_COST_RISE * abs(best_cost):
                 emit(
                     f"iteration {it}: candidate cost {cost:.6g} is above the "
                     f"accepted {best_cost:.6g}, keeping previous"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
+from swarmplan import geometry, opt_engine
 from swarmplan.geometry import (
     ConvexPolyhedron,
     Ellipsoid,
@@ -170,26 +172,66 @@ def box_vertices(rng):
 
 def svm_by_single_solves(a_pts, b_pts, ell):
     """The margin SVM of one instance through solve_qp, uncentered:
-    (unit normal, offset, ||E alpha_raw||), or None when it has no solution."""
+    (unit normal, offset, ||E alpha_raw||), or None when it has no solution.
+
+    An interior point is only about sqrt(mu)-accurate on a degenerate
+    optimal face, so the k rows solve_qp leaves tightest (k = 1, 2, ...,
+    among those within 1e-6 of tight) are then solved as equalities; the
+    first such point that is a KKT point replaces solve_qp's: every row
+    holds and nonnegative multipliers (by NNLS) on the k rows balance its
+    gradient.  A KKT point of this convex program is its unique optimum,
+    whichever rows were picked.
+    """
     H = np.zeros((4, 4))
     H[:3, :3] = 2.0 * np.diag(np.square(ell.radii))
     rows = np.vstack(
         [np.hstack([a_pts, -np.ones((len(a_pts), 1))]), np.hstack([-b_pts, np.ones((len(b_pts), 1))])]
     )
+    b = -np.ones(len(rows))
     try:
-        res = solve_qp(QuadraticProgram(H, np.zeros(4), A_in=rows, b_in=-np.ones(len(rows))))
+        x = solve_qp(QuadraticProgram(H, np.zeros(4), A_in=rows, b_in=b)).x
     except QPInfeasibleError:
         return None
-    raw = res.x[:3]
+    slack = b - rows @ x
+    order = np.argsort(slack)
+    for k in range(1, int((slack <= 1e-6).sum()) + 1):
+        tight = rows[order[:k]]
+        kkt = np.block([[H, tight.T], [tight, np.zeros((k, k))]])
+        rhs = np.concatenate([np.zeros(4), -np.ones(k)])
+        exact = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:4]
+        _, stationarity = nnls(tight.T, -H @ exact)
+        if (rows @ exact - b).max() <= 1e-12 and stationarity <= 1e-12 * max(1.0, np.abs(H @ exact).max()):
+            x = exact
+            break
+    raw = x[:3]
     norm = np.linalg.norm(raw)
-    return raw / norm, res.x[3] / norm, ell.norm(raw)
+    return raw / norm, x[3] / norm, ell.norm(raw)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two sets of up to six lattice points, half a scaled unit apart per
+    step, with B moved 1 to 6 steps past A along one axis (4 steps put
+    them at the pair margin limit): ties, collinear and coplanar points."""
+    cells = st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=6, unique=True)
+    a, b = np.array(draw(cells)), np.array(draw(cells))
+    axis = draw(st.integers(0, 2))
+    b[:, axis] += a[:, axis].max() - b[:, axis].min() + draw(st.integers(1, 6))
+    step = 0.5 * np.asarray(ELL.radii)
+    return a * step, b * step
+
+
+COLLINEAR = [(5.0, 3.25, 0.5), (5.0, 3.5, 0.5)]
 
 
 class TestSeparationBatchAgainstSingleSolves:
     # two flat curve pairs at the obstacle margin limit: ADMM with an
     # active-set polish misses the first by 5e-7, and an interior point
     # with separate primal and dual step lengths that ranks its iterates
-    # by the plain duality measure stalls on the second
+    # by the plain duality measure stalls on the second; a batched interior
+    # point that ranks its iterates by max(residuals, sqrt(mu)) misses the
+    # third by 4.9e-8
+    @example(seed=415, boxes=False, gaps=[1.0, None, None, 0.4878772791456844])
     @example(seed=10000, boxes=False, gaps=[1.0, 1.0, 0.3])
     @example(seed=16, boxes=False, gaps=[1.0, 1.0, 0.3])
     @settings(max_examples=25, deadline=None)
@@ -229,6 +271,73 @@ class TestSeparationBatchAgainstSingleSolves:
             assert np.abs(alpha[t] - normal).max() <= 1e-8
             assert abs(beta[t] - offset) <= 1e-8
             assert abs(enorm[t] - single_enorm) <= 1e-8
+
+    # segments on one line (the residuals of an interior point are exactly
+    # 0 there), parallel segments, single points, identical sets, and
+    # sets at the pair margin limit (||E a|| = 1)
+    @example(pair=(COLLINEAR, [(5.0, 3.75, 0.5), (5.0, 4.0, 0.5)]))
+    @example(pair=(COLLINEAR, [(5.0, 3.25, 1.0), (5.0, 3.5, 1.0)]))
+    @example(pair=([(1.0, 2.0, 0.5)], [(1.5, 2.0, 0.5)]))
+    @example(pair=(COLLINEAR, COLLINEAR))
+    @example(pair=([(0.0, 0.0, 0.0)], [(0.0, 0.0, 0.6)]))
+    @example(pair=([(0.0, 0.0, 0.0), (0.3, 0.0, 0.0)], [(0.1, 0.0, 0.6), (0.2, 0.1, 0.6)]))
+    @settings(max_examples=40, deadline=None)
+    @given(pair=lattice_pairs())
+    def test_degenerate_sets_match_one_solve(self, pair):
+        a_pts, b_pts = (np.asarray(p, dtype=float) for p in pair)
+        alpha, beta, enorm, ok = svm_separate_batch(a_pts[None], b_pts[None], ELL)
+        single = svm_by_single_solves(a_pts, b_pts, ELL)
+        if single is None:
+            assert not ok[0]
+            return
+        assert ok[0]
+        normal, offset, single_enorm = single
+        assert np.abs(alpha[0] - normal).max() <= 1e-8
+        assert abs(beta[0] - offset) <= 1e-8
+        assert abs(enorm[0] - single_enorm) <= 1e-8
+
+    def test_instances_at_the_iteration_cap_go_to_solve_qp(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        a_sets = np.array([smooth_curve_samples(rng) for _ in range(6)])
+        b_sets = np.array([smooth_curve_samples(rng) for _ in range(6)])
+        a_sets[:, :, 2] += 1.0
+        expected = svm_separate_batch(a_sets, b_sets, ELL)
+        batches = []
+        real = opt_engine.solve_qp_batch
+
+        def spy(H, g, A, b):
+            batches.append(len(A))
+            return real(H, g, A, b)
+
+        monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
+        monkeypatch.setattr(opt_engine, "solve_qp_batch", spy)
+        alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, ELL)
+        assert batches and batches[0] >= 1
+        assert ok.all() and expected[3].all()
+        # solve_qp stops at a KKT tolerance of 1e-6
+        assert np.abs(alpha - expected[0]).max() <= 1e-6
+        assert np.abs(beta - expected[1]).max() <= 1e-6
+        assert np.abs(enorm - expected[2]).max() <= 1e-6
+
+    def test_plane_that_misses_its_margin_is_not_ok(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a_sets = np.array([smooth_curve_samples(rng) for _ in range(4)])
+        b_sets = np.array([box_vertices(rng) for _ in range(4)])
+        a_sets[:, :, 2] += b_sets[:, :, 2].max(axis=1, keepdims=True) + 0.5
+        assert svm_separate_batch(a_sets, b_sets, ELL)[3].all()
+        real = geometry._min_norm_points
+
+        def tilted_first(P, Q):
+            # the first instance's w turned by 0.1 rad about x, its support
+            # values kept: a plane whose claimed margin the sets do not have
+            w, p_max, q_min, status = real(P, Q)
+            c, s = np.cos(0.1), np.sin(0.1)
+            w[0] = [w[0, 0], c * w[0, 1] - s * w[0, 2], s * w[0, 1] + c * w[0, 2]]
+            return w, p_max, q_min, status
+
+        monkeypatch.setattr(geometry, "_min_norm_points", tilted_first)
+        ok = svm_separate_batch(a_sets, b_sets, ELL)[3]
+        assert list(ok) == [False, True, True, True]
 
 
 class TestObstacleMerging:

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from swarmplan import opt_engine
 from swarmplan.bezier_opt import control_point_cost
 from swarmplan.opt_engine import (
     BinaryILP,
@@ -253,6 +254,33 @@ class TestQP:
         H /= np.abs(H).max()
         np.linalg.cholesky(H + 1e-8 * np.eye(H.shape[0]))  # the whole-matrix test agrees
         QuadraticProgram(H, np.zeros(H.shape[0])).check_psd()
+
+    def test_programs_sharing_a_pattern_solve_as_alone(self):
+        # programs with one sparsity pattern share the Newton step's maps;
+        # each must still solve exactly as it does with nothing shared
+        rng = np.random.default_rng(5)
+        n, r, m = 6, 4, 8
+
+        def program(H, A, Z):
+            x0 = rng.normal(size=n)
+            b = A @ (x0 + Z @ rng.normal(size=r)) + rng.uniform(0.1, 1.0, size=m)
+            return QuadraticProgram(H, rng.normal(size=n), A_in=A, b_in=b, Z=Z, x0=x0)
+
+        def spd():
+            M = rng.normal(size=(n, n))
+            return M @ M.T + np.eye(n)
+
+        H, A, Z = spd(), rng.normal(size=(m, n)), rng.normal(size=(n, r))
+        programs = [
+            program(H, A, Z),
+            program(H, rng.normal(size=(m, n)), Z),
+            program(H, A, rng.normal(size=(n, r))),
+            program(spd(), A, Z),
+        ]
+        shared = [solve_qp(qp).x for qp in programs]
+        for qp, x in zip(programs, shared):
+            opt_engine._newton_maps.cache_clear()
+            assert np.array_equal(solve_qp(qp).x, x)
 
 
 class TestQPBatch:

@@ -201,6 +201,29 @@ class TestDegradation:
         # refinement ended with round 1
         assert len(calls) == 2 * n
 
+    def test_round_one_ulp_above_the_accepted_cost_is_accepted(self, small, monkeypatch):
+        sc, plan = small
+        real = refine_mod._total_cost
+        costs = []
+
+        def one_ulp_up_in_round_1(trajectories, weights):
+            # the baseline, round 0, then round 1: one ulp above round 0,
+            # as when nothing moved but the rounding did
+            cost = real(trajectories, weights)
+            if len(costs) == 2:
+                cost = float(np.nextafter(costs[1], np.inf))
+            costs.append(cost)
+            return cost
+
+        monkeypatch.setattr(refine_mod, "_total_cost", one_ulp_up_in_round_1)
+        messages = []
+        result = refine_trajectories(plan, sc, iterations=4, log=messages.append)
+        assert result.ok
+        assert not any("keeping previous" in m for m in messages)
+        # round 1 is accepted, and then the relative cost stop ends refinement
+        assert [row["cost"] for row in result.rows] == costs[1:3]
+        assert costs[2] > costs[1]
+
 
 class TestReportCsv:
     def test_round_trip(self, small, tmp_path):
