@@ -64,6 +64,14 @@ def sample_point_sets(trajectories, samples_per_piece):
     return samples.reshape(len(trajectories), -1, samples_per_piece, pts.shape[-1])
 
 
+def support_norms(normals, ellipsoid):
+    """||E a|| for every row a of normals, equal bit for bit to
+    Ellipsoid.norm: a batched matmul sums each row in the order of the
+    single-vector dot product, where np.linalg.norm(..., axis=1) does not."""
+    s = normals * np.asarray(ellipsoid.radii)
+    return np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0, 0])
+
+
 def workspace_faces(scenario):
     lo, hi = scenario.grid.workspace_box()
     a = np.vstack([np.eye(3), -np.eye(3)])
@@ -132,14 +140,14 @@ def build_corridors(point_sets, scenario, skip_pairs=frozenset()):
         a_sets = np.array([point_sets[r, k] for r, k, _ in jobs])
         b_sets = np.array([verts[bi] for _, _, bi in jobs])
         alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, obs_ell)
-        for (robot, k, bi), a, e, good in zip(jobs, alpha, enorm, ok):
+        touch = (b_sets @ alpha[:, :, None])[:, :, 0].min(axis=1)
+        offsets = touch - support_norms(alpha, obs_ell)
+        for (robot, k, bi), a, offset, e, good in zip(jobs, alpha, offsets, enorm, ok):
             # one-sided clearance: the raw slab must fit the clearance
             # radius, i.e. ||E_obs alpha_raw|| <= 2
             if not good or e > 2.0 + 1e-6:
                 failed_robots.add(robot)
                 continue
-            touch = verts[bi] @ a
-            offset = float(touch.min()) - obs_ell.norm(a)
             faces_a[robot][k].append(a[None, :])
             faces_b[robot][k].append(np.array([offset]))
 
@@ -153,11 +161,11 @@ def build_corridors(point_sets, scenario, skip_pairs=frozenset()):
         a_sets = np.array([point_sets[i, k] for i, _, k in jobs])
         b_sets = np.array([point_sets[j, k] for _, j, k in jobs])
         alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, ell)
-        for (i, j, k), a, b0, e, good in zip(jobs, alpha, beta, enorm, ok):
+        shifts = support_norms(alpha, ell)
+        for (i, j, k), a, b0, shift, e, good in zip(jobs, alpha, beta, shifts, enorm, ok):
             if not good or e > 1.0 + 1e-6:
                 failed_pairs.add((i, j))
                 continue
-            shift = ell.norm(a)
             faces_a[i][k].append(a[None, :])
             faces_b[i][k].append(np.array([b0 - shift]))
             faces_a[j][k].append(-a[None, :])

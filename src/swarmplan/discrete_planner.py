@@ -10,14 +10,19 @@ a time-expanded graph with K+1 layers:
  * a move along an environment edge {v1, v2} during step k is routed
    through a five-edge gadget whose single internal arc has capacity one,
    so the edge carries at most one robot per step and never a swap,
- * the arc w(v,k) -> u(v,k+1) holds the robot that occupies v at index
-   k+1.
+ * the hold arc w(v,k) -> u(v,k+1) holds the robot that occupies v at
+   index k+1.
+
+The graph is arrays: (K+1, V) reachability masks select the vertices,
+vertex ids are arithmetic in (v, k), and every arc is one entry of
+integer columns (tail, head, kind, cell, edge, layer).  Hop distances from
+the starts and the goals come from scipy's csgraph once per scenario.
 
 Downwash restrictions that unit capacities cannot express become conflict
 rows of a binary program: cells in the same vertical column closer than
 the ellipsoid height must not hold robots at the same time (annotated on
-the w -> u arcs), and the same horizontal grid edge must not be crossed
-in opposite directions at nearby heights in the same step (annotated on
+the hold arcs), and the same horizontal grid edge must not be crossed in
+opposite directions at nearby heights in the same step (annotated on
 gadget exit arcs, which identify the traversal direction).  Maximizing
 routed flow subject to conservation and those rows gives the minimum
 number of steps; a conflict-free max flow provides the lower bound that
@@ -26,18 +31,25 @@ seeds the search over K.
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import opt_engine
 from .opt_engine import BinaryILP, FlowNetwork, ILPInfeasibleError
 
-_AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# flow network terminals; every other vertex id is a u, w or gadget vertex
+SOURCE = 0
+SINK = 1
+
+# arc kinds, in the order a robot passes them: source -> u(v,0), then per
+# step either intra u -> w (a wait) or gadget entry u -> a, internal a -> b
+# and exit b -> w (a move), then hold w -> u of the next layer; finally
+# intra and w(goal,K) -> sink
+ARC_SOURCE, ARC_INTRA, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_HOLD, ARC_SINK = range(7)
 
 
 class DiscreteInfeasibleError(Exception):
@@ -45,74 +57,72 @@ class DiscreteInfeasibleError(Exception):
 
 
 class EnvironmentGraph:
-    """Free cells of a scenario and the adjacency between them."""
+    """Free cells of a scenario, the adjacency between them, and every
+    cell's hop distance from the nearest start and from the nearest goal
+    (inf where unreachable)."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.cells = scenario.free_cells()
         self.index = {c: i for i, c in enumerate(self.cells)}
-        edges = []
-        for i, c in enumerate(self.cells):
-            for dx, dy, dz in _AXIS_STEPS:
-                j = self.index.get((c[0] + dx, c[1] + dy, c[2] + dz))
-                if j is not None:
-                    edges.append((i, j))
-        self.edges = edges
-        self.adjacency = defaultdict(list)
-        for i, j in edges:
-            self.adjacency[i].append(j)
-            self.adjacency[j].append(i)
-        # the tightest time expansion lower_bound_makespan found routable,
-        # by K; solve_discrete starts there and takes it instead of
-        # building it again
-        self.routed = {}
+        num_cells = len(self.cells)
+        self.coords = np.array(self.cells, dtype=np.intp).reshape(num_cells, 3)
+        # dense grid of cell ids, -1 where blocked
+        self.cell_id = np.full(scenario.grid.dims, -1, dtype=np.intp)
+        self.cell_id[tuple(self.coords.T)] = np.arange(num_cells)
 
-    def distances_from(self, seed_cells):
-        """BFS hop counts from a set of cells; inf where unreachable."""
-        dist = np.full(len(self.cells), np.inf)
-        queue = deque()
-        for c in seed_cells:
-            i = self.index.get(tuple(c))
-            if i is not None and not np.isfinite(dist[i]):
-                dist[i] = 0.0
-                queue.append(i)
-        while queue:
-            i = queue.popleft()
-            for j in self.adjacency[i]:
-                if not np.isfinite(dist[j]):
-                    dist[j] = dist[i] + 1.0
-                    queue.append(j)
-        return dist
+        # edges run from a cell to its neighbor one step up an axis, ordered
+        # by cell, then axis
+        up = np.full((num_cells, 3), -1, dtype=np.intp)
+        for axis in range(3):
+            step = self.coords.copy()
+            step[:, axis] += 1
+            inside = step[:, axis] < self.cell_id.shape[axis]
+            up[inside, axis] = self.cell_id[tuple(step[inside].T)]
+        tails, self.edge_axis = np.nonzero(up >= 0)
+        self.edges = np.stack([tails, up[tails, self.edge_axis]], axis=1)
+        self.edge_id = np.full((num_cells, 3), -1, dtype=np.intp)
+        self.edge_id[tails, self.edge_axis] = np.arange(len(tails))
 
-    def component_labels(self):
-        labels = np.full(len(self.cells), -1, dtype=int)
-        current = 0
-        for seed in range(len(self.cells)):
-            if labels[seed] >= 0:
-                continue
-            labels[seed] = current
-            queue = deque([seed])
-            while queue:
-                i = queue.popleft()
-                for j in self.adjacency[i]:
-                    if labels[j] < 0:
-                        labels[j] = current
-                        queue.append(j)
-            current += 1
-        return labels
+        self.adjacency = sparse.csr_matrix(
+            (np.ones(len(tails)), tuple(self.edges.T)), shape=(num_cells, num_cells)
+        )
+        self.start_dist = self._hops(scenario.starts)
+        self.goal_dist = self._hops(scenario.goals)
+
+    def _hops(self, seed_cells):
+        return csgraph.dijkstra(
+            self.adjacency,
+            directed=False,
+            unweighted=True,
+            min_only=True,
+            indices=[self.index[c] for c in seed_cells],
+        )
+
+    def above(self, cells, dz):
+        """Ids of the cells dz levels above the given cell ids; -1 where
+        that cell is blocked or outside the grid."""
+        x, y, z = self.coords[cells].T
+        z = z + dz
+        out = np.full(len(z), -1, dtype=np.intp)
+        inside = z < self.cell_id.shape[2]
+        out[inside] = self.cell_id[x[inside], y[inside], z[inside]]
+        return out
+
+    def edges_above(self, edges, dz):
+        """Ids of the parallel edges dz levels above; -1 where none."""
+        v = self.above(self.edges[edges, 0], dz)
+        return np.where(v >= 0, self.edge_id[v, self.edge_axis[edges]], -1)
 
 
 def _check_goal_reachability(scenario, env):
     """Goals must be coverable by the starts component by component."""
-    labels = env.component_labels()
-    start_counts = defaultdict(int)
-    for s in scenario.starts:
-        start_counts[labels[env.index[s]]] += 1
-    goal_counts = defaultdict(int)
-    for g in scenario.goals:
-        goal_counts[labels[env.index[g]]] += 1
-    for g in scenario.goals:
-        comp = labels[env.index[g]]
+    count, labels = csgraph.connected_components(env.adjacency, directed=False)
+    start_labels = labels[[env.index[s] for s in scenario.starts]]
+    goal_labels = labels[[env.index[g] for g in scenario.goals]]
+    start_counts = np.bincount(start_labels, minlength=count)
+    goal_counts = np.bincount(goal_labels, minlength=count)
+    for g, comp in zip(scenario.goals, goal_labels):
         if start_counts[comp] == 0:
             raise DiscreteInfeasibleError(
                 f"goal cell {g} is unreachable from every start"
@@ -129,188 +139,182 @@ class TimeExpandedGraph:
 
     Layers are pruned by reachability: an arc exists only if its tail can
     be reached from some start in time and its head can still reach some
-    goal, which leaves the routable flow unchanged.
+    goal, which leaves the routable flow unchanged.  Arcs are ordered by
+    source arcs, then layer by layer intra arcs (by cell), gadget arcs (by
+    edge; entries, internal arc, exits) and hold arcs (by cell), then the
+    last layer's intra arcs and the sink arcs.
     """
-
-    SOURCE = 0
-    SINK = 1
 
     def __init__(self, scenario, env, K):
         self.scenario = scenario
         self.env = env
         self.K = K
-
-        dist_s = env.distances_from(scenario.starts)
-        dist_g = env.distances_from(scenario.goals)
-        goal_ids = {env.index[g]: gi for gi, g in enumerate(scenario.goals)}
-
-        def u_ok(v, k):
-            return dist_s[v] <= k and dist_g[v] <= K - k
-
-        def w_ok(v, k):
-            if k == K:
-                return v in goal_ids and dist_s[v] <= K
-            return dist_s[v] <= k + 1 and dist_g[v] <= K - k - 1
-
-        self._next_id = 2
-        self._u = {}
-        self._w = {}
-
-        def uid(v, k):
-            key = (v, k)
-            if key not in self._u:
-                self._u[key] = self._next_id
-                self._next_id += 1
-            return self._u[key]
-
-        def wid(v, k):
-            key = (v, k)
-            if key not in self._w:
-                self._w[key] = self._next_id
-                self._next_id += 1
-            return self._w[key]
-
-        def fresh():
-            self._next_id += 1
-            return self._next_id - 1
-
-        tails, heads, kinds, infos = [], [], [], []
-
-        def add(tail, head, kind, info):
-            tails.append(tail)
-            heads.append(head)
-            kinds.append(kind)
-            infos.append(info)
-
-        for s in scenario.starts:
-            v = env.index[s]
-            if u_ok(v, 0):
-                add(self.SOURCE, uid(v, 0), "source", v)
-
         num_cells = len(env.cells)
-        for k in range(K + 1):
-            for v in range(num_cells):
-                if u_ok(v, k) and w_ok(v, k):
-                    add(uid(v, k), wid(v, k), "intra", (v, k))
-            if k == K:
-                break
-            for e, (v1, v2) in enumerate(env.edges):
-                entries = [v for v in (v1, v2) if u_ok(v, k)]
-                exits = [v for v in (v1, v2) if w_ok(v, k)]
-                if not entries or not exits:
-                    continue
-                a = fresh()
-                b = fresh()
-                for v in entries:
-                    add(uid(v, k), a, "g_in", (e, k, v))
-                add(a, b, "g_ab", (e, k))
-                for v in exits:
-                    add(b, wid(v, k), "g_out", (e, k, v))
-            for v in range(num_cells):
-                if w_ok(v, k):
-                    add(wid(v, k), uid(v, k + 1), "green", (v, k))
+        num_edges = len(env.edges)
+        goal_cells = np.array([env.index[g] for g in scenario.goals], dtype=np.intp)
+        self.goal_index = np.full(num_cells, -1, dtype=np.intp)
+        self.goal_index[goal_cells] = np.arange(len(goal_cells))
 
-        for g in scenario.goals:
-            v = env.index[g]
-            if w_ok(v, K):
-                add(wid(v, K), self.SINK, "sink", (v, goal_ids[v]))
+        layer = np.arange(K + 1)[:, None]
+        cell = np.arange(num_cells)[None, :]
+        # u(v,k): reachable from a start by step k, can reach a goal in time
+        u_ok = (env.start_dist <= layer) & (env.goal_dist <= K - layer)
+        # w(v,k) feeds u(v,k+1); in the last layer only reachable goals stay
+        w_ok = np.zeros_like(u_ok)
+        w_ok[:K] = u_ok[1:]
+        w_ok[K, goal_cells] = env.start_dist[goal_cells] <= K
+        u_id = 2 + layer * num_cells + cell
+        w_id = u_id + (K + 1) * num_cells
 
-        self.tails = tails
-        self.heads = heads
-        self.kinds = kinds
-        self.infos = infos
-        self.num_vertices = self._next_id
-        self.conflicts = self._annotate_conflicts()
+        # an edge's gadget has five slots: entry at v1, entry at v2, the
+        # internal arc, exit at v1, exit at v2; it exists when some endpoint
+        # can enter and some endpoint can leave
+        v1, v2 = env.edges.T
+        enter = np.stack([u_ok[:K, v1], u_ok[:K, v2]], axis=-1)
+        leave = np.stack([w_ok[:K, v1], w_ok[:K, v2]], axis=-1)
+        used = enter.any(axis=-1) & leave.any(axis=-1)
+        a = 2 + 2 * (K + 1) * num_cells + 2 * (np.cumsum(used).reshape(K, num_edges) - 1)
+        b = a + 1
+        gadget_ok = np.concatenate([enter, used[..., None], leave], axis=-1) & used[..., None]
 
-    def _annotate_conflicts(self):
-        """Downwash conflict sets, keyed by arc index.
+        # one slot per possible arc, in arc order
+        starts = np.array([env.index[s] for s in scenario.starts], dtype=np.intp)
+        exists = (
+            u_ok[0, starts],
+            np.concatenate(
+                [(u_ok & w_ok)[:K], gadget_ok.reshape(K, 5 * num_edges), w_ok[:K]], axis=1
+            ),
+            u_ok[K] & w_ok[K],
+            w_ok[K, goal_cells],
+        )
+
+        def column(source, intra, gadget, hold, sink):
+            """One attribute of every arc, given its value in every slot of
+            each block; one column at a time keeps the peak memory small."""
+            intra = np.broadcast_to(intra, (K + 1, num_cells))
+            gadget = np.broadcast_to(gadget, (K, num_edges, 5)).reshape(K, 5 * num_edges)
+            steps = np.concatenate(
+                [intra[:K], gadget, np.broadcast_to(hold, (K, num_cells))], axis=1
+            )
+            values = (
+                np.broadcast_to(source, starts.shape),
+                steps,
+                intra[K],
+                np.broadcast_to(sink, goal_cells.shape),
+            )
+            return np.concatenate([v[ok] for v, ok in zip(values, exists)])
+
+        def slots(*values):
+            return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+        self.tails = column(
+            SOURCE, u_id, slots(u_id[:K, v1], u_id[:K, v2], a, b, b), w_id[:K], w_id[K, goal_cells]
+        )
+        self.heads = column(
+            u_id[0, starts], w_id, slots(a, a, b, w_id[:K, v1], w_id[:K, v2]), u_id[1:], SINK
+        )
+        self.kinds = column(
+            ARC_SOURCE,
+            ARC_INTRA,
+            [ARC_ENTRY, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_EXIT],
+            ARC_HOLD,
+            ARC_SINK,
+        )
+        self.cell = column(starts, cell, slots(v1, v2, -1, v1, v2), cell, goal_cells)
+        self.edge = column(-1, -1, np.arange(num_edges)[:, None], -1, -1)
+        self.layer = column(0, layer, layer[:K, :, None], layer[:K], K)
+        self.num_vertices = 2 + 2 * (K + 1) * num_cells + 2 * int(used.sum())
+
+    def flow_network(self):
+        return FlowNetwork(
+            num_vertices=self.num_vertices,
+            edges=np.stack([self.tails, self.heads], axis=1),
+            source=SOURCE,
+            sink=SINK,
+        )
+
+    def _conflict_pairs(self):
+        """Downwash conflicts as arc index pairs (each unordered pair once).
 
         Column rule: two robots may share an xy column only with vertical
         clearance of a full ellipsoid height.  Crossing rule: one grid edge
         crossed in both directions during the same step collides at the
         midpoint unless the two heights clear the same margin.  Touching
         exactly at the margin is allowed, hence the strict threshold.
+        Vertical moves need no crossing rule: their endpoints fall under
+        the column rule, and a pair at equal heights shares one gadget,
+        whose internal arc already makes it exclusive.
         """
-        cells = self.env.cells
+        env = self.env
         cs = self.scenario.grid.cell_size
         threshold = 2.0 * self.scenario.radii[2] - 1e-9
 
-        con = defaultdict(set)
-        by_column = defaultdict(list)
-        by_line = defaultdict(list)
-        for idx, kind in enumerate(self.kinds):
-            if kind == "green":
-                v, k = self.infos[idx]
-                x, y, z = cells[v]
-                by_column[(k, x, y)].append((z, idx))
-            elif kind == "g_out":
-                e, k, v_exit = self.infos[idx]
-                v1, v2 = self.env.edges[e]
-                v_from = v2 if v_exit == v1 else v1
-                cf, ct = cells[v_from], cells[v_exit]
-                if cf[2] != ct[2]:
-                    continue  # vertical moves: endpoints in the column rule suffice
-                key = (k,) + tuple(sorted((cf[:2], ct[:2])))
-                by_line[key].append((cf[:2], cf[2], idx))
+        holds = np.flatnonzero(self.kinds == ARC_HOLD)
+        hold_at = np.full((self.K, len(env.cells)), -1, dtype=np.intp)
+        hold_at[self.layer[holds], self.cell[holds]] = holds
 
-        for items in by_column.values():
-            for (za, ea), (zb, eb) in itertools.combinations(items, 2):
-                if abs(za - zb) * cs < threshold:
-                    con[ea].add(eb)
-                    con[eb].add(ea)
-        for items in by_line.values():
-            # direction is identified by the entry column; a pair from the
-            # same gadget (equal heights) is already exclusive via its
-            # internal arc, so only distinct heights are annotated.
-            for (fa, za, ea), (fb, zb, eb) in itertools.combinations(items, 2):
-                if fa != fb and za != zb and abs(za - zb) * cs < threshold:
-                    con[ea].add(eb)
-                    con[eb].add(ea)
-        return con
+        exits = np.flatnonzero(self.kinds == ARC_EXIT)
+        exits = exits[env.edge_axis[self.edge[exits]] != 2]
+        # side 1: the exit at the edge's upper cell, a move in +axis
+        side = (self.cell[exits] == env.edges[self.edge[exits], 1]).astype(np.intp)
+        exit_at = np.full((self.K, len(env.edges), 2), -1, dtype=np.intp)
+        exit_at[self.layer[exits], self.edge[exits], side] = exits
 
-    def flow_network(self):
-        return FlowNetwork(
-            num_vertices=self.num_vertices,
-            edges=list(zip(self.tails, self.heads)),
-            source=self.SOURCE,
-            sink=self.SINK,
-        )
+        def partners(table, arcs, target, *rest):
+            """(arc, table[layer of arc, target, *rest]) where both exist."""
+            found = np.full(len(arcs), -1, dtype=np.intp)
+            ok = target >= 0
+            found[ok] = table[(self.layer[arcs[ok]], target[ok], *(r[ok] for r in rest))]
+            return np.stack([arcs, found], axis=1)[found >= 0]
+
+        pairs = [np.empty((0, 2), dtype=np.intp)]
+        dz = 1
+        while dz * cs < threshold:
+            pairs.append(partners(hold_at, holds, env.above(self.cell[holds], dz)))
+            edges = env.edges_above(self.edge[exits], dz)
+            pairs.append(partners(exit_at, exits, edges, 1 - side))
+            dz += 1
+        return np.concatenate(pairs)
 
     def binary_program(self):
         n = len(self.tails)
-        c = np.zeros(n)
-        for idx, kind in enumerate(self.kinds):
-            if kind == "source":
-                c[idx] = 1.0
+        c = (self.kinds == ARC_SOURCE).astype(float)
 
-        vertex_row = {}
-        rows, cols, vals = [], [], []
-        for idx, (t, h) in enumerate(zip(self.tails, self.heads)):
-            for vertex, sign in ((h, 1.0), (t, -1.0)):
-                if vertex in (self.SOURCE, self.SINK):
-                    continue
-                r = vertex_row.setdefault(vertex, len(vertex_row))
-                rows.append(r)
-                cols.append(idx)
-                vals.append(sign)
-        A_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(len(vertex_row), n))
-        b_eq = np.zeros(len(vertex_row))
+        # conservation rows in order of each vertex's first appearance,
+        # scanning arcs in order and each arc's head before its tail
+        ends = np.stack([self.heads, self.tails], axis=1).ravel()
+        cols = np.repeat(np.arange(n), 2)
+        vals = np.tile([1.0, -1.0], n)
+        inner = ends > SINK
+        ends, cols, vals = ends[inner], cols[inner], vals[inner]
+        _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(len(first))
+        A_eq = sparse.csr_matrix((vals, (rank[inverse], cols)), shape=(len(first), n))
+        b_eq = np.zeros(len(first))
 
-        seen = set()
-        rows, cols, vals = [], [], []
-        r = 0
-        for idx in sorted(self.conflicts):
-            members = tuple(sorted({idx, *self.conflicts[idx]}))
-            if members in seen:
-                continue
-            seen.add(members)
-            for j in members:
-                rows.append(r)
-                cols.append(j)
-                vals.append(1.0)
-            r += 1
-        A_in = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n))
-        b_in = np.ones(r)
+        # one row per conflicting arc: the arc with all it conflicts with,
+        # by arc index, keeping only the first of identical rows
+        a, b = self._conflict_pairs().T
+        members = np.union1d(a, b)
+        key = np.unique(
+            np.concatenate([a, b, members]) * n + np.concatenate([b, a, members])
+        )
+        arc, col = np.divmod(key, n)
+        row_of = np.searchsorted(members, arc)
+        sizes = np.bincount(row_of, minlength=len(members))
+        starts = np.cumsum(sizes) - sizes
+        padded = np.full((len(members), sizes.max(initial=0)), -1, dtype=np.intp)
+        padded[row_of, np.arange(len(col)) - starts[row_of]] = col
+        kept = np.zeros(len(members), dtype=bool)
+        kept[np.unique(padded, axis=0, return_index=True)[1]] = True
+        new_row = np.cumsum(kept) - 1
+        entry = kept[row_of]
+        A_in = sparse.csr_matrix(
+            (np.ones(int(entry.sum())), (new_row[row_of[entry]], col[entry])),
+            shape=(int(kept.sum()), n),
+        )
+        b_in = np.ones(int(kept.sum()))
         return BinaryILP(c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
     def extract_paths(self, z):
@@ -320,41 +324,35 @@ class TimeExpandedGraph:
         flow from each source arc is unambiguous.  A gadget entered and
         left at the same cell counts as a wait.
         """
-        active = [i for i, v in enumerate(z) if v > 0.5]
-        out_arcs = defaultdict(list)
-        for idx in active:
-            out_arcs[self.tails[idx]].append(idx)
+        active = np.flatnonzero(np.asarray(z) > 0.5)
+        out_degree = np.bincount(self.tails[active], minlength=self.num_vertices)
+        successor = np.full(self.num_vertices, -1, dtype=np.intp)
+        successor[self.tails[active]] = active
 
-        def step(vertex):
-            arcs = out_arcs[vertex]
-            if len(arcs) != 1:
+        def step(vertices):
+            bad = out_degree[vertices] != 1
+            if bad.any():
+                vertex = vertices[bad][0]
                 raise opt_engine.SolverError(
                     f"flow decomposition expected one outgoing unit at "
-                    f"vertex {vertex}, found {len(arcs)}"
+                    f"vertex {vertex}, found {out_degree[vertex]}"
                 )
-            return arcs[0]
+            return successor[vertices]
 
-        paths = []
-        goal_choice = []
-        for idx in sorted(out_arcs[self.SOURCE]):
-            v = self.infos[idx]
-            path = [v]
-            vertex = self.heads[idx]
-            for k in range(self.K):
-                arc = step(vertex)
-                if self.kinds[arc] == "g_in":
-                    arc = step(self.heads[arc])  # internal a -> b
-                    arc = step(self.heads[arc])  # b -> exit
-                    path.append(self.infos[arc][2])
-                else:
-                    path.append(self.infos[arc][0])
-                green = step(self.heads[arc])
-                vertex = self.heads[green]
-            arc = step(vertex)  # final intra
-            sink_arc = step(self.heads[arc])
-            goal_choice.append(self.infos[sink_arc][1])
-            paths.append(path)
-        return paths, goal_choice
+        arc = active[self.kinds[active] == ARC_SOURCE]
+        path = [self.cell[arc]]
+        vertex = self.heads[arc]
+        for _ in range(self.K):
+            arc = step(vertex)
+            move = self.kinds[arc] == ARC_ENTRY
+            internal = step(self.heads[arc[move]])
+            arc[move] = step(self.heads[internal])
+            path.append(self.cell[arc])
+            vertex = self.heads[step(self.heads[arc])]
+        final = step(vertex)
+        sink = step(self.heads[final])
+        paths = np.stack(path, axis=1).tolist()
+        return paths, self.goal_index[self.cell[sink]].tolist()
 
 
 @dataclass
@@ -526,9 +524,6 @@ def lower_bound_makespan(scenario, env=None, k_max=None):
     def routable(K):
         graph = TimeExpandedGraph(scenario, env, K)
         value, _ = opt_engine.max_flow(graph.flow_network())
-        if value >= n:
-            # every later routable K is smaller: keep only the newest
-            env.routed = {K: graph}
         return value >= n
 
     if routable(0):
@@ -564,7 +559,7 @@ def solve_discrete(scenario, k_max=None, node_limit=20000):
     n = scenario.num_robots
 
     for K in range(lb, cap + 1):
-        graph = env.routed.pop(K, None) or TimeExpandedGraph(scenario, env, K)
+        graph = TimeExpandedGraph(scenario, env, K)
         try:
             result = opt_engine.solve_ilp(
                 graph.binary_program(), target=n, node_limit=node_limit

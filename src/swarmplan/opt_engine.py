@@ -238,16 +238,16 @@ class FlowNetwork:
     """Directed unit-capacity network."""
 
     num_vertices: int
-    edges: list  # list of (tail, head)
+    edges: np.ndarray  # (E, 2) integer array of (tail, head)
     source: int
     sink: int
 
     def __post_init__(self):
-        for t, h in self.edges:
-            if t == h:
-                raise ValueError("self loops are not allowed")
-            if not (0 <= t < self.num_vertices and 0 <= h < self.num_vertices):
-                raise ValueError("edge endpoint out of range")
+        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        if np.any(self.edges[:, 0] == self.edges[:, 1]):
+            raise ValueError("self loops are not allowed")
+        if np.any((self.edges < 0) | (self.edges >= self.num_vertices)):
+            raise ValueError("edge endpoint out of range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
 
@@ -629,9 +629,9 @@ def max_flow(network):
     Parallel unit edges sum into one capacity.  Returns (value, flows)
     where flows[i] is the 0/1 flow on edges[i].
     """
-    if not network.edges:
+    if not len(network.edges):
         return 0, []
-    tails, heads = np.array(network.edges).T
+    tails, heads = network.edges.T
     nv = network.num_vertices
     cap = sp.csr_array(
         (np.ones(tails.size, dtype=np.int32), (tails, heads)), shape=(nv, nv)

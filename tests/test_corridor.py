@@ -10,6 +10,7 @@ from swarmplan.corridor import (
     prune_faces,
     sample_point_sets,
     segment_point_sets,
+    support_norms,
     workspace_faces,
 )
 from swarmplan.geometry import ConvexPolyhedron, collision_free
@@ -76,6 +77,15 @@ class TestWorkspaceFaces:
         # the box corners sit exactly on the boundary
         assert (a @ hi <= b + 1e-12).all()
         assert (a @ lo <= b + 1e-12).all()
+
+
+def test_support_norms_equal_single_vector_norms_bit_for_bit():
+    # face offsets are computed per separator batch; they must not move by
+    # an ulp from Ellipsoid.norm, which np.linalg.norm(..., axis=1) would
+    rng = np.random.default_rng(3)
+    normals = rng.normal(size=(5000, 3)) * rng.uniform(0.1, 100.0, size=(5000, 1))
+    ell = scenario().robot_ellipsoid
+    assert support_norms(normals, ell).tolist() == [ell.norm(a) for a in normals]
 
 
 class TestPruneFaces:

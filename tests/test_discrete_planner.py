@@ -4,13 +4,18 @@ Hand cases are small enough to reason through on paper; the broad random
 comparison against the joint-state search lives in the acceptance suite.
 """
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import os
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
+from test_acceptance import random_team_scenario
 
 from swarmplan import discrete_planner
 from swarmplan.discrete_planner import (
@@ -22,7 +27,7 @@ from swarmplan.discrete_planner import (
     lower_bound_makespan,
     solve_discrete,
 )
-from swarmplan.opt_engine import ILPInfeasibleError, solve_ilp
+from swarmplan.opt_engine import BinaryILP, ILPInfeasibleError, max_flow, solve_ilp
 from swarmplan.scenario import GridSpec, ScenarioSpec
 from swarmplan.validate import mapf_oracle
 
@@ -277,20 +282,22 @@ class TestSolveDiscrete:
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
         assert digest == "0761b0b1176e1a1a01633ae3ac021c5b15c5944030a8d1885d7f499c6a2a3b42"
 
-    def test_wall_builds_one_graph_per_horizon(self, monkeypatch):
-        # the lower bound's bisection already built and routed the graph at
-        # K = lower bound; the ILP there must reuse it
-        built = []
+    def test_two_layer_wall_cell_paths_are_pinned(self):
+        # the wall with every start and goal copied one layer up, at z = 3:
+        # 16 robots whose root LP is fractional, so this pins the plan that
+        # HiGHS' branch and cut returns
+        base = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
 
-        def recording(scenario, env, K):
-            built.append(K)
-            return TimeExpandedGraph(scenario, env, K)
+        def upper(cells):
+            return [(x, y, 3) for x, y, _ in cells]
 
-        monkeypatch.setattr(discrete_planner, "TimeExpandedGraph", recording)
-        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        sc = dataclasses.replace(
+            base, starts=base.starts + upper(base.starts), goals=base.goals + upper(base.goals)
+        )
         plan = solve_discrete(sc)
-        assert plan.num_segments in built
-        assert len(built) == len(set(built))
+        assert plan.num_segments == 14
+        digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
+        assert digest == "2621be89344f37cc2cb58543898891ba935e08f44faa1354540b49e383e62be4"
 
 
 class TestDiscretePlan:
@@ -364,3 +371,237 @@ class TestOracle:
         )
         with pytest.raises(ValueError, match="no synchronized plan"):
             mapf_oracle(sc)
+
+
+class LoopTimeExpandedGraph:
+    """The time expansion built one arc at a time, with BFS hop counts,
+    dict vertex ids and tuple arc infos: the reference the array
+    construction must reproduce exactly."""
+
+    SOURCE = 0
+    SINK = 1
+
+    def __init__(self, scenario, K):
+        self.scenario = scenario
+        self.K = K
+        self.cells = scenario.free_cells()
+        index = {c: i for i, c in enumerate(self.cells)}
+        self.edges = []
+        for i, c in enumerate(self.cells):
+            for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                j = index.get((c[0] + dx, c[1] + dy, c[2] + dz))
+                if j is not None:
+                    self.edges.append((i, j))
+        adjacency = defaultdict(list)
+        for i, j in self.edges:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+
+        def distances_from(seed_cells):
+            dist = np.full(len(self.cells), np.inf)
+            queue = deque()
+            for c in seed_cells:
+                i = index[c]
+                if not np.isfinite(dist[i]):
+                    dist[i] = 0.0
+                    queue.append(i)
+            while queue:
+                i = queue.popleft()
+                for j in adjacency[i]:
+                    if not np.isfinite(dist[j]):
+                        dist[j] = dist[i] + 1.0
+                        queue.append(j)
+            return dist
+
+        dist_s = distances_from(scenario.starts)
+        dist_g = distances_from(scenario.goals)
+        goal_ids = {index[g]: gi for gi, g in enumerate(scenario.goals)}
+
+        def u_ok(v, k):
+            return dist_s[v] <= k and dist_g[v] <= K - k
+
+        def w_ok(v, k):
+            if k == K:
+                return v in goal_ids and dist_s[v] <= K
+            return dist_s[v] <= k + 1 and dist_g[v] <= K - k - 1
+
+        ids = {}
+
+        def vid(key):
+            return ids.setdefault(key, len(ids) + 2)
+
+        self.tails, self.heads, self.kinds, self.infos = [], [], [], []
+
+        def add(tail, head, kind, info):
+            self.tails.append(tail)
+            self.heads.append(head)
+            self.kinds.append(kind)
+            self.infos.append(info)
+
+        for s in scenario.starts:
+            v = index[s]
+            if u_ok(v, 0):
+                add(self.SOURCE, vid(("u", v, 0)), "source", v)
+        for k in range(K + 1):
+            for v in range(len(self.cells)):
+                if u_ok(v, k) and w_ok(v, k):
+                    add(vid(("u", v, k)), vid(("w", v, k)), "intra", (v, k))
+            if k == K:
+                break
+            for e, (v1, v2) in enumerate(self.edges):
+                entries = [v for v in (v1, v2) if u_ok(v, k)]
+                exits = [v for v in (v1, v2) if w_ok(v, k)]
+                if not entries or not exits:
+                    continue
+                a, b = vid(("a", e, k)), vid(("b", e, k))
+                for v in entries:
+                    add(vid(("u", v, k)), a, "g_in", (e, k, v))
+                add(a, b, "g_ab", (e, k))
+                for v in exits:
+                    add(b, vid(("w", v, k)), "g_out", (e, k, v))
+            for v in range(len(self.cells)):
+                if w_ok(v, k):
+                    add(vid(("w", v, k)), vid(("u", v, k + 1)), "green", (v, k))
+        for g in scenario.goals:
+            v = index[g]
+            if w_ok(v, K):
+                add(vid(("w", v, K)), self.SINK, "sink", (v, goal_ids[v]))
+
+    def conflicts(self):
+        cs = self.scenario.grid.cell_size
+        threshold = 2.0 * self.scenario.radii[2] - 1e-9
+        con = defaultdict(set)
+        by_column = defaultdict(list)
+        by_line = defaultdict(list)
+        for idx, kind in enumerate(self.kinds):
+            if kind == "green":
+                v, k = self.infos[idx]
+                x, y, z = self.cells[v]
+                by_column[(k, x, y)].append((z, idx))
+            elif kind == "g_out":
+                e, k, v_exit = self.infos[idx]
+                v1, v2 = self.edges[e]
+                cf = self.cells[v2 if v_exit == v1 else v1]
+                ct = self.cells[v_exit]
+                if cf[2] == ct[2]:
+                    key = (k,) + tuple(sorted((cf[:2], ct[:2])))
+                    by_line[key].append((cf[:2], cf[2], idx))
+        for items in by_column.values():
+            for (za, ea), (zb, eb) in itertools.combinations(items, 2):
+                if abs(za - zb) * cs < threshold:
+                    con[ea].add(eb)
+                    con[eb].add(ea)
+        for items in by_line.values():
+            for (fa, za, ea), (fb, zb, eb) in itertools.combinations(items, 2):
+                if fa != fb and za != zb and abs(za - zb) * cs < threshold:
+                    con[ea].add(eb)
+                    con[eb].add(ea)
+        return con
+
+    def binary_program(self):
+        n = len(self.tails)
+        c = np.array([1.0 if kind == "source" else 0.0 for kind in self.kinds])
+        vertex_row = {}
+        rows, cols, vals = [], [], []
+        for idx, (t, h) in enumerate(zip(self.tails, self.heads)):
+            for vertex, sign in ((h, 1.0), (t, -1.0)):
+                if vertex in (self.SOURCE, self.SINK):
+                    continue
+                rows.append(vertex_row.setdefault(vertex, len(vertex_row)))
+                cols.append(idx)
+                vals.append(sign)
+        A_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(len(vertex_row), n))
+        con = self.conflicts()
+        seen = set()
+        rows, cols, vals = [], [], []
+        for idx in sorted(con):
+            members = tuple(sorted({idx, *con[idx]}))
+            if members in seen:
+                continue
+            seen.add(members)
+            for j in members:
+                rows.append(len(seen) - 1)
+                cols.append(j)
+                vals.append(1.0)
+        A_in = sparse.csr_matrix((vals, (rows, cols)), shape=(len(seen), n))
+        return BinaryILP(
+            c=c, A_eq=A_eq, b_eq=np.zeros(len(vertex_row)), A_in=A_in, b_in=np.ones(len(seen))
+        )
+
+    def extract_paths(self, z):
+        out_arcs = defaultdict(list)
+        for idx, value in enumerate(z):
+            if value > 0.5:
+                out_arcs[self.tails[idx]].append(idx)
+
+        def step(vertex):
+            (arc,) = out_arcs[vertex]
+            return arc
+
+        paths, goal_choice = [], []
+        for idx in sorted(out_arcs[self.SOURCE]):
+            path = [self.infos[idx]]
+            vertex = self.heads[idx]
+            for _ in range(self.K):
+                arc = step(vertex)
+                if self.kinds[arc] == "g_in":
+                    arc = step(self.heads[step(self.heads[arc])])
+                    path.append(self.infos[arc][2])
+                else:
+                    path.append(self.infos[arc][0])
+                vertex = self.heads[step(self.heads[arc])]
+            sink_arc = step(self.heads[step(vertex)])
+            goal_choice.append(self.infos[sink_arc][1])
+            paths.append(path)
+        return paths, goal_choice
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def oracle_scenarios():
+    cases = [
+        ScenarioSpec.load(os.path.join(SCENARIO_DIR, name))
+        for name in ("wall_windows_8.json", "handover_3.json")
+    ]
+    rng = np.random.default_rng(53)
+    while len(cases) < 6:
+        sc = random_team_scenario(rng)
+        try:
+            lower_bound_makespan(sc)
+        except DiscreteInfeasibleError:
+            continue
+        cases.append(sc)
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_array_graph_matches_loop_oracle(case):
+    # the array construction must hand HiGHS the very same program, row
+    # order included, and decompose every flow into the same paths
+    sc = oracle_scenarios()[case]
+    env = EnvironmentGraph(sc)
+    lb = lower_bound_makespan(sc, env)
+    for K in range(max(lb - 1, 0), lb + 2):
+        graph = discrete_planner.TimeExpandedGraph(sc, env, K)
+        loop = LoopTimeExpandedGraph(sc, K)
+        ilp, ref = graph.binary_program(), loop.binary_program()
+        for name in ("c", "b_eq", "b_in"):
+            assert np.array_equal(getattr(ilp, name), getattr(ref, name)), name
+        assert_same_csr(ilp.A_eq, ref.A_eq)
+        assert_same_csr(ilp.A_in, ref.A_in)
+
+        # a conflict-free max flow routes only some robots below lb
+        value, flows = max_flow(graph.flow_network())
+        assert (value >= sc.num_robots) == (K >= lb)
+        flows_z = [flows]
+        try:
+            flows_z.append(solve_ilp(ilp, target=sc.num_robots).z)
+        except ILPInfeasibleError:
+            pass
+        for z in flows_z:
+            assert graph.extract_paths(z) == loop.extract_paths(z)

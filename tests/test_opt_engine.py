@@ -466,5 +466,21 @@ class TestMaxFlow:
             assert all(balance[v] == 0 for v in range(1, nv - 1))
 
     def test_rejects_self_loops(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self loops"):
             FlowNetwork(3, [(1, 1)], 0, 2)
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 2)])
+    def test_rejects_out_of_range_endpoints(self, edge):
+        with pytest.raises(ValueError, match="out of range"):
+            FlowNetwork(3, [(0, 1), edge], 0, 2)
+
+    def test_rejects_source_equal_to_sink(self):
+        with pytest.raises(ValueError, match="source and sink"):
+            FlowNetwork(3, [(0, 1), (1, 2)], 1, 1)
+
+    def test_edges_are_an_integer_array(self):
+        net = FlowNetwork(3, [], 0, 2)
+        assert net.edges.shape == (0, 2)
+        assert max_flow(net) == (0, [])
+        net = FlowNetwork(3, [(0, 1), (1, 2)], 0, 2)
+        assert net.edges.dtype.kind == "i" and net.edges.shape == (2, 2)
