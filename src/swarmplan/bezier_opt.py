@@ -1,4 +1,4 @@
-"""Piecewise Bezier trajectories and the per-robot smoothing program.
+"""Piecewise Bezier trajectories and the robots' smoothing programs.
 
 Each robot's trajectory is one polynomial piece per plan segment, written
 in the Bernstein basis.  That basis keeps the curve inside the convex
@@ -10,7 +10,9 @@ a fixed banded map takes those coefficients to the pieces' Bernstein
 control points, and the rest endpoints fix the first and last k + 1 of
 them.  Minimizing an integral of squared derivatives over the remaining
 coefficients, subject to the corridor rows on the control points, is a
-convex QP per robot with no equality rows.
+convex QP per robot with no equality rows.  Every robot of a plan shares
+its Hessian and its B-spline map, so optimize_trajectory hands the
+robots' programs to the solver together, as one batch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import opt_engine
-from .opt_engine import QuadraticProgram
 
 
 @lru_cache(maxsize=None)
@@ -363,74 +364,67 @@ def _smoothing_space(durations, degree, continuity, weights):
 
 
 def optimize_trajectory(
-    start,
-    goal,
+    starts,
+    goals,
     durations,
     corridors,
     degree,
     continuity,
     weights,
 ):
-    """Minimum-cost trajectory through a corridor sequence.
+    """Minimum-cost trajectories through corridor sequences, one per robot.
 
-    The robot starts at rest at start, ends at rest at goal, keeps
+    Robot t starts at rest at starts[t], ends at rest at goals[t], keeps
     derivatives continuous through order continuity at the knots, and
-    every piece stays inside its corridor because all its control points
-    do.  The curve is a B-spline with those knots (spline_to_bernstein),
-    whose first and last continuity + 1 coefficients per axis sit at
-    start and goal; the QP runs over the other coefficients.  Returns
-    (trajectory, objective, x) with x the control points of every piece,
-    stacked.
+    every piece stays inside its corridor, corridors[t][k], because all
+    its control points do.  Each curve is a B-spline with those knots
+    (spline_to_bernstein), whose first and last continuity + 1
+    coefficients per axis sit at the start and the goal; the QP runs over
+    the other coefficients.  Robots whose corridors have the same most
+    faces on a piece form one SmoothingBatch, solved by one solve_qp call;
+    a piece with fewer faces is padded with empty rows.  A robot's answer
+    does not depend on which other robots share its call.
 
-    Raises QPInfeasibleError when the corridors admit no such curve.
+    Returns one entry per robot: (trajectory, objective, x) with x the
+    control points of every piece, stacked, or the SolverError its
+    program failed with (QPInfeasibleError when its corridors admit no
+    such curve).
     """
     durations = [float(t) for t in durations]
     num_pieces = len(durations)
-    if len(corridors) != num_pieces:
+    if any(len(robot) != num_pieces for robot in corridors):
         raise ValueError("need one corridor per piece")
     d = int(degree)
     c = int(continuity)
-    width = (d + 1) * 3
-    n = num_pieces * width
 
     h, z, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
-    x0 = (ends @ np.vstack([start, goal])).ravel()
-
-    in_rows = []
-    in_rhs = []
-    for k, poly in enumerate(corridors):
-        if poly.num_faces == 0:
-            continue
-        base = k * width
-        # one row per (face, control point): face normal against that
-        # point's 3 coordinates
-        rows_per_face = d + 1
-        total = poly.num_faces * rows_per_face
-        data = np.repeat(poly.A, rows_per_face, axis=0).ravel()
-        cols = (
-            base
-            + np.tile(np.arange(width).reshape(rows_per_face, 3), (poly.num_faces, 1))
-        ).ravel()
-        indptr = np.arange(0, 3 * total + 1, 3)
-        in_rows.append(sparse.csr_matrix((data, cols, indptr), shape=(total, n)))
-        in_rhs.append(np.repeat(poly.b, rows_per_face))
-    a_in = sparse.vstack(in_rows, format="csr") if in_rows else None
-    b_in = np.concatenate(in_rhs) if in_rhs else None
-
-    qp = QuadraticProgram(H=h, g=np.zeros(n), A_in=a_in, b_in=b_in, Z=z, x0=x0)
-    result = opt_engine.solve_qp(qp)
-    x = result.x
-
-    # The refinement loop treats an inaccurate answer the same as an
-    # infeasible one, so fail loudly rather than return a sloppy curve.
-    if a_in is not None and (a_in @ x - b_in).max() > 1e-6:
-        raise opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
-
-    pieces = []
-    for k, tau in enumerate(durations):
-        pts = x[k * width : (k + 1) * width].reshape(d + 1, 3)
-        pieces.append(BezierPiece(tau, pts))
-    traj = PiecewiseBezierTrajectory(pieces)
-    # report the cost integral evaluated on the curve itself; the QP's
-    # own objective value carries the Hessian's conditioning
-    return traj, traj.cost(weights), x
+    x0 = [(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)]
+    faces = [max((poly.num_faces for poly in robot), default=0) for robot in corridors]
+    out = [None] * len(corridors)
+    for f in sorted(set(faces)):
+        group = [t for t, count in enumerate(faces) if count == f]
+        normals = np.zeros((len(group), num_pieces, f, 3))
+        offsets = np.ones((len(group), num_pieces, f))
+        for i, t in enumerate(group):
+            for k, poly in enumerate(corridors[t]):
+                normals[i, k, : poly.num_faces] = poly.A
+                offsets[i, k, : poly.num_faces] = poly.b
+        batch = opt_engine.SmoothingBatch(h, z, [x0[t] for t in group], normals, offsets)
+        for i, (t, result) in enumerate(zip(group, opt_engine.solve_qp(batch).results)):
+            if isinstance(result, opt_engine.SolverError):
+                out[t] = result
+                continue
+            points = result.x.reshape(num_pieces, d + 1, 3)
+            # the refinement loop treats an inaccurate answer the same as
+            # an infeasible one, so fail loudly rather than return a
+            # sloppy curve
+            if (normals[i] @ points.swapaxes(-1, -2) - offsets[i][..., None]).max(initial=0.0) > 1e-6:
+                out[t] = opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
+                continue
+            traj = PiecewiseBezierTrajectory(
+                [BezierPiece(tau, pts) for tau, pts in zip(durations, points)]
+            )
+            # report the cost integral evaluated on the curve itself; the
+            # QP's own objective value carries the Hessian's conditioning
+            out[t] = traj, traj.cost(weights), result.x
+    return out

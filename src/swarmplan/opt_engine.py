@@ -1,16 +1,21 @@
 """Shared numerical core: convex QP, max flow, and binary ILP solvers.
 
 The QP solver is one Mehrotra predictor-corrector interior-point method
-with a Newton step shaped to the program.  A single QP (the tests' small
-dense programs, the per-robot smoothing QPs) is solved over the
+with a Newton step shaped to the program.  A QP is solved over the
 coordinates c of its affine set x = x0 + Z c, so only inequality rows
 remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
-definite and is factored with a banded Cholesky in natural order.  The
-smoothing QPs pass a banded Z (a B-spline basis), which keeps that band
-narrow; a program given equality rows instead gets a dense orthonormal
-null-space basis and a full band.  The maps that assemble that band
-depend only on H, Z and the sparsity pattern of the inequality rows, so
-programs that share them (every robot of a plan) build them once.
+definite and is factored with a banded Cholesky in natural order.  A
+program given equality rows gets a dense orthonormal null-space basis Z
+and a full band.  The maps that assemble the band depend only on H, Z
+and the sparsity pattern of the inequality rows, so programs that share
+them build them once.
+
+The per-robot smoothing QPs of a refinement round come as one
+SmoothingBatch: one H and one banded Z (a B-spline basis) for every
+robot, and rows that each apply one corridor face to one control point.
+One interior point runs them all.  Its products work piece by piece as
+small dense matmuls, and each instance's band gets its own factorization,
+so an instance stops on its own and gets the answer it gets alone.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -29,15 +34,18 @@ provide.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.linalg import LinearOperator
 
 
 class SolverError(Exception):
@@ -100,6 +108,39 @@ def _as_vector(b, m, name):
     return b
 
 
+def _check_psd(H):
+    """Raise if H is not symmetric PSD within 1e-8 relative tolerance.
+
+    H is block diagonal over the connected components of its nonzero
+    pattern, and it is PSD exactly when every block is, so each block
+    is factored on its own: the blocks of one size as one stack.
+    """
+    H = sp.csr_matrix(H)
+    h_norm = abs(H).max()
+    if h_norm and abs(H - H.T).max() > 1e-8 * h_norm:
+        raise ValueError("H is not symmetric")
+    shift = 1e-8 * max(h_norm, 1.0)
+    count, labels = connected_components(H, directed=False)
+    sizes = np.bincount(labels)
+    # each index's position within its block
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty_like(labels)
+    pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    h = H.tocoo()
+    block = labels[h.row]
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        slot = np.zeros(count, dtype=int)
+        slot[same] = np.arange(same.size)
+        mine = sizes[block] == size
+        stack = np.zeros((same.size, size, size))
+        stack[slot[block[mine]], pos[h.row[mine]], pos[h.col[mine]]] = h.data[mine]
+        try:
+            np.linalg.cholesky(stack + shift * np.eye(size))
+        except np.linalg.LinAlgError:
+            raise ValueError("H is not positive semidefinite") from None
+
+
 @dataclass
 class QuadraticProgram:
     """min 0.5 x'Hx + g'x  s.t.  x = x0 + Z c for some c,  A_in x <= b_in.
@@ -148,36 +189,8 @@ class QuadraticProgram:
         return self.H.shape[0]
 
     def check_psd(self):
-        """Raise if H is not symmetric PSD within 1e-8 relative tolerance.
-
-        H is block diagonal over the connected components of its nonzero
-        pattern, and it is PSD exactly when every block is, so each block
-        is factored on its own: the blocks of one size as one stack.
-        """
-        H = sp.csr_matrix(self.H)
-        h_norm = abs(H).max()
-        if h_norm and abs(H - H.T).max() > 1e-8 * h_norm:
-            raise ValueError("H is not symmetric")
-        shift = 1e-8 * max(h_norm, 1.0)
-        count, labels = connected_components(H, directed=False)
-        sizes = np.bincount(labels)
-        # each index's position within its block
-        order = np.argsort(labels, kind="stable")
-        pos = np.empty_like(labels)
-        pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        h = H.tocoo()
-        block = labels[h.row]
-        for size in np.unique(sizes):
-            same = np.flatnonzero(sizes == size)
-            slot = np.zeros(count, dtype=int)
-            slot[same] = np.arange(same.size)
-            mine = sizes[block] == size
-            stack = np.zeros((same.size, size, size))
-            stack[slot[block[mine]], pos[h.row[mine]], pos[h.col[mine]]] = h.data[mine]
-            try:
-                np.linalg.cholesky(stack + shift * np.eye(size))
-            except np.linalg.LinAlgError:
-                raise ValueError("H is not positive semidefinite") from None
+        """Raise if H is not symmetric PSD within 1e-8 relative tolerance."""
+        _check_psd(self.H)
 
     def objective(self, x):
         return 0.5 * float(x @ (self.H @ x)) + float(self.g @ x)
@@ -192,6 +205,100 @@ class QPResult:
     dual_residual: float
     duals: np.ndarray  # stacked [eq; in] multipliers, eq only for A_eq rows
     polished: bool  # always False: no active-set step follows the interior point
+    stop: str  # why the interior point stopped: see _IPM_STALL
+
+
+@dataclass
+class SmoothingBatch:
+    """T programs  min 0.5 x'Hx  s.t.  x = x0 + Z c for some c, whose rows
+    are each one face of a polytope applied to one control point.
+
+    x stacks the control points of P pieces, q points of 3 coordinates
+    per piece, point by point.  H (n, n) and Z (n, r) are shared by the
+    batch; x0 is (T, n).  normals (T, P, F, 3) and offsets
+    (T, P, F) are each instance's faces: its row (k, j, f), in that order,
+    is normals[t, k, f] . x[k, j] <= offsets[t, k, f].  A face with a zero
+    normal and offset 1 is an empty row, which pads a piece with fewer
+    faces.  solve_qp solves the instances together, and each one's
+    answer is the one it gets alone.
+    """
+
+    H: object
+    Z: object
+    x0: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        self.H = sp.csr_matrix(self.H)
+        self.Z = sp.csr_matrix(self.Z)
+        self.x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))
+        self.normals = np.asarray(self.normals, dtype=float)
+        self.offsets = np.asarray(self.offsets, dtype=float)
+        T, n = self.x0.shape
+        if self.H.shape != (n, n) or self.Z.shape[0] != n:
+            raise ValueError("H and Z must match x0's (T, n)")
+        shape = self.normals.shape
+        if len(shape) != 4 or shape[0] != T or shape[3] != 3 or not shape[1] or n % (3 * shape[1]):
+            raise ValueError("normals must be (T, P, F, 3), with n a multiple of 3 P")
+        if self.offsets.shape != self.normals.shape[:3]:
+            raise ValueError("offsets must be (T, P, F)")
+
+    @property
+    def points(self):
+        """Control points per piece."""
+        return self.x0.shape[1] // (3 * self.normals.shape[1])
+
+    @property
+    def faces(self):
+        """The normals as columns, (T, P, 3, F)."""
+        return self.normals.swapaxes(-1, -2)
+
+    @property
+    def b_in(self):
+        """The right-hand sides of each instance's rows, (T, P q F)."""
+        T, P, F = self.offsets.shape
+        return np.broadcast_to(self.offsets[:, :, None], (T, P, self.points, F)).reshape(T, -1)
+
+    @property
+    def A_eq(self):
+        return sp.csr_matrix((0, self.x0.size))
+
+    @property
+    def A_in(self):
+        """Every instance's rows as one operator on the stacked x (T n)."""
+        T, n = self.x0.shape
+        return LinearOperator(
+            (self.offsets.size * self.points, T * n),
+            matvec=lambda x: _face_rows(self.faces, x.reshape(T, n)).ravel(),
+            rmatvec=lambda z: _face_rows_t(self.normals, z.reshape(T, -1), self.points).ravel(),
+            dtype=float,
+        )
+
+    def instance(self, t):
+        """Instance t as a QuadraticProgram with explicit sparse rows."""
+        T, P, F, _ = self.normals.shape
+        q, n = self.points, self.x0.shape[1]
+        # row (k, j, f) has face f's normal in point (k, j)'s 3 columns
+        point = np.arange(P * q).reshape(P, q, 1, 1)
+        cols = np.broadcast_to(3 * point + np.arange(3), (P, q, F, 3))
+        data = np.broadcast_to(self.normals[t][:, None], cols.shape)
+        rows = sp.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 3)), shape=(P * q * F, n)
+        )
+        return QuadraticProgram(
+            self.H, np.zeros(n), A_in=rows, b_in=self.b_in[t], Z=self.Z, x0=self.x0[t]
+        )
+
+
+@dataclass
+class QPBatchResult:
+    """solve_qp's answer for a SmoothingBatch: per instance its QPResult, or
+    the SolverError that classifies its failure."""
+
+    results: list
+    iterations: int  # interior-point steps, summed over the instances
+    polished: bool = False
 
 
 @dataclass
@@ -257,11 +364,19 @@ class FlowNetwork:
 # ---------------------------------------------------------------------------
 
 _IPM_MAX_ITER = 100
-# the best iterate is final once the residual has not improved for
-# _IPM_STALL steps: the smoothing QPs have objectives of 1e-10 to 1e-8 after
-# normalization (control points of about 5 m) and flat optimal faces, so
-# any stop short of the rounding floor shows up directly in the trajectory
-# cost
+# Why an instance's interior point stopped (QPResult.stop).  Its best
+# iterate is the answer in every case, and the KKT tolerance decides
+# whether it is accepted.
+#   "breakdown": the banded Cholesky of its Newton matrix failed.  This is
+#     how the smoothing programs end (all 48 of a wall_windows_8 plan):
+#     near the optimum the barrier weights z/s of the tight and the slack
+#     rows spread past what double precision can factor.
+#   "stall": its residual has not improved for _IPM_STALL steps, the usual
+#     end of a small program whose optimum has no tight row: its weights
+#     stay bounded and its residual reaches the rounding floor.
+#   "max_iter": _IPM_MAX_ITER steps; a tiny program can get there while
+#     its duality measure keeps shrinking toward underflow.
+#   "nonfinite": its residual overflowed.
 _IPM_STALL = 8
 _KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
@@ -279,14 +394,30 @@ def _largest(*values):
 
 
 def _max_step(v, dv):
-    """Largest step in [0, 1] per instance that keeps v + step * dv nonnegative."""
-    ratio = np.where(dv < 0, -v / dv, 1.0)
-    return np.minimum(1.0, ratio.min(axis=-1, initial=1.0))
+    """Largest step in [0, 1] per instance that keeps v + step * dv
+    nonnegative, for a positive v."""
+    return 1.0 / np.maximum(1.0, -(dv / v).min(axis=-1, initial=-1.0))
 
 
 def _apply(M, v):
     """M times each row of v, for a sparse M."""
     return (M @ v.T).T
+
+
+def _face_rows(faces, x):
+    """Each face of faces (T, P, 3, F), the normals as columns, applied to
+    each control point of x (T, n): (T, P q F), rows by piece, then point,
+    then face."""
+    T, P = faces.shape[:2]
+    return (x.reshape(T, P, -1, 3) @ faces).reshape(T, -1)
+
+
+def _face_rows_t(normals, z, points):
+    """The transpose of _face_rows, with normals (T, P, F, 3), for pieces
+    of the given number of control points: for each point, its rows'
+    z-weighted face normals summed, as (T, n)."""
+    T, P, F, _ = normals.shape
+    return (z.reshape(T, P, points, F) @ normals).reshape(T, -1)
 
 
 def _pair_products(M, rows_a, rows_b):
@@ -317,16 +448,17 @@ class _Contents:
 
 @lru_cache(maxsize=8)
 def _newton_maps(H, A_pattern, Z):
-    """The parts of a _ReducedProgram that depend only on H, on Z and on the
+    """The parts of a Newton step that depend only on H, on Z and on the
     sparsity pattern of A_in, built once for all programs that share them
     (every robot of a plan, in every round) and shared read-only.
 
     A row of A_in adds w a_i a_j to the x-space entry (i, j) for each pair
     of its nonzeros, and an x-space entry (i, j) adds Z_ik Z_jl to the
     reduced entry (k, l).  Returns Z'HZ, the band's shape and its constant
-    part (Z'HZ + dI), the map from x-space entries to the band, and the
-    map from A_in's rows to x-space entries as a CSR template whose k-th
-    stored value is A_in.data[first[k]] * A_in.data[second[k]].
+    part Z'HZ, the map to_band from x-space entries (in the order of
+    i n + j) to the band, and the map from A_in's rows to x-space entries
+    as a CSR template whose k-th stored value is
+    A_in.data[first[k]] * A_in.data[second[k]].
     """
     H, A_in, Z = H.M, A_pattern.M, Z.M
     H_red = (Z.T @ H @ Z).tocsr()
@@ -356,24 +488,68 @@ def _newton_maps(H, A_pattern, Z):
         ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], pair[upper])),
         shape=(r * (bw + 1), entries.size),
     )
-    diag = np.arange(r)
-    const = np.bincount(
-        np.concatenate([band_index(h.row, h.col), band_index(diag, diag)]),
-        weights=np.concatenate([h.data, np.full(r, _KKT_DELTA)]),
-        minlength=r * (bw + 1),
-    )
+    const = np.bincount(band_index(h.row, h.col), weights=h.data, minlength=r * (bw + 1))
     return H_red, (r, bw + 1), const, to_band, to_x, first[order], second[order]
 
 
-class _ReducedProgram:
-    """One QP over the coordinates c of its affine set x = x0 + Z c, as a
-    batch of one: its products, and a Newton step that factors
-    Z'(H + A_in' W A_in)Z + dI with a banded Cholesky in natural order.
+class _BandedNewton:
+    """A batch of programs over the coordinates c of their affine sets
+    x = x0 + Z c, sharing H and Z, whose Newton matrices
+    Z'(H + A_in' W A_in)Z are banded in natural order.
+
+    A subclass sets H (Z'HZ), band_shape, const and to_band from
+    _newton_maps, and supplies ineq(c) = A_in Z c, ineq_t(z) = Z'A_in' z,
+    and entries(w), the x-space entries of A_in' W A_in in to_band's
+    order.  Every product and factorization is per instance, so an
+    instance's numbers do not depend on the rest of its batch.
+    """
+
+    def hess(self, c):
+        return _apply(self.H, c)
+
+    def newton(self, w):
+        """Factor Z'(H + A_in' W A_in)Z + dI for each instance's
+        W = diag(w[t]), one banded Cholesky (LAPACK dpbtrf) each.  Returns
+        per instance its factor and its unregularized band, or None where
+        the factorization broke down."""
+        factors = []
+        for band in self.const + _apply(self.to_band, self.entries(w)):
+            # lower band storage, (bandwidth + 1, r): row 0 is the diagonal
+            band = band.reshape(self.band_shape).T
+            ab = band.copy(order="F")
+            ab[0] += _KKT_DELTA
+            # the lower form: OpenBLAS threads the upper form's rank-one
+            # updates, which at this size costs more than it saves (0.6
+            # against 0.14 ms at n = 345 on 2 cores, and spikes of 100+ ms
+            # when another process holds a core)
+            chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+            factors.append((chol, band) if info == 0 else None)
+        return factors
+
+    def solve(self, factors, r):
+        """Solve Z'(H + A_in' W A_in)Z dc = r[t] for each instance from its
+        factors: two steps of iterative refinement against its
+        unregularized band (BLAS dsbmv) remove the O(d) error of the
+        regularization."""
+        if not r.shape[1]:
+            # LAPACK rejects an empty right-hand side: with no free
+            # coordinate (one piece fixed by its rest endpoints) the step is empty
+            return r
+        bw = self.band_shape[1] - 1
+        out = np.empty_like(r)
+        for t, ((chol, band), rhs) in enumerate(zip(factors, r)):
+            dc = dpbtrs(chol, rhs, lower=1)[0]
+            for _ in range(2):
+                dc = dc + dpbtrs(chol, rhs - dsbmv(bw, 1.0, band, dc, lower=1), lower=1)[0]
+            out[t] = dc
+        return out
+
+
+class _ReducedProgram(_BandedNewton):
+    """One QP with general sparse rows, as a batch of one.
 
     The band and two fixed sparse maps come from _newton_maps; only the
-    values of A_in are the program's own.  The smoothing QPs' rows each
-    touch one control point and their Z is banded, so both maps and the
-    band stay small.
+    values of A_in are the program's own.
     """
 
     def __init__(self, H, A_in, Z):
@@ -386,46 +562,62 @@ class _ReducedProgram:
         self.A = (A_in @ Z).tocsr()
         self.AT = self.A.T.tocsr()
 
-    def hess(self, c):
-        return _apply(self.H, c)
-
     def ineq(self, c):
         return _apply(self.A, c)
 
     def ineq_t(self, z):
         return _apply(self.AT, z)
 
-    def newton(self, w):
-        """Factor the Newton matrix for W = diag(w) and return solve(r) for
-        the unregularized system Z'(H + A_in' W A_in)Z dc = r: two steps of
-        iterative refinement against it remove the O(d) error of the
-        regularization.  Raises RuntimeError when the factorization breaks
-        down."""
-        ab = self.const + self.to_band @ (self.to_x @ w[0])
-        # the lower form: OpenBLAS threads the upper form's rank-one
-        # updates, which at this size costs more than it saves (0.6 against
-        # 0.14 ms at n = 345 on 2 cores, and spikes of 100+ ms when another
-        # process holds a core)
-        chol, info = dpbtrf(ab.reshape(self.band_shape).T, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"banded Cholesky broke down (info {info})")
+    def entries(self, w):
+        return _apply(self.to_x, w)
 
-        def chol_solve(r):
-            # LAPACK rejects an empty right-hand side: with no free
-            # coordinate (one piece fixed by its rest endpoints) the step is empty
-            return dpbtrs(chol, r.T, lower=1)[0].T if r.size else r
 
-        def solve(r):
-            dc = chol_solve(r)
-            for _ in range(2):
-                dc = dc + chol_solve(r - self.hess(dc) - self.ineq_t(w * self.ineq(dc)))
-            return dc
+class _FacesProgram(_BandedNewton):
+    """The instances of a SmoothingBatch over their coordinates c.
 
-        return solve
+    Every row is one face normal applied to one control point, so the
+    products run piece by piece as small dense matmuls: x = Z c, then the
+    faces (T, P, F, 3) against the points (T, P, q, 3).  The x-space part
+    of the Newton matrix is one 3x3 block per control point, which one
+    matmul of the weights with the faces' outer products gives.
+    """
+
+    def __init__(self, batch):
+        n = batch.x0.shape[1]
+        # one row per control point over its 3 coordinates: the x-space
+        # entries are then those blocks, point by point
+        points = sp.csr_matrix(
+            (np.ones(n), np.arange(n), np.arange(0, n + 1, 3)), shape=(n // 3, n)
+        )
+        self.H, self.band_shape, self.const, self.to_band, *_ = _newton_maps(
+            _Contents(batch.H), _Contents(points, values=False), _Contents(batch.Z)
+        )
+        self.Z, self.ZT = batch.Z, batch.Z.T.tocsr()
+        self.normals, self.points = batch.normals, batch.points
+        self.faces = np.ascontiguousarray(batch.faces)
+        self.outer = (batch.normals[..., :, None] * batch.normals[..., None, :]).reshape(
+            *batch.normals.shape[:3], 9
+        )
+
+    def ineq(self, c):
+        return _face_rows(self.faces, _apply(self.Z, c))
+
+    def ineq_t(self, z):
+        return _apply(self.ZT, _face_rows_t(self.normals, z, self.points))
+
+    def entries(self, w):
+        T, P, F, _ = self.normals.shape
+        return (w.reshape(T, P, self.points, F) @ self.outer).reshape(T, -1)
+
+    def take(self, keep):
+        part = copy.copy(self)
+        part.normals, part.faces, part.outer = self.normals[keep], self.faces[keep], self.outer[keep]
+        return part
 
 
 def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
-    """Solve a convex QP to the requested KKT tolerance.
+    """Solve a convex QP, or a SmoothingBatch of them, to the requested KKT
+    tolerance.
 
     One method serves every QP: a Mehrotra predictor-corrector interior
     point over the coordinates c of the affine set x = x0 + Z c, whose
@@ -444,7 +636,14 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     direction lowers the objective, QPMaxIterationsError otherwise.
     Inconsistent equality rows raise QPInfeasibleError before any
     iteration.
+
+    A SmoothingBatch runs as one interior point, and returns a
+    QPBatchResult: per instance the QPResult it gets when solved alone,
+    or the error that classifies its failure, which is returned, not
+    raised.
     """
+    if isinstance(qp, SmoothingBatch):
+        return _solve_batch(qp, eps_abs, eps_rel)
     qp.check_psd()
     if _norm(qp.A_eq @ qp.x0 - qp.b_eq) > eps_abs + eps_rel * _norm(qp.b_eq):
         raise QPInfeasibleError("primal infeasible: the equality rows admit no point")
@@ -454,11 +653,11 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
     b = (qp.b_in - A_in @ qp.x0)[None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, iterations = _ipm(program, g, b, np.zeros(g.shape))
+        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape))
         ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
     r_prim, r_dual = float(r_prim[0]), float(r_dual[0])
     if not ok[0]:
-        _raise_failure(program, g[0], b[0], r_prim, r_dual, iterations)
+        raise _failure(program.H, program.A, g[0], b[0], r_prim, r_dual, steps[0], stops[0])
     x = qp.x0 + qp.Z @ c[0]
     duals = z[0]
     if qp.A_eq.shape[0]:
@@ -466,7 +665,33 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
         a_eq = sp.csr_matrix(qp.A_eq).toarray()
         y = np.linalg.lstsq(a_eq.T, -residual, rcond=None)[0]
         duals = np.concatenate([y, duals])
-    return QPResult(x, qp.objective(x), iterations, r_prim, r_dual, duals, False)
+    return QPResult(x, qp.objective(x), int(steps[0]), r_prim, r_dual, duals, False, str(stops[0]))
+
+
+def _solve_batch(batch, eps_abs, eps_rel):
+    """solve_qp for a SmoothingBatch."""
+    _check_psd(batch.H)
+    program = _FacesProgram(batch)
+    g = _apply(program.ZT, _apply(batch.H, batch.x0))
+    b = batch.b_in - _face_rows(batch.faces, batch.x0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape))
+        ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
+    x = batch.x0 + _apply(batch.Z, c)
+    results = []
+    for t, xt in enumerate(x):
+        if ok[t]:
+            objective = 0.5 * float(xt @ (batch.H @ xt))
+            results.append(QPResult(
+                xt, objective, int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], False,
+                str(stops[t]),
+            ))
+        else:
+            A = (batch.instance(t).A_in @ batch.Z).tocsr()
+            results.append(_failure(
+                program.H, A, g[t], b[t], float(r_prim[t]), float(r_dual[t]), steps[t], stops[t]
+            ))
+    return QPBatchResult(results, int(steps.sum()))
 
 
 def _accept(program, g, b_in, x, z, eps_abs, eps_rel):
@@ -486,13 +711,13 @@ def _ipm(program, g, b_in, x):
     """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0.
 
     Solves a batch of programs at once: arrays carry the instance on their
-    first axis, and program supplies the products and the Newton step.
-    Each instance keeps its own step length, stopping rule and best
-    iterate, and leaves the batch when it stops (a program of several
-    instances supplies take(keep) for that; solve_qp passes one).  Starts
-    from x and returns
-    the best iterates (x, z), by the largest of the residuals and the
-    square root of the duality measure, and the number of iterations run.
+    first axis, and program supplies the products and, per instance, the
+    Newton step.  Each instance keeps its own step length, best iterate
+    (by the largest of the residuals and the square root of the duality
+    measure) and stop (see _IPM_STALL), and leaves the batch when it stops,
+    through program.take(keep); a batch of one stops whole.  Starts from
+    x and returns the best iterates (x, z), and per instance the steps it
+    took and why it stopped.
     """
     m_in = b_in.shape[1]
     s_raw = b_in - program.ineq(x)
@@ -502,9 +727,10 @@ def _ipm(program, g, b_in, x):
     best = [x.copy(), z.copy()]
     best_res = np.full(x.shape[0], np.inf)
     stall = np.zeros(x.shape[0], dtype=int)
+    steps = np.zeros(x.shape[0], dtype=int)
+    stops = np.full(x.shape[0], "max_iter", dtype=object)
     live = np.arange(x.shape[0])
-    it = 0
-    while it < _IPM_MAX_ITER:
+    for _ in range(_IPM_MAX_ITER):
         r_d = program.hess(x) + g + program.ineq_t(z)
         r_in = program.ineq(x) + s - b_in
         mu = np.einsum("tm,tm->t", s, z) / max(m_in, 1)
@@ -516,23 +742,27 @@ def _ipm(program, g, b_in, x):
             kept[live[better]] = current[better]
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
-        stop = ~np.isfinite(res) | (stall[live] >= _IPM_STALL)
-        if stop.all():
+        factors = program.newton(z / s)
+        why = np.select(
+            [~np.isfinite(res), stall[live] >= _IPM_STALL, [f is None for f in factors]],
+            ["nonfinite", "stall", "breakdown"],
+            "",
+        )
+        done = why != ""
+        stops[live[done]] = why[done]
+        if done.all():
             break
-        if stop.any():
-            # only a batch of several gets here: one program stops whole
-            keep = ~stop
+        if done.any():
+            keep = ~done
             live = live[keep]
             program = program.take(keep)
-            x, s, z, r_d, r_in, mu, b_in = (v[keep] for v in (x, s, z, r_d, r_in, mu, b_in))
-
-        try:
-            solve = program.newton(z / s)
-        except RuntimeError:
-            break
+            factors = [f for f, k in zip(factors, keep) if k]
+            x, s, z, g, b_in, r_d, r_in, mu = (
+                v[keep] for v in (x, s, z, g, b_in, r_d, r_in, mu)
+            )
 
         def newton(r_cs):
-            dx = solve(-r_d - program.ineq_t((z * r_in - r_cs) / s))
+            dx = program.solve(factors, -r_d - program.ineq_t((z * r_in - r_cs) / s))
             ds = -r_in - program.ineq(dx)
             dz = -(r_cs + z * ds) / s
             return dx, ds, dz
@@ -550,15 +780,16 @@ def _ipm(program, g, b_in, x):
         x = x + step * dx
         s = s + step * ds
         z = z + step * dz
-        it += 1
-    return (*best, it)
+        steps[live] += 1
+    return (*best, steps, stops)
 
 
-def _raise_failure(program, g, b, r_prim, r_dual, iterations):
-    """Classify a program whose best iterate missed the tolerance, in the
-    coordinates c of its affine set: program.A c <= b."""
-    r = program.H.shape[0]
-    rows = program.A if b.size else None
+def _failure(H, A, g, b, r_prim, r_dual, iterations, stop):
+    """The error that classifies a program whose best iterate missed the
+    tolerance, in the coordinates c of its affine set: min 0.5 c'Hc + g'c
+    subject to A c <= b."""
+    r = H.shape[0]
+    rows = A if b.size else None
     # with no free coordinate the program is its fixed point, which can
     # only miss its rows
     if not r or linprog(
@@ -568,23 +799,23 @@ def _raise_failure(program, g, b, r_prim, r_dual, iterations):
         bounds=(None, None),
         method="highs",
     ).status == 2:
-        raise QPInfeasibleError("primal infeasible: the constraints admit no point")
+        return QPInfeasibleError("primal infeasible: the constraints admit no point")
     # min g'd over recession directions of the feasible set along which the
     # objective has no curvature; a negative value is an unbounded ray
     ray = linprog(
         g,
         A_ub=rows,
         b_ub=np.zeros(b.size) if b.size else None,
-        A_eq=program.H,
+        A_eq=H,
         b_eq=np.zeros(r),
         bounds=(-1.0, 1.0),
         method="highs",
     )
     if ray.status == 0 and ray.fun < -_CERT_TOL * max(1.0, _norm(g)):
-        raise QPUnboundedError("dual infeasible: objective unbounded below along a ray")
-    raise QPMaxIterationsError(
-        f"interior point missed tolerance after {iterations} iterations "
-        f"(primal {r_prim:.2e}, dual {r_dual:.2e})",
+        return QPUnboundedError("dual infeasible: objective unbounded below along a ray")
+    return QPMaxIterationsError(
+        f"interior point missed tolerance after {iterations} iterations, stopped by "
+        f"{stop} (primal {r_prim:.2e}, dual {r_dual:.2e})",
         r_prim,
         r_dual,
     )

@@ -5,7 +5,11 @@ along its plan segments; those share one velocity profile, so the grid
 plan's safety margins carry over and the set always exists.  Each later
 round rebuilds safe corridors from the current curves (segment endpoints
 on the first pass, dense samples afterwards) and re-optimizes every
-robot inside its corridor.
+robot inside its corridor.  The robots' smoothing programs are
+independent (each sees only its own corridors), so one optimize_trajectory
+call solves them together as one batched interior point; with jobs > 1
+the robots are split into that many batches, one per worker process.
+Each robot's curve is the same however its round is split.
 
 Failures degrade per robot instead of aborting: a pair whose occupied
 sets admit no margin plane is pinned to the straight-line fallback for
@@ -20,6 +24,7 @@ only improves with more of them.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -62,12 +67,13 @@ def _total_cost(trajectories, weights):
     return float(sum(t.cost(weights) for t in trajectories))
 
 
-def _solve_one(args):
-    try:
-        traj, _, _ = optimize_trajectory(*args)
-        return "ok", traj
-    except opt_engine.SolverError as exc:
-        return "fail", str(exc)
+def _solve_group(args):
+    """optimize_trajectory for a group of robots: per robot ("ok", trajectory)
+    or ("fail", message), which cross a process boundary intact."""
+    return [
+        ("fail", str(out)) if isinstance(out, opt_engine.SolverError) else ("ok", out[0])
+        for out in optimize_trajectory(*args)
+    ]
 
 
 def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
@@ -153,20 +159,23 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
                     f"curves: an obstacle separator failed"
                 )
             free = [i for i in range(n) if i not in hard_fallback and i not in frozen]
+            # one batched program per worker: each robot's curve is the
+            # same whichever robots share its batch
+            groups = [g for g in np.array_split(free, max(1, jobs)) if g.size]
             args = [
                 (
-                    starts[i],
-                    goals[i],
+                    starts[g],
+                    goals[g],
                     durations,
-                    corridors.polyhedra[i],
+                    [corridors.polyhedra[i] for i in g],
                     degree,
                     continuity,
                     weights,
                 )
-                for i in free
+                for g in groups
             ]
-            results = executor.map(_solve_one, args) if executor else map(_solve_one, args)
-            for i, (status, payload) in zip(free, results):
+            results = executor.map(_solve_group, args) if executor else map(_solve_group, args)
+            for i, (status, payload) in zip(free, itertools.chain.from_iterable(results)):
                 if status == "ok":
                     candidates[i] = payload
                 else:

@@ -6,6 +6,7 @@ expected values never flow through the code under test.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,8 +23,14 @@ from swarmplan.bezier_opt import (
     optimize_trajectory,
     spline_to_bernstein,
 )
+from swarmplan import opt_engine
+from swarmplan.corridor import build_corridors, segment_point_sets
+from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron
 from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
+from swarmplan.scenario import ScenarioSpec
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 WEIGHTS = (0.0, 1.0, 0.0, 1.0)
 
@@ -453,6 +460,15 @@ class TestFallback:
         assert np.abs(cross).max() <= 1e-9
 
 
+def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
+    """optimize_trajectory for one robot: its (trajectory, objective, x),
+    or its error raised."""
+    out = optimize_trajectory([start], [goal], durations, [corridors], degree, continuity, weights)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 class TestOptimizeTrajectory:
     def free_corridors(self, k):
         return [ConvexPolyhedron() for _ in range(k)]
@@ -473,7 +489,7 @@ class TestOptimizeTrajectory:
                 hi = np.maximum(start, goal) + 0.8
                 a = np.vstack([np.eye(3), -np.eye(3)])
                 corridors = [ConvexPolyhedron(a, np.concatenate([hi, -lo]))] * pieces
-            _, objective, _ = optimize_trajectory(
+            _, objective, _ = optimize_one(
                 start, goal, durations, corridors, 9, 4, WEIGHTS
             )
             qp = bernstein_program(start, goal, durations, corridors, 9, 4, WEIGHTS)
@@ -485,7 +501,7 @@ class TestOptimizeTrajectory:
 
     def test_endpoints_and_rest(self):
         start, goal = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.25])
-        traj, obj, _ = optimize_trajectory(
+        traj, obj, _ = optimize_one(
             start, goal, [0.25] * 4, self.free_corridors(4), 9, 4, WEIGHTS
         )
         assert np.allclose(traj.evaluate(0.0), start, atol=1e-8)
@@ -499,7 +515,7 @@ class TestOptimizeTrajectory:
         rng = np.random.default_rng(14)
         start, goal = rng.normal(size=3), rng.normal(size=3)
         durations = [0.25, 0.4, 0.3, 0.25]
-        traj, _, _ = optimize_trajectory(
+        traj, _, _ = optimize_one(
             start, goal, durations, self.free_corridors(4), 9, 4, WEIGHTS
         )
         for k in range(1, len(durations)):
@@ -515,7 +531,7 @@ class TestOptimizeTrajectory:
     def test_objective_matches_cost_and_quadrature(self):
         rng = np.random.default_rng(15)
         start, goal = rng.normal(size=3), rng.normal(size=3)
-        traj, obj, _ = optimize_trajectory(
+        traj, obj, _ = optimize_one(
             start, goal, [0.25] * 3, self.free_corridors(3), 9, 4, WEIGHTS
         )
         assert obj == pytest.approx(traj.cost(WEIGHTS), rel=1e-6)
@@ -526,7 +542,7 @@ class TestOptimizeTrajectory:
         wp = np.vstack([start, [0.5, 0, 0], [1.0, 0, 0.5], goal])
         durations = [0.25, 0.25, 0.25]
         fb = fallback_trajectory(wp, durations, 9, 4, WEIGHTS)
-        _, obj, _ = optimize_trajectory(
+        _, obj, _ = optimize_one(
             start, goal, durations, self.free_corridors(3), 9, 4, WEIGHTS
         )
         assert obj <= fb.cost(WEIGHTS) * (1 + 1e-9) + 1e-9
@@ -537,7 +553,7 @@ class TestOptimizeTrajectory:
         box = ConvexPolyhedron(
             np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([hi, -lo])
         )
-        traj, _, _ = optimize_trajectory(
+        traj, _, _ = optimize_one(
             start, goal, [0.3] * 3, [box] * 3, 9, 4, WEIGHTS
         )
         for piece in traj.pieces:
@@ -549,7 +565,7 @@ class TestOptimizeTrajectory:
         # corridor demands x >= 2 but the curve must start at the origin
         bad = ConvexPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([-2.0]))
         with pytest.raises(QPInfeasibleError):
-            optimize_trajectory(
+            optimize_one(
                 np.zeros(3), np.array([3.0, 0, 0]), [0.25] * 2, [bad, bad], 9, 4, WEIGHTS
             )
 
@@ -558,16 +574,148 @@ class TestOptimizeTrajectory:
         # is the rest-to-rest one, and the corridor only gets checked
         start, goal = np.zeros(3), np.array([1.0, 0.5, 0.25])
         box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 2.0))
-        traj, _, _ = optimize_trajectory(start, goal, [0.5], [box], 9, 4, WEIGHTS)
+        traj, _, _ = optimize_one(start, goal, [0.5], [box], 9, 4, WEIGHTS)
         assert np.array_equal(traj.pieces[0].points, np.array([start] * 5 + [goal] * 5))
         with pytest.raises(QPInfeasibleError):
             empty = ConvexPolyhedron(box.A, -box.b)
-            optimize_trajectory(start, goal, [0.5], [empty], 9, 4, WEIGHTS)
+            optimize_one(start, goal, [0.5], [empty], 9, 4, WEIGHTS)
         # LAPACK reports an illegal argument on its output, not by raising
         assert "illegal" not in "".join(capfd.readouterr())
 
     def test_corridor_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corridor"):
-            optimize_trajectory(
+            optimize_one(
                 np.zeros(3), np.ones(3), [0.25] * 2, self.free_corridors(3), 9, 4, WEIGHTS
             )
+
+
+@pytest.fixture(scope="module")
+def wall_round_zero():
+    """The wall scenario's round-0 smoothing inputs, as refinement passes
+    them: (starts, goals, durations, corridors, degree, continuity, weights)."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+    plan = solve_discrete(sc).postprocessed()
+    corridors = build_corridors(segment_point_sets(plan.waypoints), sc).polyhedra
+    durations = [plan.dt] * plan.num_segments
+    return (
+        plan.waypoints[:, 0], plan.waypoints[:, -1], durations, corridors,
+        sc.degree, sc.continuity, tuple(sc.weights),
+    )
+
+
+def curve_cost(x, durations, weights):
+    """The cost of the curve whose stacked control points are x."""
+    points = np.split(x, len(durations))
+    return PiecewiseBezierTrajectory(
+        [BezierPiece(tau, p.reshape(-1, 3)) for tau, p in zip(durations, points)]
+    ).cost(weights)
+
+
+def solve_robots(inputs, robots, monkeypatch=None):
+    """optimize_trajectory on the given robots of inputs; with monkeypatch,
+    also every solve_qp call it makes, as (program, result)."""
+    starts, goals, durations, corridors, *rest = inputs
+    calls = []
+    if monkeypatch is not None:
+        real = opt_engine.solve_qp
+
+        def spy(qp, *args):
+            calls.append((qp, real(qp, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(opt_engine, "solve_qp", spy)
+    out = optimize_trajectory(
+        starts[robots], goals[robots], durations, [corridors[i] for i in robots], *rest
+    )
+    return out, calls
+
+
+class TestSmoothingBatch:
+    """The smoothing programs of several robots as one SmoothingBatch."""
+
+    def test_robot_solves_alike_alone_and_in_any_batch(self, wall_round_zero):
+        robots = list(range(8))
+        together, _ = solve_robots(wall_round_zero, robots)
+        reversed_, _ = solve_robots(wall_round_zero, robots[::-1])
+        split = solve_robots(wall_round_zero, robots[5:])[0] + solve_robots(wall_round_zero, robots[:5])[0]
+        for i in robots:
+            alone, _ = solve_robots(wall_round_zero, [i])
+            x = alone[0][2]
+            assert np.array_equal(together[i][2], x)
+            assert np.array_equal(reversed_[7 - i][2], x)
+            assert np.array_equal(split[(i + 3) % 8][2], x)
+
+    def test_wall_programs_stop_by_breakdown(self, wall_round_zero, monkeypatch):
+        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch)
+        ((batch, result),) = calls
+        assert isinstance(batch, opt_engine.SmoothingBatch) and len(result.results) == 8
+        assert [r.stop for r in result.results] == ["breakdown"] * 8
+        assert result.iterations == sum(r.iterations for r in result.results)
+        # what a benchmark tracer reads of a solve_qp call
+        assert batch.A_eq.shape[0] + batch.A_in.shape[0] == 8 * 24 * 20 * 10
+        assert result.polished is False
+
+    def test_batch_agrees_with_the_general_solver(self, wall_round_zero, monkeypatch):
+        # each instance as a QuadraticProgram with explicit sparse rows,
+        # solved by solve_qp's general path; the optimal faces are flat, so
+        # the curves' costs agree far closer than their control points
+        durations, weights = wall_round_zero[2], wall_round_zero[6]
+        out, calls = solve_robots(wall_round_zero, [0, 2, 6], monkeypatch)
+        ((batch, result),) = calls
+        for t, got in enumerate(result.results):
+            qp = batch.instance(t)
+            want = solve_qp(qp)
+            assert out[t][1] == pytest.approx(curve_cost(want.x, durations, weights), rel=1e-6)
+            assert np.abs(got.x - want.x).max() <= 1e-3
+            assert (qp.A_in @ got.x - qp.b_in).max() <= 1e-6
+
+    def test_rows_operator_matches_each_instance(self, wall_round_zero, monkeypatch):
+        _, calls = solve_robots(wall_round_zero, [1, 2], monkeypatch)
+        batch = calls[0][0]
+        rng = np.random.default_rng(3)
+        rows = scipy.sparse.block_diag([batch.instance(t).A_in for t in range(2)]).tocsr()
+        x = rng.normal(size=rows.shape[1])
+        z = rng.normal(size=rows.shape[0])
+        assert np.allclose(batch.A_in @ x, rows @ x, rtol=1e-13, atol=1e-12)
+        assert np.allclose(batch.A_in.T @ z, rows.T @ z, rtol=1e-13, atol=1e-12)
+        assert np.array_equal(batch.b_in.ravel(), np.concatenate([batch.instance(t).b_in for t in range(2)]))
+
+    def test_infeasible_robot_fails_alone(self, wall_round_zero):
+        starts, goals, durations, corridors, *rest = wall_round_zero
+        # robot 3's piece 4 keeps its face count, but demands x below the
+        # workspace box it must also stay in
+        poly = corridors[3][4]
+        lo = -poly.b[3]
+        b = poly.b.copy()
+        b[0] = lo - 1.0
+        broken = [list(c) for c in corridors]
+        broken[3][4] = ConvexPolyhedron(poly.A, b)
+        inputs = (starts, goals, durations, broken, *rest)
+        out, _ = solve_robots(inputs, list(range(8)))
+        want, _ = solve_robots(wall_round_zero, list(range(8)))
+        assert isinstance(out[3], QPInfeasibleError)
+        for i in range(8):
+            if i != 3:
+                assert np.array_equal(out[i][2], want[i][2])
+
+    def test_pieces_with_fewer_faces_are_padded(self, wall_round_zero, monkeypatch):
+        starts, goals, durations, corridors, *rest = wall_round_zero
+        # robot 1 gains a loose extra face on piece 0: it goes to a batch
+        # of its own, where its other pieces carry one empty row each
+        poly = corridors[1][0]
+        loose = ConvexPolyhedron(np.vstack([poly.A, poly.A[:1]]), np.append(poly.b, poly.b[0] + 1.0))
+        changed = [list(c) for c in corridors]
+        changed[1][0] = loose
+        inputs = (starts, goals, durations, changed, *rest)
+        out, calls = solve_robots(inputs, [0, 1, 2], monkeypatch)
+        assert [len(result.results) for _, result in calls] == [2, 1]
+        padded = calls[1][0]
+        assert padded.normals.shape[2] == 21
+        assert np.array_equal(padded.normals[0, 1:, 20], np.zeros((23, 3)))
+        assert np.array_equal(padded.offsets[0, 1:, 20], np.ones(23))
+        # the padded program and the unpadded one have the same optimum
+        ref = bernstein_program(starts[1], goals[1], durations, changed[1], *rest)
+        want = solve_qp(QuadraticProgram(
+            padded.H, ref.g, A_in=ref.A_in, b_in=ref.b_in, Z=padded.Z, x0=padded.x0[0]
+        ))
+        assert out[1][1] == pytest.approx(curve_cost(want.x, durations, rest[2]), rel=1e-6)

@@ -80,6 +80,35 @@ class TestPlan:
         assert report["peaks"]["accel"] <= limit + 1e-9
 
 
+def without_wall_time(report):
+    """refine_report.csv's rows without the wall_time_s column."""
+    rows = [line.split(",") for line in report.splitlines()]
+    col = rows[0].index("wall_time_s")
+    return [row[:col] + row[col + 1 :] for row in rows]
+
+
+class TestJobs:
+    def test_artifacts_do_not_depend_on_the_worker_count(self, tmp_path):
+        # --jobs splits each round's robots across worker processes; 5 is
+        # more workers than the scenario has robots
+        scenario = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "handover_3.json")
+        outs = []
+        for jobs in ("1", "2", "5"):
+            out = tmp_path / f"jobs{jobs}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["plan", "--scenario", scenario, "--out", str(out), "--jobs", jobs]) == 0
+            outs.append(out)
+        files = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        assert "refine_report.csv" in files and len(files) > 3
+        for out in outs[1:]:
+            assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == files
+            for rel in files:
+                a, b = (outs[0] / rel).read_text(), (out / rel).read_text()
+                if rel == "refine_report.csv":
+                    a, b = without_wall_time(a), without_wall_time(b)
+                assert a == b, rel
+
+
 class TestOracle:
     def test_prints_makespan_and_configs(self, scenario_file, capsys):
         assert main(["oracle", "--scenario", scenario_file]) == 0

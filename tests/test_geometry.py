@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,18 +10,85 @@ from swarmplan import geometry, opt_engine
 from swarmplan.geometry import (
     ConvexPolyhedron,
     Ellipsoid,
-    Hyperplane,
-    SeparationError,
     collision_free,
-    pairwise_clearance,
-    separate_point_sets,
-    shift_for_ellipsoids,
     svm_separate_batch,
 )
 from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
 from swarmplan.scenario import merge_obstacle_cells
 
 ELL = Ellipsoid((0.12, 0.12, 0.3))
+
+
+# One-instance helpers on top of svm_separate_batch, which the planner
+# itself does not need: they state single separations in the tests below.
+
+
+class SeparationError(Exception):
+    """The two point sets admit no ellipsoid-margin separating hyperplane."""
+
+
+def pairwise_clearance(points, ellipsoid):
+    """Minimum scaled distance over all pairs; >= 2 means collision free."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 2:
+        return np.inf
+    scaled = ellipsoid.scale_inv(pts)
+    diff = scaled[:, None, :] - scaled[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    iu = np.triu_indices(pts.shape[0], k=1)
+    return float(dist[iu].min())
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """Oriented plane {x : a'x = b} with unit normal a."""
+
+    normal: tuple
+    offset: float
+
+    def __post_init__(self):
+        a = np.asarray(self.normal, dtype=float)
+        n = np.linalg.norm(a)
+        if abs(n - 1.0) > 1e-9:
+            raise ValueError("normal must have unit length")
+        object.__setattr__(self, "normal", tuple(a))
+        object.__setattr__(self, "offset", float(self.offset))
+
+    def signed_distance(self, x):
+        return float(np.dot(self.normal, x) - self.offset)
+
+
+def separate_point_sets(A_points, B_points, ellipsoid, tol=1e-6):
+    """Separating hyperplane pushing A to the negative side, B positive,
+    with at least one ellipsoid of clearance on each side.
+
+    Raises SeparationError when the sets cannot be separated that widely.
+    """
+    A_points = np.asarray(A_points, dtype=float).reshape(-1, 3)
+    B_points = np.asarray(B_points, dtype=float).reshape(-1, 3)
+    alpha, beta, enorm, ok = svm_separate_batch(A_points[None], B_points[None], ellipsoid)
+    if not ok[0]:
+        raise SeparationError("margin SVM infeasible: point sets overlap or nearly touch")
+    if enorm[0] > 1.0 + tol:
+        raise SeparationError(
+            f"sets are separable but too close for the ellipsoid margin "
+            f"(||E a|| = {enorm[0]:.6f} > 1)"
+        )
+    return Hyperplane(tuple(alpha[0]), float(beta[0]))
+
+
+def shift_for_ellipsoids(plane, ellipsoid):
+    """Shift a separating plane inward by the ellipsoid support on each side.
+
+    Returns (low_plane, high_plane): points p with a'p <= low_plane.offset
+    keep the whole ellipsoid E(p) on the negative side of the original
+    plane; symmetrically for a'p >= high_plane.offset.
+    """
+    s = ellipsoid.norm(plane.normal)
+    return (
+        Hyperplane(plane.normal, plane.offset - s),
+        Hyperplane(plane.normal, plane.offset + s),
+    )
 
 
 class TestEllipsoid:

@@ -20,6 +20,7 @@ from swarmplan.opt_engine import (
     ILPBudgetExceededError,
     ILPInfeasibleError,
     QPInfeasibleError,
+    QPMaxIterationsError,
     QPUnboundedError,
     QuadraticProgram,
     max_flow,
@@ -281,6 +282,111 @@ class TestQP:
         for qp, x in zip(programs, shared):
             opt_engine._newton_maps.cache_clear()
             assert np.array_equal(solve_qp(qp).x, x)
+
+
+class DenseBatch:
+    """A test-local batch for opt_engine._ipm: dense programs
+    min 0.5 c'H_t c + g_t'c  s.t.  A_t c <= b_t, one Cholesky per instance.
+    Instance i's factorization breaks down at its break_at[i]-th Newton
+    step (never for 0), and wherever its Newton matrix is not positive
+    definite or not finite."""
+
+    def __init__(self, H, A, break_at, ids=None, steps=None):
+        self.H, self.A, self.break_at = H, A, break_at
+        self.ids = np.arange(len(H)) if ids is None else ids
+        self.steps = np.zeros(len(H), dtype=int) if steps is None else steps
+
+    def hess(self, c):
+        return np.array([h @ v for h, v in zip(self.H, c)])
+
+    def ineq(self, c):
+        return np.array([a @ v for a, v in zip(self.A, c)])
+
+    def ineq_t(self, z):
+        return np.array([a.T @ v for a, v in zip(self.A, z)])
+
+    def newton(self, w):
+        factors = []
+        for h, a, wt, i in zip(self.H, self.A, w, self.ids):
+            self.steps[i] += 1
+            try:
+                factor = scipy.linalg.cho_factor(h + a.T @ (wt[:, None] * a))
+            except (np.linalg.LinAlgError, ValueError):
+                factor = None
+            factors.append(None if self.steps[i] == self.break_at[i] else factor)
+        return factors
+
+    def solve(self, factors, r):
+        return np.array([scipy.linalg.cho_solve(f, v) for f, v in zip(factors, r)])
+
+    def take(self, keep):
+        return DenseBatch(self.H[keep], self.A[keep], self.break_at, self.ids[keep], self.steps)
+
+
+class TestInteriorPointBatch:
+    """opt_engine._ipm on several programs at once: each instance stops on
+    its own and leaves the batch with the answer it gets alone."""
+
+    def programs(self):
+        # two programs with different Hessians, rows and gradients
+        rng = np.random.default_rng(21)
+        n, m = 4, 6
+        H = np.array([M @ M.T + np.eye(n) for M in rng.normal(size=(2, n, n))])
+        A = rng.normal(size=(2, m, n))
+        b = np.array([a @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m) for a in A])
+        g = rng.normal(size=(2, n)) * np.array([[1.0], [10.0]])
+        return H, A, b, g
+
+    def run(self, H, A, b, g, break_at):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return opt_engine._ipm(DenseBatch(H, A, np.asarray(break_at)), g, b, np.zeros(g.shape))
+
+    def assert_as_alone(self, H, A, b, g, break_at, batch):
+        for t in range(len(H)):
+            alone = self.run(H[t : t + 1], A[t : t + 1], b[t : t + 1], g[t : t + 1], break_at[t : t + 1])
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[t], want[0])
+
+    def test_instance_that_breaks_down_leaves_at_its_best_iterate(self):
+        H, A, b, g = self.programs()
+        break_at = [3, 0]
+        batch = self.run(H, A, b, g, break_at)
+        x, _, steps, stops = batch
+        assert stops[0] == "breakdown" and steps[0] == 2
+        # the other instance runs on to its own stop and its optimum
+        assert steps[1] > 2
+        _, ref = qp_active_set_reference(QuadraticProgram(H[1], g[1], A_in=A[1], b_in=b[1]))
+        assert np.abs(x[1] - ref).max() <= 1e-6
+        self.assert_as_alone(H, A, b, g, break_at, batch)
+        # in either order
+        batch = self.run(H[::-1], A[::-1], b[::-1], g[::-1], break_at[::-1])
+        assert list(batch[3]) == list(stops[::-1])
+        self.assert_as_alone(H[::-1], A[::-1], b[::-1], g[::-1], break_at[::-1], batch)
+
+    def test_nonfinite_instance_leaves_alone(self):
+        H, A, b, g = self.programs()
+        H[0, 0, 0] = np.nan
+        batch = self.run(H, A, b, g, [0, 0])
+        assert batch[3][0] == "nonfinite" and batch[2][0] == 0
+        assert batch[3][1] != "nonfinite"
+        self.assert_as_alone(H, A, b, g, [0, 0], batch)
+
+    def test_iteration_cap_stops_every_instance(self, monkeypatch):
+        monkeypatch.setattr(opt_engine, "_IPM_MAX_ITER", 2)
+        H, A, b, g = self.programs()
+        _, _, steps, stops = self.run(H, A, b, g, [0, 0])
+        assert list(stops) == ["max_iter", "max_iter"] and list(steps) == [2, 2]
+
+    def test_result_names_the_stop(self, monkeypatch):
+        H = np.array([[2.0, 0.5], [0.5, 1.0]])
+        # the row is slack at the optimum: the weights stay bounded, the
+        # Newton matrix keeps factoring, and the residual stops improving
+        slack = solve_qp(QuadraticProgram(H, np.ones(2), A_in=[[1.0, 0.0]], b_in=[0.5]))
+        assert slack.stop == "stall"
+        # a breakdown stop: tests/test_bezier.py, on the wall's programs
+        monkeypatch.setattr(opt_engine, "_IPM_MAX_ITER", 2)
+        with pytest.raises(QPMaxIterationsError, match="after 2 iterations, stopped by max_iter"):
+            solve_qp(QuadraticProgram(H, -np.ones(2), A_in=[[1.0, 0.0]], b_in=[0.25]))
 
 
 class TestQPBatch:

@@ -7,6 +7,7 @@ import swarmplan.refine as refine_mod
 from swarmplan.bezier_opt import fallback_trajectory
 from swarmplan.corridor import CorridorSet
 from swarmplan.discrete_planner import solve_discrete
+from swarmplan.geometry import ConvexPolyhedron
 from swarmplan.opt_engine import QPInfeasibleError
 from swarmplan.refine import refine_trajectories, write_report_csv
 from swarmplan.scenario import GridSpec, ScenarioSpec
@@ -157,8 +158,8 @@ class TestDegradation:
     def test_infeasible_robot_keeps_previous_curve(self, small, monkeypatch):
         sc, plan = small
 
-        def always_fails(*args, **kwargs):
-            raise QPInfeasibleError("forced failure")
+        def always_fails(starts, *args):
+            return [QPInfeasibleError("forced failure") for _ in starts]
 
         monkeypatch.setattr(refine_mod, "optimize_trajectory", always_fails)
         messages = []
@@ -169,21 +170,56 @@ class TestDegradation:
         assert all(row["fallback_count"] == plan.num_robots for row in result.rows)
 
 
+    def test_infeasible_robot_in_a_batch_keeps_its_curve_alone(self, small, monkeypatch):
+        sc, plan = small
+        real = refine_mod.build_corridors
+
+        def infeasible_for_robot_1(point_sets, scenario, skip_pairs=frozenset()):
+            # same face count, so robot 1 stays in the batch: its first
+            # piece must lie below the workspace box and inside it
+            out = real(point_sets, scenario, skip_pairs)
+            poly = out.polyhedra[1][0]
+            b = poly.b.copy()
+            b[0] = -poly.b[3] - 1.0
+            out.polyhedra[1][0] = ConvexPolyhedron(poly.A, b)
+            return out
+
+        reference = []
+        refine_trajectories(plan, sc, iterations=1, on_accept=lambda it, t: reference.append(t))
+        monkeypatch.setattr(refine_mod, "build_corridors", infeasible_for_robot_1)
+        accepted = []
+        messages = []
+        result = refine_trajectories(
+            plan, sc, iterations=1, log=messages.append,
+            on_accept=lambda it, t: accepted.append(t),
+        )
+        assert result.ok
+        assert "iteration 0: robot 1 keeps previous curve (primal infeasible: the " \
+            "constraints admit no point)" in messages
+        assert result.rows[0]["fallback_count"] == 1
+        # robot 0 gets the curve it gets when robot 1's program is fine
+        for p, q in zip(accepted[0][0].pieces, reference[0][0].pieces):
+            assert np.array_equal(p.points, q.points)
+
     def test_round_that_raises_the_cost_is_rejected(self, small, monkeypatch):
         sc, plan = small
         n = plan.num_robots
         real = refine_mod.optimize_trajectory
         calls = []
 
-        def straight_lines_in_round_1(*args):
-            # valid curves, but costlier than the round-0 optimum
-            calls.append(args)
+        def straight_lines_in_round_1(starts, *args):
+            # valid curves, but costlier than the round-0 optimum; one
+            # call per robot is recorded
+            calls.extend(starts)
             if len(calls) <= n:
-                return real(*args)
-            start, _, durations, _, degree, continuity, weights = args
-            i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
-            straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
-            return straight, None, None
+                return real(starts, *args)
+            _, durations, _, degree, continuity, weights = args
+            out = []
+            for start in starts:
+                i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
+                straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
+                out.append((straight, None, None))
+            return out
 
         monkeypatch.setattr(refine_mod, "optimize_trajectory", straight_lines_in_round_1)
         accepted = []
