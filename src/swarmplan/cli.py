@@ -74,7 +74,7 @@ def cmd_plan(args):
     log.info("grid plan: %d segments of %.3gs", plan.num_segments, plan.dt)
 
     result = refine_trajectories(
-        plan, scenario, iterations=args.iterations, jobs=args.jobs, log=log.info
+        plan, scenario, iterations=args.iterations, log=log.info
     )
     trajectories = result.trajectories
     validation = result.validation
@@ -210,7 +210,7 @@ def build_parser():
     p.add_argument("--iterations", type=int, default=None, help="refinement budget")
     p.add_argument("--dt", type=float, default=None, help="override timestep seconds")
     p.add_argument("--seed", type=int, default=0, help="accepted for reproducibility bookkeeping; the pipeline is deterministic")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; each refinement round solves its robots' programs as one batch in this process")
     p.add_argument(
         "--scale-to-accel-limit",
         type=float,

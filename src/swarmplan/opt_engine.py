@@ -45,7 +45,6 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse.csgraph import connected_components, maximum_flow
-from scipy.sparse.linalg import LinearOperator
 
 
 class SolverError(Exception):
@@ -208,6 +207,11 @@ class QPResult:
     stop: str  # why the interior point stopped: see _IPM_STALL
 
 
+@dataclass(frozen=True)
+class _Shape:
+    shape: tuple
+
+
 @dataclass
 class SmoothingBatch:
     """T programs  min 0.5 x'Hx  s.t.  x = x0 + Z c for some c, whose rows
@@ -262,18 +266,15 @@ class SmoothingBatch:
 
     @property
     def A_eq(self):
-        return sp.csr_matrix((0, self.x0.size))
+        """The shape of the (empty) equality rows on the stacked x (T n)."""
+        return _Shape((0, self.x0.size))
 
     @property
     def A_in(self):
-        """Every instance's rows as one operator on the stacked x (T n)."""
-        T, n = self.x0.shape
-        return LinearOperator(
-            (self.offsets.size * self.points, T * n),
-            matvec=lambda x: _face_rows(self.faces, x.reshape(T, n)).ravel(),
-            rmatvec=lambda z: _face_rows_t(self.normals, z.reshape(T, -1), self.points).ravel(),
-            dtype=float,
-        )
+        """The shape of every instance's rows stacked, on the stacked x
+        (T n).  The rows are applied piece by piece (_face_rows) and are
+        never built as one matrix; instance(t) builds one instance's."""
+        return _Shape((self.offsets.size * self.points, self.x0.size))
 
     def instance(self, t):
         """Instance t as a QuadraticProgram with explicit sparse rows."""
@@ -742,24 +743,20 @@ def _ipm(program, g, b_in, x):
             kept[live[better]] = current[better]
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
-        factors = program.newton(z / s)
-        why = np.select(
-            [~np.isfinite(res), stall[live] >= _IPM_STALL, [f is None for f in factors]],
-            ["nonfinite", "stall", "breakdown"],
-            "",
-        )
-        done = why != ""
-        stops[live[done]] = why[done]
-        if done.all():
+        state = (x, s, z, g, b_in, r_d, r_in, mu)
+        why = np.select([~np.isfinite(res), stall[live] >= _IPM_STALL], ["nonfinite", "stall"], "")
+        live, program, state = _leave(why, stops, live, program, state)
+        if not live.size:
             break
-        if done.any():
-            keep = ~done
-            live = live[keep]
-            program = program.take(keep)
-            factors = [f for f, k in zip(factors, keep) if k]
-            x, s, z, g, b_in, r_d, r_in, mu = (
-                v[keep] for v in (x, s, z, g, b_in, r_d, r_in, mu)
-            )
+        # only the instances still running are factored
+        x, s, z, g, b_in, r_d, r_in, mu = state
+        factors = program.newton(z / s)
+        broken = np.array([f is None for f in factors])
+        live, program, state = _leave(np.where(broken, "breakdown", ""), stops, live, program, state)
+        if not live.size:
+            break
+        factors = [f for f in factors if f is not None]
+        x, s, z, g, b_in, r_d, r_in, mu = state
 
         def newton(r_cs):
             dx = program.solve(factors, -r_d - program.ineq_t((z * r_in - r_cs) / s))
@@ -782,6 +779,18 @@ def _ipm(program, g, b_in, x):
         z = z + step * dz
         steps[live] += 1
     return (*best, steps, stops)
+
+
+def _leave(why, stops, live, program, arrays):
+    """Record the stop of each instance whose why is set and drop it from
+    the batch: returns the instances still running, and the program and
+    the arrays restricted to them."""
+    done = why != ""
+    stops[live[done]] = why[done]
+    if not done.any() or done.all():
+        return live[~done], program, arrays
+    keep = ~done
+    return live[keep], program.take(keep), tuple(v[keep] for v in arrays)
 
 
 def _failure(H, A, g, b, r_prim, r_dual, iterations, stop):

@@ -7,9 +7,8 @@ round rebuilds safe corridors from the current curves (segment endpoints
 on the first pass, dense samples afterwards) and re-optimizes every
 robot inside its corridor.  The robots' smoothing programs are
 independent (each sees only its own corridors), so one optimize_trajectory
-call solves them together as one batched interior point; with jobs > 1
-the robots are split into that many batches, one per worker process.
-Each robot's curve is the same however its round is split.
+call per round solves them together as one batched interior point, in
+this process.  Each robot's curve is the one it gets when solved alone.
 
 Failures degrade per robot instead of aborting: a pair whose occupied
 sets admit no margin plane is pinned to the straight-line fallback for
@@ -24,11 +23,8 @@ only improves with more of them.
 from __future__ import annotations
 
 import csv
-import itertools
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import opt_engine
 from .bezier_opt import fallback_trajectory, optimize_trajectory
@@ -55,7 +51,10 @@ class RefinementResult:
 
 
 def write_report_csv(rows, path):
-    fields = ["iteration", "cost", "peak_accel", "peak_omega", "wall_time_s", "fallback_count"]
+    fields = [
+        "iteration", "cost", "peak_accel", "peak_omega", "wall_time_s", "fallback_count",
+        "failed_count",
+    ]
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
@@ -67,17 +66,7 @@ def _total_cost(trajectories, weights):
     return float(sum(t.cost(weights) for t in trajectories))
 
 
-def _solve_group(args):
-    """optimize_trajectory for a group of robots: per robot ("ok", trajectory)
-    or ("fail", message), which cross a process boundary intact."""
-    return [
-        ("fail", str(out)) if isinstance(out, opt_engine.SolverError) else ("ok", out[0])
-        for out in optimize_trajectory(*args)
-    ]
-
-
-def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
-                        on_accept=None):
+def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=None):
     """Smooth, validated trajectories for a post-processed waypoint plan.
 
     plan segments and the trajectory pieces correspond one to one.
@@ -118,106 +107,93 @@ def refine_trajectories(plan, scenario, iterations=None, jobs=1, log=None,
     hard_fallback = set()
     skip_pairs = set()
     prev_cost = None
-    executor = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    for it in range(iterations):
+        t0 = time.perf_counter()
 
-        executor = ProcessPoolExecutor(max_workers=jobs)
-
-    try:
-        for it in range(iterations):
-            t0 = time.perf_counter()
-
-            # corridors must describe what each robot will actually fly;
-            # rebuild whenever a new failure re-pins someone to the lines
-            for _ in range(n + 1):
-                if it == 0:
-                    point_sets = segment_point_sets(plan.waypoints)
-                else:
-                    flown = [
-                        straight[i] if i in hard_fallback else best[i]
-                        for i in range(n)
-                    ]
-                    point_sets = sample_point_sets(flown, scenario.samples_per_piece)
-                corridors = build_corridors(point_sets, scenario, skip_pairs)
-                new_pairs = corridors.failed_pairs - skip_pairs
-                if not new_pairs:
-                    break
-                skip_pairs |= new_pairs
-                for i, j in new_pairs:
-                    hard_fallback.update((i, j))
-                emit(f"iteration {it}: no margin plane for pairs {sorted(new_pairs)}")
-
-            candidates = list(best)
-            for i in hard_fallback:
-                candidates[i] = straight[i]
-
-            frozen = sorted(corridors.failed_robots - hard_fallback)
-            if frozen:
-                emit(
-                    f"iteration {it}: robots {frozen} frozen on their previous "
-                    f"curves: an obstacle separator failed"
-                )
-            free = [i for i in range(n) if i not in hard_fallback and i not in frozen]
-            # one batched program per worker: each robot's curve is the
-            # same whichever robots share its batch
-            groups = [g for g in np.array_split(free, max(1, jobs)) if g.size]
-            args = [
-                (
-                    starts[g],
-                    goals[g],
-                    durations,
-                    [corridors.polyhedra[i] for i in g],
-                    degree,
-                    continuity,
-                    weights,
-                )
-                for g in groups
-            ]
-            results = executor.map(_solve_group, args) if executor else map(_solve_group, args)
-            for i, (status, payload) in zip(free, itertools.chain.from_iterable(results)):
-                if status == "ok":
-                    candidates[i] = payload
-                else:
-                    emit(f"iteration {it}: robot {i} keeps previous curve ({payload})")
-
-            candidate_validation = validate_trajectories(
-                candidates, scenario, expected_starts=starts, expected_goals=goals
-            )
-            if not candidate_validation.ok:
-                emit(f"iteration {it}: candidate set failed validation, keeping previous")
+        # corridors must describe what each robot will actually fly;
+        # rebuild whenever a new failure re-pins someone to the lines
+        for _ in range(n + 1):
+            if it == 0:
+                point_sets = segment_point_sets(plan.waypoints)
+            else:
+                flown = [
+                    straight[i] if i in hard_fallback else best[i]
+                    for i in range(n)
+                ]
+                point_sets = sample_point_sets(flown, scenario.samples_per_piece)
+            corridors = build_corridors(point_sets, scenario, skip_pairs)
+            new_pairs = corridors.failed_pairs - skip_pairs
+            if not new_pairs:
                 break
+            skip_pairs |= new_pairs
+            for i, j in new_pairs:
+                hard_fallback.update((i, j))
+            emit(f"iteration {it}: no margin plane for pairs {sorted(new_pairs)}")
 
-            cost = _total_cost(candidates, weights)
-            if cost - best_cost > _RELATIVE_COST_RISE * abs(best_cost):
-                emit(
-                    f"iteration {it}: candidate cost {cost:.6g} is above the "
-                    f"accepted {best_cost:.6g}, keeping previous"
-                )
-                break
-            best = candidates
-            best_cost = cost
-            validation = candidate_validation
-            if on_accept is not None:
-                on_accept(it, list(best))
-            rows.append(
-                {
-                    "iteration": it,
-                    "cost": cost,
-                    "peak_accel": validation.peaks["accel"],
-                    "peak_omega": validation.peaks["omega"],
-                    "wall_time_s": time.perf_counter() - t0,
-                    "fallback_count": sum(1 for i in range(n) if best[i] is straight[i]),
-                }
+        candidates = list(best)
+        for i in hard_fallback:
+            candidates[i] = straight[i]
+
+        frozen = sorted(corridors.failed_robots - hard_fallback)
+        if frozen:
+            emit(
+                f"iteration {it}: robots {frozen} frozen on their previous "
+                f"curves: an obstacle separator failed"
             )
-            emit(f"iteration {it}: cost {cost:.6g}")
-            if prev_cost is not None:
-                if abs(prev_cost - cost) / max(1.0, abs(prev_cost)) < _RELATIVE_COST_STOP:
-                    prev_cost = cost
-                    break
-            prev_cost = cost
-    finally:
-        if executor:
-            executor.shutdown()
+        free = [i for i in range(n) if i not in hard_fallback and i not in frozen]
+        results = optimize_trajectory(
+            starts[free],
+            goals[free],
+            durations,
+            [corridors.polyhedra[i] for i in free],
+            degree,
+            continuity,
+            weights,
+        )
+        failed = 0
+        for i, out in zip(free, results):
+            if isinstance(out, opt_engine.SolverError):
+                failed += 1
+                emit(f"iteration {it}: robot {i} keeps previous curve ({out})")
+            else:
+                candidates[i] = out[0]
+
+        candidate_validation = validate_trajectories(
+            candidates, scenario, expected_starts=starts, expected_goals=goals
+        )
+        if not candidate_validation.ok:
+            emit(f"iteration {it}: candidate set failed validation, keeping previous")
+            break
+
+        cost = _total_cost(candidates, weights)
+        if cost - best_cost > _RELATIVE_COST_RISE * abs(best_cost):
+            emit(
+                f"iteration {it}: candidate cost {cost:.6g} is above the "
+                f"accepted {best_cost:.6g}, keeping previous"
+            )
+            break
+        best = candidates
+        best_cost = cost
+        validation = candidate_validation
+        if on_accept is not None:
+            on_accept(it, list(best))
+        rows.append(
+            {
+                "iteration": it,
+                "cost": cost,
+                "peak_accel": validation.peaks["accel"],
+                "peak_omega": validation.peaks["omega"],
+                "wall_time_s": time.perf_counter() - t0,
+                "fallback_count": sum(1 for i in range(n) if best[i] is straight[i]),
+                # robots whose smoothing program failed this round
+                "failed_count": failed,
+            }
+        )
+        emit(f"iteration {it}: cost {cost:.6g}")
+        if prev_cost is not None:
+            if abs(prev_cost - cost) / max(1.0, abs(prev_cost)) < _RELATIVE_COST_STOP:
+                prev_cost = cost
+                break
+        prev_cost = cost
 
     return RefinementResult(best, validation, rows, hard_fallback, skip_pairs)

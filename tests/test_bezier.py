@@ -669,16 +669,20 @@ class TestSmoothingBatch:
             assert np.abs(got.x - want.x).max() <= 1e-3
             assert (qp.A_in @ got.x - qp.b_in).max() <= 1e-6
 
-    def test_rows_operator_matches_each_instance(self, wall_round_zero, monkeypatch):
+    def test_face_products_match_each_instance(self, wall_round_zero, monkeypatch):
         _, calls = solve_robots(wall_round_zero, [1, 2], monkeypatch)
         batch = calls[0][0]
         rng = np.random.default_rng(3)
-        rows = scipy.sparse.block_diag([batch.instance(t).A_in for t in range(2)]).tocsr()
-        x = rng.normal(size=rows.shape[1])
-        z = rng.normal(size=rows.shape[0])
-        assert np.allclose(batch.A_in @ x, rows @ x, rtol=1e-13, atol=1e-12)
-        assert np.allclose(batch.A_in.T @ z, rows.T @ z, rtol=1e-13, atol=1e-12)
-        assert np.array_equal(batch.b_in.ravel(), np.concatenate([batch.instance(t).b_in for t in range(2)]))
+        x = rng.normal(size=batch.x0.shape)
+        z = rng.normal(size=(2, batch.A_in.shape[0] // 2))
+        rows_x = opt_engine._face_rows(batch.faces, x)
+        rows_t = opt_engine._face_rows_t(batch.normals, z, batch.points)
+        for t in range(2):
+            rows = batch.instance(t).A_in
+            assert np.allclose(rows_x[t], rows @ x[t], rtol=1e-13, atol=1e-12)
+            assert np.allclose(rows_t[t], rows.T @ z[t], rtol=1e-13, atol=1e-12)
+            assert np.array_equal(batch.b_in[t], batch.instance(t).b_in)
+        assert batch.A_in.shape == (2 * rows.shape[0], batch.x0.size)
 
     def test_infeasible_robot_fails_alone(self, wall_round_zero):
         starts, goals, durations, corridors, *rest = wall_round_zero

@@ -89,8 +89,8 @@ def without_wall_time(report):
 
 class TestJobs:
     def test_artifacts_do_not_depend_on_the_worker_count(self, tmp_path):
-        # --jobs splits each round's robots across worker processes; 5 is
-        # more workers than the scenario has robots
+        # --jobs is accepted for compatibility and must not change a byte;
+        # 5 is more than the scenario has robots
         scenario = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "handover_3.json")
         outs = []
         for jobs in ("1", "2", "5"):

@@ -12,7 +12,9 @@ from swarmplan.opt_engine import QPInfeasibleError
 from swarmplan.refine import refine_trajectories, write_report_csv
 from swarmplan.scenario import GridSpec, ScenarioSpec
 
-REPORT_FIELDS = ["iteration", "cost", "peak_accel", "peak_omega", "wall_time_s", "fallback_count"]
+REPORT_FIELDS = [
+    "iteration", "cost", "peak_accel", "peak_omega", "wall_time_s", "fallback_count", "failed_count",
+]
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,7 @@ class TestRefine:
             assert row["iteration"] == k
             assert row["cost"] > 0
             assert row["wall_time_s"] > 0
+            assert row["failed_count"] == 0
 
     def test_first_round_no_worse_than_straight_lines(self, small):
         sc, plan = small
@@ -197,6 +200,7 @@ class TestDegradation:
         assert "iteration 0: robot 1 keeps previous curve (primal infeasible: the " \
             "constraints admit no point)" in messages
         assert result.rows[0]["fallback_count"] == 1
+        assert result.rows[0]["failed_count"] == 1
         # robot 0 gets the curve it gets when robot 1's program is fine
         for p, q in zip(accepted[0][0].pieces, reference[0][0].pieces):
             assert np.array_equal(p.points, q.points)
