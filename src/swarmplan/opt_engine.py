@@ -6,16 +6,17 @@ coordinates c of its affine set x = x0 + Z c, so only inequality rows
 remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
 definite and is factored with a banded Cholesky in natural order.  A
 program given equality rows gets a dense orthonormal null-space basis Z
-and a full band.  The maps that assemble the band depend only on H, Z
-and the sparsity pattern of the inequality rows, so programs that share
-them build them once.
+and a full band.  A program with general sparse rows forms its Newton
+matrix by sparse products at every step.
 
 The per-robot smoothing QPs of a refinement round come as one
 SmoothingBatch: one H and one banded Z (a B-spline basis) for every
 robot, and rows that each apply one corridor face to one control point.
 One interior point runs them all.  Its products work piece by piece as
-small dense matmuls, and each instance's band gets its own factorization,
-so an instance stops on its own and gets the answer it gets alone.
+small dense matmuls; its Newton matrices are one 3x3 block per control
+point, carried to the band by a map built once per batch.  Each
+instance's band gets its own factorization, so an instance stops on its
+own and gets the answer it gets alone.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -374,9 +375,12 @@ _IPM_MAX_ITER = 100
 #     rows spread past what double precision can factor.
 #   "stall": its residual has not improved for _IPM_STALL steps, the usual
 #     end of a small program whose optimum has no tight row: its weights
-#     stay bounded and its residual reaches the rounding floor.
-#   "max_iter": _IPM_MAX_ITER steps; a tiny program can get there while
-#     its duality measure keeps shrinking toward underflow.
+#     stay bounded and its residual reaches the rounding floor.  Or its
+#     residual is at the rounding level of its own data, machine epsilon
+#     times the largest of |g| and |b_in|: a tiny program's residual can
+#     keep shrinking far below that, toward underflow, and improve at every
+#     step without meaning anything.
+#   "max_iter": _IPM_MAX_ITER steps.
 #   "nonfinite": its residual overflowed.
 _IPM_STALL = 8
 _KKT_DELTA = 1e-11
@@ -432,49 +436,21 @@ def _pair_products(M, rows_a, rows_b):
     return k, M.indptr[rows_a][k] + local // cb[k], M.indptr[rows_b][k] + local % cb[k]
 
 
-class _Contents:
-    """A sparse matrix as a cache key, equal to another when their contents
-    are (with values=False, when their sparsity patterns are)."""
+def _newton_maps(H, Z):
+    """The fixed parts of a SmoothingBatch's Newton step, for H (n, n) and
+    Z (n, r), n being 3 times the number of control points.
 
-    def __init__(self, M, values=True):
-        self.M = M
-        self.key = (M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes() if values else None)
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-@lru_cache(maxsize=8)
-def _newton_maps(H, A_pattern, Z):
-    """The parts of a Newton step that depend only on H, on Z and on the
-    sparsity pattern of A_in, built once for all programs that share them
-    (every robot of a plan, in every round) and shared read-only.
-
-    A row of A_in adds w a_i a_j to the x-space entry (i, j) for each pair
-    of its nonzeros, and an x-space entry (i, j) adds Z_ik Z_jl to the
-    reduced entry (k, l).  Returns Z'HZ, the band's shape and its constant
-    part Z'HZ, the map to_band from x-space entries (in the order of
-    i n + j) to the band, and the map from A_in's rows to x-space entries
-    as a CSR template whose k-th stored value is
-    A_in.data[first[k]] * A_in.data[second[k]].
+    The x-space part of the Newton matrix is one 3x3 block per control
+    point p: its entries (3p + a, 3p + b), numbered 9p + 3a + b.  An
+    x-space entry (i, j) adds Z_ik Z_jl to the reduced entry (k, l).
+    Returns Z'HZ, the band's shape (r, bandwidth + 1), the band's constant
+    part Z'HZ flattened in that shape, and the map to_band from the
+    x-space entries to the flattened band.
     """
-    H, A_in, Z = H.M, A_pattern.M, Z.M
     H_red = (Z.T @ H @ Z).tocsr()
-    n, r = Z.shape
-    rows = np.arange(A_in.shape[0])
-    row, first, second = _pair_products(A_in, rows, rows)
-    entry = A_in.indices[first] * n + A_in.indices[second]
-    entries, slot = np.unique(entry, return_inverse=True)
-    # each (entry, row) pair occurs once, so the stored values are a
-    # permutation of the pair numbers
-    to_x = sp.csr_matrix(
-        (np.arange(row.size, dtype=float), (slot, row)), shape=(entries.size, A_in.shape[0])
-    )
-    order = to_x.data.astype(np.intp)
-    pair, zi, zj = _pair_products(Z, entries // n, entries % n)
+    r = Z.shape[1]
+    point, a, b = np.meshgrid(np.arange(Z.shape[0] // 3), np.arange(3), np.arange(3), indexing="ij")
+    entry, zi, zj = _pair_products(Z, (3 * point + a).ravel(), (3 * point + b).ravel())
     k, l = Z.indices[zi], Z.indices[zj]
     upper = k <= l
     h = sp.triu(H_red).tocoo()
@@ -486,11 +462,11 @@ def _newton_maps(H, A_pattern, Z):
         return i * (bw + 1) + j - i
 
     to_band = sp.csr_matrix(
-        ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], pair[upper])),
-        shape=(r * (bw + 1), entries.size),
+        ((Z.data[zi] * Z.data[zj])[upper], (band_index(k, l)[upper], entry[upper])),
+        shape=(r * (bw + 1), 9 * point.shape[0]),
     )
     const = np.bincount(band_index(h.row, h.col), weights=h.data, minlength=r * (bw + 1))
-    return H_red, (r, bw + 1), const, to_band, to_x, first[order], second[order]
+    return H_red, (r, bw + 1), const, to_band
 
 
 class _BandedNewton:
@@ -498,11 +474,11 @@ class _BandedNewton:
     x = x0 + Z c, sharing H and Z, whose Newton matrices
     Z'(H + A_in' W A_in)Z are banded in natural order.
 
-    A subclass sets H (Z'HZ), band_shape, const and to_band from
-    _newton_maps, and supplies ineq(c) = A_in Z c, ineq_t(z) = Z'A_in' z,
-    and entries(w), the x-space entries of A_in' W A_in in to_band's
-    order.  Every product and factorization is per instance, so an
-    instance's numbers do not depend on the rest of its batch.
+    A subclass sets H (Z'HZ) and supplies ineq(c) = A_in Z c,
+    ineq_t(z) = Z'A_in' z, and bands(w): per instance its Newton matrix
+    for W = diag(w[t]) in lower band storage, (bandwidth + 1, r) with the
+    diagonal in row 0.  Every product and factorization is per instance,
+    so an instance's numbers do not depend on the rest of its batch.
     """
 
     def hess(self, c):
@@ -514,9 +490,7 @@ class _BandedNewton:
         per instance its factor and its unregularized band, or None where
         the factorization broke down."""
         factors = []
-        for band in self.const + _apply(self.to_band, self.entries(w)):
-            # lower band storage, (bandwidth + 1, r): row 0 is the diagonal
-            band = band.reshape(self.band_shape).T
+        for band in self.bands(w):
             ab = band.copy(order="F")
             ab[0] += _KKT_DELTA
             # the lower form: OpenBLAS threads the upper form's rank-one
@@ -536,9 +510,9 @@ class _BandedNewton:
             # LAPACK rejects an empty right-hand side: with no free
             # coordinate (one piece fixed by its rest endpoints) the step is empty
             return r
-        bw = self.band_shape[1] - 1
         out = np.empty_like(r)
         for t, ((chol, band), rhs) in enumerate(zip(factors, r)):
+            bw = band.shape[0] - 1
             dc = dpbtrs(chol, rhs, lower=1)[0]
             for _ in range(2):
                 dc = dc + dpbtrs(chol, rhs - dsbmv(bw, 1.0, band, dc, lower=1), lower=1)[0]
@@ -546,22 +520,20 @@ class _BandedNewton:
         return out
 
 
-class _ReducedProgram(_BandedNewton):
+class _GeneralProgram(_BandedNewton):
     """One QP with general sparse rows, as a batch of one.
 
-    The band and two fixed sparse maps come from _newton_maps; only the
-    values of A_in are the program's own.
+    Each Newton step forms Z'(H + A_in' W A_in)Z by sparse products and
+    scatters its upper triangle into lower band storage, whose bandwidth
+    is the widest that any positive w can fill.
     """
 
     def __init__(self, H, A_in, Z):
-        self.H, self.band_shape, self.const, self.to_band, to_x, first, second = _newton_maps(
-            _Contents(H), _Contents(A_in, values=False), _Contents(Z)
-        )
-        self.to_x = sp.csr_matrix(
-            (A_in.data[first] * A_in.data[second], to_x.indices, to_x.indptr), shape=to_x.shape
-        )
+        self.H = (Z.T @ H @ Z).tocsr()
         self.A = (A_in @ Z).tocsr()
         self.AT = self.A.T.tocsr()
+        pattern = sp.triu(abs(self.AT) @ abs(self.A) + abs(self.H)).tocoo()
+        self.bw = int(np.max(pattern.col - pattern.row, initial=0))
 
     def ineq(self, c):
         return _apply(self.A, c)
@@ -569,8 +541,12 @@ class _ReducedProgram(_BandedNewton):
     def ineq_t(self, z):
         return _apply(self.AT, z)
 
-    def entries(self, w):
-        return _apply(self.to_x, w)
+    def bands(self, w):
+        out = np.zeros((w.shape[0], self.bw + 1, self.H.shape[0]))
+        for band, wt in zip(out, w):
+            m = sp.triu(self.H + self.AT @ sp.diags(wt) @ self.A).tocoo()
+            band[m.col - m.row, m.row] = m.data
+        return out
 
 
 class _FacesProgram(_BandedNewton):
@@ -580,19 +556,12 @@ class _FacesProgram(_BandedNewton):
     products run piece by piece as small dense matmuls: x = Z c, then the
     faces (T, P, F, 3) against the points (T, P, q, 3).  The x-space part
     of the Newton matrix is one 3x3 block per control point, which one
-    matmul of the weights with the faces' outer products gives.
+    matmul of the weights with the faces' outer products gives, and
+    _newton_maps' to_band carries those blocks to the band.
     """
 
     def __init__(self, batch):
-        n = batch.x0.shape[1]
-        # one row per control point over its 3 coordinates: the x-space
-        # entries are then those blocks, point by point
-        points = sp.csr_matrix(
-            (np.ones(n), np.arange(n), np.arange(0, n + 1, 3)), shape=(n // 3, n)
-        )
-        self.H, self.band_shape, self.const, self.to_band, *_ = _newton_maps(
-            _Contents(batch.H), _Contents(points, values=False), _Contents(batch.Z)
-        )
+        self.H, self.band_shape, self.const, self.to_band = _newton_maps(batch.H, batch.Z)
         self.Z, self.ZT = batch.Z, batch.Z.T.tocsr()
         self.normals, self.points = batch.normals, batch.points
         self.faces = np.ascontiguousarray(batch.faces)
@@ -606,9 +575,10 @@ class _FacesProgram(_BandedNewton):
     def ineq_t(self, z):
         return _apply(self.ZT, _face_rows_t(self.normals, z, self.points))
 
-    def entries(self, w):
+    def bands(self, w):
         T, P, F, _ = self.normals.shape
-        return (w.reshape(T, P, self.points, F) @ self.outer).reshape(T, -1)
+        blocks = (w.reshape(T, P, self.points, F) @ self.outer).reshape(T, -1)
+        return (self.const + _apply(self.to_band, blocks)).reshape(T, *self.band_shape).swapaxes(1, 2)
 
     def take(self, keep):
         part = copy.copy(self)
@@ -650,7 +620,7 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
         raise QPInfeasibleError("primal infeasible: the equality rows admit no point")
     H = sp.csr_matrix(qp.H)
     A_in = sp.csr_matrix(qp.A_in)
-    program = _ReducedProgram(H, A_in, qp.Z)
+    program = _GeneralProgram(H, A_in, qp.Z)
     g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
     b = (qp.b_in - A_in @ qp.x0)[None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -730,6 +700,7 @@ def _ipm(program, g, b_in, x):
     stall = np.zeros(x.shape[0], dtype=int)
     steps = np.zeros(x.shape[0], dtype=int)
     stops = np.full(x.shape[0], "max_iter", dtype=object)
+    floor = np.finfo(float).eps * _largest(_norm(g), _norm(b_in))
     live = np.arange(x.shape[0])
     for _ in range(_IPM_MAX_ITER):
         r_d = program.hess(x) + g + program.ineq_t(z)
@@ -744,7 +715,8 @@ def _ipm(program, g, b_in, x):
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
         state = (x, s, z, g, b_in, r_d, r_in, mu)
-        why = np.select([~np.isfinite(res), stall[live] >= _IPM_STALL], ["nonfinite", "stall"], "")
+        stalled = (stall[live] >= _IPM_STALL) | (res <= floor[live])
+        why = np.select([~np.isfinite(res), stalled], ["nonfinite", "stall"], "")
         live, program, state = _leave(why, stops, live, program, state)
         if not live.size:
             break

@@ -26,6 +26,11 @@ import numpy as np
 from .bezier_opt import stacked_points
 
 GRAVITY = 9.81
+# how far below its threshold a sampled clearance, or how far outside the
+# workspace box a sample, may fall and still pass
+_PAIR_TOL = 1e-6
+_OBSTACLE_TOL = 1e-6
+_WORKSPACE_TOL = 1e-6
 
 _MOVES = (
     (0, 0, 0),
@@ -278,14 +283,12 @@ def validate_trajectories(
     expected_starts=None,
     expected_goals=None,
     sample_dt=1e-3,
-    pair_tol=1e-6,
-    obstacle_tol=1e-6,
-    workspace_tol=1e-6,
 ):
     """Full safety and smoothness audit of a trajectory set.
 
     Clearance thresholds are 2 for the pairwise ellipsoid metric and 1
-    for the scaled obstacle distance, each minus the stated tolerance.
+    for the scaled obstacle distance, each minus its tolerance (_PAIR_TOL,
+    _OBSTACLE_TOL); the workspace overrun may be at most _WORKSPACE_TOL.
     """
     ts, positions = sample_positions(trajectories, sample_dt)
     pair = pairwise_clearance_profile(positions, scenario.robot_ellipsoid)
@@ -309,9 +312,9 @@ def validate_trajectories(
                 endpoint_problems.append(f"robot {r} ends at {got} instead of {want}")
 
     ok = (
-        float(pair.min()) >= 2.0 - pair_tol
-        and float(obstacle.min()) >= 1.0 - obstacle_tol
-        and overrun <= workspace_tol
+        float(pair.min()) >= 2.0 - _PAIR_TOL
+        and float(obstacle.min()) >= 1.0 - _OBSTACLE_TOL
+        and overrun <= _WORKSPACE_TOL
         and not smooth
         and not endpoint_problems
     )

@@ -13,6 +13,8 @@ import pytest
 import scipy.sparse
 from scipy.interpolate import BSpline
 
+from test_opt_engine import assert_bands_match_dense
+
 from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
@@ -683,6 +685,15 @@ class TestSmoothingBatch:
             assert np.allclose(rows_t[t], rows.T @ z[t], rtol=1e-13, atol=1e-12)
             assert np.array_equal(batch.b_in[t], batch.instance(t).b_in)
         assert batch.A_in.shape == (2 * rows.shape[0], batch.x0.size)
+
+    def test_newton_bands_match_dense_assembly(self, wall_round_zero, monkeypatch):
+        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch)
+        batch = calls[0][0]
+        T = batch.x0.shape[0]
+        w = np.random.default_rng(7).uniform(0.1, 10.0, size=(T, batch.A_in.shape[0] // T))
+        rows = (batch.instance(t).A_in.toarray() for t in range(T))
+        program = opt_engine._FacesProgram(batch)
+        assert_bands_match_dense(program, batch.H.toarray(), rows, batch.Z.toarray(), w)
 
     def test_infeasible_robot_fails_alone(self, wall_round_zero):
         starts, goals, durations, corridors, *rest = wall_round_zero

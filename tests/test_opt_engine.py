@@ -256,32 +256,48 @@ class TestQP:
         np.linalg.cholesky(H + 1e-8 * np.eye(H.shape[0]))  # the whole-matrix test agrees
         QuadraticProgram(H, np.zeros(H.shape[0])).check_psd()
 
-    def test_programs_sharing_a_pattern_solve_as_alone(self):
-        # programs with one sparsity pattern share the Newton step's maps;
-        # each must still solve exactly as it does with nothing shared
+    def test_newton_bands_match_dense_assembly(self):
+        # a general program's Newton matrix in band storage, for a dense Z
+        # and for a sparse one whose matrix has a narrower band
         rng = np.random.default_rng(5)
-        n, r, m = 6, 4, 8
+        n, r, m = 12, 8, 20
+        M = rng.normal(size=(n, n))
+        cases = [(M @ M.T, rng.normal(size=(m, n)), rng.normal(size=(n, r)))]
+        # four 3-coordinate points, each row touching two neighbouring ones
+        H = scipy.linalg.block_diag(*(b @ b.T for b in rng.normal(size=(4, 3, 3))))
+        A = np.zeros((m, n))
+        for i, p in enumerate(rng.integers(0, 3, size=m)):
+            A[i, 3 * p : 3 * p + 6] = rng.normal(size=6)
+        cases.append((H, A, np.kron(np.eye(4), rng.normal(size=(3, 2)))))
+        for H, A, Z in cases:
+            program = opt_engine._GeneralProgram(*map(scipy.sparse.csr_matrix, (H, A, Z)))
+            w = rng.uniform(0.1, 10.0, size=(1, m))
+            assert_bands_match_dense(program, H, [A], Z, w)
+        assert program.bands(w).shape[1] < r
 
-        def program(H, A, Z):
-            x0 = rng.normal(size=n)
-            b = A @ (x0 + Z @ rng.normal(size=r)) + rng.uniform(0.1, 1.0, size=m)
-            return QuadraticProgram(H, rng.normal(size=n), A_in=A, b_in=b, Z=Z, x0=x0)
+    def test_residual_at_rounding_level_stops_as_stall(self):
+        # the row is slack (g = 0) or tight (g = (-2, 0)) at the optimum;
+        # either way the residual would keep shrinking toward underflow
+        for g, x in ((np.zeros(2), np.zeros(2)), (np.array([-2.0, 0.0]), np.array([1.0, 0.0]))):
+            res = solve_qp(QuadraticProgram(np.eye(2), g, A_in=[[1.0, 0.0]], b_in=[1.0]))
+            assert res.stop == "stall" and res.iterations < 20
+            assert np.abs(res.x - x).max() <= 1e-12
 
-        def spd():
-            M = rng.normal(size=(n, n))
-            return M @ M.T + np.eye(n)
 
-        H, A, Z = spd(), rng.normal(size=(m, n)), rng.normal(size=(n, r))
-        programs = [
-            program(H, A, Z),
-            program(H, rng.normal(size=(m, n)), Z),
-            program(H, A, rng.normal(size=(n, r))),
-            program(spd(), A, Z),
-        ]
-        shared = [solve_qp(qp).x for qp in programs]
-        for qp, x in zip(programs, shared):
-            opt_engine._newton_maps.cache_clear()
-            assert np.array_equal(solve_qp(qp).x, x)
+def dense_from_band(band):
+    """The symmetric matrix whose lower band storage, (bandwidth + 1, r)
+    with the diagonal in row 0, is band."""
+    r = band.shape[1]
+    M = sum(np.diag(row[: r - d], -d) for d, row in enumerate(band))
+    return M + np.tril(M, -1).T
+
+
+def assert_bands_match_dense(program, H, A, Z, w):
+    """Each instance t's program.bands(w) against Z'(H + A_t' diag(w_t) A_t)Z
+    built dense, to 1e-12 relative; A yields each instance's rows."""
+    for band, a, wt in zip(program.bands(w), A, w, strict=True):
+        want = Z.T @ (H + a.T @ (wt[:, None] * a)) @ Z
+        assert np.abs(dense_from_band(band) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class DenseBatch:
