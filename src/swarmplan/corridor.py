@@ -7,7 +7,10 @@ are mutually collision free for the entire piece.  The planes come from
 ellipsoid-weighted margin separation of the robots' occupied point sets
 (segment endpoints on the first pass, curve samples afterwards).
 Obstacle boxes contribute one supporting face each, pushed off the box
-by the clearance radius, and the workspace box caps every corridor.
+by the clearance radius, and the workspace box caps every corridor.  A
+corridor is the workspace faces followed by every accepted separator
+face; faces implied by the others are kept, since they leave the point
+set, and so the smoothing optimum, unchanged.
 
 Pairs whose point sets are too close for a margin plane are reported
 back instead of failing: those robots fall back to the synchronized
@@ -83,7 +86,8 @@ def prune_faces(poly, keep=None):
     """Drop faces implied by the others (tested by one LP per face).
 
     keep marks faces that must survive regardless, e.g. the workspace
-    box that guarantees boundedness.
+    box that guarantees boundedness.  build_corridors does not call it:
+    the tests use it as the reference for corridors with redundant faces.
     """
     m = poly.num_faces
     if m <= _FACE_PRUNE_THRESHOLD:
@@ -175,12 +179,11 @@ def build_corridors(point_sets, scenario, skip_pairs=frozenset()):
     for robot in range(n):
         per_piece = []
         for k in range(num_pieces):
-            poly = ConvexPolyhedron(
-                np.concatenate(faces_a[robot][k], axis=0),
-                np.concatenate(faces_b[robot][k], axis=0),
+            per_piece.append(
+                ConvexPolyhedron(
+                    np.concatenate(faces_a[robot][k], axis=0),
+                    np.concatenate(faces_b[robot][k], axis=0),
+                )
             )
-            keep = np.zeros(poly.num_faces, dtype=bool)
-            keep[: ws_a.shape[0]] = True
-            per_piece.append(prune_faces(poly, keep))
         polyhedra.append(per_piece)
     return CorridorSet(polyhedra, failed_pairs, failed_robots)

@@ -51,6 +51,12 @@ SINK = 1
 # intra and w(goal,K) -> sink
 ARC_SOURCE, ARC_INTRA, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_HOLD, ARC_SINK = range(7)
 
+# the makespan search gives up beyond this many times the grid's Manhattan
+# diameter in steps
+_STEP_CAP_PER_DIAMETER = 10
+# branch-and-cut nodes allowed per candidate makespan
+_NODE_LIMIT = 20000
+
 
 class DiscreteInfeasibleError(Exception):
     """No synchronized grid plan exists within the step budget."""
@@ -510,7 +516,7 @@ def check_discrete_rules(cell_paths, scenario):
     return problems
 
 
-def lower_bound_makespan(scenario, env=None, k_max=None):
+def lower_bound_makespan(scenario, env=None):
     """Smallest K whose conflict-free time expansion routes all robots.
 
     Downwash rows only remove flow, so this bounds the true optimum from
@@ -519,7 +525,7 @@ def lower_bound_makespan(scenario, env=None, k_max=None):
     env = env or EnvironmentGraph(scenario)
     _check_goal_reachability(scenario, env)
     n = scenario.num_robots
-    cap = k_max if k_max is not None else max(1, 10 * scenario.grid.manhattan_diameter)
+    cap = max(1, _STEP_CAP_PER_DIAMETER * scenario.grid.manhattan_diameter)
 
     def routable(K):
         graph = TimeExpandedGraph(scenario, env, K)
@@ -547,22 +553,22 @@ def lower_bound_makespan(scenario, env=None, k_max=None):
     return high
 
 
-def solve_discrete(scenario, k_max=None, node_limit=20000):
+def solve_discrete(scenario):
     """Makespan-optimal synchronized grid plan for a scenario.
 
     Searches K upward from the flow lower bound; the first K whose
     conflict-constrained program routes all robots is optimal.
     """
     env = EnvironmentGraph(scenario)
-    lb = lower_bound_makespan(scenario, env, k_max)
-    cap = k_max if k_max is not None else max(lb, 10 * scenario.grid.manhattan_diameter)
+    lb = lower_bound_makespan(scenario, env)
+    cap = max(lb, _STEP_CAP_PER_DIAMETER * scenario.grid.manhattan_diameter)
     n = scenario.num_robots
 
     for K in range(lb, cap + 1):
         graph = TimeExpandedGraph(scenario, env, K)
         try:
             result = opt_engine.solve_ilp(
-                graph.binary_program(), target=n, node_limit=node_limit
+                graph.binary_program(), target=n, node_limit=_NODE_LIMIT
             )
         except ILPInfeasibleError:
             continue

@@ -12,8 +12,10 @@ That SVM is a distance problem.  In coordinates scaled by E^-1 its
 optimum is determined by the min-norm point of the difference of the two
 sets' convex hulls, which a batched Gilbert-Johnson-Keerthi iteration
 finds exactly, with the duality gap as its certificate (Gilbert, Johnson
-& Keerthi 1988; Wolfe 1976).  Every plane it returns is then checked
-against both point sets.
+& Keerthi 1988; Wolfe 1976).  GJK ends in finitely many steps on point
+sets, so an instance still running at the iteration cap is reported as a
+failed separator, like an overlap; there is no second solver behind it.
+Every plane it returns is then checked against both point sets.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import opt_engine
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ _FACE_MEMBERS = np.array([np.isin(range(4), face) for faces in _FACES for face i
 # an instance stops once its duality gap |v|^2 - min_y v.y is at most this
 # fraction of |v|^2
 _GAP_TOL = 1e-12
-# instances still running after this many steps go to the interior point;
-# the wall scenario needs at most 16
+# an instance still running after this many steps is a failed separator
+# (guards against cycling in floating point); the wall scenario needs at
+# most 16
 _MIN_NORM_MAX_ITER = 64
 # a face is affinely dependent when the sine between its edges (triangles)
 # or its volume relative to its edge lengths (tetrahedra) is below this
@@ -241,8 +242,8 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     E alpha_raw = u = 2w/|w|^2 for the min-norm point w of
     conv(B) - conv(A), beta_raw puts the plane midway between the sets
     along u, and enorm = 2/|w|.  w comes from a batched GJK
-    (_min_norm_points); an instance it leaves at the iteration cap is
-    solved as a QP by opt_engine.solve_qp_batch.
+    (_min_norm_points); an instance it leaves at the iteration cap is not
+    ok, as is one whose hulls overlap.
     """
     A_sets = np.asarray(A_sets, dtype=float)
     B_sets = np.asarray(B_sets, dtype=float)
@@ -263,10 +264,6 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     ok = status == 0
     alpha_raw[~ok] = 0.0
     beta_raw[~ok] = 0.0
-    capped = np.flatnonzero(status == 2)
-    if capped.size:
-        alpha_raw[capped], beta_raw[capped], ok[capped] = _margin_qp(A_c[capped], B_c[capped], ellipsoid)
-
     enorm = np.linalg.norm(alpha_raw * radii, axis=1)
     norms = np.linalg.norm(alpha_raw, axis=1)
     safe = np.maximum(norms, 1e-300)
@@ -279,18 +276,3 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     margin = (1.0 - _MARGIN_RTOL) / safe
     ok &= (side[:, :mA].max(axis=1) <= beta - margin) & (side[:, mA:].min(axis=1) >= beta + margin)
     return alpha, beta, enorm, ok
-
-
-def _margin_qp(A_c, B_c, ellipsoid):
-    """The margin SVM of each instance as a 4-variable QP over
-    (alpha_raw, beta_raw): returns alpha_raw, beta_raw and whether it solved."""
-    T, mA, _ = A_c.shape
-    H = np.zeros((4, 4))
-    H[:3, :3] = 2.0 * np.diag(np.square(ellipsoid.radii))
-    A_con = np.zeros((T, mA + B_c.shape[1], 4))
-    A_con[:, :mA, :3] = A_c
-    A_con[:, :mA, 3] = -1.0
-    A_con[:, mA:, :3] = -B_c
-    A_con[:, mA:, 3] = 1.0
-    x, _, status = opt_engine.solve_qp_batch(H, np.zeros(4), A_con, np.full(A_con.shape[:2], -1.0))
-    return x[:, :3], x[:, 3], status == "solved"

@@ -20,9 +20,7 @@ own and gets the answer it gets alone.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
-solve_qp at a time; the separating-hyperplane problems take it only for
-the rare instance their min-norm-point solver (geometry) leaves at its
-iteration cap.
+solve_qp at a time; no planner stage calls it.
 
 Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
 ILPs start from the root LP relaxation, solved by HiGHS' simplex: the

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -107,6 +108,23 @@ class TestJobs:
                 if rel == "refine_report.csv":
                     a, b = without_wall_time(a), without_wall_time(b)
                 assert a == b, rel
+
+
+class TestPillars:
+    def test_obstacle_rich_scene_plans_and_validates(self, tmp_path, capsys):
+        # 64 pillar boxes put more than 64 faces in every corridor
+        scenario = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "pillars_6.json")
+        out = tmp_path / "pillars"
+        assert main(["plan", "--scenario", scenario, "--out", str(out), "--iterations", "2"]) == 0
+        with open(out / "validation.json") as f:
+            assert json.load(f)["ok"] is True
+        with open(out / "refine_report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(row["fallback_count"] == "0" and row["failed_count"] == "0" for row in rows)
+        capsys.readouterr()
+        assert main(["validate", "--scenario", scenario, "--trajectories", str(out / "trajectories")]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 class TestOracle:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from swarmplan.bezier_opt import BezierPiece, PiecewiseBezierTrajectory
+from swarmplan.bezier_opt import BezierPiece, PiecewiseBezierTrajectory, optimize_trajectory
 from swarmplan.corridor import (
     CorridorSet,
     build_corridors,
@@ -215,6 +215,41 @@ class TestBuildCorridors:
         corridors = build_corridors(sets, sc)
         assert 0 in corridors.failed_robots
         assert 1 not in corridors.failed_robots
+
+    def test_pillar_corridors_keep_every_face_and_the_smoothing_optimum(self):
+        # 64 pillar boxes: every corridor holds 6 workspace faces, 64
+        # obstacle faces and 1 pair face, above prune_faces' threshold; the
+        # robots turn corners between pillars, so the corridors bind
+        pillars = [(x, y, z) for x in range(1, 16, 2) for y in range(1, 16, 2) for z in (0, 1)]
+        paths = [
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 2, 0), (4, 2, 0)],
+            [(8, 8, 1), (8, 7, 1), (8, 6, 1), (9, 6, 1), (10, 6, 1), (10, 5, 1), (10, 4, 1)],
+        ]
+        sc = scenario(
+            dims=(17, 17, 2), obstacles=pillars,
+            starts=[p[0] for p in paths], goals=[p[-1] for p in paths],
+        )
+        assert len(sc.obstacle_boxes()) == 64
+        wp = np.array([[sc.grid.cell_center(c) for c in p] for p in paths])
+        corridors = build_corridors(segment_point_sets(wp), sc)
+        assert corridors.failed_pairs == set() and corridors.failed_robots == set()
+        ws_a, ws_b = workspace_faces(sc)
+        for robot in corridors.polyhedra:
+            for poly in robot:
+                assert poly.num_faces == 6 + 64 + 1
+                assert np.array_equal(poly.A[:6], ws_a) and np.array_equal(poly.b[:6], ws_b)
+        keep = np.arange(71) < 6
+        pruned = [[prune_faces(poly, keep) for poly in robot] for robot in corridors.polyhedra]
+        assert all(poly.num_faces < 71 for robot in pruned for poly in robot)
+        costs = []
+        for polys in (corridors.polyhedra, pruned, [[ConvexPolyhedron()] * 6] * 2):
+            out = optimize_trajectory(
+                wp[:, 0], wp[:, -1], [sc.dt] * 6, polys, sc.degree, sc.continuity, sc.weights
+            )
+            costs.append(np.array([traj.cost(sc.weights) for traj, _, _ in out]))
+        assert np.allclose(costs[0], costs[1], rtol=1e-8, atol=0.0)
+        # without corridors the curves cut through the pillars far cheaper
+        assert (costs[2] < 0.1 * costs[0]).all()
 
     def test_corridor_set_counts(self):
         cs = CorridorSet(polyhedra=[[ConvexPolyhedron()], [ConvexPolyhedron()]])

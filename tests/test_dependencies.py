@@ -1,4 +1,5 @@
-"""The package imports only numpy, scipy and the standard library."""
+"""The package imports only numpy, scipy and the standard library, and its
+modules keep their layering."""
 
 import ast
 import pathlib
@@ -26,3 +27,29 @@ def test_package_imports_only_numpy_scipy_and_the_standard_library():
     bad = {str(p.relative_to(PACKAGE)): outside_imports(p.read_text()) for p in modules}
     assert {name: found for name, found in bad.items() if found} == {}
 
+
+def package_imports(source):
+    """The swarmplan modules source imports, relatively or by absolute name,
+    sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("swarmplan.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("swarmplan"):
+                    continue
+                module = module[len("swarmplan"):].lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return sorted(found)
+
+
+def test_geometry_imports_nothing_from_opt_engine():
+    # separators are GJK alone: no QP solver stands behind them
+    assert "opt_engine" not in package_imports((PACKAGE / "geometry.py").read_text())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swarmplan.refine as refine_mod
+from swarmplan import geometry
 from swarmplan.bezier_opt import fallback_trajectory
 from swarmplan.corridor import CorridorSet
 from swarmplan.discrete_planner import solve_discrete
@@ -157,6 +158,58 @@ class TestDegradation:
         ]
         # robot 1 was never optimized, so it still flies the straight line
         assert result.rows[-1]["fallback_count"] == 1
+
+    def test_capped_separators_degrade_their_robots_and_say_so(self, small, monkeypatch):
+        # GJK capped at one step leaves the curve-sample separators of
+        # round 1 unsolved: they fail like any other separator
+        sc, plan = small
+        real = refine_mod.build_corridors
+        failed_pairs, failed_robots = set(), set()
+
+        def recorded(point_sets, scenario, skip_pairs=frozenset()):
+            out = real(point_sets, scenario, skip_pairs)
+            failed_pairs.update(out.failed_pairs)
+            failed_robots.update(out.failed_robots)
+            return out
+
+        monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
+        monkeypatch.setattr(refine_mod, "build_corridors", recorded)
+        accepted, messages = [], []
+        result = refine_trajectories(
+            plan, sc, iterations=2, log=messages.append,
+            on_accept=lambda it, t: accepted.append(t),
+        )
+        assert result.ok
+        assert result.validation.min_pair_clearance >= 2.0 - 1e-6
+        # the fixture has no obstacles, so only pair separators can fail
+        assert failed_pairs and not failed_robots
+        assert result.skip_pairs == failed_pairs
+        assert result.hard_fallback == {i for pair in failed_pairs for i in pair}
+        pinned = {}
+        for m in messages:
+            if "no margin plane for pairs" in m:
+                it = int(m.split()[1].rstrip(":"))
+                for pair in failed_pairs:
+                    if str(pair) in m:
+                        pinned.setdefault(pair, it)
+        assert set(pinned) == failed_pairs
+        # a pinned robot flies the straight line, or, when the round that
+        # pinned it was rejected, the curve accepted before that round
+        for (i, j), it in pinned.items():
+            for robot in (i, j):
+                straight = fallback_trajectory(
+                    plan.waypoints[robot],
+                    [plan.dt] * plan.num_segments,
+                    sc.degree,
+                    sc.continuity,
+                    sc.weights,
+                )
+                options = [straight] + ([accepted[it - 1][robot]] if it > 0 else [])
+                flown = result.trajectories[robot]
+                assert any(
+                    all(np.array_equal(p.points, q.points) for p, q in zip(flown.pieces, c.pieces))
+                    for c in options
+                )
 
     def test_infeasible_robot_keeps_previous_curve(self, small, monkeypatch):
         sc, plan = small
