@@ -209,7 +209,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--iterations", type=int, default=None, help="refinement budget")
     p.add_argument("--dt", type=float, default=None, help="override timestep seconds")
-    p.add_argument("--seed", type=int, default=0, help="accepted for reproducibility bookkeeping; the pipeline is deterministic")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; each refinement round solves its robots' programs as one batch in this process")
     p.add_argument(
         "--scale-to-accel-limit",

@@ -12,9 +12,10 @@ corridor is the workspace faces followed by every accepted separator
 face; faces implied by the others are kept, since they leave the point
 set, and so the smoothing optimum, unchanged.
 
-Pairs whose point sets are too close for a margin plane are reported
-back instead of failing: those robots fall back to the synchronized
-straight-line motion whose safety the grid plan already guarantees.
+Separators that fail (a pair too close for a margin plane, or a robot
+too close to an obstacle) are reported back instead of raising: the
+robots they bound get no full corridor that round and keep their
+current curves, against which every other corridor is built.
 """
 
 from __future__ import annotations
@@ -112,19 +113,17 @@ def prune_faces(poly, keep=None):
     return ConvexPolyhedron(poly.A[alive], poly.b[alive])
 
 
-def build_corridors(point_sets, scenario, skip_pairs=frozenset()):
+def build_corridors(point_sets, scenario):
     """Corridors for every robot and piece from their occupied point sets.
 
-    point_sets has shape (robots, pieces, m, 3).  skip_pairs lists robot
-    pairs already known to be inseparable; they get no mutual faces and
-    are not retried.
+    point_sets has shape (robots, pieces, m, 3).  Every pair and every
+    robot-obstacle pair is separated; failed_pairs and failed_robots
+    name those without a valid plane on some piece.
     """
     point_sets = np.asarray(point_sets, dtype=float)
     n, num_pieces, m, _ = point_sets.shape
     ell = scenario.robot_ellipsoid
     obs_ell = scenario.obstacle_ellipsoid
-    r_obs = scenario.obstacle_radius
-    skip = {tuple(sorted(p)) for p in skip_pairs}
 
     ws_a, ws_b = workspace_faces(scenario)
     faces_a = [[[ws_a] for _ in range(num_pieces)] for _ in range(n)]
@@ -155,13 +154,12 @@ def build_corridors(point_sets, scenario, skip_pairs=frozenset()):
             faces_a[robot][k].append(a[None, :])
             faces_b[robot][k].append(np.array([offset]))
 
-    pairs = [
-        (i, j)
+    jobs = [
+        (i, j, k)
         for i, j in itertools.combinations(range(n), 2)
-        if (i, j) not in skip
+        for k in range(num_pieces)
     ]
-    if pairs:
-        jobs = [(i, j, k) for i, j in pairs for k in range(num_pieces)]
+    if jobs:
         a_sets = np.array([point_sets[i, k] for i, _, k in jobs])
         b_sets = np.array([point_sets[j, k] for _, j, k in jobs])
         alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, ell)

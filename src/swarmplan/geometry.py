@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# boundary slack of the contact test and of polytope membership
+_BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -38,10 +41,6 @@ class Ellipsoid:
             raise ValueError("radii must be three positive numbers")
         object.__setattr__(self, "radii", r)
 
-    @property
-    def matrix(self):
-        return np.diag(self.radii)
-
     def scale_inv(self, v):
         """Apply E^-1 to the last axis of v."""
         return np.asarray(v, dtype=float) / np.asarray(self.radii)
@@ -52,10 +51,10 @@ class Ellipsoid:
         return float(np.linalg.norm(d * np.asarray(self.radii)))
 
 
-def collision_free(p, q, ellipsoid, tol=1e-9):
+def collision_free(p, q, ellipsoid):
     """True iff ||E^-1 (p - q)|| >= 2 (boundary contact counts as free)."""
     d = ellipsoid.scale_inv(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
-    return float(np.linalg.norm(d)) >= 2.0 - tol
+    return float(np.linalg.norm(d)) >= 2.0 - _BOUNDARY_TOL
 
 
 @dataclass
@@ -75,10 +74,10 @@ class ConvexPolyhedron:
     def num_faces(self):
         return self.A.shape[0]
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         if self.num_faces == 0:
             return True
-        return bool((self.A @ np.asarray(x, dtype=float) <= self.b + tol).all())
+        return bool((self.A @ np.asarray(x, dtype=float) <= self.b + _BOUNDARY_TOL).all())
 
     def max_violation(self, points):
         if self.num_faces == 0:

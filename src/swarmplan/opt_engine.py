@@ -301,6 +301,10 @@ class QPBatchResult:
     polished: bool = False
 
 
+# row slack within which a binary point satisfies its ILP
+_ILP_FEAS_TOL = 1e-6
+
+
 @dataclass
 class BinaryILP:
     """max c'z  s.t.  A_eq z = b_eq,  A_in z <= b_in,  z binary."""
@@ -323,11 +327,11 @@ class BinaryILP:
     def n(self):
         return self.c.shape[0]
 
-    def feasible(self, z, tol=1e-6):
+    def feasible(self, z):
         z = np.asarray(z, dtype=float)
-        if self.A_eq.shape[0] and np.abs(self.A_eq @ z - self.b_eq).max() > tol:
+        if self.A_eq.shape[0] and np.abs(self.A_eq @ z - self.b_eq).max() > _ILP_FEAS_TOL:
             return False
-        if self.A_in.shape[0] and (self.A_in @ z - self.b_in).max() > tol:
+        if self.A_in.shape[0] and (self.A_in @ z - self.b_in).max() > _ILP_FEAS_TOL:
             return False
         return True
 

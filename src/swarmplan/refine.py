@@ -10,14 +10,15 @@ independent (each sees only its own corridors), so one optimize_trajectory
 call per round solves them together as one batched interior point, in
 this process.  Each robot's curve is the one it gets when solved alone.
 
-Failures degrade per robot instead of aborting: a pair whose occupied
-sets admit no margin plane is pinned to the straight-line fallback for
-good, a robot with a failed obstacle separator or an infeasible program
-keeps its previous curve (each is logged), and a whole round is discarded,
-ending refinement, if the resulting set does not validate or costs more
-than the set it would replace (by more than a relative 1e-12, so rounding
-alone never ends it).  The result is usable after any round and
-only improves with more of them.
+Failures degrade per robot instead of aborting, by one rule: a robot
+without a full corridor (a pair or obstacle separator failed) or with an
+infeasible program keeps the curve it flies now, the straight line in
+round zero (each is logged).  Every pair is tried again in every round,
+and the other robots' corridors are built against the kept curves.  A
+whole round is discarded, ending refinement, if the resulting set does
+not validate or costs more than the set it would replace (by more than a
+relative 1e-12, so rounding alone never ends it).  The result is usable
+after any round and only improves with more of them.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class RefinementResult:
     trajectories: list
     validation: object
     rows: list = field(default_factory=list)
-    hard_fallback: set = field(default_factory=set)
-    skip_pairs: set = field(default_factory=set)
 
     @property
     def ok(self):
@@ -102,45 +101,33 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
     if not validation.ok:
         # The grid plan's own margins should make this impossible; hand
         # back the evidence rather than trying to repair it here.
-        return RefinementResult(best, validation, rows, set(), set())
+        return RefinementResult(best, validation, rows)
 
-    hard_fallback = set()
-    skip_pairs = set()
     prev_cost = None
     for it in range(iterations):
         t0 = time.perf_counter()
 
-        # corridors must describe what each robot will actually fly;
-        # rebuild whenever a new failure re-pins someone to the lines
-        for _ in range(n + 1):
-            if it == 0:
-                point_sets = segment_point_sets(plan.waypoints)
-            else:
-                flown = [
-                    straight[i] if i in hard_fallback else best[i]
-                    for i in range(n)
-                ]
-                point_sets = sample_point_sets(flown, scenario.samples_per_piece)
-            corridors = build_corridors(point_sets, scenario, skip_pairs)
-            new_pairs = corridors.failed_pairs - skip_pairs
-            if not new_pairs:
-                break
-            skip_pairs |= new_pairs
-            for i, j in new_pairs:
-                hard_fallback.update((i, j))
-            emit(f"iteration {it}: no margin plane for pairs {sorted(new_pairs)}")
+        # corridors must describe what each robot will actually fly
+        if it == 0:
+            point_sets = segment_point_sets(plan.waypoints)
+        else:
+            point_sets = sample_point_sets(best, scenario.samples_per_piece)
+        corridors = build_corridors(point_sets, scenario)
 
+        # a robot without a full corridor keeps the curve it flies now
+        paired = {i for pair in corridors.failed_pairs for i in pair}
+        for robots, reason in (
+            (corridors.failed_robots, "an obstacle separator failed"),
+            (paired, f"no margin plane for pairs {sorted(corridors.failed_pairs)}"),
+        ):
+            if robots:
+                emit(
+                    f"iteration {it}: robots {sorted(robots)} frozen on their "
+                    f"previous curves: {reason}"
+                )
+        blocked = corridors.failed_robots | paired
         candidates = list(best)
-        for i in hard_fallback:
-            candidates[i] = straight[i]
-
-        frozen = sorted(corridors.failed_robots - hard_fallback)
-        if frozen:
-            emit(
-                f"iteration {it}: robots {frozen} frozen on their previous "
-                f"curves: an obstacle separator failed"
-            )
-        free = [i for i in range(n) if i not in hard_fallback and i not in frozen]
+        free = [i for i in range(n) if i not in blocked]
         results = optimize_trajectory(
             starts[free],
             goals[free],
@@ -196,4 +183,4 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
                 break
         prev_cost = cost
 
-    return RefinementResult(best, validation, rows, hard_fallback, skip_pairs)
+    return RefinementResult(best, validation, rows)

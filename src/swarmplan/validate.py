@@ -31,6 +31,9 @@ GRAVITY = 9.81
 _PAIR_TOL = 1e-6
 _OBSTACLE_TOL = 1e-6
 _WORKSPACE_TOL = 1e-6
+# endpoint-rest and knot-jump tolerance, relative to each order's scale
+_SMOOTHNESS_TOL = 1e-5
+_ORACLE_MAX_STATES = 2_000_000
 
 _MOVES = (
     (0, 0, 0),
@@ -47,7 +50,7 @@ class OracleBudgetError(Exception):
     """The joint-configuration search exceeded its state budget."""
 
 
-def mapf_oracle(scenario, max_states=2_000_000):
+def mapf_oracle(scenario):
     """Optimal number of synchronized steps, by joint-state search.
 
     Robots are interchangeable, so configurations are canonicalized as
@@ -121,9 +124,9 @@ def mapf_oracle(scenario, max_states=2_000_000):
             return len(path) - 1, path
         for nxt in successors(config):
             if nxt not in parent:
-                if len(parent) >= max_states:
+                if len(parent) >= _ORACLE_MAX_STATES:
                     raise OracleBudgetError(
-                        f"joint search exceeded {max_states} states"
+                        f"joint search exceeded {_ORACLE_MAX_STATES} states"
                     )
                 parent[nxt] = config
                 queue.append(nxt)
@@ -135,11 +138,11 @@ def _sample_times(duration, sample_dt):
     return np.linspace(0.0, duration, count)
 
 
-def sample_positions(trajectories, sample_dt=1e-3, order=0):
+def sample_positions(trajectories, sample_dt=1e-3):
     """Stacked samples (robots, times, 3) on the common time grid."""
     duration = max(t.duration for t in trajectories)
     ts = _sample_times(duration, sample_dt)
-    return ts, np.stack([t.evaluate_many(ts, order) for t in trajectories])
+    return ts, np.stack([t.evaluate_many(ts) for t in trajectories])
 
 
 def pairwise_clearance_profile(positions, ellipsoid):
@@ -216,7 +219,7 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     return peak
 
 
-def smoothness_report(trajectories, continuity, tol=1e-5):
+def smoothness_report(trajectories, continuity):
     """Endpoint rest and knot continuity violations, scaled relative to
     the largest derivative magnitude of the same order.
 
@@ -235,13 +238,13 @@ def smoothness_report(trajectories, continuity, tol=1e-5):
         for order in range(1, continuity + 1):
             for label, point in (("start", heads[order][0]), ("end", tails[order][-1])):
                 v = np.linalg.norm(point)
-                if v > tol * scales[order]:
+                if v > _SMOOTHNESS_TOL * scales[order]:
                     problems.append(
                         f"robot {r} order-{order} derivative at {label} is {v:.3e}"
                     )
         # (order, knot) gaps between each piece's end and the next one's start
         gaps = np.linalg.norm(np.array(tails)[:, :-1] - np.array(heads)[:, 1:], axis=2)
-        for k, order in zip(*np.nonzero(gaps.T > tol * np.array(scales))):
+        for k, order in zip(*np.nonzero(gaps.T > _SMOOTHNESS_TOL * np.array(scales))):
             problems.append(
                 f"robot {r} order-{order} jump {gaps[order, k]:.3e} at knot {k + 1}"
             )

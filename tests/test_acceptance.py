@@ -419,9 +419,7 @@ def test_11_planning_artifacts_are_byte_reproducible(tmp_path):
     outs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        code = cli_main(
-            ["plan", "--scenario", scenario, "--out", str(out), "--seed", "0"]
-        )
+        code = cli_main(["plan", "--scenario", scenario, "--out", str(out)])
         assert code == 0
         outs.append(out)
 
@@ -471,11 +469,10 @@ def test_13_wall_round_zero_cost_reaches_reference(wall_run):
 
 
 def test_14_wall_refines_every_robot(wall_run):
-    # a failed obstacle separator freezes its robot on its previous curve
-    # for the round; on the bundled scenario every separator solves, so
-    # every robot is re-optimized in every round
-    result = wall_run["result"]
-    assert not result.hard_fallback
+    # a failed pair or obstacle separator freezes its robots on their
+    # previous curves for the round; on the bundled scenario every
+    # separator solves, so every robot is re-optimized in every round
+    assert all(row["fallback_count"] == 0 for row in wall_run["result"].rows)
     assert not [msg for msg in wall_run["log"] if "frozen" in msg or "keeps" in msg]
     iterates = wall_run["iterates"]
     assert len(iterates) >= 2

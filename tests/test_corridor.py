@@ -196,13 +196,6 @@ class TestBuildCorridors:
         # workspace faces still cap both corridors
         assert corridors.polyhedra[0][0].num_faces >= 6
 
-    def test_skip_pairs_not_retried(self):
-        sc = scenario()
-        seg = np.array([[[0.5, 0.5, 0.0], [1.0, 0.5, 0.0]]])
-        sets = np.stack([seg, seg])
-        corridors = build_corridors(sets, sc, skip_pairs={(0, 1)})
-        assert corridors.failed_pairs == set()
-
     def test_robot_through_obstacle_reported(self):
         sc = scenario(obstacles=[(1, 1, 0)])
         wp = np.array(

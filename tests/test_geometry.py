@@ -92,8 +92,10 @@ def shift_for_ellipsoids(plane, ellipsoid):
 
 
 class TestEllipsoid:
-    def test_matrix_is_diagonal_radii(self):
-        assert np.allclose(ELL.matrix, np.diag([0.12, 0.12, 0.3]))
+    def test_radii_are_stored_as_floats(self):
+        ell = Ellipsoid(np.array([1, 2, 3]))
+        assert ell.radii == (1.0, 2.0, 3.0)
+        assert all(type(r) is float for r in ell.radii)
 
     def test_scale_inv_divides_componentwise(self):
         v = np.array([0.12, 0.24, 0.3])

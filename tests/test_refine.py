@@ -29,6 +29,17 @@ def small():
     return sc, plan
 
 
+@pytest.fixture(scope="module")
+def trio():
+    sc = ScenarioSpec(
+        grid=GridSpec(dims=(3, 3, 1), cell_size=0.5),
+        starts=[(0, 0, 0), (2, 0, 0), (1, 2, 0)],
+        goals=[(2, 2, 0), (0, 2, 0), (1, 0, 0)],
+    )
+    plan = solve_discrete(sc).postprocessed()
+    return sc, plan
+
+
 class TestRefine:
     def test_result_traces_plan_and_validates(self, small):
         sc, plan = small
@@ -75,7 +86,6 @@ class TestRefine:
         result = refine_trajectories(plan, sc, iterations=0)
         assert result.ok
         assert result.rows == []
-        assert result.hard_fallback == set()
 
     def test_relative_cost_stop(self, small):
         sc, plan = small
@@ -110,19 +120,16 @@ class TestDegradation:
         sc, plan = small
         real = refine_mod.build_corridors
 
-        def flaky(point_sets, scenario, skip_pairs=frozenset()):
-            out = real(point_sets, scenario, skip_pairs)
-            if (0, 1) not in skip_pairs:
-                return CorridorSet(out.polyhedra, {(0, 1)}, out.failed_robots)
-            return out
+        def no_margin_plane_for_pair_0_1(point_sets, scenario):
+            out = real(point_sets, scenario)
+            return CorridorSet(out.polyhedra, {(0, 1)}, out.failed_robots)
 
-        monkeypatch.setattr(refine_mod, "build_corridors", flaky)
+        monkeypatch.setattr(refine_mod, "build_corridors", no_margin_plane_for_pair_0_1)
         result = refine_trajectories(plan, sc, iterations=2)
         assert result.ok
-        assert result.hard_fallback == {0, 1}
-        assert result.skip_pairs == {(0, 1)}
+        assert result.rows
         assert all(row["fallback_count"] == 2 for row in result.rows)
-        # pinned robots fly the straight-line construction exactly
+        # the pair is never optimized, so both robots fly the straight line exactly
         for i in range(2):
             straight = fallback_trajectory(
                 plan.waypoints[i],
@@ -131,19 +138,15 @@ class TestDegradation:
                 sc.continuity,
                 sc.weights,
             )
-            ts = np.linspace(0, straight.duration, 30)
-            assert np.allclose(
-                result.trajectories[i].evaluate_many(ts),
-                straight.evaluate_many(ts),
-                atol=1e-12,
-            )
+            for p, q in zip(result.trajectories[i].pieces, straight.pieces):
+                assert np.array_equal(p.points, q.points)
 
     def test_failed_obstacle_separator_freezes_robot_and_says_so(self, small, monkeypatch):
         sc, plan = small
         real = refine_mod.build_corridors
 
-        def no_obstacle_plane_for_robot_1(point_sets, scenario, skip_pairs=frozenset()):
-            out = real(point_sets, scenario, skip_pairs)
+        def no_obstacle_plane_for_robot_1(point_sets, scenario):
+            out = real(point_sets, scenario)
             return CorridorSet(out.polyhedra, out.failed_pairs, {1})
 
         monkeypatch.setattr(refine_mod, "build_corridors", no_obstacle_plane_for_robot_1)
@@ -161,55 +164,60 @@ class TestDegradation:
 
     def test_capped_separators_degrade_their_robots_and_say_so(self, small, monkeypatch):
         # GJK capped at one step leaves the curve-sample separators of
-        # round 1 unsolved: they fail like any other separator
+        # round 1 unsolved: they fail like any other separator, and the
+        # robots they bound keep their round-0 curves
         sc, plan = small
-        real = refine_mod.build_corridors
-        failed_pairs, failed_robots = set(), set()
-
-        def recorded(point_sets, scenario, skip_pairs=frozenset()):
-            out = real(point_sets, scenario, skip_pairs)
-            failed_pairs.update(out.failed_pairs)
-            failed_robots.update(out.failed_robots)
-            return out
-
         monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
-        monkeypatch.setattr(refine_mod, "build_corridors", recorded)
         accepted, messages = [], []
         result = refine_trajectories(
             plan, sc, iterations=2, log=messages.append,
             on_accept=lambda it, t: accepted.append(t),
         )
         assert result.ok
-        assert result.validation.min_pair_clearance >= 2.0 - 1e-6
-        # the fixture has no obstacles, so only pair separators can fail
-        assert failed_pairs and not failed_robots
-        assert result.skip_pairs == failed_pairs
-        assert result.hard_fallback == {i for pair in failed_pairs for i in pair}
-        pinned = {}
-        for m in messages:
-            if "no margin plane for pairs" in m:
-                it = int(m.split()[1].rstrip(":"))
-                for pair in failed_pairs:
-                    if str(pair) in m:
-                        pinned.setdefault(pair, it)
-        assert set(pinned) == failed_pairs
-        # a pinned robot flies the straight line, or, when the round that
-        # pinned it was rejected, the curve accepted before that round
-        for (i, j), it in pinned.items():
-            for robot in (i, j):
-                straight = fallback_trajectory(
-                    plan.waypoints[robot],
-                    [plan.dt] * plan.num_segments,
-                    sc.degree,
-                    sc.continuity,
-                    sc.weights,
-                )
-                options = [straight] + ([accepted[it - 1][robot]] if it > 0 else [])
-                flown = result.trajectories[robot]
-                assert any(
-                    all(np.array_equal(p.points, q.points) for p, q in zip(flown.pieces, c.pieces))
-                    for c in options
-                )
+        assert len(result.rows) == 2
+        assert [m for m in messages if "frozen" in m] == [
+            "iteration 1: robots [0, 1] frozen on their previous curves: "
+            "no margin plane for pairs [(0, 1)]"
+        ]
+        for old, new in zip(accepted[0], result.trajectories):
+            for p, q in zip(old.pieces, new.pieces):
+                assert np.array_equal(p.points, q.points)
+
+    def test_pair_failing_after_round_zero_degrades_only_its_robots(self, trio, monkeypatch):
+        sc, plan = trio
+        real = refine_mod.build_corridors
+        rounds = []
+
+        def no_margin_plane_for_pair_0_1_after_round_0(point_sets, scenario):
+            out = real(point_sets, scenario)
+            rounds.append(out)
+            if len(rounds) == 1:
+                return out
+            return CorridorSet(out.polyhedra, out.failed_pairs | {(0, 1)}, out.failed_robots)
+
+        monkeypatch.setattr(
+            refine_mod, "build_corridors", no_margin_plane_for_pair_0_1_after_round_0
+        )
+        accepted, messages = [], []
+        result = refine_trajectories(
+            plan, sc, iterations=2, log=messages.append,
+            on_accept=lambda it, t: accepted.append(t),
+        )
+        assert result.ok
+        assert not any("keeping previous" in m for m in messages)
+        assert len(result.rows) == 2 and len(accepted) == 2
+        assert (
+            "iteration 1: robots [0, 1] frozen on their previous curves: "
+            "no margin plane for pairs [(0, 1)]"
+        ) in messages
+
+        def same(a, b):
+            return all(np.array_equal(p.points, q.points) for p, q in zip(a.pieces, b.pieces))
+
+        # the pair keeps its round-0 curves bit for bit; robot 2 moves on
+        assert same(accepted[1][0], accepted[0][0])
+        assert same(accepted[1][1], accepted[0][1])
+        assert not same(accepted[1][2], accepted[0][2])
 
     def test_infeasible_robot_keeps_previous_curve(self, small, monkeypatch):
         sc, plan = small
@@ -230,10 +238,10 @@ class TestDegradation:
         sc, plan = small
         real = refine_mod.build_corridors
 
-        def infeasible_for_robot_1(point_sets, scenario, skip_pairs=frozenset()):
+        def infeasible_for_robot_1(point_sets, scenario):
             # same face count, so robot 1 stays in the batch: its first
             # piece must lie below the workspace box and inside it
-            out = real(point_sets, scenario, skip_pairs)
+            out = real(point_sets, scenario)
             poly = out.polyhedra[1][0]
             b = poly.b.copy()
             b[0] = -poly.b[3] - 1.0
