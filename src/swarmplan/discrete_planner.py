@@ -520,7 +520,10 @@ def lower_bound_makespan(scenario, env=None):
     """Smallest K whose conflict-free time expansion routes all robots.
 
     Downwash rows only remove flow, so this bounds the true optimum from
-    below.  Found by doubling then bisecting on K.
+    below.  The search starts at the hop bound: no K below the farthest
+    start's distance to its nearest goal, or the farthest goal's distance
+    to its nearest start, routes every robot.  From there the step above
+    it doubles until K routes, then K is bisected.
     """
     env = env or EnvironmentGraph(scenario)
     _check_goal_reachability(scenario, env)
@@ -532,18 +535,26 @@ def lower_bound_makespan(scenario, env=None):
         value, _ = opt_engine.max_flow(graph.flow_network())
         return value >= n
 
-    if routable(0):
-        return 0
-    low = 0  # known infeasible
-    high = 1
+    hops = max(
+        env.goal_dist[[env.index[s] for s in scenario.starts]].max(),
+        env.start_dist[[env.index[g] for g in scenario.goals]].max(),
+    )
+    too_far = DiscreteInfeasibleError(
+        f"not all robots can reach goals within {cap} steps; the grid may be "
+        f"too congested"
+    )
+    if hops > cap:
+        raise too_far
+    hops = int(hops)
+    low = hops - 1  # known infeasible
+    high = hops
+    step = 1
     while not routable(high):
         if high >= cap:
-            raise DiscreteInfeasibleError(
-                f"not all robots can reach goals within {cap} steps; the "
-                f"grid may be too congested"
-            )
+            raise too_far
         low = high
-        high = min(2 * high, cap)
+        high = min(hops + step, cap)
+        step *= 2
     while high - low > 1:
         mid = (low + high) // 2
         if routable(mid):

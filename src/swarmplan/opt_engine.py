@@ -23,12 +23,12 @@ unboundedness.  solve_qp_batch runs a batch of small programs one
 solve_qp at a time; no planner stage calls it.
 
 Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
-ILPs start from the root LP relaxation, solved by HiGHS' simplex: the
-time-expanded flow programs usually have an integral vertex there, which
-is returned as is.  Only a fractional root goes on to HiGHS' branch and
-cut (scipy.optimize.milp).  Both need vertex solutions and certified
-bounds, which an interior point on a degenerate flow polytope does not
-provide.
+ILPs start from the root LP relaxation, solved by HiGHS' dual simplex
+under a fixed iteration cap: the small time-expanded flow programs have an
+integral vertex there, which is returned as is.  A fractional root, or one
+that reaches the cap, goes on to HiGHS' branch and cut
+(scipy.optimize.milp).  Both need vertex solutions and certified bounds,
+which an interior point on a degenerate flow polytope does not provide.
 """
 
 from __future__ import annotations
@@ -865,18 +865,26 @@ def max_flow(network):
 
 # an LP bound within this of the target still admits it
 _ILP_GAP_TOL = 1e-6
+# dual simplex iterations allowed to the root LP.  The bundled scenarios'
+# root LPs are integral after 19 (handover_3), 409 (wall_windows_8) and 729
+# (pillars_6) iterations, so their plans stay the LP vertex; the fractional
+# 16- and 32-robot walls need 9,795 and 77,599, and 2,000 of them cost
+# about 0.3 s and 0.7 s there (2 cores) before branch and cut takes over.
+# The count is deterministic, so the cap decides the same way on every run.
+_ROOT_LP_MAX_ITER = 2000
 
 
 def solve_ilp(ilp, target=None, node_limit=100000):
     """Maximize a binary ILP; with target, only an optimum >= target counts.
 
-    The root LP relaxation is solved first with HiGHS' simplex: a vertex
-    that is already integral and feasible is returned as is (1 node), and a
-    root bound below target is infeasible without branching.  Otherwise
-    HiGHS' branch and cut (scipy.optimize.milp) solves the program, with
-    the row c'z >= target when a target is given.  Presolve stays off: on
-    the time-expanded flow programs it costs more time and memory than the
-    search it saves.
+    The root LP relaxation is solved first with HiGHS' simplex, for at
+    most _ROOT_LP_MAX_ITER iterations.  When it ends in time, a vertex that
+    is already integral and feasible is returned as is (1 node), and a root
+    bound below target is infeasible without branching.  Otherwise, and
+    whenever the LP reaches the cap, HiGHS' branch and cut
+    (scipy.optimize.milp) solves the program, with the row c'z >= target
+    when a target is given.  Presolve stays off: on the time-expanded flow
+    programs it costs more time and memory than the search it saves.
 
     Returns an ILPResult whose nodes counts the search nodes, root
     included.  Raises ILPInfeasibleError when no binary assignment (with
@@ -899,17 +907,21 @@ def solve_ilp(ilp, target=None, node_limit=100000):
         b_eq=ilp.b_eq if ilp.A_eq.shape[0] else None,
         bounds=(0.0, 1.0),
         method="highs",
+        options={"maxiter": _ROOT_LP_MAX_ITER},
     )
     if root.status == 2:
         raise ILPInfeasibleError("LP relaxation is infeasible")
-    if root.status != 0:
+    if root.status not in (0, 1):
         raise SolverError(f"LP relaxation failed with status {root.status}")
-    x, bound = root.x, -root.fun
-    if target is not None and bound < target - _ILP_GAP_TOL:
-        raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
-    z = np.round(x)
-    if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
-        return ILPResult(z.astype(int), float(ilp.c @ z), 1, 0.0)
+    # a capped LP (status 1) has neither a vertex nor a bound; branch and
+    # cut, with its target row, decides the program alone
+    if root.status == 0:
+        x, bound = root.x, -root.fun
+        if target is not None and bound < target - _ILP_GAP_TOL:
+            raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
+        z = np.round(x)
+        if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
+            return ILPResult(z.astype(int), float(ilp.c @ z), 1, 0.0)
 
     constraints = []
     if ilp.A_eq.shape[0]:

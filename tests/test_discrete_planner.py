@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from test_acceptance import random_team_scenario
 
-from swarmplan import discrete_planner
+from swarmplan import discrete_planner, opt_engine
 from swarmplan.discrete_planner import (
     DiscreteInfeasibleError,
     DiscretePlan,
@@ -250,8 +250,9 @@ class TestSolveDiscrete:
             pass
 
     def test_fractional_root_goes_to_branch_and_cut(self):
-        # two robots on two layers: the root LP of the K = 3 program is
-        # fractional, so the plan comes from HiGHS' branch and cut
+        # two robots on two layers: the root LP of the K = 3 program ends
+        # within the iteration cap at a fractional vertex, which is
+        # discarded, so the plan comes from HiGHS' branch and cut
         sc = scenario((3, 3, 2), [(1, 0, 0), (2, 2, 1)], [(0, 1, 1), (2, 2, 0)])
         env = EnvironmentGraph(sc)
         K = lower_bound_makespan(sc, env)
@@ -284,8 +285,8 @@ class TestSolveDiscrete:
 
     def test_two_layer_wall_cell_paths_are_pinned(self):
         # the wall with every start and goal copied one layer up, at z = 3:
-        # 16 robots whose root LP is fractional, so this pins the plan that
-        # HiGHS' branch and cut returns
+        # 16 robots whose root LP reaches the iteration cap, so this pins
+        # the plan that HiGHS' branch and cut returns
         base = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
 
         def upper(cells):
@@ -298,6 +299,23 @@ class TestSolveDiscrete:
         assert plan.num_segments == 14
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
         assert digest == "2621be89344f37cc2cb58543898891ba935e08f44faa1354540b49e383e62be4"
+
+    @pytest.mark.parametrize("name", ["handover_3", "wall_windows_8", "pillars_6"])
+    def test_bundled_root_lps_end_within_half_the_cap(self, name):
+        # each bundled plan is its root LP's integral vertex; a cap low
+        # enough to stop one of these LPs would hand the plan to branch and
+        # cut and change every later stage of that scenario
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        env = EnvironmentGraph(sc)
+        K = solve_discrete(sc).num_segments
+        ilp = TimeExpandedGraph(sc, env, K).binary_program()
+        root = linprog(
+            -ilp.c, A_ub=ilp.A_in, b_ub=ilp.b_in, A_eq=ilp.A_eq, b_eq=ilp.b_eq,
+            bounds=(0, 1), method="highs",
+            options={"maxiter": opt_engine._ROOT_LP_MAX_ITER // 2},
+        )
+        assert root.status == 0
+        assert np.abs(root.x - np.round(root.x)).max() <= 1e-6
 
 
 class TestDiscretePlan:

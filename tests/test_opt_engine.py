@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 
 from swarmplan import opt_engine
@@ -451,6 +452,44 @@ def ilp_reference(ilp):
     return best
 
 
+def random_ilps():
+    """60 small random binary programs, some of them infeasible."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        c = rng.integers(-5, 6, size=n).astype(float)
+        m_in = int(rng.integers(0, 4))
+        A_in = rng.integers(-2, 3, size=(m_in, n)).astype(float)
+        b_in = rng.integers(0, 4, size=m_in).astype(float)
+        use_eq = rng.random() < 0.4
+        A_eq = rng.integers(0, 2, size=(1, n)).astype(float) if use_eq else None
+        b_eq = np.array([float(rng.integers(0, 3))]) if use_eq else None
+        yield BinaryILP(c, A_eq, b_eq, A_in, b_in)
+
+
+def exclusion_ilp():
+    """max z0 + z1 + z2 with pairwise exclusion: the root LP is
+    (1/2, 1/2, 1/2) with bound 3/2, the binary optimum is 1."""
+    return BinaryILP(
+        np.ones(3),
+        None,
+        None,
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+        np.ones(3),
+    )
+
+
+def assert_matches_reference(ilp):
+    ref = ilp_reference(ilp)
+    if ref is None:
+        with pytest.raises(ILPInfeasibleError):
+            solve_ilp(ilp)
+    else:
+        res = solve_ilp(ilp)
+        assert res.objective == pytest.approx(ref, abs=1e-6)
+        assert ilp.feasible(res.z)
+
+
 class TestILP:
     def test_simple_knapsack(self):
         # max z0 + 2 z1 + 3 z2 st z0 + z1 + z2 <= 2
@@ -466,36 +505,11 @@ class TestILP:
         assert ilp.feasible(res.z)
 
     def test_matches_exhaustive_enumeration(self):
-        rng = np.random.default_rng(17)
-        for _ in range(60):
-            n = int(rng.integers(2, 10))
-            c = rng.integers(-5, 6, size=n).astype(float)
-            m_in = int(rng.integers(0, 4))
-            A_in = rng.integers(-2, 3, size=(m_in, n)).astype(float)
-            b_in = rng.integers(0, 4, size=m_in).astype(float)
-            use_eq = rng.random() < 0.4
-            A_eq = rng.integers(0, 2, size=(1, n)).astype(float) if use_eq else None
-            b_eq = np.array([float(rng.integers(0, 3))]) if use_eq else None
-            ilp = BinaryILP(c, A_eq, b_eq, A_in, b_in)
-            ref = ilp_reference(ilp)
-            if ref is None:
-                with pytest.raises(ILPInfeasibleError):
-                    solve_ilp(ilp)
-            else:
-                res = solve_ilp(ilp)
-                assert res.objective == pytest.approx(ref, abs=1e-6)
-                assert ilp.feasible(res.z)
+        for ilp in random_ilps():
+            assert_matches_reference(ilp)
 
     def test_target_above_optimum_is_infeasible(self):
-        # max z0 + z1 + z2 with pairwise exclusion: the root LP is
-        # (1/2, 1/2, 1/2) with bound 3/2, the binary optimum is 1
-        ilp = BinaryILP(
-            np.ones(3),
-            None,
-            None,
-            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
-            np.ones(3),
-        )
+        ilp = exclusion_ilp()
         assert solve_ilp(ilp, target=1).objective == 1.0
         with pytest.raises(ILPInfeasibleError):
             solve_ilp(ilp, target=1.5)  # root bound meets it, branch and cut does not
@@ -544,6 +558,41 @@ def flow_reference(network):
         if ok and balance[network.sink] <= 0:
             best = max(best, balance[network.source])
     return best
+
+
+class TestCappedRootLP:
+    """A root LP that reaches the simplex iteration cap is discarded, and
+    branch and cut alone decides the program, target row included."""
+
+    @pytest.fixture(autouse=True)
+    def cap_at_one(self, monkeypatch):
+        monkeypatch.setattr(opt_engine, "_ROOT_LP_MAX_ITER", 1)
+        self.statuses = []
+
+        def linprog(*args, **kwargs):
+            res = scipy.optimize.linprog(*args, **kwargs)
+            self.statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(opt_engine, "linprog", linprog)
+
+    def test_target_meets_the_optimum(self):
+        assert solve_ilp(exclusion_ilp(), target=1).objective == 1.0
+        assert self.statuses == [1]
+
+    @pytest.mark.parametrize("target", [1.5, 2])
+    def test_branch_and_cut_proves_a_target_above_the_optimum_infeasible(self, target):
+        # at target 2 the root bound 3/2 would prove it; capped, milp must
+        with pytest.raises(ILPInfeasibleError):
+            solve_ilp(exclusion_ilp(), target=target)
+        assert self.statuses == [1]
+
+    def test_matches_exhaustive_enumeration(self):
+        for ilp in random_ilps():
+            assert_matches_reference(ilp)
+        # most of these programs are solved by HiGHS' presolve in no
+        # iteration; the rest reach the cap
+        assert self.statuses.count(1) >= 5
 
 
 class TestMaxFlow:
