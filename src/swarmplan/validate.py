@@ -3,8 +3,17 @@
 Everything in here re-derives safety from first principles rather than
 trusting planner internals: grid plans are compared against a
 breadth-first search over joint configurations, and continuous
-trajectories are sampled densely and checked against the ellipsoid
-metric, the obstacle clearance and the workspace box.  The smoothness
+trajectories are checked against the ellipsoid metric, the obstacle
+clearance, the workspace box and the dynamics on a common sample grid
+(1 ms in every planning call).  Each reported extreme is the extreme over
+that grid, found by branch and bound over the pieces: a Bernstein curve
+stays inside the convex hull of its control points (Farouki, "The
+Bernstein polynomial basis: a centennial retrospective", 2012), so the
+box around a piece's control points bounds every sample on it, and a
+piece is sampled only while its bound can still reach the running
+extreme.  The samples that are taken go through the same arithmetic as a
+dense evaluation of the whole grid, so the report equals the dense
+sampler's bit for bit.  The smoothness
 requirements are checked exactly rather than sampled: a Bernstein curve
 starts at its first control point and ends at its last, so rest endpoints
 and knot continuity are read off the control points of the derivative
@@ -18,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier_opt import stacked_points
+from .bezier_opt import bernstein_basis, stacked_points
 
 GRAVITY = 9.81
 # how far below its threshold a sampled clearance, or how far outside the
@@ -33,6 +42,12 @@ _OBSTACLE_TOL = 1e-6
 _WORKSPACE_TOL = 1e-6
 # endpoint-rest and knot-jump tolerance, relative to each order's scale
 _SMOOTHNESS_TOL = 1e-5
+# A piece is skipped only when its control point bound misses the running
+# extreme by more than this share of the bound's size (at least 1).  An
+# evaluated sample is a few roundings away from the exact curve, so it may
+# stray past the exact hull by some 1e-15 of the coordinates' size: the
+# slack stays far above that and far below the gaps that save work.
+_BOUND_SLACK = 1e-9
 _ORACLE_MAX_STATES = 2_000_000
 
 _MOVES = (
@@ -138,53 +153,244 @@ def _sample_times(duration, sample_dt):
     return np.linspace(0.0, duration, count)
 
 
-def sample_positions(trajectories, sample_dt=1e-3):
-    """Stacked samples (robots, times, 3) on the common time grid."""
-    duration = max(t.duration for t in trajectories)
-    ts = _sample_times(duration, sample_dt)
-    return ts, np.stack([t.evaluate_many(ts) for t in trajectories])
+def _extreme(bounds, evaluate, highest=False, initial=np.inf):
+    """Smallest value of evaluate(u) over the units u, or the largest with
+    highest, and initial when no unit goes past it.
 
-
-def pairwise_clearance_profile(positions, ellipsoid):
-    """Minimum scaled pairwise distance at each sample time."""
-    scaled = positions / np.asarray(ellipsoid.radii)
-    n = positions.shape[0]
-    if n < 2:
-        return np.full(positions.shape[1], np.inf)
-    mins = np.full(positions.shape[1], np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.linalg.norm(scaled[i] - scaled[j], axis=1)
-            mins = np.minimum(mins, d)
-    return mins
-
-
-def obstacle_clearance_profile(positions, scenario):
-    """Minimum scaled box distance at each sample time.
-
-    The scaled distance from a point to an axis-aligned box is the norm
-    of the per-axis overshoot beyond the box, divided by the clearance
-    radii; at least 1 keeps the robot clear of the obstacle.
+    bounds[u] bounds every value of unit u from below (from above with
+    highest).  Units are visited from the most promising bound on, and the
+    search stops at the first bound that misses the running extreme by
+    more than _BOUND_SLACK of its size; a bound that is not finite never
+    stops it.  A NaN value makes the result NaN, as np.min and np.max do.
     """
-    boxes = scenario.obstacle_boxes()
-    if not boxes:
-        return np.full(positions.shape[1], np.inf)
-    radii = np.asarray(scenario.obstacle_ellipsoid.radii)
-    mins = np.full(positions.shape[1], np.inf)
-    flat = positions.reshape(-1, 3)
-    for box in boxes:
-        lo, hi = box.world_box(scenario.grid)
-        over = np.maximum(np.maximum(lo - flat, flat - hi), 0.0) / radii
-        dist = np.linalg.norm(over, axis=1).reshape(positions.shape[:2])
-        mins = np.minimum(mins, dist.min(axis=0))
-    return mins
+    sign = -1.0 if highest else 1.0
+    keys = sign * np.asarray(bounds, dtype=float)
+    keys[~np.isfinite(keys)] = -np.inf
+    best = sign * initial
+    for u in np.argsort(keys, kind="stable"):
+        key = keys[u]
+        if key - _BOUND_SLACK * max(1.0, abs(key)) > best:
+            break
+        value = sign * evaluate(u)
+        if value != value:
+            return value
+        best = min(best, value)
+    return sign * best
 
 
-def workspace_violation(positions, scenario):
-    lo, hi = scenario.grid.workspace_box()
-    under = (lo - positions).max()
-    over = (positions - hi).max()
-    return float(max(under, over))
+def _boxes(points, degrees):
+    """(lo, hi) corners of each piece's control point box, from points
+    zero-padded past each piece's degree along axis -2."""
+    real = (np.arange(points.shape[-2]) <= degrees[:, None])[..., None]
+    return (
+        np.where(real, points, np.inf).min(axis=-2),
+        np.where(real, points, -np.inf).max(axis=-2),
+    )
+
+
+def _max_norm(points, degrees):
+    """Largest control point norm of each piece, from zero-padded points."""
+    real = np.arange(points.shape[-2]) <= degrees[:, None]
+    return np.where(real, np.linalg.norm(points, axis=-1), -np.inf).max(axis=-1)
+
+
+def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
+    """Scaled distance between boxes [lo_a, hi_a] and [lo_b, hi_b]: the
+    norm of the per-axis gap divided by the radii (last axis 3)."""
+    gap = np.maximum(np.maximum(lo_a - hi_b, lo_b - hi_a), 0.0)
+    return np.linalg.norm(gap / radii, axis=-1)
+
+
+_Layout = namedtuple("_Layout", "key degrees idx s starts pieces")
+
+
+class _SampleGrid:
+    """A trajectory set's common sample grid, evaluated one piece at a time.
+
+    The times come from _sample_times and the piece owning each time from
+    the trajectory's _locate, as in evaluate_many, so every piece owns one
+    contiguous window of samples.  Robots with the same knots and degrees
+    share each window's Bernstein basis, and a window's rows go through
+    evaluate_many's einsum over the same zero-padded control points, so
+    every value equals the dense evaluation's bit for bit.
+    """
+
+    def __init__(self, trajectories, sample_dt):
+        self.trajectories = trajectories
+        self.ts = _sample_times(max(t.duration for t in trajectories), sample_dt)
+        self.layouts = []
+        shared = {}
+        for traj in trajectories:
+            degrees = np.array([p.degree for p in traj.pieces])
+            key = (traj.knots.tobytes(), degrees.tobytes())
+            if key not in shared:
+                idx, local = traj._locate(self.ts)
+                durations = np.array([p.duration for p in traj.pieces])
+                starts = np.searchsorted(idx, np.arange(len(degrees) + 1))
+                shared[key] = _Layout(
+                    key, degrees, idx, local / durations[idx], starts,
+                    np.flatnonzero(np.diff(starts)),
+                )
+            self.layouts.append(shared[key])
+        self._points = {}
+        self._basis = {}
+        self._values = {}
+
+    def points(self, r, order=0):
+        """stacked_points of robot r's order-th derivative."""
+        if (r, order) not in self._points:
+            self._points[r, order] = stacked_points(self.trajectories[r].pieces, order)
+        return self._points[r, order]
+
+    def values(self, r, k, order=0):
+        """Robot r's order-th derivative at the samples piece k owns."""
+        layout = self.layouts[r]
+        a, b = layout.starts[k], layout.starts[k + 1]
+        if (layout.key, k, order) not in self._basis:
+            degrees = np.maximum(layout.degrees - order, 0)
+            # evaluate_many pads the basis to the widest sampled piece
+            basis = np.zeros((b - a, degrees[layout.pieces].max() + 1))
+            part = bernstein_basis(degrees[layout.idx[a:b]], layout.s[a:b])
+            basis[:, : part.shape[1]] = part
+            self._basis[layout.key, k, order] = basis
+        basis = self._basis[layout.key, k, order]
+        points = self.points(r, order)[0][:, : basis.shape[1]]
+        # the samples depend on the window and the control points alone, so
+        # pieces with equal derivatives (straight moves alike in direction
+        # and duration) are evaluated once
+        key = (layout.key, k, order, points[k].tobytes())
+        if key not in self._values:
+            self._values[key] = np.einsum("ji,jid->jd", basis, points[layout.idx[a:b]])
+        return self._values[key]
+
+
+def _position_extremes(trajectories, scenario, sample_dt):
+    """Minimum scaled pair distance, minimum scaled obstacle distance and
+    largest workspace overrun over the common sample grid.
+
+    Each piece's control point box bounds its samples: the pair distance
+    from below by the box of the two robots' control point differences
+    where they share knots and degrees, and otherwise by the gap between
+    the boxes of every two pieces whose windows overlap; the obstacle
+    distance by the gap between the piece's box and the obstacle's; and
+    the overrun from above by the box's overrun.
+    """
+    grid = _SampleGrid(trajectories, sample_dt)
+    radii = np.asarray(scenario.robot_ellipsoid.radii)
+    # one unit per robot piece that owns samples, with its position box
+    units, lo, hi, hulls = [], [], [], []
+    for r, layout in enumerate(grid.layouts):
+        points = grid.points(r)[0]
+        if not np.isfinite(points).all():
+            # a robot with a control point that is not finite has no
+            # bound and is sampled whole
+            points = np.full_like(points, np.nan)
+        hulls.append(points)
+        box_lo, box_hi = _boxes(points, layout.degrees)
+        units += [(r, k) for k in layout.pieces]
+        lo.append(box_lo[layout.pieces])
+        hi.append(box_hi[layout.pieces])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+
+    # pair units: rows (robot i, its piece k, robot j, its piece l, first
+    # sample, end sample) over the samples both pieces own
+    pairs, pair_bounds = [np.empty((0, 6), dtype=int)], [np.empty(0)]
+    groups = {}
+    for r, layout in enumerate(grid.layouts):
+        groups.setdefault(layout.key, []).append(r)
+    for group in groups.values():
+        layout = grid.layouts[group[0]]
+        robots = np.asarray(group)
+        qi, qj = np.triu_indices(len(group), 1)
+        points = np.stack([hulls[r] for r in group])
+        gap = _box_gap(*_boxes(points[qi] - points[qj], layout.degrees), 0.0, 0.0, radii)
+        pieces = np.tile(layout.pieces, len(qi))
+        count = len(layout.pieces)
+        pairs.append(
+            np.column_stack(
+                [
+                    np.repeat(robots[qi], count),
+                    pieces,
+                    np.repeat(robots[qj], count),
+                    pieces,
+                    layout.starts[pieces],
+                    layout.starts[pieces + 1],
+                ]
+            )
+        )
+        pair_bounds.append(gap[:, layout.pieces].ravel())
+    first = np.cumsum([0] + [len(layout.pieces) for layout in grid.layouts])
+    for group_a, group_b in itertools.combinations(groups.values(), 2):
+        for i, j in itertools.product(group_a, group_b):
+            ki, kj = grid.layouts[i].pieces, grid.layouts[j].pieces
+            si, sj = grid.layouts[i].starts, grid.layouts[j].starts
+            a = np.maximum(si[ki][:, None], sj[kj][None])
+            b = np.minimum(si[ki + 1][:, None], sj[kj + 1][None])
+            x, y = np.nonzero(a < b)
+            pairs.append(
+                np.column_stack(
+                    [np.full_like(x, i), ki[x], np.full_like(y, j), kj[y], a[x, y], b[x, y]]
+                )
+            )
+            ui, uj = first[i] + x, first[j] + y
+            pair_bounds.append(_box_gap(lo[ui], hi[ui], lo[uj], hi[uj], radii))
+    pairs = np.concatenate(pairs)
+
+    scaled = {}
+
+    def scaled_window(r, k):
+        if (r, k) not in scaled:
+            scaled[r, k] = grid.values(r, k) / radii
+        return scaled[r, k]
+
+    def pair_distance(u):
+        i, k, j, l, a, b = pairs[u]
+        ai, aj = grid.layouts[i].starts[k], grid.layouts[j].starts[l]
+        left = scaled_window(i, k)[a - ai : b - ai]
+        right = scaled_window(j, l)[a - aj : b - aj]
+        return np.linalg.norm(left - right, axis=1).min()
+
+    pair = _extreme(np.concatenate(pair_bounds), pair_distance)
+
+    obstacle = np.inf
+    obstacles = [box.world_box(scenario.grid) for box in scenario.obstacle_boxes()]
+    if obstacles:
+        oradii = np.asarray(scenario.obstacle_ellipsoid.radii)
+        olo = np.array([box[0] for box in obstacles])
+        ohi = np.array([box[1] for box in obstacles])
+
+        def obstacle_distance(u):
+            r, k = units[u // len(obstacles)]
+            box_lo, box_hi = obstacles[u % len(obstacles)]
+            flat = grid.values(r, k)
+            over = np.maximum(np.maximum(box_lo - flat, flat - box_hi), 0.0) / oradii
+            return np.linalg.norm(over, axis=1).min()
+
+        gap = _box_gap(lo[:, None], hi[:, None], olo[None], ohi[None], oradii)
+        obstacle = _extreme(gap.ravel(), obstacle_distance)
+
+    work_lo, work_hi = scenario.grid.workspace_box()
+
+    def overrun_of(u):
+        positions = grid.values(*units[u])
+        return max((work_lo - positions).max(), (positions - work_hi).max())
+
+    overrun = _extreme(
+        np.maximum(work_lo - lo, hi - work_hi).max(axis=1),
+        overrun_of,
+        highest=True,
+        initial=-np.inf,
+    )
+    return float(pair), float(obstacle), float(overrun)
+
+
+def _body_rate(thrust, tnorm, jerk, pointed):
+    """Body angular rate at each sample: the jerk orthogonal to the thrust
+    divided by the thrust magnitude where pointed, and 0 elsewhere."""
+    tnorm_safe = np.where(pointed, tnorm, 1.0)
+    unit = thrust / tnorm_safe[:, None]
+    jerk_par = np.sum(jerk * unit, axis=1)[:, None] * unit
+    return np.where(pointed, np.linalg.norm(jerk - jerk_par, axis=1) / tnorm_safe, 0.0)
 
 
 def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
@@ -194,28 +400,96 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     in m/s^2 per unit mass) and body angular rate.  gravity=0 gives the
     kinematic body rate, which obeys the exact 1/s law under temporal
     scaling; with gravity the constant hover term breaks exact scaling.
+
+    Each peak is the largest sample, and a piece is sampled only while its
+    bound can reach the running peak: speed, acceleration and thrust are
+    at most the largest norm among the control points of the derivative
+    (acceleration plus gravity for thrust), and the body rate at most the
+    largest jerk control point norm over the distance from the origin to
+    the box of the thrust control points.
     """
-    duration = max(t.duration for t in trajectories)
-    ts = _sample_times(duration, sample_dt)
+    grid = _SampleGrid(trajectories, sample_dt)
+    g = np.array([0.0, 0.0, gravity])
     peak = {"speed": 0.0, "accel": 0.0, "thrust": 0.0, "omega": 0.0}
-    for traj in trajectories:
-        vel = traj.evaluate_many(ts, 1)
-        acc = traj.evaluate_many(ts, 2)
-        jerk = traj.evaluate_many(ts, 3)
-        thrust = acc + np.array([0.0, 0.0, gravity])
-        tnorm = np.linalg.norm(thrust, axis=1)
+    units = []
+    bounds = {name: [np.empty(0)] for name in peak}
+    thrust_bound = {}
+    for r, traj in enumerate(trajectories):
+        (vel, dv), (acc, da), (jerk, dj) = (grid.points(r, order) for order in (1, 2, 3))
+        if not all(np.isfinite(p).all() for p in (vel, acc, jerk)):
+            # a robot with a control point that is not finite has no bound
+            # and is sampled whole
+            vel, acc, jerk = (traj.evaluate_many(grid.ts, order) for order in (1, 2, 3))
+            thrust = acc + g
+            tnorm = np.linalg.norm(thrust, axis=1)
+            robot = {
+                "speed": np.linalg.norm(vel, axis=1),
+                "accel": np.linalg.norm(acc, axis=1),
+                "thrust": tnorm,
+                "omega": _body_rate(thrust, tnorm, jerk, tnorm > 1e-9 * tnorm.max()),
+            }
+            for name, values in robot.items():
+                peak[name] = max(peak[name], float(values.max()))
+            continue
+        k = grid.layouts[r].pieces
+        units += [(r, piece) for piece in k]
+        thrust = acc + g
+        bounds["speed"].append(_max_norm(vel, dv)[k])
+        bounds["accel"].append(_max_norm(acc, da)[k])
+        bounds["thrust"].append(_max_norm(thrust, da)[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega = _max_norm(jerk, dj) / _box_gap(*_boxes(thrust, da), 0.0, 0.0, 1.0)
+        bounds["omega"].append(omega[k])
+        thrust_bound[r] = bounds["thrust"][-1].max()
+
+    thrusts = {}
+    # each robot's largest thrust sampled so far
+    seen = {}
+
+    def thrust_at(r, k):
+        if (r, k) not in thrusts:
+            thrust = grid.values(r, k, 2) + g
+            tnorm = np.linalg.norm(thrust, axis=1)
+            thrusts[r, k] = thrust, tnorm
+            seen[r] = max(seen.get(r, 0.0), tnorm.max())
+        return thrusts[r, k]
+
+    robot_thrust = {}
+
+    def pointed(r, tnorm):
         # the body rate is undefined where the thrust vanishes (at rest
-        # with gravity=0): thrust at the rounding level of its peak has no
-        # direction, and dividing jerk noise by it reports no rotation
-        pointed = tnorm > 1e-9 * tnorm.max()
-        tnorm_safe = np.where(pointed, tnorm, 1.0)
-        unit = thrust / tnorm_safe[:, None]
-        jerk_par = np.sum(jerk * unit, axis=1)[:, None] * unit
-        omega = np.where(pointed, np.linalg.norm(jerk - jerk_par, axis=1) / tnorm_safe, 0.0)
-        peak["speed"] = max(peak["speed"], float(np.linalg.norm(vel, axis=1).max()))
-        peak["accel"] = max(peak["accel"], float(np.linalg.norm(acc, axis=1).max()))
-        peak["thrust"] = max(peak["thrust"], float(tnorm.max()))
-        peak["omega"] = max(peak["omega"], float(omega.max()))
+        # with gravity=0): thrust at the rounding level of the robot's
+        # peak has no direction, and dividing jerk noise by it reports no
+        # rotation.  The peak lies between the largest thrust sampled so
+        # far and the robot's bound; only where a sample falls between
+        # those two levels is the robot's whole thrust sampled.
+        if r not in robot_thrust:
+            top = thrust_bound[r] + _BOUND_SLACK * max(1.0, thrust_bound[r])
+            sure = tnorm > 1e-9 * top
+            if np.all(sure | (tnorm <= 1e-9 * seen[r])):
+                return sure
+            robot_thrust[r] = max(thrust_at(r, k)[1].max() for k in grid.layouts[r].pieces)
+        return tnorm > 1e-9 * robot_thrust[r]
+
+    def omega(r, k):
+        thrust, tnorm = thrust_at(r, k)
+        return _body_rate(thrust, tnorm, grid.values(r, k, 3), pointed(r, tnorm)).max()
+
+    evaluate = {
+        "speed": lambda r, k: np.linalg.norm(grid.values(r, k, 1), axis=1).max(),
+        "accel": lambda r, k: np.linalg.norm(grid.values(r, k, 2), axis=1).max(),
+        "thrust": lambda r, k: thrust_at(r, k)[1].max(),
+        "omega": omega,
+    }
+    for name, peak_of in evaluate.items():
+        peak[name] = float(
+            _extreme(
+                np.concatenate(bounds[name]),
+                lambda u: peak_of(*units[u]),
+                highest=True,
+                initial=peak[name],
+            )
+        )
     return peak
 
 
@@ -293,10 +567,7 @@ def validate_trajectories(
     for the scaled obstacle distance, each minus its tolerance (_PAIR_TOL,
     _OBSTACLE_TOL); the workspace overrun may be at most _WORKSPACE_TOL.
     """
-    ts, positions = sample_positions(trajectories, sample_dt)
-    pair = pairwise_clearance_profile(positions, scenario.robot_ellipsoid)
-    obstacle = obstacle_clearance_profile(positions, scenario)
-    overrun = workspace_violation(positions, scenario)
+    pair, obstacle, overrun = _position_extremes(trajectories, scenario, sample_dt)
     peaks = dynamics_metrics(trajectories, sample_dt=max(sample_dt, 1e-3))
     smooth = smoothness_report(trajectories, scenario.continuity)
 
@@ -315,16 +586,16 @@ def validate_trajectories(
                 endpoint_problems.append(f"robot {r} ends at {got} instead of {want}")
 
     ok = (
-        float(pair.min()) >= 2.0 - _PAIR_TOL
-        and float(obstacle.min()) >= 1.0 - _OBSTACLE_TOL
+        pair >= 2.0 - _PAIR_TOL
+        and obstacle >= 1.0 - _OBSTACLE_TOL
         and overrun <= _WORKSPACE_TOL
         and not smooth
         and not endpoint_problems
     )
     return ValidationReport(
         ok=bool(ok),
-        min_pair_clearance=float(pair.min()),
-        min_obstacle_clearance=float(obstacle.min()),
+        min_pair_clearance=pair,
+        min_obstacle_clearance=obstacle,
         workspace_overrun=overrun,
         peaks=peaks,
         smoothness_problems=smooth,

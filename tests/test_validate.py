@@ -3,11 +3,18 @@
 The dynamics oracle is a curve whose speed, acceleration, and body rate
 are short closed-form expressions; random curves are cross-checked with
 finite-difference derivatives so the expected peaks never come from the
-evaluation code under test.
+evaluation code under test.  The bounded search over pieces is checked
+against the dense sampler in dense_validation, which evaluates every
+sample.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmplan.bezier_opt import (
     BezierPiece,
@@ -15,15 +22,21 @@ from swarmplan.bezier_opt import (
     bernstein_to_monomial,
     fallback_trajectory,
 )
+from swarmplan import refine, validate
+from swarmplan.discrete_planner import solve_discrete
 from swarmplan.scenario import GridSpec, ScenarioSpec
 from swarmplan.validate import (
     ValidationReport,
     dynamics_metrics,
+    smoothness_report,
+    validate_trajectories,
+)
+
+import dense_validation as dense
+from dense_validation import (
     obstacle_clearance_profile,
     pairwise_clearance_profile,
     sample_positions,
-    smoothness_report,
-    validate_trajectories,
     workspace_violation,
 )
 
@@ -386,3 +399,126 @@ class TestValidateTrajectories:
         assert data["ok"] == report.ok
         assert set(data["peaks"]) == {"speed", "accel", "thrust", "omega"}
         assert data["min_pair_clearance"] == report.min_pair_clearance
+
+
+@st.composite
+def trajectory_sets(draw):
+    """1-6 robots of degrees 5-9 on shared or differing piece durations,
+    sometimes with knots on the sample grid and a pair that nearly
+    touches inside its pieces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        durations = st.sampled_from([0.125, 0.25, 0.5])
+    else:
+        durations = st.floats(0.05, 0.6)
+    pieces = st.lists(durations, min_size=1, max_size=4)
+    common = draw(pieces)
+    trajectories = []
+    for _ in range(draw(st.integers(1, 6))):
+        degree = draw(st.integers(5, 9))
+        chain = []
+        start = rng.uniform(0.0, 1.5, size=3)
+        for duration in common if draw(st.booleans()) else draw(pieces):
+            pts = start + rng.normal(scale=0.2, size=(degree + 1, 3))
+            pts[0] = start
+            start = pts[-1]
+            chain.append(BezierPiece(duration, pts))
+        trajectories.append(PiecewiseBezierTrajectory(chain))
+    if len(trajectories) >= 2 and draw(st.booleans()):
+        # a copy 2 scaled units away along x, pulled closer between the
+        # knots: its nearest approach lies inside a piece, just past or
+        # just short of touching
+        radii = np.asarray(scenario().radii)
+        pull = draw(st.floats(-0.01, 0.01))
+        copy = []
+        for piece in trajectories[0].pieces:
+            pts = piece.points + [2.0 * radii[0], 0.0, 0.0]
+            pts[1:-1, 0] -= pull * radii[0]
+            copy.append(BezierPiece(piece.duration, pts))
+        trajectories[1] = PiecewiseBezierTrajectory(copy)
+    return trajectories
+
+
+def same_report(a, b):
+    """Reports equal value for value, NaN included."""
+    return json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+class TestBoundedSearch:
+    """The bounded search reports exactly the dense sampler's extremes."""
+
+    # 40 examples take 1.5-4.5 s on 2 cores
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trajectories=trajectory_sets(),
+        obstacles=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+            max_size=4,
+            unique=True,
+        ).filter(lambda cells: not {(0, 0, 0), (3, 3, 1)} & set(cells)),
+        sample_dt=st.sampled_from([1e-3, 1e-2, 2e-4]),
+    )
+    def test_report_equals_dense(self, trajectories, obstacles, sample_dt):
+        sc = scenario(
+            grid=GridSpec(dims=(4, 4, 2), cell_size=0.5),
+            starts=[(0, 0, 0)],
+            goals=[(3, 3, 1)],
+            obstacles=obstacles,
+        )
+        report = validate_trajectories(trajectories, sc, sample_dt=sample_dt)
+        expected = dense.validate_trajectories(trajectories, sc, sample_dt=sample_dt)
+        assert report.to_dict() == expected.to_dict()
+        for gravity in (0.0, 9.81):
+            assert dynamics_metrics(
+                trajectories, sample_dt=sample_dt, gravity=gravity
+            ) == dense.dynamics_metrics(trajectories, sample_dt=sample_dt, gravity=gravity)
+
+    def test_nan_control_point_matches_dense_and_fails(self):
+        rng = np.random.default_rng(12)
+        trajectories = [
+            PiecewiseBezierTrajectory(
+                [BezierPiece(0.25, rng.uniform(0.0, 1.5, size=(10, 3))) for _ in range(3)]
+            )
+            for _ in range(3)
+        ]
+        trajectories[1].pieces[1].points[4, 2] = np.nan
+        sc = scenario(obstacles=[(2, 2, 0)])
+        with np.errstate(invalid="ignore"):
+            report = validate_trajectories(trajectories, sc)
+            expected = dense.validate_trajectories(trajectories, sc)
+        assert same_report(report, expected)
+        assert not report.ok
+
+    def test_refinement_candidates_match_dense(self, monkeypatch):
+        sc = ScenarioSpec.load(
+            os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "handover_3.json")
+        )
+        calls = []
+
+        def both(trajectories, scenario, **kwargs):
+            report = validate_trajectories(trajectories, scenario, **kwargs)
+            calls.append(
+                (report, dense.validate_trajectories(trajectories, scenario, **kwargs))
+            )
+            return report
+
+        monkeypatch.setattr(refine, "validate_trajectories", both)
+        plan = solve_discrete(sc).postprocessed()
+        refine.refine_trajectories(plan, sc)
+        assert len(calls) >= 2
+        for report, expected in calls:
+            assert report.to_dict() == expected.to_dict()
+
+    def test_validation_calls_dynamics_and_smoothness_once(self, monkeypatch):
+        # the tracer times both by their module-level names
+        counts = {}
+        for name in ("dynamics_metrics", "smoothness_report"):
+            original = getattr(validate, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(validate, name, counted)
+        validate.validate_trajectories(TestValidateTrajectories().safe_pair(), scenario())
+        assert counts == {"dynamics_metrics": 1, "smoothness_report": 1}
