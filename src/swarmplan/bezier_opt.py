@@ -3,12 +3,13 @@
 Each robot's trajectory is one polynomial piece per plan segment, written
 in the Bernstein basis.  That basis keeps the curve inside the convex
 hull of its control points, so linear constraints on control points
-confine the whole curve to a safe corridor.  The smoothing program
-writes the whole curve in the coefficients of a B-spline that is C^k at
-the knots by construction (de Boor, A Practical Guide to Splines, 1978):
-a fixed banded map takes those coefficients to the pieces' Bernstein
-control points, and the rest endpoints fix the first and last k + 1 of
-them.  Minimizing an integral of squared derivatives over the remaining
+confine the whole curve to a safe corridor.  All pieces of a trajectory
+share one degree, so its control points, and those of its derivative
+curves, stack into one array.  The smoothing program writes the whole
+curve in the coefficients of a B-spline that is C^k at the knots by
+construction (de Boor, A Practical Guide to Splines, 1978): a fixed
+banded map takes those coefficients to the pieces' Bernstein control
+points, and the rest endpoints fix the first and last k + 1 of them.  Minimizing an integral of squared derivatives over the remaining
 coefficients, subject to the corridor rows on the control points, is a
 convex QP per robot with no equality rows.  Every robot of a plan shares
 its Hessian and its B-spline map, so optimize_trajectory hands the
@@ -96,41 +97,16 @@ def control_point_cost(degree, duration, weights):
     return 0.5 * (h + h.T)
 
 
-@lru_cache(maxsize=None)
-def _binomials(degree):
-    """comb(m, i) for m, i in 0..degree (zero where i > m)."""
-    return np.array(
-        [[math.comb(m, i) for i in range(degree + 1)] for m in range(degree + 1)],
-        dtype=float,
-    )
-
-
 def bernstein_basis(degree, s):
-    """Bernstein basis values comb(m, i) s^i (1 - s)^(m - i) at s in [0, 1].
-
-    degree and s broadcast against each other; the result gains a last
-    axis i = 0..max(degree), zero where i > m, so curves of different
-    degrees can share one zero-padded stack of control points.  At s = 0
-    and s = 1 the basis is exactly a unit vector, so a curve's endpoints
-    come out as its first and last control points.
+    """Bernstein basis values comb(degree, i) s^i (1 - s)^(degree - i) at
+    s in [0, 1], on a new last axis i = 0..degree.  At s = 0 and s = 1
+    the basis is exactly a unit vector, so a curve's endpoints come out as
+    its first and last control points.
     """
-    m = np.asarray(degree)[..., None]
     s = np.asarray(s, dtype=float)[..., None]
-    top = int(m.max(initial=0))
-    i = np.arange(top + 1)
-    return _binomials(top)[m, i] * s**i * (1.0 - s) ** np.maximum(m - i, 0)
-
-
-def stacked_points(pieces, order=0):
-    """Control points of each piece's order-th derivative, zero-padded to
-    the highest degree: ((pieces, degree + 1, dim) points, (pieces,) degrees).
-    """
-    pts = [p.derivative_points(order) for p in pieces]
-    degrees = np.array([len(q) - 1 for q in pts])
-    out = np.zeros((len(pts), degrees.max() + 1, pts[0].shape[1]))
-    for k, q in enumerate(pts):
-        out[k, : len(q)] = q
-    return out, degrees
+    i = np.arange(degree + 1)
+    binomials = np.array([math.comb(degree, k) for k in i], dtype=float)
+    return binomials * s**i * (1.0 - s) ** (degree - i)
 
 
 @dataclass
@@ -143,8 +119,8 @@ class BezierPiece:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.duration = float(self.duration)
-        if self.duration <= 0:
-            raise ValueError("piece duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"piece duration {self.duration} is not finite and positive")
 
     @property
     def degree(self):
@@ -172,13 +148,16 @@ class BezierPiece:
 
 @dataclass
 class PiecewiseBezierTrajectory:
-    """Consecutive Bezier pieces forming one robot trajectory."""
+    """Consecutive Bezier pieces of one degree forming one robot trajectory."""
 
     pieces: list
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("trajectory needs at least one piece")
+        degrees = sorted({p.degree for p in self.pieces})
+        if len(degrees) > 1:
+            raise ValueError(f"trajectory pieces differ in degree: {degrees}")
         self.knots = np.concatenate([[0.0], np.cumsum([p.duration for p in self.pieces])])
 
     @property
@@ -186,8 +165,24 @@ class PiecewiseBezierTrajectory:
         return float(self.knots[-1])
 
     @property
+    def degree(self):
+        return self.pieces[0].degree
+
+    @property
     def dim(self):
         return self.pieces[0].points.shape[1]
+
+    def control_points(self, order=0):
+        """Control points of every piece's order-th derivative, stacked:
+        (pieces, degree + 1 - order, dim), or zeros (pieces, 1, dim) past
+        the degree, each piece as its derivative_points(order)."""
+        if order > self.degree:
+            return np.zeros((len(self.pieces), 1, self.dim))
+        pts = np.stack([p.points for p in self.pieces])
+        durations = np.array([p.duration for p in self.pieces])
+        for d in range(self.degree, self.degree - order, -1):
+            pts = (d / durations)[:, None, None] * (pts[:, 1:] - pts[:, :-1])
+        return pts
 
     def _locate(self, ts):
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.duration)
@@ -200,25 +195,24 @@ class PiecewiseBezierTrajectory:
 
     def evaluate_many(self, ts, order=0):
         idx, local = self._locate(ts)
-        pts, degrees = stacked_points(self.pieces, order)
         durations = np.array([p.duration for p in self.pieces])
-        basis = bernstein_basis(degrees[idx], local / durations[idx])
-        # the basis stops at the highest degree sampled; beyond it the
-        # sampled pieces' points are padding
-        return np.einsum("ji,jid->jd", basis, pts[idx, : basis.shape[1]])
+        basis = bernstein_basis(max(self.degree - order, 0), local / durations[idx])
+        return np.einsum("ji,jid->jd", basis, self.control_points(order)[idx])
 
     def cost(self, weights):
         # integrate in the Bernstein basis of each derivative curve:
         # differencing first keeps the values near the size of the
         # result, where the monomial quadratic form would cancel away
         # six digits on smooth curves
+        terms = [
+            (w, self.control_points(c)) for c, w in enumerate(weights, start=1) if w > 0
+        ]
         total = 0.0
-        for p in self.pieces:
-            for c, w in enumerate(weights, start=1):
-                if w > 0:
-                    dp = p.derivative_points(c)
-                    g = bernstein_gram(dp.shape[0] - 1)
-                    total += w * p.duration * float(np.einsum("id,ij,jd->", dp, g, dp))
+        for k, p in enumerate(self.pieces):
+            for w, points in terms:
+                dp = points[k]
+                g = bernstein_gram(dp.shape[0] - 1)
+                total += w * p.duration * float(np.einsum("id,ij,jd->", dp, g, dp))
         return total
 
     def scaled(self, factor):
@@ -250,20 +244,27 @@ class PiecewiseBezierTrajectory:
 
     @classmethod
     def load_csv(cls, path):
+        """Read a trajectory written by save_csv; a row that does not make
+        a piece raises ValueError naming the file and the row."""
         pieces = []
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            header = next(reader)
+            header = next(reader, [])
             if (len(header) - 1) % 3:
                 raise ValueError(f"malformed trajectory header in {path}")
             degree = (len(header) - 1) // 3 - 1
-            for rec in reader:
-                tau = float(rec[0])
-                vals = np.array([float(v) for v in rec[1:]])
-                coeffs = vals.reshape(3, degree + 1).T
-                basis = bernstein_to_monomial(degree, tau)
-                points = np.linalg.solve(basis, coeffs)
-                pieces.append(BezierPiece(tau, points))
+            for row, rec in enumerate(reader, start=2):
+                try:
+                    coeffs = np.array([float(v) for v in rec[1:]]).reshape(3, degree + 1).T
+                    # the piece checks its duration before the basis change
+                    # divides by its powers
+                    piece = BezierPiece(float(rec[0]), coeffs)
+                    piece.points = np.linalg.solve(
+                        bernstein_to_monomial(degree, piece.duration), coeffs
+                    )
+                except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
+                    raise ValueError(f"cannot read {path} row {row}: {exc}") from exc
+                pieces.append(piece)
         return cls(pieces)
 
 

@@ -47,6 +47,13 @@ def _setup_logging():
     )
 
 
+def _finite_positive(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def _load_scenario(args):
     scenario = ScenarioSpec.load(args.scenario)
     if getattr(args, "dt", None) is not None:
@@ -212,12 +219,12 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; each refinement round solves its robots' programs as one batch in this process")
     p.add_argument(
         "--scale-to-accel-limit",
-        type=float,
+        type=_finite_positive,
         default=None,
         metavar="A",
         help="dilate time so peak acceleration is at most A m/s^2",
     )
-    p.add_argument("--sample-rate", type=float, default=100.0, help="sampled export Hz")
+    p.add_argument("--sample-rate", type=_finite_positive, default=100.0, help="sampled export Hz")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("oracle", help="exhaustive optimal grid plan (small inputs)")
@@ -229,7 +236,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--trajectories", required=True, help="directory of robot CSVs")
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--sample-dt", type=float, default=1e-3)
+    p.add_argument("--sample-dt", type=_finite_positive, default=1e-3)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -5,7 +5,8 @@ two polytopes of different robots lie on opposite sides of a plane with
 an ellipsoid of clearance each, so curves confined to their corridors
 are mutually collision free for the entire piece.  The planes come from
 ellipsoid-weighted margin separation of the robots' occupied point sets
-(segment endpoints on the first pass, curve samples afterwards).
+(segment endpoints on the first pass, curve samples afterwards, taken
+with one Bernstein basis per robot, since a trajectory has one degree).
 Obstacle boxes contribute one supporting face each, pushed off the box
 by the clearance radius, and the workspace box caps every corridor.  A
 corridor is the workspace faces followed by every accepted separator
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .bezier_opt import bernstein_basis, stacked_points
+from .bezier_opt import bernstein_basis
 from .geometry import ConvexPolyhedron, svm_separate_batch
 
 _FACE_PRUNE_THRESHOLD = 64
@@ -61,11 +62,13 @@ def sample_point_sets(trajectories, samples_per_piece):
     Samples include both knots, so consecutive pieces share their joint
     and the union covers the whole curve.
     """
-    pieces = [p for traj in trajectories for p in traj.pieces]
-    pts, degrees = stacked_points(pieces)
-    basis = bernstein_basis(degrees[:, None], np.linspace(0.0, 1.0, samples_per_piece))
-    samples = np.einsum("psi,pid->psd", basis, pts)
-    return samples.reshape(len(trajectories), -1, samples_per_piece, pts.shape[-1])
+    s = np.linspace(0.0, 1.0, samples_per_piece)
+    return np.stack(
+        [
+            np.einsum("si,pid->psd", bernstein_basis(t.degree, s), t.control_points())
+            for t in trajectories
+        ]
+    )
 
 
 def support_norms(normals, ellipsoid):

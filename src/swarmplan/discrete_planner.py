@@ -54,8 +54,6 @@ ARC_SOURCE, ARC_INTRA, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_HOLD, ARC_SINK = r
 # the makespan search gives up beyond this many times the grid's Manhattan
 # diameter in steps
 _STEP_CAP_PER_DIAMETER = 10
-# branch-and-cut nodes allowed per candidate makespan
-_NODE_LIMIT = 20000
 
 
 class DiscreteInfeasibleError(Exception):
@@ -578,9 +576,7 @@ def solve_discrete(scenario):
     for K in range(lb, cap + 1):
         graph = TimeExpandedGraph(scenario, env, K)
         try:
-            result = opt_engine.solve_ilp(
-                graph.binary_program(), target=n, node_limit=_NODE_LIMIT
-            )
+            result = opt_engine.solve_ilp(graph.binary_program(), target=n)
         except ILPInfeasibleError:
             continue
         cell_paths, goal_choice = graph.extract_paths(result.z)

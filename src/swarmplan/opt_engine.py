@@ -872,9 +872,11 @@ _ILP_GAP_TOL = 1e-6
 # about 0.3 s and 0.7 s there (2 cores) before branch and cut takes over.
 # The count is deterministic, so the cap decides the same way on every run.
 _ROOT_LP_MAX_ITER = 2000
+# branch-and-cut nodes allowed per program (one candidate makespan)
+_ILP_NODE_LIMIT = 20000
 
 
-def solve_ilp(ilp, target=None, node_limit=100000):
+def solve_ilp(ilp, target=None):
     """Maximize a binary ILP; with target, only an optimum >= target counts.
 
     The root LP relaxation is solved first with HiGHS' simplex, for at
@@ -889,7 +891,7 @@ def solve_ilp(ilp, target=None, node_limit=100000):
     Returns an ILPResult whose nodes counts the search nodes, root
     included.  Raises ILPInfeasibleError when no binary assignment (with
     objective >= target) exists and ILPBudgetExceededError when the search
-    reaches node_limit nodes.
+    reaches _ILP_NODE_LIMIT nodes.
     """
     n = ilp.n
     if n == 0:
@@ -938,7 +940,7 @@ def solve_ilp(ilp, target=None, node_limit=100000):
         integrality=np.ones(n),
         bounds=Bounds(0.0, 1.0),
         constraints=constraints,
-        options={"presolve": False, "node_limit": node_limit, "mip_rel_gap": 0.0},
+        options={"presolve": False, "node_limit": _ILP_NODE_LIMIT, "mip_rel_gap": 0.0},
     )
     if res.status == 2:
         raise ILPInfeasibleError("no feasible binary assignment")
@@ -946,7 +948,7 @@ def solve_ilp(ilp, target=None, node_limit=100000):
         # node_limit is the only limit set; HiGHS reports it as a "solution
         # limit", a model status scipy leaves unmapped (status 4)
         if res.status == 1 or "limit reached" in res.message:
-            raise ILPBudgetExceededError(f"node limit {node_limit} reached")
+            raise ILPBudgetExceededError(f"node limit {_ILP_NODE_LIMIT} reached")
         raise SolverError(f"branch and cut failed: {res.message}")
     z = np.round(res.x)
     if not ilp.feasible(z):

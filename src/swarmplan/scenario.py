@@ -53,11 +53,11 @@ class GridSpec:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("dims must be three positive integers")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0.0 < self.cell_size < np.inf:
+            raise ValueError("cell_size must be finite and positive")
         origin = tuple(float(v) for v in self.origin)
-        if len(origin) != 3:
-            raise ValueError("origin must have three coordinates")
+        if len(origin) != 3 or not np.isfinite(origin).all():
+            raise ValueError("origin must have three finite coordinates")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "cell_size", float(self.cell_size))
         object.__setattr__(self, "origin", origin)
@@ -236,8 +236,8 @@ class ScenarioSpec:
         return merge_obstacle_cells(self.obstacles)
 
     def validate(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         if self.continuity < 1:
             raise ValueError("continuity must be at least 1")
         if self.degree < 2 * self.continuity + 1:
@@ -247,12 +247,12 @@ class ScenarioSpec:
             )
         if not self.weights or len(self.weights) > self.degree:
             raise ValueError("weights must list costs for derivatives 1..c with c <= degree")
-        if any(w < 0 for w in self.weights) or not any(w > 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative with at least one positive entry")
-        if any(r <= 0 for r in self.radii) or len(self.radii) != 3:
-            raise ValueError("radii must be three positive numbers")
-        if self.obstacle_radius <= 0:
-            raise ValueError("obstacle_radius must be positive")
+        if not all(0.0 <= w < np.inf for w in self.weights) or not any(w > 0 for w in self.weights):
+            raise ValueError("weights must be finite and nonnegative with at least one positive entry")
+        if len(self.radii) != 3 or not all(0.0 < r < np.inf for r in self.radii):
+            raise ValueError("radii must be three finite positive numbers")
+        if not 0.0 < self.obstacle_radius < np.inf:
+            raise ValueError("obstacle_radius must be finite and positive")
         if self.samples_per_piece < 2:
             raise ValueError("samples_per_piece must be at least 2")
         if self.refine_iterations < 0:

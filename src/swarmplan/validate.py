@@ -13,12 +13,13 @@ box around a piece's control points bounds every sample on it, and a
 piece is sampled only while its bound can still reach the running
 extreme.  The samples that are taken go through the same arithmetic as a
 dense evaluation of the whole grid, so the report equals the dense
-sampler's bit for bit.  The smoothness
-requirements are checked exactly rather than sampled: a Bernstein curve
-starts at its first control point and ends at its last, so rest endpoints
-and knot continuity are read off the control points of the derivative
-curves.  Dynamic feasibility comes from differential flatness:
-the thrust vector is the acceleration plus gravity, and the body
+sampler's bit for bit.  A trajectory has one degree, so every bound and
+sample reads its derivatives' control points as one stacked array.  The
+smoothness requirements are checked exactly rather than sampled: a
+Bernstein curve starts at its first control point and ends at its last,
+so rest endpoints and knot continuity are read off the control points of
+the derivative curves.  Dynamic feasibility comes from differential
+flatness: the thrust vector is the acceleration plus gravity, and the body
 angular rate is the component of jerk orthogonal to the thrust,
 divided by the thrust magnitude.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier_opt import bernstein_basis, stacked_points
+from .bezier_opt import bernstein_basis
 
 GRAVITY = 9.81
 # how far below its threshold a sampled clearance, or how far outside the
@@ -178,20 +179,15 @@ def _extreme(bounds, evaluate, highest=False, initial=np.inf):
     return sign * best
 
 
-def _boxes(points, degrees):
-    """(lo, hi) corners of each piece's control point box, from points
-    zero-padded past each piece's degree along axis -2."""
-    real = (np.arange(points.shape[-2]) <= degrees[:, None])[..., None]
-    return (
-        np.where(real, points, np.inf).min(axis=-2),
-        np.where(real, points, -np.inf).max(axis=-2),
-    )
+def _boxes(points):
+    """(lo, hi) corners of each piece's control point box, from control
+    points stacked along axis -2."""
+    return points.min(axis=-2), points.max(axis=-2)
 
 
-def _max_norm(points, degrees):
-    """Largest control point norm of each piece, from zero-padded points."""
-    real = np.arange(points.shape[-2]) <= degrees[:, None]
-    return np.where(real, np.linalg.norm(points, axis=-1), -np.inf).max(axis=-1)
+def _max_norm(points):
+    """Largest control point norm of each piece."""
+    return np.linalg.norm(points, axis=-1).max(axis=-1)
 
 
 def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
@@ -201,7 +197,7 @@ def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
     return np.linalg.norm(gap / radii, axis=-1)
 
 
-_Layout = namedtuple("_Layout", "key degrees idx s starts pieces")
+_Layout = namedtuple("_Layout", "key degree idx s starts pieces")
 
 
 class _SampleGrid:
@@ -209,10 +205,10 @@ class _SampleGrid:
 
     The times come from _sample_times and the piece owning each time from
     the trajectory's _locate, as in evaluate_many, so every piece owns one
-    contiguous window of samples.  Robots with the same knots and degrees
+    contiguous window of samples.  Robots with the same knots and degree
     share each window's Bernstein basis, and a window's rows go through
-    evaluate_many's einsum over the same zero-padded control points, so
-    every value equals the dense evaluation's bit for bit.
+    evaluate_many's einsum over the same control points, so every value
+    equals the dense evaluation's bit for bit.
     """
 
     def __init__(self, trajectories, sample_dt):
@@ -221,14 +217,13 @@ class _SampleGrid:
         self.layouts = []
         shared = {}
         for traj in trajectories:
-            degrees = np.array([p.degree for p in traj.pieces])
-            key = (traj.knots.tobytes(), degrees.tobytes())
+            key = (traj.knots.tobytes(), traj.degree)
             if key not in shared:
                 idx, local = traj._locate(self.ts)
                 durations = np.array([p.duration for p in traj.pieces])
-                starts = np.searchsorted(idx, np.arange(len(degrees) + 1))
+                starts = np.searchsorted(idx, np.arange(len(traj.pieces) + 1))
                 shared[key] = _Layout(
-                    key, degrees, idx, local / durations[idx], starts,
+                    key, traj.degree, idx, local / durations[idx], starts,
                     np.flatnonzero(np.diff(starts)),
                 )
             self.layouts.append(shared[key])
@@ -237,9 +232,9 @@ class _SampleGrid:
         self._values = {}
 
     def points(self, r, order=0):
-        """stacked_points of robot r's order-th derivative."""
+        """control_points of robot r's order-th derivative."""
         if (r, order) not in self._points:
-            self._points[r, order] = stacked_points(self.trajectories[r].pieces, order)
+            self._points[r, order] = self.trajectories[r].control_points(order)
         return self._points[r, order]
 
     def values(self, r, k, order=0):
@@ -247,14 +242,11 @@ class _SampleGrid:
         layout = self.layouts[r]
         a, b = layout.starts[k], layout.starts[k + 1]
         if (layout.key, k, order) not in self._basis:
-            degrees = np.maximum(layout.degrees - order, 0)
-            # evaluate_many pads the basis to the widest sampled piece
-            basis = np.zeros((b - a, degrees[layout.pieces].max() + 1))
-            part = bernstein_basis(degrees[layout.idx[a:b]], layout.s[a:b])
-            basis[:, : part.shape[1]] = part
-            self._basis[layout.key, k, order] = basis
+            self._basis[layout.key, k, order] = bernstein_basis(
+                max(layout.degree - order, 0), layout.s[a:b]
+            )
         basis = self._basis[layout.key, k, order]
-        points = self.points(r, order)[0][:, : basis.shape[1]]
+        points = self.points(r, order)
         # the samples depend on the window and the control points alone, so
         # pieces with equal derivatives (straight moves alike in direction
         # and duration) are evaluated once
@@ -270,7 +262,7 @@ def _position_extremes(trajectories, scenario, sample_dt):
 
     Each piece's control point box bounds its samples: the pair distance
     from below by the box of the two robots' control point differences
-    where they share knots and degrees, and otherwise by the gap between
+    where they share knots and degree, and otherwise by the gap between
     the boxes of every two pieces whose windows overlap; the obstacle
     distance by the gap between the piece's box and the obstacle's; and
     the overrun from above by the box's overrun.
@@ -280,13 +272,13 @@ def _position_extremes(trajectories, scenario, sample_dt):
     # one unit per robot piece that owns samples, with its position box
     units, lo, hi, hulls = [], [], [], []
     for r, layout in enumerate(grid.layouts):
-        points = grid.points(r)[0]
+        points = grid.points(r)
         if not np.isfinite(points).all():
             # a robot with a control point that is not finite has no
             # bound and is sampled whole
             points = np.full_like(points, np.nan)
         hulls.append(points)
-        box_lo, box_hi = _boxes(points, layout.degrees)
+        box_lo, box_hi = _boxes(points)
         units += [(r, k) for k in layout.pieces]
         lo.append(box_lo[layout.pieces])
         hi.append(box_hi[layout.pieces])
@@ -303,7 +295,7 @@ def _position_extremes(trajectories, scenario, sample_dt):
         robots = np.asarray(group)
         qi, qj = np.triu_indices(len(group), 1)
         points = np.stack([hulls[r] for r in group])
-        gap = _box_gap(*_boxes(points[qi] - points[qj], layout.degrees), 0.0, 0.0, radii)
+        gap = _box_gap(*_boxes(points[qi] - points[qj]), 0.0, 0.0, radii)
         pieces = np.tile(layout.pieces, len(qi))
         count = len(layout.pieces)
         pairs.append(
@@ -415,7 +407,7 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     bounds = {name: [np.empty(0)] for name in peak}
     thrust_bound = {}
     for r, traj in enumerate(trajectories):
-        (vel, dv), (acc, da), (jerk, dj) = (grid.points(r, order) for order in (1, 2, 3))
+        vel, acc, jerk = (grid.points(r, order) for order in (1, 2, 3))
         if not all(np.isfinite(p).all() for p in (vel, acc, jerk)):
             # a robot with a control point that is not finite has no bound
             # and is sampled whole
@@ -434,11 +426,11 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
         k = grid.layouts[r].pieces
         units += [(r, piece) for piece in k]
         thrust = acc + g
-        bounds["speed"].append(_max_norm(vel, dv)[k])
-        bounds["accel"].append(_max_norm(acc, da)[k])
-        bounds["thrust"].append(_max_norm(thrust, da)[k])
+        bounds["speed"].append(_max_norm(vel)[k])
+        bounds["accel"].append(_max_norm(acc)[k])
+        bounds["thrust"].append(_max_norm(thrust)[k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            omega = _max_norm(jerk, dj) / _box_gap(*_boxes(thrust, da), 0.0, 0.0, 1.0)
+            omega = _max_norm(jerk) / _box_gap(*_boxes(thrust), 0.0, 0.0, 1.0)
         bounds["omega"].append(omega[k])
         thrust_bound[r] = bounds["thrust"][-1].max()
 
@@ -505,9 +497,9 @@ def smoothness_report(trajectories, continuity):
     for r, traj in enumerate(trajectories):
         heads, tails, scales = [], [], []
         for order in range(continuity + 1):
-            pts, degrees = stacked_points(traj.pieces, order)
+            pts = traj.control_points(order)
             heads.append(pts[:, 0])
-            tails.append(pts[np.arange(len(pts)), degrees])
+            tails.append(pts[:, -1])
             scales.append(1.0 if order == 0 else max(1.0, float(np.abs(pts).max())))
         for order in range(1, continuity + 1):
             for label, point in (("start", heads[order][0]), ("end", tails[order][-1])):

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from compare_artifacts import artifact_differences
 from test_bezier import finite_difference, quadrature_cost
 from test_opt_engine import (
     assert_kkt,
@@ -423,35 +424,8 @@ def test_11_planning_artifacts_are_byte_reproducible(tmp_path):
         assert code == 0
         outs.append(out)
 
-    def tree(root):
-        files = {}
-        for base, _, names in os.walk(root):
-            for n in names:
-                p = os.path.join(base, n)
-                files[os.path.relpath(p, root)] = p
-        return files
-
-    a, b = tree(outs[0]), tree(outs[1])
-    assert sorted(a) == sorted(b)
-    for rel in sorted(a):
-        da = open(a[rel], "rb").read()
-        db = open(b[rel], "rb").read()
-        if rel == "refine_report.csv":
-            # wall time is the one honest nondeterminism; mask that column
-            def mask(raw):
-                lines = raw.decode().splitlines()
-                head = lines[0].split(",")
-                col = head.index("wall_time_s")
-                out = [lines[0]]
-                for line in lines[1:]:
-                    parts = line.split(",")
-                    parts[col] = "-"
-                    out.append(",".join(parts))
-                return out
-
-            assert mask(da) == mask(db)
-        else:
-            assert da == db, f"{rel} differs between identical runs"
+    # wall time is the one honest nondeterminism; the comparison masks it
+    assert artifact_differences(outs[0], outs[1]) == []
 
 
 def test_12_bundled_scenario_completes_within_budget(wall_run):

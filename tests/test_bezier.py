@@ -347,14 +347,12 @@ class TestTrajectory:
         assert np.allclose(traj.evaluate(t0), direct, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "durations, degrees",
-        [([0.3, 1.1, 0.45, 0.8], [5, 5, 5, 5]), ([0.5, 0.5, 0.5, 0.5], [9, 2, 1, 6])],
-        ids=["durations-differ", "degrees-differ"],
+        "durations, degree", [([0.3, 1.1, 0.45, 0.8], 5)], ids=["durations-differ"]
     )
-    def test_kernel_matches_de_casteljau(self, durations, degrees):
+    def test_kernel_matches_de_casteljau(self, durations, degree):
         rng = np.random.default_rng(21)
         traj = PiecewiseBezierTrajectory(
-            [BezierPiece(tau, rng.normal(size=(d + 1, 3))) for tau, d in zip(durations, degrees)]
+            [BezierPiece(tau, rng.normal(size=(degree + 1, 3))) for tau in durations]
         )
         ts = np.concatenate(
             [traj.knots, [-0.7, -1e-9, traj.duration + 1e-9, traj.duration + 3.0],
@@ -369,6 +367,27 @@ class TestTrajectory:
             # a piece's start is its first control point, to the last bit
             for k, piece in enumerate(traj.pieces):
                 assert np.array_equal(got[k], piece.derivative_points(order)[0])
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 9])
+    def test_control_points_stack_each_pieces_derivative_points(self, degree):
+        rng = np.random.default_rng(22)
+        traj = self.make_traj(rng, pieces=4, d=degree)
+        for order in range(degree + 3):
+            expected = np.stack([p.derivative_points(order) for p in traj.pieces])
+            got = traj.control_points(order)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_pieces_of_different_degrees_rejected(self):
+        rng = np.random.default_rng(23)
+        pieces = [BezierPiece(0.5, rng.normal(size=(d + 1, 3))) for d in (9, 9, 7)]
+        with pytest.raises(ValueError, match="degree"):
+            PiecewiseBezierTrajectory(pieces)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_piece_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            BezierPiece(duration, np.zeros((4, 3)))
 
     def test_evaluation_clamps_to_domain(self):
         rng = np.random.default_rng(8)

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from compare_artifacts import artifact_differences, artifact_files
+
 from swarmplan import opt_engine
 from swarmplan.cli import main
 from swarmplan.scenario import GridSpec, ScenarioSpec
@@ -81,13 +83,6 @@ class TestPlan:
         assert report["peaks"]["accel"] <= limit + 1e-9
 
 
-def without_wall_time(report):
-    """refine_report.csv's rows without the wall_time_s column."""
-    rows = [line.split(",") for line in report.splitlines()]
-    col = rows[0].index("wall_time_s")
-    return [row[:col] + row[col + 1 :] for row in rows]
-
-
 class TestJobs:
     def test_artifacts_do_not_depend_on_the_worker_count(self, tmp_path):
         # --jobs is accepted for compatibility and must not change a byte;
@@ -99,15 +94,10 @@ class TestJobs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["plan", "--scenario", scenario, "--out", str(out), "--jobs", jobs]) == 0
             outs.append(out)
-        files = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        files = artifact_files(outs[0])
         assert "refine_report.csv" in files and len(files) > 3
         for out in outs[1:]:
-            assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == files
-            for rel in files:
-                a, b = (outs[0] / rel).read_text(), (out / rel).read_text()
-                if rel == "refine_report.csv":
-                    a, b = without_wall_time(a), without_wall_time(b)
-                assert a == b, rel
+            assert artifact_differences(outs[0], out) == []
 
 
 class TestPillars:
@@ -173,6 +163,72 @@ class TestValidate:
                      "--trajectories", str(broken)])
         assert code == 1
         assert "matches no unused" in capsys.readouterr().err
+
+    def edited_copy(self, out, tmp_path, column, value):
+        """The planned trajectories with one value of robot_001.csv's first
+        piece replaced."""
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for name in ["robot_000.csv", "robot_001.csv"]:
+            with open(os.path.join(out, "trajectories", name)) as f:
+                (edited / name).write_text(f.read())
+        lines = (edited / "robot_001.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        row[column] = value
+        lines[1] = ",".join(row)
+        (edited / "robot_001.csv").write_text("\n".join(lines) + "\n")
+        return edited
+
+    @pytest.mark.parametrize("duration", ["1e308", "inf", "nan"])
+    def test_unreadable_duration_names_the_file(self, scenario_file, planned, tmp_path,
+                                                capsys, duration):
+        edited = self.edited_copy(planned[1], tmp_path, 0, duration)
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "robot_001.csv row 2" in err and "Traceback" not in err
+
+    def test_nan_coefficient_fails_the_report(self, scenario_file, planned, tmp_path, capsys):
+        edited = self.edited_copy(planned[1], tmp_path, 3, "nan")
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def exit_code(argv):
+    """main's exit code, also when the argument parser rejects argv."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRejectedNumbers:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--dt", "inf"),
+            ("--dt", "nan"),
+            ("--scale-to-accel-limit", "0"),
+            ("--scale-to-accel-limit", "nan"),
+            ("--sample-rate", "inf"),
+        ],
+    )
+    def test_plan_option(self, scenario_file, tmp_path, capsys, option, value):
+        out = tmp_path / "o"
+        code = exit_code(["plan", "--scenario", scenario_file, "--out", str(out), option, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.001"])
+    def test_validate_sample_dt(self, scenario_file, planned, capsys, value):
+        code = exit_code(["validate", "--scenario", scenario_file, "--trajectories",
+                          os.path.join(planned[1], "trajectories"), "--sample-dt", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
 
 class TestFailureModes:

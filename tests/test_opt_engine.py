@@ -516,7 +516,7 @@ class TestILP:
         with pytest.raises(ILPInfeasibleError):
             solve_ilp(ilp, target=2)  # root bound already below it
 
-    def test_node_budget_raises(self):
+    def test_node_budget_raises(self, monkeypatch):
         # a Cornuejols-Dawande market-split instance: 3 rows, 20 binaries,
         # a_ij uniform in [0, 99], d_i = floor(sum_j a_ij / 2); its LP
         # relaxation is feasible and fractional, and proving it has no
@@ -524,8 +524,9 @@ class TestILP:
         rng = np.random.default_rng(0)
         A_eq = rng.integers(0, 100, size=(3, 20)).astype(float)
         b_eq = np.floor(A_eq.sum(axis=1) / 2)
+        monkeypatch.setattr(opt_engine, "_ILP_NODE_LIMIT", 3)
         with pytest.raises(ILPBudgetExceededError):
-            solve_ilp(BinaryILP(np.ones(20), A_eq, b_eq), node_limit=3)
+            solve_ilp(BinaryILP(np.ones(20), A_eq, b_eq))
 
     def test_deterministic_solution(self):
         rng = np.random.default_rng(23)

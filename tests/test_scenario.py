@@ -178,6 +178,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             base_scenario(continuity=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["cell_size", "origin", "dt", "radii", "obstacle_radius", "weights"]
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        build = {
+            "cell_size": lambda: GridSpec(dims=(3, 3, 2), cell_size=value),
+            "origin": lambda: GridSpec(dims=(3, 3, 2), origin=(0.0, value, 0.0)),
+            "dt": lambda: base_scenario(dt=value),
+            "radii": lambda: base_scenario(radii=(0.12, 0.12, value)),
+            "obstacle_radius": lambda: base_scenario(obstacle_radius=value),
+            "weights": lambda: base_scenario(weights=(0.0, 1.0, value)),
+        }[field]
+        with pytest.raises(ValueError, match=field):
+            build()
+
 
 class TestSerialization:
     def test_round_trip_through_dict(self):

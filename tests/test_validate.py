@@ -288,13 +288,14 @@ class TestSmoothnessReport:
                     step = rng.normal(size=3) * 10.0 ** rng.uniform(-9, -1)
                     traj.pieces[k].points[index] += step
                 trajs.append(traj)
-            # pieces of different degrees end at different control point indices
-            degrees = rng.integers(1, 10, size=3)
-            trajs.append(
-                PiecewiseBezierTrajectory(
-                    [BezierPiece(0.5, rng.normal(size=(d + 1, 3))) for d in degrees]
+            # robots of degrees 1-9 end their pieces at different control
+            # point indices, and below degree 4 the high orders vanish
+            for degree in rng.integers(1, 10, size=2):
+                trajs.append(
+                    PiecewiseBezierTrajectory(
+                        [BezierPiece(0.5, rng.normal(size=(degree + 1, 3))) for _ in range(3)]
+                    )
                 )
-            )
             expected = per_knot_smoothness_report(trajs, continuity=4)
             assert smoothness_report(trajs, continuity=4) == expected
             reported += len(expected)
