@@ -13,7 +13,8 @@ points, and the rest endpoints fix the first and last k + 1 of them.  Minimizing
 coefficients, subject to the corridor rows on the control points, is a
 convex QP per robot with no equality rows.  Every robot of a plan shares
 its Hessian and its B-spline map, so optimize_trajectory hands the
-robots' programs to the solver together, as one batch.
+robots' programs to the solver together, as one batch, each starting from
+the coefficients of the curve its robot flies now.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 
 from . import opt_engine
@@ -347,9 +349,11 @@ def _smoothing_space(durations, degree, continuity, weights):
     """The parts of the smoothing QP that every robot shares: its Hessian
     over the stacked control points (normalized to a unit largest entry),
     the map Z from the free B-spline coefficients to those points, with
-    each axis interleaved, and the (points, 2) weights of start and goal
-    in them.  The cached matrices are shared: callers must not modify
-    them."""
+    each axis interleaved, the (points, 2) weights of start and goal in
+    them, and for one axis the transpose of Z's block with the Cholesky
+    factor of its Gram matrix (None without a free coefficient), which fit
+    a curve's coefficients by least squares.  The cached matrices are
+    shared: callers must not modify them."""
     c = continuity
     costs = [control_point_cost(degree, tau, weights) for tau in durations]
     h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
@@ -359,9 +363,11 @@ def _smoothing_space(durations, degree, continuity, weights):
     if h_scale > 0:
         h /= h_scale
     basis = spline_to_bernstein(durations, degree, continuity)
-    z = sparse.kron(basis[:, c + 1 : -(c + 1)], sparse.identity(3), format="csr")
+    free = basis[:, c + 1 : -(c + 1)]
+    z = sparse.kron(free, sparse.identity(3), format="csr")
     ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
-    return h, z, ends
+    gram = (free.T @ free).toarray()
+    return h, z, ends, (free.T.tocsr(), scipy.linalg.cho_factor(gram) if gram.size else None)
 
 
 def optimize_trajectory(
@@ -372,6 +378,7 @@ def optimize_trajectory(
     degree,
     continuity,
     weights,
+    current=None,
 ):
     """Minimum-cost trajectories through corridor sequences, one per robot.
 
@@ -386,10 +393,17 @@ def optimize_trajectory(
     a piece with fewer faces is padded with empty rows.  A robot's answer
     does not depend on which other robots share its call.
 
-    Returns one entry per robot: (trajectory, objective, x) with x the
-    control points of every piece, stacked, or the SolverError its
-    program failed with (QPInfeasibleError when its corridors admit no
-    such curve).
+    current, when given, holds each robot's curve of the same knots and
+    degree (the one it flies now): its interior point starts from that
+    curve's coefficients, fitted by least squares, and otherwise from
+    coefficients 0.  The fit is exact for a curve at rest at its ends and
+    C^continuity at the knots, such as the straight line of round zero or
+    an earlier optimum, and the start may lie outside the new corridor.
+
+    Returns one entry per robot: (trajectory, cost, result) with cost the
+    trajectory's cost integral and result its QPResult (the stacked control
+    points x, the stop and the iterations), or the SolverError its program
+    failed with (QPInfeasibleError when its corridors admit no such curve).
     """
     durations = [float(t) for t in durations]
     num_pieces = len(durations)
@@ -398,8 +412,16 @@ def optimize_trajectory(
     d = int(degree)
     c = int(continuity)
 
-    h, z, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
+    h, z, ends, (free_t, gram) = _smoothing_space(tuple(durations), d, c, tuple(weights))
     x0 = [(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)]
+    start = np.zeros((len(corridors), z.shape[1]))
+    if current is not None and gram is not None:
+        # the coefficients whose curve is nearest the current one, in least
+        # squares: the current curve itself, since it has these knots, rest
+        # ends and continuity
+        for t, traj in enumerate(current):
+            offset = (traj.control_points().ravel() - x0[t]).reshape(-1, 3)
+            start[t] = scipy.linalg.cho_solve(gram, free_t @ offset).ravel()
     faces = [max((poly.num_faces for poly in robot), default=0) for robot in corridors]
     out = [None] * len(corridors)
     for f in sorted(set(faces)):
@@ -410,7 +432,9 @@ def optimize_trajectory(
             for k, poly in enumerate(corridors[t]):
                 normals[i, k, : poly.num_faces] = poly.A
                 offsets[i, k, : poly.num_faces] = poly.b
-        batch = opt_engine.SmoothingBatch(h, z, [x0[t] for t in group], normals, offsets)
+        batch = opt_engine.SmoothingBatch(
+            h, z, [x0[t] for t in group], normals, offsets, start[group]
+        )
         for i, (t, result) in enumerate(zip(group, opt_engine.solve_qp(batch).results)):
             if isinstance(result, opt_engine.SolverError):
                 out[t] = result
@@ -427,5 +451,5 @@ def optimize_trajectory(
             )
             # report the cost integral evaluated on the curve itself; the
             # QP's own objective value carries the Hessian's conditioning
-            out[t] = traj, traj.cost(weights), result.x
+            out[t] = traj, traj.cost(weights), result
     return out

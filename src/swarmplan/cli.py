@@ -57,6 +57,7 @@ def _finite_positive(text):
 def _load_scenario(args):
     scenario = ScenarioSpec.load(args.scenario)
     if getattr(args, "dt", None) is not None:
+        # only plan takes --dt
         scenario = dataclasses.replace(scenario, dt=args.dt)
     return scenario
 
@@ -229,13 +230,11 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exhaustive optimal grid plan (small inputs)")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="re-check exported trajectory CSVs")
     p.add_argument("--scenario", required=True)
     p.add_argument("--trajectories", required=True, help="directory of robot CSVs")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--sample-dt", type=_finite_positive, default=1e-3)
     p.set_defaults(func=cmd_validate)
 

@@ -16,7 +16,9 @@ One interior point runs them all.  Its products work piece by piece as
 small dense matmuls; its Newton matrices are one 3x3 block per control
 point, carried to the band by a map built once per batch.  Each
 instance's band gets its own factorization, so an instance stops on its
-own and gets the answer it gets alone.
+own and gets the answer it gets alone.  Each instance starts from its
+own point, the robot's current curve in a refinement round, and stops
+once its duality gap is small relative to its objective.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -222,8 +224,10 @@ class SmoothingBatch:
     (T, P, F) are each instance's faces: its row (k, j, f), in that order,
     is normals[t, k, f] . x[k, j] <= offsets[t, k, f].  A face with a zero
     normal and offset 1 is an empty row, which pads a piece with fewer
-    faces.  solve_qp solves the instances together, and each one's
-    answer is the one it gets alone.
+    faces.  start (T, r) holds the coordinates c each instance's interior
+    point starts from; they need not satisfy its rows.  solve_qp solves
+    the instances together, and each one's answer is the one it gets
+    alone.
     """
 
     H: object
@@ -231,6 +235,7 @@ class SmoothingBatch:
     x0: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
+    start: np.ndarray
 
     def __post_init__(self):
         self.H = sp.csr_matrix(self.H)
@@ -238,9 +243,12 @@ class SmoothingBatch:
         self.x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))
         self.normals = np.asarray(self.normals, dtype=float)
         self.offsets = np.asarray(self.offsets, dtype=float)
+        self.start = np.asarray(self.start, dtype=float)
         T, n = self.x0.shape
         if self.H.shape != (n, n) or self.Z.shape[0] != n:
             raise ValueError("H and Z must match x0's (T, n)")
+        if self.start.shape != (T, self.Z.shape[1]):
+            raise ValueError("start must be (T, r), r being Z's columns")
         shape = self.normals.shape
         if len(shape) != 4 or shape[0] != T or shape[3] != 3 or not shape[1] or n % (3 * shape[1]):
             raise ValueError("normals must be (T, P, F, 3), with n a multiple of 3 P")
@@ -371,20 +379,35 @@ _IPM_MAX_ITER = 100
 # Why an instance's interior point stopped (QPResult.stop).  Its best
 # iterate is the answer in every case, and the KKT tolerance decides
 # whether it is accepted.
-#   "breakdown": the banded Cholesky of its Newton matrix failed.  This is
-#     how the smoothing programs end (all 48 of a wall_windows_8 plan):
-#     near the optimum the barrier weights z/s of the tight and the slack
-#     rows spread past what double precision can factor.
-#   "stall": its residual has not improved for _IPM_STALL steps, the usual
-#     end of a small program whose optimum has no tight row: its weights
-#     stay bounded and its residual reaches the rounding floor.  Or its
-#     residual is at the rounding level of its own data, machine epsilon
-#     times the largest of |g| and |b_in|: a tiny program's residual can
-#     keep shrinking far below that, toward underflow, and improve at every
-#     step without meaning anything.
+#   "converged": its residuals are at their floor, _IPM_RES times the
+#     rounding level of its data (machine epsilon times the largest of |g|
+#     and |b_in|), and its duality gap s'z is at most _IPM_GAP of its
+#     objective, or the square root of its duality measure is at that floor
+#     too (an optimum of zero, such as a robot hovering in place, has no
+#     relative gap).  The relative gap does not depend on how H is
+#     normalized, where a residual stop would.  This is how the bundled
+#     scenarios' smoothing programs end (all 48 of a wall_windows_8 plan).
+#   "breakdown": the banded Cholesky of its Newton matrix failed before the
+#     gap closed: the barrier weights z/s of the tight and the slack rows
+#     spread past what double precision can factor.
+#   "stall": the largest of its residuals and the square root of its
+#     duality measure has not improved for _IPM_STALL steps.
 #   "max_iter": _IPM_MAX_ITER steps.
 #   "nonfinite": its residual overflowed.
 _IPM_STALL = 8
+_IPM_RES = 1e3
+_IPM_GAP = 1e-12
+# The start: each slack is its row's distance b_in - A_in x from the start
+# point x, and at least _IPM_SLACK_FLOOR, or _IPM_VIOL times the point's
+# largest violation when that is more; each multiplier is _IPM_MU0 over its
+# slack.  A start inside its rows, such as a robot's current curve in its
+# new corridor, so keeps its distances to the faces.  A start far outside
+# them gets slacks of the size of its violation, as in Mehrotra's shift:
+# slacks pinned at the floor there start with huge multipliers, and small
+# general programs then lose their centering and stall.
+_IPM_SLACK_FLOOR = 1e-3
+_IPM_VIOL = 1.5
+_IPM_MU0 = 1e-2
 _KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
 # to |g|) to count as an unboundedness certificate
@@ -595,7 +618,9 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     One method serves every QP: a Mehrotra predictor-corrector interior
     point over the coordinates c of the affine set x = x0 + Z c, whose
     Newton step factors Z'(H + A_in' W A_in)Z + dI with a banded Cholesky
-    (LAPACK dpbtrf) in natural order.  A program without inequality rows
+    (LAPACK dpbtrf) in natural order.  It starts from c = 0, or from a
+    SmoothingBatch's start, and stops at a small relative duality gap
+    (see _IPM_STALL).  A program without inequality rows
     runs the same iteration.  The smoothness objectives weight derivative
     orders whose magnitudes differ by many decades, so the reduced
     Hessian can carry near-zero eigenvalues; a barrier method converges to
@@ -625,8 +650,9 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     program = _GeneralProgram(H, A_in, qp.Z)
     g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
     b = (qp.b_in - A_in @ qp.x0)[None]
+    f0 = np.array([qp.objective(qp.x0)])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape))
+        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape), f0)
         ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
     r_prim, r_dual = float(r_prim[0]), float(r_dual[0])
     if not ok[0]:
@@ -645,10 +671,12 @@ def _solve_batch(batch, eps_abs, eps_rel):
     """solve_qp for a SmoothingBatch."""
     _check_psd(batch.H)
     program = _FacesProgram(batch)
-    g = _apply(program.ZT, _apply(batch.H, batch.x0))
+    hx0 = _apply(batch.H, batch.x0)
+    g = _apply(program.ZT, hx0)
     b = batch.b_in - _face_rows(batch.faces, batch.x0)
+    f0 = 0.5 * np.einsum("tn,tn->t", batch.x0, hx0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape))
+        c, z, steps, stops = _ipm(program, g, b, batch.start, f0)
         ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
     x = batch.x0 + _apply(batch.Z, c)
     results = []
@@ -680,8 +708,9 @@ def _accept(program, g, b_in, x, z, eps_abs, eps_rel):
     return (r_prim <= eps_p) & (r_dual <= eps_d), r_prim, r_dual
 
 
-def _ipm(program, g, b_in, x):
-    """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0.
+def _ipm(program, g, b_in, x, f0):
+    """Mehrotra predictor-corrector on A_in x + s = b_in, s >= 0, for the
+    objective 0.5 x'Hx + g'x + f0.
 
     Solves a batch of programs at once: arrays carry the instance on their
     first axis, and program supplies the products and, per instance, the
@@ -689,48 +718,58 @@ def _ipm(program, g, b_in, x):
     (by the largest of the residuals and the square root of the duality
     measure) and stop (see _IPM_STALL), and leaves the batch when it stops,
     through program.take(keep); a batch of one stops whole.  Starts from
-    x and returns the best iterates (x, z), and per instance the steps it
-    took and why it stopped.
+    x (see _IPM_SLACK_FLOOR) and returns the best iterates (x, z), and per
+    instance the steps it took and why it stopped.
     """
     m_in = b_in.shape[1]
-    s_raw = b_in - program.ineq(x)
-    s = s_raw + np.maximum(0.0, -1.5 * s_raw.min(axis=1, initial=0.0))[:, None] + 1.0
-    z = np.ones(b_in.shape)
+    s = b_in - program.ineq(x)
+    s = np.maximum(s, np.maximum(_IPM_SLACK_FLOOR, -_IPM_VIOL * s.min(axis=1, initial=0.0))[:, None])
+    z = _IPM_MU0 / s
 
     best = [x.copy(), z.copy()]
     best_res = np.full(x.shape[0], np.inf)
     stall = np.zeros(x.shape[0], dtype=int)
     steps = np.zeros(x.shape[0], dtype=int)
     stops = np.full(x.shape[0], "max_iter", dtype=object)
-    floor = np.finfo(float).eps * _largest(_norm(g), _norm(b_in))
+    floor = _IPM_RES * np.finfo(float).eps * _largest(_norm(g), _norm(b_in))
     live = np.arange(x.shape[0])
     for _ in range(_IPM_MAX_ITER):
-        r_d = program.hess(x) + g + program.ineq_t(z)
+        hx = program.hess(x)
+        r_d = hx + g + program.ineq_t(z)
         r_in = program.ineq(x) + s - b_in
-        mu = np.einsum("tm,tm->t", s, z) / max(m_in, 1)
+        gap = np.einsum("tm,tm->t", s, z)
+        mu = gap / max(m_in, 1)
+        resid = _largest(_norm(r_d), _norm(r_in))
         # on a degenerate face the distance to the solution shrinks like
         # sqrt(mu), not like mu
-        res = _largest(_norm(r_d), _norm(r_in), np.sqrt(mu))
+        res = _largest(resid, np.sqrt(mu))
         better = res < best_res[live]
         for kept, current in zip(best, (x, z)):
             kept[live[better]] = current[better]
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
-        state = (x, s, z, g, b_in, r_d, r_in, mu)
-        stalled = (stall[live] >= _IPM_STALL) | (res <= floor[live])
-        why = np.select([~np.isfinite(res), stalled], ["nonfinite", "stall"], "")
+        objective = np.einsum("tn,tn->t", x, 0.5 * hx + g) + f0
+        converged = (res <= floor[live]) | (
+            (resid <= floor[live]) & (gap <= _IPM_GAP * np.abs(objective))
+        )
+        state = (x, s, z, g, b_in, f0, r_d, r_in, mu)
+        why = np.select(
+            [~np.isfinite(res), converged, stall[live] >= _IPM_STALL],
+            ["nonfinite", "converged", "stall"],
+            "",
+        )
         live, program, state = _leave(why, stops, live, program, state)
         if not live.size:
             break
         # only the instances still running are factored
-        x, s, z, g, b_in, r_d, r_in, mu = state
+        x, s, z, g, b_in, f0, r_d, r_in, mu = state
         factors = program.newton(z / s)
         broken = np.array([f is None for f in factors])
         live, program, state = _leave(np.where(broken, "breakdown", ""), stops, live, program, state)
         if not live.size:
             break
         factors = [f for f in factors if f is not None]
-        x, s, z, g, b_in, r_d, r_in, mu = state
+        x, s, z, g, b_in, f0, r_d, r_in, mu = state
 
         def newton(r_cs):
             dx = program.solve(factors, -r_d - program.ineq_t((z * r_in - r_cs) / s))

@@ -8,7 +8,11 @@ on the first pass, dense samples afterwards) and re-optimizes every
 robot inside its corridor.  The robots' smoothing programs are
 independent (each sees only its own corridors), so one optimize_trajectory
 call per round solves them together as one batched interior point, in
-this process.  Each robot's curve is the one it gets when solved alone.
+this process.  Each robot's program starts from the curve it flies now,
+which lies in the new corridor or close to it, so a later round needs
+far fewer interior-point steps than a start from coefficients 0; each
+round logs how its programs stopped and their step range.  Each robot's
+curve is the one it gets when solved alone.
 
 Failures degrade per robot instead of aborting, by one rule: a robot
 without a full corridor (a pair or obstacle separator failed) or with an
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import opt_engine
@@ -63,6 +68,20 @@ def write_report_csv(rows, path):
 
 def _total_cost(trajectories, weights):
     return float(sum(t.cost(weights) for t in trajectories))
+
+
+def _qp_summary(results):
+    """One line on a round's smoothing programs: how many stopped for each
+    reason (failed: no curve came back) and the range of their
+    interior-point steps."""
+    stops = Counter(
+        "failed" if isinstance(out, opt_engine.SolverError) else out[2].stop for out in results
+    )
+    steps = [out[2].iterations for out in results if not isinstance(out, opt_engine.SolverError)]
+    line = f"{len(results)} QPs: " + ", ".join(f"{stops[stop]} {stop}" for stop in sorted(stops))
+    if steps:
+        line += f"; {min(steps)}-{max(steps)} interior-point steps"
+    return line
 
 
 def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=None):
@@ -136,7 +155,9 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             degree,
             continuity,
             weights,
+            [best[i] for i in free],
         )
+        emit(f"iteration {it}: {_qp_summary(results)}")
         failed = 0
         for i, out in zip(free, results):
             if isinstance(out, opt_engine.SolverError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier_opt import bernstein_basis
+from .bezier_opt import PiecewiseBezierTrajectory, bernstein_basis
 
 GRAVITY = 9.81
 # how far below its threshold a sampled clearance, or how far outside the
@@ -197,6 +197,27 @@ def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
     return np.linalg.norm(gap / radii, axis=-1)
 
 
+class _Derivatives(PiecewiseBezierTrajectory):
+    """A trajectory that computes the control points of each derivative
+    order once.  It shares the pieces it is made from, so it must not
+    outlive a change to them: one validation makes its own."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._orders = {}
+
+    def control_points(self, order=0):
+        if order not in self._orders:
+            self._orders[order] = super().control_points(order)
+        return self._orders[order]
+
+
+def _shared_derivatives(trajectories):
+    """The trajectories as _Derivatives, those that already are kept as
+    they are, so callers that pass one list on share its derivatives."""
+    return [t if isinstance(t, _Derivatives) else _Derivatives(t.pieces) for t in trajectories]
+
+
 _Layout = namedtuple("_Layout", "key degree idx s starts pieces")
 
 
@@ -212,11 +233,11 @@ class _SampleGrid:
     """
 
     def __init__(self, trajectories, sample_dt):
-        self.trajectories = trajectories
+        self.trajectories = _shared_derivatives(trajectories)
         self.ts = _sample_times(max(t.duration for t in trajectories), sample_dt)
         self.layouts = []
         shared = {}
-        for traj in trajectories:
+        for traj in self.trajectories:
             key = (traj.knots.tobytes(), traj.degree)
             if key not in shared:
                 idx, local = traj._locate(self.ts)
@@ -227,15 +248,8 @@ class _SampleGrid:
                     np.flatnonzero(np.diff(starts)),
                 )
             self.layouts.append(shared[key])
-        self._points = {}
         self._basis = {}
         self._values = {}
-
-    def points(self, r, order=0):
-        """control_points of robot r's order-th derivative."""
-        if (r, order) not in self._points:
-            self._points[r, order] = self.trajectories[r].control_points(order)
-        return self._points[r, order]
 
     def values(self, r, k, order=0):
         """Robot r's order-th derivative at the samples piece k owns."""
@@ -246,7 +260,7 @@ class _SampleGrid:
                 max(layout.degree - order, 0), layout.s[a:b]
             )
         basis = self._basis[layout.key, k, order]
-        points = self.points(r, order)
+        points = self.trajectories[r].control_points(order)
         # the samples depend on the window and the control points alone, so
         # pieces with equal derivatives (straight moves alike in direction
         # and duration) are evaluated once
@@ -272,7 +286,7 @@ def _position_extremes(trajectories, scenario, sample_dt):
     # one unit per robot piece that owns samples, with its position box
     units, lo, hi, hulls = [], [], [], []
     for r, layout in enumerate(grid.layouts):
-        points = grid.points(r)
+        points = grid.trajectories[r].control_points()
         if not np.isfinite(points).all():
             # a robot with a control point that is not finite has no
             # bound and is sampled whole
@@ -406,8 +420,8 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     units = []
     bounds = {name: [np.empty(0)] for name in peak}
     thrust_bound = {}
-    for r, traj in enumerate(trajectories):
-        vel, acc, jerk = (grid.points(r, order) for order in (1, 2, 3))
+    for r, traj in enumerate(grid.trajectories):
+        vel, acc, jerk = (traj.control_points(order) for order in (1, 2, 3))
         if not all(np.isfinite(p).all() for p in (vel, acc, jerk)):
             # a robot with a control point that is not finite has no bound
             # and is sampled whole
@@ -494,7 +508,7 @@ def smoothness_report(trajectories, continuity):
     points of the derivative curves, with no curve evaluation.
     """
     problems = []
-    for r, traj in enumerate(trajectories):
+    for r, traj in enumerate(_shared_derivatives(trajectories)):
         heads, tails, scales = [], [], []
         for order in range(continuity + 1):
             pts = traj.control_points(order)
@@ -558,7 +572,9 @@ def validate_trajectories(
     Clearance thresholds are 2 for the pairwise ellipsoid metric and 1
     for the scaled obstacle distance, each minus its tolerance (_PAIR_TOL,
     _OBSTACLE_TOL); the workspace overrun may be at most _WORKSPACE_TOL.
+    Every check reads one copy of each trajectory's derivatives.
     """
+    trajectories = _shared_derivatives(trajectories)
     pair, obstacle, overrun = _position_extremes(trajectories, scenario, sample_dt)
     peaks = dynamics_metrics(trajectories, sample_dt=max(sample_dt, 1e-3))
     smooth = smoothness_report(trajectories, scenario.continuity)

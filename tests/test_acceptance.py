@@ -13,6 +13,7 @@ against direct sampling.
 import itertools
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -456,3 +457,19 @@ def test_14_wall_refines_every_robot(wall_run):
                 not np.array_equal(p.points, q.points) for p, q in zip(old.pieces, new.pieces)
             )
             assert changed, f"robot {robot} kept its curve"
+
+
+def test_15_each_round_logs_how_its_qps_stopped(wall_run):
+    # one line per round, before its cost line: every program closes its
+    # duality gap, and the line gives the range of interior-point steps
+    log = wall_run["log"]
+    for row in wall_run["result"].rows:
+        it = row["iteration"]
+        (line,) = [msg for msg in log if msg.startswith(f"iteration {it}: 8 QPs")]
+        match = re.fullmatch(
+            rf"iteration {it}: 8 QPs: 8 converged; (\d+)-(\d+) interior-point steps", line
+        )
+        assert match, line
+        low, high = map(int, match.groups())
+        assert 0 < low <= high < 60
+        assert log.index(line) < log.index(f"iteration {it}: cost {row['cost']:.6g}")

@@ -5,6 +5,7 @@ evaluations, and integral costs against Gauss-Legendre quadrature, so the
 expected values never flow through the code under test.
 """
 
+import dataclasses
 import math
 import os
 
@@ -26,10 +27,11 @@ from swarmplan.bezier_opt import (
     spline_to_bernstein,
 )
 from swarmplan import opt_engine
-from swarmplan.corridor import build_corridors, segment_point_sets
+from swarmplan.corridor import build_corridors, sample_point_sets, segment_point_sets
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron
 from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
+from swarmplan.refine import refine_trajectories
 from swarmplan.scenario import ScenarioSpec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -482,7 +484,7 @@ class TestFallback:
 
 
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
-    """optimize_trajectory for one robot: its (trajectory, objective, x),
+    """optimize_trajectory for one robot: its (trajectory, cost, result),
     or its error raised."""
     out = optimize_trajectory([start], [goal], durations, [corridors], degree, continuity, weights)[0]
     if isinstance(out, Exception):
@@ -611,11 +613,17 @@ class TestOptimizeTrajectory:
 
 
 @pytest.fixture(scope="module")
-def wall_round_zero():
+def wall_plan():
+    """The wall scenario's post-processed plan, and the scenario."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+    return solve_discrete(sc).postprocessed(), sc
+
+
+@pytest.fixture(scope="module")
+def wall_round_zero(wall_plan):
     """The wall scenario's round-0 smoothing inputs, as refinement passes
     them: (starts, goals, durations, corridors, degree, continuity, weights)."""
-    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
-    plan = solve_discrete(sc).postprocessed()
+    plan, sc = wall_plan
     corridors = build_corridors(segment_point_sets(plan.waypoints), sc).polyhedra
     durations = [plan.dt] * plan.num_segments
     return (
@@ -632,9 +640,10 @@ def curve_cost(x, durations, weights):
     ).cost(weights)
 
 
-def solve_robots(inputs, robots, monkeypatch=None):
-    """optimize_trajectory on the given robots of inputs; with monkeypatch,
-    also every solve_qp call it makes, as (program, result)."""
+def solve_robots(inputs, robots, monkeypatch=None, current=None):
+    """optimize_trajectory on the given robots of inputs, started from
+    their current curves when given; with monkeypatch, also every solve_qp
+    call it makes, as (program, result)."""
     starts, goals, durations, corridors, *rest = inputs
     calls = []
     if monkeypatch is not None:
@@ -646,9 +655,39 @@ def solve_robots(inputs, robots, monkeypatch=None):
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)
     out = optimize_trajectory(
-        starts[robots], goals[robots], durations, [corridors[i] for i in robots], *rest
+        starts[robots], goals[robots], durations, [corridors[i] for i in robots], *rest,
+        None if current is None else [current[i] for i in robots],
     )
     return out, calls
+
+
+def straight_lines(plan, scenario):
+    """Every robot's round-zero curve: the straight line along its plan."""
+    durations = [plan.dt] * plan.num_segments
+    return [
+        fallback_trajectory(wp, durations, scenario.degree, scenario.continuity, scenario.weights)
+        for wp in plan.waypoints
+    ]
+
+
+def plan_stops(name, iterations):
+    """How every smoothing QP of a refinement of the named scenario stopped,
+    over its first iterations rounds."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    plan = solve_discrete(sc).postprocessed()
+    stops = []
+    real = opt_engine.solve_qp
+
+    def spy(qp, *args):
+        result = real(qp, *args)
+        stops.extend(r.stop for r in result.results)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt_engine, "solve_qp", spy)
+        result = refine_trajectories(plan, sc, iterations=iterations)
+    assert result.ok and len(result.rows) >= min(iterations, 2)
+    return stops, sc.num_robots * len(result.rows)
 
 
 class TestSmoothingBatch:
@@ -661,20 +700,83 @@ class TestSmoothingBatch:
         split = solve_robots(wall_round_zero, robots[5:])[0] + solve_robots(wall_round_zero, robots[:5])[0]
         for i in robots:
             alone, _ = solve_robots(wall_round_zero, [i])
-            x = alone[0][2]
-            assert np.array_equal(together[i][2], x)
-            assert np.array_equal(reversed_[7 - i][2], x)
-            assert np.array_equal(split[(i + 3) % 8][2], x)
+            x = alone[0][2].x
+            assert np.array_equal(together[i][2].x, x)
+            assert np.array_equal(reversed_[7 - i][2].x, x)
+            assert np.array_equal(split[(i + 3) % 8][2].x, x)
 
-    def test_wall_programs_stop_by_breakdown(self, wall_round_zero, monkeypatch):
-        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch)
+    def test_bundled_programs_stop_as_converged(self, wall_plan, wall_round_zero, monkeypatch):
+        # every program closes its duality gap: none ends by breakdown or
+        # stall, on the wall's round zero and on two other scenarios' plans
+        wall = straight_lines(*wall_plan)
+        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, wall)
         ((batch, result),) = calls
         assert isinstance(batch, opt_engine.SmoothingBatch) and len(result.results) == 8
-        assert [r.stop for r in result.results] == ["breakdown"] * 8
+        assert [r.stop for r in result.results] == ["converged"] * 8
         assert result.iterations == sum(r.iterations for r in result.results)
         # what a benchmark tracer reads of a solve_qp call
         assert batch.A_eq.shape[0] + batch.A_in.shape[0] == 8 * 24 * 20 * 10
         assert result.polished is False
+        monkeypatch.undo()
+        for name, iterations in (("handover_3", 3), ("pillars_6", 2)):
+            stops, count = plan_stops(name, iterations)
+            assert stops == ["converged"] * count, name
+
+    def test_hovering_robot_stops_as_converged(self):
+        # start == goal: the optimum is the robot resting in place, of cost
+        # zero, where no gap is small relative to the objective
+        here = np.array([1.0, 2.0, 1.5])
+        box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([here + 1, 1 - here]))
+        durations = [0.5] * 4
+        hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4, WEIGHTS)
+        for current in (None, [hover]):
+            (traj, cost, result), = optimize_trajectory(
+                [here], [here], durations, [[box] * 4], 9, 4, WEIGHTS, current
+            )
+            assert result.stop == "converged"
+            assert np.abs(traj.control_points() - here).max() <= 1e-8
+            assert cost <= 1e-9
+
+    def test_warm_start_reaches_the_cold_optimum_in_fewer_steps(
+        self, wall_plan, wall_round_zero, monkeypatch
+    ):
+        # the wall's round-one programs, started from the round-zero
+        # curves (as refinement does) and from coefficients 0.  The
+        # objectives are flat: double precision resolves a robot's cost to
+        # about 1e-5 relative, and the set cost to about 1e-7
+        plan, sc = wall_plan
+        robots = list(range(8))
+        out, _ = solve_robots(wall_round_zero, robots, current=straight_lines(plan, sc))
+        round_zero = [traj for traj, _, _ in out]
+        corridors = build_corridors(sample_point_sets(round_zero, sc.samples_per_piece), sc).polyhedra
+        inputs = (*wall_round_zero[:3], corridors, *wall_round_zero[4:])
+        cold, cold_calls = solve_robots(inputs, robots, monkeypatch)
+        warm, warm_calls = solve_robots(inputs, robots, monkeypatch, round_zero)
+        assert [r.stop for r in cold_calls[0][1].results + warm_calls[0][1].results] == ["converged"] * 16
+        cold_cost, warm_cost = (sum(out[1] for out in outs) for outs in (cold, warm))
+        assert warm_cost == pytest.approx(cold_cost, rel=1e-6)
+        for c, w in zip(cold, warm):
+            assert w[1] == pytest.approx(c[1], rel=1e-5)
+        steps = [[r.iterations for r in calls[0][1].results] for calls in (cold_calls, warm_calls)]
+        assert sum(steps[1]) < 0.8 * sum(steps[0]) and max(steps[1]) <= max(steps[0])
+
+    def test_warm_start_outside_the_corridor_still_solves(self, wall_plan, wall_round_zero):
+        # a current curve whose middle waypoints sit 2 m off: it has the
+        # program's knots, rest ends and continuity, but leaves the corridor
+        plan, sc = wall_plan
+        corridors = wall_round_zero[3]
+        robots = [0, 5]
+        bent = plan.waypoints.copy()
+        bent[:, 1:-1, 1] += 2.0
+        bent = straight_lines(dataclasses.replace(plan, waypoints=bent), sc)
+        for i in robots:
+            points = bent[i].control_points()
+            assert max(poly.max_violation(p) for poly, p in zip(corridors[i], points)) > 1.0
+        warm, _ = solve_robots(wall_round_zero, robots, current=bent)
+        cold, _ = solve_robots(wall_round_zero, robots)
+        for w, c in zip(warm, cold):
+            assert w[2].stop == "converged"
+            assert w[1] == pytest.approx(c[1], rel=1e-4)
 
     def test_batch_agrees_with_the_general_solver(self, wall_round_zero, monkeypatch):
         # each instance as a QuadraticProgram with explicit sparse rows,
@@ -730,7 +832,7 @@ class TestSmoothingBatch:
         assert isinstance(out[3], QPInfeasibleError)
         for i in range(8):
             if i != 3:
-                assert np.array_equal(out[i][2], want[i][2])
+                assert np.array_equal(out[i][2].x, want[i][2].x)
 
     def test_pieces_with_fewer_faces_are_padded(self, wall_round_zero, monkeypatch):
         starts, goals, durations, corridors, *rest = wall_round_zero

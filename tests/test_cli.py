@@ -222,6 +222,17 @@ class TestRejectedNumbers:
         assert "error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "oracle"])
+    def test_dt_is_only_a_plan_option(self, scenario_file, planned, capsys, command):
+        # validation reads the durations from the CSVs, and the oracle
+        # counts grid steps: neither has a time step to override
+        argv = [command, "--scenario", scenario_file, "--dt", "7.5"]
+        if command == "validate":
+            argv += ["--trajectories", os.path.join(planned[1], "trajectories")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --dt 7.5" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["0", "-0.001"])
     def test_validate_sample_dt(self, scenario_file, planned, capsys, value):
         code = exit_code(["validate", "--scenario", scenario_file, "--trajectories",

@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,12 +279,12 @@ class TestDegradation:
             calls.extend(starts)
             if len(calls) <= n:
                 return real(starts, *args)
-            _, durations, _, degree, continuity, weights = args
+            _, durations, _, degree, continuity, weights, _ = args
             out = []
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
                 straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
-                out.append((straight, None, None))
+                out.append((straight, None, SimpleNamespace(stop="converged", iterations=0)))
             return out
 
         monkeypatch.setattr(refine_mod, "optimize_trajectory", straight_lines_in_round_1)
