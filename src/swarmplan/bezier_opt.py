@@ -358,7 +358,10 @@ def _smoothing_space(durations, degree, continuity, weights):
     costs = [control_point_cost(degree, tau, weights) for tau in durations]
     h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
     # snap weights at sub-second pieces push |H| to ~1e9; the minimizer is
-    # scale-free (g = 0), so normalize and let the solver see O(1) data
+    # scale-free (g = 0), so normalize H to a unit largest entry.  That
+    # does not make the objective O(1): with control points near 5 m it
+    # sits at 1e-10 to 1e-8 at the optimum.  solve_qp scales each program
+    # by its own objective at its start point instead
     h_scale = float(abs(h).max())
     if h_scale > 0:
         h /= h_scale

@@ -68,11 +68,11 @@ def _write_samples(traj, path, sample_rate):
     pos = traj.evaluate_many(ts)
     vel = traj.evaluate_many(ts, 1)
     acc = traj.evaluate_many(ts, 2)
+    rows = np.column_stack([ts, pos, vel, acc])
+    line = "%.17g," * 9 + "%.17g\n"
     with open(path, "w", newline="") as f:
         f.write("t,x,y,z,vx,vy,vz,ax,ay,az\n")
-        for i, t in enumerate(ts):
-            row = [t, *pos[i], *vel[i], *acc[i]]
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        f.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def cmd_plan(args):

@@ -17,8 +17,9 @@ small dense matmuls; its Newton matrices are one 3x3 block per control
 point, carried to the band by a map built once per batch.  Each
 instance's band gets its own factorization, so an instance stops on its
 own and gets the answer it gets alone.  Each instance starts from its
-own point, the robot's current curve in a refinement round, and stops
-once its duality gap is small relative to its objective.
+own point, the robot's current curve in a refinement round, with its
+objective divided by its value there, and stops once its duality gap is
+small relative to its objective.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -378,7 +379,9 @@ class FlowNetwork:
 _IPM_MAX_ITER = 100
 # Why an instance's interior point stopped (QPResult.stop).  Its best
 # iterate is the answer in every case, and the KKT tolerance decides
-# whether it is accepted.
+# whether it is accepted.  Every constant here assumes an objective of
+# about unit size: solve_qp divides each program's objective by its
+# absolute value at the start point (_objective_scale) before _ipm runs.
 #   "converged": its residuals are at their floor, _IPM_RES times the
 #     rounding level of its data (machine epsilon times the largest of |g|
 #     and |b_in|), and its duality gap s'z is at most _IPM_GAP of its
@@ -421,6 +424,16 @@ def _norm(v):
 
 def _largest(*values):
     return reduce(np.maximum, values)
+
+
+def _objective_scale(value):
+    """sigma per instance: the absolute value of its objective at the point
+    its interior point starts from, or 1 where that is 0 or not finite (a
+    robot hovering in place).  Dividing the objective by sigma gives every
+    program an objective of about unit size at its start, which _ipm's
+    constants and _accept's eps_abs assume, however its H is normalized."""
+    value = np.abs(value)
+    return np.where(np.isfinite(value) & (value > 0.0), value, 1.0)
 
 
 def _max_step(v, dv):
@@ -582,17 +595,23 @@ class _FacesProgram(_BandedNewton):
     faces (T, P, F, 3) against the points (T, P, q, 3).  The x-space part
     of the Newton matrix is one 3x3 block per control point, which one
     matmul of the weights with the faces' outer products gives, and
-    _newton_maps' to_band carries those blocks to the band.
+    _newton_maps' to_band carries those blocks to the band.  scale (T,)
+    multiplies each instance's H, that is Z'HZ in hess and the band's
+    constant part.
     """
 
-    def __init__(self, batch):
+    def __init__(self, batch, scale):
         self.H, self.band_shape, self.const, self.to_band = _newton_maps(batch.H, batch.Z)
+        self.scale = scale
         self.Z, self.ZT = batch.Z, batch.Z.T.tocsr()
         self.normals, self.points = batch.normals, batch.points
         self.faces = np.ascontiguousarray(batch.faces)
         self.outer = (batch.normals[..., :, None] * batch.normals[..., None, :]).reshape(
             *batch.normals.shape[:3], 9
         )
+
+    def hess(self, c):
+        return _apply(self.H, c) * self.scale[:, None]
 
     def ineq(self, c):
         return _face_rows(self.faces, _apply(self.Z, c))
@@ -603,11 +622,13 @@ class _FacesProgram(_BandedNewton):
     def bands(self, w):
         T, P, F, _ = self.normals.shape
         blocks = (w.reshape(T, P, self.points, F) @ self.outer).reshape(T, -1)
-        return (self.const + _apply(self.to_band, blocks)).reshape(T, *self.band_shape).swapaxes(1, 2)
+        band = self.scale[:, None] * self.const + _apply(self.to_band, blocks)
+        return band.reshape(T, *self.band_shape).swapaxes(1, 2)
 
     def take(self, keep):
         part = copy.copy(self)
         part.normals, part.faces, part.outer = self.normals[keep], self.faces[keep], self.outer[keep]
+        part.scale = self.scale[keep]
         return part
 
 
@@ -620,13 +641,19 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     Newton step factors Z'(H + A_in' W A_in)Z + dI with a banded Cholesky
     (LAPACK dpbtrf) in natural order.  It starts from c = 0, or from a
     SmoothingBatch's start, and stops at a small relative duality gap
-    (see _IPM_STALL).  A program without inequality rows
-    runs the same iteration.  The smoothness objectives weight derivative
-    orders whose magnitudes differ by many decades, so the reduced
-    Hessian can carry near-zero eigenvalues; a barrier method converges to
-    a well-centered point of such a flat optimal face without naming its
-    active rows.  The equality multipliers of a program given A_eq are
-    recovered by least squares from the stationarity condition.
+    (see _IPM_STALL).  Each program's objective is first divided by
+    sigma, its absolute value at that start (1 where it is 0 or not
+    finite), so the interior point's fixed constants and eps_abs see an
+    objective of about unit size whatever the scale of H and g.  The KKT
+    tolerance applies to that scaled program; x, the objective, the duals
+    and the dual residual come back for the program as given.  A program
+    without inequality rows runs the same iteration.  The smoothness
+    objectives weight derivative orders whose magnitudes differ by many
+    decades, so the reduced Hessian can carry near-zero eigenvalues; a
+    barrier method converges to a well-centered point of such a flat
+    optimal face without naming its active rows.  The equality
+    multipliers of a program given A_eq are recovered by least squares
+    from the stationarity condition.
 
     Returns a QPResult with the best iterate found.  When that iterate misses
     the tolerance, HiGHS LPs classify the program: QPInfeasibleError when
@@ -647,18 +674,21 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
         raise QPInfeasibleError("primal infeasible: the equality rows admit no point")
     H = sp.csr_matrix(qp.H)
     A_in = sp.csr_matrix(qp.A_in)
-    program = _GeneralProgram(H, A_in, qp.Z)
+    # the interior point starts from c = 0, that is from x0
+    f0 = qp.objective(qp.x0)
+    sigma = float(_objective_scale(f0))
+    program = _GeneralProgram(H / sigma, A_in, qp.Z)
     g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
     b = (qp.b_in - A_in @ qp.x0)[None]
-    f0 = np.array([qp.objective(qp.x0)])
+    scaled_g = g / sigma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, g, b, np.zeros(g.shape), f0)
-        ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
-    r_prim, r_dual = float(r_prim[0]), float(r_dual[0])
+        c, z, steps, stops = _ipm(program, scaled_g, b, np.zeros(g.shape), np.array([f0 / sigma]))
+        ok, r_prim, r_dual = _accept(program, scaled_g, b, c, z, eps_abs, eps_rel)
+    r_prim, r_dual = float(r_prim[0]), sigma * float(r_dual[0])
     if not ok[0]:
         raise _failure(program.H, program.A, g[0], b[0], r_prim, r_dual, steps[0], stops[0])
     x = qp.x0 + qp.Z @ c[0]
-    duals = z[0]
+    duals = sigma * z[0]
     if qp.A_eq.shape[0]:
         residual = H @ x + qp.g + A_in.T @ duals
         a_eq = sp.csr_matrix(qp.A_eq).toarray()
@@ -667,18 +697,36 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     return QPResult(x, qp.objective(x), int(steps[0]), r_prim, r_dual, duals, False, str(stops[0]))
 
 
+def _half_quadratic(H, x):
+    """0.5 x'Hx for each row of x (T, n), each from its own C-contiguous
+    row, so that an instance's value does not depend on its batch."""
+    x = np.ascontiguousarray(x)
+    return 0.5 * (x * np.ascontiguousarray(_apply(H, x))).sum(axis=1)
+
+
+def _start_objective(batch):
+    """Per instance: f0 = 0.5 x0'H x0, the constant of its objective over
+    its coordinates c, and sigma (_objective_scale) from its objective at
+    its start point x0 + Z start."""
+    f0 = _half_quadratic(batch.H, batch.x0)
+    sigma = _objective_scale(_half_quadratic(batch.H, batch.x0 + _apply(batch.Z, batch.start)))
+    return f0, sigma
+
+
 def _solve_batch(batch, eps_abs, eps_rel):
     """solve_qp for a SmoothingBatch."""
     _check_psd(batch.H)
-    program = _FacesProgram(batch)
-    hx0 = _apply(batch.H, batch.x0)
-    g = _apply(program.ZT, hx0)
+    f0, sigma = _start_objective(batch)
+    program = _FacesProgram(batch, 1.0 / sigma)
+    g = _apply(program.ZT, _apply(batch.H, batch.x0))
     b = batch.b_in - _face_rows(batch.faces, batch.x0)
-    f0 = 0.5 * np.einsum("tn,tn->t", batch.x0, hx0)
+    scaled_g = g / sigma[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, g, b, batch.start, f0)
-        ok, r_prim, r_dual = _accept(program, g, b, c, z, eps_abs, eps_rel)
+        c, z, steps, stops = _ipm(program, scaled_g, b, batch.start, f0 / sigma)
+        ok, r_prim, r_dual = _accept(program, scaled_g, b, c, z, eps_abs, eps_rel)
     x = batch.x0 + _apply(batch.Z, c)
+    z = z * sigma[:, None]
+    r_dual = r_dual * sigma
     results = []
     for t, xt in enumerate(x):
         if ok[t]:

@@ -43,6 +43,11 @@ _RELATIVE_COST_STOP = 1e-3
 _RELATIVE_COST_RISE = 1e-12
 
 
+def _total_cost(costs):
+    """The set cost: the robots' cost integrals summed in robot order."""
+    return float(sum(costs))
+
+
 @dataclass
 class RefinementResult:
     trajectories: list
@@ -64,10 +69,6 @@ def write_report_csv(rows, path):
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in fields})
-
-
-def _total_cost(trajectories, weights):
-    return float(sum(t.cost(weights) for t in trajectories))
 
 
 def _qp_summary(results):
@@ -111,11 +112,13 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         for i in range(n)
     ]
     best = list(straight)
+    # each robot's cost integral: optimize_trajectory returns it with the curve
+    costs = [t.cost(weights) for t in best]
     validation = validate_trajectories(
         best, scenario, expected_starts=starts, expected_goals=goals
     )
     rows = []
-    best_cost = _total_cost(best, weights)
+    best_cost = _total_cost(costs)
     emit(f"baseline: straight-line set, cost {best_cost:.6g}, ok={validation.ok}")
     if not validation.ok:
         # The grid plan's own margins should make this impossible; hand
@@ -146,6 +149,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
                 )
         blocked = corridors.failed_robots | paired
         candidates = list(best)
+        candidate_costs = list(costs)
         free = [i for i in range(n) if i not in blocked]
         results = optimize_trajectory(
             starts[free],
@@ -164,7 +168,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
                 failed += 1
                 emit(f"iteration {it}: robot {i} keeps previous curve ({out})")
             else:
-                candidates[i] = out[0]
+                candidates[i], candidate_costs[i] = out[0], out[1]
 
         candidate_validation = validate_trajectories(
             candidates, scenario, expected_starts=starts, expected_goals=goals
@@ -173,14 +177,14 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             emit(f"iteration {it}: candidate set failed validation, keeping previous")
             break
 
-        cost = _total_cost(candidates, weights)
+        cost = _total_cost(candidate_costs)
         if cost - best_cost > _RELATIVE_COST_RISE * abs(best_cost):
             emit(
                 f"iteration {it}: candidate cost {cost:.6g} is above the "
                 f"accepted {best_cost:.6g}, keeping previous"
             )
             break
-        best = candidates
+        best, costs = candidates, candidate_costs
         best_cost = cost
         validation = candidate_validation
         if on_accept is not None:

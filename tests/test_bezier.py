@@ -672,10 +672,12 @@ def straight_lines(plan, scenario):
 
 def plan_stops(name, iterations):
     """How every smoothing QP of a refinement of the named scenario stopped,
-    over its first iterations rounds."""
+    over its first iterations rounds, and how many programs the rounds'
+    log lines say were solved (a round that is solved and then rejected
+    counts too)."""
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
     plan = solve_discrete(sc).postprocessed()
-    stops = []
+    stops, messages = [], []
     real = opt_engine.solve_qp
 
     def spy(qp, *args):
@@ -685,25 +687,32 @@ def plan_stops(name, iterations):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt_engine, "solve_qp", spy)
-        result = refine_trajectories(plan, sc, iterations=iterations)
+        result = refine_trajectories(plan, sc, iterations=iterations, log=messages.append)
     assert result.ok and len(result.rows) >= min(iterations, 2)
-    return stops, sc.num_robots * len(result.rows)
+    # "iteration k: N QPs: ..."
+    solved = sum(int(m.split(": ")[1].split()[0]) for m in messages if " QPs: " in m)
+    return stops, solved
 
 
 class TestSmoothingBatch:
     """The smoothing programs of several robots as one SmoothingBatch."""
 
-    def test_robot_solves_alike_alone_and_in_any_batch(self, wall_round_zero):
+    def test_robot_solves_alike_alone_and_in_any_batch(self, wall_round_zero, monkeypatch):
+        # bit for bit: the curve, the objective, the objective's constant f0
+        # and its scale sigma at the start point
         robots = list(range(8))
-        together, _ = solve_robots(wall_round_zero, robots)
-        reversed_, _ = solve_robots(wall_round_zero, robots[::-1])
-        split = solve_robots(wall_round_zero, robots[5:])[0] + solve_robots(wall_round_zero, robots[:5])[0]
+        seen = {i: [] for i in robots}
+        for order in (robots, robots[::-1], robots[5:], robots[:5], *([i] for i in robots)):
+            out, calls = solve_robots(wall_round_zero, order, monkeypatch)
+            monkeypatch.undo()
+            ((batch, _),) = calls
+            f0, sigma = opt_engine._start_objective(batch)
+            for t, i in enumerate(order):
+                seen[i].append((out[t][2].x, out[t][2].objective, f0[t], sigma[t]))
         for i in robots:
-            alone, _ = solve_robots(wall_round_zero, [i])
-            x = alone[0][2].x
-            assert np.array_equal(together[i][2].x, x)
-            assert np.array_equal(reversed_[7 - i][2].x, x)
-            assert np.array_equal(split[(i + 3) % 8][2].x, x)
+            alone = seen[i][-1]
+            for other in seen[i]:
+                assert all(np.array_equal(a, b) for a, b in zip(other, alone, strict=True))
 
     def test_bundled_programs_stop_as_converged(self, wall_plan, wall_round_zero, monkeypatch):
         # every program closes its duality gap: none ends by breakdown or
@@ -721,6 +730,20 @@ class TestSmoothingBatch:
         for name, iterations in (("handover_3", 3), ("pillars_6", 2)):
             stops, count = plan_stops(name, iterations)
             assert stops == ["converged"] * count, name
+
+    def test_steps_do_not_depend_on_the_scale_of_h(self, wall_plan, wall_round_zero, monkeypatch):
+        # each objective is divided by its value at the start point, so the
+        # interior point sees the same data whatever H's normalization
+        durations, weights = wall_round_zero[2], wall_round_zero[6]
+        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight_lines(*wall_plan))
+        ((batch, want),) = calls
+        for factor in (1e-4, 1e4):
+            got = solve_qp(dataclasses.replace(batch, H=batch.H * factor))
+            for g, w in zip(got.results, want.results, strict=True):
+                assert g.iterations == w.iterations
+                assert curve_cost(g.x, durations, weights) == pytest.approx(
+                    curve_cost(w.x, durations, weights), rel=1e-6
+                )
 
     def test_hovering_robot_stops_as_converged(self):
         # start == goal: the optimum is the robot resting in place, of cost
@@ -811,10 +834,18 @@ class TestSmoothingBatch:
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch)
         batch = calls[0][0]
         T = batch.x0.shape[0]
-        w = np.random.default_rng(7).uniform(0.1, 10.0, size=(T, batch.A_in.shape[0] // T))
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.1, 10.0, size=(T, batch.A_in.shape[0] // T))
         rows = (batch.instance(t).A_in.toarray() for t in range(T))
-        program = opt_engine._FacesProgram(batch)
-        assert_bands_match_dense(program, batch.H.toarray(), rows, batch.Z.toarray(), w)
+        # each instance's objective scale multiplies its H, in the band and
+        # in the Hessian product
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, size=T)
+        program = opt_engine._FacesProgram(batch, scale)
+        H, Z = batch.H.toarray(), batch.Z.toarray()
+        assert_bands_match_dense(program, [s * H for s in scale], rows, Z, w)
+        c = rng.normal(size=batch.start.shape)
+        want = scale[:, None] * (c @ (Z.T @ H @ Z))
+        assert (np.abs(program.hess(c) - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
 
     def test_infeasible_robot_fails_alone(self, wall_round_zero):
         starts, goals, durations, corridors, *rest = wall_round_zero

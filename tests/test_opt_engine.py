@@ -273,8 +273,31 @@ class TestQP:
         for H, A, Z in cases:
             program = opt_engine._GeneralProgram(*map(scipy.sparse.csr_matrix, (H, A, Z)))
             w = rng.uniform(0.1, 10.0, size=(1, m))
-            assert_bands_match_dense(program, H, [A], Z, w)
+            assert_bands_match_dense(program, [H], [A], Z, w)
         assert program.bands(w).shape[1] < r
+
+    def test_multiples_of_the_objective_take_the_same_steps(self):
+        # with equality rows the interior point starts from their
+        # least-squares point, where the objective is not 0; dividing it
+        # out leaves the same steps for every multiple of H and g, and the
+        # duals come back as that multiple of the original's
+        rng = np.random.default_rng(13)
+        M = rng.normal(size=(5, 5))
+        H, g = M @ M.T + np.eye(5), rng.normal(size=5)
+        A_eq, A_in = rng.normal(size=(2, 5)), rng.normal(size=(6, 5))
+        x_feas = rng.normal(size=5)
+        b_eq, b_in = A_eq @ x_feas, A_in @ x_feas + rng.uniform(0.1, 1.0, size=6)
+        want = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, A_in, b_in))
+        for factor in (1e-6, 1e6):
+            got = solve_qp(QuadraticProgram(factor * H, factor * g, A_eq, b_eq, A_in, b_in))
+            assert got.iterations == want.iterations
+            assert np.abs(got.x - want.x).max() <= 1e-8
+            assert got.objective == pytest.approx(factor * want.objective, rel=1e-9)
+            assert np.abs(got.duals - factor * want.duals).max() <= 1e-6 * factor * np.abs(want.duals).max()
+
+    def test_objective_scale_is_one_at_zero_and_beyond_the_finite_range(self):
+        value = np.array([-2.5, 1e-9, 0.0, np.inf, np.nan])
+        assert np.array_equal(opt_engine._objective_scale(value), [2.5, 1e-9, 1.0, 1.0, 1.0])
 
     def test_residual_at_rounding_level_stops_as_converged(self):
         # the row is slack (g = 0) or tight (g = (-2, 0)) at the optimum;
@@ -296,10 +319,11 @@ def dense_from_band(band):
 
 
 def assert_bands_match_dense(program, H, A, Z, w):
-    """Each instance t's program.bands(w) against Z'(H + A_t' diag(w_t) A_t)Z
-    built dense, to 1e-12 relative; A yields each instance's rows."""
-    for band, a, wt in zip(program.bands(w), A, w, strict=True):
-        want = Z.T @ (H + a.T @ (wt[:, None] * a)) @ Z
+    """Each instance t's program.bands(w) against Z'(H_t + A_t' diag(w_t) A_t)Z
+    built dense, to 1e-12 relative; H and A yield each instance's Hessian
+    and rows."""
+    for band, h, a, wt in zip(program.bands(w), H, A, w, strict=True):
+        want = Z.T @ (h + a.T @ (wt[:, None] * a)) @ Z
         assert np.abs(dense_from_band(band) - want).max() <= 1e-12 * np.abs(want).max()
 
 

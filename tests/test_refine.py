@@ -284,7 +284,7 @@ class TestDegradation:
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
                 straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
-                out.append((straight, None, SimpleNamespace(stop="converged", iterations=0)))
+                out.append((straight, straight.cost(weights), SimpleNamespace(stop="converged", iterations=0)))
             return out
 
         monkeypatch.setattr(refine_mod, "optimize_trajectory", straight_lines_in_round_1)
@@ -308,10 +308,10 @@ class TestDegradation:
         real = refine_mod._total_cost
         costs = []
 
-        def one_ulp_up_in_round_1(trajectories, weights):
+        def one_ulp_up_in_round_1(robot_costs):
             # the baseline, round 0, then round 1: one ulp above round 0,
             # as when nothing moved but the rounding did
-            cost = real(trajectories, weights)
+            cost = real(robot_costs)
             if len(costs) == 2:
                 cost = float(np.nextafter(costs[1], np.inf))
             costs.append(cost)

@@ -1,11 +1,13 @@
 """The wall teams under scenarios/: the generator that writes them, and the
-discrete stage at 32 robots."""
+discrete stage and the round-0 smoothing programs at 32 robots."""
 
 import importlib.util
 import os
 
 import pytest
 
+from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
+from swarmplan.corridor import build_corridors, segment_point_sets
 from swarmplan.discrete_planner import check_discrete_rules, solve_discrete
 from swarmplan.scenario import ScenarioSpec
 
@@ -31,10 +33,35 @@ def test_generator_reproduces_the_committed_files(make_walls, rows, robots):
     assert ScenarioSpec.load(path).num_robots == robots
 
 
-def test_32_robot_discrete_stage_is_makespan_19():
+@pytest.fixture(scope="module")
+def wall_32():
     # about 3 s on two cores: the root LP stops at its iteration cap and
     # branch and cut closes the K = 19 program at its root node
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
-    plan = solve_discrete(sc)
+    return solve_discrete(sc), sc
+
+
+def test_32_robot_discrete_stage_is_makespan_19(wall_32):
+    plan, sc = wall_32
     assert plan.num_segments == 19
     assert check_discrete_rules(plan.cell_paths, sc) == []
+
+
+def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
+    # refinement's round 0: corridors around the plan's segments, every
+    # program started from its straight line.  Each closes its duality gap,
+    # none ends by stall or breakdown
+    plan, sc = wall_32
+    plan = plan.postprocessed()
+    durations = [plan.dt] * plan.num_segments
+    corridors = build_corridors(segment_point_sets(plan.waypoints), sc)
+    assert not corridors.failed_pairs and not corridors.failed_robots
+    straight = [
+        fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
+        for wp in plan.waypoints
+    ]
+    out = optimize_trajectory(
+        plan.waypoints[:, 0], plan.waypoints[:, -1], durations, corridors.polyhedra,
+        sc.degree, sc.continuity, tuple(sc.weights), straight,
+    )
+    assert [result.stop for _, _, result in out] == ["converged"] * 32
