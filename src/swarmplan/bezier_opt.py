@@ -347,24 +347,16 @@ def spline_to_bernstein(durations, degree, continuity):
 @lru_cache(maxsize=16)
 def _smoothing_space(durations, degree, continuity, weights):
     """The parts of the smoothing QP that every robot shares: its Hessian
-    over the stacked control points (normalized to a unit largest entry),
-    the map Z from the free B-spline coefficients to those points, with
-    each axis interleaved, the (points, 2) weights of start and goal in
-    them, and for one axis the transpose of Z's block with the Cholesky
-    factor of its Gram matrix (None without a free coefficient), which fit
-    a curve's coefficients by least squares.  The cached matrices are
-    shared: callers must not modify them."""
+    over the stacked control points, the map Z from the free B-spline
+    coefficients to those points, with each axis interleaved, the
+    (points, 2) weights of start and goal in them, and for one axis the
+    transpose of Z's block with the Cholesky factor of its Gram matrix
+    (None without a free coefficient), which fit a curve's coefficients
+    by least squares.  The cached matrices are shared: callers must not
+    modify them."""
     c = continuity
     costs = [control_point_cost(degree, tau, weights) for tau in durations]
     h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
-    # snap weights at sub-second pieces push |H| to ~1e9; the minimizer is
-    # scale-free (g = 0), so normalize H to a unit largest entry.  That
-    # does not make the objective O(1): with control points near 5 m it
-    # sits at 1e-10 to 1e-8 at the optimum.  solve_qp scales each program
-    # by its own objective at its start point instead
-    h_scale = float(abs(h).max())
-    if h_scale > 0:
-        h /= h_scale
     basis = spline_to_bernstein(durations, degree, continuity)
     free = basis[:, c + 1 : -(c + 1)]
     z = sparse.kron(free, sparse.identity(3), format="csr")
@@ -452,7 +444,7 @@ def optimize_trajectory(
             traj = PiecewiseBezierTrajectory(
                 [BezierPiece(tau, pts) for tau, pts in zip(durations, points)]
             )
-            # report the cost integral evaluated on the curve itself; the
-            # QP's own objective value carries the Hessian's conditioning
+            # report the cost integral on the curve itself: the QP's 0.5 x'Hx
+            # cancels its digits away (points near 5 m, H's entries to 3e11)
             out[t] = traj, traj.cost(weights), result
     return out

@@ -8,7 +8,6 @@ written), 2 infeasible or invalid scenario, 3 solver budget exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -54,12 +53,11 @@ def _finite_positive(text):
     return value
 
 
-def _load_scenario(args):
-    scenario = ScenarioSpec.load(args.scenario)
-    if getattr(args, "dt", None) is not None:
-        # only plan takes --dt
-        scenario = dataclasses.replace(scenario, dt=args.dt)
-    return scenario
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
 
 
 def _write_samples(traj, path, sample_rate):
@@ -76,7 +74,7 @@ def _write_samples(traj, path, sample_rate):
 
 
 def cmd_plan(args):
-    scenario = _load_scenario(args)
+    scenario = ScenarioSpec.load(args.scenario)
     log.info("planning %d robots on %s grid", scenario.num_robots, scenario.grid.dims)
     plan = solve_discrete(scenario).postprocessed()
     log.info("grid plan: %d segments of %.3gs", plan.num_segments, plan.dt)
@@ -131,7 +129,7 @@ def cmd_plan(args):
 
 
 def cmd_oracle(args):
-    scenario = _load_scenario(args)
+    scenario = ScenarioSpec.load(args.scenario)
     steps, configs = mapf_oracle(scenario)
     print(f"optimal makespan: {steps}")
     # configurations are unlabeled sets, so print them per step instead of
@@ -160,7 +158,7 @@ def _match_endpoints(points, cells, grid, label):
 
 
 def cmd_validate(args):
-    scenario = _load_scenario(args)
+    scenario = ScenarioSpec.load(args.scenario)
     names = sorted(
         n for n in os.listdir(args.trajectories) if n.endswith(".csv")
     )
@@ -215,8 +213,7 @@ def build_parser():
     p = sub.add_parser("plan", help="plan a scenario end to end")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--iterations", type=int, default=None, help="refinement budget")
-    p.add_argument("--dt", type=float, default=None, help="override timestep seconds")
+    p.add_argument("--iterations", type=_nonnegative_int, default=None, help="refinement budget")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; each refinement round solves its robots' programs as one batch in this process")
     p.add_argument(
         "--scale-to-accel-limit",

@@ -246,9 +246,6 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     """
     A_sets = np.asarray(A_sets, dtype=float)
     B_sets = np.asarray(B_sets, dtype=float)
-    if A_sets.ndim == 2:
-        A_sets = A_sets[None]
-        B_sets = B_sets[None]
     mA = A_sets.shape[1]
     radii = np.asarray(ellipsoid.radii)
 

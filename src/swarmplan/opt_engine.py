@@ -205,7 +205,6 @@ class QPResult:
     primal_residual: float
     dual_residual: float
     duals: np.ndarray  # stacked [eq; in] multipliers, eq only for A_eq rows
-    polished: bool  # always False: no active-set step follows the interior point
     stop: str  # why the interior point stopped: see _IPM_STALL
 
 
@@ -350,7 +349,6 @@ class ILPResult:
     z: np.ndarray
     objective: float
     nodes: int
-    gap: float
 
 
 @dataclass
@@ -387,8 +385,8 @@ _IPM_MAX_ITER = 100
 #     and |b_in|), and its duality gap s'z is at most _IPM_GAP of its
 #     objective, or the square root of its duality measure is at that floor
 #     too (an optimum of zero, such as a robot hovering in place, has no
-#     relative gap).  The relative gap does not depend on how H is
-#     normalized, where a residual stop would.  This is how the bundled
+#     relative gap).  The relative gap does not depend on the scale of
+#     H, where a residual stop would.  This is how the bundled
 #     scenarios' smoothing programs end (all 48 of a wall_windows_8 plan).
 #   "breakdown": the banded Cholesky of its Newton matrix failed before the
 #     gap closed: the barrier weights z/s of the tight and the slack rows
@@ -411,6 +409,9 @@ _IPM_GAP = 1e-12
 _IPM_SLACK_FLOOR = 1e-3
 _IPM_VIOL = 1.5
 _IPM_MU0 = 1e-2
+# added to each Newton matrix's diagonal: without it, robot 11 of
+# wall_windows_32's round 0 ends by breakdown at step 34, its residual at
+# 4e-16 and its gap at 1.01e-12 of its objective, just short of _IPM_GAP
 _KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
 # to |g|) to count as an unboundedness certificate
@@ -431,7 +432,7 @@ def _objective_scale(value):
     its interior point starts from, or 1 where that is 0 or not finite (a
     robot hovering in place).  Dividing the objective by sigma gives every
     program an objective of about unit size at its start, which _ipm's
-    constants and _accept's eps_abs assume, however its H is normalized."""
+    constants and _accept's eps_abs assume, whatever the scale of its H."""
     value = np.abs(value)
     return np.where(np.isfinite(value) & (value > 0.0), value, 1.0)
 
@@ -541,9 +542,11 @@ class _BandedNewton:
 
     def solve(self, factors, r):
         """Solve Z'(H + A_in' W A_in)Z dc = r[t] for each instance from its
-        factors: two steps of iterative refinement against its
-        unregularized band (BLAS dsbmv) remove the O(d) error of the
-        regularization."""
+        factors, then take two steps of iterative refinement against its
+        unregularized band (BLAS dsbmv).  They keep late steps accurate
+        where the barrier weights spread: without them, robots 21, 34 and
+        40 of wall_windows_48's round-0 program end by breakdown, at steps
+        35 to 54, instead of converging."""
         if not r.shape[1]:
             # LAPACK rejects an empty right-hand side: with no free
             # coordinate (one piece fixed by its rest endpoints) the step is empty
@@ -694,7 +697,7 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
         a_eq = sp.csr_matrix(qp.A_eq).toarray()
         y = np.linalg.lstsq(a_eq.T, -residual, rcond=None)[0]
         duals = np.concatenate([y, duals])
-    return QPResult(x, qp.objective(x), int(steps[0]), r_prim, r_dual, duals, False, str(stops[0]))
+    return QPResult(x, qp.objective(x), int(steps[0]), r_prim, r_dual, duals, str(stops[0]))
 
 
 def _half_quadratic(H, x):
@@ -732,8 +735,7 @@ def _solve_batch(batch, eps_abs, eps_rel):
         if ok[t]:
             objective = 0.5 * float(xt @ (batch.H @ xt))
             results.append(QPResult(
-                xt, objective, int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], False,
-                str(stops[t]),
+                xt, objective, int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], str(stops[t]),
             ))
         else:
             A = (batch.instance(t).A_in @ batch.Z).tocsr()
@@ -986,7 +988,7 @@ def solve_ilp(ilp, target=None):
         # rows already hold
         z = np.zeros(0, dtype=int)
         if ilp.feasible(z) and (target is None or target <= _ILP_GAP_TOL):
-            return ILPResult(z, 0.0, 0, 0.0)
+            return ILPResult(z, 0.0, 0)
         raise ILPInfeasibleError("no feasible binary assignment")
     root = linprog(
         -ilp.c,
@@ -1010,7 +1012,7 @@ def solve_ilp(ilp, target=None):
             raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
         z = np.round(x)
         if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
-            return ILPResult(z.astype(int), float(ilp.c @ z), 1, 0.0)
+            return ILPResult(z.astype(int), float(ilp.c @ z), 1)
 
     constraints = []
     if ilp.A_eq.shape[0]:
@@ -1040,6 +1042,4 @@ def solve_ilp(ilp, target=None):
     z = np.round(res.x)
     if not ilp.feasible(z):
         raise SolverError("branch and cut returned an infeasible assignment")
-    objective = float(ilp.c @ z)
-    gap = max(0.0, -res.mip_dual_bound - objective)
-    return ILPResult(z.astype(int), objective, int(res.mip_node_count), gap)
+    return ILPResult(z.astype(int), float(ilp.c @ z), int(res.mip_node_count))

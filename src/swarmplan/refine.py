@@ -20,9 +20,10 @@ infeasible program keeps the curve it flies now, the straight line in
 round zero (each is logged).  Every pair is tried again in every round,
 and the other robots' corridors are built against the kept curves.  A
 whole round is discarded, ending refinement, if the resulting set does
-not validate or costs more than the set it would replace (by more than a
-relative 1e-12, so rounding alone never ends it).  The result is usable
-after any round and only improves with more of them.
+not validate or costs more than the set it would replace by more than a
+relative 1e-9, far above the rounding noise of a round in which nothing
+moved.  The result is usable after any round and only improves with more
+of them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .validate import validate_trajectories
 
 _RELATIVE_COST_STOP = 1e-3
 # a round is rejected only when it raises the set cost by more than this,
-# relative: a round in which nothing moved can still differ in the last bits
-_RELATIVE_COST_RISE = 1e-12
+# relative: handover_3's third round repeats its second, and rounding
+# variants of the solver moved it by -2e-12 to +1.4e-12
+_RELATIVE_COST_RISE = 1e-9
 
 
 def _total_cost(costs):
@@ -125,7 +127,6 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         # back the evidence rather than trying to repair it here.
         return RefinementResult(best, validation, rows)
 
-    prev_cost = None
     for it in range(iterations):
         t0 = time.perf_counter()
 
@@ -184,6 +185,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
                 f"accepted {best_cost:.6g}, keeping previous"
             )
             break
+        previous = best_cost
         best, costs = candidates, candidate_costs
         best_cost = cost
         validation = candidate_validation
@@ -202,10 +204,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             }
         )
         emit(f"iteration {it}: cost {cost:.6g}")
-        if prev_cost is not None:
-            if abs(prev_cost - cost) / max(1.0, abs(prev_cost)) < _RELATIVE_COST_STOP:
-                prev_cost = cost
-                break
-        prev_cost = cost
+        if it and abs(previous - cost) / max(1.0, abs(previous)) < _RELATIVE_COST_STOP:
+            break
 
     return RefinementResult(best, validation, rows)

@@ -733,7 +733,7 @@ class TestSmoothingBatch:
 
     def test_steps_do_not_depend_on_the_scale_of_h(self, wall_plan, wall_round_zero, monkeypatch):
         # each objective is divided by its value at the start point, so the
-        # interior point sees the same data whatever H's normalization
+        # interior point sees the same data whatever the scale of H
         durations, weights = wall_round_zero[2], wall_round_zero[6]
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight_lines(*wall_plan))
         ((batch, want),) = calls

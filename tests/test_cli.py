@@ -212,6 +212,7 @@ class TestRejectedNumbers:
             ("--scale-to-accel-limit", "0"),
             ("--scale-to-accel-limit", "nan"),
             ("--sample-rate", "inf"),
+            ("--iterations", "-1"),
         ],
     )
     def test_plan_option(self, scenario_file, tmp_path, capsys, option, value):
@@ -222,11 +223,13 @@ class TestRejectedNumbers:
         assert "error" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["validate", "oracle"])
-    def test_dt_is_only_a_plan_option(self, scenario_file, planned, capsys, command):
-        # validation reads the durations from the CSVs, and the oracle
-        # counts grid steps: neither has a time step to override
+    @pytest.mark.parametrize("command", ["plan", "validate", "oracle"])
+    def test_no_command_takes_dt(self, scenario_file, planned, tmp_path, capsys, command):
+        # the scenario's dt sets the time step; validation reads the
+        # durations from the CSVs, and the oracle counts grid steps
         argv = [command, "--scenario", scenario_file, "--dt", "7.5"]
+        if command == "plan":
+            argv += ["--out", str(tmp_path / "o")]
         if command == "validate":
             argv += ["--trajectories", os.path.join(planned[1], "trajectories")]
         assert exit_code(argv) == 2

@@ -250,11 +250,12 @@ class TestQP:
 
     def test_check_psd_accepts_smoothing_hessian(self):
         # the wall scenario's shape: 24 pieces of degree 9 in 3 axes, each
-        # piece's cost block on the diagonal, normalized to a unit entry
+        # piece's cost block on the diagonal, as the cost integral gives it
+        # (its largest entry is 2.2e9)
         pieces = [np.kron(control_point_cost(9, 0.5, (0.0, 1.0, 0.0, 1.0)), np.eye(3))] * 24
         H = scipy.linalg.block_diag(*pieces)
-        H /= np.abs(H).max()
-        np.linalg.cholesky(H + 1e-8 * np.eye(H.shape[0]))  # the whole-matrix test agrees
+        # the whole-matrix test agrees
+        np.linalg.cholesky(H + 1e-8 * np.abs(H).max() * np.eye(H.shape[0]))
         QuadraticProgram(H, np.zeros(H.shape[0])).check_psd()
 
     def test_newton_bands_match_dense_assembly(self):

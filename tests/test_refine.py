@@ -1,4 +1,5 @@
 import csv
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +326,34 @@ class TestDegradation:
         # round 1 is accepted, and then the relative cost stop ends refinement
         assert [row["cost"] for row in result.rows] == costs[1:3]
         assert costs[2] > costs[1]
+
+    @pytest.mark.parametrize("rise", [-5e-12, 5e-12])
+    def test_settled_round_is_decided_alike_whatever_its_rounding(self, monkeypatch, rise):
+        # handover_3's round 2 repeats round 1 up to rounding, which moves
+        # it a few 1e-12 either way; either way it is accepted and then the
+        # relative cost stop ends refinement
+        sc = ScenarioSpec.load(
+            os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "handover_3.json")
+        )
+        plan = solve_discrete(sc).postprocessed()
+        real = refine_mod._total_cost
+        costs = []
+
+        def round_2_rounded(robot_costs):
+            # the baseline, then rounds 0, 1 and 2
+            cost = real(robot_costs)
+            if len(costs) == 3:
+                cost *= 1.0 + rise
+            costs.append(cost)
+            return cost
+
+        monkeypatch.setattr(refine_mod, "_total_cost", round_2_rounded)
+        messages = []
+        result = refine_trajectories(plan, sc, log=messages.append)
+        assert result.ok
+        assert not any("keeping previous" in m for m in messages)
+        assert len(result.rows) == 3
+        assert [row["cost"] for row in result.rows] == costs[1:4]
 
 
 class TestReportCsv:
