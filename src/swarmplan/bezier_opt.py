@@ -369,7 +369,8 @@ def optimize_trajectory(
     starts,
     goals,
     durations,
-    corridors,
+    normals,
+    offsets,
     degree,
     continuity,
     weights,
@@ -379,14 +380,13 @@ def optimize_trajectory(
 
     Robot t starts at rest at starts[t], ends at rest at goals[t], keeps
     derivatives continuous through order continuity at the knots, and
-    every piece stays inside its corridor, corridors[t][k], because all
-    its control points do.  Each curve is a B-spline with those knots
+    every piece k stays inside its corridor, the rows normals[t, k] . x <=
+    offsets[t, k] of a CorridorSet's arrays, because all its control points
+    do.  Each curve is a B-spline with those knots
     (spline_to_bernstein), whose first and last continuity + 1
     coefficients per axis sit at the start and the goal; the QP runs over
-    the other coefficients.  Robots whose corridors have the same most
-    faces on a piece form one SmoothingBatch, solved by one solve_qp call;
-    a piece with fewer faces is padded with empty rows.  A robot's answer
-    does not depend on which other robots share its call.
+    the other coefficients.  The robots' programs form one SmoothingBatch
+    for one solve_qp call; a robot's answer does not depend on the others.
 
     current, when given, holds each robot's curve of the same knots and
     degree (the one it flies now): its interior point starts from that
@@ -395,21 +395,26 @@ def optimize_trajectory(
     C^continuity at the knots, such as the straight line of round zero or
     an earlier optimum, and the start may lie outside the new corridor.
 
-    Returns one entry per robot: (trajectory, cost, result) with cost the
-    trajectory's cost integral and result its QPResult (the stacked control
-    points x, the stop and the iterations), or the SolverError its program
-    failed with (QPInfeasibleError when its corridors admit no such curve).
+    Returns one entry per robot, none without robots: (trajectory, cost,
+    result) with cost the trajectory's cost integral and result its
+    QPResult (the stacked control points x, the stop and the iterations),
+    or the SolverError its program failed with (QPInfeasibleError when its
+    corridors admit no such curve).
     """
     durations = [float(t) for t in durations]
     num_pieces = len(durations)
-    if any(len(robot) != num_pieces for robot in corridors):
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    if normals.shape[1] != num_pieces:
         raise ValueError("need one corridor per piece")
+    if not len(normals):
+        return []
     d = int(degree)
     c = int(continuity)
 
     h, z, ends, (free_t, gram) = _smoothing_space(tuple(durations), d, c, tuple(weights))
     x0 = [(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)]
-    start = np.zeros((len(corridors), z.shape[1]))
+    start = np.zeros((len(normals), z.shape[1]))
     if current is not None and gram is not None:
         # the coefficients whose curve is nearest the current one, in least
         # squares: the current curve itself, since it has these knots, rest
@@ -417,34 +422,22 @@ def optimize_trajectory(
         for t, traj in enumerate(current):
             offset = (traj.control_points().ravel() - x0[t]).reshape(-1, 3)
             start[t] = scipy.linalg.cho_solve(gram, free_t @ offset).ravel()
-    faces = [max((poly.num_faces for poly in robot), default=0) for robot in corridors]
-    out = [None] * len(corridors)
-    for f in sorted(set(faces)):
-        group = [t for t, count in enumerate(faces) if count == f]
-        normals = np.zeros((len(group), num_pieces, f, 3))
-        offsets = np.ones((len(group), num_pieces, f))
-        for i, t in enumerate(group):
-            for k, poly in enumerate(corridors[t]):
-                normals[i, k, : poly.num_faces] = poly.A
-                offsets[i, k, : poly.num_faces] = poly.b
-        batch = opt_engine.SmoothingBatch(
-            h, z, [x0[t] for t in group], normals, offsets, start[group]
+    batch = opt_engine.SmoothingBatch(h, z, x0, normals, offsets, start)
+    out = []
+    for t, result in enumerate(opt_engine.solve_qp(batch).results):
+        if isinstance(result, opt_engine.SolverError):
+            out.append(result)
+            continue
+        points = result.x.reshape(num_pieces, d + 1, 3)
+        # the refinement loop treats an inaccurate answer the same as an
+        # infeasible one, so fail loudly rather than return a sloppy curve
+        if (normals[t] @ points.swapaxes(-1, -2) - offsets[t][..., None]).max(initial=0.0) > 1e-6:
+            out.append(opt_engine.QPInfeasibleError("smoothing QP violated a corridor face"))
+            continue
+        traj = PiecewiseBezierTrajectory(
+            [BezierPiece(tau, pts) for tau, pts in zip(durations, points)]
         )
-        for i, (t, result) in enumerate(zip(group, opt_engine.solve_qp(batch).results)):
-            if isinstance(result, opt_engine.SolverError):
-                out[t] = result
-                continue
-            points = result.x.reshape(num_pieces, d + 1, 3)
-            # the refinement loop treats an inaccurate answer the same as
-            # an infeasible one, so fail loudly rather than return a
-            # sloppy curve
-            if (normals[i] @ points.swapaxes(-1, -2) - offsets[i][..., None]).max(initial=0.0) > 1e-6:
-                out[t] = opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
-                continue
-            traj = PiecewiseBezierTrajectory(
-                [BezierPiece(tau, pts) for tau, pts in zip(durations, points)]
-            )
-            # report the cost integral on the curve itself: the QP's 0.5 x'Hx
-            # cancels its digits away (points near 5 m, H's entries to 3e11)
-            out[t] = traj, traj.cost(weights), result
+        # report the cost integral on the curve itself: the QP's 0.5 x'Hx
+        # cancels its digits away (points near 5 m, H's entries to 3e11)
+        out.append((traj, traj.cost(weights), result))
     return out

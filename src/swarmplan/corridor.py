@@ -8,20 +8,22 @@ ellipsoid-weighted margin separation of the robots' occupied point sets
 (segment endpoints on the first pass, curve samples afterwards, taken
 with one Bernstein basis per robot, since a trajectory has one degree).
 Obstacle boxes contribute one supporting face each, pushed off the box
-by the clearance radius, and the workspace box caps every corridor.  A
-corridor is the workspace faces followed by every accepted separator
-face; faces implied by the others are kept, since they leave the point
-set, and so the smoothing optimum, unchanged.
+by the clearance radius, and the workspace box caps every corridor.
+Faces implied by the others are kept, since they leave the point set,
+and so the smoothing optimum, unchanged.
 
-Separators that fail (a pair too close for a margin plane, or a robot
-too close to an obstacle) are reported back instead of raising: the
-robots they bound get no full corridor that round and keep their
-current curves, against which every other corridor is built.
+Every corridor has F = 6 + B + N - 1 faces (B obstacle boxes, N robots)
+in fixed slots: the workspace faces, one per box in box order, then one
+per other robot in robot order, robot i's face against robot j at slot
+6 + B + j - (j > i).  A separator that fails (a pair too close for a
+margin plane, or a robot too close to an obstacle) is reported back
+instead of raising, and its slot holds the empty row 0 x <= 1: the
+robots it bounds get no full corridor that round and keep their current
+curves, against which every other corridor is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,19 +37,30 @@ _FACE_PRUNE_THRESHOLD = 64
 
 @dataclass
 class CorridorSet:
-    """Corridors indexed [robot][piece] plus the separation failures."""
+    """Corridors as face arrays, plus the separation failures: row f of
+    robot t's corridor on piece k is normals[t, k, f] . x <= offsets[t, k, f],
+    in the slot order of the module docstring."""
 
-    polyhedra: list
+    normals: np.ndarray
+    offsets: np.ndarray
     failed_pairs: set = field(default_factory=set)
     failed_robots: set = field(default_factory=set)
 
     @property
     def num_robots(self):
-        return len(self.polyhedra)
+        return self.normals.shape[0]
 
     @property
     def num_pieces(self):
-        return len(self.polyhedra[0]) if self.polyhedra else 0
+        return self.normals.shape[1]
+
+    @property
+    def polyhedra(self):
+        """The corridors as ConvexPolyhedron views, indexed [robot][piece]."""
+        return [
+            [ConvexPolyhedron(a, b) for a, b in zip(*robot)]
+            for robot in zip(self.normals, self.offsets)
+        ]
 
 
 def segment_point_sets(waypoints):
@@ -120,71 +133,57 @@ def build_corridors(point_sets, scenario):
     """Corridors for every robot and piece from their occupied point sets.
 
     point_sets has shape (robots, pieces, m, 3).  Every pair and every
-    robot-obstacle pair is separated; failed_pairs and failed_robots
-    name those without a valid plane on some piece.
+    robot-obstacle pair is separated, each kind in one batch; failed_pairs
+    and failed_robots name those without a valid plane on some piece.
     """
     point_sets = np.asarray(point_sets, dtype=float)
     n, num_pieces, m, _ = point_sets.shape
-    ell = scenario.robot_ellipsoid
-    obs_ell = scenario.obstacle_ellipsoid
-
-    ws_a, ws_b = workspace_faces(scenario)
-    faces_a = [[[ws_a] for _ in range(num_pieces)] for _ in range(n)]
-    faces_b = [[[ws_b] for _ in range(num_pieces)] for _ in range(n)]
-    failed_pairs = set()
-    failed_robots = set()
-
     boxes = scenario.obstacle_boxes()
+    nb = len(boxes)
+    ws_a, ws_b = workspace_faces(scenario)
+    normals = np.zeros((n, num_pieces, 6 + nb + n - 1, 3))
+    offsets = np.ones(normals.shape[:3])
+    normals[:, :, :6] = ws_a
+    offsets[:, :, :6] = ws_b
+    failed = np.zeros(offsets.shape, dtype=bool)
+
     if boxes:
+        # instances in (robot, piece, box) order
         verts = np.array([box.vertices(scenario.grid) for box in boxes])
-        jobs = [
-            (robot, k, bi)
-            for robot in range(n)
-            for k in range(num_pieces)
-            for bi in range(len(boxes))
-        ]
-        a_sets = np.array([point_sets[r, k] for r, k, _ in jobs])
-        b_sets = np.array([verts[bi] for _, _, bi in jobs])
-        alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, obs_ell)
+        a_sets = np.repeat(point_sets.reshape(-1, m, 3), nb, axis=0)
+        b_sets = np.tile(verts, (n * num_pieces, 1, 1))
+        ell = scenario.obstacle_ellipsoid
+        alpha, _, enorm, ok = svm_separate_batch(a_sets, b_sets, ell)
         touch = (b_sets @ alpha[:, :, None])[:, :, 0].min(axis=1)
-        offsets = touch - support_norms(alpha, obs_ell)
-        for (robot, k, bi), a, offset, e, good in zip(jobs, alpha, offsets, enorm, ok):
-            # one-sided clearance: the raw slab must fit the clearance
-            # radius, i.e. ||E_obs alpha_raw|| <= 2
-            if not good or e > 2.0 + 1e-6:
-                failed_robots.add(robot)
-                continue
-            faces_a[robot][k].append(a[None, :])
-            faces_b[robot][k].append(np.array([offset]))
+        normals[:, :, 6 : 6 + nb] = alpha.reshape(n, num_pieces, nb, 3)
+        offsets[:, :, 6 : 6 + nb] = (touch - support_norms(alpha, ell)).reshape(n, num_pieces, nb)
+        # one-sided clearance: the raw slab must fit the clearance
+        # radius, i.e. ||E_obs alpha_raw|| <= 2
+        failed[:, :, 6 : 6 + nb] = ~(ok & (enorm <= 2.0 + 1e-6)).reshape(n, num_pieces, nb)
+    failed_robots = set(np.flatnonzero(failed[:, :, 6 : 6 + nb].any(axis=(1, 2))).tolist())
 
-    jobs = [
-        (i, j, k)
-        for i, j in itertools.combinations(range(n), 2)
-        for k in range(num_pieces)
-    ]
-    if jobs:
-        a_sets = np.array([point_sets[i, k] for i, _, k in jobs])
-        b_sets = np.array([point_sets[j, k] for _, j, k in jobs])
-        alpha, beta, enorm, ok = svm_separate_batch(a_sets, b_sets, ell)
+    # pairs i < j in lexicographic order, then pieces
+    i, j = np.triu_indices(n, k=1)
+    failed_pairs = set()
+    if len(i):
+        ell = scenario.robot_ellipsoid
+        alpha, beta, enorm, ok = svm_separate_batch(
+            point_sets[i].reshape(-1, m, 3), point_sets[j].reshape(-1, m, 3), ell
+        )
         shifts = support_norms(alpha, ell)
-        for (i, j, k), a, b0, shift, e, good in zip(jobs, alpha, beta, shifts, enorm, ok):
-            if not good or e > 1.0 + 1e-6:
-                failed_pairs.add((i, j))
-                continue
-            faces_a[i][k].append(a[None, :])
-            faces_b[i][k].append(np.array([b0 - shift]))
-            faces_a[j][k].append(-a[None, :])
-            faces_b[j][k].append(np.array([-(b0 + shift)]))
+        alpha = alpha.reshape(len(i), num_pieces, 3)
+        beta, shifts = beta.reshape(len(i), num_pieces), shifts.reshape(len(i), num_pieces)
+        slot_i, slot_j = 6 + nb + j - 1, 6 + nb + i
+        normals[i, :, slot_i] = alpha
+        offsets[i, :, slot_i] = beta - shifts
+        normals[j, :, slot_j] = -alpha
+        offsets[j, :, slot_j] = -(beta + shifts)
+        bad = ~(ok & (enorm <= 1.0 + 1e-6)).reshape(len(i), num_pieces)
+        failed[i, :, slot_i] = failed[j, :, slot_j] = bad
+        pair_failed = bad.any(axis=1)
+        failed_pairs = set(zip(i[pair_failed].tolist(), j[pair_failed].tolist()))
 
-    polyhedra = []
-    for robot in range(n):
-        per_piece = []
-        for k in range(num_pieces):
-            per_piece.append(
-                ConvexPolyhedron(
-                    np.concatenate(faces_a[robot][k], axis=0),
-                    np.concatenate(faces_b[robot][k], axis=0),
-                )
-            )
-        polyhedra.append(per_piece)
-    return CorridorSet(polyhedra, failed_pairs, failed_robots)
+    # a failed separator leaves the empty row 0 x <= 1 in its slot
+    normals[failed] = 0.0
+    offsets[failed] = 1.0
+    return CorridorSet(normals, offsets, failed_pairs, failed_robots)

@@ -222,12 +222,10 @@ class SmoothingBatch:
     per piece, point by point.  H (n, n) and Z (n, r) are shared by the
     batch; x0 is (T, n).  normals (T, P, F, 3) and offsets
     (T, P, F) are each instance's faces: its row (k, j, f), in that order,
-    is normals[t, k, f] . x[k, j] <= offsets[t, k, f].  A face with a zero
-    normal and offset 1 is an empty row, which pads a piece with fewer
-    faces.  start (T, r) holds the coordinates c each instance's interior
-    point starts from; they need not satisfy its rows.  solve_qp solves
-    the instances together, and each one's answer is the one it gets
-    alone.
+    is normals[t, k, f] . x[k, j] <= offsets[t, k, f].  start (T, r)
+    holds the coordinates c each instance's interior point starts from;
+    they need not satisfy its rows.  solve_qp solves the instances
+    together, and each one's answer is the one it gets alone.
     """
 
     H: object

@@ -156,7 +156,8 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             starts[free],
             goals[free],
             durations,
-            [corridors.polyhedra[i] for i in free],
+            corridors.normals[free],
+            corridors.offsets[free],
             degree,
             continuity,
             weights,

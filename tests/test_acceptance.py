@@ -300,8 +300,10 @@ def test_06_qp_objective_equals_cost_integral():
             a = np.vstack([np.eye(3), -np.eye(3)])
             b = np.concatenate([hi, -lo])
             corridors = [ConvexPolyhedron(a, b) for _ in range(pieces)]
+        normals = np.array([poly.A for poly in corridors])
+        offsets = np.array([poly.b for poly in corridors])
         (traj, objective, _), = optimize_trajectory(
-            [start], [goal], durations, [corridors], 9, 4, WEIGHTS
+            [start], [goal], durations, normals[None], offsets[None], 9, 4, WEIGHTS
         )
         assert objective > 0
         assert objective == pytest.approx(quadrature_cost(traj, WEIGHTS), rel=1e-6)

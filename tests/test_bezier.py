@@ -484,9 +484,14 @@ class TestFallback:
 
 
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
-    """optimize_trajectory for one robot: its (trajectory, cost, result),
-    or its error raised."""
-    out = optimize_trajectory([start], [goal], durations, [corridors], degree, continuity, weights)[0]
+    """optimize_trajectory for one robot through one polytope per piece,
+    all of one face count: its (trajectory, cost, result), or its error
+    raised."""
+    normals = np.array([poly.A for poly in corridors])[None]
+    offsets = np.array([poly.b for poly in corridors])[None]
+    out = optimize_trajectory(
+        [start], [goal], durations, normals, offsets, degree, continuity, weights
+    )[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -605,6 +610,17 @@ class TestOptimizeTrajectory:
         # LAPACK reports an illegal argument on its output, not by raising
         assert "illegal" not in "".join(capfd.readouterr())
 
+    def test_no_robots_make_no_batch(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(opt_engine, "SmoothingBatch", no_batch)
+        out = optimize_trajectory(
+            np.zeros((0, 3)), np.zeros((0, 3)), [0.25] * 3,
+            np.zeros((0, 3, 6, 3)), np.ones((0, 3, 6)), 9, 4, WEIGHTS,
+        )
+        assert out == []
+
     def test_corridor_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corridor"):
             optimize_one(
@@ -622,9 +638,10 @@ def wall_plan():
 @pytest.fixture(scope="module")
 def wall_round_zero(wall_plan):
     """The wall scenario's round-0 smoothing inputs, as refinement passes
-    them: (starts, goals, durations, corridors, degree, continuity, weights)."""
+    them: (starts, goals, durations, corridors, degree, continuity, weights),
+    with corridors a CorridorSet."""
     plan, sc = wall_plan
-    corridors = build_corridors(segment_point_sets(plan.waypoints), sc).polyhedra
+    corridors = build_corridors(segment_point_sets(plan.waypoints), sc)
     durations = [plan.dt] * plan.num_segments
     return (
         plan.waypoints[:, 0], plan.waypoints[:, -1], durations, corridors,
@@ -655,7 +672,8 @@ def solve_robots(inputs, robots, monkeypatch=None, current=None):
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)
     out = optimize_trajectory(
-        starts[robots], goals[robots], durations, [corridors[i] for i in robots], *rest,
+        starts[robots], goals[robots], durations,
+        corridors.normals[robots], corridors.offsets[robots], *rest,
         None if current is None else [current[i] for i in robots],
     )
     return out, calls
@@ -754,7 +772,8 @@ class TestSmoothingBatch:
         hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4, WEIGHTS)
         for current in (None, [hover]):
             (traj, cost, result), = optimize_trajectory(
-                [here], [here], durations, [[box] * 4], 9, 4, WEIGHTS, current
+                [here], [here], durations, np.tile(box.A, (1, 4, 1, 1)),
+                np.tile(box.b, (1, 4, 1)), 9, 4, WEIGHTS, current,
             )
             assert result.stop == "converged"
             assert np.abs(traj.control_points() - here).max() <= 1e-8
@@ -771,7 +790,7 @@ class TestSmoothingBatch:
         robots = list(range(8))
         out, _ = solve_robots(wall_round_zero, robots, current=straight_lines(plan, sc))
         round_zero = [traj for traj, _, _ in out]
-        corridors = build_corridors(sample_point_sets(round_zero, sc.samples_per_piece), sc).polyhedra
+        corridors = build_corridors(sample_point_sets(round_zero, sc.samples_per_piece), sc)
         inputs = (*wall_round_zero[:3], corridors, *wall_round_zero[4:])
         cold, cold_calls = solve_robots(inputs, robots, monkeypatch)
         warm, warm_calls = solve_robots(inputs, robots, monkeypatch, round_zero)
@@ -787,7 +806,7 @@ class TestSmoothingBatch:
         # a current curve whose middle waypoints sit 2 m off: it has the
         # program's knots, rest ends and continuity, but leaves the corridor
         plan, sc = wall_plan
-        corridors = wall_round_zero[3]
+        corridors = wall_round_zero[3].polyhedra
         robots = [0, 5]
         bent = plan.waypoints.copy()
         bent[:, 1:-1, 1] += 2.0
@@ -849,14 +868,10 @@ class TestSmoothingBatch:
 
     def test_infeasible_robot_fails_alone(self, wall_round_zero):
         starts, goals, durations, corridors, *rest = wall_round_zero
-        # robot 3's piece 4 keeps its face count, but demands x below the
-        # workspace box it must also stay in
-        poly = corridors[3][4]
-        lo = -poly.b[3]
-        b = poly.b.copy()
-        b[0] = lo - 1.0
-        broken = [list(c) for c in corridors]
-        broken[3][4] = ConvexPolyhedron(poly.A, b)
+        # robot 3's piece 4 demands x below the workspace box it must also
+        # stay in
+        broken = dataclasses.replace(corridors, offsets=corridors.offsets.copy())
+        broken.offsets[3, 4, 0] = -corridors.offsets[3, 4, 3] - 1.0
         inputs = (starts, goals, durations, broken, *rest)
         out, _ = solve_robots(inputs, list(range(8)))
         want, _ = solve_robots(wall_round_zero, list(range(8)))
@@ -865,24 +880,23 @@ class TestSmoothingBatch:
             if i != 3:
                 assert np.array_equal(out[i][2].x, want[i][2].x)
 
-    def test_pieces_with_fewer_faces_are_padded(self, wall_round_zero, monkeypatch):
-        starts, goals, durations, corridors, *rest = wall_round_zero
-        # robot 1 gains a loose extra face on piece 0: it goes to a batch
-        # of its own, where its other pieces carry one empty row each
-        poly = corridors[1][0]
-        loose = ConvexPolyhedron(np.vstack([poly.A, poly.A[:1]]), np.append(poly.b, poly.b[0] + 1.0))
-        changed = [list(c) for c in corridors]
-        changed[1][0] = loose
-        inputs = (starts, goals, durations, changed, *rest)
-        out, calls = solve_robots(inputs, [0, 1, 2], monkeypatch)
-        assert [len(result.results) for _, result in calls] == [2, 1]
-        padded = calls[1][0]
-        assert padded.normals.shape[2] == 21
-        assert np.array_equal(padded.normals[0, 1:, 20], np.zeros((23, 3)))
-        assert np.array_equal(padded.offsets[0, 1:, 20], np.ones(23))
-        # the padded program and the unpadded one have the same optimum
-        ref = bernstein_program(starts[1], goals[1], durations, changed[1], *rest)
-        want = solve_qp(QuadraticProgram(
-            padded.H, ref.g, A_in=ref.A_in, b_in=ref.b_in, Z=padded.Z, x0=padded.x0[0]
-        ))
-        assert out[1][1] == pytest.approx(curve_cost(want.x, durations, rest[2]), rel=1e-6)
+    @pytest.mark.parametrize(
+        "name, shape", [("wall_windows_8", (8, 24, 20, 3)), ("pillars_6", (6, 22, 75, 3))]
+    )
+    def test_a_round_is_one_batch(self, name, shape, monkeypatch):
+        # every robot has one face per workspace side, per obstacle box and
+        # per other robot on every piece, so each round's programs are one
+        # solve_qp call that holds every robot
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        plan = solve_discrete(sc).postprocessed()
+        real = opt_engine.solve_qp
+        shapes = []
+
+        def spy(qp, *args):
+            shapes.append(qp.normals.shape)
+            return real(qp, *args)
+
+        monkeypatch.setattr(opt_engine, "solve_qp", spy)
+        result = refine_trajectories(plan, sc, iterations=2)
+        assert result.ok and len(result.rows) == 2
+        assert shapes == [shape, shape]

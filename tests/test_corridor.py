@@ -1,9 +1,16 @@
+import functools
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from swarmplan.bezier_opt import BezierPiece, PiecewiseBezierTrajectory, optimize_trajectory
+from swarmplan.bezier_opt import (
+    BezierPiece,
+    PiecewiseBezierTrajectory,
+    fallback_trajectory,
+    optimize_trajectory,
+)
 from swarmplan.corridor import (
     CorridorSet,
     build_corridors,
@@ -13,8 +20,11 @@ from swarmplan.corridor import (
     support_norms,
     workspace_faces,
 )
-from swarmplan.geometry import ConvexPolyhedron, collision_free
+from swarmplan.discrete_planner import solve_discrete
+from swarmplan.geometry import ConvexPolyhedron, collision_free, svm_separate_batch
 from swarmplan.scenario import GridSpec, ScenarioSpec
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def scenario(dims=(4, 4, 1), obstacles=(), starts=None, goals=None):
@@ -29,6 +39,95 @@ def scenario(dims=(4, 4, 1), obstacles=(), starts=None, goals=None):
 def box_distance(x, lo, hi):
     d = np.maximum(np.maximum(lo - x, 0.0), np.maximum(x - hi, 0.0))
     return float(np.linalg.norm(d))
+
+
+def inseparable_pair():
+    """Point sets and scenario: both robots occupy the same segment, so no
+    margin plane exists."""
+    seg = np.array([[[0.5, 0.5, 0.0], [1.0, 0.5, 0.0]]])
+    return np.stack([seg, seg]), scenario()
+
+
+def robot_through_obstacle():
+    """Point sets and scenario: robot 0's segment ends inside the obstacle."""
+    wp = np.array(
+        [
+            [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0]],
+            [[0.0, 1.5, 0.0], [0.5, 1.5, 0.0]],
+        ]
+    )
+    return segment_point_sets(wp), scenario(obstacles=[(1, 1, 0)])
+
+
+def face_arrays(polyhedra):
+    """[robot][piece] polytopes as optimize_trajectory's (normals, offsets),
+    each piece padded with empty rows 0 x <= 1 to the most faces."""
+    faces = max(poly.num_faces for robot in polyhedra for poly in robot)
+    normals = np.zeros((len(polyhedra), len(polyhedra[0]), faces, 3))
+    offsets = np.ones(normals.shape[:3])
+    for t, robot in enumerate(polyhedra):
+        for k, poly in enumerate(robot):
+            normals[t, k, : poly.num_faces] = poly.A
+            offsets[t, k, : poly.num_faces] = poly.b
+    return normals, offsets
+
+
+def reference_corridors(point_sets, sc):
+    """build_corridors' face layout assembled job by job from the same
+    batched separator calls: each corridor's faces appended one at a time,
+    in (robot, piece, box) and then (pair, piece) order, with a failed
+    separator's face appended as the empty row 0 x <= 1.  Returns
+    (normals, offsets, failed_pairs, failed_robots, empty), empty marking
+    the failed faces."""
+    n, num_pieces = point_sets.shape[:2]
+    ws_a, ws_b = workspace_faces(sc)
+    faces_a = [[[ws_a] for _ in range(num_pieces)] for _ in range(n)]
+    faces_b = [[[ws_b] for _ in range(num_pieces)] for _ in range(n)]
+    empty = [[[np.zeros(6, dtype=bool)] for _ in range(num_pieces)] for _ in range(n)]
+    failed_pairs, failed_robots = set(), set()
+
+    def append(robot, k, a, b, good):
+        faces_a[robot][k].append(a[None, :] if good else np.zeros((1, 3)))
+        faces_b[robot][k].append(np.array([b if good else 1.0]))
+        empty[robot][k].append(np.array([not good]))
+
+    boxes = sc.obstacle_boxes()
+    if boxes:
+        ell = sc.obstacle_ellipsoid
+        verts = np.array([box.vertices(sc.grid) for box in boxes])
+        jobs = [(r, k, bi) for r in range(n) for k in range(num_pieces) for bi in range(len(boxes))]
+        b_sets = np.array([verts[bi] for _, _, bi in jobs])
+        alpha, _, enorm, ok = svm_separate_batch(
+            np.array([point_sets[r, k] for r, k, _ in jobs]), b_sets, ell
+        )
+        touch = (b_sets @ alpha[:, :, None])[:, :, 0].min(axis=1)
+        offsets = touch - support_norms(alpha, ell)
+        for (r, k, _), a, offset, e, good in zip(jobs, alpha, offsets, enorm, ok):
+            good = good and e <= 2.0 + 1e-6
+            if not good:
+                failed_robots.add(r)
+            append(r, k, a, offset, good)
+
+    jobs = [(i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(num_pieces)]
+    if jobs:
+        ell = sc.robot_ellipsoid
+        alpha, beta, enorm, ok = svm_separate_batch(
+            np.array([point_sets[i, k] for i, _, k in jobs]),
+            np.array([point_sets[j, k] for _, j, k in jobs]),
+            ell,
+        )
+        shifts = support_norms(alpha, ell)
+        for (i, j, k), a, b0, shift, e, good in zip(jobs, alpha, beta, shifts, enorm, ok):
+            good = good and e <= 1.0 + 1e-6
+            if not good:
+                failed_pairs.add((i, j))
+            append(i, k, a, b0 - shift, good)
+            append(j, k, -a, -(b0 + shift), good)
+
+    def stack(faces):
+        return np.array([[np.concatenate(piece) for piece in robot] for robot in faces])
+
+    return stack(faces_a), stack(faces_b), failed_pairs, failed_robots, stack(empty)
 
 
 class TestPointSets:
@@ -187,24 +286,14 @@ class TestBuildCorridors:
                         assert box_distance(p, blo, bhi) >= sc.obstacle_radius - 1e-9
 
     def test_inseparable_pair_reported_not_fatal(self):
-        sc = scenario()
-        # both robots occupy the same segment: no margin plane exists
-        seg = np.array([[[0.5, 0.5, 0.0], [1.0, 0.5, 0.0]]])
-        sets = np.stack([seg, seg])
+        sets, sc = inseparable_pair()
         corridors = build_corridors(sets, sc)
         assert corridors.failed_pairs == {(0, 1)}
         # workspace faces still cap both corridors
         assert corridors.polyhedra[0][0].num_faces >= 6
 
     def test_robot_through_obstacle_reported(self):
-        sc = scenario(obstacles=[(1, 1, 0)])
-        wp = np.array(
-            [
-                [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0]],  # ends inside the obstacle
-                [[0.0, 1.5, 0.0], [0.5, 1.5, 0.0]],
-            ]
-        )
-        sets = segment_point_sets(wp)
+        sets, sc = robot_through_obstacle()
         corridors = build_corridors(sets, sc)
         assert 0 in corridors.failed_robots
         assert 1 not in corridors.failed_robots
@@ -235,9 +324,13 @@ class TestBuildCorridors:
         pruned = [[prune_faces(poly, keep) for poly in robot] for robot in corridors.polyhedra]
         assert all(poly.num_faces < 71 for robot in pruned for poly in robot)
         costs = []
-        for polys in (corridors.polyhedra, pruned, [[ConvexPolyhedron()] * 6] * 2):
+        free = [[ConvexPolyhedron()] * 6] * 2
+        for normals, offsets in (
+            (corridors.normals, corridors.offsets), face_arrays(pruned), face_arrays(free)
+        ):
             out = optimize_trajectory(
-                wp[:, 0], wp[:, -1], [sc.dt] * 6, polys, sc.degree, sc.continuity, sc.weights
+                wp[:, 0], wp[:, -1], [sc.dt] * 6, normals, offsets,
+                sc.degree, sc.continuity, sc.weights,
             )
             costs.append(np.array([traj.cost(sc.weights) for traj, _, _ in out]))
         assert np.allclose(costs[0], costs[1], rtol=1e-8, atol=0.0)
@@ -245,7 +338,62 @@ class TestBuildCorridors:
         assert (costs[2] < 0.1 * costs[0]).all()
 
     def test_corridor_set_counts(self):
-        cs = CorridorSet(polyhedra=[[ConvexPolyhedron()], [ConvexPolyhedron()]])
+        cs = CorridorSet(np.zeros((2, 1, 7, 3)), np.ones((2, 1, 7)))
         assert cs.num_robots == 2
         assert cs.num_pieces == 1
-        assert CorridorSet(polyhedra=[]).num_pieces == 0
+        assert [[poly.num_faces for poly in robot] for robot in cs.polyhedra] == [[7], [7]]
+        assert CorridorSet(np.zeros((0, 3, 6, 3)), np.ones((0, 3, 6))).polyhedra == []
+
+
+@functools.lru_cache(maxsize=None)
+def straight_line_sets(name):
+    """The named scenario, its plan's segment point sets (kind 0) and the
+    sample point sets of its round-zero straight lines (kind 1)."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    plan = solve_discrete(sc).postprocessed()
+    durations = [plan.dt] * plan.num_segments
+    straight = [
+        fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
+        for wp in plan.waypoints
+    ]
+    return sc, segment_point_sets(plan.waypoints), sample_point_sets(straight, sc.samples_per_piece)
+
+
+class TestFaceLayout:
+    """build_corridors' arrays against the job-by-job reference assembly."""
+
+    def assert_layout(self, sets, sc):
+        corridors = build_corridors(sets, sc)
+        normals, offsets, failed_pairs, failed_robots, empty = reference_corridors(sets, sc)
+        n, num_pieces = sets.shape[:2]
+        assert normals.shape == (n, num_pieces, 6 + len(sc.obstacle_boxes()) + n - 1, 3)
+        assert np.array_equal(corridors.normals, normals)
+        assert np.array_equal(corridors.offsets, offsets)
+        assert corridors.failed_pairs == failed_pairs
+        assert corridors.failed_robots == failed_robots
+        return corridors, empty
+
+    @pytest.mark.parametrize(
+        "name, kind", [("wall_windows_8", 0), ("wall_windows_8", 1), ("pillars_6", 0)]
+    )
+    def test_bundled_scenarios(self, name, kind):
+        sc, *sets = straight_line_sets(name)
+        _, empty = self.assert_layout(sets[kind], sc)
+        assert not empty.any()
+
+    def test_one_robot_has_only_workspace_and_box_faces(self):
+        sc = scenario(obstacles=[(2, 1, 0), (3, 3, 0)], starts=[(0, 0, 0)], goals=[(1, 0, 0)])
+        wp = np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+        corridors, _ = self.assert_layout(segment_point_sets(wp), sc)
+        assert corridors.normals.shape == (1, 2, 6 + 2, 3)
+
+    def test_failed_slots_hold_the_empty_row(self):
+        for (sets, sc), slots in (
+            (inseparable_pair(), [(0, 0, 6), (1, 0, 6)]),
+            (robot_through_obstacle(), [(0, 0, 6)]),
+        ):
+            corridors, empty = self.assert_layout(sets, sc)
+            assert [tuple(s) for s in np.argwhere(empty)] == slots
+            for t, k, f in slots:
+                assert corridors.normals[t, k, f].tolist() == [0.0, 0.0, 0.0]
+                assert corridors.offsets[t, k, f] == 1.0

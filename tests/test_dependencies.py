@@ -53,3 +53,23 @@ def package_imports(source):
 def test_geometry_imports_nothing_from_opt_engine():
     # separators are GJK alone: no QP solver stands behind them
     assert "opt_engine" not in package_imports((PACKAGE / "geometry.py").read_text())
+
+
+def unused_imports(source):
+    """The names source's imports bind that it never reads, sorted."""
+    bound, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert unused_imports("import itertools\nimport numpy as np\nnp.zeros(1)\n") == ["itertools"]
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = {str(p.relative_to(PACKAGE)): unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 from types import SimpleNamespace
 
@@ -8,9 +9,7 @@ import pytest
 import swarmplan.refine as refine_mod
 from swarmplan import geometry
 from swarmplan.bezier_opt import fallback_trajectory
-from swarmplan.corridor import CorridorSet
 from swarmplan.discrete_planner import solve_discrete
-from swarmplan.geometry import ConvexPolyhedron
 from swarmplan.opt_engine import QPInfeasibleError
 from swarmplan.refine import refine_trajectories, write_report_csv
 from swarmplan.scenario import GridSpec, ScenarioSpec
@@ -124,7 +123,7 @@ class TestDegradation:
 
         def no_margin_plane_for_pair_0_1(point_sets, scenario):
             out = real(point_sets, scenario)
-            return CorridorSet(out.polyhedra, {(0, 1)}, out.failed_robots)
+            return dataclasses.replace(out, failed_pairs={(0, 1)})
 
         monkeypatch.setattr(refine_mod, "build_corridors", no_margin_plane_for_pair_0_1)
         result = refine_trajectories(plan, sc, iterations=2)
@@ -149,7 +148,7 @@ class TestDegradation:
 
         def no_obstacle_plane_for_robot_1(point_sets, scenario):
             out = real(point_sets, scenario)
-            return CorridorSet(out.polyhedra, out.failed_pairs, {1})
+            return dataclasses.replace(out, failed_robots={1})
 
         monkeypatch.setattr(refine_mod, "build_corridors", no_obstacle_plane_for_robot_1)
         messages = []
@@ -195,7 +194,7 @@ class TestDegradation:
             rounds.append(out)
             if len(rounds) == 1:
                 return out
-            return CorridorSet(out.polyhedra, out.failed_pairs | {(0, 1)}, out.failed_robots)
+            return dataclasses.replace(out, failed_pairs=out.failed_pairs | {(0, 1)})
 
         monkeypatch.setattr(
             refine_mod, "build_corridors", no_margin_plane_for_pair_0_1_after_round_0
@@ -241,13 +240,10 @@ class TestDegradation:
         real = refine_mod.build_corridors
 
         def infeasible_for_robot_1(point_sets, scenario):
-            # same face count, so robot 1 stays in the batch: its first
-            # piece must lie below the workspace box and inside it
+            # robot 1 stays in the batch, but its first piece must lie
+            # below the workspace box and inside it
             out = real(point_sets, scenario)
-            poly = out.polyhedra[1][0]
-            b = poly.b.copy()
-            b[0] = -poly.b[3] - 1.0
-            out.polyhedra[1][0] = ConvexPolyhedron(poly.A, b)
+            out.offsets[1, 0, 0] = -out.offsets[1, 0, 3] - 1.0
             return out
 
         reference = []
@@ -280,7 +276,7 @@ class TestDegradation:
             calls.extend(starts)
             if len(calls) <= n:
                 return real(starts, *args)
-            _, durations, _, degree, continuity, weights, _ = args
+            _, durations, _, _, degree, continuity, weights, _ = args
             out = []
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))

@@ -61,7 +61,8 @@ def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
         for wp in plan.waypoints
     ]
     out = optimize_trajectory(
-        plan.waypoints[:, 0], plan.waypoints[:, -1], durations, corridors.polyhedra,
+        plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
+        corridors.normals, corridors.offsets,
         sc.degree, sc.continuity, tuple(sc.weights), straight,
     )
     assert [result.stop for _, _, result in out] == ["converged"] * 32
