@@ -53,26 +53,6 @@ def bernstein_to_monomial(degree, duration):
 
 
 @lru_cache(maxsize=None)
-def monomial_derivative_cost(degree, order, duration):
-    """Gram matrix of the squared order-th derivative over one piece.
-
-    Entry (i, j) is the integral of the product of the order-th
-    derivatives of t**i and t**j over [0, duration].
-    """
-    d = degree
-    c = order
-    tau = float(duration)
-    out = np.zeros((d + 1, d + 1))
-    for i in range(c, d + 1):
-        for j in range(c, d + 1):
-            fi = math.perm(i, c)
-            fj = math.perm(j, c)
-            p = i + j - 2 * c
-            out[i, j] = fi * fj * tau ** (p + 1) / (p + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def bernstein_gram(degree):
     """Matrix of pairwise basis product integrals over [0, 1]."""
     m = degree
@@ -89,13 +69,25 @@ def bernstein_gram(degree):
 
 @lru_cache(maxsize=None)
 def control_point_cost(degree, duration, weights):
-    """Weighted sum of squared-derivative costs in control-value form."""
-    b = bernstein_to_monomial(degree, duration)
-    q = np.zeros((degree + 1, degree + 1))
-    for c, w in enumerate(weights, start=1):
+    """The piece's cost in its control values p: p'Hp is the sum over
+    orders c = 1, 2, ... of weights[c - 1] times the integral of the
+    squared c-th derivative over [0, duration].
+
+    H = sum_c w_c tau D_c' G_{d-c} D_c, with d the degree, tau the
+    duration, D_c the scaled c-th forward difference that takes p to the
+    control values of the c-th derivative curve (as derivative_points
+    applies it) and G_m the Bernstein Gram matrix of degree m
+    (bernstein_gram).  This is the form PiecewiseBezierTrajectory.cost
+    integrates; it is exact to rounding, so H annihilates constants to
+    about 1e-16 of its largest entry.  Orders past the degree add 0.
+    """
+    d, tau = degree, float(duration)
+    h = np.zeros((d + 1, d + 1))
+    diff = np.eye(d + 1)
+    for c, w in enumerate(weights[:d], start=1):
+        diff = ((d - c + 1) / tau) * (diff[1:] - diff[:-1])
         if w > 0:
-            q += w * monomial_derivative_cost(degree, c, duration)
-    h = b.T @ q @ b
+            h += w * tau * (diff.T @ bernstein_gram(d - c) @ diff)
     return 0.5 * (h + h.T)
 
 

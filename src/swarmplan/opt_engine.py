@@ -4,10 +4,11 @@ The QP solver is one Mehrotra predictor-corrector interior-point method
 with a Newton step shaped to the program.  A QP is solved over the
 coordinates c of its affine set x = x0 + Z c, so only inequality rows
 remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
-definite and is factored with a banded Cholesky in natural order.  A
-program given equality rows gets a dense orthonormal null-space basis Z
-and a full band.  A program with general sparse rows forms its Newton
-matrix by sparse products at every step.
+definite and is factored as it is, with a banded Cholesky in natural
+order, and solved once per step, with no regularization and no iterative
+refinement.  A program given equality rows gets a dense orthonormal
+null-space basis Z and a full band.  A program with general sparse rows
+forms its Newton matrix by sparse products at every step.
 
 The per-robot smoothing QPs of a refinement round come as one
 SmoothingBatch: one H and one banded Z (a B-spline basis) for every
@@ -19,7 +20,10 @@ instance's band gets its own factorization, so an instance stops on its
 own and gets the answer it gets alone.  Each instance starts from its
 own point, the robot's current curve in a refinement round, with its
 objective divided by its value there, and stops once its duality gap is
-small relative to its objective.
+small relative to its objective.  Late in a run the barrier weights of
+the tight and the slack rows spread past what the Cholesky can factor;
+an instance whose factorization fails there, with its residuals at their
+floor and its gap within _IPM_BREAKDOWN_GAP, has converged.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -43,7 +47,6 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse.csgraph import connected_components, maximum_flow
@@ -386,9 +389,15 @@ _IPM_MAX_ITER = 100
 #     relative gap).  The relative gap does not depend on the scale of
 #     H, where a residual stop would.  This is how the bundled
 #     scenarios' smoothing programs end (all 48 of a wall_windows_8 plan).
-#   "breakdown": the banded Cholesky of its Newton matrix failed before the
-#     gap closed: the barrier weights z/s of the tight and the slack rows
-#     spread past what double precision can factor.
+#     The Cholesky of its Newton matrix can fail just short of that gap:
+#     the barrier weights z/s of the tight and the slack rows spread past
+#     what double precision can factor.  An instance whose factorization
+#     fails with its residuals at the floor and its gap at most
+#     _IPM_BREAKDOWN_GAP of its objective has converged too.  Without that
+#     rule robot 21 of wall_windows_48's round 0 ends by breakdown at step
+#     35, its residuals at 0.002 of their floor and its gap at 1.5e-12 of
+#     its objective, with the same answer.
+#   "breakdown": the Cholesky failed at any other iterate.
 #   "stall": the largest of its residuals and the square root of its
 #     duality measure has not improved for _IPM_STALL steps.
 #   "max_iter": _IPM_MAX_ITER steps.
@@ -396,6 +405,7 @@ _IPM_MAX_ITER = 100
 _IPM_STALL = 8
 _IPM_RES = 1e3
 _IPM_GAP = 1e-12
+_IPM_BREAKDOWN_GAP = 1e-10
 # The start: each slack is its row's distance b_in - A_in x from the start
 # point x, and at least _IPM_SLACK_FLOOR, or _IPM_VIOL times the point's
 # largest violation when that is more; each multiplier is _IPM_MU0 over its
@@ -407,10 +417,6 @@ _IPM_GAP = 1e-12
 _IPM_SLACK_FLOOR = 1e-3
 _IPM_VIOL = 1.5
 _IPM_MU0 = 1e-2
-# added to each Newton matrix's diagonal: without it, robot 11 of
-# wall_windows_32's round 0 ends by breakdown at step 34, its residual at
-# 4e-16 and its gap at 1.01e-12 of its objective, just short of _IPM_GAP
-_KKT_DELTA = 1e-11
 # a recession direction must lower the objective by more than this (relative
 # to |g|) to count as an unboundedness certificate
 _CERT_TOL = 1e-9
@@ -522,41 +528,27 @@ class _BandedNewton:
         return _apply(self.H, c)
 
     def newton(self, w):
-        """Factor Z'(H + A_in' W A_in)Z + dI for each instance's
-        W = diag(w[t]), one banded Cholesky (LAPACK dpbtrf) each.  Returns
-        per instance its factor and its unregularized band, or None where
-        the factorization broke down."""
+        """Factor Z'(H + A_in' W A_in)Z for each instance's W = diag(w[t]),
+        one banded Cholesky (LAPACK dpbtrf) each.  Returns per instance its
+        factor, or None where the factorization broke down."""
         factors = []
         for band in self.bands(w):
-            ab = band.copy(order="F")
-            ab[0] += _KKT_DELTA
             # the lower form: OpenBLAS threads the upper form's rank-one
             # updates, which at this size costs more than it saves (0.6
             # against 0.14 ms at n = 345 on 2 cores, and spikes of 100+ ms
             # when another process holds a core)
-            chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-            factors.append((chol, band) if info == 0 else None)
+            chol, info = dpbtrf(band.copy(order="F"), lower=1, overwrite_ab=1)
+            factors.append(chol if info == 0 else None)
         return factors
 
     def solve(self, factors, r):
         """Solve Z'(H + A_in' W A_in)Z dc = r[t] for each instance from its
-        factors, then take two steps of iterative refinement against its
-        unregularized band (BLAS dsbmv).  They keep late steps accurate
-        where the barrier weights spread: without them, robots 21, 34 and
-        40 of wall_windows_48's round-0 program end by breakdown, at steps
-        35 to 54, instead of converging."""
+        factor, one LAPACK dpbtrs each."""
         if not r.shape[1]:
             # LAPACK rejects an empty right-hand side: with no free
             # coordinate (one piece fixed by its rest endpoints) the step is empty
             return r
-        out = np.empty_like(r)
-        for t, ((chol, band), rhs) in enumerate(zip(factors, r)):
-            bw = band.shape[0] - 1
-            dc = dpbtrs(chol, rhs, lower=1)[0]
-            for _ in range(2):
-                dc = dc + dpbtrs(chol, rhs - dsbmv(bw, 1.0, band, dc, lower=1), lower=1)[0]
-            out[t] = dc
-        return out
+        return np.array([dpbtrs(chol, rhs, lower=1)[0] for chol, rhs in zip(factors, r)])
 
 
 class _GeneralProgram(_BandedNewton):
@@ -639,13 +631,16 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
 
     One method serves every QP: a Mehrotra predictor-corrector interior
     point over the coordinates c of the affine set x = x0 + Z c, whose
-    Newton step factors Z'(H + A_in' W A_in)Z + dI with a banded Cholesky
-    (LAPACK dpbtrf) in natural order.  It starts from c = 0, or from a
-    SmoothingBatch's start, and stops at a small relative duality gap
-    (see _IPM_STALL).  Each program's objective is first divided by
-    sigma, its absolute value at that start (1 where it is 0 or not
-    finite), so the interior point's fixed constants and eps_abs see an
-    objective of about unit size whatever the scale of H and g.  The KKT
+    Newton step factors Z'(H + A_in' W A_in)Z with a banded Cholesky
+    (LAPACK dpbtrf) in natural order, with no regularization, and solves
+    with that factor once.  It starts from c = 0, or from a
+    SmoothingBatch's start, and stops at a small relative duality gap, or
+    at a slightly larger one where the factorization fails with the
+    residuals at their floor (see _IPM_STALL).  Each program's objective
+    is first divided by sigma, its absolute value at that start (1 where
+    it is 0 or not finite), so the interior point's fixed constants and
+    eps_abs see an objective of about unit size whatever the scale of H
+    and g.  The KKT
     tolerance applies to that scaled program; x, the objective, the duals
     and the dual residual come back for the program as given.  A program
     without inequality rows runs the same iteration.  The smoothness
@@ -796,11 +791,12 @@ def _ipm(program, g, b_in, x, f0):
             kept[live[better]] = current[better]
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
-        objective = np.einsum("tn,tn->t", x, 0.5 * hx + g) + f0
-        converged = (res <= floor[live]) | (
-            (resid <= floor[live]) & (gap <= _IPM_GAP * np.abs(objective))
-        )
-        state = (x, s, z, g, b_in, f0, r_d, r_in, mu)
+        objective = np.abs(np.einsum("tn,tn->t", x, 0.5 * hx + g) + f0)
+        at_floor = resid <= floor[live]
+        converged = (res <= floor[live]) | (at_floor & (gap <= _IPM_GAP * objective))
+        # converged too if its Newton matrix does not factor
+        close = at_floor & (gap <= _IPM_BREAKDOWN_GAP * objective)
+        state = (x, s, z, g, b_in, f0, r_d, r_in, mu, close)
         why = np.select(
             [~np.isfinite(res), converged, stall[live] >= _IPM_STALL],
             ["nonfinite", "converged", "stall"],
@@ -810,14 +806,15 @@ def _ipm(program, g, b_in, x, f0):
         if not live.size:
             break
         # only the instances still running are factored
-        x, s, z, g, b_in, f0, r_d, r_in, mu = state
+        x, s, z, g, b_in, f0, r_d, r_in, mu, close = state
         factors = program.newton(z / s)
         broken = np.array([f is None for f in factors])
-        live, program, state = _leave(np.where(broken, "breakdown", ""), stops, live, program, state)
+        why = np.where(broken, np.where(close, "converged", "breakdown"), "")
+        live, program, state = _leave(why, stops, live, program, state)
         if not live.size:
             break
         factors = [f for f in factors if f is not None]
-        x, s, z, g, b_in, f0, r_d, r_in, mu = state
+        x, s, z, g, b_in, f0, r_d, r_in, mu, close = state
 
         def newton(r_cs):
             dx = program.solve(factors, -r_d - program.ineq_t((z * r_in - r_cs) / s))

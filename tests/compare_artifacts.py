@@ -3,7 +3,8 @@
 Every file under either directory must be present in both and equal byte
 for byte, with one exception: the wall_time_s column of
 refine_report.csv, the one value that differs between identical runs, is
-masked.
+masked.  A directory that is missing or holds no files is a difference
+too, so two runs that wrote nothing do not match.
 
 Run from the command line as
 
@@ -41,9 +42,12 @@ def _masked(raw):
 
 def artifact_differences(dir_a, dir_b):
     """Files that are missing from one directory or differ between the
-    two, with MASKED_COLUMN of MASKED_FILE masked; [] when they match."""
+    two, with MASKED_COLUMN of MASKED_FILE masked, after one entry for
+    each directory that is missing or holds no files; [] when they
+    match."""
     files_a, files_b = artifact_files(dir_a), artifact_files(dir_b)
-    differ = sorted(set(files_a) ^ set(files_b))
+    differ = [f"{root} (no files)" for root, files in ((dir_a, files_a), (dir_b, files_b)) if not files]
+    differ += sorted(set(files_a) ^ set(files_b))
     for rel in sorted(set(files_a) & set(files_b)):
         with open(os.path.join(dir_a, rel), "rb") as f:
             a = f.read()

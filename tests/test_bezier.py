@@ -22,7 +22,6 @@ from swarmplan.bezier_opt import (
     bernstein_to_monomial,
     control_point_cost,
     fallback_trajectory,
-    monomial_derivative_cost,
     optimize_trajectory,
     spline_to_bernstein,
 )
@@ -191,15 +190,24 @@ class TestBasisMatrices:
                 direct = bernstein_eval(vals[:, None], t / tau)[0]
                 assert poly == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
-    def test_derivative_cost_hand_values(self):
-        # second derivative of t^2 is 2, so the (2,2) entry integrates 4
-        q = monomial_derivative_cost(3, 2, 1.5)
-        assert q[2, 2] == pytest.approx(4 * 1.5)
-        # first derivatives of t and t^2: integral of 1 * 2t = tau^2
-        q1 = monomial_derivative_cost(3, 1, 1.5)
-        assert q1[1, 2] == pytest.approx(1.5**2)
-        # orders below the derivative are annihilated
-        assert np.allclose(q[:2], 0.0)
+    def test_control_point_cost_hand_values(self):
+        # control values (0, 0, 1) over tau are the curve (t / tau)^2: its
+        # squared velocity (2t / tau^2)^2 integrates to 4 / (3 tau), and its
+        # squared acceleration (2 / tau^2)^2 to 4 / tau^3
+        p = np.array([0.0, 0.0, 1.0])
+        for tau in (0.5, 1.5):
+            velocity = p @ control_point_cost(2, tau, (1.0, 0.0)) @ p
+            acceleration = p @ control_point_cost(2, tau, (0.0, 1.0)) @ p
+            assert velocity == pytest.approx(4 / (3 * tau), rel=1e-14)
+            assert acceleration == pytest.approx(4 / tau**3, rel=1e-14)
+            # jerk and snap of a quadratic are 0
+            assert not control_point_cost(2, tau, (0.0, 0.0, 1.0, 1.0)).any()
+
+    def test_control_point_cost_annihilates_constants(self):
+        # a constant curve costs nothing: H 1 is 0 up to rounding
+        for tau in (0.25, 0.5):
+            h = control_point_cost(9, tau, WEIGHTS)
+            assert np.abs(h.sum(axis=1)).max() <= 1e-15 * np.abs(h).max()
 
     def test_control_point_cost_matches_quadrature(self):
         rng = np.random.default_rng(1)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import compare_artifacts
 from compare_artifacts import artifact_differences, artifact_files
 
 from swarmplan import opt_engine
@@ -98,6 +99,21 @@ class TestJobs:
         assert "refine_report.csv" in files and len(files) > 3
         for out in outs[1:]:
             assert artifact_differences(outs[0], out) == []
+
+
+class TestCompareArtifacts:
+    def test_runs_that_wrote_nothing_do_not_match(self, planned, tmp_path):
+        _, out, _ = planned
+        empty, missing = tmp_path / "empty", tmp_path / "missing"
+        empty.mkdir()
+        for a, b in ((empty, empty), (missing, missing), (empty, missing)):
+            assert artifact_differences(a, b) == [f"{a} (no files)", f"{b} (no files)"]
+            assert compare_artifacts.main([str(a), str(b)]) == 1
+        # one run that wrote nothing against one that wrote its artifacts
+        differ = artifact_differences(out, empty)
+        assert differ[0] == f"{empty} (no files)" and len(differ) == 1 + len(artifact_files(out))
+        assert artifact_differences(out, out) == []
+        assert compare_artifacts.main([out, out]) == 0
 
 
 class TestPillars:

@@ -409,6 +409,30 @@ class TestInteriorPointBatch:
         assert list(batch[3]) == list(stops[::-1])
         self.assert_as_alone(H[::-1], A[::-1], b[::-1], g[::-1], break_at[::-1], batch)
 
+    def test_breakdown_at_the_floor_within_the_breakdown_gap_stops_as_converged(self, monkeypatch):
+        H, A, b, g = self.programs()
+        # unbroken, instance 0 converges after 10 steps.  Its 10th Newton
+        # matrix is taken at an iterate whose residuals are at their floor
+        # and whose gap is above _IPM_GAP of its objective, but within
+        # _IPM_BREAKDOWN_GAP
+        _, _, steps, stops = self.run(H, A, b, g, [0, 0])
+        assert stops[0] == "converged" and steps[0] == 10
+        batch = self.run(H, A, b, g, [10, 0])
+        x, z, steps, stops = batch
+        assert list(stops) == ["converged", "converged"] and steps[0] == 9
+        objective = 0.5 * x[0] @ H[0] @ x[0] + g[0] @ x[0]
+        gap = z[0] @ (b[0] - A[0] @ x[0])
+        assert 1e-12 < gap / abs(objective) <= 1e-10
+        _, ref = qp_active_set_reference(QuadraticProgram(H[0], g[0], A_in=A[0], b_in=b[0]))
+        assert np.abs(x[0] - ref).max() <= 1e-6
+        self.assert_as_alone(H, A, b, g, [10, 0], batch)
+        # the same failure is a breakdown without the rule, at the same
+        # best iterate
+        monkeypatch.setattr(opt_engine, "_IPM_BREAKDOWN_GAP", 0.0)
+        x_off, _, steps_off, stops_off = self.run(H, A, b, g, [10, 0])
+        assert stops_off[0] == "breakdown" and steps_off[0] == 9
+        assert np.array_equal(x_off[0], x[0])
+
     def test_nonfinite_instance_leaves_alone(self):
         H, A, b, g = self.programs()
         H[0, 0, 0] = np.nan
