@@ -3,25 +3,31 @@
 Each robot's trajectory is one polynomial piece per plan segment, written
 in the Bernstein basis.  That basis keeps the curve inside the convex
 hull of its control points, so linear constraints on control points
-confine the whole curve to a safe corridor.  All pieces of a trajectory
-share one degree, so its control points, and those of its derivative
-curves, stack into one array.  The smoothing program writes the whole
-curve in the coefficients of a B-spline that is C^k at the knots by
-construction (de Boor, A Practical Guide to Splines, 1978): a fixed
-banded map takes those coefficients to the pieces' Bernstein control
-points, and the rest endpoints fix the first and last k + 1 of them.  Minimizing an integral of squared derivatives over the remaining
-coefficients, subject to the corridor rows on the control points, is a
-convex QP per robot with no equality rows.  Every robot of a plan shares
-its Hessian and its B-spline map, so optimize_trajectory hands the
-robots' programs to the solver together, as one batch, each starting from
-the coefficients of the curve its robot flies now.
+confine the whole curve to a safe corridor.  A PiecewiseBezierTrajectory
+is one read-only (pieces, degree + 1, dim) array of control points with
+one duration per piece; a single piece is a one-piece trajectory.  The
+control points of each derivative curve form one such array too, which
+the trajectory computes once per order and keeps, so every reader (cost,
+corridor sampling, the warm start, validation, export) shares that one
+computation.
+
+The smoothing program writes the whole curve in the coefficients of a
+B-spline that is C^k at the knots by construction (de Boor, A Practical
+Guide to Splines, 1978): a fixed banded map takes those coefficients to
+the pieces' Bernstein control points, and the rest endpoints fix the
+first and last k + 1 of them.  Minimizing an integral of squared
+derivatives over the remaining coefficients, subject to the corridor rows
+on the control points, is a convex QP per robot with no equality rows.
+Every robot of a plan shares its Hessian and its B-spline map, so
+optimize_trajectory hands the robots' programs to the solver together, as
+one batch, each starting from the coefficients of the curve its robot
+flies now.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,9 +81,9 @@ def control_point_cost(degree, duration, weights):
 
     H = sum_c w_c tau D_c' G_{d-c} D_c, with d the degree, tau the
     duration, D_c the scaled c-th forward difference that takes p to the
-    control values of the c-th derivative curve (as derivative_points
-    applies it) and G_m the Bernstein Gram matrix of degree m
-    (bernstein_gram).  This is the form PiecewiseBezierTrajectory.cost
+    control values of the c-th derivative curve (as
+    PiecewiseBezierTrajectory.control_points applies it) and G_m the
+    Bernstein Gram matrix of degree m (bernstein_gram).  This is the form PiecewiseBezierTrajectory.cost
     integrates; it is exact to rounding, so H annihilates constants to
     about 1e-16 of its largest entry.  Orders past the degree add 0.
     """
@@ -103,56 +109,31 @@ def bernstein_basis(degree, s):
     return binomials * s**i * (1.0 - s) ** (degree - i)
 
 
-@dataclass
-class BezierPiece:
-    """One polynomial piece: control points (degree + 1, dim)."""
-
-    duration: float
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.duration = float(self.duration)
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(f"piece duration {self.duration} is not finite and positive")
-
-    @property
-    def degree(self):
-        return self.points.shape[0] - 1
-
-    def derivative_points(self, order=1):
-        """Control points of the derivative curve (degree drops by order)."""
-        pts = self.points
-        tau = self.duration
-        for k in range(order):
-            d = pts.shape[0] - 1
-            if d == 0:
-                return np.zeros((1, pts.shape[1]))
-            pts = (d / tau) * (pts[1:] - pts[:-1])
-        return pts
-
-    def evaluate(self, t, order=0):
-        return self.evaluate_many(np.atleast_1d(t), order)[0]
-
-    def evaluate_many(self, ts, order=0):
-        pts = self.derivative_points(order)
-        s = np.asarray(ts, dtype=float) / self.duration
-        return bernstein_basis(len(pts) - 1, s) @ pts
-
-
-@dataclass
 class PiecewiseBezierTrajectory:
-    """Consecutive Bezier pieces of one degree forming one robot trajectory."""
+    """One robot's trajectory: consecutive Bezier pieces of one degree.
 
-    pieces: list
+    durations (pieces,) and points (pieces, degree + 1, dim) are read-only
+    copies of the arguments, so each derivative order's control points
+    are differenced once, on first use, and every reader shares them.
+    """
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, durations, points):
+        durations = np.array(durations, dtype=float)
+        points = np.array(points, dtype=float)
+        if not durations.size:
             raise ValueError("trajectory needs at least one piece")
-        degrees = sorted({p.degree for p in self.pieces})
-        if len(degrees) > 1:
-            raise ValueError(f"trajectory pieces differ in degree: {degrees}")
-        self.knots = np.concatenate([[0.0], np.cumsum([p.duration for p in self.pieces])])
+        if durations.ndim != 1 or points.ndim != 3 or len(points) != len(durations):
+            raise ValueError("need durations (pieces,) and points (pieces, degree + 1, dim)")
+        bad = [tau for tau in durations.tolist() if not 0.0 < tau < math.inf]
+        if bad:
+            raise ValueError(f"piece duration {bad[0]} is not finite and positive")
+        if not points.shape[1]:
+            raise ValueError("trajectory degree is below 0")
+        self.knots = np.concatenate([[0.0], np.cumsum(durations)])
+        for array in (durations, points, self.knots):
+            array.flags.writeable = False
+        self.durations, self.points = durations, points
+        self._orders = {0: points}
 
     @property
     def duration(self):
@@ -160,28 +141,36 @@ class PiecewiseBezierTrajectory:
 
     @property
     def degree(self):
-        return self.pieces[0].degree
+        return self.points.shape[1] - 1
 
     @property
-    def dim(self):
-        return self.pieces[0].points.shape[1]
+    def pieces(self):
+        """Each piece as a one-piece trajectory."""
+        return tuple(
+            PiecewiseBezierTrajectory(self.durations[k : k + 1], self.points[k : k + 1])
+            for k in range(len(self.durations))
+        )
 
     def control_points(self, order=0):
-        """Control points of every piece's order-th derivative, stacked:
-        (pieces, degree + 1 - order, dim), or zeros (pieces, 1, dim) past
-        the degree, each piece as its derivative_points(order)."""
-        if order > self.degree:
-            return np.zeros((len(self.pieces), 1, self.dim))
-        pts = np.stack([p.points for p in self.pieces])
-        durations = np.array([p.duration for p in self.pieces])
-        for d in range(self.degree, self.degree - order, -1):
-            pts = (d / durations)[:, None, None] * (pts[:, 1:] - pts[:, :-1])
-        return pts
+        """Control points of every piece's order-th derivative curve, read
+        only: (pieces, degree + 1 - order, dim), or zeros (pieces, 1, dim)
+        past the degree.  Each order is the scaled forward difference of
+        the one below, computed once and kept."""
+        if order not in self._orders:
+            if order > self.degree:
+                pts = np.zeros_like(self.points[:, :1])
+            else:
+                below = self.control_points(order - 1)
+                d = self.degree - order + 1
+                pts = (d / self.durations)[:, None, None] * (below[:, 1:] - below[:, :-1])
+            pts.flags.writeable = False
+            self._orders[order] = pts
+        return self._orders[order]
 
     def _locate(self, ts):
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.duration)
         idx = np.searchsorted(self.knots, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        idx = np.clip(idx, 0, len(self.durations) - 1)
         return idx, ts - self.knots[idx]
 
     def evaluate(self, t, order=0):
@@ -189,8 +178,7 @@ class PiecewiseBezierTrajectory:
 
     def evaluate_many(self, ts, order=0):
         idx, local = self._locate(ts)
-        durations = np.array([p.duration for p in self.pieces])
-        basis = bernstein_basis(max(self.degree - order, 0), local / durations[idx])
+        basis = bernstein_basis(max(self.degree - order, 0), local / self.durations[idx])
         return np.einsum("ji,jid->jd", basis, self.control_points(order)[idx])
 
     def cost(self, weights):
@@ -202,11 +190,11 @@ class PiecewiseBezierTrajectory:
             (w, self.control_points(c)) for c, w in enumerate(weights, start=1) if w > 0
         ]
         total = 0.0
-        for k, p in enumerate(self.pieces):
+        for k, tau in enumerate(self.durations.tolist()):
             for w, points in terms:
                 dp = points[k]
                 g = bernstein_gram(dp.shape[0] - 1)
-                total += w * p.duration * float(np.einsum("id,ij,jd->", dp, g, dp))
+                total += w * tau * float(np.einsum("id,ij,jd->", dp, g, dp))
         return total
 
     def scaled(self, factor):
@@ -214,52 +202,50 @@ class PiecewiseBezierTrajectory:
         order c shrink by factor**-c."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return PiecewiseBezierTrajectory(
-            [BezierPiece(p.duration * factor, p.points.copy()) for p in self.pieces]
-        )
+        return PiecewiseBezierTrajectory(self.durations * factor, self.points)
 
     def save_csv(self, path):
         """One row per piece: duration, then monomial coefficients of each
         axis on local time (ascending powers), 17 significant digits."""
-        degree = self.pieces[0].degree
-        header = ["duration"]
-        for axis in "xyz":
-            header += [f"c{axis}{m}" for m in range(degree + 1)]
+        header = ["duration"] + [f"c{axis}{m}" for axis in "xyz" for m in range(self.degree + 1)]
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(header)
-            for p in self.pieces:
-                basis = bernstein_to_monomial(p.degree, p.duration)
-                coeffs = basis @ p.points
-                row = [f"{p.duration:.17g}"]
-                for axis in range(3):
-                    row += [f"{v:.17g}" for v in coeffs[:, axis]]
-                writer.writerow(row)
+            for tau, points in zip(self.durations.tolist(), self.points):
+                coeffs = bernstein_to_monomial(self.degree, tau) @ points
+                writer.writerow([f"{tau:.17g}"] + [f"{v:.17g}" for v in coeffs.T.ravel()])
 
     @classmethod
     def load_csv(cls, path):
-        """Read a trajectory written by save_csv; a row that does not make
-        a piece raises ValueError naming the file and the row."""
-        pieces = []
+        """Read a trajectory written by save_csv; a header without three
+        coefficient columns per degree, or a row that does not make a
+        piece, raises ValueError naming the file (and the row)."""
+        durations, points = [], []
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
-            if (len(header) - 1) % 3:
+            if len(header) < 4 or (len(header) - 1) % 3:
                 raise ValueError(f"malformed trajectory header in {path}")
             degree = (len(header) - 1) // 3 - 1
             for row, rec in enumerate(reader, start=2):
                 try:
                     coeffs = np.array([float(v) for v in rec[1:]]).reshape(3, degree + 1).T
-                    # the piece checks its duration before the basis change
-                    # divides by its powers
-                    piece = BezierPiece(float(rec[0]), coeffs)
-                    piece.points = np.linalg.solve(
-                        bernstein_to_monomial(degree, piece.duration), coeffs
-                    )
+                    tau = float(rec[0])
+                    # check the duration before the basis change divides by
+                    # its powers
+                    if not 0.0 < tau < math.inf:
+                        raise ValueError(f"piece duration {tau} is not finite and positive")
+                    points.append(np.linalg.solve(bernstein_to_monomial(degree, tau), coeffs))
                 except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
                     raise ValueError(f"cannot read {path} row {row}: {exc}") from exc
-                pieces.append(piece)
-        return cls(pieces)
+                durations.append(tau)
+        return cls(durations, points)
+
+
+def BezierPiece(duration, points):
+    """One polynomial piece, control points (degree + 1, dim), as a
+    one-piece trajectory."""
+    return PiecewiseBezierTrajectory([duration], [points])
 
 
 @lru_cache(maxsize=None)
@@ -294,13 +280,11 @@ def fallback_trajectory(waypoints, durations, degree, continuity, weights):
     inherit the waypoint plan's safety margins along the segments.
     """
     waypoints = np.asarray(waypoints, dtype=float)
-    pieces = []
-    for k in range(waypoints.shape[0] - 1):
-        tau = float(durations[k])
-        ramp = _rest_to_rest_profile(degree, continuity, tau, tuple(weights))
-        a, b = waypoints[k], waypoints[k + 1]
-        pieces.append(BezierPiece(tau, a[None, :] + ramp[:, None] * (b - a)[None, :]))
-    return PiecewiseBezierTrajectory(pieces)
+    a, b = waypoints[:-1], waypoints[1:]
+    ramps = np.array(
+        [_rest_to_rest_profile(degree, continuity, float(tau), tuple(weights)) for tau in durations]
+    )
+    return PiecewiseBezierTrajectory(durations, a[:, None] + ramps[:, :, None] * (b - a)[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -426,9 +410,7 @@ def optimize_trajectory(
         if (normals[t] @ points.swapaxes(-1, -2) - offsets[t][..., None]).max(initial=0.0) > 1e-6:
             out.append(opt_engine.QPInfeasibleError("smoothing QP violated a corridor face"))
             continue
-        traj = PiecewiseBezierTrajectory(
-            [BezierPiece(tau, pts) for tau, pts in zip(durations, points)]
-        )
+        traj = PiecewiseBezierTrajectory(durations, points)
         # report the cost integral on the curve itself: the QP's 0.5 x'Hx
         # cancels its digits away (points near 5 m, H's entries to 3e11)
         out.append((traj, traj.cost(weights), result))

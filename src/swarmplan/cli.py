@@ -2,7 +2,8 @@
 exhaustive grid oracle, or re-validate exported trajectories.
 
 Exit codes: 0 success, 1 validation failure (artifacts are still
-written), 2 infeasible or invalid scenario, 3 solver budget exceeded.
+written), 2 infeasible or invalid input (a bad scenario, or a file that
+cannot be read or written), 3 solver budget exceeded.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def main(argv=None):
     except opt_engine.SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -324,27 +324,33 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - _SCENARIO_KEYS
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        if "grid" not in data:
-            raise ValueError("scenario requires a grid")
-        grid_data = dict(data["grid"])
-        unknown = set(grid_data) - _GRID_KEYS
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        if "dims" not in grid_data:
-            raise ValueError("grid requires dims")
-        grid = GridSpec(
-            dims=grid_data["dims"],
-            cell_size=grid_data.get("cell_size", DEFAULT_CELL_SIZE),
-            origin=tuple(grid_data.get("origin", (0.0, 0.0, 0.0))),
-        )
-        for key in ("starts", "goals"):
-            if key not in data:
-                raise ValueError(f"scenario requires {key}")
-        kwargs = {k: data[k] for k in _SCENARIO_KEYS - {"grid"} if k in data}
-        return cls(grid=grid, **kwargs)
+        """The scenario a parsed JSON document describes; a value of the
+        wrong type (a list for the grid, a number for the starts, a
+        nested cell index) raises ValueError like any other bad value."""
+        try:
+            unknown = set(data) - _SCENARIO_KEYS
+            if unknown:
+                raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+            if "grid" not in data:
+                raise ValueError("scenario requires a grid")
+            grid_data = dict(data["grid"])
+            unknown = set(grid_data) - _GRID_KEYS
+            if unknown:
+                raise ValueError(f"unknown grid keys: {sorted(unknown)}")
+            if "dims" not in grid_data:
+                raise ValueError("grid requires dims")
+            grid = GridSpec(
+                dims=grid_data["dims"],
+                cell_size=grid_data.get("cell_size", DEFAULT_CELL_SIZE),
+                origin=tuple(grid_data.get("origin", (0.0, 0.0, 0.0))),
+            )
+            for key in ("starts", "goals"):
+                if key not in data:
+                    raise ValueError(f"scenario requires {key}")
+            kwargs = {k: data[k] for k in _SCENARIO_KEYS - {"grid"} if k in data}
+            return cls(grid=grid, **kwargs)
+        except TypeError as exc:
+            raise ValueError(f"scenario value of the wrong type: {exc}") from exc
 
     @classmethod
     def load(cls, path):

@@ -13,8 +13,10 @@ box around a piece's control points bounds every sample on it, and a
 piece is sampled only while its bound can still reach the running
 extreme.  The samples that are taken go through the same arithmetic as a
 dense evaluation of the whole grid, so the report equals the dense
-sampler's bit for bit.  A trajectory has one degree, so every bound and
-sample reads its derivatives' control points as one stacked array.  The
+sampler's bit for bit.  Every bound and sample reads a derivative's
+control points as the one (pieces, points, 3) array the trajectory keeps
+for that order, so all checks of one validation, and the planner's own
+readers, share one computation per order and trajectory.  The
 smoothness requirements are checked exactly rather than sampled: a
 Bernstein curve starts at its first control point and ends at its last,
 so rest endpoints and knot continuity are read off the control points of
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier_opt import PiecewiseBezierTrajectory, bernstein_basis
+from .bezier_opt import bernstein_basis
 
 GRAVITY = 9.81
 # how far below its threshold a sampled clearance, or how far outside the
@@ -197,27 +199,6 @@ def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
     return np.linalg.norm(gap / radii, axis=-1)
 
 
-class _Derivatives(PiecewiseBezierTrajectory):
-    """A trajectory that computes the control points of each derivative
-    order once.  It shares the pieces it is made from, so it must not
-    outlive a change to them: one validation makes its own."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._orders = {}
-
-    def control_points(self, order=0):
-        if order not in self._orders:
-            self._orders[order] = super().control_points(order)
-        return self._orders[order]
-
-
-def _shared_derivatives(trajectories):
-    """The trajectories as _Derivatives, those that already are kept as
-    they are, so callers that pass one list on share its derivatives."""
-    return [t if isinstance(t, _Derivatives) else _Derivatives(t.pieces) for t in trajectories]
-
-
 _Layout = namedtuple("_Layout", "key degree idx s starts pieces")
 
 
@@ -233,7 +214,7 @@ class _SampleGrid:
     """
 
     def __init__(self, trajectories, sample_dt):
-        self.trajectories = _shared_derivatives(trajectories)
+        self.trajectories = trajectories
         self.ts = _sample_times(max(t.duration for t in trajectories), sample_dt)
         self.layouts = []
         shared = {}
@@ -241,10 +222,9 @@ class _SampleGrid:
             key = (traj.knots.tobytes(), traj.degree)
             if key not in shared:
                 idx, local = traj._locate(self.ts)
-                durations = np.array([p.duration for p in traj.pieces])
-                starts = np.searchsorted(idx, np.arange(len(traj.pieces) + 1))
+                starts = np.searchsorted(idx, np.arange(len(traj.durations) + 1))
                 shared[key] = _Layout(
-                    key, traj.degree, idx, local / durations[idx], starts,
+                    key, traj.degree, idx, local / traj.durations[idx], starts,
                     np.flatnonzero(np.diff(starts)),
                 )
             self.layouts.append(shared[key])
@@ -508,7 +488,7 @@ def smoothness_report(trajectories, continuity):
     points of the derivative curves, with no curve evaluation.
     """
     problems = []
-    for r, traj in enumerate(_shared_derivatives(trajectories)):
+    for r, traj in enumerate(trajectories):
         heads, tails, scales = [], [], []
         for order in range(continuity + 1):
             pts = traj.control_points(order)
@@ -572,9 +552,9 @@ def validate_trajectories(
     Clearance thresholds are 2 for the pairwise ellipsoid metric and 1
     for the scaled obstacle distance, each minus its tolerance (_PAIR_TOL,
     _OBSTACLE_TOL); the workspace overrun may be at most _WORKSPACE_TOL.
-    Every check reads one copy of each trajectory's derivatives.
+    Every check reads the derivative control points each trajectory
+    keeps.
     """
-    trajectories = _shared_derivatives(trajectories)
     pair, obstacle, overrun = _position_extremes(trajectories, scenario, sample_dt)
     peaks = dynamics_metrics(trajectories, sample_dt=max(sample_dt, 1e-3))
     smooth = smoothness_report(trajectories, scenario.continuity)

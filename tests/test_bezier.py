@@ -71,10 +71,10 @@ def de_casteljau_trajectory(traj, t, order):
     """De Casteljau oracle for a piecewise curve: times outside [0, T] are
     clipped, and a knot time belongs to the piece that starts there."""
     t = min(max(float(t), 0.0), traj.duration)
-    k = max(i for i in range(len(traj.pieces)) if traj.knots[i] <= t)
-    piece = traj.pieces[k]
-    pts = hodograph(piece.points, piece.duration, order)
-    return de_casteljau(pts, (t - traj.knots[k]) / piece.duration), np.abs(pts).max()
+    k = max(i for i in range(len(traj.durations)) if traj.knots[i] <= t)
+    tau = traj.durations[k]
+    pts = hodograph(traj.points[k], tau, order)
+    return de_casteljau(pts, (t - traj.knots[k]) / tau), np.abs(pts).max()
 
 
 def endpoint_derivative_row(degree, order, duration, at_start):
@@ -168,7 +168,7 @@ def finite_difference(piece, t, order):
         ),
     }
     offsets, denom = stencils[order]
-    acc = np.zeros(piece.points.shape[1])
+    acc = np.zeros(piece.points.shape[-1])
     for k, c in offsets:
         acc += c * piece.evaluate_many(np.array([t + k * h]))[0]
     return acc / denom
@@ -213,7 +213,7 @@ class TestBasisMatrices:
         rng = np.random.default_rng(1)
         for d, tau in [(5, 1.0), (9, 0.25)]:
             pts = rng.normal(size=(d + 1, 3))
-            traj = PiecewiseBezierTrajectory([BezierPiece(tau, pts)])
+            traj = BezierPiece(tau, pts)
             h = control_point_cost(d, tau, WEIGHTS)
             direct = float(np.einsum("id,ij,jd->", pts, h, pts))
             assert direct == pytest.approx(quadrature_cost(traj, WEIGHTS), rel=1e-9)
@@ -277,9 +277,9 @@ class TestEvaluation:
 
     def test_derivative_points_drop_degree(self):
         piece = BezierPiece(2.0, np.arange(12, dtype=float).reshape(4, 3))
-        assert piece.derivative_points(1).shape == (3, 3)
-        assert piece.derivative_points(4).shape == (1, 3)
-        assert np.allclose(piece.derivative_points(4), 0.0)
+        assert piece.control_points(1).shape == (1, 3, 3)
+        assert piece.control_points(4).shape == (1, 1, 3)
+        assert np.allclose(piece.control_points(4), 0.0)
 
     def test_endpoint_derivative_rows_match_evaluation(self):
         rng = np.random.default_rng(6)
@@ -304,9 +304,7 @@ class TestSplineMap:
         m = spline_to_bernstein(durations, d, c).toarray()
         coef = rng.normal(size=m.shape[1])
         points = (m @ coef).reshape(pieces, d + 1)
-        traj = PiecewiseBezierTrajectory(
-            [BezierPiece(tau, p[:, None]) for tau, p in zip(durations, points)]
-        )
+        traj = PiecewiseBezierTrajectory(durations, points[:, :, None])
         return BSpline(self.knot_vector(durations, d, c), coef, d), traj
 
     @pytest.mark.parametrize(
@@ -330,8 +328,8 @@ class TestSplineMap:
             jumps = []
             for left, right in zip(traj.pieces, traj.pieces[1:]):
                 for order in range(c + 2):
-                    a = hodograph(left.points, left.duration, order)
-                    b = hodograph(right.points, right.duration, order)
+                    a = hodograph(left.points[0], left.duration, order)
+                    b = hodograph(right.points[0], right.duration, order)
                     scale = max(np.abs(a).max(), np.abs(b).max())
                     jumps.append(abs(a[-1, 0] - b[0, 0]) / scale)
             jumps = np.array(jumps).reshape(-1, c + 2)
@@ -342,12 +340,10 @@ class TestSplineMap:
 
 class TestTrajectory:
     def make_traj(self, rng, pieces=3, d=5):
-        return PiecewiseBezierTrajectory(
-            [
-                BezierPiece(float(rng.uniform(0.2, 1.5)), rng.normal(size=(d + 1, 3)))
-                for _ in range(pieces)
-            ]
+        durations, points = zip(
+            *[(rng.uniform(0.2, 1.5), rng.normal(size=(d + 1, 3))) for _ in range(pieces)]
         )
+        return PiecewiseBezierTrajectory(durations, points)
 
     def test_piecewise_evaluation_uses_right_piece(self):
         rng = np.random.default_rng(7)
@@ -362,7 +358,7 @@ class TestTrajectory:
     def test_kernel_matches_de_casteljau(self, durations, degree):
         rng = np.random.default_rng(21)
         traj = PiecewiseBezierTrajectory(
-            [BezierPiece(tau, rng.normal(size=(degree + 1, 3))) for tau in durations]
+            durations, [rng.normal(size=(degree + 1, 3)) for _ in durations]
         )
         ts = np.concatenate(
             [traj.knots, [-0.7, -1e-9, traj.duration + 1e-9, traj.duration + 3.0],
@@ -375,24 +371,20 @@ class TestTrajectory:
                 assert np.abs(value - expected).max() <= 1e-12 * scale
                 assert np.abs(traj.evaluate(t, order) - expected).max() <= 1e-12 * scale
             # a piece's start is its first control point, to the last bit
-            for k, piece in enumerate(traj.pieces):
-                assert np.array_equal(got[k], piece.derivative_points(order)[0])
+            for k in range(len(durations)):
+                assert np.array_equal(got[k], traj.control_points(order)[k, 0])
 
     @pytest.mark.parametrize("degree", [1, 2, 5, 9])
     def test_control_points_stack_each_pieces_derivative_points(self, degree):
         rng = np.random.default_rng(22)
         traj = self.make_traj(rng, pieces=4, d=degree)
         for order in range(degree + 3):
-            expected = np.stack([p.derivative_points(order) for p in traj.pieces])
+            expected = np.stack(
+                [hodograph(p, tau, order) for tau, p in zip(traj.durations, traj.points)]
+            )
             got = traj.control_points(order)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-
-    def test_pieces_of_different_degrees_rejected(self):
-        rng = np.random.default_rng(23)
-        pieces = [BezierPiece(0.5, rng.normal(size=(d + 1, 3))) for d in (9, 9, 7)]
-        with pytest.raises(ValueError, match="degree"):
-            PiecewiseBezierTrajectory(pieces)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
     def test_piece_duration_must_be_finite_and_positive(self, duration):
@@ -462,9 +454,48 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="malformed"):
             PiecewiseBezierTrajectory.load_csv(path)
 
+    def test_csv_header_without_coefficients_rejected(self, tmp_path):
+        # a lone duration column would read as degree -1
+        path = tmp_path / "bad.csv"
+        path.write_text("duration\n1.0\n")
+        with pytest.raises(ValueError, match="malformed"):
+            PiecewiseBezierTrajectory.load_csv(path)
+
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            PiecewiseBezierTrajectory([])
+            PiecewiseBezierTrajectory([], np.zeros((0, 4, 3)))
+
+    def test_degree_below_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            PiecewiseBezierTrajectory([1.0], np.zeros((1, 0, 3)))
+
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(24)
+        durations, points = np.array([0.5, 0.25]), rng.normal(size=(2, 6, 3))
+        traj = PiecewiseBezierTrajectory(durations, points)
+        durations[0] = 1.0
+        points[0, 0, 0] += 1.0
+        assert traj.durations[0] == 0.5
+        assert traj.points[0, 0, 0] == points[0, 0, 0] - 1.0
+        arrays = [traj.durations, traj.knots, traj.points]
+        arrays += [traj.control_points(order) for order in range(8)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+
+    @pytest.mark.parametrize("degree", [0, 3, 9])
+    def test_control_points_are_computed_once_per_order(self, degree):
+        traj = self.make_traj(np.random.default_rng(25), d=degree)
+        for order in range(degree + 3):
+            assert traj.control_points(order) is traj.control_points(order)
+
+    def test_pieces_are_one_piece_trajectories(self):
+        traj = self.make_traj(np.random.default_rng(26), pieces=4)
+        assert len(traj.pieces) == 4
+        for k, piece in enumerate(traj.pieces):
+            assert isinstance(piece, PiecewiseBezierTrajectory)
+            assert piece.knots.tolist() == [0.0, traj.durations[k]]
+            assert piece.points.tobytes() == traj.points[k].tobytes()
 
 
 class TestFallback:
@@ -531,7 +562,7 @@ class TestOptimizeTrajectory:
             qp = bernstein_program(start, goal, durations, corridors, 9, 4, WEIGHTS)
             points = np.split(solve_qp(qp).x, pieces)
             reference = PiecewiseBezierTrajectory(
-                [BezierPiece(tau, p.reshape(10, 3)) for tau, p in zip(durations, points)]
+                durations, [p.reshape(10, 3) for p in points]
             ).cost(WEIGHTS)
             assert objective == pytest.approx(reference, rel=1e-8)
 
@@ -611,7 +642,7 @@ class TestOptimizeTrajectory:
         start, goal = np.zeros(3), np.array([1.0, 0.5, 0.25])
         box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 2.0))
         traj, _, _ = optimize_one(start, goal, [0.5], [box], 9, 4, WEIGHTS)
-        assert np.array_equal(traj.pieces[0].points, np.array([start] * 5 + [goal] * 5))
+        assert np.array_equal(traj.points[0], np.array([start] * 5 + [goal] * 5))
         with pytest.raises(QPInfeasibleError):
             empty = ConvexPolyhedron(box.A, -box.b)
             optimize_one(start, goal, [0.5], [empty], 9, 4, WEIGHTS)
@@ -661,7 +692,7 @@ def curve_cost(x, durations, weights):
     """The cost of the curve whose stacked control points are x."""
     points = np.split(x, len(durations))
     return PiecewiseBezierTrajectory(
-        [BezierPiece(tau, p.reshape(-1, 3)) for tau, p in zip(durations, points)]
+        durations, [p.reshape(-1, 3) for p in points]
     ).cost(weights)
 
 

@@ -284,16 +284,48 @@ class TestFailureModes:
         assert code == 3
         assert "budget exceeded: node limit 3 reached" in capsys.readouterr().err
 
-    def test_invalid_scenario_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"starts": [[0, 0, 0], [0, 0, 0]]},
+            {"grid": [4, 3, 2]},
+            {"starts": 5},
+            {"weights": 1.0},
+            {"radii": None},
+            {"starts": [[[0], 0, 0], [2, 0, 0]]},
+            None,
+        ],
+        ids=[
+            "duplicate-starts",
+            "grid-is-a-list",
+            "starts-is-a-number",
+            "weights-is-a-number",
+            "radii-is-null",
+            "nested-cell-index",
+            "missing-file",
+        ],
+    )
+    def test_invalid_scenario_is_rejected(self, tmp_path, capsys, change):
+        # every bad input exits 2 with one error line, never a traceback
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "grid": {"dims": [3, 3, 1], "cell_size": 0.5},
-            "starts": [[0, 0, 0], [0, 0, 0]],
-            "goals": [[2, 2, 0], [1, 2, 0]],
-        }))
+        if change is not None:
+            path.write_text(json.dumps({
+                "grid": {"dims": [3, 3, 1], "cell_size": 0.5},
+                "starts": [[0, 0, 0], [2, 0, 0]],
+                "goals": [[2, 2, 0], [1, 2, 0]],
+                **change,
+            }))
         code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_missing_trajectory_directory_is_rejected(self, scenario_file, tmp_path, capsys):
+        code = main(["validate", "--scenario", scenario_file,
+                     "--trajectories", str(tmp_path / "missing")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestEntryPoints:

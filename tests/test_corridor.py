@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from swarmplan.bezier_opt import (
-    BezierPiece,
     PiecewiseBezierTrajectory,
     fallback_trajectory,
     optimize_trajectory,
@@ -148,8 +147,8 @@ class TestPointSets:
                 pts = rng.normal(size=(6, 3))
                 pts[0] = tail  # keep the curve continuous across knots
                 tail = pts[-1]
-                pieces.append(BezierPiece(0.5, pts))
-            trajs.append(PiecewiseBezierTrajectory(pieces))
+                pieces.append(pts)
+            trajs.append(PiecewiseBezierTrajectory([0.5] * 3, pieces))
         sets = sample_point_sets(trajs, samples_per_piece=8)
         assert sets.shape == (2, 3, 8, 3)
         for r, traj in enumerate(trajs):

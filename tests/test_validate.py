@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
+    bernstein_basis,
     bernstein_to_monomial,
     fallback_trajectory,
 )
@@ -39,6 +40,7 @@ from dense_validation import (
     sample_positions,
     workspace_violation,
 )
+from test_bezier import hodograph
 
 WEIGHTS = (0.0, 1.0, 0.0, 1.0)
 
@@ -54,7 +56,7 @@ def scenario(**overrides):
 
 
 def monomial_piece(coeffs, duration):
-    """Bezier piece matching given per-axis monomial coefficients."""
+    """One-piece trajectory matching given per-axis monomial coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)  # (degree + 1, 3)
     degree = coeffs.shape[0] - 1
     basis = bernstein_to_monomial(degree, duration)
@@ -63,7 +65,7 @@ def monomial_piece(coeffs, duration):
 
 def static_trajectory(point, duration=1.0, degree=5):
     pts = np.tile(np.asarray(point, dtype=float), (degree + 1, 1))
-    return PiecewiseBezierTrajectory([BezierPiece(duration, pts)])
+    return BezierPiece(duration, pts)
 
 
 class TestSampling:
@@ -131,7 +133,7 @@ class TestDynamicsMetrics:
         coeffs = np.zeros((4, 3))
         coeffs[2, 0] = A
         coeffs[3, 1] = B
-        traj = PiecewiseBezierTrajectory([monomial_piece(coeffs, T)])
+        traj = monomial_piece(coeffs, T)
         peaks = dynamics_metrics([traj], sample_dt=1e-4, gravity=0.0)
         assert peaks["speed"] == pytest.approx(
             np.hypot(2 * A * T, 3 * B * T**2), rel=1e-6
@@ -146,7 +148,7 @@ class TestDynamicsMetrics:
         v = np.array([0.3, -0.2, 0.1])
         coeffs = np.zeros((2, 3))
         coeffs[1] = v
-        traj = PiecewiseBezierTrajectory([monomial_piece(coeffs, 2.0)])
+        traj = monomial_piece(coeffs, 2.0)
         peaks = dynamics_metrics([traj], gravity=9.81)
         assert peaks["speed"] == pytest.approx(np.linalg.norm(v), rel=1e-12)
         assert peaks["accel"] == pytest.approx(0.0, abs=1e-10)
@@ -155,13 +157,14 @@ class TestDynamicsMetrics:
 
     def test_matches_finite_difference_reimplementation(self):
         rng = np.random.default_rng(5)
-        traj = PiecewiseBezierTrajectory([BezierPiece(2.0, rng.normal(size=(10, 3)))])
+        traj = BezierPiece(2.0, rng.normal(size=(10, 3)))
         peaks = dynamics_metrics([traj], sample_dt=0.01, gravity=0.0)
 
         ts = np.linspace(0.0, traj.duration, 201)
         h = 1e-5
-        # the raw piece extrapolates smoothly, so endpoint stencils are fine
-        pos = lambda t: traj.pieces[0].evaluate_many(np.atleast_1d(t))
+        # the piece's polynomial extrapolates smoothly past its ends, so
+        # endpoint stencils are fine
+        pos = lambda t: bernstein_basis(9, np.atleast_1d(t) / traj.duration) @ traj.points[0]
         speed = accel = omega = 0.0
         for t in ts:
             v = (pos(t + h) - pos(t - h))[0] / (2 * h)
@@ -183,7 +186,7 @@ class TestDynamicsMetrics:
     def test_time_dilation_laws_without_gravity(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 3))
-        traj = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        traj = BezierPiece(1.0, pts)
         s = 2.0
         slow = traj.scaled(s)
         base = dynamics_metrics([traj], sample_dt=0.01, gravity=0.0)
@@ -199,10 +202,10 @@ class TestDynamicsMetrics:
         pts = rng.normal(size=(10, 3))
         pts[:3] = pts[0]
         pts[3] = pts[0]
-        rest = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        rest = BezierPiece(1.0, pts)
         pts = pts.copy()
         pts[3, 0] += 1e-13
-        noisy = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        noisy = BezierPiece(1.0, pts)
         base = dynamics_metrics([rest], sample_dt=0.01, gravity=0.0)
         peaks = dynamics_metrics([noisy], sample_dt=0.01, gravity=0.0)
         assert peaks["omega"] == pytest.approx(base["omega"], rel=1e-6)
@@ -212,7 +215,7 @@ class TestDynamicsMetrics:
     def test_gravity_breaks_omega_scaling(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))
-        traj = PiecewiseBezierTrajectory([BezierPiece(1.0, pts)])
+        traj = BezierPiece(1.0, pts)
         base = dynamics_metrics([traj], sample_dt=0.01)
         scaled = dynamics_metrics([traj.scaled(2.0)], sample_dt=0.02)
         # the hover term does not dilate, so the ratio is not 1/2
@@ -226,7 +229,10 @@ def per_knot_smoothness_report(trajectories, continuity, tol=1e-5):
     def derivative_scale(traj, order):
         if order == 0:
             return 1.0
-        peak = max(float(np.abs(p.derivative_points(order)).max()) for p in traj.pieces)
+        peak = max(
+            float(np.abs(hodograph(p, tau, order)).max())
+            for tau, p in zip(traj.durations, traj.points)
+        )
         return max(1.0, peak)
 
     problems = []
@@ -258,14 +264,20 @@ class TestSmoothnessReport:
 
     def test_knot_jump_detected(self):
         traj = self.make_smooth()
-        traj.pieces[1].points[0] += 0.05  # break position continuity
-        problems = smoothness_report([traj], continuity=4)
+        points = traj.points.copy()
+        points[1, 0] += 0.05  # break position continuity
+        problems = smoothness_report(
+            [PiecewiseBezierTrajectory(traj.durations, points)], continuity=4
+        )
         assert any("order-0 jump" in p and "knot 1" in p for p in problems)
 
     def test_moving_endpoint_detected(self):
         traj = self.make_smooth()
-        traj.pieces[0].points[1] += 0.2  # nonzero start velocity
-        problems = smoothness_report([traj], continuity=4)
+        points = traj.points.copy()
+        points[0, 1] += 0.2  # nonzero start velocity
+        problems = smoothness_report(
+            [PiecewiseBezierTrajectory(traj.durations, points)], continuity=4
+        )
         assert any("order-1" in p and "start" in p for p in problems)
 
 
@@ -279,6 +291,7 @@ class TestSmoothnessReport:
                 wp = rng.uniform(0, 2, size=(pieces + 1, 3))
                 durations = rng.uniform(0.2, 1.2, size=pieces)
                 traj = fallback_trajectory(wp, durations, degree=9, continuity=4, weights=WEIGHTS)
+                points = traj.points.copy()
                 for _ in range(int(rng.integers(0, 4))):
                     # a control point within order + 1 of a knot shifts that
                     # order's derivative there; sizes straddle the tolerance
@@ -286,14 +299,14 @@ class TestSmoothnessReport:
                     order = int(rng.integers(5))
                     index = order if rng.random() < 0.5 else 9 - order
                     step = rng.normal(size=3) * 10.0 ** rng.uniform(-9, -1)
-                    traj.pieces[k].points[index] += step
-                trajs.append(traj)
+                    points[k, index] += step
+                trajs.append(PiecewiseBezierTrajectory(durations, points))
             # robots of degrees 1-9 end their pieces at different control
             # point indices, and below degree 4 the high orders vanish
             for degree in rng.integers(1, 10, size=2):
                 trajs.append(
                     PiecewiseBezierTrajectory(
-                        [BezierPiece(0.5, rng.normal(size=(degree + 1, 3))) for _ in range(3)]
+                        [0.5] * 3, [rng.normal(size=(degree + 1, 3)) for _ in range(3)]
                     )
                 )
             expected = per_knot_smoothness_report(trajs, continuity=4)
@@ -419,24 +432,22 @@ def trajectory_sets(draw):
         degree = draw(st.integers(5, 9))
         chain = []
         start = rng.uniform(0.0, 1.5, size=3)
-        for duration in common if draw(st.booleans()) else draw(pieces):
+        taus = common if draw(st.booleans()) else draw(pieces)
+        for _ in taus:
             pts = start + rng.normal(scale=0.2, size=(degree + 1, 3))
             pts[0] = start
             start = pts[-1]
-            chain.append(BezierPiece(duration, pts))
-        trajectories.append(PiecewiseBezierTrajectory(chain))
+            chain.append(pts)
+        trajectories.append(PiecewiseBezierTrajectory(taus, chain))
     if len(trajectories) >= 2 and draw(st.booleans()):
         # a copy 2 scaled units away along x, pulled closer between the
         # knots: its nearest approach lies inside a piece, just past or
         # just short of touching
         radii = np.asarray(scenario().radii)
         pull = draw(st.floats(-0.01, 0.01))
-        copy = []
-        for piece in trajectories[0].pieces:
-            pts = piece.points + [2.0 * radii[0], 0.0, 0.0]
-            pts[1:-1, 0] -= pull * radii[0]
-            copy.append(BezierPiece(piece.duration, pts))
-        trajectories[1] = PiecewiseBezierTrajectory(copy)
+        copy = trajectories[0].points + [2.0 * radii[0], 0.0, 0.0]
+        copy[:, 1:-1, 0] -= pull * radii[0]
+        trajectories[1] = PiecewiseBezierTrajectory(trajectories[0].durations, copy)
     return trajectories
 
 
@@ -476,13 +487,9 @@ class TestBoundedSearch:
 
     def test_nan_control_point_matches_dense_and_fails(self):
         rng = np.random.default_rng(12)
-        trajectories = [
-            PiecewiseBezierTrajectory(
-                [BezierPiece(0.25, rng.uniform(0.0, 1.5, size=(10, 3))) for _ in range(3)]
-            )
-            for _ in range(3)
-        ]
-        trajectories[1].pieces[1].points[4, 2] = np.nan
+        points = [[rng.uniform(0.0, 1.5, size=(10, 3)) for _ in range(3)] for _ in range(3)]
+        points[1][1][4, 2] = np.nan
+        trajectories = [PiecewiseBezierTrajectory([0.25] * 3, p) for p in points]
         sc = scenario(obstacles=[(2, 2, 0)])
         with np.errstate(invalid="ignore"):
             report = validate_trajectories(trajectories, sc)
@@ -509,6 +516,24 @@ class TestBoundedSearch:
         assert len(calls) >= 2
         for report, expected in calls:
             assert report.to_dict() == expected.to_dict()
+
+    def test_every_check_reads_the_trajectories_it_is_given(self, monkeypatch):
+        # no wrapper: the checks share each trajectory's own derivatives
+        seen = []
+        for name in ("_position_extremes", "dynamics_metrics", "smoothness_report"):
+            original = getattr(validate, name)
+
+            def spy(trajectories, *args, _original=original, **kwargs):
+                seen.append(list(trajectories))
+                return _original(trajectories, *args, **kwargs)
+
+            monkeypatch.setattr(validate, name, spy)
+        trajectories = TestValidateTrajectories().safe_pair()
+        validate.validate_trajectories(trajectories, scenario())
+        assert len(seen) == 3
+        for passed in seen:
+            assert len(passed) == len(trajectories)
+            assert all(a is b for a, b in zip(passed, trajectories))
 
     def test_validation_calls_dynamics_and_smoothness_once(self, monkeypatch):
         # the tracer times both by their module-level names
