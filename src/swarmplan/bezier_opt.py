@@ -21,12 +21,14 @@ on the control points, is a convex QP per robot with no equality rows.
 Every robot of a plan shares its Hessian and its B-spline map, so
 optimize_trajectory hands the robots' programs to the solver together, as
 one batch, each starting from the coefficients of the curve its robot
-flies now.
+flies now and carrying only the corridor faces near that curve; the
+faces left out are checked at the answers.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -185,16 +187,14 @@ class PiecewiseBezierTrajectory:
         # integrate in the Bernstein basis of each derivative curve:
         # differencing first keeps the values near the size of the
         # result, where the monomial quadratic form would cancel away
-        # six digits on smooth curves
-        terms = [
-            (w, self.control_points(c)) for c, w in enumerate(weights, start=1) if w > 0
-        ]
+        # six digits on smooth curves.  One product per order covers
+        # every piece.
         total = 0.0
-        for k, tau in enumerate(self.durations.tolist()):
-            for w, points in terms:
-                dp = points[k]
-                g = bernstein_gram(dp.shape[0] - 1)
-                total += w * tau * float(np.einsum("id,ij,jd->", dp, g, dp))
+        for c, w in enumerate(weights, start=1):
+            if w > 0:
+                dp = self.control_points(c)
+                g = bernstein_gram(dp.shape[1] - 1)
+                total += w * float(np.einsum("k,kid,kid->", self.durations, dp, g @ dp))
         return total
 
     def scaled(self, factor):
@@ -322,10 +322,12 @@ def spline_to_bernstein(durations, degree, continuity):
 
 @lru_cache(maxsize=16)
 def _smoothing_space(durations, degree, continuity, weights):
-    """The parts of the smoothing QP that every robot shares: its Hessian
-    over the stacked control points, the map Z from the free B-spline
-    coefficients to those points, with each axis interleaved, the
-    (points, 2) weights of start and goal in them, and for one axis the
+    """The parts of the smoothing QP that every robot shares: an
+    opt_engine.SmoothingSpace of its Hessian over the stacked control
+    points and the map Z from the free B-spline coefficients to those
+    points, with each axis interleaved (it checks the Hessian and builds
+    the Newton step's fixed maps once, for every round of a plan); the
+    (points, 2) weights of start and goal in them; and for one axis the
     transpose of Z's block with the Cholesky factor of its Gram matrix
     (None without a free coefficient), which fit a curve's coefficients
     by least squares.  The cached matrices are shared: callers must not
@@ -338,7 +340,46 @@ def _smoothing_space(durations, degree, continuity, weights):
     z = sparse.kron(free, sparse.identity(3), format="csr")
     ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
     gram = (free.T @ free).toarray()
-    return h, z, ends, (free.T.tocsr(), scipy.linalg.cho_factor(gram) if gram.size else None)
+    fit = (free.T.tocsr(), scipy.linalg.cho_factor(gram) if gram.size else None)
+    return opt_engine.SmoothingSpace(h, z), ends, fit
+
+
+# A corridor face enters a robot's first solve only where its smallest
+# slack over the start point's control points is below this, in scenario
+# length units; every other face is checked at the answer
+# (optimize_trajectory).  The answers do not depend on it, only the work
+# does: smaller values carry fewer faces but solve more robots again.
+_LAZY_FACE_SLACK = 1.0
+
+
+def _slack(normals, offsets, points):
+    """Each face's smallest slack b - a . p over its piece's control
+    points: normals (T, P, F, 3), offsets (T, P, F) and points
+    (T, P, q, 3) give (T, P, F)."""
+    return offsets - (normals @ points.swapaxes(-1, -2)).max(axis=-1)
+
+
+def _kept_faces(normals, offsets, kept):
+    """The kept (T, P, F) slots of each robot and piece, in slot order, as
+    normals (T, P, F', 3) and offsets (T, P, F'), F' the largest kept
+    count of a piece; the unused slots hold the empty row 0 x <= 1."""
+    t, k, f = np.nonzero(kept)
+    slot = (np.cumsum(kept, axis=2) - 1)[t, k, f]
+    out = np.zeros((*kept.shape[:2], int(kept.sum(axis=2).max(initial=0)), 3))
+    out_offsets = np.ones(out.shape[:3])
+    out[t, k, slot] = normals[t, k, f]
+    out_offsets[t, k, slot] = offsets[t, k, f]
+    return out, out_offsets
+
+
+def _coefficients(x, x0, fit):
+    """The free coefficients whose curve is nearest the stacked control
+    points x, in least squares: exact for a curve of the program's knots,
+    rest ends and continuity."""
+    free_t, gram = fit
+    if gram is None:
+        return np.zeros(0)
+    return scipy.linalg.cho_solve(gram, free_t @ (x - x0).reshape(-1, 3)).ravel()
 
 
 def optimize_trajectory(
@@ -361,8 +402,7 @@ def optimize_trajectory(
     do.  Each curve is a B-spline with those knots
     (spline_to_bernstein), whose first and last continuity + 1
     coefficients per axis sit at the start and the goal; the QP runs over
-    the other coefficients.  The robots' programs form one SmoothingBatch
-    for one solve_qp call; a robot's answer does not depend on the others.
+    the other coefficients.
 
     current, when given, holds each robot's curve of the same knots and
     degree (the one it flies now): its interior point starts from that
@@ -371,10 +411,29 @@ def optimize_trajectory(
     C^continuity at the knots, such as the straight line of round zero or
     an earlier optimum, and the start may lie outside the new corridor.
 
+    Most faces are slack at the optimum, so a program started from a
+    current curve carries only the faces that can bind (Kelley's cutting
+    planes): those whose smallest slack over that curve's control points
+    is below _LAZY_FACE_SLACK.  Without a current curve every face is
+    kept: coefficients 0 are no curve a robot flies, and their slacks
+    say nothing about the optimum (from there every robot of
+    wall_windows_8's round zero needed two or three solves).
+    The robots' programs form one SmoothingBatch for one solve_qp call;
+    each piece's kept faces stay in slot order, padded to the batch's
+    largest count with empty rows.  Every face left out is then checked
+    at each answer, and a robot whose answer violates one is solved again
+    with those faces added, starting from that answer, until none is
+    violated.  The answer is the full program's: its Hessian is positive
+    definite over the free coefficients, so an optimum of fewer rows that
+    satisfies all of them is the optimum.  A robot's answer depends on
+    its batch only through the padding, within the solver's tolerance.
+
     Returns one entry per robot, none without robots: (trajectory, cost,
-    result) with cost the trajectory's cost integral and result its
-    QPResult (the stacked control points x, the stop and the iterations),
-    or the SolverError its program failed with (QPInfeasibleError when its
+    result) with cost the trajectory's cost integral and result the
+    QPResult of its last solve (the stacked control points x and the
+    stop), whose iterations sum the steps of its solves, passes counts
+    them and faces counts the corridor faces the last one carried; or the
+    SolverError its program failed with (QPInfeasibleError when its
     corridors admit no such curve).
     """
     durations = [float(t) for t in durations]
@@ -388,30 +447,59 @@ def optimize_trajectory(
     d = int(degree)
     c = int(continuity)
 
-    h, z, ends, (free_t, gram) = _smoothing_space(tuple(durations), d, c, tuple(weights))
-    x0 = [(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)]
-    start = np.zeros((len(normals), z.shape[1]))
-    if current is not None and gram is not None:
-        # the coefficients whose curve is nearest the current one, in least
-        # squares: the current curve itself, since it has these knots, rest
-        # ends and continuity
+    space, ends, fit = _smoothing_space(tuple(durations), d, c, tuple(weights))
+    robots = len(normals)
+    x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
+    start = np.zeros((robots, space.Z.shape[1]))
+    shape = (num_pieces, d + 1, 3)
+    kept = np.ones(offsets.shape, dtype=bool)
+    if current is not None:
+        # the current curve itself, since it has these knots, rest ends and
+        # continuity
         for t, traj in enumerate(current):
-            offset = (traj.control_points().ravel() - x0[t]).reshape(-1, 3)
-            start[t] = scipy.linalg.cho_solve(gram, free_t @ offset).ravel()
-    batch = opt_engine.SmoothingBatch(h, z, x0, normals, offsets, start)
-    out = []
-    for t, result in enumerate(opt_engine.solve_qp(batch).results):
-        if isinstance(result, opt_engine.SolverError):
-            out.append(result)
-            continue
-        points = result.x.reshape(num_pieces, d + 1, 3)
-        # the refinement loop treats an inaccurate answer the same as an
-        # infeasible one, so fail loudly rather than return a sloppy curve
-        if (normals[t] @ points.swapaxes(-1, -2) - offsets[t][..., None]).max(initial=0.0) > 1e-6:
-            out.append(opt_engine.QPInfeasibleError("smoothing QP violated a corridor face"))
-            continue
-        traj = PiecewiseBezierTrajectory(durations, points)
-        # report the cost integral on the curve itself: the QP's 0.5 x'Hx
-        # cancels its digits away (points near 5 m, H's entries to 3e11)
-        out.append((traj, traj.cost(weights), result))
+            start[t] = _coefficients(traj.control_points().ravel(), x0[t], fit)
+        first = (x0 + (space.Z @ start.T).T).reshape(robots, *shape)
+        kept = _slack(normals, offsets, first) < _LAZY_FACE_SLACK
+    out = [None] * robots
+    steps = np.zeros(robots, dtype=int)
+    passes = np.zeros(robots, dtype=int)
+    todo = np.arange(robots)
+    while todo.size:
+        batch = opt_engine.SmoothingBatch(
+            space, x0[todo], *_kept_faces(normals[todo], offsets[todo], kept[todo]), start[todo]
+        )
+        solved = []
+        for t, result in zip(todo.tolist(), opt_engine.solve_qp(batch).results):
+            if isinstance(result, opt_engine.SolverError):
+                out[t] = result
+            else:
+                solved.append((t, result))
+        rows = [t for t, _ in solved]
+        points = np.array([result.x for _, result in solved]).reshape(len(solved), *shape)
+        # every face at every answer, in one product
+        violations = -_slack(normals[rows], offsets[rows], points)
+        again = []
+        for (t, result), p, v in zip(solved, points, violations):
+            steps[t] += result.iterations
+            passes[t] += 1
+            missed = (v > 0.0) & ~kept[t]
+            if missed.any():
+                kept[t] |= missed
+                start[t] = _coefficients(result.x, x0[t], fit)
+                again.append(t)
+            # the refinement loop treats an inaccurate answer the same as
+            # an infeasible one, so fail loudly rather than return a sloppy
+            # curve
+            elif v.max(initial=0.0) > 1e-6:
+                out[t] = opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
+            else:
+                traj = PiecewiseBezierTrajectory(durations, p)
+                # report the cost integral on the curve itself: the QP's
+                # 0.5 x'Hx cancels its digits away (points near 5 m, H's
+                # entries to 3e11)
+                result = dataclasses.replace(
+                    result, iterations=int(steps[t]), faces=int(kept[t].sum()), passes=int(passes[t])
+                )
+                out[t] = (traj, traj.cost(weights), result)
+        todo = np.array(again, dtype=int)
     return out

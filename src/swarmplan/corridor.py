@@ -20,6 +20,10 @@ margin plane, or a robot too close to an obstacle) is reported back
 instead of raising, and its slot holds the empty row 0 x <= 1: the
 robots it bounds get no full corridor that round and keep their current
 curves, against which every other corridor is built.
+
+The smoothing programs do not carry every slot: optimize_trajectory
+keeps the faces near each robot's current curve and checks the rest at
+its answer, against these full arrays.
 """
 
 from __future__ import annotations

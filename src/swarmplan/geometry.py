@@ -95,6 +95,19 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _cross(a, b):
+    """np.cross of 3-vectors along the last axis, bit for bit: the same
+    products and differences, written into one output without np.cross's
+    moving of axes (about 5 times faster on GJK's (1344, 6, 3) stacks)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 # the faces of a simplex of up to four points, grouped by size, and the
 # members of all 15 faces in that order as masks
 _FACES = [np.array(list(itertools.combinations(range(4), k))) for k in (1, 2, 3, 4)]
@@ -138,18 +151,18 @@ def _simplex_min_norm(Y, used):
             # the projection along the normal, with the weights as signed
             # areas: the normal equations would square the condition of the
             # long, thin faces a box edge and a curve step make
-            n = np.cross(d[0], d[1])
+            n = _cross(d[0], d[1])
             nn = _dot(n, n)
             p = n * (_dot(n, y0) / nn)[..., None]
             y1, y2 = y0 + d[0], y0 + d[1]
             lam = np.stack(
-                [_dot(n, np.cross(y2 - p, y0 - p)), _dot(n, np.cross(y0 - p, y1 - p))], axis=-1
+                [_dot(n, _cross(y2 - p, y0 - p)), _dot(n, _cross(y0 - p, y1 - p))], axis=-1
             ) / nn[..., None]
             indep = nn > _AFFINE_TOL**2 * _dot(d[0], d[0]) * _dot(d[1], d[1])
         else:
             # the origin's barycentric weights by Cramer's rule; a valid
             # tetrahedron contains the origin
-            n12, n20, n01 = np.cross(d[1], d[2]), np.cross(d[2], d[0]), np.cross(d[0], d[1])
+            n12, n20, n01 = _cross(d[1], d[2]), _cross(d[2], d[0]), _cross(d[0], d[1])
             det = _dot(d[0], n12)
             lam = -np.stack([_dot(y0, n12), _dot(y0, n20), _dot(y0, n01)], axis=-1) / det[..., None]
             scale = np.sqrt(_dot(d[0], d[0]) * _dot(d[1], d[1]) * _dot(d[2], d[2]))

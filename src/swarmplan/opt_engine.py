@@ -11,19 +11,22 @@ null-space basis Z and a full band.  A program with general sparse rows
 forms its Newton matrix by sparse products at every step.
 
 The per-robot smoothing QPs of a refinement round come as one
-SmoothingBatch: one H and one banded Z (a B-spline basis) for every
-robot, and rows that each apply one corridor face to one control point.
-One interior point runs them all.  Its products work piece by piece as
-small dense matmuls; its Newton matrices are one 3x3 block per control
-point, carried to the band by a map built once per batch.  Each
-instance's band gets its own factorization, so an instance stops on its
-own and gets the answer it gets alone.  Each instance starts from its
-own point, the robot's current curve in a refinement round, with its
-objective divided by its value there, and stops once its duality gap is
-small relative to its objective.  Late in a run the barrier weights of
-the tight and the slack rows spread past what the Cholesky can factor;
-an instance whose factorization fails there, with its residuals at their
-floor and its gap within _IPM_BREAKDOWN_GAP, has converged.
+SmoothingBatch: one SmoothingSpace (H and one banded Z, a B-spline basis)
+for every robot, and rows that each apply one corridor face to one
+control point.  One interior point runs them all.  Its products work
+piece by piece as small dense matmuls; its Newton matrices are one 3x3
+block per control point, carried to the band by a map that the
+SmoothingSpace builds once, with its check of H, for every batch that
+shares it.  Each instance's band gets its own factorization, so an
+instance stops on its own and gets the answer it gets alone.  Each
+instance starts from its own point, the robot's current curve in a
+refinement round, with its objective divided by its value there, and
+stops once its duality gap is small relative to its objective and its
+rows hold to a small fraction of their scale.  Late in a run the
+barrier weights of the tight and the slack rows spread past what the
+Cholesky can factor; an instance whose factorization fails there, with
+its residuals at their floor and its gap within _IPM_BREAKDOWN_GAP, has
+converged.
 Programs whose best iterate misses the tolerance are classified by HiGHS
 LPs: a feasibility LP for infeasibility and a recession LP for
 unboundedness.  solve_qp_batch runs a batch of small programs one
@@ -209,11 +212,35 @@ class QPResult:
     dual_residual: float
     duals: np.ndarray  # stacked [eq; in] multipliers, eq only for A_eq rows
     stop: str  # why the interior point stopped: see _IPM_STALL
+    # set by bezier_opt.optimize_trajectory for a robot's smoothing program:
+    # the corridor faces its last solve carried, and its solves (iterations
+    # sums their steps, stop is the last one's)
+    faces: int = 0
+    passes: int = 1
 
 
 @dataclass(frozen=True)
 class _Shape:
     shape: tuple
+
+
+class SmoothingSpace:
+    """What every program of a SmoothingBatch shares: H (n, n), Z (n, r),
+    n being 3 times the number of control points, and the fixed parts of
+    their Newton step (_newton_maps).  H is checked to be symmetric PSD,
+    and the maps are built, once, here: a caller that keeps one space for
+    many batches, such as a plan's refinement rounds, pays for them once.
+    The arrays are shared and must not be modified."""
+
+    def __init__(self, H, Z):
+        self.H = sp.csr_matrix(H)
+        self.Z = sp.csr_matrix(Z)
+        n = self.H.shape[0]
+        if self.H.shape != (n, n) or self.Z.shape[0] != n or n % 3:
+            raise ValueError("need H (n, n) and Z (n, r), n a multiple of 3")
+        _check_psd(self.H)
+        self.ZT = self.Z.T.tocsr()
+        self.H_red, self.band_shape, self.const, self.to_band = _newton_maps(self.H, self.Z)
 
 
 @dataclass
@@ -222,32 +249,30 @@ class SmoothingBatch:
     are each one face of a polytope applied to one control point.
 
     x stacks the control points of P pieces, q points of 3 coordinates
-    per piece, point by point.  H (n, n) and Z (n, r) are shared by the
-    batch; x0 is (T, n).  normals (T, P, F, 3) and offsets
-    (T, P, F) are each instance's faces: its row (k, j, f), in that order,
-    is normals[t, k, f] . x[k, j] <= offsets[t, k, f].  start (T, r)
-    holds the coordinates c each instance's interior point starts from;
-    they need not satisfy its rows.  solve_qp solves the instances
-    together, and each one's answer is the one it gets alone.
+    per piece, point by point.  space, a SmoothingSpace, holds H (n, n)
+    and Z (n, r), shared by the batch; x0 is (T, n).  normals
+    (T, P, F, 3) and offsets (T, P, F) are each instance's faces: its row
+    (k, j, f), in that order, is normals[t, k, f] . x[k, j] <=
+    offsets[t, k, f].  start (T, r) holds the coordinates c each
+    instance's interior point starts from; they need not satisfy its rows.
+    solve_qp solves the instances together, and each one's answer is the
+    one it gets alone, with the same arrays.
     """
 
-    H: object
-    Z: object
+    space: SmoothingSpace
     x0: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
     start: np.ndarray
 
     def __post_init__(self):
-        self.H = sp.csr_matrix(self.H)
-        self.Z = sp.csr_matrix(self.Z)
         self.x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))
         self.normals = np.asarray(self.normals, dtype=float)
         self.offsets = np.asarray(self.offsets, dtype=float)
         self.start = np.asarray(self.start, dtype=float)
         T, n = self.x0.shape
-        if self.H.shape != (n, n) or self.Z.shape[0] != n:
-            raise ValueError("H and Z must match x0's (T, n)")
+        if self.H.shape != (n, n):
+            raise ValueError("the space's H and Z must match x0's (T, n)")
         if self.start.shape != (T, self.Z.shape[1]):
             raise ValueError("start must be (T, r), r being Z's columns")
         shape = self.normals.shape
@@ -255,6 +280,14 @@ class SmoothingBatch:
             raise ValueError("normals must be (T, P, F, 3), with n a multiple of 3 P")
         if self.offsets.shape != self.normals.shape[:3]:
             raise ValueError("offsets must be (T, P, F)")
+
+    @property
+    def H(self):
+        return self.space.H
+
+    @property
+    def Z(self):
+        return self.space.Z
 
     @property
     def points(self):
@@ -383,9 +416,11 @@ _IPM_MAX_ITER = 100
 # absolute value at the start point (_objective_scale) before _ipm runs.
 #   "converged": its residuals are at their floor, _IPM_RES times the
 #     rounding level of its data (machine epsilon times the largest of |g|
-#     and |b_in|), and its duality gap s'z is at most _IPM_GAP of its
-#     objective, or the square root of its duality measure is at that floor
-#     too (an optimum of zero, such as a robot hovering in place, has no
+#     and |b_in|), its primal residual is also at most _IPM_PRIMAL of the
+#     scale of its rows (the largest of |A_in x|, |s| and |b_in|), and its
+#     duality gap s'z is at most _IPM_GAP of its objective, or the square
+#     root of its duality measure is at that floor too (an optimum of
+#     zero, such as a robot hovering in place, has no
 #     relative gap).  The relative gap does not depend on the scale of
 #     H, where a residual stop would.  This is how the bundled
 #     scenarios' smoothing programs end (all 48 of a wall_windows_8 plan).
@@ -396,7 +431,13 @@ _IPM_MAX_ITER = 100
 #     _IPM_BREAKDOWN_GAP of its objective has converged too.  Without that
 #     rule robot 21 of wall_windows_48's round 0 ends by breakdown at step
 #     35, its residuals at 0.002 of their floor and its gap at 1.5e-12 of
-#     its objective, with the same answer.
+#     its objective, with the same answer.  The primal rule matters for a
+#     start that is the optimum of fewer rows and violates the rest (a
+#     robot solved again with corridor faces it had left out): its
+#     objective there is small, so |g| / sigma and the floor are large,
+#     and without the rule such programs stopped with rows violated by up
+#     to 5e-5, past the KKT tolerance.  _IPM_PRIMAL keeps a converged
+#     instance 100 times inside that tolerance.
 #   "breakdown": the Cholesky failed at any other iterate.
 #   "stall": the largest of its residuals and the square root of its
 #     duality measure has not improved for _IPM_STALL steps.
@@ -406,6 +447,7 @@ _IPM_STALL = 8
 _IPM_RES = 1e3
 _IPM_GAP = 1e-12
 _IPM_BREAKDOWN_GAP = 1e-10
+_IPM_PRIMAL = 1e-8
 # The start: each slack is its row's distance b_in - A_in x from the start
 # point x, and at least _IPM_SLACK_FLOOR, or _IPM_VIOL times the point's
 # largest violation when that is more; each multiplier is _IPM_MU0 over its
@@ -594,9 +636,12 @@ class _FacesProgram(_BandedNewton):
     """
 
     def __init__(self, batch, scale):
-        self.H, self.band_shape, self.const, self.to_band = _newton_maps(batch.H, batch.Z)
+        space = batch.space
+        self.H, self.band_shape, self.const, self.to_band = (
+            space.H_red, space.band_shape, space.const, space.to_band
+        )
         self.scale = scale
-        self.Z, self.ZT = batch.Z, batch.Z.T.tocsr()
+        self.Z, self.ZT = space.Z, space.ZT
         self.normals, self.points = batch.normals, batch.points
         self.faces = np.ascontiguousarray(batch.faces)
         self.outer = (batch.normals[..., :, None] * batch.normals[..., None, :]).reshape(
@@ -710,8 +755,7 @@ def _start_objective(batch):
 
 
 def _solve_batch(batch, eps_abs, eps_rel):
-    """solve_qp for a SmoothingBatch."""
-    _check_psd(batch.H)
+    """solve_qp for a SmoothingBatch, whose SmoothingSpace has checked H."""
     f0, sigma = _start_objective(batch)
     program = _FacesProgram(batch, 1.0 / sigma)
     g = _apply(program.ZT, _apply(batch.H, batch.x0))
@@ -779,7 +823,8 @@ def _ipm(program, g, b_in, x, f0):
     for _ in range(_IPM_MAX_ITER):
         hx = program.hess(x)
         r_d = hx + g + program.ineq_t(z)
-        r_in = program.ineq(x) + s - b_in
+        ax = program.ineq(x)
+        r_in = ax + s - b_in
         gap = np.einsum("tm,tm->t", s, z)
         mu = gap / max(m_in, 1)
         resid = _largest(_norm(r_d), _norm(r_in))
@@ -792,8 +837,9 @@ def _ipm(program, g, b_in, x, f0):
         best_res[live[better]] = res[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
         objective = np.abs(np.einsum("tn,tn->t", x, 0.5 * hx + g) + f0)
-        at_floor = resid <= floor[live]
-        converged = (res <= floor[live]) | (at_floor & (gap <= _IPM_GAP * objective))
+        primal_tol = _IPM_PRIMAL * _largest(_norm(ax), _norm(s), _norm(b_in))
+        at_floor = (resid <= floor[live]) & (_norm(r_in) <= primal_tol)
+        converged = at_floor & ((res <= floor[live]) | (gap <= _IPM_GAP * objective))
         # converged too if its Newton matrix does not factor
         close = at_floor & (gap <= _IPM_BREAKDOWN_GAP * objective)
         state = (x, s, z, g, b_in, f0, r_d, r_in, mu, close)

@@ -10,9 +10,13 @@ independent (each sees only its own corridors), so one optimize_trajectory
 call per round solves them together as one batched interior point, in
 this process.  Each robot's program starts from the curve it flies now,
 which lies in the new corridor or close to it, so a later round needs
-far fewer interior-point steps than a start from coefficients 0; each
-round logs how its programs stopped and their step range.  Each robot's
-curve is the one it gets when solved alone.
+far fewer interior-point steps than a start from coefficients 0, and it
+carries only the corridor faces near that curve; a robot whose answer
+violates a face it left out is solved again with it.  Each round logs
+how its programs stopped, their step range, the faces they carried out
+of all slots and how many robots were solved again.  Each robot's curve
+is its full program's optimum, the one it gets when solved alone, within
+the solver's tolerance.
 
 Failures degrade per robot instead of aborting, by one rule: a robot
 without a full corridor (a pair or obstacle separator failed) or with an
@@ -73,17 +77,24 @@ def write_report_csv(rows, path):
             writer.writerow({k: row[k] for k in fields})
 
 
-def _qp_summary(results):
+def _qp_summary(results, slots):
     """One line on a round's smoothing programs: how many stopped for each
-    reason (failed: no curve came back) and the range of their
-    interior-point steps."""
+    reason (failed: no curve came back), and of those that returned a
+    curve the range of their interior-point steps, the corridor faces
+    their last solves carried out of their slots (slots per robot), and
+    how many were solved again with faces they had left out."""
     stops = Counter(
         "failed" if isinstance(out, opt_engine.SolverError) else out[2].stop for out in results
     )
-    steps = [out[2].iterations for out in results if not isinstance(out, opt_engine.SolverError)]
+    solved = [out[2] for out in results if not isinstance(out, opt_engine.SolverError)]
     line = f"{len(results)} QPs: " + ", ".join(f"{stops[stop]} {stop}" for stop in sorted(stops))
-    if steps:
-        line += f"; {min(steps)}-{max(steps)} interior-point steps"
+    if solved:
+        steps = [r.iterations for r in solved]
+        line += (
+            f"; {min(steps)}-{max(steps)} interior-point steps; "
+            f"{sum(r.faces for r in solved)} of {slots * len(solved)} corridor faces, "
+            f"{sum(r.passes > 1 for r in solved)} solved again"
+        )
     return line
 
 
@@ -163,7 +174,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             weights,
             [best[i] for i in free],
         )
-        emit(f"iteration {it}: {_qp_summary(results)}")
+        emit(f"iteration {it}: {_qp_summary(results, corridors.offsets[0].size)}")
         failed = 0
         for i, out in zip(free, results):
             if isinstance(out, opt_engine.SolverError):

@@ -463,15 +463,22 @@ def test_14_wall_refines_every_robot(wall_run):
 
 def test_15_each_round_logs_how_its_qps_stopped(wall_run):
     # one line per round, before its cost line: every program closes its
-    # duality gap, and the line gives the range of interior-point steps
+    # duality gap, and the line gives the range of interior-point steps,
+    # the corridor faces the programs carried out of their 24 pieces' 20
+    # slots each, and how many robots were solved again with faces they
+    # had left out
     log = wall_run["log"]
     for row in wall_run["result"].rows:
         it = row["iteration"]
         (line,) = [msg for msg in log if msg.startswith(f"iteration {it}: 8 QPs")]
         match = re.fullmatch(
-            rf"iteration {it}: 8 QPs: 8 converged; (\d+)-(\d+) interior-point steps", line
+            rf"iteration {it}: 8 QPs: 8 converged; (\d+)-(\d+) interior-point steps; "
+            r"(\d+) of (\d+) corridor faces, (\d+) solved again",
+            line,
         )
         assert match, line
-        low, high = map(int, match.groups())
+        low, high, faces, slots, again = map(int, match.groups())
         assert 0 < low <= high < 60
+        assert slots == 8 * 24 * 20 and 0 < faces < slots / 2
+        assert 0 <= again <= 8
         assert log.index(line) < log.index(f"iteration {it}: cost {row['cost']:.6g}")

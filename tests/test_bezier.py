@@ -5,15 +5,18 @@ evaluations, and integral costs against Gauss-Legendre quadrature, so the
 expected values never flow through the code under test.
 """
 
+import csv
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse
 from scipy.interpolate import BSpline
 
+from compare_artifacts import artifact_differences
 from test_opt_engine import assert_bands_match_dense
 
 from swarmplan.bezier_opt import (
@@ -25,7 +28,8 @@ from swarmplan.bezier_opt import (
     optimize_trajectory,
     spline_to_bernstein,
 )
-from swarmplan import opt_engine
+from swarmplan import bezier_opt, opt_engine
+from swarmplan.cli import main as cli_main
 from swarmplan.corridor import build_corridors, sample_point_sets, segment_point_sets
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron
@@ -404,6 +408,15 @@ class TestTrajectory:
             quadrature_cost(traj, WEIGHTS), rel=1e-9
         )
 
+    def test_cost_is_the_sum_of_its_pieces(self):
+        # one product per derivative order over every piece sums the terms
+        # of a loop over the pieces, in another order
+        rng = np.random.default_rng(13)
+        traj = self.make_traj(rng, pieces=24, d=9)
+        assert traj.cost(WEIGHTS) == pytest.approx(
+            sum(piece.cost(WEIGHTS) for piece in traj.pieces), rel=1e-13
+        )
+
     def test_scaled_preserves_path_and_scales_derivatives(self):
         rng = np.random.default_rng(10)
         traj = self.make_traj(rng)
@@ -751,6 +764,30 @@ def plan_stops(name, iterations):
     return stops, solved
 
 
+def round_calls(name, iterations, monkeypatch):
+    """Each refinement round of the named scenario as (the normals shape of
+    each of its solve_qp calls, in order, and its log line on its QPs)."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    plan = solve_discrete(sc).postprocessed()
+    real = opt_engine.solve_qp
+    rounds, shapes = [], []
+
+    def spy(qp, *args):
+        shapes.append(qp.normals.shape)
+        return real(qp, *args)
+
+    def log(msg):
+        if " QPs: " in msg:
+            rounds.append((list(shapes), msg))
+            shapes.clear()
+
+    monkeypatch.setattr(opt_engine, "solve_qp", spy)
+    result = refine_trajectories(plan, sc, iterations=iterations, log=log)
+    monkeypatch.undo()
+    assert result.ok and len(result.rows) == iterations
+    return rounds
+
+
 class TestSmoothingBatch:
     """The smoothing programs of several robots as one SmoothingBatch."""
 
@@ -773,29 +810,36 @@ class TestSmoothingBatch:
 
     def test_bundled_programs_stop_as_converged(self, wall_plan, wall_round_zero, monkeypatch):
         # every program closes its duality gap: none ends by breakdown or
-        # stall, on the wall's round zero and on two other scenarios' plans
+        # stall, on the wall's round zero and on two other scenarios' plans,
+        # in every solve_qp call of a round
         wall = straight_lines(*wall_plan)
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, wall)
-        ((batch, result),) = calls
+        (batch, result), *_ = calls
         assert isinstance(batch, opt_engine.SmoothingBatch) and len(result.results) == 8
-        assert [r.stop for r in result.results] == ["converged"] * 8
-        assert result.iterations == sum(r.iterations for r in result.results)
-        # what a benchmark tracer reads of a solve_qp call
-        assert batch.A_eq.shape[0] + batch.A_in.shape[0] == 8 * 24 * 20 * 10
+        for _, r in calls:
+            assert [x.stop for x in r.results] == ["converged"] * len(r.results)
+            assert r.iterations == sum(x.iterations for x in r.results)
+        # what a benchmark tracer reads of a solve_qp call: every robot's 24
+        # pieces of 10 control points, with the faces that can bind of its
+        # 20 slots
+        width = batch.normals.shape[2]
+        assert width <= 20
+        assert batch.A_eq.shape[0] + batch.A_in.shape[0] == 8 * 24 * width * 10
         assert result.polished is False
         monkeypatch.undo()
         for name, iterations in (("handover_3", 3), ("pillars_6", 2)):
             stops, count = plan_stops(name, iterations)
-            assert stops == ["converged"] * count, name
+            assert set(stops) == {"converged"} and len(stops) >= count, name
 
     def test_steps_do_not_depend_on_the_scale_of_h(self, wall_plan, wall_round_zero, monkeypatch):
         # each objective is divided by its value at the start point, so the
         # interior point sees the same data whatever the scale of H
         durations, weights = wall_round_zero[2], wall_round_zero[6]
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight_lines(*wall_plan))
-        ((batch, want),) = calls
+        (batch, want), *_ = calls
         for factor in (1e-4, 1e4):
-            got = solve_qp(dataclasses.replace(batch, H=batch.H * factor))
+            space = opt_engine.SmoothingSpace(batch.H * factor, batch.Z)
+            got = solve_qp(dataclasses.replace(batch, space=space))
             for g, w in zip(got.results, want.results, strict=True):
                 assert g.iterations == w.iterations
                 assert curve_cost(g.x, durations, weights) == pytest.approx(
@@ -923,19 +967,64 @@ class TestSmoothingBatch:
         "name, shape", [("wall_windows_8", (8, 24, 20, 3)), ("pillars_6", (6, 22, 75, 3))]
     )
     def test_a_round_is_one_batch(self, name, shape, monkeypatch):
-        # every robot has one face per workspace side, per obstacle box and
-        # per other robot on every piece, so each round's programs are one
-        # solve_qp call that holds every robot
-        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
-        plan = solve_discrete(sc).postprocessed()
+        # every robot has one slot per workspace side, per obstacle box and
+        # per other robot on every piece.  Each round's programs are one
+        # solve_qp call that holds every robot with the faces that can bind,
+        # at most all of them; a further call holds only the robots solved
+        # again
+        robots, pieces, faces, _ = shape
+        rounds = round_calls(name, 2, monkeypatch)
+        assert len(rounds) == 2
+        for (first, *again), line in rounds:
+            assert first[:2] == (robots, pieces) and first[2] <= faces and first[3] == 3
+            solved_again = int(re.search(r"(\d+) solved again$", line).group(1))
+            assert (again[0][0] if again else 0) == solved_again
+            assert all(n <= solved_again and p == pieces and f <= faces for n, p, f, _ in again)
+
+    def test_lazy_faces_reach_the_full_program(self, wall_plan, wall_round_zero, monkeypatch):
+        # with only the faces within 0.05 of the round-zero start kept, every
+        # robot is solved again, and still each one's curve is the optimum
+        # of its program with every face (_LAZY_FACE_SLACK infinite) within
+        # the solver's tolerance, and meets every face of its corridor
+        wall = straight_lines(*wall_plan)
+        normals, offsets = wall_round_zero[3].normals, wall_round_zero[3].offsets
+        robots = list(range(8))
+        monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", math.inf)
+        full, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall)
+        assert len(calls) == 1 and calls[0][0].normals.shape[2] == 20
+        monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", 0.05)
+        lazy, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall)
+        assert len(calls) >= 2 and calls[0][0].normals.shape[2] < 20
+        for i, (got, want) in enumerate(zip(lazy, full)):
+            assert got[2].stop == "converged" and got[2].passes >= 2
+            assert want[2].passes == 1 and want[2].faces == 24 * 20 > got[2].faces
+            # the steps of every solve
+            assert got[2].iterations > calls[0][1].results[i].iterations
+            assert got[1] == pytest.approx(want[1], rel=1e-6)
+            points = got[0].control_points()
+            assert (normals[i] @ points.swapaxes(-1, -2) - offsets[i][..., None]).max() <= 1e-6
+
+    def test_lazy_passes_write_identical_artifacts(self, tmp_path, monkeypatch):
+        # two plans whose robots are solved again, with faces within 0.05 of
+        # each round's start kept, write the same files byte for byte, and
+        # every second solve, started outside its new faces, meets them
+        monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", 0.05)
         real = opt_engine.solve_qp
-        shapes = []
+        calls = []
 
         def spy(qp, *args):
-            shapes.append(qp.normals.shape)
+            calls.append(qp.normals.shape[0])
             return real(qp, *args)
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)
-        result = refine_trajectories(plan, sc, iterations=2)
-        assert result.ok and len(result.rows) == 2
-        assert shapes == [shape, shape]
+        scenario = os.path.join(SCENARIO_DIR, "wall_windows_8.json")
+        outs = [tmp_path / name for name in ("first", "second")]
+        for out in outs:
+            args = ["plan", "--scenario", scenario, "--out", str(out), "--iterations", "2"]
+            assert cli_main(args) == 0
+        # two plans of two rounds, each round solving robots again
+        assert len(calls) >= 8
+        assert artifact_differences(*outs) == []
+        with open(outs[0] / "refine_report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["failed_count"] for row in rows] == ["0", "0"]

@@ -410,6 +410,14 @@ class TestSeparationBatchAgainstSingleSolves:
         ok = svm_separate_batch(a_sets, b_sets, ELL)[3]
         assert list(ok) == [False, True, True, True]
 
+    def test_cross_products_equal_numpy_bit_for_bit(self):
+        # GJK's stacks, with entries over 16 decades, strided views of them
+        # (as the simplex faces take them) and a broadcast operand
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2, 1344, 6, 3)) * 10.0 ** rng.uniform(-8, 8, size=(2, 1344, 6, 3))
+        for x, y in ((a, b), (a[:, ::2], b[:, 1::2]), (a, b[0, 0])):
+            assert np.array_equal(geometry._cross(x, y), np.cross(x, y))
+
 
 class TestObstacleMerging:
     def _check_partition(self, cells):

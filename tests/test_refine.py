@@ -281,7 +281,8 @@ class TestDegradation:
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
                 straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
-                out.append((straight, straight.cost(weights), SimpleNamespace(stop="converged", iterations=0)))
+                result = SimpleNamespace(stop="converged", iterations=0, faces=0, passes=1)
+                out.append((straight, straight.cost(weights), result))
             return out
 
         monkeypatch.setattr(refine_mod, "optimize_trajectory", straight_lines_in_round_1)
