@@ -422,10 +422,12 @@ def optimize_trajectory(
     each piece's kept faces stay in slot order, padded to the batch's
     largest count with empty rows.  Every face left out is then checked
     at each answer, and a robot whose answer violates one is solved again
-    with those faces added, starting from that answer, until none is
-    violated.  The answer is the full program's: its Hessian is positive
-    definite over the free coefficients, so an optimum of fewer rows that
-    satisfies all of them is the optimum.  A robot's answer depends on
+    with those faces added, starting from its start, until none is
+    violated.  Its answer, outside the added faces, is a poor start: from
+    there robot 3 of pillars_6 stalled with faces within 0.05 kept.  The
+    answer is the full program's: its Hessian is positive definite over
+    the free coefficients, so an optimum of fewer rows that satisfies all
+    of them is the optimum.  A robot's answer depends on
     its batch only through the padding, within the solver's tolerance.
 
     Returns one entry per robot, none without robots: (trajectory, cost,
@@ -485,7 +487,6 @@ def optimize_trajectory(
             missed = (v > 0.0) & ~kept[t]
             if missed.any():
                 kept[t] |= missed
-                start[t] = _coefficients(result.x, x0[t], fit)
                 again.append(t)
             # the refinement loop treats an inaccurate answer the same as
             # an infeasible one, so fail loudly rather than return a sloppy
@@ -494,9 +495,9 @@ def optimize_trajectory(
                 out[t] = opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
             else:
                 traj = PiecewiseBezierTrajectory(durations, p)
-                # report the cost integral on the curve itself: the QP's
-                # 0.5 x'Hx cancels its digits away (points near 5 m, H's
-                # entries to 3e11)
+                # the cost integral on the curve itself: 0.5 x'Hx would
+                # cancel its digits away (points near 5 m, H's entries to
+                # 3e11)
                 result = dataclasses.replace(
                     result, iterations=int(steps[t]), faces=int(kept[t].sum()), passes=int(passes[t])
                 )

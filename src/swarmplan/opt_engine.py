@@ -1,36 +1,37 @@
 """Shared numerical core: convex QP, max flow, and binary ILP solvers.
 
-The QP solver is one Mehrotra predictor-corrector interior-point method
-with a Newton step shaped to the program.  A QP is solved over the
-coordinates c of its affine set x = x0 + Z c, so only inequality rows
-remain; its Newton matrix Z'(H + A_in' W A_in)Z is symmetric positive
-definite and is factored as it is, with a banded Cholesky in natural
-order, and solved once per step, with no regularization and no iterative
-refinement.  A program given equality rows gets a dense orthonormal
-null-space basis Z and a full band.  A program with general sparse rows
-forms its Newton matrix by sparse products at every step.
+The QP solver is one Mehrotra predictor-corrector interior-point method,
+run by one driver (_solve) for every solve_qp call, on a batch of
+programs that share H and Z.  A QP is solved over the coordinates c of
+its affine set x = x0 + Z c, so only inequality rows remain; its Newton
+matrix Z'(H + A_in' W A_in)Z is symmetric positive definite and is
+factored as it is, with a banded Cholesky in natural order, and solved
+once per step, with no regularization and no iterative refinement.
 
-The per-robot smoothing QPs of a refinement round come as one
-SmoothingBatch: one SmoothingSpace (H and one banded Z, a B-spline basis)
-for every robot, and rows that each apply one corridor face to one
-control point.  One interior point runs them all.  Its products work
-piece by piece as small dense matmuls; its Newton matrices are one 3x3
-block per control point, carried to the band by a map that the
-SmoothingSpace builds once, with its check of H, for every batch that
-shares it.  Each instance's band gets its own factorization, so an
-instance stops on its own and gets the answer it gets alone.  Each
-instance starts from its own point, the robot's current curve in a
-refinement round, with its objective divided by its value there, and
+A QuadraticProgram runs as a batch of one (_GeneralProgram): equality
+rows give it a dense orthonormal null-space basis Z and a full band, and
+its Newton matrix is formed by sparse products at every step.  The
+per-robot smoothing QPs of a refinement round come as one SmoothingBatch
+(_FacesProgram): one SmoothingSpace (H and one banded Z, a B-spline
+basis) for every robot, and rows that each apply one corridor face to
+one control point.  Its products work piece by piece as small dense
+matmuls; its Newton matrices are one 3x3 block per control point,
+carried to the band by a map that the SmoothingSpace builds once, with
+its check of H, for every batch that shares it.
+
+Each instance's band gets its own factorization, so an instance stops on
+its own and gets the answer it gets alone.  Each starts from its own
+point (c = 0 for a QuadraticProgram, the robot's current curve in a
+refinement round), with its objective divided by its value there, and
 stops once its duality gap is small relative to its objective and its
-rows hold to a small fraction of their scale.  Late in a run the
-barrier weights of the tight and the slack rows spread past what the
-Cholesky can factor; an instance whose factorization fails there, with
-its residuals at their floor and its gap within _IPM_BREAKDOWN_GAP, has
-converged.
-Programs whose best iterate misses the tolerance are classified by HiGHS
-LPs: a feasibility LP for infeasibility and a recession LP for
-unboundedness.  solve_qp_batch runs a batch of small programs one
-solve_qp at a time; no planner stage calls it.
+rows hold to a small fraction of their scale.  Late in a run the barrier
+weights of the tight and the slack rows spread past what the Cholesky
+can factor; an instance whose factorization fails there, with its
+residuals at their floor and its gap within _IPM_BREAKDOWN_GAP, has
+converged.  Programs whose best iterate misses the tolerance are
+classified by HiGHS LPs: a feasibility LP for infeasibility and a
+recession LP for unboundedness.  solve_qp_batch runs a batch of small
+programs one solve_qp at a time; no planner stage calls it.
 
 Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
 ILPs start from the root LP relaxation, solved by HiGHS' dual simplex
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,7 +207,6 @@ class QuadraticProgram:
 @dataclass
 class QPResult:
     x: np.ndarray
-    objective: float
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -431,13 +431,13 @@ _IPM_MAX_ITER = 100
 #     _IPM_BREAKDOWN_GAP of its objective has converged too.  Without that
 #     rule robot 21 of wall_windows_48's round 0 ends by breakdown at step
 #     35, its residuals at 0.002 of their floor and its gap at 1.5e-12 of
-#     its objective, with the same answer.  The primal rule matters for a
-#     start that is the optimum of fewer rows and violates the rest (a
-#     robot solved again with corridor faces it had left out): its
-#     objective there is small, so |g| / sigma and the floor are large,
-#     and without the rule such programs stopped with rows violated by up
-#     to 5e-5, past the KKT tolerance.  _IPM_PRIMAL keeps a converged
-#     instance 100 times inside that tolerance.
+#     its objective, with the same answer.  The primal rule is what bounds
+#     the rows at a stop: a start of low cost (a robot's current curve)
+#     makes |g| / sigma and so the floor large, up to 2.8e-3 on pillars_6
+#     and 6.9e-4 on wall_windows_8, far past the KKT tolerance.  The
+#     converged instances of those plans hold their rows to at most 6e-9
+#     of their scale, so the rule does not bind there; with no rows the
+#     scale is 0 and it holds trivially.
 #   "breakdown": the Cholesky failed at any other iterate.
 #   "stall": the largest of its residuals and the square root of its
 #     duality measure has not improved for _IPM_STALL steps.
@@ -559,15 +559,17 @@ class _BandedNewton:
     x = x0 + Z c, sharing H and Z, whose Newton matrices
     Z'(H + A_in' W A_in)Z are banded in natural order.
 
-    A subclass sets H (Z'HZ) and supplies ineq(c) = A_in Z c,
-    ineq_t(z) = Z'A_in' z, and bands(w): per instance its Newton matrix
-    for W = diag(w[t]) in lower band storage, (bandwidth + 1, r) with the
-    diagonal in row 0.  Every product and factorization is per instance,
-    so an instance's numbers do not depend on the rest of its batch.
+    A subclass is built with scale (T,), which multiplies each instance's
+    H, and sets H (Z'HZ), ZT (Z' as CSR) and scale.  It supplies
+    ineq(c) = A_in Z c, ineq_t(z) = Z'A_in' z, bands(w): per instance its
+    Newton matrix for W = diag(w[t]) in lower band storage, (bandwidth +
+    1, r) with the diagonal in row 0, and rows(t): instance t's A_in Z as
+    a sparse matrix.  Every product and factorization is per instance, so
+    an instance's numbers do not depend on the rest of its batch.
     """
 
     def hess(self, c):
-        return _apply(self.H, c)
+        return _apply(self.H, c) * self.scale[:, None]
 
     def newton(self, w):
         """Factor Z'(H + A_in' W A_in)Z for each instance's W = diag(w[t]),
@@ -594,15 +596,15 @@ class _BandedNewton:
 
 
 class _GeneralProgram(_BandedNewton):
-    """One QP with general sparse rows, as a batch of one.
+    """One QP with general sparse rows A_in, as a batch of one.
 
     Each Newton step forms Z'(H + A_in' W A_in)Z by sparse products and
     scatters its upper triangle into lower band storage, whose bandwidth
     is the widest that any positive w can fill.
     """
 
-    def __init__(self, H, A_in, Z):
-        self.H = (Z.T @ H @ Z).tocsr()
+    def __init__(self, H, A_in, Z, scale):
+        self.H, self.ZT, self.scale = (Z.T @ H @ Z).tocsr(), Z.T.tocsr(), scale
         self.A = (A_in @ Z).tocsr()
         self.AT = self.A.T.tocsr()
         pattern = sp.triu(abs(self.AT) @ abs(self.A) + abs(self.H)).tocoo()
@@ -616,10 +618,13 @@ class _GeneralProgram(_BandedNewton):
 
     def bands(self, w):
         out = np.zeros((w.shape[0], self.bw + 1, self.H.shape[0]))
-        for band, wt in zip(out, w):
-            m = sp.triu(self.H + self.AT @ sp.diags(wt) @ self.A).tocoo()
+        for band, wt, scale in zip(out, w, self.scale):
+            m = sp.triu(scale * self.H + self.AT @ sp.diags(wt) @ self.A).tocoo()
             band[m.col - m.row, m.row] = m.data
         return out
+
+    def rows(self, t):
+        return self.A
 
 
 class _FacesProgram(_BandedNewton):
@@ -630,9 +635,7 @@ class _FacesProgram(_BandedNewton):
     faces (T, P, F, 3) against the points (T, P, q, 3).  The x-space part
     of the Newton matrix is one 3x3 block per control point, which one
     matmul of the weights with the faces' outer products gives, and
-    _newton_maps' to_band carries those blocks to the band.  scale (T,)
-    multiplies each instance's H, that is Z'HZ in hess and the band's
-    constant part.
+    _newton_maps' to_band carries those blocks to the band.
     """
 
     def __init__(self, batch, scale):
@@ -640,16 +643,14 @@ class _FacesProgram(_BandedNewton):
         self.H, self.band_shape, self.const, self.to_band = (
             space.H_red, space.band_shape, space.const, space.to_band
         )
-        self.scale = scale
         self.Z, self.ZT = space.Z, space.ZT
+        self.scale = scale
+        self.batch = batch
         self.normals, self.points = batch.normals, batch.points
         self.faces = np.ascontiguousarray(batch.faces)
         self.outer = (batch.normals[..., :, None] * batch.normals[..., None, :]).reshape(
             *batch.normals.shape[:3], 9
         )
-
-    def hess(self, c):
-        return _apply(self.H, c) * self.scale[:, None]
 
     def ineq(self, c):
         return _face_rows(self.faces, _apply(self.Z, c))
@@ -663,6 +664,9 @@ class _FacesProgram(_BandedNewton):
         band = self.scale[:, None] * self.const + _apply(self.to_band, blocks)
         return band.reshape(T, *self.band_shape).swapaxes(1, 2)
 
+    def rows(self, t):
+        return (self.batch.instance(t).A_in @ self.Z).tocsr()
+
     def take(self, keep):
         part = copy.copy(self)
         part.normals, part.faces, part.outer = self.normals[keep], self.faces[keep], self.outer[keep]
@@ -674,111 +678,91 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     """Solve a convex QP, or a SmoothingBatch of them, to the requested KKT
     tolerance.
 
-    One method serves every QP: a Mehrotra predictor-corrector interior
-    point over the coordinates c of the affine set x = x0 + Z c, whose
-    Newton step factors Z'(H + A_in' W A_in)Z with a banded Cholesky
-    (LAPACK dpbtrf) in natural order, with no regularization, and solves
-    with that factor once.  It starts from c = 0, or from a
-    SmoothingBatch's start, and stops at a small relative duality gap, or
-    at a slightly larger one where the factorization fails with the
-    residuals at their floor (see _IPM_STALL).  Each program's objective
-    is first divided by sigma, its absolute value at that start (1 where
-    it is 0 or not finite), so the interior point's fixed constants and
-    eps_abs see an objective of about unit size whatever the scale of H
-    and g.  The KKT
-    tolerance applies to that scaled program; x, the objective, the duals
-    and the dual residual come back for the program as given.  A program
-    without inequality rows runs the same iteration.  The smoothness
-    objectives weight derivative orders whose magnitudes differ by many
-    decades, so the reduced Hessian can carry near-zero eigenvalues; a
-    barrier method converges to a well-centered point of such a flat
-    optimal face without naming its active rows.  The equality
-    multipliers of a program given A_eq are recovered by least squares
-    from the stationarity condition.
+    Every call runs one driver, _solve: a Mehrotra predictor-corrector
+    interior point over the coordinates c of the affine set x = x0 + Z c,
+    whose Newton step factors Z'(H + A_in' W A_in)Z with a banded Cholesky
+    (LAPACK dpbtrf) in natural order and solves with that factor once.  A
+    QuadraticProgram runs as a batch of one from c = 0, a SmoothingBatch
+    as its instances from their starts.  Each instance's objective is
+    first divided by sigma, its absolute value at the start (1 where it is
+    0 or not finite), so the interior point's fixed constants and eps_abs
+    see an objective of about unit size whatever the scale of H and g.
+    The KKT tolerance applies to that scaled program; x, the duals and the
+    dual residual come back for the program as given.  An instance stops
+    at a small relative duality gap (see _IPM_STALL): a barrier method
+    converges to a well-centered point of a flat optimal face, such as the
+    smoothness objectives' near-zero eigenvalues give, without naming its
+    active rows.  An instance whose best iterate misses the tolerance is
+    classified by HiGHS LPs: QPInfeasibleError when the constraints admit
+    no point, QPUnboundedError when a recession direction lowers the
+    objective, QPMaxIterationsError otherwise.
 
-    Returns a QPResult with the best iterate found.  When that iterate misses
-    the tolerance, HiGHS LPs classify the program: QPInfeasibleError when
-    the constraints admit no point, QPUnboundedError when a recession
-    direction lowers the objective, QPMaxIterationsError otherwise.
-    Inconsistent equality rows raise QPInfeasibleError before any
-    iteration.
-
-    A SmoothingBatch runs as one interior point, and returns a
-    QPBatchResult: per instance the QPResult it gets when solved alone,
-    or the error that classifies its failure, which is returned, not
-    raised.
+    A QuadraticProgram's H is checked to be PSD, and inconsistent equality
+    rows raise QPInfeasibleError before any iteration.  It returns a
+    QPResult with the best iterate, whose equality multipliers are
+    recovered by least squares from the stationarity condition, or raises
+    its error.  A SmoothingBatch, whose SmoothingSpace has checked H,
+    returns a QPBatchResult: per instance the QPResult it gets when solved
+    alone, or its error, returned rather than raised.
     """
     if isinstance(qp, SmoothingBatch):
-        return _solve_batch(qp, eps_abs, eps_rel)
+        return _solve(
+            partial(_FacesProgram, qp), qp.H, qp.Z, qp.x0, np.zeros_like(qp.x0),
+            qp.b_in - _face_rows(qp.faces, qp.x0), qp.start, eps_abs, eps_rel,
+        )
     qp.check_psd()
     if _norm(qp.A_eq @ qp.x0 - qp.b_eq) > eps_abs + eps_rel * _norm(qp.b_eq):
         raise QPInfeasibleError("primal infeasible: the equality rows admit no point")
-    H = sp.csr_matrix(qp.H)
-    A_in = sp.csr_matrix(qp.A_in)
-    # the interior point starts from c = 0, that is from x0
-    f0 = qp.objective(qp.x0)
-    sigma = float(_objective_scale(f0))
-    program = _GeneralProgram(H / sigma, A_in, qp.Z)
-    g = (qp.Z.T @ (H @ qp.x0 + qp.g))[None]
-    b = (qp.b_in - A_in @ qp.x0)[None]
-    scaled_g = g / sigma
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, scaled_g, b, np.zeros(g.shape), np.array([f0 / sigma]))
-        ok, r_prim, r_dual = _accept(program, scaled_g, b, c, z, eps_abs, eps_rel)
-    r_prim, r_dual = float(r_prim[0]), sigma * float(r_dual[0])
-    if not ok[0]:
-        raise _failure(program.H, program.A, g[0], b[0], r_prim, r_dual, steps[0], stops[0])
-    x = qp.x0 + qp.Z @ c[0]
-    duals = sigma * z[0]
+    H, A_in = sp.csr_matrix(qp.H), sp.csr_matrix(qp.A_in)
+    (result,) = _solve(
+        partial(_GeneralProgram, H, A_in, qp.Z), H, qp.Z, qp.x0[None], qp.g[None],
+        (qp.b_in - A_in @ qp.x0)[None], np.zeros((1, qp.Z.shape[1])), eps_abs, eps_rel,
+    ).results
+    if isinstance(result, SolverError):
+        raise result
     if qp.A_eq.shape[0]:
-        residual = H @ x + qp.g + A_in.T @ duals
-        a_eq = sp.csr_matrix(qp.A_eq).toarray()
-        y = np.linalg.lstsq(a_eq.T, -residual, rcond=None)[0]
-        duals = np.concatenate([y, duals])
-    return QPResult(x, qp.objective(x), int(steps[0]), r_prim, r_dual, duals, str(stops[0]))
+        residual = H @ result.x + qp.g + A_in.T @ result.duals
+        y = np.linalg.lstsq(sp.csr_matrix(qp.A_eq).toarray().T, -residual, rcond=None)[0]
+        result.duals = np.concatenate([y, result.duals])
+    return result
 
 
-def _half_quadratic(H, x):
-    """0.5 x'Hx for each row of x (T, n), each from its own C-contiguous
-    row, so that an instance's value does not depend on its batch."""
-    x = np.ascontiguousarray(x)
-    return 0.5 * (x * np.ascontiguousarray(_apply(H, x))).sum(axis=1)
+def _start_objective(H, Z, x0, g, start):
+    """Per instance, for the objective 0.5 x'Hx + g[t]'x: f0, its value at
+    x0[t] (its constant over c), and sigma (_objective_scale) from its
+    value at the start point x0[t] + Z start[t].  Each is summed over its
+    own C-contiguous row, so it does not depend on the batch."""
+
+    def objective(x):
+        x = np.ascontiguousarray(x)
+        return (x * np.ascontiguousarray(0.5 * _apply(H, x) + g)).sum(axis=1)
+
+    return objective(x0), _objective_scale(objective(x0 + _apply(Z, start)))
 
 
-def _start_objective(batch):
-    """Per instance: f0 = 0.5 x0'H x0, the constant of its objective over
-    its coordinates c, and sigma (_objective_scale) from its objective at
-    its start point x0 + Z start."""
-    f0 = _half_quadratic(batch.H, batch.x0)
-    sigma = _objective_scale(_half_quadratic(batch.H, batch.x0 + _apply(batch.Z, batch.start)))
-    return f0, sigma
-
-
-def _solve_batch(batch, eps_abs, eps_rel):
-    """solve_qp for a SmoothingBatch, whose SmoothingSpace has checked H."""
-    f0, sigma = _start_objective(batch)
-    program = _FacesProgram(batch, 1.0 / sigma)
-    g = _apply(program.ZT, _apply(batch.H, batch.x0))
-    b = batch.b_in - _face_rows(batch.faces, batch.x0)
+def _solve(program, H, Z, x0, g, b, start, eps_abs, eps_rel):
+    """solve_qp for T programs  min 0.5 x'Hx + g[t]'x  over x = x0[t] + Z c
+    subject to rows A_t x <= b_in[t], with b[t] = b_in[t] - A_t x0[t] and
+    the interior point starting from c = start[t].  program(scale) builds
+    their _BandedNewton with each objective multiplied by scale[t]."""
+    f0, sigma = _start_objective(H, Z, x0, g, start)
+    program = program(1.0 / sigma)
+    g = _apply(program.ZT, _apply(H, x0) + g)
     scaled_g = g / sigma[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, z, steps, stops = _ipm(program, scaled_g, b, batch.start, f0 / sigma)
+        c, z, steps, stops = _ipm(program, scaled_g, b, start, f0 / sigma)
         ok, r_prim, r_dual = _accept(program, scaled_g, b, c, z, eps_abs, eps_rel)
-    x = batch.x0 + _apply(batch.Z, c)
+    x = x0 + _apply(Z, c)
     z = z * sigma[:, None]
     r_dual = r_dual * sigma
-    results = []
-    for t, xt in enumerate(x):
-        if ok[t]:
-            objective = 0.5 * float(xt @ (batch.H @ xt))
-            results.append(QPResult(
-                xt, objective, int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], str(stops[t]),
-            ))
-        else:
-            A = (batch.instance(t).A_in @ batch.Z).tocsr()
-            results.append(_failure(
-                program.H, A, g[t], b[t], float(r_prim[t]), float(r_dual[t]), steps[t], stops[t]
-            ))
+    results = [
+        QPResult(x[t], int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], str(stops[t]))
+        if ok[t] else _failure(
+            program.H, program.rows(t), g[t], b[t], float(r_prim[t]), float(r_dual[t]),
+            steps[t], stops[t],
+        )
+        for t in range(len(x))
+    ]
     return QPBatchResult(results, int(steps.sum()))
 
 

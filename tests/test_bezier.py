@@ -800,9 +800,12 @@ class TestSmoothingBatch:
             out, calls = solve_robots(wall_round_zero, order, monkeypatch)
             monkeypatch.undo()
             ((batch, _),) = calls
-            f0, sigma = opt_engine._start_objective(batch)
+            f0, sigma = opt_engine._start_objective(
+                batch.H, batch.Z, batch.x0, np.zeros_like(batch.x0), batch.start
+            )
             for t, i in enumerate(order):
-                seen[i].append((out[t][2].x, out[t][2].objective, f0[t], sigma[t]))
+                x = out[t][2].x
+                seen[i].append((x, batch.instance(t).objective(x), f0[t], sigma[t]))
         for i in robots:
             alone = seen[i][-1]
             for other in seen[i]:
@@ -1028,3 +1031,32 @@ class TestSmoothingBatch:
         with open(outs[0] / "refine_report.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [row["failed_count"] for row in rows] == ["0", "0"]
+
+    def test_robots_solved_again_restart_from_their_start(self, monkeypatch):
+        # with faces within 0.05 of each round's start kept, pillars_6's
+        # robots are solved again, each from its own start: every program
+        # converges, no robot fails, and every round costs what it costs
+        # with faces within 1 m kept (where no robot is solved again)
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "pillars_6.json"))
+        plan = solve_discrete(sc).postprocessed()
+        real = opt_engine.solve_qp
+
+        def refine(slack):
+            stops = []
+
+            def spy(qp, *args):
+                result = real(qp, *args)
+                stops.extend(getattr(r, "stop", "failed") for r in result.results)
+                return result
+
+            monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", slack)
+            monkeypatch.setattr(opt_engine, "solve_qp", spy)
+            return stops, refine_trajectories(plan, sc, iterations=3).rows
+
+        lazy_stops, lazy = refine(0.05)
+        full_stops, full = refine(1.0)
+        assert len(lazy_stops) > len(full_stops)
+        assert set(lazy_stops) == {"converged"}
+        assert [row["failed_count"] for row in lazy] == [0, 0, 0]
+        for got, want in zip(lazy, full, strict=True):
+            assert got["cost"] == pytest.approx(want["cost"], rel=1e-6)

@@ -143,7 +143,7 @@ class TestQP:
         )
         res = solve_qp(qp, eps_abs=1e-9, eps_rel=1e-9)
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-7)
-        assert res.objective == pytest.approx(2.0 - 8.0, abs=1e-7)
+        assert qp.objective(res.x) == pytest.approx(2.0 - 8.0, abs=1e-7)
 
     def test_equality_constrained(self):
         # min x'x st x0 + x1 = 2: symmetric optimum (1, 1)
@@ -161,7 +161,7 @@ class TestQP:
             ref = qp_active_set_reference(qp)
             assert ref is not None
             ref_obj, _ = ref
-            assert res.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-8)
+            assert qp.objective(res.x) == pytest.approx(ref_obj, rel=1e-6, abs=1e-8)
 
     def test_kkt_residuals_on_random_problems(self):
         rng = np.random.default_rng(11)
@@ -272,7 +272,7 @@ class TestQP:
             A[i, 3 * p : 3 * p + 6] = rng.normal(size=6)
         cases.append((H, A, np.kron(np.eye(4), rng.normal(size=(3, 2)))))
         for H, A, Z in cases:
-            program = opt_engine._GeneralProgram(*map(scipy.sparse.csr_matrix, (H, A, Z)))
+            program = opt_engine._GeneralProgram(*map(scipy.sparse.csr_matrix, (H, A, Z)), np.ones(1))
             w = rng.uniform(0.1, 10.0, size=(1, m))
             assert_bands_match_dense(program, [H], [A], Z, w)
         assert program.bands(w).shape[1] < r
@@ -288,12 +288,14 @@ class TestQP:
         A_eq, A_in = rng.normal(size=(2, 5)), rng.normal(size=(6, 5))
         x_feas = rng.normal(size=5)
         b_eq, b_in = A_eq @ x_feas, A_in @ x_feas + rng.uniform(0.1, 1.0, size=6)
-        want = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, A_in, b_in))
+        want_qp = QuadraticProgram(H, g, A_eq, b_eq, A_in, b_in)
+        want = solve_qp(want_qp)
         for factor in (1e-6, 1e6):
-            got = solve_qp(QuadraticProgram(factor * H, factor * g, A_eq, b_eq, A_in, b_in))
+            qp = QuadraticProgram(factor * H, factor * g, A_eq, b_eq, A_in, b_in)
+            got = solve_qp(qp)
             assert got.iterations == want.iterations
             assert np.abs(got.x - want.x).max() <= 1e-8
-            assert got.objective == pytest.approx(factor * want.objective, rel=1e-9)
+            assert qp.objective(got.x) == pytest.approx(factor * want_qp.objective(want.x), rel=1e-9)
             assert np.abs(got.duals - factor * want.duals).max() <= 1e-6 * factor * np.abs(want.duals).max()
 
     def test_objective_scale_is_one_at_zero_and_beyond_the_finite_range(self):
@@ -486,12 +488,9 @@ class TestQPBatch:
         xs, objs, status = solve_qp_batch(H, g, A, b)
         assert all(s == "solved" for s in status)
         for t in range(T):
-            single = solve_qp(
-                QuadraticProgram(H, g, None, None, A[t], b[t]),
-                eps_abs=1e-9,
-                eps_rel=1e-9,
-            )
-            assert objs[t] == pytest.approx(single.objective, rel=1e-6, abs=1e-7)
+            qp = QuadraticProgram(H, g, None, None, A[t], b[t])
+            single = solve_qp(qp, eps_abs=1e-9, eps_rel=1e-9)
+            assert objs[t] == pytest.approx(qp.objective(single.x), rel=1e-6, abs=1e-7)
             assert (A[t] @ xs[t] - b[t]).max() <= 1e-7
 
     def test_batch_flags_infeasible_entries(self):
