@@ -40,27 +40,6 @@ from . import opt_engine
 
 
 @lru_cache(maxsize=None)
-def bernstein_to_monomial(degree, duration):
-    """Matrix taking Bernstein control values to monomial coefficients.
-
-    Row m holds the coefficient of t**m contributed by each control
-    value, for a piece parameterized over [0, duration].
-    """
-    d = degree
-    tau = float(duration)
-    out = np.zeros((d + 1, d + 1))
-    for i in range(d + 1):
-        for m in range(i, d + 1):
-            out[m, i] = (
-                math.comb(d, i)
-                * math.comb(d - i, m - i)
-                * (-1.0) ** (m - i)
-                / tau**m
-            )
-    return out
-
-
-@lru_cache(maxsize=None)
 def bernstein_gram(degree):
     """Matrix of pairwise basis product integrals over [0, 1]."""
     m = degree
@@ -131,7 +110,10 @@ class PiecewiseBezierTrajectory:
             raise ValueError(f"piece duration {bad[0]} is not finite and positive")
         if not points.shape[1]:
             raise ValueError("trajectory degree is below 0")
-        self.knots = np.concatenate([[0.0], np.cumsum(durations)])
+        with np.errstate(over="ignore"):
+            self.knots = np.concatenate([[0.0], np.cumsum(durations)])
+        if not math.isfinite(self.knots[-1]):
+            raise ValueError(f"trajectory horizon {self.knots[-1]} is not finite")
         for array in (durations, points, self.knots):
             array.flags.writeable = False
         self.durations, self.points = durations, points
@@ -205,41 +187,45 @@ class PiecewiseBezierTrajectory:
         return PiecewiseBezierTrajectory(self.durations * factor, self.points)
 
     def save_csv(self, path):
-        """One row per piece: duration, then monomial coefficients of each
-        axis on local time (ascending powers), 17 significant digits."""
-        header = ["duration"] + [f"c{axis}{m}" for axis in "xyz" for m in range(self.degree + 1)]
+        """One row per piece: its duration, then the x, y and z coordinates
+        of its control points (x0..xd, y0..yd, z0..zd), 17 significant
+        digits, so load_csv gives back the same arrays bit for bit."""
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(header)
+            writer.writerow(_csv_header(self.degree))
             for tau, points in zip(self.durations.tolist(), self.points):
-                coeffs = bernstein_to_monomial(self.degree, tau) @ points
-                writer.writerow([f"{tau:.17g}"] + [f"{v:.17g}" for v in coeffs.T.ravel()])
+                writer.writerow([f"{tau:.17g}"] + [f"{v:.17g}" for v in points.T.ravel()])
 
     @classmethod
     def load_csv(cls, path):
-        """Read a trajectory written by save_csv; a header without three
-        coefficient columns per degree, or a row that does not make a
-        piece, raises ValueError naming the file (and the row)."""
+        """Read a trajectory written by save_csv.  Any other header, a row
+        that does not make a piece, or pieces that do not make a
+        trajectory raise ValueError naming the file (and the row)."""
         durations, points = [], []
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
-            if len(header) < 4 or (len(header) - 1) % 3:
-                raise ValueError(f"malformed trajectory header in {path}")
             degree = (len(header) - 1) // 3 - 1
+            if degree < 0 or header != _csv_header(degree):
+                raise ValueError(f"malformed trajectory header in {path}")
             for row, rec in enumerate(reader, start=2):
                 try:
-                    coeffs = np.array([float(v) for v in rec[1:]]).reshape(3, degree + 1).T
+                    piece = np.array([float(v) for v in rec[1:]]).reshape(3, degree + 1).T
                     tau = float(rec[0])
-                    # check the duration before the basis change divides by
-                    # its powers
                     if not 0.0 < tau < math.inf:
                         raise ValueError(f"piece duration {tau} is not finite and positive")
-                    points.append(np.linalg.solve(bernstein_to_monomial(degree, tau), coeffs))
-                except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"cannot read {path} row {row}: {exc}") from exc
                 durations.append(tau)
-        return cls(durations, points)
+                points.append(piece)
+        try:
+            return cls(durations, points)
+        except ValueError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _csv_header(degree):
+    return ["duration"] + [f"{axis}{i}" for axis in "xyz" for i in range(degree + 1)]
 
 
 def BezierPiece(duration, points):

@@ -9,7 +9,6 @@ cannot be read or written), 3 solver budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -200,7 +199,7 @@ def cmd_validate(args):
         expected_goals=goals,
         sample_dt=args.sample_dt,
     )
-    print(json.dumps(report.to_dict(), indent=2))
+    print(report.to_json(), end="")
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 

@@ -534,10 +534,13 @@ class ValidationReport:
             "sample_dt": self.sample_dt,
         }
 
+    def to_json(self):
+        """The report as validation.json holds it: sorted keys, indent 2."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path):
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(self.to_json())
 
 
 def validate_trajectories(

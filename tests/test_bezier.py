@@ -22,7 +22,6 @@ from test_opt_engine import assert_bands_match_dense
 from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
-    bernstein_to_monomial,
     control_point_cost,
     fallback_trajectory,
     optimize_trajectory,
@@ -40,6 +39,18 @@ from swarmplan.scenario import ScenarioSpec
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 WEIGHTS = (0.0, 1.0, 0.0, 1.0)
+
+
+def monomial_to_bernstein(degree, duration):
+    """Matrix taking the monomial coefficients of a polynomial on
+    [0, duration] (ascending powers of local time) to its Bernstein control
+    values: s**m is sum over i >= m of comb(i, m) / comb(degree, m) times
+    the i-th basis polynomial, and t**m is duration**m s**m."""
+    out = np.zeros((degree + 1, degree + 1))
+    for i in range(degree + 1):
+        for m in range(i + 1):
+            out[i, m] = math.comb(i, m) / math.comb(degree, m) * duration**m
+    return out
 
 
 def bernstein_eval(points, s):
@@ -180,15 +191,15 @@ def finite_difference(piece, t, order):
 
 class TestBasisMatrices:
     def test_degree_one_monomial_conversion(self):
-        m = bernstein_to_monomial(1, 2.0)
-        # 1 - t/2 and t/2
-        assert np.allclose(m, [[1.0, 0.0], [-0.5, 0.5]])
+        m = monomial_to_bernstein(1, 2.0)
+        # a + b t on [0, 2] has control values a and a + 2 b
+        assert np.allclose(m, [[1.0, 0.0], [1.0, 2.0]])
 
     def test_conversion_matches_direct_evaluation(self):
         rng = np.random.default_rng(0)
         for d, tau in [(3, 1.0), (5, 0.25), (9, 0.4)]:
-            vals = rng.normal(size=d + 1)
-            coeffs = bernstein_to_monomial(d, tau) @ vals
+            coeffs = rng.normal(size=d + 1)
+            vals = monomial_to_bernstein(d, tau) @ coeffs
             for t in np.linspace(0, tau, 7):
                 poly = sum(c * t**m for m, c in enumerate(coeffs))
                 direct = bernstein_eval(vals[:, None], t / tau)[0]
@@ -454,12 +465,33 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         traj.save_csv(path)
         again = PiecewiseBezierTrajectory.load_csv(path)
-        assert len(again.pieces) == 3
-        assert again.pieces[0].degree == 9
-        ts = np.linspace(0, traj.duration, 40)
-        assert np.abs(again.evaluate_many(ts) - traj.evaluate_many(ts)).max() <= 1e-8
-        for p, q in zip(traj.pieces, again.pieces):
-            assert q.duration == pytest.approx(p.duration, rel=1e-15)
+        assert np.array_equal(again.points, traj.points)
+        assert np.array_equal(again.durations, traj.durations)
+
+    def test_csv_columns_are_control_points(self, tmp_path):
+        traj = self.make_traj(np.random.default_rng(27), pieces=2, d=3)
+        path = tmp_path / "traj.csv"
+        traj.save_csv(path)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["duration"] + [f"{a}{i}" for a in "xyz" for i in range(4)]
+        assert float(rows[2][0]) == traj.durations[1]
+        assert [float(v) for v in rows[2][1:5]] == traj.points[1, :, 0].tolist()
+        assert [float(v) for v in rows[2][9:]] == traj.points[1, :, 2].tolist()
+
+    def test_csv_monomial_header_rejected(self, tmp_path):
+        # the earlier format: per-axis power-basis coefficients cx0..cz9
+        path = tmp_path / "old.csv"
+        header = ["duration"] + [f"c{a}{m}" for a in "xyz" for m in range(10)]
+        path.write_text(",".join(header) + "\n" + ",".join(["0.25"] + ["0"] * 30) + "\n")
+        with pytest.raises(ValueError, match="malformed trajectory header in .*old.csv"):
+            PiecewiseBezierTrajectory.load_csv(path)
+
+    def test_csv_without_pieces_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("duration,x0,y0,z0\n")
+        with pytest.raises(ValueError, match="empty.csv: trajectory needs at least one piece"):
+            PiecewiseBezierTrajectory.load_csv(path)
 
     def test_csv_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -473,6 +505,11 @@ class TestTrajectory:
         path.write_text("duration\n1.0\n")
         with pytest.raises(ValueError, match="malformed"):
             PiecewiseBezierTrajectory.load_csv(path)
+
+    def test_infinite_horizon_rejected(self):
+        # each duration is finite, their sum is not
+        with pytest.raises(ValueError, match="horizon inf is not finite"):
+            PiecewiseBezierTrajectory([1e308, 1e308], np.zeros((2, 4, 3)))
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -533,6 +570,23 @@ class TestFallback:
         # collinear with the segment direction
         cross = np.cross(rel, b - a)
         assert np.abs(cross).max() <= 1e-9
+
+    def test_rest_profile_free_values_minimize_the_cost(self):
+        # degree 11 at continuity 4 leaves control values 5 and 6 free
+        d, c, tau = 11, 4, 0.25
+        values = bezier_opt._rest_to_rest_profile(d, c, tau, WEIGHTS)
+        piece = BezierPiece(tau, values[:, None])
+        assert piece.evaluate(0.0)[0] == 0.0 and piece.evaluate(tau)[0] == 1.0
+        for order in range(1, c + 1):
+            scale = np.abs(piece.evaluate_many(np.linspace(0, tau, 9), order)).max()
+            assert np.abs(piece.evaluate(0.0, order)).max() <= 1e-9 * scale
+            assert np.abs(piece.evaluate(tau, order)).max() <= 1e-9 * scale
+        best = quadrature_cost(piece, WEIGHTS)
+        rng = np.random.default_rng(28)
+        for step in np.repeat([1e-2, 1e-4, 1e-6], 10):
+            moved = values.copy()
+            moved[c + 1 : d - c] += rng.normal(scale=step, size=d - 2 * c - 1)
+            assert quadrature_cost(BezierPiece(tau, moved[:, None]), WEIGHTS) > best
 
 
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):

@@ -153,6 +153,15 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
 
+    def test_reproduces_the_plans_report(self, scenario_file, planned, capsys):
+        # the CSVs carry the control points the plan validated, so the
+        # report comes out byte for byte as validation.json
+        _, out, _ = planned
+        main(["validate", "--scenario", scenario_file,
+              "--trajectories", os.path.join(out, "trajectories")])
+        with open(os.path.join(out, "validation.json")) as f:
+            assert capsys.readouterr().out == f.read()
+
     def test_missing_file_rejected(self, scenario_file, planned, tmp_path, capsys):
         _, out, _ = planned
         only_one = tmp_path / "partial"
@@ -195,7 +204,7 @@ class TestValidate:
         (edited / "robot_001.csv").write_text("\n".join(lines) + "\n")
         return edited
 
-    @pytest.mark.parametrize("duration", ["1e308", "inf", "nan"])
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_unreadable_duration_names_the_file(self, scenario_file, planned, tmp_path,
                                                 capsys, duration):
         edited = self.edited_copy(planned[1], tmp_path, 0, duration)
@@ -203,6 +212,39 @@ class TestValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert "robot_001.csv row 2" in err and "Traceback" not in err
+
+    def test_huge_duration_changes_the_horizon(self, scenario_file, planned, tmp_path,
+                                               capsys):
+        edited = self.edited_copy(planned[1], tmp_path, 0, "1e308")
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
+        assert code == 1
+        assert "trajectory horizons differ" in capsys.readouterr().err
+
+    def test_infinite_horizon_names_the_file(self, scenario_file, planned, tmp_path, capsys):
+        # every duration of robot_001.csv is finite, their sum is not
+        edited = self.edited_copy(planned[1], tmp_path, 0, "1e308")
+        path = edited / "robot_001.csv"
+        lines = path.read_text().splitlines()
+        lines[1:] = ["1e308" + line[line.index(","):] for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "robot_001.csv" in err[0] and "horizon inf is not finite" in err[0]
+
+    def test_monomial_format_rejected(self, scenario_file, tmp_path, capsys):
+        # the earlier format: per-axis power-basis coefficients cx0..cz9
+        old = tmp_path / "old"
+        old.mkdir()
+        header = ["duration"] + [f"c{a}{m}" for a in "xyz" for m in range(10)]
+        for name in ["robot_000.csv", "robot_001.csv"]:
+            (old / name).write_text(",".join(header) + "\n" + ",".join(["0.25"] + ["0"] * 30) + "\n")
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(old)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed trajectory header" in err and "robot_000.csv" in err
+        assert "Traceback" not in err
 
     def test_nan_coefficient_fails_the_report(self, scenario_file, planned, tmp_path, capsys):
         edited = self.edited_copy(planned[1], tmp_path, 3, "nan")

@@ -20,7 +20,6 @@ from swarmplan.bezier_opt import (
     BezierPiece,
     PiecewiseBezierTrajectory,
     bernstein_basis,
-    bernstein_to_monomial,
     fallback_trajectory,
 )
 from swarmplan import refine, validate
@@ -40,7 +39,7 @@ from dense_validation import (
     sample_positions,
     workspace_violation,
 )
-from test_bezier import hodograph
+from test_bezier import hodograph, monomial_to_bernstein
 
 WEIGHTS = (0.0, 1.0, 0.0, 1.0)
 
@@ -59,8 +58,7 @@ def monomial_piece(coeffs, duration):
     """One-piece trajectory matching given per-axis monomial coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)  # (degree + 1, 3)
     degree = coeffs.shape[0] - 1
-    basis = bernstein_to_monomial(degree, duration)
-    return BezierPiece(duration, np.linalg.solve(basis, coeffs))
+    return BezierPiece(duration, monomial_to_bernstein(degree, duration) @ coeffs)
 
 
 def static_trajectory(point, duration=1.0, degree=5):
