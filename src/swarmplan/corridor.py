@@ -4,13 +4,14 @@ During piece k every robot must stay inside its own polytope, and any
 two polytopes of different robots lie on opposite sides of a plane with
 an ellipsoid of clearance each, so curves confined to their corridors
 are mutually collision free for the entire piece.  The planes come from
-ellipsoid-weighted margin separation of the robots' occupied point sets
-(segment endpoints on the first pass, curve samples afterwards, taken
-with one Bernstein basis per robot, since a trajectory has one degree).
-Obstacle boxes contribute one supporting face each, pushed off the box
-by the clearance radius, and the workspace box caps every corridor.
-Faces implied by the others are kept, since they leave the point set,
-and so the smoothing optimum, unchanged.
+ellipsoid-weighted margin separation of the robots' occupied point sets:
+each piece's Bézier control points, whose convex hull holds the whole
+piece, so every curve lies inside the corridors built from it.  A
+straight line's control points lie on its segment, so the first round
+separates the plan's segments.  Obstacle boxes contribute one supporting
+face each, pushed off the box by the clearance radius, and the workspace
+box caps every corridor.  Faces implied by the others are kept, since
+they leave the point set, and so the smoothing optimum, unchanged.
 
 Every corridor has F = 6 + B + N - 1 faces (B obstacle boxes, N robots)
 in fixed slots: the workspace faces, one per box in box order, then one
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .bezier_opt import bernstein_basis
 from .geometry import ConvexPolyhedron, svm_separate_batch
 
 _FACE_PRUNE_THRESHOLD = 64
@@ -65,27 +65,6 @@ class CorridorSet:
             [ConvexPolyhedron(a, b) for a, b in zip(*robot)]
             for robot in zip(self.normals, self.offsets)
         ]
-
-
-def segment_point_sets(waypoints):
-    """Piece occupancy as segment endpoints: (robots, pieces, 2, 3)."""
-    wp = np.asarray(waypoints, dtype=float)
-    return np.stack([wp[:, :-1], wp[:, 1:]], axis=2)
-
-
-def sample_point_sets(trajectories, samples_per_piece):
-    """Piece occupancy as dense curve samples: (robots, pieces, S, 3).
-
-    Samples include both knots, so consecutive pieces share their joint
-    and the union covers the whole curve.
-    """
-    s = np.linspace(0.0, 1.0, samples_per_piece)
-    return np.stack(
-        [
-            np.einsum("si,pid->psd", bernstein_basis(t.degree, s), t.control_points())
-            for t in trajectories
-        ]
-    )
 
 
 def support_norms(normals, ellipsoid):
@@ -136,7 +115,8 @@ def prune_faces(poly, keep=None):
 def build_corridors(point_sets, scenario):
     """Corridors for every robot and piece from their occupied point sets.
 
-    point_sets has shape (robots, pieces, m, 3).  Every pair and every
+    point_sets has shape (robots, pieces, m, 3), such as the stacked
+    control points of one curve per robot.  Every pair and every
     robot-obstacle pair is separated, each kind in one batch; failed_pairs
     and failed_robots name those without a valid plane on some piece.
     """

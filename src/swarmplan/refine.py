@@ -2,21 +2,22 @@
 
 Round zero gives every robot the straight-line rest-to-rest trajectory
 along its plan segments; those share one velocity profile, so the grid
-plan's safety margins carry over and the set always exists.  Each later
-round rebuilds safe corridors from the current curves (segment endpoints
-on the first pass, dense samples afterwards) and re-optimizes every
+plan's safety margins carry over and the set always exists.  Every
+round builds safe corridors from the current curves' control points
+(a straight line's lie on its plan segments) and re-optimizes every
 robot inside its corridor.  The robots' smoothing programs are
 independent (each sees only its own corridors), so one optimize_trajectory
 call per round solves them together as one batched interior point, in
 this process.  Each robot's program starts from the curve it flies now,
-which lies in the new corridor or close to it, so a later round needs
-far fewer interior-point steps than a start from coefficients 0, and it
-carries only the corridor faces near that curve; a robot whose answer
-violates a face it left out is solved again with it.  Each round logs
-how its programs stopped, their step range, the faces they carried out
-of all slots and how many robots were solved again.  Each robot's curve
-is its full program's optimum, the one it gets when solved alone, within
-the solver's tolerance.
+which lies in the new corridor, since the corridor holds its control
+points (to rounding), so the robot's optimum costs no more than that
+curve.  A later round needs far fewer interior-point steps than a start
+from coefficients 0, and it carries only the corridor faces near that
+curve; a robot whose answer violates a face it left out is solved again
+with it.  Each round logs how its programs stopped, their step range,
+the faces they carried out of all slots and how many robots were solved
+again.  Each robot's curve is its full program's optimum, the one it
+gets when solved alone, within the solver's tolerance.
 
 Failures degrade per robot instead of aborting, by one rule: a robot
 without a full corridor (a pair or obstacle separator failed) or with an
@@ -37,9 +38,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import opt_engine
 from .bezier_opt import fallback_trajectory, optimize_trajectory
-from .corridor import build_corridors, sample_point_sets, segment_point_sets
+from .corridor import build_corridors
 from .validate import validate_trajectories
 
 _RELATIVE_COST_STOP = 1e-3
@@ -141,12 +144,8 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
     for it in range(iterations):
         t0 = time.perf_counter()
 
-        # corridors must describe what each robot will actually fly
-        if it == 0:
-            point_sets = segment_point_sets(plan.waypoints)
-        else:
-            point_sets = sample_point_sets(best, scenario.samples_per_piece)
-        corridors = build_corridors(point_sets, scenario)
+        # each piece's control points hold the curve the robot flies now
+        corridors = build_corridors(np.stack([t.points for t in best]), scenario)
 
         # a robot without a full corridor keeps the curve it flies now
         paired = {i for pair in corridors.failed_pairs for i in pair}

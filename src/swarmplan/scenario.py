@@ -28,7 +28,6 @@ DEFAULT_CONTINUITY = 4
 DEFAULT_WEIGHTS = (0.0, 1.0, 0.0, 1.0)
 DEFAULT_RADII = (0.12, 0.12, 0.3)
 DEFAULT_OBSTACLE_RADIUS = 0.15
-DEFAULT_SAMPLES_PER_PIECE = 32
 DEFAULT_REFINE_ITERATIONS = 6
 
 
@@ -171,7 +170,6 @@ _SCENARIO_KEYS = {
     "weights",
     "radii",
     "obstacle_radius",
-    "samples_per_piece",
     "refine_iterations",
 }
 _GRID_KEYS = {"dims", "cell_size", "origin"}
@@ -191,7 +189,6 @@ class ScenarioSpec:
     weights: tuple = DEFAULT_WEIGHTS
     radii: tuple = DEFAULT_RADII
     obstacle_radius: float = DEFAULT_OBSTACLE_RADIUS
-    samples_per_piece: int = DEFAULT_SAMPLES_PER_PIECE
     refine_iterations: int = DEFAULT_REFINE_ITERATIONS
 
     def __post_init__(self):
@@ -204,7 +201,6 @@ class ScenarioSpec:
         self.degree = int(self.degree)
         self.continuity = int(self.continuity)
         self.obstacle_radius = float(self.obstacle_radius)
-        self.samples_per_piece = int(self.samples_per_piece)
         self.refine_iterations = int(self.refine_iterations)
         self.validate()
 
@@ -253,8 +249,6 @@ class ScenarioSpec:
             raise ValueError("radii must be three finite positive numbers")
         if not 0.0 < self.obstacle_radius < np.inf:
             raise ValueError("obstacle_radius must be finite and positive")
-        if self.samples_per_piece < 2:
-            raise ValueError("samples_per_piece must be at least 2")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
         # Horizontally adjacent robots must already satisfy the ellipsoid
@@ -313,7 +307,6 @@ class ScenarioSpec:
             "weights": list(self.weights),
             "radii": list(self.radii),
             "obstacle_radius": self.obstacle_radius,
-            "samples_per_piece": self.samples_per_piece,
             "refine_iterations": self.refine_iterations,
         }
 

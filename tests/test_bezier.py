@@ -29,7 +29,7 @@ from swarmplan.bezier_opt import (
 )
 from swarmplan import bezier_opt, opt_engine
 from swarmplan.cli import main as cli_main
-from swarmplan.corridor import build_corridors, sample_point_sets, segment_point_sets
+from swarmplan.corridor import build_corridors
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron
 from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
@@ -571,6 +571,36 @@ class TestFallback:
         cross = np.cross(rel, b - a)
         assert np.abs(cross).max() <= 1e-9
 
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    def test_rest_profile_values_lie_between_the_segment_ends(self, c, tau):
+        # so a straight line's control points lie on its segment, and the
+        # corridors refinement builds around them in round zero are those
+        # of the segment.  With these weights every free value lies
+        # strictly inside, so no bound is active: the ramp is the cheapest
+        # one without bounds
+        for d in range(2 * c + 1, 16):
+            values = bezier_opt._rest_to_rest_profile(d, c, tau, WEIGHTS)
+            assert values.min() >= 0.0 and values.max() <= 1.0, d
+            free = values[c + 1 : d - c]
+            assert ((free > 0.0) & (free < 1.0)).all(), d
+
+    def test_rest_profile_stays_in_range_where_the_cheapest_values_leave_it(self):
+        # with weights (0, 1) at degree 15 the unbounded optimum's values
+        # reach -3.5 and 4.5; bounded to [0, 1], some bound is active and
+        # no move of the free values within their bounds lowers the cost
+        d, c, tau, weights = 15, 4, 0.5, (0.0, 1.0)
+        values = bezier_opt._rest_to_rest_profile(d, c, tau, weights)
+        free = values[c + 1 : d - c]
+        assert values.min() >= 0.0 and values.max() <= 1.0
+        assert ((free == 0.0) | (free == 1.0)).any()
+        best = quadrature_cost(BezierPiece(tau, values[:, None]), weights)
+        rng = np.random.default_rng(29)
+        for step in np.repeat([1e-2, 1e-4], 10):
+            moved = values.copy()
+            moved[c + 1 : d - c] = np.clip(free + rng.normal(scale=step, size=free.size), 0.0, 1.0)
+            assert quadrature_cost(BezierPiece(tau, moved[:, None]), weights) > best
+
     def test_rest_profile_free_values_minimize_the_cost(self):
         # degree 11 at continuity 4 leaves control values 5 and 6 free
         d, c, tau = 11, 4, 0.25
@@ -747,7 +777,7 @@ def wall_round_zero(wall_plan):
     them: (starts, goals, durations, corridors, degree, continuity, weights),
     with corridors a CorridorSet."""
     plan, sc = wall_plan
-    corridors = build_corridors(segment_point_sets(plan.waypoints), sc)
+    corridors = build_corridors(np.stack([t.points for t in straight_lines(plan, sc)]), sc)
     durations = [plan.dt] * plan.num_segments
     return (
         plan.waypoints[:, 0], plan.waypoints[:, -1], durations, corridors,
@@ -930,7 +960,7 @@ class TestSmoothingBatch:
         robots = list(range(8))
         out, _ = solve_robots(wall_round_zero, robots, current=straight_lines(plan, sc))
         round_zero = [traj for traj, _, _ in out]
-        corridors = build_corridors(sample_point_sets(round_zero, sc.samples_per_piece), sc)
+        corridors = build_corridors(np.stack([t.points for t in round_zero]), sc)
         inputs = (*wall_round_zero[:3], corridors, *wall_round_zero[4:])
         cold, cold_calls = solve_robots(inputs, robots, monkeypatch)
         warm, warm_calls = solve_robots(inputs, robots, monkeypatch, round_zero)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import os
@@ -5,17 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from swarmplan.bezier_opt import (
-    PiecewiseBezierTrajectory,
-    fallback_trajectory,
-    optimize_trajectory,
-)
+from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
 from swarmplan.corridor import (
     CorridorSet,
     build_corridors,
     prune_faces,
-    sample_point_sets,
-    segment_point_sets,
     support_norms,
     workspace_faces,
 )
@@ -40,6 +35,13 @@ def box_distance(x, lo, hi):
     return float(np.linalg.norm(d))
 
 
+def segment_sets(waypoints):
+    """Each plan segment as the point set of its two endpoints:
+    (robots, pieces, 2, 3)."""
+    wp = np.asarray(waypoints, dtype=float)
+    return np.stack([wp[:, :-1], wp[:, 1:]], axis=2)
+
+
 def inseparable_pair():
     """Point sets and scenario: both robots occupy the same segment, so no
     margin plane exists."""
@@ -55,7 +57,7 @@ def robot_through_obstacle():
             [[0.0, 1.5, 0.0], [0.5, 1.5, 0.0]],
         ]
     )
-    return segment_point_sets(wp), scenario(obstacles=[(1, 1, 0)])
+    return segment_sets(wp), scenario(obstacles=[(1, 1, 0)])
 
 
 def face_arrays(polyhedra):
@@ -129,39 +131,6 @@ def reference_corridors(point_sets, sc):
     return stack(faces_a), stack(faces_b), failed_pairs, failed_robots, stack(empty)
 
 
-class TestPointSets:
-    def test_segment_point_sets_shape_and_content(self):
-        wp = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
-        sets = segment_point_sets(wp)
-        assert sets.shape == (2, 3, 2, 3)
-        assert np.array_equal(sets[:, :, 0], wp[:, :-1])
-        assert np.array_equal(sets[:, :, 1], wp[:, 1:])
-
-    def test_sample_point_sets_cover_knots(self):
-        rng = np.random.default_rng(0)
-        trajs = []
-        for _ in range(2):
-            pieces = []
-            tail = rng.normal(size=3)
-            for _ in range(3):
-                pts = rng.normal(size=(6, 3))
-                pts[0] = tail  # keep the curve continuous across knots
-                tail = pts[-1]
-                pieces.append(pts)
-            trajs.append(PiecewiseBezierTrajectory([0.5] * 3, pieces))
-        sets = sample_point_sets(trajs, samples_per_piece=8)
-        assert sets.shape == (2, 3, 8, 3)
-        for r, traj in enumerate(trajs):
-            for k, piece in enumerate(traj.pieces):
-                assert np.allclose(sets[r, k, 0], piece.evaluate(0.0), atol=1e-12)
-                assert np.allclose(
-                    sets[r, k, -1], piece.evaluate(piece.duration), atol=1e-12
-                )
-            # consecutive pieces share the knot sample
-            for k in range(2):
-                assert np.allclose(sets[r, k, -1], sets[r, k + 1, 0], atol=1e-9)
-
-
 class TestWorkspaceFaces:
     def test_faces_bound_the_workspace_box(self):
         sc = scenario()
@@ -231,7 +200,7 @@ class TestBuildCorridors:
                 [[0.0, 1.5, 0.0], [0.5, 1.5, 0.0], [1.0, 1.5, 0.0], [1.5, 1.5, 0.0]],
             ]
         )
-        return segment_point_sets(wp)
+        return segment_sets(wp)
 
     def test_own_points_contained(self):
         sc = scenario()
@@ -269,7 +238,7 @@ class TestBuildCorridors:
                 [[0.0, 1.5, 0.0], [0.5, 1.5, 0.0], [1.0, 1.5, 0.0]],
             ]
         )
-        sets = segment_point_sets(wp)
+        sets = segment_sets(wp)
         corridors = build_corridors(sets, sc)
         assert corridors.failed_robots == set()
         box = sc.obstacle_boxes()[0]
@@ -312,7 +281,7 @@ class TestBuildCorridors:
         )
         assert len(sc.obstacle_boxes()) == 64
         wp = np.array([[sc.grid.cell_center(c) for c in p] for p in paths])
-        corridors = build_corridors(segment_point_sets(wp), sc)
+        corridors = build_corridors(segment_sets(wp), sc)
         assert corridors.failed_pairs == set() and corridors.failed_robots == set()
         ws_a, ws_b = workspace_faces(sc)
         for robot in corridors.polyhedra:
@@ -345,17 +314,20 @@ class TestBuildCorridors:
 
 
 @functools.lru_cache(maxsize=None)
-def straight_line_sets(name):
-    """The named scenario, its plan's segment point sets (kind 0) and the
-    sample point sets of its round-zero straight lines (kind 1)."""
+def straight_line_sets(name, degree=None, weights=None):
+    """The named scenario, with another degree and weights when given, its
+    plan's segment point sets (kind 0) and the control points of its
+    round-zero straight lines (kind 1)."""
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    if degree is not None:
+        sc = dataclasses.replace(sc, degree=degree, weights=weights)
     plan = solve_discrete(sc).postprocessed()
     durations = [plan.dt] * plan.num_segments
     straight = [
         fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
         for wp in plan.waypoints
     ]
-    return sc, segment_point_sets(plan.waypoints), sample_point_sets(straight, sc.samples_per_piece)
+    return sc, segment_sets(plan.waypoints), np.stack([t.points for t in straight])
 
 
 class TestFaceLayout:
@@ -380,10 +352,29 @@ class TestFaceLayout:
         _, empty = self.assert_layout(sets[kind], sc)
         assert not empty.any()
 
+    @pytest.mark.parametrize(
+        "name, degree, weights",
+        [
+            ("wall_windows_8", None, None),
+            ("pillars_6", None, None),
+            ("handover_3", None, None),
+            # the cheapest ramp's control values would leave [0, 1] here
+            ("wall_windows_8", 15, (0.0, 1.0)),
+        ],
+    )
+    def test_straight_line_control_points_give_the_segment_corridors(self, name, degree, weights):
+        # a straight line's control points lie on its segment and span it,
+        # so round zero separates the same hulls as the segments' endpoints
+        sc, segments, points = straight_line_sets(name, degree, weights)
+        want, got = build_corridors(segments, sc), build_corridors(points, sc)
+        assert np.allclose(got.normals, want.normals, rtol=0.0, atol=1e-12)
+        assert np.allclose(got.offsets, want.offsets, rtol=0.0, atol=1e-12)
+        assert (got.failed_pairs, got.failed_robots) == (want.failed_pairs, want.failed_robots)
+
     def test_one_robot_has_only_workspace_and_box_faces(self):
         sc = scenario(obstacles=[(2, 1, 0), (3, 3, 0)], starts=[(0, 0, 0)], goals=[(1, 0, 0)])
         wp = np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]])
-        corridors, _ = self.assert_layout(segment_point_sets(wp), sc)
+        corridors, _ = self.assert_layout(segment_sets(wp), sc)
         assert corridors.normals.shape == (1, 2, 6 + 2, 3)
 
     def test_failed_slots_hold_the_empty_row(self):

@@ -14,6 +14,7 @@ from swarmplan.opt_engine import QPInfeasibleError
 from swarmplan.refine import refine_trajectories, write_report_csv
 from swarmplan.scenario import GridSpec, ScenarioSpec
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 REPORT_FIELDS = [
     "iteration", "cost", "peak_accel", "peak_omega", "wall_time_s", "fallback_count", "failed_count",
 ]
@@ -114,6 +115,30 @@ class TestRefine:
         refine_trajectories(plan, sc, iterations=1, log=messages.append)
         assert any("baseline" in m for m in messages)
         assert any("iteration 0" in m for m in messages)
+
+    @pytest.mark.parametrize("name", ["wall_windows_8", "pillars_6"])
+    def test_every_round_starts_inside_its_corridors(self, name, monkeypatch):
+        # each round's corridors are built from the control points of the
+        # curves the robots fly now, and a piece lies in the hull of its
+        # control points: every one of them satisfies every row of its
+        # robot's corridor, within optimize_trajectory's 1e-6 row check
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        plan = solve_discrete(sc).postprocessed()
+        real = refine_mod.optimize_trajectory
+        worst = []
+
+        def spy(*args):
+            normals, offsets, current = args[3], args[4], args[8]
+            points = np.stack([t.points for t in current])
+            rows = normals @ points.swapaxes(-1, -2) - offsets[..., None]
+            worst.append(float(rows.max()))
+            return real(*args)
+
+        monkeypatch.setattr(refine_mod, "optimize_trajectory", spy)
+        result = refine_trajectories(plan, sc)
+        assert result.ok
+        assert len(worst) == len(result.rows) == sc.refine_iterations
+        assert max(worst) <= 1e-6
 
 
 class TestDegradation:

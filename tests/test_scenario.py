@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmplan.cli import main as cli_main
 from swarmplan.scenario import (
     GridSpec,
     ObstacleBox,
@@ -172,8 +173,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             base_scenario(obstacle_radius=-0.1)
         with pytest.raises(ValueError):
-            base_scenario(samples_per_piece=1)
-        with pytest.raises(ValueError):
             base_scenario(refine_iterations=-1)
         with pytest.raises(ValueError):
             base_scenario(continuity=0)
@@ -217,6 +216,21 @@ class TestSerialization:
         data["extra"] = 1
         with pytest.raises(ValueError, match="unknown scenario keys"):
             ScenarioSpec.from_dict(data)
+
+    def test_samples_per_piece_key_rejected(self, tmp_path, capsys):
+        # corridors separate each piece's control points, so no setting
+        # picks a number of curve samples, and a file that names one fails
+        data = base_scenario().to_dict()
+        data["samples_per_piece"] = 32
+        with pytest.raises(ValueError, match=r"unknown scenario keys: \['samples_per_piece'\]"):
+            ScenarioSpec.from_dict(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli_main(["plan", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "samples_per_piece" in err[0]
+        assert not out.exists()
 
     def test_unknown_grid_keys_rejected(self):
         data = base_scenario().to_dict()

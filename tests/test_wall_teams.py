@@ -4,10 +4,11 @@ discrete stage and the round-0 smoothing programs at 32 robots."""
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
-from swarmplan.corridor import build_corridors, segment_point_sets
+from swarmplan.corridor import build_corridors
 from swarmplan.discrete_planner import check_discrete_rules, solve_discrete
 from swarmplan.scenario import ScenarioSpec
 
@@ -48,18 +49,19 @@ def test_32_robot_discrete_stage_is_makespan_19(wall_32):
 
 
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
-    # refinement's round 0: corridors around the plan's segments, every
-    # program started from its straight line.  Each closes its duality gap,
-    # none ends by stall or breakdown
+    # refinement's round 0: corridors around the straight lines' control
+    # points (which lie on the plan's segments), every program started
+    # from its straight line.  Each closes its duality gap, none ends by
+    # stall or breakdown
     plan, sc = wall_32
     plan = plan.postprocessed()
     durations = [plan.dt] * plan.num_segments
-    corridors = build_corridors(segment_point_sets(plan.waypoints), sc)
-    assert not corridors.failed_pairs and not corridors.failed_robots
     straight = [
         fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
         for wp in plan.waypoints
     ]
+    corridors = build_corridors(np.stack([t.points for t in straight]), sc)
+    assert not corridors.failed_pairs and not corridors.failed_robots
     out = optimize_trajectory(
         plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
         corridors.normals, corridors.offsets,
