@@ -33,13 +33,14 @@ classified by HiGHS LPs: a feasibility LP for infeasibility and a
 recession LP for unboundedness.  solve_qp_batch runs a batch of small
 programs one solve_qp at a time; no planner stage calls it.
 
-Max flow is scipy's csgraph routine on unit-capacity networks.  Binary
-ILPs start from the root LP relaxation, solved by HiGHS' dual simplex
-under a fixed iteration cap: the small time-expanded flow programs have an
-integral vertex there, which is returned as is.  A fractional root, or one
-that reaches the cap, goes on to HiGHS' branch and cut
-(scipy.optimize.milp).  Both need vertex solutions and certified bounds,
-which an interior point on a degenerate flow polytope does not provide.
+Max flow is scipy's csgraph routine on unit-capacity networks.  A binary
+ILP with at most _ROOT_LP_MAX_COLUMNS columns starts from its root LP
+relaxation, solved to the end by HiGHS' dual simplex: the small
+time-expanded flow programs have an integral vertex there, which is
+returned as is.  A fractional root, or a larger program, goes to HiGHS'
+branch and cut (scipy.optimize.milp).  Both need vertex solutions and
+certified bounds, which an interior point on a degenerate flow polytope
+does not provide.
 """
 
 from __future__ import annotations
@@ -979,13 +980,18 @@ def max_flow(network):
 
 # an LP bound within this of the target still admits it
 _ILP_GAP_TOL = 1e-6
-# dual simplex iterations allowed to the root LP.  The bundled scenarios'
-# root LPs are integral after 19 (handover_3), 409 (wall_windows_8) and 729
-# (pillars_6) iterations, so their plans stay the LP vertex; the fractional
-# 16- and 32-robot walls need 9,795 and 77,599, and 2,000 of them cost
-# about 0.3 s and 0.7 s there (2 cores) before branch and cut takes over.
-# The count is deterministic, so the cap decides the same way on every run.
-_ROOT_LP_MAX_ITER = 2000
+# columns up to which a program starts from its root LP, solved to the end.
+# Over the tier-1 suite every root LP has at most 7,253 columns and ends
+# within 1,299 dual simplex iterations; the bundled scenarios' are integral
+# after 19 (handover_3), 409 (wall_windows_8) and 729 (pillars_6), so their
+# plans stay the LP vertex.  Larger programs mostly need thousands of
+# iterations and end fractional, so branch and cut solves them anyway: the
+# 16- and 32-robot walls' (24,629 and 83,277 columns) need 9,795 and 77,599.
+# The column count is only a proxy for that: pillars_6 at K = 12 and 13
+# (9,890 and 12,534 columns) ends within 1,523 at an integral vertex, and
+# branch and cut returns another plan of the same makespan there.  No
+# bundled scenario searches those horizons.
+_ROOT_LP_MAX_COLUMNS = 8192
 # branch-and-cut nodes allowed per program (one candidate makespan)
 _ILP_NODE_LIMIT = 20000
 
@@ -993,14 +999,14 @@ _ILP_NODE_LIMIT = 20000
 def solve_ilp(ilp, target=None):
     """Maximize a binary ILP; with target, only an optimum >= target counts.
 
-    The root LP relaxation is solved first with HiGHS' simplex, for at
-    most _ROOT_LP_MAX_ITER iterations.  When it ends in time, a vertex that
-    is already integral and feasible is returned as is (1 node), and a root
+    A program with at most _ROOT_LP_MAX_COLUMNS columns solves its root LP
+    relaxation first, to the end, with HiGHS' simplex: a vertex that is
+    already integral and feasible is returned as is (1 node), and a root
     bound below target is infeasible without branching.  Otherwise, and
-    whenever the LP reaches the cap, HiGHS' branch and cut
-    (scipy.optimize.milp) solves the program, with the row c'z >= target
-    when a target is given.  Presolve stays off: on the time-expanded flow
-    programs it costs more time and memory than the search it saves.
+    for every larger program, HiGHS' branch and cut (scipy.optimize.milp)
+    solves the program, with the row c'z >= target when a target is
+    given.  Presolve stays off: on the time-expanded flow programs it
+    costs more time and memory than the search it saves.
 
     Returns an ILPResult whose nodes counts the search nodes, root
     included.  Raises ILPInfeasibleError when no binary assignment (with
@@ -1015,23 +1021,20 @@ def solve_ilp(ilp, target=None):
         if ilp.feasible(z) and (target is None or target <= _ILP_GAP_TOL):
             return ILPResult(z, 0.0, 0)
         raise ILPInfeasibleError("no feasible binary assignment")
-    root = linprog(
-        -ilp.c,
-        A_ub=ilp.A_in if ilp.A_in.shape[0] else None,
-        b_ub=ilp.b_in if ilp.A_in.shape[0] else None,
-        A_eq=ilp.A_eq if ilp.A_eq.shape[0] else None,
-        b_eq=ilp.b_eq if ilp.A_eq.shape[0] else None,
-        bounds=(0.0, 1.0),
-        method="highs",
-        options={"maxiter": _ROOT_LP_MAX_ITER},
-    )
-    if root.status == 2:
-        raise ILPInfeasibleError("LP relaxation is infeasible")
-    if root.status not in (0, 1):
-        raise SolverError(f"LP relaxation failed with status {root.status}")
-    # a capped LP (status 1) has neither a vertex nor a bound; branch and
-    # cut, with its target row, decides the program alone
-    if root.status == 0:
+    if n <= _ROOT_LP_MAX_COLUMNS:
+        root = linprog(
+            -ilp.c,
+            A_ub=ilp.A_in if ilp.A_in.shape[0] else None,
+            b_ub=ilp.b_in if ilp.A_in.shape[0] else None,
+            A_eq=ilp.A_eq if ilp.A_eq.shape[0] else None,
+            b_eq=ilp.b_eq if ilp.A_eq.shape[0] else None,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if root.status == 2:
+            raise ILPInfeasibleError("LP relaxation is infeasible")
+        if root.status != 0:
+            raise SolverError(f"LP relaxation failed with status {root.status}")
         x, bound = root.x, -root.fun
         if target is not None and bound < target - _ILP_GAP_TOL:
             raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")

@@ -34,6 +34,19 @@ from swarmplan.validate import mapf_oracle
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
+def two_layer_wall():
+    """wall_windows_8 with every start and goal copied one layer up, at
+    z = 3: 16 robots."""
+    base = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+
+    def upper(cells):
+        return [(x, y, 3) for x, y, _ in cells]
+
+    return dataclasses.replace(
+        base, starts=base.starts + upper(base.starts), goals=base.goals + upper(base.goals)
+    )
+
+
 def scenario(dims, starts, goals, obstacles=(), cell_size=0.5, radii=(0.12, 0.12, 0.3)):
     return ScenarioSpec(
         grid=GridSpec(dims=dims, cell_size=cell_size),
@@ -250,8 +263,8 @@ class TestSolveDiscrete:
             pass
 
     def test_fractional_root_goes_to_branch_and_cut(self):
-        # two robots on two layers: the root LP of the K = 3 program ends
-        # within the iteration cap at a fractional vertex, which is
+        # two robots on two layers: the root LP of the K = 3 program, far
+        # below the column cap, ends at a fractional vertex, which is
         # discarded, so the plan comes from HiGHS' branch and cut
         sc = scenario((3, 3, 2), [(1, 0, 0), (2, 2, 1)], [(0, 1, 1), (2, 2, 0)])
         env = EnvironmentGraph(sc)
@@ -283,36 +296,61 @@ class TestSolveDiscrete:
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
         assert digest == "0761b0b1176e1a1a01633ae3ac021c5b15c5944030a8d1885d7f499c6a2a3b42"
 
-    def test_two_layer_wall_cell_paths_are_pinned(self):
-        # the wall with every start and goal copied one layer up, at z = 3:
-        # 16 robots whose root LP reaches the iteration cap, so this pins
-        # the plan that HiGHS' branch and cut returns
-        base = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
-
-        def upper(cells):
-            return [(x, y, 3) for x, y, _ in cells]
-
-        sc = dataclasses.replace(
-            base, starts=base.starts + upper(base.starts), goals=base.goals + upper(base.goals)
-        )
+    @pytest.mark.parametrize(
+        "name, makespan, digest",
+        [
+            ("handover_3", 3, "57667894ffd3a865da3c3e70795885bb81534f27140b5d0f7a37f29fa5ff15c2"),
+            ("pillars_6", 10, "2715aedab113458d4b1219dc3961ea927ada975cb19a4fff67eae76d712588e1"),
+        ],
+    )
+    def test_bundled_cell_paths_are_pinned(self, name, makespan, digest):
+        # like the wall's: each plan is its root LP's integral vertex
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         plan = solve_discrete(sc)
+        assert plan.num_segments == makespan
+        assert hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest() == digest
+
+    def test_two_layer_wall_cell_paths_are_pinned(self):
+        # 16 robots whose program (K = 14) is above the root LP's column
+        # cap, so this pins the plan that HiGHS' branch and cut returns
+        plan = solve_discrete(two_layer_wall())
         assert plan.num_segments == 14
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
         assert digest == "2621be89344f37cc2cb58543898891ba935e08f44faa1354540b49e383e62be4"
 
+    @pytest.mark.parametrize("name, lp_calls", [("wall_windows_8", 1), ("two_layer_wall", 0)])
+    def test_root_lp_runs_below_the_column_cap_only(self, monkeypatch, name, lp_calls):
+        # each solves one program, at its flow bound: wall_windows_8's
+        # (K = 11, 3,550 columns) is its root LP's vertex, the two-layer
+        # wall's (K = 14, 24,629 columns) goes to branch and cut without one
+        if name == "two_layer_wall":
+            sc = two_layer_wall()
+        else:
+            sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(opt_engine, "linprog", counted)
+        solve_discrete(sc)
+        assert len(calls) == lp_calls
+
     @pytest.mark.parametrize("name", ["handover_3", "wall_windows_8", "pillars_6"])
-    def test_bundled_root_lps_end_within_half_the_cap(self, name):
-        # each bundled plan is its root LP's integral vertex; a cap low
-        # enough to stop one of these LPs would hand the plan to branch and
-        # cut and change every later stage of that scenario
+    def test_bundled_root_lps_run_within_the_cap(self, name):
+        # each bundled plan is its root LP's integral vertex; a column cap
+        # low enough to skip one of these LPs would hand the plan to branch
+        # and cut and change every later stage of that scenario.  The
+        # largest, pillars_6's, has 5,646 columns
         sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         env = EnvironmentGraph(sc)
         K = solve_discrete(sc).num_segments
         ilp = TimeExpandedGraph(sc, env, K).binary_program()
+        assert ilp.n <= opt_engine._ROOT_LP_MAX_COLUMNS
         root = linprog(
             -ilp.c, A_ub=ilp.A_in, b_ub=ilp.b_in, A_eq=ilp.A_eq, b_eq=ilp.b_eq,
             bounds=(0, 1), method="highs",
-            options={"maxiter": opt_engine._ROOT_LP_MAX_ITER // 2},
         )
         assert root.status == 0
         assert np.abs(root.x - np.round(root.x)).max() <= 1e-6

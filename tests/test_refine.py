@@ -140,6 +140,23 @@ class TestRefine:
         assert len(worst) == len(result.rows) == sc.refine_iterations
         assert max(worst) <= 1e-6
 
+    @pytest.mark.parametrize("degree, continuity", [(7, 3), (11, 4)])
+    def test_other_degrees_refine_every_robot(self, degree, continuity):
+        # the bundled scenarios fly degree 9 with continuity 4; the same
+        # wall at degrees 7 and 11 solves every program of both rounds to
+        # its duality gap and validates
+        base = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        sc = dataclasses.replace(base, degree=degree, continuity=continuity)
+        plan = solve_discrete(sc).postprocessed()
+        log = []
+        result = refine_trajectories(plan, sc, iterations=2, log=log.append)
+        assert result.ok
+        assert [row["iteration"] for row in result.rows] == [0, 1]
+        assert all(row["failed_count"] == 0 for row in result.rows)
+        for it in (0, 1):
+            assert any(m.startswith(f"iteration {it}: 8 QPs: 8 converged;") for m in log), log
+        assert all(t.degree == degree for t in result.trajectories)
+
 
 class TestDegradation:
     def test_inseparable_pair_pinned_to_straight_lines(self, small, monkeypatch):

@@ -1,7 +1,9 @@
 """The wall teams under scenarios/: the generator that writes them, and the
 discrete stage and the round-0 smoothing programs at 32 robots."""
 
+import hashlib
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -36,8 +38,8 @@ def test_generator_reproduces_the_committed_files(make_walls, rows, robots):
 
 @pytest.fixture(scope="module")
 def wall_32():
-    # about 3 s on two cores: the root LP stops at its iteration cap and
-    # branch and cut closes the K = 19 program at its root node
+    # about 2 s on two cores: the K = 19 program (83,277 columns) is above
+    # the root LP's column cap, and branch and cut closes it at its root node
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
     return solve_discrete(sc), sc
 
@@ -46,6 +48,14 @@ def test_32_robot_discrete_stage_is_makespan_19(wall_32):
     plan, sc = wall_32
     assert plan.num_segments == 19
     assert check_discrete_rules(plan.cell_paths, sc) == []
+
+
+def test_32_robot_cell_paths_are_pinned(wall_32):
+    # the plan that HiGHS' branch and cut returns; a different one changes
+    # every later stage of the 32-robot wall
+    plan, _ = wall_32
+    digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
+    assert digest == "6123ce31b8d2b9e03c4682f21ce5b2c23a72bb4ad2325cf370b931b2baa82f90"
 
 
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
