@@ -19,14 +19,14 @@ integer columns (tail, head, kind, cell, edge, layer).  Hop distances from
 the starts and the goals come from scipy's csgraph once per scenario.
 
 Downwash restrictions that unit capacities cannot express become conflict
-rows of a binary program: cells in the same vertical column closer than
-the ellipsoid height must not hold robots at the same time (annotated on
-the hold arcs), and the same horizontal grid edge must not be crossed in
-opposite directions at nearby heights in the same step (annotated on
-gadget exit arcs, which identify the traversal direction).  Maximizing
-routed flow subject to conservation and those rows gives the minimum
-number of steps; a conflict-free max flow provides the lower bound that
-seeds the search over K.
+rows of a binary program, one row a + b <= 1 per conflicting pair of
+arcs: cells in the same vertical column closer than the ellipsoid height
+must not hold robots at the same time (a pair of hold arcs), and the same
+horizontal grid edge must not be crossed in opposite directions at nearby
+heights in the same step (a pair of gadget exit arcs, which identify the
+traversal direction).  Maximizing routed flow subject to conservation and
+those rows gives the minimum number of steps; a conflict-free max flow
+provides the lower bound that seeds the search over K.
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ class TimeExpandedGraph:
         )
 
     def _conflict_pairs(self):
-        """Downwash conflicts as arc index pairs (each unordered pair once).
+        """Downwash conflicts as arc index pairs, each unordered pair once;
+        the binary program holds one row per pair.
 
         Column rule: two robots may share an xy column only with vertical
         clearance of a full ellipsoid height.  Crossing rule: one grid edge
@@ -281,6 +282,8 @@ class TimeExpandedGraph:
         return np.concatenate(pairs)
 
     def binary_program(self):
+        """Maximize routed flow: one conservation row per u, w and gadget
+        vertex, and one conflict row a + b <= 1 per conflicting pair."""
         n = len(self.tails)
         c = (self.kinds == ARC_SOURCE).astype(float)
 
@@ -297,28 +300,13 @@ class TimeExpandedGraph:
         A_eq = sparse.csr_matrix((vals, (rank[inverse], cols)), shape=(len(first), n))
         b_eq = np.zeros(len(first))
 
-        # one row per conflicting arc: the arc with all it conflicts with,
-        # by arc index, keeping only the first of identical rows
-        a, b = self._conflict_pairs().T
-        members = np.union1d(a, b)
-        key = np.unique(
-            np.concatenate([a, b, members]) * n + np.concatenate([b, a, members])
-        )
-        arc, col = np.divmod(key, n)
-        row_of = np.searchsorted(members, arc)
-        sizes = np.bincount(row_of, minlength=len(members))
-        starts = np.cumsum(sizes) - sizes
-        padded = np.full((len(members), sizes.max(initial=0)), -1, dtype=np.intp)
-        padded[row_of, np.arange(len(col)) - starts[row_of]] = col
-        kept = np.zeros(len(members), dtype=bool)
-        kept[np.unique(padded, axis=0, return_index=True)[1]] = True
-        new_row = np.cumsum(kept) - 1
-        entry = kept[row_of]
+        # conflict rows in sorted (min, max) order
+        pairs = np.unique(np.sort(self._conflict_pairs(), axis=1), axis=0)
+        m = len(pairs)
         A_in = sparse.csr_matrix(
-            (np.ones(int(entry.sum())), (new_row[row_of[entry]], col[entry])),
-            shape=(int(kept.sum()), n),
+            (np.ones(2 * m), (np.repeat(np.arange(m), 2), pairs.ravel())), shape=(m, n)
         )
-        b_in = np.ones(int(kept.sum()))
+        b_in = np.ones(m)
         return BinaryILP(c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
     def extract_paths(self, z):

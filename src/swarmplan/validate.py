@@ -91,8 +91,6 @@ def mapf_oracle(scenario):
 
     def transition_ok(old, new):
         for (a1, b1), (a2, b2) in itertools.combinations(zip(old, new), 2):
-            if b1 == b2:
-                return False
             if a1 == b2 and a2 == b1 and a1 != a2:
                 return False
             if (

@@ -55,7 +55,7 @@ def test_32_robot_cell_paths_are_pinned(wall_32):
     # every later stage of the 32-robot wall
     plan, _ = wall_32
     digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
-    assert digest == "6123ce31b8d2b9e03c4682f21ce5b2c23a72bb4ad2325cf370b931b2baa82f90"
+    assert digest == "5a1c7da8fea25e3f4e34192b99c9206fc39db41121d8db27b09eec9022581aee"
 
 
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
