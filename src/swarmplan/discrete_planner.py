@@ -7,9 +7,8 @@ a time-expanded graph with K+1 layers:
 
  * every free cell v and layer k get a vertex pair u(v,k) -> w(v,k), and
    the unit edges between layers bound cell occupancy at one robot,
- * a move along an environment edge {v1, v2} during step k is routed
-   through a five-edge gadget whose single internal arc has capacity one,
-   so the edge carries at most one robot per step and never a swap,
+ * a move along an environment edge {v1, v2} during step k is one of two
+   directed arcs, u(v1,k) -> w(v2,k) or u(v2,k) -> w(v1,k),
  * the hold arc w(v,k) -> u(v,k+1) holds the robot that occupies v at
    index k+1.
 
@@ -18,15 +17,17 @@ vertex ids are arithmetic in (v, k), and every arc is one entry of
 integer columns (tail, head, kind, cell, edge, layer).  Hop distances from
 the starts and the goals come from scipy's csgraph once per scenario.
 
-Downwash restrictions that unit capacities cannot express become conflict
-rows of a binary program, one row a + b <= 1 per conflicting pair of
-arcs: cells in the same vertical column closer than the ellipsoid height
-must not hold robots at the same time (a pair of hold arcs), and the same
-horizontal grid edge must not be crossed in opposite directions at nearby
-heights in the same step (a pair of gadget exit arcs, which identify the
-traversal direction).  Maximizing routed flow subject to conservation and
-those rows gives the minimum number of steps; a conflict-free max flow
-provides the lower bound that seeds the search over K.
+Rules that unit capacities cannot express become conflict rows of a
+binary program, one row a + b <= 1 per conflicting pair of arcs: the two
+moves along one edge in one step would swap two robots; cells in the same
+vertical column closer than the ellipsoid height must not hold robots at
+the same time (a pair of hold arcs); and the same horizontal grid edge
+must not be crossed in opposite directions at nearby heights in the same
+step (a pair of move arcs).  Maximizing routed flow subject to
+conservation and those rows gives the minimum number of steps.  A max
+flow without the rows provides the lower bound that seeds the search over
+K; it may swap two robots, which two waits would replace at the same
+value.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ from scipy.sparse import csgraph
 from . import opt_engine
 from .opt_engine import BinaryILP, FlowNetwork, ILPInfeasibleError
 
-# flow network terminals; every other vertex id is a u, w or gadget vertex
+# flow network terminals; every other vertex id is a u or w vertex
 SOURCE = 0
 SINK = 1
 
 # arc kinds, in the order a robot passes them: source -> u(v,0), then per
-# step either intra u -> w (a wait) or gadget entry u -> a, internal a -> b
-# and exit b -> w (a move), then hold w -> u of the next layer; finally
-# intra and w(goal,K) -> sink
-ARC_SOURCE, ARC_INTRA, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_HOLD, ARC_SINK = range(7)
+# step either intra u(v,k) -> w(v,k) (a wait) or move u(v1,k) -> w(v2,k),
+# then hold w -> u of the next layer; finally intra and w(goal,K) -> sink
+ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK = range(5)
 
 # the makespan search gives up beyond this many times the grid's Manhattan
 # diameter in steps
@@ -144,9 +144,10 @@ class TimeExpandedGraph:
     Layers are pruned by reachability: an arc exists only if its tail can
     be reached from some start in time and its head can still reach some
     goal, which leaves the routable flow unchanged.  Arcs are ordered by
-    source arcs, then layer by layer intra arcs (by cell), gadget arcs (by
-    edge; entries, internal arc, exits) and hold arcs (by cell), then the
-    last layer's intra arcs and the sink arcs.
+    source arcs, then layer by layer intra arcs (by cell), move arcs (by
+    edge; v1 -> v2, then v2 -> v1) and hold arcs (by cell), then the last
+    layer's intra arcs and the sink arcs.  An arc's cell is the cell it
+    ends in.
     """
 
     def __init__(self, scenario, env, K):
@@ -170,35 +171,29 @@ class TimeExpandedGraph:
         u_id = 2 + layer * num_cells + cell
         w_id = u_id + (K + 1) * num_cells
 
-        # an edge's gadget has five slots: entry at v1, entry at v2, the
-        # internal arc, exit at v1, exit at v2; it exists when some endpoint
-        # can enter and some endpoint can leave
+        # an edge {v1, v2} has two move slots per step, u(v1,k) -> w(v2,k)
+        # and u(v2,k) -> w(v1,k)
         v1, v2 = env.edges.T
-        enter = np.stack([u_ok[:K, v1], u_ok[:K, v2]], axis=-1)
-        leave = np.stack([w_ok[:K, v1], w_ok[:K, v2]], axis=-1)
-        used = enter.any(axis=-1) & leave.any(axis=-1)
-        a = 2 + 2 * (K + 1) * num_cells + 2 * (np.cumsum(used).reshape(K, num_edges) - 1)
-        b = a + 1
-        gadget_ok = np.concatenate([enter, used[..., None], leave], axis=-1) & used[..., None]
+        move_ok = np.stack([u_ok[:K, v1] & w_ok[:K, v2], u_ok[:K, v2] & w_ok[:K, v1]], axis=-1)
 
         # one slot per possible arc, in arc order
         starts = np.array([env.index[s] for s in scenario.starts], dtype=np.intp)
         exists = (
             u_ok[0, starts],
             np.concatenate(
-                [(u_ok & w_ok)[:K], gadget_ok.reshape(K, 5 * num_edges), w_ok[:K]], axis=1
+                [(u_ok & w_ok)[:K], move_ok.reshape(K, 2 * num_edges), w_ok[:K]], axis=1
             ),
             u_ok[K] & w_ok[K],
             w_ok[K, goal_cells],
         )
 
-        def column(source, intra, gadget, hold, sink):
+        def column(source, intra, move, hold, sink):
             """One attribute of every arc, given its value in every slot of
             each block; one column at a time keeps the peak memory small."""
             intra = np.broadcast_to(intra, (K + 1, num_cells))
-            gadget = np.broadcast_to(gadget, (K, num_edges, 5)).reshape(K, 5 * num_edges)
+            move = np.broadcast_to(move, (K, num_edges, 2)).reshape(K, 2 * num_edges)
             steps = np.concatenate(
-                [intra[:K], gadget, np.broadcast_to(hold, (K, num_cells))], axis=1
+                [intra[:K], move, np.broadcast_to(hold, (K, num_cells))], axis=1
             )
             values = (
                 np.broadcast_to(source, starts.shape),
@@ -212,24 +207,25 @@ class TimeExpandedGraph:
             return np.stack(np.broadcast_arrays(*values), axis=-1)
 
         self.tails = column(
-            SOURCE, u_id, slots(u_id[:K, v1], u_id[:K, v2], a, b, b), w_id[:K], w_id[K, goal_cells]
+            SOURCE, u_id, slots(u_id[:K, v1], u_id[:K, v2]), w_id[:K], w_id[K, goal_cells]
         )
         self.heads = column(
-            u_id[0, starts], w_id, slots(a, a, b, w_id[:K, v1], w_id[:K, v2]), u_id[1:], SINK
+            u_id[0, starts], w_id, slots(w_id[:K, v2], w_id[:K, v1]), u_id[1:], SINK
         )
-        self.kinds = column(
-            ARC_SOURCE,
-            ARC_INTRA,
-            [ARC_ENTRY, ARC_ENTRY, ARC_INTERNAL, ARC_EXIT, ARC_EXIT],
-            ARC_HOLD,
-            ARC_SINK,
-        )
-        self.cell = column(starts, cell, slots(v1, v2, -1, v1, v2), cell, goal_cells)
+        self.kinds = column(ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK)
+        self.cell = column(starts, cell, slots(v2, v1), cell, goal_cells)
         self.edge = column(-1, -1, np.arange(num_edges)[:, None], -1, -1)
         self.layer = column(0, layer, layer[:K, :, None], layer[:K], K)
-        self.num_vertices = 2 + 2 * (K + 1) * num_cells + 2 * int(used.sum())
+        self.num_vertices = 2 + 2 * (K + 1) * num_cells
 
     def flow_network(self):
+        """The arcs as a unit-capacity network for the max-flow bound.
+
+        A network has no side rows, so it admits swaps, but its max flow is
+        the same with or without them: a swap's two moves exist only where
+        both intra arcs u(v1,k) -> w(v1,k) and u(v2,k) -> w(v2,k) do, and
+        two waits fill the same w vertices and hold arcs.
+        """
         return FlowNetwork(
             num_vertices=self.num_vertices,
             edges=np.stack([self.tails, self.heads], axis=1),
@@ -241,14 +237,14 @@ class TimeExpandedGraph:
         """Downwash conflicts as arc index pairs, each unordered pair once;
         the binary program holds one row per pair.
 
-        Column rule: two robots may share an xy column only with vertical
-        clearance of a full ellipsoid height.  Crossing rule: one grid edge
-        crossed in both directions during the same step collides at the
-        midpoint unless the two heights clear the same margin.  Touching
-        exactly at the margin is allowed, hence the strict threshold.
-        Vertical moves need no crossing rule: their endpoints fall under
-        the column rule, and a pair at equal heights shares one gadget,
-        whose internal arc already makes it exclusive.
+        Swap rule: the two moves along one edge in one step exclude each
+        other, on every axis.  Column rule: two robots may share an xy
+        column only with vertical clearance of a full ellipsoid height.
+        Crossing rule: one horizontal grid edge crossed in both directions
+        during the same step collides at the midpoint unless the two
+        heights clear the same margin.  Touching exactly at the margin is
+        allowed, hence the strict threshold.  Vertical moves need no
+        crossing rule: their endpoints fall under the column rule.
         """
         env = self.env
         cs = self.scenario.grid.cell_size
@@ -258,12 +254,11 @@ class TimeExpandedGraph:
         hold_at = np.full((self.K, len(env.cells)), -1, dtype=np.intp)
         hold_at[self.layer[holds], self.cell[holds]] = holds
 
-        exits = np.flatnonzero(self.kinds == ARC_EXIT)
-        exits = exits[env.edge_axis[self.edge[exits]] != 2]
-        # side 1: the exit at the edge's upper cell, a move in +axis
-        side = (self.cell[exits] == env.edges[self.edge[exits], 1]).astype(np.intp)
-        exit_at = np.full((self.K, len(env.edges), 2), -1, dtype=np.intp)
-        exit_at[self.layer[exits], self.edge[exits], side] = exits
+        moves = np.flatnonzero(self.kinds == ARC_MOVE)
+        # side 1: the move into the edge's upper cell, in +axis
+        side = (self.cell[moves] == env.edges[self.edge[moves], 1]).astype(np.intp)
+        move_at = np.full((self.K, len(env.edges), 2), -1, dtype=np.intp)
+        move_at[self.layer[moves], self.edge[moves], side] = moves
 
         def partners(table, arcs, target, *rest):
             """(arc, table[layer of arc, target, *rest]) where both exist."""
@@ -272,18 +267,22 @@ class TimeExpandedGraph:
             found[ok] = table[(self.layer[arcs[ok]], target[ok], *(r[ok] for r in rest))]
             return np.stack([arcs, found], axis=1)[found >= 0]
 
-        pairs = [np.empty((0, 2), dtype=np.intp)]
+        # a swap pairs each move in -axis with its twin in +axis
+        back = side == 0
+        pairs = [partners(move_at, moves[back], self.edge[moves[back]], 1 - side[back])]
+        flat = env.edge_axis[self.edge[moves]] != 2
+        moves, side = moves[flat], side[flat]
         dz = 1
         while dz * cs < threshold:
             pairs.append(partners(hold_at, holds, env.above(self.cell[holds], dz)))
-            edges = env.edges_above(self.edge[exits], dz)
-            pairs.append(partners(exit_at, exits, edges, 1 - side))
+            edges = env.edges_above(self.edge[moves], dz)
+            pairs.append(partners(move_at, moves, edges, 1 - side))
             dz += 1
         return np.concatenate(pairs)
 
     def binary_program(self):
-        """Maximize routed flow: one conservation row per u, w and gadget
-        vertex, and one conflict row a + b <= 1 per conflicting pair."""
+        """Maximize routed flow: one conservation row per u and w vertex,
+        and one conflict row a + b <= 1 per conflicting pair."""
         n = len(self.tails)
         c = (self.kinds == ARC_SOURCE).astype(float)
 
@@ -300,8 +299,10 @@ class TimeExpandedGraph:
         A_eq = sparse.csr_matrix((vals, (rank[inverse], cols)), shape=(len(first), n))
         b_eq = np.zeros(len(first))
 
-        # conflict rows in sorted (min, max) order
-        pairs = np.unique(np.sort(self._conflict_pairs(), axis=1), axis=0)
+        # conflict rows in sorted (min, max) order; one integer key per pair
+        # sorts faster than np.unique over rows
+        low, high = np.sort(self._conflict_pairs(), axis=1).T
+        pairs = np.stack(np.divmod(np.unique(low * n + high), n), axis=1)
         m = len(pairs)
         A_in = sparse.csr_matrix(
             (np.ones(2 * m), (np.repeat(np.arange(m), 2), pairs.ravel())), shape=(m, n)
@@ -313,8 +314,8 @@ class TimeExpandedGraph:
         """Decompose an integral unit flow into one cell path per robot.
 
         Every u and w vertex passes at most one unit, so following the
-        flow from each source arc is unambiguous.  A gadget entered and
-        left at the same cell counts as a wait.
+        flow from each source arc is unambiguous: one intra or move arc
+        per step, then the hold into the next layer.
         """
         active = np.flatnonzero(np.asarray(z) > 0.5)
         out_degree = np.bincount(self.tails[active], minlength=self.num_vertices)
@@ -336,9 +337,6 @@ class TimeExpandedGraph:
         vertex = self.heads[arc]
         for _ in range(self.K):
             arc = step(vertex)
-            move = self.kinds[arc] == ARC_ENTRY
-            internal = step(self.heads[arc[move]])
-            arc[move] = step(self.heads[internal])
             path.append(self.cell[arc])
             vertex = self.heads[step(self.heads[arc])]
         final = step(vertex)

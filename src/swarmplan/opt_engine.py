@@ -981,16 +981,13 @@ def max_flow(network):
 # an LP bound within this of the target still admits it
 _ILP_GAP_TOL = 1e-6
 # columns up to which a program starts from its root LP, solved to the end.
-# Over the tier-1 suite every root LP has at most 7,253 columns and ends
-# within 1,299 dual simplex iterations; the bundled scenarios' are integral
-# after 19 (handover_3), 409 (wall_windows_8) and 729 (pillars_6), so their
-# plans stay the LP vertex.  Larger programs mostly need thousands of
-# iterations and end fractional, so branch and cut solves them anyway: the
-# 16- and 32-robot walls' (24,629 and 83,277 columns) need 9,795 and 77,599.
-# The column count is only a proxy for that: pillars_6 at K = 12 and 13
-# (9,890 and 12,534 columns) ends within 1,523 at an integral vertex, and
-# branch and cut returns another plan of the same makespan there.  No
-# bundled scenario searches those horizons.
+# Over the tier-1 suite 560 root LPs run, with at most 2,773 columns, and
+# each ends within 562 dual simplex iterations; the bundled scenarios' are
+# integral after 6 (handover_3), 151 (wall_windows_8) and 423 (pillars_6),
+# so their plans stay the LP vertex.  Larger programs mostly need thousands
+# of iterations and end fractional, so branch and cut solves them anyway:
+# the 16- and 32-robot walls' (10,101 and 37,863 columns) need 3,819 and
+# 32,667.
 _ROOT_LP_MAX_COLUMNS = 8192
 # branch-and-cut nodes allowed per program (one candidate makespan)
 _ILP_NODE_LIMIT = 20000

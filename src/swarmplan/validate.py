@@ -91,7 +91,7 @@ def mapf_oracle(scenario):
 
     def transition_ok(old, new):
         for (a1, b1), (a2, b2) in itertools.combinations(zip(old, new), 2):
-            if a1 == b2 and a2 == b1 and a1 != a2:
+            if a1 == b2 and a2 == b1:
                 return False
             if (
                 a1[:2] != b1[:2]

@@ -27,7 +27,7 @@ from swarmplan.discrete_planner import (
     lower_bound_makespan,
     solve_discrete,
 )
-from swarmplan.opt_engine import BinaryILP, ILPInfeasibleError, max_flow, solve_ilp
+from swarmplan.opt_engine import BinaryILP, FlowNetwork, ILPInfeasibleError, max_flow, solve_ilp
 from swarmplan.scenario import GridSpec, ScenarioSpec
 from swarmplan.validate import mapf_oracle
 
@@ -295,10 +295,12 @@ class TestSolveDiscrete:
             pass
 
     def test_fractional_root_goes_to_branch_and_cut(self):
-        # two robots on two layers: the root LP of the K = 3 program, far
-        # below the column cap, ends at a fractional vertex, which is
-        # discarded, so the plan comes from HiGHS' branch and cut
-        sc = scenario((3, 3, 2), [(1, 0, 0), (2, 2, 1)], [(0, 1, 1), (2, 2, 0)])
+        # three robots on two layers: the root LP of the K = 2 program (31
+        # columns, far below the column cap) ends at a fractional vertex,
+        # which is discarded, so the plan comes from HiGHS' branch and cut
+        sc = scenario(
+            (3, 3, 2), [(2, 0, 0), (1, 0, 0), (0, 2, 1)], [(1, 0, 1), (2, 0, 1), (2, 2, 1)]
+        )
         env = EnvironmentGraph(sc)
         K = lower_bound_makespan(sc, env)
         ilp = TimeExpandedGraph(sc, env, K).binary_program()
@@ -331,9 +333,10 @@ class TestSolveDiscrete:
     @pytest.mark.parametrize(
         "name, makespan, digest",
         [
-            ("handover_3", 3, "57667894ffd3a865da3c3e70795885bb81534f27140b5d0f7a37f29fa5ff15c2"),
-            ("pillars_6", 10, "2715aedab113458d4b1219dc3961ea927ada975cb19a4fff67eae76d712588e1"),
+            ("handover_3", 3, "5e8406f893e51c09c30dbc2678864319127f53f4ad886eb07e11e5b03f274466"),
+            ("pillars_6", 10, "b2f8a3e8e8fd793efe2c5203957faccc0b29066cec5f52293988c92ad6fa3f43"),
         ],
+        ids=["handover_3", "pillars_6"],
     )
     def test_bundled_cell_paths_are_pinned(self, name, makespan, digest):
         # like the wall's: each plan is its root LP's integral vertex
@@ -348,13 +351,13 @@ class TestSolveDiscrete:
         plan = solve_discrete(two_layer_wall())
         assert plan.num_segments == 14
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
-        assert digest == "c6edb08ae047686b42206e9558dda9c3ee91337442445d36438e0df075531389"
+        assert digest == "c5e8006a65ca53134045cc525a3c5a6792d5cb29f94727f22e66294a34033707"
 
     @pytest.mark.parametrize("name, lp_calls", [("wall_windows_8", 1), ("two_layer_wall", 0)])
     def test_root_lp_runs_below_the_column_cap_only(self, monkeypatch, name, lp_calls):
         # each solves one program, at its flow bound: wall_windows_8's
-        # (K = 11, 3,550 columns) is its root LP's vertex, the two-layer
-        # wall's (K = 14, 24,629 columns) goes to branch and cut without one
+        # (K = 11, 1,258 columns) is its root LP's vertex, the two-layer
+        # wall's (K = 14, 10,101 columns) goes to branch and cut without one
         if name == "two_layer_wall":
             sc = two_layer_wall()
         else:
@@ -374,7 +377,7 @@ class TestSolveDiscrete:
         # each bundled plan is its root LP's integral vertex; a column cap
         # low enough to skip one of these LPs would hand the plan to branch
         # and cut and change every later stage of that scenario.  The
-        # largest, pillars_6's, has 5,646 columns
+        # largest, pillars_6's, has 2,612 columns
         sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         env = EnvironmentGraph(sc)
         K = solve_discrete(sc).num_segments
@@ -513,11 +516,9 @@ class LoopTimeExpandedGraph:
                 return v in goal_ids and dist_s[v] <= K
             return dist_s[v] <= k + 1 and dist_g[v] <= K - k - 1
 
-        ids = {}
-
-        def vid(key):
-            return ids.setdefault(key, len(ids) + 2)
-
+        self.u_ok, self.w_ok = u_ok, w_ok
+        self.ids = {}
+        vid = self.vid
         self.tails, self.heads, self.kinds, self.infos = [], [], [], []
 
         def add(tail, head, kind, info):
@@ -537,16 +538,9 @@ class LoopTimeExpandedGraph:
             if k == K:
                 break
             for e, (v1, v2) in enumerate(self.edges):
-                entries = [v for v in (v1, v2) if u_ok(v, k)]
-                exits = [v for v in (v1, v2) if w_ok(v, k)]
-                if not entries or not exits:
-                    continue
-                a, b = vid(("a", e, k)), vid(("b", e, k))
-                for v in entries:
-                    add(vid(("u", v, k)), a, "g_in", (e, k, v))
-                add(a, b, "g_ab", (e, k))
-                for v in exits:
-                    add(b, vid(("w", v, k)), "g_out", (e, k, v))
+                for a, b in ((v1, v2), (v2, v1)):
+                    if u_ok(a, k) and w_ok(b, k):
+                        add(vid(("u", a, k)), vid(("w", b, k)), "move", (e, k, a, b))
             for v in range(len(self.cells)):
                 if w_ok(v, k):
                     add(vid(("w", v, k)), vid(("u", v, k + 1)), "green", (v, k))
@@ -555,22 +549,47 @@ class LoopTimeExpandedGraph:
             if w_ok(v, K):
                 add(vid(("w", v, K)), self.SINK, "sink", (v, goal_ids[v]))
 
+    def vid(self, key):
+        return self.ids.setdefault(key, len(self.ids) + 2)
+
+    def gadget_network(self):
+        """The arcs with each step's edge as the five-arc gadget of Yu &
+        LaValle in place of its moves: entries u -> a from every end that
+        can be entered, one a -> b, exits b -> w to every end that can be
+        left.  Its max flow is the reference value of flow_network()'s."""
+        arcs = [
+            (t, h) for t, h, kind in zip(self.tails, self.heads, self.kinds) if kind != "move"
+        ]
+        for k in range(self.K):
+            for e, (v1, v2) in enumerate(self.edges):
+                entries = [v for v in (v1, v2) if self.u_ok(v, k)]
+                exits = [v for v in (v1, v2) if self.w_ok(v, k)]
+                if not entries or not exits:
+                    continue
+                a, b = self.vid(("a", e, k)), self.vid(("b", e, k))
+                arcs += [(self.vid(("u", v, k)), a) for v in entries]
+                arcs.append((a, b))
+                arcs += [(b, self.vid(("w", v, k))) for v in exits]
+        return FlowNetwork(
+            num_vertices=len(self.ids) + 2, edges=arcs, source=self.SOURCE, sink=self.SINK
+        )
+
     def conflicts(self):
         cs = self.scenario.grid.cell_size
         threshold = 2.0 * self.scenario.radii[2] - 1e-9
         con = defaultdict(set)
         by_column = defaultdict(list)
+        by_edge = defaultdict(list)
         by_line = defaultdict(list)
         for idx, kind in enumerate(self.kinds):
             if kind == "green":
                 v, k = self.infos[idx]
                 x, y, z = self.cells[v]
                 by_column[(k, x, y)].append((z, idx))
-            elif kind == "g_out":
-                e, k, v_exit = self.infos[idx]
-                v1, v2 = self.edges[e]
-                cf = self.cells[v2 if v_exit == v1 else v1]
-                ct = self.cells[v_exit]
+            elif kind == "move":
+                e, k, v_from, v_to = self.infos[idx]
+                by_edge[(e, k)].append(idx)
+                cf, ct = self.cells[v_from], self.cells[v_to]
                 if cf[2] == ct[2]:
                     key = (k,) + tuple(sorted((cf[:2], ct[:2])))
                     by_line[key].append((cf[:2], cf[2], idx))
@@ -579,6 +598,11 @@ class LoopTimeExpandedGraph:
                 if abs(za - zb) * cs < threshold:
                     con[ea].add(eb)
                     con[eb].add(ea)
+        # both directions of one edge in one step: a swap
+        for items in by_edge.values():
+            for ea, eb in itertools.combinations(items, 2):
+                con[ea].add(eb)
+                con[eb].add(ea)
         for items in by_line.values():
             for (fa, za, ea), (fb, zb, eb) in itertools.combinations(items, 2):
                 if fa != fb and za != zb and abs(za - zb) * cs < threshold:
@@ -624,9 +648,8 @@ class LoopTimeExpandedGraph:
             vertex = self.heads[idx]
             for _ in range(self.K):
                 arc = step(vertex)
-                if self.kinds[arc] == "g_in":
-                    arc = step(self.heads[step(self.heads[arc])])
-                    path.append(self.infos[arc][2])
+                if self.kinds[arc] == "move":
+                    path.append(self.infos[arc][3])
                 else:
                     path.append(self.infos[arc][0])
                 vertex = self.heads[step(self.heads[arc])]
@@ -675,9 +698,11 @@ def test_array_graph_matches_loop_oracle(case):
         assert_same_csr(ilp.A_eq, ref.A_eq)
         assert_same_csr(ilp.A_in, ref.A_in)
 
-        # a conflict-free max flow routes only some robots below lb
+        # a conflict-free max flow routes only some robots below lb, and
+        # as many as the loop's five-arc gadgets, which forbid swaps
         value, flows = max_flow(graph.flow_network())
         assert (value >= sc.num_robots) == (K >= lb)
+        assert value == max_flow(loop.gadget_network())[0]
         flows_z = [flows]
         try:
             flows_z.append(solve_ilp(ilp, target=sc.num_robots).z)

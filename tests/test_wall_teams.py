@@ -38,7 +38,7 @@ def test_generator_reproduces_the_committed_files(make_walls, rows, robots):
 
 @pytest.fixture(scope="module")
 def wall_32():
-    # about 2 s on two cores: the K = 19 program (83,277 columns) is above
+    # about 1.3 s on two cores: the K = 19 program (37,863 columns) is above
     # the root LP's column cap, and branch and cut closes it at its root node
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
     return solve_discrete(sc), sc
@@ -55,7 +55,7 @@ def test_32_robot_cell_paths_are_pinned(wall_32):
     # every later stage of the 32-robot wall
     plan, _ = wall_32
     digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
-    assert digest == "5a1c7da8fea25e3f4e34192b99c9206fc39db41121d8db27b09eec9022581aee"
+    assert digest == "ef47bc1478085643a18a00be8c12b0001af428674094076eba75c46b70040605"
 
 
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
