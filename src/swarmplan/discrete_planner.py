@@ -24,10 +24,11 @@ vertical column closer than the ellipsoid height must not hold robots at
 the same time (a pair of hold arcs); and the same horizontal grid edge
 must not be crossed in opposite directions at nearby heights in the same
 step (a pair of move arcs).  Maximizing routed flow subject to
-conservation and those rows gives the minimum number of steps.  A max
-flow without the rows provides the lower bound that seeds the search over
-K; it may swap two robots, which two waits would replace at the same
-value.
+conservation and those rows gives the minimum number of steps.  The
+search over K starts at a lower bound: the first K, walking up from the
+hop bound, whose max flow without the rows routes every robot.  That flow
+may swap two robots, which two waits would replace at the same value,
+and only its value is read.
 """
 
 from __future__ import annotations
@@ -500,52 +501,37 @@ def check_discrete_rules(cell_paths, scenario):
     return problems
 
 
+def _step_cap(scenario):
+    """Largest makespan the search tries."""
+    return max(1, _STEP_CAP_PER_DIAMETER * scenario.grid.manhattan_diameter)
+
+
 def lower_bound_makespan(scenario, env=None):
     """Smallest K whose conflict-free time expansion routes all robots.
 
     Downwash rows only remove flow, so this bounds the true optimum from
-    below.  The search starts at the hop bound: no K below the farthest
+    below.  No K below the hop bound routes every robot: the farthest
     start's distance to its nearest goal, or the farthest goal's distance
-    to its nearest start, routes every robot.  From there the step above
-    it doubles until K routes, then K is bisected.
+    to its nearest start.  Robots can wait at their goals, so a K that
+    routes them all stays routable above it, and the walk up from the hop
+    bound returns the first such K.
     """
     env = env or EnvironmentGraph(scenario)
     _check_goal_reachability(scenario, env)
-    n = scenario.num_robots
-    cap = max(1, _STEP_CAP_PER_DIAMETER * scenario.grid.manhattan_diameter)
-
-    def routable(K):
-        graph = TimeExpandedGraph(scenario, env, K)
-        value, _ = opt_engine.max_flow(graph.flow_network())
-        return value >= n
-
+    cap = _step_cap(scenario)
+    # inf where some start reaches no goal
     hops = max(
         env.goal_dist[[env.index[s] for s in scenario.starts]].max(),
         env.start_dist[[env.index[g] for g in scenario.goals]].max(),
     )
-    too_far = DiscreteInfeasibleError(
+    for K in range(int(min(hops, cap + 1)), cap + 1):
+        network = TimeExpandedGraph(scenario, env, K).flow_network()
+        if opt_engine.max_flow(network) >= scenario.num_robots:
+            return K
+    raise DiscreteInfeasibleError(
         f"not all robots can reach goals within {cap} steps; the grid may be "
         f"too congested"
     )
-    if hops > cap:
-        raise too_far
-    hops = int(hops)
-    low = hops - 1  # known infeasible
-    high = hops
-    step = 1
-    while not routable(high):
-        if high >= cap:
-            raise too_far
-        low = high
-        high = min(hops + step, cap)
-        step *= 2
-    while high - low > 1:
-        mid = (low + high) // 2
-        if routable(mid):
-            high = mid
-        else:
-            low = mid
-    return high
 
 
 def solve_discrete(scenario):
@@ -556,7 +542,7 @@ def solve_discrete(scenario):
     """
     env = EnvironmentGraph(scenario)
     lb = lower_bound_makespan(scenario, env)
-    cap = max(lb, _STEP_CAP_PER_DIAMETER * scenario.grid.manhattan_diameter)
+    cap = _step_cap(scenario)
     n = scenario.num_robots
 
     for K in range(lb, cap + 1):

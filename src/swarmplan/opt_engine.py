@@ -33,7 +33,8 @@ classified by HiGHS LPs: a feasibility LP for infeasibility and a
 recession LP for unboundedness.  solve_qp_batch runs a batch of small
 programs one solve_qp at a time; no planner stage calls it.
 
-Max flow is scipy's csgraph routine on unit-capacity networks.  A binary
+Max flow is scipy's csgraph routine on unit-capacity networks, and only
+its value is returned.  A binary
 ILP with at most _ROOT_LP_MAX_COLUMNS columns starts from its root LP
 relaxation, solved to the end by HiGHS' dual simplex: the small
 time-expanded flow programs have an integral vertex there, which is
@@ -953,29 +954,14 @@ def solve_qp_batch(H, g, A, b, eps_abs=1e-6, eps_rel=1e-6):
 
 
 def max_flow(network):
-    """Maximum flow of a unit-capacity network by scipy's csgraph routine.
-
-    Parallel unit edges sum into one capacity.  Returns (value, flows)
-    where flows[i] is the 0/1 flow on edges[i].
-    """
-    if not len(network.edges):
-        return 0, []
+    """Maximum flow value of a unit-capacity network by scipy's csgraph
+    routine.  Parallel unit edges sum into one capacity."""
     tails, heads = network.edges.T
     nv = network.num_vertices
     cap = sp.csr_array(
         (np.ones(tails.size, dtype=np.int32), (tails, heads)), shape=(nv, nv)
     )
-    res = maximum_flow(cap, network.source, network.sink)
-    # the net flow from tail to head goes to the first edges of that pair,
-    # in edge order: rank counts the earlier edges with the same endpoints.
-    # A negative net flow leaves the edge empty; its antiparallel twin
-    # carries it, which keeps every vertex balanced.
-    net = np.asarray(res.flow[tails, heads]).ravel()
-    key = tails * nv + heads
-    order = np.argsort(key, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(key.size) - np.searchsorted(key[order], key[order])
-    return int(res.flow_value), (rank < net).astype(int).tolist()
+    return int(maximum_flow(cap, network.source, network.sink).flow_value)
 
 
 # an LP bound within this of the target still admits it

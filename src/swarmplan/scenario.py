@@ -112,51 +112,36 @@ class ObstacleBox:
         return np.array(list(corners))
 
 
+def _merge_along(boxes, axis):
+    """One greedy pass over boxes one cell thick along axis: in order, each
+    box not yet absorbed extends over the equal boxes that follow it."""
+
+    def at(corner, value):
+        return corner[:axis] + (value,) + corner[axis + 1 :]
+
+    free = set(boxes)
+    merged = []
+    for lo, hi in boxes:
+        if (lo, hi) not in free:
+            continue
+        top = hi[axis]
+        while (at(lo, top + 1), at(hi, top + 1)) in free:
+            top += 1
+            free.discard((at(lo, top), at(hi, top)))
+        merged.append((lo, at(hi, top)))
+    return merged
+
+
 def merge_obstacle_cells(cells):
     """Greedily merge unit obstacle cells into axis-aligned boxes.
 
     Runs along +x first, then fuses equal runs along +y, then equal
     rectangles along +z.  The result covers exactly the input cells.
     """
-    remaining = sorted(set(map(tuple, cells)))
-    cell_set = set(remaining)
-    runs = []
-    used = set()
-    for c in remaining:
-        if c in used:
-            continue
-        x, y, z = c
-        x_hi = x
-        while (x_hi + 1, y, z) in cell_set and (x_hi + 1, y, z) not in used:
-            x_hi += 1
-        for xi in range(x, x_hi + 1):
-            used.add((xi, y, z))
-        runs.append((x, x_hi, y, z))
-
-    rects = []
-    run_index = {(x0, x1, y, z): False for (x0, x1, y, z) in runs}
-    for x0, x1, y, z in runs:
-        if run_index[(x0, x1, y, z)]:
-            continue
-        y_hi = y
-        while (x0, x1, y_hi + 1, z) in run_index and not run_index[(x0, x1, y_hi + 1, z)]:
-            y_hi += 1
-        for yi in range(y, y_hi + 1):
-            run_index[(x0, x1, yi, z)] = True
-        rects.append((x0, x1, y, y_hi, z))
-
-    boxes = []
-    rect_index = {r: False for r in rects}
-    for x0, x1, y0, y1, z in rects:
-        if rect_index[(x0, x1, y0, y1, z)]:
-            continue
-        z_hi = z
-        while (x0, x1, y0, y1, z_hi + 1) in rect_index and not rect_index[(x0, x1, y0, y1, z_hi + 1)]:
-            z_hi += 1
-        for zi in range(z, z_hi + 1):
-            rect_index[(x0, x1, y0, y1, zi)] = True
-        boxes.append(ObstacleBox((x0, y0, z), (x1, y1, z_hi)))
-    return boxes
+    boxes = [(c, c) for c in sorted(set(map(tuple, cells)))]
+    for axis in range(3):
+        boxes = _merge_along(boxes, axis)
+    return [ObstacleBox(lo, hi) for lo, hi in boxes]
 
 
 _SCENARIO_KEYS = {

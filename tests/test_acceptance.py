@@ -378,7 +378,7 @@ def test_09_solvers_match_reference_oracles():
             if t != h:
                 edges.append((int(t), int(h)))
         net = FlowNetwork(nv, edges, 0, nv - 1)
-        assert max_flow(net)[0] == flow_reference(net)
+        assert max_flow(net) == flow_reference(net)
 
 
 def test_10_bernstein_partition_hull_and_derivative_properties():

@@ -659,19 +659,15 @@ class TestCappedRootLP:
 class TestMaxFlow:
     def test_diamond(self):
         net = FlowNetwork(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
-        value, flows = max_flow(net)
-        assert value == 2
-        assert all(f in (0, 1) for f in flows)
+        assert max_flow(net) == 2
 
     def test_bottleneck(self):
         net = FlowNetwork(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)], 0, 3)
-        value, _ = max_flow(net)
-        assert value == 1
+        assert max_flow(net) == 1
 
     def test_disconnected_is_zero(self):
         net = FlowNetwork(4, [(0, 1), (2, 3)], 0, 3)
-        value, _ = max_flow(net)
-        assert value == 0
+        assert max_flow(net) == 0
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(29)
@@ -686,16 +682,7 @@ class TestMaxFlow:
             if not edges:
                 continue
             net = FlowNetwork(nv, edges, 0, nv - 1)
-            value, flows = max_flow(net)
-            assert value == flow_reference(net)
-            # returned flows must themselves be a valid flow of that value
-            balance = [0] * nv
-            for f, (t, h) in zip(flows, edges):
-                assert f in (0, 1)
-                balance[t] += f
-                balance[h] -= f
-            assert balance[0] == value
-            assert all(balance[v] == 0 for v in range(1, nv - 1))
+            assert max_flow(net) == flow_reference(net)
 
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError, match="self loops"):
@@ -713,6 +700,6 @@ class TestMaxFlow:
     def test_edges_are_an_integer_array(self):
         net = FlowNetwork(3, [], 0, 2)
         assert net.edges.shape == (0, 2)
-        assert max_flow(net) == (0, [])
+        assert max_flow(net) == 0
         net = FlowNetwork(3, [(0, 1), (1, 2)], 0, 2)
         assert net.edges.dtype.kind == "i" and net.edges.shape == (2, 2)

@@ -11,7 +11,14 @@ import pytest
 
 from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
 from swarmplan.corridor import build_corridors
-from swarmplan.discrete_planner import check_discrete_rules, solve_discrete
+from swarmplan.discrete_planner import (
+    EnvironmentGraph,
+    TimeExpandedGraph,
+    check_discrete_rules,
+    lower_bound_makespan,
+    solve_discrete,
+)
+from swarmplan.opt_engine import max_flow
 from swarmplan.scenario import ScenarioSpec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -48,6 +55,20 @@ def test_32_robot_discrete_stage_is_makespan_19(wall_32):
     plan, sc = wall_32
     assert plan.num_segments == 19
     assert check_discrete_rules(plan.cell_paths, sc) == []
+
+
+def test_32_robot_bound_walks_six_horizons_above_the_hop_bound():
+    # the robots' nearest goals are 13 hops away, but the wall's windows
+    # let all 32 through only by step 19
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
+    env = EnvironmentGraph(sc)
+    hops = max(
+        env.goal_dist[[env.index[s] for s in sc.starts]].max(),
+        env.start_dist[[env.index[g] for g in sc.goals]].max(),
+    )
+    assert hops == 13
+    assert lower_bound_makespan(sc, env) == 19
+    assert max_flow(TimeExpandedGraph(sc, env, 18).flow_network()) < 32
 
 
 def test_32_robot_cell_paths_are_pinned(wall_32):
