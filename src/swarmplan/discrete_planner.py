@@ -213,11 +213,24 @@ class TimeExpandedGraph:
         self.heads = column(
             u_id[0, starts], w_id, slots(w_id[:K, v2], w_id[:K, v1]), u_id[1:], SINK
         )
-        self.kinds = column(ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK)
-        self.cell = column(starts, cell, slots(v2, v1), cell, goal_cells)
-        self.edge = column(-1, -1, np.arange(num_edges)[:, None], -1, -1)
-        self.layer = column(0, layer, layer[:K, :, None], layer[:K], K)
         self.num_vertices = 2 + 2 * (K + 1) * num_cells
+        # the flow bound reads only tails and heads; the other columns are
+        # built on first read
+        self._columns = {
+            "kinds": lambda: column(ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK),
+            "cell": lambda: column(starts, cell, slots(v2, v1), cell, goal_cells),
+            "edge": lambda: column(-1, -1, np.arange(num_edges)[:, None], -1, -1),
+            "layer": lambda: column(0, layer, layer[:K, :, None], layer[:K], K),
+        }
+
+    def __getattr__(self, name):
+        """Build kinds, cell, edge or layer on first read and keep it."""
+        build = self.__dict__.get("_columns", {}).pop(name, None)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build()
+        setattr(self, name, value)
+        return value
 
     def flow_network(self):
         """The arcs as a unit-capacity network for the max-flow bound.

@@ -988,8 +988,12 @@ def solve_ilp(ilp, target=None):
     bound below target is infeasible without branching.  Otherwise, and
     for every larger program, HiGHS' branch and cut (scipy.optimize.milp)
     solves the program, with the row c'z >= target when a target is
-    given.  Presolve stays off: on the time-expanded flow programs it
-    costs more time and memory than the search it saves.
+    given.  A target equal to the largest objective any binary point
+    reaches, the sum of the positive weights, forces the columns: branch
+    and cut starts with every positive-weight column fixed at 1 and every
+    negative-weight column at 0 (in the flow programs, every robot's
+    source arc routes it).  Presolve stays off: on the time-expanded flow
+    programs it costs more time and memory than the search it saves.
 
     Returns an ILPResult whose nodes counts the search nodes, root
     included.  Raises ILPInfeasibleError when no binary assignment (with
@@ -1030,15 +1034,20 @@ def solve_ilp(ilp, target=None):
         constraints.append(LinearConstraint(ilp.A_eq, ilp.b_eq, ilp.b_eq))
     if ilp.A_in.shape[0]:
         constraints.append(LinearConstraint(ilp.A_in, -np.inf, ilp.b_in))
+    bounds = Bounds(0.0, 1.0)
     if target is not None:
         constraints.append(
             LinearConstraint(ilp.c[None, :], target - _ILP_GAP_TOL, np.inf)
         )
+        # only points that take every positive weight and no negative one
+        # reach the sum of the positive weights
+        if target >= ilp.c[ilp.c > 0].sum() - _ILP_GAP_TOL:
+            bounds = Bounds(ilp.c > 0, ilp.c >= 0)
     # with the relative gap off, HiGHS stops at its absolute gap of 1e-6
     res = milp(
         -ilp.c,
         integrality=np.ones(n),
-        bounds=Bounds(0.0, 1.0),
+        bounds=bounds,
         constraints=constraints,
         options={"presolve": False, "node_limit": _ILP_NODE_LIMIT, "mip_rel_gap": 0.0},
     )

@@ -14,7 +14,7 @@ from collections import defaultdict, deque
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 from test_acceptance import random_team_scenario
 
 from swarmplan import discrete_planner, opt_engine
@@ -358,7 +358,26 @@ class TestSolveDiscrete:
         plan = solve_discrete(two_layer_wall())
         assert plan.num_segments == 14
         digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
-        assert digest == "c5e8006a65ca53134045cc525a3c5a6792d5cb29f94727f22e66294a34033707"
+        assert digest == "bb5692e35bd7de68b4546261648a7d7948ba1c2306f8dc07f57d5a898e89efd4"
+
+    def test_two_layer_wall_branch_and_cut_starts_with_every_robot_routed(self, monkeypatch):
+        # target = 16 is the program's largest objective, so its 16 source
+        # arcs, and no other column, are fixed at 1
+        sc = two_layer_wall()
+        bounds = []
+
+        def recorded(*args, **kwargs):
+            bounds.append(kwargs["bounds"])
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(opt_engine, "milp", recorded)
+        K = solve_discrete(sc).num_segments
+        graph = TimeExpandedGraph(sc, EnvironmentGraph(sc), K)
+        sources = np.flatnonzero(graph.kinds == discrete_planner.ARC_SOURCE)
+        assert len(sources) == sc.num_robots == 16
+        assert len(bounds) == 1
+        assert np.array_equal(np.flatnonzero(bounds[0].lb == 1), sources)
+        assert (bounds[0].ub == 1).all()
 
     @pytest.mark.parametrize("name, lp_calls", [("wall_windows_8", 1), ("two_layer_wall", 0)])
     def test_root_lp_runs_below_the_column_cap_only(self, monkeypatch, name, lp_calls):

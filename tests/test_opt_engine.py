@@ -655,6 +655,45 @@ class TestCappedRootLP:
             assert_matches_reference(ilp)
         assert self.lp_calls == 0
 
+    @pytest.mark.parametrize(
+        "target, lower, upper",
+        [(5, [1, 0, 0, 1], [1, 0, 1, 1]), (4, [0, 0, 0, 0], [1, 1, 1, 1])],
+        ids=["largest_objective", "below_it"],
+    )
+    def test_largest_objective_fixes_the_weighted_columns(
+        self, monkeypatch, target, lower, upper
+    ):
+        # the largest objective is 2 + 3: only z = (1, 0, *, 1) reaches it
+        bounds = []
+
+        def recorded(*args, **kwargs):
+            bounds.append(kwargs["bounds"])
+            return scipy.optimize.milp(*args, **kwargs)
+
+        monkeypatch.setattr(opt_engine, "milp", recorded)
+        ilp = BinaryILP(np.array([2.0, -1.0, 0.0, 3.0]), None, None, np.ones((1, 4)), [3.0])
+        assert solve_ilp(ilp, target=target).objective == 5.0
+        assert len(bounds) == 1
+        assert np.array_equal(np.broadcast_to(bounds[0].lb, 4), lower)
+        assert np.array_equal(np.broadcast_to(bounds[0].ub, 4), upper)
+
+    def test_target_at_the_exhaustive_optimum_is_met(self):
+        # 37 of these optima are the sum of their positive weights, so
+        # branch and cut starts from fixed columns; the other 19 are below it
+        for ilp in random_ilps():
+            ref = ilp_reference(ilp)
+            if ref is not None:
+                res = solve_ilp(ilp, target=ref)
+                assert res.objective == pytest.approx(ref, abs=1e-6)
+                assert ilp.feasible(res.z)
+        assert self.lp_calls == 0
+
+    def test_unreachable_largest_objective_is_infeasible(self):
+        # fixing all three columns at 1 breaks every exclusion row
+        with pytest.raises(ILPInfeasibleError):
+            solve_ilp(exclusion_ilp(), target=3)
+        assert self.lp_calls == 0
+
 
 class TestMaxFlow:
     def test_diamond(self):

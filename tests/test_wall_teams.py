@@ -76,7 +76,7 @@ def test_32_robot_cell_paths_are_pinned(wall_32):
     # every later stage of the 32-robot wall
     plan, _ = wall_32
     digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
-    assert digest == "ef47bc1478085643a18a00be8c12b0001af428674094076eba75c46b70040605"
+    assert digest == "cacf8db4bc301dccae8c6a1d6e8e364bb643a4864c790c9aeb3c4398a1d9268d"
 
 
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
