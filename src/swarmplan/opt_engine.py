@@ -55,7 +55,7 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.csgraph import maximum_flow
 
 
 class SolverError(Exception):
@@ -94,16 +94,9 @@ class ILPBudgetExceededError(SolverError):
 
 
 def _as_matrix(a, n, name):
-    if a is None:
+    if a is None or (not sp.issparse(a) and np.size(a) == 0):
         return np.zeros((0, n))
-    if sp.issparse(a):
-        a = a.tocsr()
-        if a.shape[1] != n:
-            raise ValueError(f"{name} has {a.shape[1]} columns, expected {n}")
-        return a
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return np.zeros((0, n))
+    a = a.tocsr() if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != n:
         raise ValueError(f"{name} has {a.shape[1]} columns, expected {n}")
     return a
@@ -119,36 +112,18 @@ def _as_vector(b, m, name):
 
 
 def _check_psd(H):
-    """Raise if H is not symmetric PSD within 1e-8 relative tolerance.
-
-    H is block diagonal over the connected components of its nonzero
-    pattern, and it is PSD exactly when every block is, so each block
-    is factored on its own: the blocks of one size as one stack.
-    """
+    """Raise if H is not symmetric PSD within 1e-8 relative tolerance: H +
+    1e-8 max(|H|, 1) I must factor as every Newton step does, by one banded
+    Cholesky (LAPACK dpbtrf) in natural order, as wide as H's pattern."""
     H = sp.csr_matrix(H)
     h_norm = abs(H).max()
     if h_norm and abs(H - H.T).max() > 1e-8 * h_norm:
         raise ValueError("H is not symmetric")
-    shift = 1e-8 * max(h_norm, 1.0)
-    count, labels = connected_components(H, directed=False)
-    sizes = np.bincount(labels)
-    # each index's position within its block
-    order = np.argsort(labels, kind="stable")
-    pos = np.empty_like(labels)
-    pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    h = H.tocoo()
-    block = labels[h.row]
-    for size in np.unique(sizes):
-        same = np.flatnonzero(sizes == size)
-        slot = np.zeros(count, dtype=int)
-        slot[same] = np.arange(same.size)
-        mine = sizes[block] == size
-        stack = np.zeros((same.size, size, size))
-        stack[slot[block[mine]], pos[h.row[mine]], pos[h.col[mine]]] = h.data[mine]
-        try:
-            np.linalg.cholesky(stack + shift * np.eye(size))
-        except np.linalg.LinAlgError:
-            raise ValueError("H is not positive semidefinite") from None
+    h = sp.triu(H + 1e-8 * max(h_norm, 1.0) * sp.identity(H.shape[0])).tocoo()
+    band = np.zeros((np.max(h.col - h.row, initial=0) + 1, H.shape[0]), order="F")
+    band[h.col - h.row, h.row] = h.data
+    if dpbtrf(band, lower=1, overwrite_ab=1)[1]:
+        raise ValueError("H is not positive semidefinite")
 
 
 @dataclass

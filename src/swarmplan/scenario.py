@@ -8,7 +8,9 @@ cell centers.
 
 Scenarios serialize to a flat JSON document.  Unknown keys are rejected so
 typos in hand-written files fail loudly instead of silently falling back
-to defaults.
+to defaults.  Cell indices, the grid's dims, degree, continuity and
+refine_iterations must be integral: 9 and 9.0 load, 9.5 is rejected, not
+truncated.
 """
 
 from __future__ import annotations
@@ -31,12 +33,17 @@ DEFAULT_OBSTACLE_RADIUS = 0.15
 DEFAULT_REFINE_ITERATIONS = 6
 
 
+def _integer(value, name):
+    """value as an int; a value that is not integral raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return int(value)
+
+
 def _cell(value):
-    c = tuple(int(v) for v in value)
+    c = tuple(_integer(v, f"cell {value!r}") for v in value)
     if len(c) != 3:
         raise ValueError(f"cell must have three indices, got {value!r}")
-    if any(int(v) != float(v) for v in value):
-        raise ValueError(f"cell indices must be integers, got {value!r}")
     return c
 
 
@@ -49,7 +56,7 @@ class GridSpec:
     origin: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "dims") for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("dims must be three positive integers")
         if not 0.0 < self.cell_size < np.inf:
@@ -183,10 +190,12 @@ class ScenarioSpec:
         self.weights = tuple(float(w) for w in self.weights)
         self.radii = tuple(float(r) for r in self.radii)
         self.dt = float(self.dt)
-        self.degree = int(self.degree)
-        self.continuity = int(self.continuity)
+        self.degree = _integer(self.degree, "degree")
+        self.continuity = _integer(self.continuity, "continuity")
         self.obstacle_radius = float(self.obstacle_radius)
-        self.refine_iterations = int(self.refine_iterations)
+        self.refine_iterations = _integer(self.refine_iterations, "refine_iterations")
+        obstacles = set(self.obstacles)
+        self._free = frozenset(c for c in self.grid.all_cells() if c not in obstacles)
         self.validate()
 
     @property
@@ -202,16 +211,11 @@ class ScenarioSpec:
         r = self.obstacle_radius
         return Ellipsoid((r, r, r))
 
-    @property
-    def obstacle_set(self):
-        return set(self.obstacles)
-
     def is_free(self, cell):
-        return self.grid.in_bounds(cell) and tuple(cell) not in self.obstacle_set
+        return tuple(cell) in self._free
 
     def free_cells(self):
-        occ = self.obstacle_set
-        return [c for c in self.grid.all_cells() if c not in occ]
+        return [c for c in self.grid.all_cells() if c in self._free]
 
     def obstacle_boxes(self):
         return merge_obstacle_cells(self.obstacles)
@@ -253,14 +257,13 @@ class ScenarioSpec:
         if len(set(self.goals)) != len(self.goals):
             raise ValueError("duplicate goal cells")
 
-        occ = self.obstacle_set
         for label, cells in (("obstacle", self.obstacles), ("start", self.starts), ("goal", self.goals)):
             for c in cells:
                 if not self.grid.in_bounds(c):
                     raise ValueError(f"{label} cell {c} out of bounds for dims {self.grid.dims}")
         for label, cells in (("start", self.starts), ("goal", self.goals)):
             for c in cells:
-                if c in occ:
+                if c not in self._free:
                     raise ValueError(f"{label} cell {c} lies inside an obstacle")
 
         # Robots sit at starts (and later goals) simultaneously, so those

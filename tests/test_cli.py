@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -167,7 +168,7 @@ class TestValidate:
         only_one = tmp_path / "partial"
         only_one.mkdir()
         src = os.path.join(out, "trajectories", "robot_000.csv")
-        (only_one / "robot_000.csv").write_bytes(open(src, "rb").read())
+        (only_one / "robot_000.csv").write_bytes(pathlib.Path(src).read_bytes())
         code = main(["validate", "--scenario", scenario_file,
                      "--trajectories", str(only_one)])
         assert code == 1

@@ -258,6 +258,17 @@ class TestQP:
         np.linalg.cholesky(H + 1e-8 * np.abs(H).max() * np.eye(H.shape[0]))
         QuadraticProgram(H, np.zeros(H.shape[0])).check_psd()
 
+    def test_smoothing_space_checks_its_hessian(self):
+        # the check each plan's smoothing space runs: the wall's H, banded
+        # in natural order, passes, and with one piece's block negated fails
+        block = np.kron(control_point_cost(9, 0.5, (0.0, 1.0, 0.0, 1.0)), np.eye(3))
+        pieces = [block] * 24
+        Z = scipy.sparse.identity(block.shape[0] * len(pieces))
+        opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z)
+        pieces[11] = -block
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z)
+
     def test_newton_bands_match_dense_assembly(self):
         # a general program's Newton matrix in band storage, for a dense Z
         # and for a sparse one whose matrix has a narrower band

@@ -277,6 +277,29 @@ class TestSerialization:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("degree", 9.5), ("continuity", 4.5), ("refine_iterations", 2.5), ("dims", [3.5, 3, 2])],
+    )
+    def test_non_integer_counts_rejected_not_truncated(self, key, value):
+        data = base_scenario().to_dict()
+        if key == "dims":
+            data["grid"]["dims"] = value
+        else:
+            data[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be integral"):
+            ScenarioSpec.from_dict(data)
+
+    def test_integral_floats_load(self):
+        data = base_scenario().to_dict()
+        data.update(degree=9.0, continuity=4.0, refine_iterations=2.0)
+        data["grid"]["dims"] = [3.0, 3, 2.0]
+        data["starts"] = [[0.0, 0, 0], [2, 0.0, 0]]
+        sc = ScenarioSpec.from_dict(data)
+        assert (sc.degree, sc.continuity, sc.refine_iterations) == (9, 4, 2)
+        assert sc.grid.dims == (3, 3, 2) and sc.starts == [(0, 0, 0), (2, 0, 0)]
+        assert all(type(v) is int for v in (sc.degree, *sc.grid.dims, *sc.starts[1]))
+
 
 class TestScenarioQueries:
     def test_free_cells_excludes_obstacles(self):
