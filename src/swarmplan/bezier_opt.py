@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse as sparse
 
 from . import opt_engine
@@ -235,52 +234,46 @@ def BezierPiece(duration, points):
     return PiecewiseBezierTrajectory([duration], [points])
 
 
-@lru_cache(maxsize=None)
-def _rest_to_rest_profile(degree, continuity, duration, weights):
+def _rest_to_rest_profile(degree, continuity):
     """Scalar Bernstein control values going 0 to 1 with derivatives
-    1..continuity zero at both ends, minimizing the weighted cost among
-    those whose values all lie in [0, 1].
+    1..continuity zero at both ends: the ramp of degree m = 2 continuity
+    + 1 whose control values are continuity + 1 zeros and then as many
+    ones, raised to the given degree d (Farouki & Rajan, "Algorithms for
+    polynomials in Bernstein form", CAGD 1988).  Value k is
 
-    The first and last continuity+1 control values are pinned by the
-    rest conditions; any middle values are free.  Bounding them keeps a
-    straight line's control polygon on its segment, so the hull its
-    corridors separate is the segment itself.  No bound is active with
-    the default weights, but with weights (0, 1) at degree 15 and
-    continuity 4 the unbounded minimizer's values reach -3.5 and 4.5.
+        v_k = sum_{i > continuity} C(m, i) C(d - m, k - i) / C(d, k).
+
+    Degree elevation keeps the curve, so its end derivatives still
+    vanish, and each value is a convex combination of the ramp's zeros and
+    ones.  The values climb from 0 to 1, the first continuity + 1 are
+    exactly 0 and the last continuity + 1 exactly 1, so a straight line's
+    control polygon stays on its segment.
     """
     d, c = degree, continuity
-    values = np.zeros(d + 1)
-    values[d - c :] = 1.0
-    free = list(range(c + 1, d - c))
-    if free:
-        h = control_point_cost(d, duration, weights)
-        fixed = [i for i in range(d + 1) if i not in free]
-        hff = h[np.ix_(free, free)]
-        hfc = h[np.ix_(free, fixed)]
-        rhs = -hfc @ values[fixed]
-        # min x'Hx/2 - rhs'x = min ||L'x - L^-1 rhs||^2 / 2, H = LL'
-        chol = np.linalg.cholesky(hff + 1e-12 * np.eye(len(free)))
-        target = scipy.linalg.solve_triangular(chol, rhs, lower=True)
-        bounded = scipy.optimize.lsq_linear(chol.T, target, bounds=(0.0, 1.0), method="bvls")
-        # bvls may leave a value an ulp outside its bound
-        values[free] = np.clip(bounded.x, 0.0, 1.0)
-    return values
+    m = 2 * c + 1
+    return np.array(
+        [
+            sum(math.comb(m, i) * math.comb(d - m, k - i) for i in range(c + 1, min(k, m) + 1))
+            / math.comb(d, k)
+            for k in range(d + 1)
+        ]
+    )
 
 
-def fallback_trajectory(waypoints, durations, degree, continuity, weights):
+def fallback_trajectory(waypoints, durations, degree, continuity):
     """Straight-line trajectory through the waypoints, at rest at every
     knot.
 
-    Every piece follows the same scalar ramp between its endpoints, so
-    all robots using this construction share one velocity profile and
-    inherit the waypoint plan's safety margins along the segments.
+    Every piece follows the same fixed ramp (_rest_to_rest_profile)
+    between its endpoints, whatever its duration, so all robots using
+    this construction share one velocity profile, their control points
+    lie on their segments, and they inherit the waypoint plan's safety
+    margins along the segments.
     """
     waypoints = np.asarray(waypoints, dtype=float)
     a, b = waypoints[:-1], waypoints[1:]
-    ramps = np.array(
-        [_rest_to_rest_profile(degree, continuity, float(tau), tuple(weights)) for tau in durations]
-    )
-    return PiecewiseBezierTrajectory(durations, a[:, None] + ramps[:, :, None] * (b - a)[:, None])
+    ramp = _rest_to_rest_profile(degree, continuity)
+    return PiecewiseBezierTrajectory(durations, a[:, None] + ramp[:, None] * (b - a)[:, None])
 
 
 @lru_cache(maxsize=None)

@@ -69,8 +69,9 @@ class CorridorSet:
 
 def support_norms(normals, ellipsoid):
     """||E a|| for every row a of normals, equal bit for bit to
-    Ellipsoid.norm: a batched matmul sums each row in the order of the
-    single-vector dot product, where np.linalg.norm(..., axis=1) does not."""
+    np.linalg.norm of each row times the radii: a batched matmul sums each
+    row in the order of the single-vector dot product, where
+    np.linalg.norm(..., axis=1) does not."""
     s = normals * np.asarray(ellipsoid.radii)
     return np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0, 0])
 

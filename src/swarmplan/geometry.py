@@ -45,11 +45,6 @@ class Ellipsoid:
         """Apply E^-1 to the last axis of v."""
         return np.asarray(v, dtype=float) / np.asarray(self.radii)
 
-    def norm(self, direction):
-        """||E a||_2 for a normal vector a (support function of the shape)."""
-        d = np.asarray(direction, dtype=float)
-        return float(np.linalg.norm(d * np.asarray(self.radii)))
-
 
 def collision_free(p, q, ellipsoid):
     """True iff ||E^-1 (p - q)|| >= 2 (boundary contact counts as free)."""

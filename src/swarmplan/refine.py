@@ -1,8 +1,9 @@
 """Iterative trajectory refinement around a synchronized waypoint plan.
 
 Round zero gives every robot the straight-line rest-to-rest trajectory
-along its plan segments; those share one velocity profile, so the grid
-plan's safety margins carry over and the set always exists.  Every
+along its plan segments, every piece on one fixed ramp whatever its
+duration (fallback_trajectory).  Those share one velocity profile, so
+the grid plan's safety margins carry over and the set always exists.  Every
 round builds safe corridors from the current curves' control points
 (a straight line's lie on its plan segments) and re-optimizes every
 robot inside its corridor.  The robots' smoothing programs are
@@ -124,7 +125,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
     weights = tuple(scenario.weights)
 
     straight = [
-        fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
+        fallback_trajectory(plan.waypoints[i], durations, degree, continuity)
         for i in range(n)
     ]
     best = list(straight)

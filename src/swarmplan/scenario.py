@@ -77,12 +77,6 @@ class GridSpec:
     def cell_centers(self, cells):
         return np.asarray(self.origin) + self.cell_size * np.asarray(cells, dtype=float).reshape(-1, 3)
 
-    def cell_box(self, cell):
-        """(lo, hi) world corners of one cell."""
-        c = self.cell_center(cell)
-        h = 0.5 * self.cell_size
-        return c - h, c + h
-
     def workspace_box(self):
         """(lo, hi) corners of the full workspace."""
         lo = np.asarray(self.origin) - 0.5 * self.cell_size

@@ -385,7 +385,8 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     kinematic body rate, which obeys the exact 1/s law under temporal
     scaling; with gravity the constant hover term breaks exact scaling.
 
-    Each peak is the largest sample, and a piece is sampled only while its
+    Each peak is the largest sample, and every peak is NaN when any sample
+    is.  A piece with finite control points is sampled only while its
     bound can reach the running peak: speed, acceleration and thrust are
     at most the largest norm among the control points of the derivative
     (acceleration plus gravity for thrust), and the body rate at most the
@@ -402,8 +403,10 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
         vel, acc, jerk = (traj.control_points(order) for order in (1, 2, 3))
         if not all(np.isfinite(p).all() for p in (vel, acc, jerk)):
             # a robot with a control point that is not finite has no bound
-            # and is sampled whole
+            # and is sampled whole; a NaN sample leaves no peak known
             vel, acc, jerk = (traj.evaluate_many(grid.ts, order) for order in (1, 2, 3))
+            if any(np.isnan(v).any() for v in (vel, acc, jerk)):
+                return dict.fromkeys(peak, np.nan)
             thrust = acc + g
             tnorm = np.linalg.norm(thrust, axis=1)
             robot = {

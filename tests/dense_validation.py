@@ -73,7 +73,8 @@ def workspace_violation(positions, scenario):
 
 
 def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
-    """Peak speed, acceleration, thrust and body rate over every sample."""
+    """Peak speed, acceleration, thrust and body rate over every sample;
+    every peak is NaN when any sample is."""
     duration = max(t.duration for t in trajectories)
     ts = sample_times(duration, sample_dt)
     peak = {"speed": 0.0, "accel": 0.0, "thrust": 0.0, "omega": 0.0}
@@ -81,6 +82,8 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
         vel = traj.evaluate_many(ts, 1)
         acc = traj.evaluate_many(ts, 2)
         jerk = traj.evaluate_many(ts, 3)
+        if any(np.isnan(v).any() for v in (vel, acc, jerk)):
+            return dict.fromkeys(peak, np.nan)
         thrust = acc + np.array([0.0, 0.0, gravity])
         tnorm = np.linalg.norm(thrust, axis=1)
         pointed = tnorm > 1e-9 * tnorm.max()

@@ -207,8 +207,10 @@ def min_obstacle_metric(positions, scenario):
     radii = np.asarray(scenario.obstacle_ellipsoid.radii)
     flat = positions.reshape(-1, 3)
     best = np.inf
+    half = 0.5 * scenario.grid.cell_size
     for cell in scenario.obstacles:
-        lo, hi = scenario.grid.cell_box(cell)
+        center = scenario.grid.cell_center(cell)
+        lo, hi = center - half, center + half
         over = np.maximum(np.maximum(lo - flat, flat - hi), 0.0) / radii
         best = min(best, float(np.linalg.norm(over, axis=1).min()))
     return best

@@ -551,7 +551,7 @@ class TestTrajectory:
 class TestFallback:
     def test_hits_waypoints_at_rest(self):
         wp = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0.5, 0.5]], dtype=float)
-        traj = fallback_trajectory(wp, [0.25, 0.25], degree=9, continuity=4, weights=WEIGHTS)
+        traj = fallback_trajectory(wp, [0.25, 0.25], degree=9, continuity=4)
         knots = traj.knots
         for k, t in enumerate(knots):
             assert np.allclose(traj.evaluate(t), wp[k], atol=1e-9)
@@ -561,9 +561,7 @@ class TestFallback:
     def test_stays_on_segments(self):
         a = np.array([0.0, 0.0, 0.0])
         b = np.array([1.0, 2.0, 0.5])
-        traj = fallback_trajectory(
-            np.vstack([a, b]), [0.5], degree=9, continuity=4, weights=WEIGHTS
-        )
+        traj = fallback_trajectory(np.vstack([a, b]), [0.5], degree=9, continuity=4)
         ts = np.linspace(0, 0.5, 50)
         vals = traj.evaluate_many(ts)
         rel = vals - a
@@ -576,47 +574,37 @@ class TestFallback:
     def test_rest_profile_values_lie_between_the_segment_ends(self, c, tau):
         # so a straight line's control points lie on its segment, and the
         # corridors refinement builds around them in round zero are those
-        # of the segment.  With these weights every free value lies
-        # strictly inside, so no bound is active: the ramp is the cheapest
-        # one without bounds
+        # of the segment; the ramp is the same for every duration
+        a, b = np.array([0.5, -1.0, 2.0]), np.array([1.5, 1.0, 2.5])
         for d in range(2 * c + 1, 16):
-            values = bezier_opt._rest_to_rest_profile(d, c, tau, WEIGHTS)
+            points = fallback_trajectory(np.vstack([a, b]), [tau], degree=d, continuity=c).points[0]
+            unit = fallback_trajectory(np.vstack([a, b]), [1.0], degree=d, continuity=c).points[0]
+            assert points.tobytes() == unit.tobytes(), d
+            assert (points >= np.minimum(a, b) - 1e-12).all(), d
+            assert (points <= np.maximum(a, b) + 1e-12).all(), d
+            assert np.abs(np.cross(points - a, b - a)).max() <= 1e-12, d
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_rest_profile_is_the_lowest_degree_ramp_raised(self, c):
+        # the degree-(2c + 1) ramp with c + 1 zeros and c + 1 ones is the
+        # only rest-to-rest ramp of its degree; raised to degree d it keeps
+        # its curve, so its end derivatives through order c stay 0
+        ramp = np.repeat([0.0, 1.0], c + 1)[:, None]
+        s = np.linspace(0.0, 1.0, 17)
+        for d in range(2 * c + 1, 16):
+            values = bezier_opt._rest_to_rest_profile(d, c)
+            assert values.shape == (d + 1,)
             assert values.min() >= 0.0 and values.max() <= 1.0, d
+            assert (np.diff(values) >= 0.0).all(), d
+            assert (values[: c + 1] == 0.0).all() and (values[d - c :] == 1.0).all(), d
             free = values[c + 1 : d - c]
             assert ((free > 0.0) & (free < 1.0)).all(), d
-
-    def test_rest_profile_stays_in_range_where_the_cheapest_values_leave_it(self):
-        # with weights (0, 1) at degree 15 the unbounded optimum's values
-        # reach -3.5 and 4.5; bounded to [0, 1], some bound is active and
-        # no move of the free values within their bounds lowers the cost
-        d, c, tau, weights = 15, 4, 0.5, (0.0, 1.0)
-        values = bezier_opt._rest_to_rest_profile(d, c, tau, weights)
-        free = values[c + 1 : d - c]
-        assert values.min() >= 0.0 and values.max() <= 1.0
-        assert ((free == 0.0) | (free == 1.0)).any()
-        best = quadrature_cost(BezierPiece(tau, values[:, None]), weights)
-        rng = np.random.default_rng(29)
-        for step in np.repeat([1e-2, 1e-4], 10):
-            moved = values.copy()
-            moved[c + 1 : d - c] = np.clip(free + rng.normal(scale=step, size=free.size), 0.0, 1.0)
-            assert quadrature_cost(BezierPiece(tau, moved[:, None]), weights) > best
-
-    def test_rest_profile_free_values_minimize_the_cost(self):
-        # degree 11 at continuity 4 leaves control values 5 and 6 free
-        d, c, tau = 11, 4, 0.25
-        values = bezier_opt._rest_to_rest_profile(d, c, tau, WEIGHTS)
-        piece = BezierPiece(tau, values[:, None])
-        assert piece.evaluate(0.0)[0] == 0.0 and piece.evaluate(tau)[0] == 1.0
-        for order in range(1, c + 1):
-            scale = np.abs(piece.evaluate_many(np.linspace(0, tau, 9), order)).max()
-            assert np.abs(piece.evaluate(0.0, order)).max() <= 1e-9 * scale
-            assert np.abs(piece.evaluate(tau, order)).max() <= 1e-9 * scale
-        best = quadrature_cost(piece, WEIGHTS)
-        rng = np.random.default_rng(28)
-        for step in np.repeat([1e-2, 1e-4, 1e-6], 10):
-            moved = values.copy()
-            moved[c + 1 : d - c] += rng.normal(scale=step, size=d - 2 * c - 1)
-            assert quadrature_cost(BezierPiece(tau, moved[:, None]), WEIGHTS) > best
+            piece = BezierPiece(1.0, values[:, None])
+            for order in range(1, c + 1):
+                assert piece.evaluate(0.0, order)[0] == 0.0, (d, order)
+                assert piece.evaluate(1.0, order)[0] == 0.0, (d, order)
+            curve = [bernstein_eval(values[:, None], t)[0] for t in s]
+            assert curve == pytest.approx([bernstein_eval(ramp, t)[0] for t in s], abs=1e-12), d
 
 
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
@@ -705,7 +693,7 @@ class TestOptimizeTrajectory:
         start, goal = np.zeros(3), np.array([1.5, 0.0, 0.5])
         wp = np.vstack([start, [0.5, 0, 0], [1.0, 0, 0.5], goal])
         durations = [0.25, 0.25, 0.25]
-        fb = fallback_trajectory(wp, durations, 9, 4, WEIGHTS)
+        fb = fallback_trajectory(wp, durations, 9, 4)
         _, obj, _ = optimize_one(
             start, goal, durations, self.free_corridors(3), 9, 4, WEIGHTS
         )
@@ -819,7 +807,7 @@ def straight_lines(plan, scenario):
     """Every robot's round-zero curve: the straight line along its plan."""
     durations = [plan.dt] * plan.num_segments
     return [
-        fallback_trajectory(wp, durations, scenario.degree, scenario.continuity, scenario.weights)
+        fallback_trajectory(wp, durations, scenario.degree, scenario.continuity)
         for wp in plan.waypoints
     ]
 
@@ -939,7 +927,7 @@ class TestSmoothingBatch:
         here = np.array([1.0, 2.0, 1.5])
         box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([here + 1, 1 - here]))
         durations = [0.5] * 4
-        hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4, WEIGHTS)
+        hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4)
         for current in (None, [hover]):
             (traj, cost, result), = optimize_trajectory(
                 [here], [here], durations, np.tile(box.A, (1, 4, 1, 1)),

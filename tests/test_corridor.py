@@ -148,11 +148,12 @@ class TestWorkspaceFaces:
 
 def test_support_norms_equal_single_vector_norms_bit_for_bit():
     # face offsets are computed per separator batch; they must not move by
-    # an ulp from Ellipsoid.norm, which np.linalg.norm(..., axis=1) would
+    # an ulp from one vector's norm, as np.linalg.norm(..., axis=1) would
     rng = np.random.default_rng(3)
     normals = rng.normal(size=(5000, 3)) * rng.uniform(0.1, 100.0, size=(5000, 1))
     ell = scenario().robot_ellipsoid
-    assert support_norms(normals, ell).tolist() == [ell.norm(a) for a in normals]
+    radii = np.asarray(ell.radii)
+    assert support_norms(normals, ell).tolist() == [float(np.linalg.norm(a * radii)) for a in normals]
 
 
 class TestPruneFaces:
@@ -314,17 +315,17 @@ class TestBuildCorridors:
 
 
 @functools.lru_cache(maxsize=None)
-def straight_line_sets(name, degree=None, weights=None):
-    """The named scenario, with another degree and weights when given, its
-    plan's segment point sets (kind 0) and the control points of its
-    round-zero straight lines (kind 1)."""
+def straight_line_sets(name, degree=None):
+    """The named scenario, with another degree when given, its plan's
+    segment point sets (kind 0) and the control points of its round-zero
+    straight lines (kind 1)."""
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
     if degree is not None:
-        sc = dataclasses.replace(sc, degree=degree, weights=weights)
+        sc = dataclasses.replace(sc, degree=degree)
     plan = solve_discrete(sc).postprocessed()
     durations = [plan.dt] * plan.num_segments
     straight = [
-        fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
+        fallback_trajectory(wp, durations, sc.degree, sc.continuity)
         for wp in plan.waypoints
     ]
     return sc, segment_sets(plan.waypoints), np.stack([t.points for t in straight])
@@ -353,19 +354,19 @@ class TestFaceLayout:
         assert not empty.any()
 
     @pytest.mark.parametrize(
-        "name, degree, weights",
+        "name, degree",
         [
-            ("wall_windows_8", None, None),
-            ("pillars_6", None, None),
-            ("handover_3", None, None),
-            # the cheapest ramp's control values would leave [0, 1] here
-            ("wall_windows_8", 15, (0.0, 1.0)),
+            ("wall_windows_8", None),
+            ("pillars_6", None),
+            ("handover_3", None),
+            # continuity 4 leaves this degree's ramp six free values
+            ("wall_windows_8", 15),
         ],
     )
-    def test_straight_line_control_points_give_the_segment_corridors(self, name, degree, weights):
+    def test_straight_line_control_points_give_the_segment_corridors(self, name, degree):
         # a straight line's control points lie on its segment and span it,
         # so round zero separates the same hulls as the segments' endpoints
-        sc, segments, points = straight_line_sets(name, degree, weights)
+        sc, segments, points = straight_line_sets(name, degree)
         want, got = build_corridors(segments, sc), build_corridors(points, sc)
         assert np.allclose(got.normals, want.normals, rtol=0.0, atol=1e-12)
         assert np.allclose(got.offsets, want.offsets, rtol=0.0, atol=1e-12)

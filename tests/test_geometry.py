@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from swarmplan import geometry, opt_engine
+from swarmplan.corridor import support_norms
 from swarmplan.geometry import (
     ConvexPolyhedron,
     Ellipsoid,
@@ -17,6 +18,11 @@ from swarmplan.opt_engine import QPInfeasibleError, QuadraticProgram, solve_qp
 from swarmplan.scenario import merge_obstacle_cells
 
 ELL = Ellipsoid((0.12, 0.12, 0.3))
+
+
+def support(ellipsoid, a):
+    """||E a||, the ellipsoid's support in the direction of the normal a."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float) * np.asarray(ellipsoid.radii)))
 
 
 # One-instance helpers on top of svm_separate_batch, which the planner
@@ -84,7 +90,7 @@ def shift_for_ellipsoids(plane, ellipsoid):
     keep the whole ellipsoid E(p) on the negative side of the original
     plane; symmetrically for a'p >= high_plane.offset.
     """
-    s = ellipsoid.norm(plane.normal)
+    s = support(ellipsoid, plane.normal)
     return (
         Hyperplane(plane.normal, plane.offset - s),
         Hyperplane(plane.normal, plane.offset + s),
@@ -102,11 +108,12 @@ class TestEllipsoid:
         assert np.allclose(ELL.scale_inv(v), [1.0, 2.0, 1.0])
 
     def test_norm_is_support_of_unit_normal(self):
-        assert ELL.norm((0.0, 0.0, 1.0)) == pytest.approx(0.3)
-        assert ELL.norm((1.0, 0.0, 0.0)) == pytest.approx(0.12)
-        # generic direction, by hand: ||diag(r) a||
-        a = np.array([0.6, 0.0, 0.8])
-        assert ELL.norm(a) == pytest.approx(np.hypot(0.6 * 0.12, 0.8 * 0.3))
+        # the planner's ||E a|| per row; the last direction by hand:
+        # ||diag(r) a||
+        normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
+        assert support_norms(normals, ELL).tolist() == pytest.approx(
+            [0.3, 0.12, np.hypot(0.6 * 0.12, 0.8 * 0.3)]
+        )
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
@@ -204,7 +211,7 @@ class TestSeparation:
         b_pts = rng.uniform(-spread, spread, size=(4, 3))
         b_pts[:, direction] += gap + 2 * spread
         plane = separate_point_sets(a_pts, b_pts, ELL)
-        s = ELL.norm(plane.normal)
+        s = support(ELL, plane.normal)
         a_side = a_pts @ np.asarray(plane.normal)
         b_side = b_pts @ np.asarray(plane.normal)
         assert a_side.max() <= plane.offset - s + 1e-6
@@ -218,7 +225,7 @@ class TestSeparation:
         b_pts = rng.uniform(-0.2, 0.2, size=(3, 3)) + np.array([0.0, 0.0, 1.5])
         plane = separate_point_sets(a_pts, b_pts, ELL)
         # max-margin solution puts both sets at the same scaled distance
-        scale = ELL.norm(plane.normal)
+        scale = support(ELL, plane.normal)
         a_gap = plane.offset - (a_pts @ np.asarray(plane.normal)).max()
         b_gap = (b_pts @ np.asarray(plane.normal)).min() - plane.offset
         assert a_gap / scale == pytest.approx(b_gap / scale, rel=1e-4)
@@ -276,7 +283,7 @@ def svm_by_single_solves(a_pts, b_pts, ell):
             break
     raw = x[:3]
     norm = np.linalg.norm(raw)
-    return raw / norm, x[3] / norm, ell.norm(raw)
+    return raw / norm, x[3] / norm, support(ell, raw)
 
 
 @st.composite

@@ -76,7 +76,6 @@ class TestRefine:
                 [plan.dt] * plan.num_segments,
                 sc.degree,
                 sc.continuity,
-                sc.weights,
             ).cost(sc.weights)
             for i in range(plan.num_robots)
         )
@@ -179,7 +178,6 @@ class TestDegradation:
                 [plan.dt] * plan.num_segments,
                 sc.degree,
                 sc.continuity,
-                sc.weights,
             )
             for p, q in zip(result.trajectories[i].pieces, straight.pieces):
                 assert np.array_equal(p.points, q.points)
@@ -322,7 +320,7 @@ class TestDegradation:
             out = []
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
-                straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity, weights)
+                straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity)
                 result = SimpleNamespace(stop="converged", iterations=0, faces=0, passes=1)
                 out.append((straight, straight.cost(weights), result))
             return out

@@ -42,12 +42,6 @@ class TestGridSpec:
         assert np.allclose(lo, [-0.25, -0.25, -0.25])
         assert np.allclose(hi, [1.75, 0.75, 1.25])
 
-    def test_cell_box(self):
-        grid = GridSpec(dims=(2, 2, 2), cell_size=1.0)
-        lo, hi = grid.cell_box((1, 0, 1))
-        assert np.allclose(lo, [0.5, -0.5, 0.5])
-        assert np.allclose(hi, [1.5, 0.5, 1.5])
-
     def test_manhattan_diameter(self):
         assert GridSpec(dims=(4, 4, 2)).manhattan_diameter == 3 + 3 + 1
 

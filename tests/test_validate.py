@@ -41,8 +41,6 @@ from dense_validation import (
 )
 from test_bezier import hodograph, monomial_to_bernstein
 
-WEIGHTS = (0.0, 1.0, 0.0, 1.0)
-
 
 def scenario(**overrides):
     kwargs = dict(
@@ -255,7 +253,7 @@ def per_knot_smoothness_report(trajectories, continuity, tol=1e-5):
 class TestSmoothnessReport:
     def make_smooth(self):
         wp = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0.5, 0]], dtype=float)
-        return fallback_trajectory(wp, [0.5, 0.5], degree=9, continuity=4, weights=WEIGHTS)
+        return fallback_trajectory(wp, [0.5, 0.5], degree=9, continuity=4)
 
     def test_clean_trajectory_passes(self):
         assert smoothness_report([self.make_smooth()], continuity=4) == []
@@ -288,7 +286,7 @@ class TestSmoothnessReport:
                 pieces = int(rng.integers(2, 6))
                 wp = rng.uniform(0, 2, size=(pieces + 1, 3))
                 durations = rng.uniform(0.2, 1.2, size=pieces)
-                traj = fallback_trajectory(wp, durations, degree=9, continuity=4, weights=WEIGHTS)
+                traj = fallback_trajectory(wp, durations, degree=9, continuity=4)
                 points = traj.points.copy()
                 for _ in range(int(rng.integers(0, 4))):
                     # a control point within order + 1 of a knot shifts that
@@ -321,14 +319,12 @@ class TestValidateTrajectories:
                 [0.5],
                 degree=9,
                 continuity=4,
-                weights=WEIGHTS,
             ),
             fallback_trajectory(
                 np.array([[0.0, 1.5, 0.0], [0.5, 1.5, 0.0]]),
                 [0.5],
                 degree=9,
                 continuity=4,
-                weights=WEIGHTS,
             ),
         ]
 
@@ -353,11 +349,11 @@ class TestValidateTrajectories:
         trajs = [
             fallback_trajectory(
                 np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
-                [0.5], 9, 4, WEIGHTS,
+                [0.5], 9, 4,
             ),
             fallback_trajectory(
                 np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-                [0.5], 9, 4, WEIGHTS,
+                [0.5], 9, 4,
             ),
         ]
         report = validate_trajectories(trajs, sc, sample_dt=1e-2)
@@ -369,7 +365,7 @@ class TestValidateTrajectories:
         trajs = [
             fallback_trajectory(
                 np.array([[0.0, 0.5, 0.0], [1.0, 0.5, 0.0]]),  # straight through
-                [0.5], 9, 4, WEIGHTS,
+                [0.5], 9, 4,
             )
         ]
         report = validate_trajectories(trajs, sc, sample_dt=1e-2)
@@ -381,7 +377,7 @@ class TestValidateTrajectories:
         trajs = [
             fallback_trajectory(
                 np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0]]),  # x max is 1.75
-                [0.5], 9, 4, WEIGHTS,
+                [0.5], 9, 4,
             )
         ]
         report = validate_trajectories(trajs, sc, sample_dt=1e-2)
@@ -494,6 +490,8 @@ class TestBoundedSearch:
             expected = dense.validate_trajectories(trajectories, sc)
         assert same_report(report, expected)
         assert not report.ok
+        # max(peak, nan) would keep the peak of the other robots alone
+        assert all(np.isnan(v) for v in report.peaks.values())
 
     def test_refinement_candidates_match_dense(self, monkeypatch):
         sc = ScenarioSpec.load(

@@ -1,5 +1,6 @@
-"""The wall teams under scenarios/: the generator that writes them, and the
-discrete stage and the round-0 smoothing programs at 32 robots."""
+"""The wall teams under scenarios/: the generator that writes them, the
+discrete stage at 32 and 48 robots, and the round-0 smoothing programs at
+32 robots."""
 
 import hashlib
 import importlib.util
@@ -79,6 +80,21 @@ def test_32_robot_cell_paths_are_pinned(wall_32):
     assert digest == "cacf8db4bc301dccae8c6a1d6e8e364bb643a4864c790c9aeb3c4398a1d9268d"
 
 
+@pytest.fixture(scope="module")
+def wall_48():
+    # about 1.3 s on two cores
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_48.json"))
+    return solve_discrete(sc), sc
+
+
+def test_48_robot_cell_paths_are_pinned(wall_48):
+    plan, sc = wall_48
+    assert plan.num_segments == 25
+    assert check_discrete_rules(plan.cell_paths, sc) == []
+    digest = hashlib.sha256(json.dumps(plan.cell_paths).encode()).hexdigest()
+    assert digest == "ddf813bdb45592dbaebabdc4d8e22dcefcedcf1a61b86536b35d6aa688c178eb"
+
+
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
     # refinement's round 0: corridors around the straight lines' control
     # points (which lie on the plan's segments), every program started
@@ -88,7 +104,7 @@ def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
     plan = plan.postprocessed()
     durations = [plan.dt] * plan.num_segments
     straight = [
-        fallback_trajectory(wp, durations, sc.degree, sc.continuity, sc.weights)
+        fallback_trajectory(wp, durations, sc.degree, sc.continuity)
         for wp in plan.waypoints
     ]
     corridors = build_corridors(np.stack([t.points for t in straight]), sc)
