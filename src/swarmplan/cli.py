@@ -23,6 +23,7 @@ from .refine import refine_trajectories, write_report_csv
 from .scenario import ScenarioSpec
 from .validate import (
     OracleBudgetError,
+    check_layout,
     dynamics_metrics,
     mapf_oracle,
     validate_trajectories,
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
+
+# rows per second of flight in the sampled export
+SAMPLE_RATE = 100.0
 
 log = logging.getLogger("swarmplan")
 
@@ -60,8 +64,8 @@ def _nonnegative_int(text):
     return value
 
 
-def _write_samples(traj, path, sample_rate):
-    count = max(2, int(round(traj.duration * sample_rate)) + 1)
+def _write_samples(traj, path):
+    count = max(2, int(round(traj.duration * SAMPLE_RATE)) + 1)
     ts = np.linspace(0.0, traj.duration, count)
     pos = traj.evaluate_many(ts)
     vel = traj.evaluate_many(ts, 1)
@@ -113,9 +117,7 @@ def cmd_plan(args):
     plan.save(os.path.join(out, "discrete_plan.json"))
     for i, traj in enumerate(trajectories):
         traj.save_csv(os.path.join(out, "trajectories", f"robot_{i:03d}.csv"))
-        _write_samples(
-            traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"), args.sample_rate
-        )
+        _write_samples(traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"))
     write_report_csv(result.rows, os.path.join(out, "refine_report.csv"))
     validation.save(os.path.join(out, "validation.json"))
 
@@ -172,11 +174,8 @@ def cmd_validate(args):
         PiecewiseBezierTrajectory.load_csv(os.path.join(args.trajectories, n))
         for n in names
     ]
-    durations = [t.duration for t in trajectories]
-    if max(durations) - min(durations) > 1e-9:
-        print(f"trajectory horizons differ: {durations}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        check_layout(trajectories)
         starts = _match_endpoints(
             np.array([t.evaluate(0.0) for t in trajectories]),
             scenario.starts,
@@ -222,7 +221,6 @@ def build_parser():
         metavar="A",
         help="dilate time so peak acceleration is at most A m/s^2",
     )
-    p.add_argument("--sample-rate", type=_finite_positive, default=100.0, help="sampled export Hz")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("oracle", help="exhaustive optimal grid plan (small inputs)")

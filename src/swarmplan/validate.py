@@ -5,11 +5,16 @@ trusting planner internals: grid plans are compared against a
 breadth-first search over joint configurations, and continuous
 trajectories are checked against the ellipsoid metric, the obstacle
 clearance, the workspace box and the dynamics on a common sample grid
-(1 ms in every planning call).  Each reported extreme is the extreme over
-that grid, found by branch and bound over the pieces: a Bernstein curve
-stays inside the convex hull of its control points (Farouki, "The
-Bernstein polynomial basis: a centennial retrospective", 2012), so the
-box around a piece's control points bounds every sample on it, and a
+(1 ms in every planning call).  As the planner builds them, the robots of
+a set fly one Bezier piece per segment of the shared synchronized plan,
+so validation takes one piece layout per set: every robot must have
+robot 0's piece durations and degree, or the set is rejected with
+ValueError.  Each reported extreme is the extreme over that grid, found
+by branch and bound over the pieces: a Bernstein curve stays inside the
+convex hull of its control points (Farouki, "The Bernstein polynomial
+basis: a centennial retrospective", 2012), so the box around a piece's
+control points bounds every sample on it (for a pair of robots, the box
+of their control point differences on the piece they share), and a
 piece is sampled only while its bound can still reach the running
 extreme.  The samples that are taken go through the same arithmetic as a
 dense evaluation of the whole grid, so the report equals the dense
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,54 +202,57 @@ def _box_gap(lo_a, hi_a, lo_b, hi_b, radii):
     return np.linalg.norm(gap / radii, axis=-1)
 
 
-_Layout = namedtuple("_Layout", "key degree idx s starts pieces")
+def check_layout(trajectories):
+    """Raise ValueError unless the set has a robot and every robot has
+    robot 0's piece durations and degree."""
+    if not trajectories:
+        raise ValueError("no trajectories to validate")
+    first = trajectories[0]
+    for r, traj in enumerate(trajectories):
+        if traj.degree != first.degree or not np.array_equal(traj.durations, first.durations):
+            raise ValueError(f"robot {r} does not share robot 0's piece durations and degree")
 
 
 class _SampleGrid:
     """A trajectory set's common sample grid, evaluated one piece at a time.
 
-    The times come from _sample_times and the piece owning each time from
-    the trajectory's _locate, as in evaluate_many, so every piece owns one
-    contiguous window of samples.  Robots with the same knots and degree
-    share each window's Bernstein basis, and a window's rows go through
+    Every robot flies robot 0's piece durations at robot 0's degree, so one
+    layout serves the whole set: the times come from _sample_times and the
+    piece owning each time from _locate, as in evaluate_many, so every
+    piece owns one contiguous window of samples.  All robots share each
+    window's Bernstein basis, and a window's rows go through
     evaluate_many's einsum over the same control points, so every value
-    equals the dense evaluation's bit for bit.
+    equals the dense evaluation's bit for bit.  A set that fails
+    check_layout raises ValueError.
     """
 
     def __init__(self, trajectories, sample_dt):
+        check_layout(trajectories)
+        first = trajectories[0]
         self.trajectories = trajectories
-        self.ts = _sample_times(max(t.duration for t in trajectories), sample_dt)
-        self.layouts = []
-        shared = {}
-        for traj in self.trajectories:
-            key = (traj.knots.tobytes(), traj.degree)
-            if key not in shared:
-                idx, local = traj._locate(self.ts)
-                starts = np.searchsorted(idx, np.arange(len(traj.durations) + 1))
-                shared[key] = _Layout(
-                    key, traj.degree, idx, local / traj.durations[idx], starts,
-                    np.flatnonzero(np.diff(starts)),
-                )
-            self.layouts.append(shared[key])
+        self.degree = first.degree
+        self.idx, local = first._locate(_sample_times(first.duration, sample_dt))
+        self.s = local / first.durations[self.idx]
+        self.starts = np.searchsorted(self.idx, np.arange(len(first.durations) + 1))
+        # the pieces that own samples
+        self.pieces = np.flatnonzero(np.diff(self.starts))
         self._basis = {}
         self._values = {}
 
     def values(self, r, k, order=0):
         """Robot r's order-th derivative at the samples piece k owns."""
-        layout = self.layouts[r]
-        a, b = layout.starts[k], layout.starts[k + 1]
-        if (layout.key, k, order) not in self._basis:
-            self._basis[layout.key, k, order] = bernstein_basis(
-                max(layout.degree - order, 0), layout.s[a:b]
-            )
-        basis = self._basis[layout.key, k, order]
+        a, b = self.starts[k], self.starts[k + 1]
+        if (k, order) not in self._basis:
+            self._basis[k, order] = bernstein_basis(max(self.degree - order, 0), self.s[a:b])
         points = self.trajectories[r].control_points(order)
         # the samples depend on the window and the control points alone, so
         # pieces with equal derivatives (straight moves alike in direction
         # and duration) are evaluated once
-        key = (layout.key, k, order, points[k].tobytes())
+        key = (k, order, points[k].tobytes())
         if key not in self._values:
-            self._values[key] = np.einsum("ji,jid->jd", basis, points[layout.idx[a:b]])
+            self._values[key] = np.einsum(
+                "ji,jid->jd", self._basis[k, order], points[self.idx[a:b]]
+            )
         return self._values[key]
 
 
@@ -253,72 +261,25 @@ def _position_extremes(trajectories, scenario, sample_dt):
     largest workspace overrun over the common sample grid.
 
     Each piece's control point box bounds its samples: the pair distance
-    from below by the box of the two robots' control point differences
-    where they share knots and degree, and otherwise by the gap between
-    the boxes of every two pieces whose windows overlap; the obstacle
-    distance by the gap between the piece's box and the obstacle's; and
-    the overrun from above by the box's overrun.
+    of robots i < j on piece k from below by the box of their control
+    point differences, the obstacle distance by the gap between the
+    piece's box and the obstacle's, and the overrun from above by the
+    box's overrun.  A robot with a control point that is not finite has
+    no bound and is sampled first.
     """
     grid = _SampleGrid(trajectories, sample_dt)
     radii = np.asarray(scenario.robot_ellipsoid.radii)
-    # one unit per robot piece that owns samples, with its position box
-    units, lo, hi, hulls = [], [], [], []
-    for r, layout in enumerate(grid.layouts):
-        points = grid.trajectories[r].control_points()
-        if not np.isfinite(points).all():
-            # a robot with a control point that is not finite has no
-            # bound and is sampled whole
-            points = np.full_like(points, np.nan)
-        hulls.append(points)
-        box_lo, box_hi = _boxes(points)
-        units += [(r, k) for k in layout.pieces]
-        lo.append(box_lo[layout.pieces])
-        hi.append(box_hi[layout.pieces])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    pieces = grid.pieces
+    # (robots, pieces that own samples, points, 3)
+    hulls = np.stack([traj.control_points()[pieces] for traj in trajectories])
+    hulls[~np.isfinite(hulls).all(axis=(1, 2, 3))] = np.nan
+    # one unit per robot piece, robot by robot, with its position box
+    units = [(r, k) for r in range(len(trajectories)) for k in pieces]
+    lo, hi = (corner.reshape(-1, 3) for corner in _boxes(hulls))
 
-    # pair units: rows (robot i, its piece k, robot j, its piece l, first
-    # sample, end sample) over the samples both pieces own
-    pairs, pair_bounds = [np.empty((0, 6), dtype=int)], [np.empty(0)]
-    groups = {}
-    for r, layout in enumerate(grid.layouts):
-        groups.setdefault(layout.key, []).append(r)
-    for group in groups.values():
-        layout = grid.layouts[group[0]]
-        robots = np.asarray(group)
-        qi, qj = np.triu_indices(len(group), 1)
-        points = np.stack([hulls[r] for r in group])
-        gap = _box_gap(*_boxes(points[qi] - points[qj]), 0.0, 0.0, radii)
-        pieces = np.tile(layout.pieces, len(qi))
-        count = len(layout.pieces)
-        pairs.append(
-            np.column_stack(
-                [
-                    np.repeat(robots[qi], count),
-                    pieces,
-                    np.repeat(robots[qj], count),
-                    pieces,
-                    layout.starts[pieces],
-                    layout.starts[pieces + 1],
-                ]
-            )
-        )
-        pair_bounds.append(gap[:, layout.pieces].ravel())
-    first = np.cumsum([0] + [len(layout.pieces) for layout in grid.layouts])
-    for group_a, group_b in itertools.combinations(groups.values(), 2):
-        for i, j in itertools.product(group_a, group_b):
-            ki, kj = grid.layouts[i].pieces, grid.layouts[j].pieces
-            si, sj = grid.layouts[i].starts, grid.layouts[j].starts
-            a = np.maximum(si[ki][:, None], sj[kj][None])
-            b = np.minimum(si[ki + 1][:, None], sj[kj + 1][None])
-            x, y = np.nonzero(a < b)
-            pairs.append(
-                np.column_stack(
-                    [np.full_like(x, i), ki[x], np.full_like(y, j), kj[y], a[x, y], b[x, y]]
-                )
-            )
-            ui, uj = first[i] + x, first[j] + y
-            pair_bounds.append(_box_gap(lo[ui], hi[ui], lo[uj], hi[uj], radii))
-    pairs = np.concatenate(pairs)
+    # one pair unit (i, j, k) per pair i < j, in order, and piece k
+    qi, qj = np.triu_indices(len(trajectories), 1)
+    pair_bounds = _box_gap(*_boxes(hulls[qi] - hulls[qj]), 0.0, 0.0, radii).ravel()
 
     scaled = {}
 
@@ -328,13 +289,11 @@ def _position_extremes(trajectories, scenario, sample_dt):
         return scaled[r, k]
 
     def pair_distance(u):
-        i, k, j, l, a, b = pairs[u]
-        ai, aj = grid.layouts[i].starts[k], grid.layouts[j].starts[l]
-        left = scaled_window(i, k)[a - ai : b - ai]
-        right = scaled_window(j, l)[a - aj : b - aj]
+        q, k = divmod(u, len(pieces))
+        left, right = scaled_window(qi[q], pieces[k]), scaled_window(qj[q], pieces[k])
         return np.linalg.norm(left - right, axis=1).min()
 
-    pair = _extreme(np.concatenate(pair_bounds), pair_distance)
+    pair = _extreme(pair_bounds, pair_distance)
 
     obstacle = np.inf
     obstacles = [box.world_box(scenario.grid) for box in scenario.obstacle_boxes()]
@@ -385,49 +344,34 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
     kinematic body rate, which obeys the exact 1/s law under temporal
     scaling; with gravity the constant hover term breaks exact scaling.
 
-    Each peak is the largest sample, and every peak is NaN when any sample
-    is.  A piece with finite control points is sampled only while its
-    bound can reach the running peak: speed, acceleration and thrust are
-    at most the largest norm among the control points of the derivative
-    (acceleration plus gravity for thrust), and the body rate at most the
-    largest jerk control point norm over the distance from the origin to
-    the box of the thrust control points.
+    Each peak is the largest sample, and every peak is NaN when any peak
+    is.  A piece is sampled only while its bound can reach the running
+    peak: speed, acceleration and thrust are at most the largest norm
+    among the control points of the derivative (acceleration plus gravity
+    for thrust), and the body rate at most the largest jerk control point
+    norm over the distance from the origin to the box of the thrust
+    control points.  A robot with a control point that is not finite has
+    no bound and is sampled first.
     """
     grid = _SampleGrid(trajectories, sample_dt)
     g = np.array([0.0, 0.0, gravity])
-    peak = {"speed": 0.0, "accel": 0.0, "thrust": 0.0, "omega": 0.0}
-    units = []
-    bounds = {name: [np.empty(0)] for name in peak}
-    thrust_bound = {}
-    for r, traj in enumerate(grid.trajectories):
-        vel, acc, jerk = (traj.control_points(order) for order in (1, 2, 3))
-        if not all(np.isfinite(p).all() for p in (vel, acc, jerk)):
-            # a robot with a control point that is not finite has no bound
-            # and is sampled whole; a NaN sample leaves no peak known
-            vel, acc, jerk = (traj.evaluate_many(grid.ts, order) for order in (1, 2, 3))
-            if any(np.isnan(v).any() for v in (vel, acc, jerk)):
-                return dict.fromkeys(peak, np.nan)
-            thrust = acc + g
-            tnorm = np.linalg.norm(thrust, axis=1)
-            robot = {
-                "speed": np.linalg.norm(vel, axis=1),
-                "accel": np.linalg.norm(acc, axis=1),
-                "thrust": tnorm,
-                "omega": _body_rate(thrust, tnorm, jerk, tnorm > 1e-9 * tnorm.max()),
-            }
-            for name, values in robot.items():
-                peak[name] = max(peak[name], float(values.max()))
-            continue
-        k = grid.layouts[r].pieces
-        units += [(r, piece) for piece in k]
-        thrust = acc + g
-        bounds["speed"].append(_max_norm(vel)[k])
-        bounds["accel"].append(_max_norm(acc)[k])
-        bounds["thrust"].append(_max_norm(thrust)[k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            omega = _max_norm(jerk) / _box_gap(*_boxes(thrust), 0.0, 0.0, 1.0)
-        bounds["omega"].append(omega[k])
-        thrust_bound[r] = bounds["thrust"][-1].max()
+    # one unit per robot piece, robot by robot, as in _position_extremes
+    units = [(r, k) for r in range(len(trajectories)) for k in grid.pieces]
+    vel, acc, jerk = (
+        np.stack([traj.control_points(order)[grid.pieces] for traj in trajectories])
+        for order in (1, 2, 3)
+    )
+    thrust = acc + g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = {
+            "speed": _max_norm(vel),
+            "accel": _max_norm(acc),
+            "thrust": _max_norm(thrust),
+            "omega": _max_norm(jerk) / _box_gap(*_boxes(thrust), 0.0, 0.0, 1.0),
+        }
+    finite = np.all([np.isfinite(p).all(axis=(1, 2, 3)) for p in (vel, acc, jerk)], axis=0)
+    bounds = {name: np.where(finite[:, None], b, np.nan) for name, b in bounds.items()}
+    thrust_bound = bounds["thrust"].max(axis=1)
 
     thrusts = {}
     # each robot's largest thrust sampled so far
@@ -455,7 +399,7 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
             sure = tnorm > 1e-9 * top
             if np.all(sure | (tnorm <= 1e-9 * seen[r])):
                 return sure
-            robot_thrust[r] = max(thrust_at(r, k)[1].max() for k in grid.layouts[r].pieces)
+            robot_thrust[r] = max(thrust_at(r, k)[1].max() for k in grid.pieces)
         return tnorm > 1e-9 * robot_thrust[r]
 
     def omega(r, k):
@@ -468,15 +412,18 @@ def dynamics_metrics(trajectories, sample_dt=0.01, gravity=GRAVITY):
         "thrust": lambda r, k: thrust_at(r, k)[1].max(),
         "omega": omega,
     }
+    peak = {}
     for name, peak_of in evaluate.items():
         peak[name] = float(
             _extreme(
-                np.concatenate(bounds[name]),
+                bounds[name].ravel(),
                 lambda u: peak_of(*units[u]),
                 highest=True,
-                initial=peak[name],
+                initial=0.0,
             )
         )
+    if any(np.isnan(value) for value in peak.values()):
+        return dict.fromkeys(peak, np.nan)
     return peak
 
 
@@ -486,10 +433,15 @@ def smoothness_report(trajectories, continuity):
 
     A Bernstein curve starts at its first control point and ends at its
     last, so every endpoint and knot derivative is read off the control
-    points of the derivative curves, with no curve evaluation.
+    points of the derivative curves, with no curve evaluation.  A robot
+    with a control point that is not finite is one problem, and its other
+    checks are skipped: a NaN compares false with every tolerance.
     """
     problems = []
     for r, traj in enumerate(trajectories):
+        if not np.isfinite(traj.points).all():
+            problems.append(f"robot {r} has a control point that is not finite")
+            continue
         heads, tails, scales = [], [], []
         for order in range(continuity + 1):
             pts = traj.control_points(order)

@@ -72,7 +72,7 @@ class TestPlan:
         # 100 Hz default
         assert abs((ts[1] - ts[0]) - 0.01) < 1e-9
 
-    def test_scale_to_accel_limit(self, scenario_file, tmp_path):
+    def test_scale_to_accel_limit(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "scaled")
         limit = 0.05
         code = main(["plan", "--scenario", scenario_file, "--out", out,
@@ -83,6 +83,13 @@ class TestPlan:
             report = json.load(f)
         assert report["ok"] is True
         assert report["peaks"]["accel"] <= limit + 1e-9
+        # time dilation keeps one piece layout, so the scaled export
+        # validates again to the same report byte for byte
+        capsys.readouterr()
+        assert main(["validate", "--scenario", scenario_file,
+                     "--trajectories", os.path.join(out, "trajectories")]) == 0
+        with open(os.path.join(out, "validation.json")) as f:
+            assert capsys.readouterr().out == f.read()
 
 
 class TestJobs:
@@ -219,7 +226,25 @@ class TestValidate:
         edited = self.edited_copy(planned[1], tmp_path, 0, "1e308")
         code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
         assert code == 1
-        assert "trajectory horizons differ" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["robot 1 does not share robot 0's piece durations and degree"]
+
+    def test_durations_that_differ_at_the_same_horizon_are_rejected(
+        self, scenario_file, planned, tmp_path, capsys
+    ):
+        # robot_001.csv's first two pieces of 0.25 s become 0.125 and
+        # 0.375 s: the horizon is kept, the piece layout is not
+        edited = self.edited_copy(planned[1], tmp_path, 0, "0.125")
+        path = edited / "robot_001.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("0.25,")
+        lines[2] = "0.375" + lines[2][len("0.25"):]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["robot 1 does not share robot 0's piece durations and degree"]
 
     def test_infinite_horizon_names_the_file(self, scenario_file, planned, tmp_path, capsys):
         # every duration of robot_001.csv is finite, their sum is not

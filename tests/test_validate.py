@@ -276,6 +276,21 @@ class TestSmoothnessReport:
         )
         assert any("order-1" in p and "start" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "piece, index, value",
+        [(1, 4, np.nan), (0, 9, np.nan), (0, 0, np.inf)],
+        ids=["nan-inside", "nan-at-knot", "inf-at-start"],
+    )
+    def test_non_finite_control_point_is_one_problem(self, piece, index, value):
+        # a NaN compares false with every tolerance, and max(1.0, nan) is
+        # 1.0, so the robot must be reported before any other check
+        traj = self.make_smooth()
+        points = traj.points.copy()
+        points[piece, index, 0] = value
+        broken = PiecewiseBezierTrajectory(traj.durations, points)
+        assert smoothness_report([traj, broken], continuity=4) == [
+            "robot 1 has a control point that is not finite"
+        ]
 
     def test_matches_per_knot_evaluation(self):
         rng = np.random.default_rng(30)
@@ -408,10 +423,36 @@ class TestValidateTrajectories:
         assert set(data["peaks"]) == {"speed", "accel", "thrust", "omega"}
         assert data["min_pair_clearance"] == report.min_pair_clearance
 
+    @pytest.mark.parametrize("change", ["durations", "degree"])
+    def test_sets_of_differing_pieces_are_rejected(self, change):
+        # one piece layout per set: robot 1 flies the same horizon on other
+        # piece durations, or the same durations at another degree
+        wp = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        durations, degree, continuity = {
+            "durations": ([0.2, 0.3], 9, 4),
+            "degree": ([0.25, 0.25], 7, 3),
+        }[change]
+        trajs = [
+            fallback_trajectory(wp, [0.25, 0.25], 9, 4),
+            fallback_trajectory(wp + [0.0, 1.5, 0.0], durations, degree, continuity),
+        ]
+        assert trajs[0].duration == trajs[1].duration
+        message = "robot 1 does not share robot 0's piece durations and degree"
+        with pytest.raises(ValueError, match=message):
+            validate_trajectories(trajs, scenario())
+        with pytest.raises(ValueError, match=message):
+            dynamics_metrics(trajs)
+
+    def test_empty_set_is_rejected(self):
+        with pytest.raises(ValueError, match="no trajectories"):
+            validate_trajectories([], scenario())
+        with pytest.raises(ValueError, match="no trajectories"):
+            dynamics_metrics([])
+
 
 @st.composite
 def trajectory_sets(draw):
-    """1-6 robots of degrees 5-9 on shared or differing piece durations,
+    """1-6 robots on one degree (5-9) and one list of piece durations,
     sometimes with knots on the sample grid and a pair that nearly
     touches inside its pieces."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -419,14 +460,12 @@ def trajectory_sets(draw):
         durations = st.sampled_from([0.125, 0.25, 0.5])
     else:
         durations = st.floats(0.05, 0.6)
-    pieces = st.lists(durations, min_size=1, max_size=4)
-    common = draw(pieces)
+    taus = draw(st.lists(durations, min_size=1, max_size=4))
+    degree = draw(st.integers(5, 9))
     trajectories = []
     for _ in range(draw(st.integers(1, 6))):
-        degree = draw(st.integers(5, 9))
         chain = []
         start = rng.uniform(0.0, 1.5, size=3)
-        taus = common if draw(st.booleans()) else draw(pieces)
         for _ in taus:
             pts = start + rng.normal(scale=0.2, size=(degree + 1, 3))
             pts[0] = start
@@ -492,6 +531,20 @@ class TestBoundedSearch:
         assert not report.ok
         # max(peak, nan) would keep the peak of the other robots alone
         assert all(np.isnan(v) for v in report.peaks.values())
+
+    @pytest.mark.parametrize("piece, index", [(1, 4), (0, 0)], ids=["inside", "at-start"])
+    def test_inf_control_point_matches_dense_and_fails(self, piece, index):
+        rng = np.random.default_rng(12)
+        points = [[rng.uniform(0.0, 1.5, size=(10, 3)) for _ in range(3)] for _ in range(3)]
+        points[1][piece][index, 2] = np.inf
+        trajectories = [PiecewiseBezierTrajectory([0.25] * 3, p) for p in points]
+        sc = scenario(obstacles=[(2, 2, 0)])
+        with np.errstate(invalid="ignore"):
+            report = validate_trajectories(trajectories, sc)
+            expected = dense.validate_trajectories(trajectories, sc)
+        assert same_report(report, expected)
+        assert not report.ok
+        assert "robot 1 has a control point that is not finite" in report.smoothness_problems
 
     def test_refinement_candidates_match_dense(self, monkeypatch):
         sc = ScenarioSpec.load(
