@@ -114,6 +114,15 @@ class PiecewiseBezierTrajectory:
             self.knots = np.concatenate([[0.0], np.cumsum(durations)])
         if not math.isfinite(self.knots[-1]):
             raise ValueError(f"trajectory horizon {self.knots[-1]} is not finite")
+        # a duration below the rounding of a large knot leaves its piece
+        # without time, and evaluation would skip it
+        flat = np.flatnonzero(self.knots[1:] <= self.knots[:-1])
+        if flat.size:
+            k = int(flat[0])
+            raise ValueError(
+                f"piece {k} of duration {float(durations[k])!r} ends at its start, "
+                f"knot {float(self.knots[k])!r}"
+            )
         for array in (durations, points, self.knots):
             array.flags.writeable = False
         self.durations, self.points = durations, points

@@ -9,6 +9,8 @@ cannot be read or written), 3 solver budget exceeded.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import logging
 import math
 import os
@@ -48,6 +50,27 @@ def _setup_logging():
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep the megabytes of numpy temporaries that each interior-point and
+    GJK step frees on the process's heap, set once per process through
+    glibc's mallopt, so that refinement reuses them instead of handing them
+    back to the system and faulting them in again every round (about 25k
+    minor faults per plan of scenarios/wall_windows_8.json).  A no-op where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD (-1): a free leaves up to 256 MB at the top of the
+    # heap; M_MMAP_THRESHOLD (-3): blocks below 32 MB, glibc's largest
+    # threshold, come from the heap, not from mmap
+    mallopt(-1, 256 << 20)
+    mallopt(-3, 32 << 20)
 
 
 def _finite_positive(text):
@@ -238,6 +261,7 @@ def build_parser():
 
 def main(argv=None):
     _setup_logging()
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

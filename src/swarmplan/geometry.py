@@ -81,9 +81,11 @@ class ConvexPolyhedron:
         return float((pts @ self.A.T - self.b[None, :]).max())
 
 
-def _center(A_pts, B_pts):
-    all_pts = np.concatenate([A_pts, B_pts], axis=-2)
-    return all_pts.mean(axis=-2)
+def _mean_rows(X):
+    """X.mean(axis=-2) bit for bit, for X of shape (T, m, 3): numpy sums
+    across rows one row at a time, and so does this einsum, about 5 times
+    faster than mean's reduction over the middle axis."""
+    return np.einsum("tmi->ti", X) / X.shape[-2]
 
 
 def _dot(a, b):
@@ -103,10 +105,16 @@ def _cross(a, b):
     return out
 
 
-# the faces of a simplex of up to four points, grouped by size, and the
-# members of all 15 faces in that order as masks
+# the faces of a simplex of up to four points, grouped by size, the
+# members of all 15 faces in that order as masks, and each face's vertex
+# order: its members first, then the others, each in slot order
 _FACES = [np.array(list(itertools.combinations(range(4), k))) for k in (1, 2, 3, 4)]
 _FACE_MEMBERS = np.array([np.isin(range(4), face) for faces in _FACES for face in faces])
+_FACE_ORDER = np.argsort(~_FACE_MEMBERS, axis=1, kind="stable")
+# for a simplex in slots 0..k-1: its faces, grouped by size, and their
+# indices among the 15 (1, 3, 7 and 15 faces for k = 1..4)
+_FACES_OF = {k: [f[(f < k).all(axis=1)] for f in _FACES[:k]] for k in range(1, 5)}
+_FACE_INDEX_OF = {k: np.flatnonzero(~_FACE_MEMBERS[:, k:].any(axis=1)) for k in range(1, 5)}
 # an instance stops once its duality gap |v|^2 - min_y v.y is at most this
 # fraction of |v|^2
 _GAP_TOL = 1e-12
@@ -124,13 +132,19 @@ _MARGIN_RTOL = 1e-6
 def _simplex_min_norm(Y, used):
     """Min-norm point of each simplex conv(Y[l, used[l]]), Y of shape (L, 4, 3).
 
-    Every face is tried: the min-norm point of its affine hull counts when
-    the face is affinely independent and the point's barycentric weights
-    are nonnegative, and the shortest such point wins.  Returns the points
-    (L, 3) and the winning faces' members as a mask (L, 4).
+    Each simplex fills the first slots of its row (used[l] is a prefix),
+    and the faces tried are those of the first k slots, k being the
+    batch's largest simplex: the min-norm point of a face's affine hull
+    counts when the face is affinely independent, in the instance's
+    simplex, and the point's barycentric weights are nonnegative, and the
+    shortest such point wins.  The faces go by size, and each face left
+    out is in no simplex, so the winner is the one all 15 faces would give,
+    ties included.  Returns the points (L, 3) and the winning faces'
+    indices into _FACE_MEMBERS (L,).
     """
     points, valid = [], []
-    for faces in _FACES:
+    k = used.sum(axis=1).max()
+    for faces in _FACES_OF[k]:
         y0 = Y[:, faces[:, 0]]
         d = [Y[:, faces[:, j]] - y0 for j in range(1, faces.shape[1])]
         if len(d) == 0:
@@ -169,7 +183,7 @@ def _simplex_min_norm(Y, used):
     points = np.concatenate(points, axis=1)
     valid = np.concatenate(valid, axis=1)
     best = np.argmin(np.where(valid, _dot(points, points), np.inf), axis=1)
-    return points[np.arange(Y.shape[0]), best], _FACE_MEMBERS[best]
+    return points[np.arange(Y.shape[0]), best], _FACE_INDEX_OF[k][best]
 
 
 def _min_norm_points(P, Q):
@@ -190,20 +204,20 @@ def _min_norm_points(P, Q):
     p_max = np.zeros(T)
     q_min = np.zeros(T)
     status = np.full(T, 2)
-    live = np.arange(T)
+    # the running instances' indices; P, Q, Y and keys hold only their rows
+    live, rows = np.arange(T), np.arange(T)
 
     def support(v):
-        vp = np.einsum("tmi,ti->tm", P[live], v)
-        vq = np.einsum("tmi,ti->tm", Q[live], v)
+        vp = np.einsum("tmi,ti->tm", P, v)
+        vq = np.einsum("tmi,ti->tm", Q, v)
         ia, ib = vp.argmax(axis=1), vq.argmin(axis=1)
-        rows = np.arange(live.size)
-        return Q[live, ib] - P[live, ia], vp[rows, ia], vq[rows, ib], ia * mQ + ib
+        return Q[rows, ib] - P[rows, ia], vp[rows, ia], vq[rows, ib], ia * mQ + ib
 
     def finish(stop, v, pm, qm, code):
         idx = live[stop]
         w[idx], p_max[idx], q_min[idx], status[idx] = v[stop], pm[stop], qm[stop], code
 
-    v, _, _, key = support(Q.mean(axis=1) - P.mean(axis=1))
+    v, _, _, key = support(_mean_rows(Q) - _mean_rows(P))
     Y = np.zeros((T, 4, 3))
     Y[:, 0] = v
     keys = np.full((T, 4), -1)
@@ -211,25 +225,26 @@ def _min_norm_points(P, Q):
     for _ in range(_MIN_NORM_MAX_ITER):
         y, pm, qm, key = support(v)
         vv = _dot(v, v)
-        rows = np.arange(live.size)
         slot = (keys >= 0).sum(axis=1)
         repeat = (keys == key[:, None]).any(axis=1)
         Y[rows, slot] = y
         keys[rows, slot] = key
-        v_new, face = _simplex_min_norm(Y, keys >= 0)
+        v_new, best = _simplex_min_norm(Y, keys >= 0)
+        face = _FACE_MEMBERS[best]
         solved = (vv > 0.0) & ((vv - (qm - pm) <= _GAP_TOL * vv) | repeat | ~face[rows, slot])
         # the simplex holds the origin (a tetrahedron that contains it yields
         # exactly 0): the hulls share a point
         overlap = ~solved & (_dot(v_new, v_new) == 0.0)
         finish(solved, v, pm, qm, 0)
         finish(overlap, v, pm, qm, 1)
-        go = ~(solved | overlap)
+        go = np.flatnonzero(~(solved | overlap))
         # the minimal face's vertices move to the front, in their order
-        order = np.argsort(~face, axis=1, kind="stable")
-        Y = np.take_along_axis(Y, order[:, :, None], axis=1)[go]
-        keys = np.take_along_axis(np.where(face, keys, -1), order, axis=1)[go]
-        live, v = live[go], v_new[go]
-        if not live.size:
+        order = _FACE_ORDER[best[go]]
+        Y = Y[go[:, None], order]
+        keys = np.where(face, keys, -1)[go[:, None], order]
+        live, v, P, Q = live[go], v_new[go], P[go], Q[go]
+        rows = np.arange(go.size)
+        if not go.size:
             break
     return w, p_max, q_min, status
 
@@ -257,11 +272,11 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     mA = A_sets.shape[1]
     radii = np.asarray(ellipsoid.radii)
 
-    centers = _center(A_sets, B_sets)
-    A_c = A_sets - centers[:, None, :]
-    B_c = B_sets - centers[:, None, :]
+    both = np.concatenate([A_sets, B_sets], axis=1)
+    centers = _mean_rows(both)
+    scaled = (both - centers[:, None, :]) / radii
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w, p_max, q_min, status = _min_norm_points(A_c / radii, B_c / radii)
+        w, p_max, q_min, status = _min_norm_points(scaled[:, :mA], scaled[:, mA:])
         ww = _dot(w, w)
         alpha_raw = 2.0 * w / (ww[:, None] * radii)
         beta_raw = (p_max + q_min) / ww
@@ -276,7 +291,7 @@ def svm_separate_batch(A_sets, B_sets, ellipsoid):
     ok = ok & (norms > 1e-12)
     # the direct check: the sets lie the promised margin 1/||alpha_raw||
     # off the plane, each on its own side
-    side = np.einsum("tmi,ti->tm", np.concatenate([A_sets, B_sets], axis=1), alpha)
+    side = np.einsum("tmi,ti->tm", both, alpha)
     margin = (1.0 - _MARGIN_RTOL) / safe
     ok &= (side[:, :mA].max(axis=1) <= beta - margin) & (side[:, mA:].min(axis=1) >= beta + margin)
     return alpha, beta, enorm, ok

@@ -511,6 +511,13 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="horizon inf is not finite"):
             PiecewiseBezierTrajectory([1e308, 1e308], np.zeros((2, 4, 3)))
 
+    def test_duration_absorbed_by_a_huge_knot_rejected(self):
+        # the knots would be [0, 1e308, 1e308, 1e308]: pieces 1 and 2 get
+        # no time, and evaluating the end would land at the start of piece 2
+        points = np.arange(3.0)[:, None, None] + np.array([0.0, 1.0])[None, :, None] + np.zeros(3)
+        with pytest.raises(ValueError, match=r"piece 1 of duration 0.25 ends at its start, knot 1e\+308"):
+            PiecewiseBezierTrajectory([1e308, 0.25, 0.25], points)
+
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseBezierTrajectory([], np.zeros((0, 4, 3)))

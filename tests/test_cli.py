@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import compare_artifacts
 from compare_artifacts import artifact_differences, artifact_files
 
-from swarmplan import opt_engine
+from swarmplan import cli, opt_engine
 from swarmplan.cli import main
 from swarmplan.scenario import GridSpec, ScenarioSpec
 
@@ -107,6 +108,24 @@ class TestJobs:
         assert "refine_report.csv" in files and len(files) > 3
         for out in outs[1:]:
             assert artifact_differences(outs[0], out) == []
+
+
+class TestFreedMemory:
+    def test_thresholds_go_to_mallopt(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory.__wrapped__()
+        # M_TRIM_THRESHOLD to 256 MB, then M_MMAP_THRESHOLD to 32 MB
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+
+    def test_a_library_without_mallopt_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert cli._keep_freed_memory.__wrapped__() is None
 
 
 class TestCompareArtifacts:
@@ -223,11 +242,14 @@ class TestValidate:
 
     def test_huge_duration_changes_the_horizon(self, scenario_file, planned, tmp_path,
                                                capsys):
+        # the later pieces' 0.25 s round away at the knot 1e308, so
+        # robot_001.csv does not make a trajectory
         edited = self.edited_copy(planned[1], tmp_path, 0, "1e308")
         code = main(["validate", "--scenario", scenario_file, "--trajectories", str(edited)])
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["robot 1 does not share robot 0's piece durations and degree"]
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "robot_001.csv" in err[0] and "piece 1 of duration 0.25 ends at its start" in err[0]
 
     def test_durations_that_differ_at_the_same_horizon_are_rejected(
         self, scenario_file, planned, tmp_path, capsys

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,6 +425,140 @@ class TestSeparationBatchAgainstSingleSolves:
         a, b = rng.normal(size=(2, 1344, 6, 3)) * 10.0 ** rng.uniform(-8, 8, size=(2, 1344, 6, 3))
         for x, y in ((a, b), (a[:, ::2], b[:, 1::2]), (a, b[0, 0])):
             assert np.array_equal(geometry._cross(x, y), np.cross(x, y))
+
+
+def simplex_min_norm_all_faces(Y, used):
+    """Reference for geometry._simplex_min_norm, with the same arithmetic
+    per face but over all 15 faces of a 4-point simplex, whatever the
+    batch's simplices hold.  Returns the points (L, 3) and the winning
+    faces' members as a mask (L, 4)."""
+    faces_by_size = [np.array(list(itertools.combinations(range(4), k))) for k in (1, 2, 3, 4)]
+    members = np.array([np.isin(range(4), face) for faces in faces_by_size for face in faces])
+    dot = geometry._dot
+    cross = geometry._cross
+    tol = geometry._AFFINE_TOL
+    points, valid = [], []
+    for faces in faces_by_size:
+        y0 = Y[:, faces[:, 0]]
+        d = [Y[:, faces[:, j]] - y0 for j in range(1, faces.shape[1])]
+        if len(d) == 0:
+            lam = np.zeros(y0.shape[:2] + (0,))
+            indep = np.ones(y0.shape[:2], dtype=bool)
+            p = y0
+        elif len(d) == 1:
+            g = dot(d[0], d[0])
+            lam = (-dot(d[0], y0) / g)[..., None]
+            indep = g > 0.0
+            p = y0 + lam * d[0]
+        elif len(d) == 2:
+            n = cross(d[0], d[1])
+            nn = dot(n, n)
+            p = n * (dot(n, y0) / nn)[..., None]
+            y1, y2 = y0 + d[0], y0 + d[1]
+            lam = np.stack(
+                [dot(n, cross(y2 - p, y0 - p)), dot(n, cross(y0 - p, y1 - p))], axis=-1
+            ) / nn[..., None]
+            indep = nn > tol**2 * dot(d[0], d[0]) * dot(d[1], d[1])
+        else:
+            n12, n20, n01 = cross(d[1], d[2]), cross(d[2], d[0]), cross(d[0], d[1])
+            det = dot(d[0], n12)
+            lam = -np.stack([dot(y0, n12), dot(y0, n20), dot(y0, n01)], axis=-1) / det[..., None]
+            scale = np.sqrt(dot(d[0], d[0]) * dot(d[1], d[1]) * dot(d[2], d[2]))
+            indep = np.abs(det) > tol * scale
+            p = np.zeros_like(y0)
+        weights = np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+        valid.append(indep & (weights >= 0.0).all(axis=-1) & used[:, faces].all(axis=-1))
+        points.append(p)
+    points = np.concatenate(points, axis=1)
+    valid = np.concatenate(valid, axis=1)
+    best = np.argmin(np.where(valid, dot(points, points), np.inf), axis=1)
+    return points[np.arange(Y.shape[0]), best], members[best]
+
+
+def simplex_batch(rng, count):
+    """GJK simplices of 1 to 4 points in their first slots, the other slots
+    holding stale points as GJK leaves them: general position, collinear,
+    coplanar, repeated and lattice points, and tetrahedra around the origin."""
+    Y = rng.normal(size=(count, 4, 3))
+    used = np.zeros((count, 4), dtype=bool)
+    for l in range(count):
+        k = rng.integers(1, 5)
+        kind = rng.choice(["general", "collinear", "coplanar", "repeated", "lattice", "origin"])
+        base, d1, d2 = rng.normal(size=(3, 3))
+        s, t = rng.normal(size=(2, k, 1))
+        if kind == "collinear":
+            pts = base + s * d1
+        elif kind == "coplanar":
+            pts = base + s * d1 + t * d2
+        elif kind == "lattice":
+            pts = rng.integers(-1, 2, size=(k, 3)).astype(float)
+        else:
+            pts = rng.normal(size=(k, 3))
+        if kind == "repeated":
+            pts[-1] = pts[0]
+        if kind == "origin":
+            pts -= pts.mean(axis=0)
+        Y[l, :k] = pts
+        used[l, :k] = True
+    return Y, used
+
+
+class TestSimplexStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_faces_the_simplices_hold_give_the_all_faces_answer(self, seed):
+        Y, used = simplex_batch(np.random.default_rng(seed), 600)
+        size = used.sum(axis=1)
+        for largest in (1, 2, 3, 4):
+            batch = size <= largest
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                points, best = geometry._simplex_min_norm(Y[batch], used[batch])
+                want_points, want_members = simplex_min_norm_all_faces(Y[batch], used[batch])
+            assert np.array_equal(points, want_points)
+            assert np.array_equal(geometry._FACE_MEMBERS[best], want_members)
+
+    def test_face_order_puts_members_first_in_slot_order(self):
+        for members, order in zip(geometry._FACE_MEMBERS, geometry._FACE_ORDER):
+            inside = np.flatnonzero(members).tolist()
+            assert order.tolist() == inside + [s for s in range(4) if s not in inside]
+
+    def test_narrow_simplices_match_their_batch_of_one(self, monkeypatch):
+        # single points and segments (1- and 2-point simplices) share a
+        # batch with curves against boxes, whose simplices grow to 3 points
+        rng = np.random.default_rng(5)
+        a_sets, b_sets = [], []
+        for _ in range(4):
+            a_sets.append(smooth_curve_samples(rng, count=8) + [0.0, 0.0, 1.5])
+            b_sets.append(box_vertices(rng))
+            a_sets.append(np.repeat(rng.normal(size=(1, 3)) + [0.0, 0.0, 2.0], 8, axis=0))
+            b_sets.append(np.repeat(rng.normal(size=(1, 3)), 8, axis=0))
+            end = rng.normal(size=3)
+            a_sets.append(end + [0.0, 0.0, 2.0] + np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 0.0, 0.0])
+            b_sets.append(end + np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 0.0, 0.0])
+        a_sets, b_sets = np.array(a_sets), np.array(b_sets)
+        real = geometry._simplex_min_norm
+        largest = []
+
+        def spy(Y, used):
+            largest.append(int(used.sum(axis=1).max()))
+            return real(Y, used)
+
+        monkeypatch.setattr(geometry, "_simplex_min_norm", spy)
+        batch = svm_separate_batch(a_sets, b_sets, ELL)
+        assert batch[3].all() and max(largest) >= 3
+        for t in range(len(a_sets)):
+            largest.clear()
+            one = svm_separate_batch(a_sets[t : t + 1], b_sets[t : t + 1], ELL)
+            if t % 3:
+                assert max(largest) <= 2
+            for got, want in zip(batch, one):
+                assert np.array_equal(got[t], want[0])
+
+    def test_row_means_equal_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for shape in ((1, 2, 3), (1, 20, 3), (1344, 18, 3), (7, 33, 3)):
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            assert np.array_equal(geometry._mean_rows(x), x.mean(axis=-2))
+            assert np.array_equal(geometry._mean_rows(x[:, 1:]), x[:, 1:].mean(axis=-2))
 
 
 class TestObstacleMerging:
