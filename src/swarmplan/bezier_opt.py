@@ -20,9 +20,10 @@ derivatives over the remaining coefficients, subject to the corridor rows
 on the control points, is a convex QP per robot with no equality rows.
 Every robot of a plan shares its Hessian and its B-spline map, so
 optimize_trajectory hands the robots' programs to the solver together, as
-one batch, each starting from the coefficients of the curve its robot
-flies now and carrying only the corridor faces near that curve; the
-faces left out are checked at the answers.
+one batch, each starting from the coefficients of a given curve (the one
+its robot flies now, or in the first round its minimum-cost spline
+through its waypoints, waypoint_splines) and carrying only the corridor
+faces near that curve; the faces left out are checked at the answers.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
 from . import opt_engine
 
@@ -342,6 +344,61 @@ def _smoothing_space(durations, degree, continuity, weights):
     return opt_engine.SmoothingSpace(h, z), ends, fit
 
 
+@lru_cache(maxsize=16)
+def _waypoint_spline_map(durations, degree, continuity, weights):
+    """The map from a robot's pieces + 1 waypoints to the stacked control
+    values of its minimum-cost spline through them, for one axis: a CSR
+    array (pieces (degree + 1), pieces + 1).
+
+    The spline is the smoothing program's curve (spline_to_bernstein, rest
+    ends at the first and last waypoint) that passes through waypoint k at
+    knot k and minimizes the cost, with no corridor.  Its free
+    coefficients solve one equality-constrained QP, whose KKT system
+    [Q G'; G 0], Q the cost over them and G the rows of the interior
+    knots' positions, is factored once, sparse and single-threaded
+    (SuperLU), and solved for each waypoint's column.  Q is positive
+    definite over the free coefficients and G has full row rank, since
+    the straight line passes any waypoints, so the system is regular; Q
+    is divided by its largest entry to bring it to G's scale.  The
+    cached map is shared: callers must not modify it."""
+    d, c, pieces = degree, continuity, len(durations)
+    basis = spline_to_bernstein(durations, d, c)
+    free = basis[:, c + 1 : -(c + 1)]
+    # the rest ends' coefficients sit at the first and the last waypoint
+    x0 = np.zeros((basis.shape[0], pieces + 1))
+    x0[:, 0] = basis[:, : c + 1].sum(axis=1)
+    x0[:, -1] = basis[:, -(c + 1) :].sum(axis=1)
+    r = free.shape[1]
+    if not r:
+        return sparse.csr_array(x0)
+    h = sparse.block_diag([control_point_cost(d, tau, weights) for tau in durations], format="csr")
+    q = free.T @ h @ free
+    scale = abs(q).max()
+    # the first control point of piece k is the position at knot k
+    at_knots = (d + 1) * np.arange(1, pieces)
+    g = free[at_knots]
+    kkt = sparse.block_array([[q / scale, g.T], [g, None]], format="csc")
+    # the last pieces - 1 rows: each interior knot's position is its waypoint
+    rhs = np.vstack([-(free.T @ h @ x0) / scale, np.eye(pieces - 1, pieces + 1, 1) - x0[at_knots]])
+    solution = scipy.sparse.linalg.splu(kkt).solve(rhs)
+    return sparse.csr_array(x0 + free @ solution[:r])
+
+
+def waypoint_splines(waypoints, durations, degree, continuity, weights):
+    """Each robot's minimum-cost spline through its waypoints (robots,
+    pieces + 1, 3): a trajectory of the smoothing program's knots, degree
+    and continuity, at rest at both ends (_waypoint_spline_map).  The
+    cached map is built once per piece layout and applied to every robot's
+    waypoints as one sparse product, with no BLAS call."""
+    durations = tuple(float(t) for t in durations)
+    d, pieces = int(degree), len(durations)
+    m = _waypoint_spline_map(durations, d, int(continuity), tuple(weights))
+    w = np.asarray(waypoints, dtype=float)
+    points = m @ w.transpose(1, 0, 2).reshape(pieces + 1, -1)
+    points = points.reshape(pieces, d + 1, len(w), 3).transpose(2, 0, 1, 3)
+    return [PiecewiseBezierTrajectory(durations, p) for p in points]
+
+
 # A corridor face enters a robot's first solve only where its smallest
 # slack over the start point's control points is below this, in scenario
 # length units; every other face is checked at the answer
@@ -402,12 +459,13 @@ def optimize_trajectory(
     coefficients per axis sit at the start and the goal; the QP runs over
     the other coefficients.
 
-    current, when given, holds each robot's curve of the same knots and
-    degree (the one it flies now): its interior point starts from that
-    curve's coefficients, fitted by least squares, and otherwise from
+    current, when given, holds each robot's start curve of the same knots
+    and degree (refine_trajectories passes the curve the robot flies now,
+    or in round zero its waypoint spline): its interior point starts from
+    that curve's coefficients, fitted by least squares, and otherwise from
     coefficients 0.  The fit is exact for a curve at rest at its ends and
-    C^continuity at the knots, such as the straight line of round zero or
-    an earlier optimum, and the start may lie outside the new corridor.
+    C^continuity at the knots, such as a straight line, a waypoint spline
+    or an earlier optimum, and the start may lie outside the corridor.
 
     Most faces are slack at the optimum, so a program started from a
     current curve carries only the faces that can bind (Kelley's cutting

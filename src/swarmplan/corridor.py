@@ -23,7 +23,7 @@ robots it bounds get no full corridor that round and keep their current
 curves, against which every other corridor is built.
 
 The smoothing programs do not carry every slot: optimize_trajectory
-keeps the faces near each robot's current curve and checks the rest at
+keeps the faces near each robot's start curve and checks the rest at
 its answer, against these full arrays.
 """
 

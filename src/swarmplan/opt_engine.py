@@ -21,7 +21,7 @@ its check of H, for every batch that shares it.
 
 Each instance's band gets its own factorization, so an instance stops on
 its own and gets the answer it gets alone.  Each starts from its own
-point (c = 0 for a QuadraticProgram, the robot's current curve in a
+point (c = 0 for a QuadraticProgram, the robot's start curve in a
 refinement round), with its objective divided by its value there, and
 stops once its duality gap is small relative to its objective and its
 rows hold to a small fraction of their scale.  Late in a run the barrier

@@ -9,16 +9,20 @@ round builds safe corridors from the current curves' control points
 robot inside its corridor.  The robots' smoothing programs are
 independent (each sees only its own corridors), so one optimize_trajectory
 call per round solves them together as one batched interior point, in
-this process.  Each robot's program starts from the curve it flies now,
-which lies in the new corridor, since the corridor holds its control
-points (to rounding), so the robot's optimum costs no more than that
-curve.  A later round needs far fewer interior-point steps than a start
-from coefficients 0, and it carries only the corridor faces near that
-curve; a robot whose answer violates a face it left out is solved again
-with it.  Each round logs how its programs stopped, their step range,
-the faces they carried out of all slots and how many robots were solved
-again.  Each robot's curve is its full program's optimum, the one it
-gets when solved alone, within the solver's tolerance.
+this process.  From round one on, each robot's program starts from the
+curve it flies now, which lies in the new corridor, since the corridor
+holds its control points (to rounding), so the robot's optimum costs no
+more than that curve.  The straight line costs about 1e6 times round
+zero's optimum, so round zero's programs start instead from each robot's
+minimum-cost spline through its waypoints (waypoint_splines), which
+reaches the same optimum in fewer interior-point steps; round zero's
+corridors are still built from the straight lines.  Each program
+carries only the corridor faces near its start; a robot whose answer
+violates a face it left out is solved again with it.  Each round logs
+how its programs stopped, their step range, the faces they carried out
+of all slots and how many robots were solved again.  Each robot's curve
+is its full program's optimum, the one it gets when solved alone, within
+the solver's tolerance.
 
 Failures degrade per robot instead of aborting, by one rule: a robot
 without a full corridor (a pair or obstacle separator failed) or with an
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opt_engine
-from .bezier_opt import fallback_trajectory, optimize_trajectory
+from .bezier_opt import fallback_trajectory, optimize_trajectory, waypoint_splines
 from .corridor import build_corridors
 from .validate import validate_trajectories
 
@@ -163,6 +167,12 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         candidates = list(best)
         candidate_costs = list(costs)
         free = [i for i in range(n) if i not in blocked]
+        # round zero starts from each robot's minimum-cost spline through
+        # its waypoints, every later round from the curve it flies now
+        if it == 0:
+            curves = waypoint_splines(plan.waypoints[free], durations, degree, continuity, weights)
+        else:
+            curves = [best[i] for i in free]
         results = optimize_trajectory(
             starts[free],
             goals[free],
@@ -172,7 +182,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             degree,
             continuity,
             weights,
-            [best[i] for i in free],
+            curves,
         )
         emit(f"iteration {it}: {_qp_summary(results, corridors.offsets[0].size)}")
         failed = 0

@@ -18,10 +18,16 @@ of their control point differences on the piece they share), and a
 piece is sampled only while its bound can still reach the running
 extreme.  The samples that are taken go through the same arithmetic as a
 dense evaluation of the whole grid, so the report equals the dense
-sampler's bit for bit.  Every bound and sample reads a derivative's
-control points as the one (pieces, points, 3) array the trajectory keeps
-for that order, so all checks of one validation, and the planner's own
-readers, share one computation per order and trajectory.  The
+sampler's bit for bit.  The verdict needs less: each position search run
+from its pass threshold instead of from infinity skips every piece whose
+bound clears the threshold, returns the threshold when the check passes
+and the exact extreme when it fails.  So validate_trajectories decides ok
+that way and leaves the reported extremes and the dynamics peaks to be
+computed on first read, by the searches above.  Every bound and sample
+reads a derivative's control points as the one (pieces, points, 3) array
+the trajectory keeps for that order, so all checks of one validation,
+and the planner's own readers, share one computation per order and
+trajectory.  The
 smoothness requirements are checked exactly rather than sampled: a
 Bernstein curve starts at its first control point and ends at its last,
 so rest endpoints and knot continuity are read off the control points of
@@ -37,6 +43,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -256,9 +263,12 @@ class _SampleGrid:
         return self._values[key]
 
 
-def _position_extremes(trajectories, scenario, sample_dt):
+def _position_extremes(trajectories, scenario, sample_dt, initial=(np.inf, np.inf, -np.inf)):
     """Minimum scaled pair distance, minimum scaled obstacle distance and
-    largest workspace overrun over the common sample grid.
+    largest workspace overrun over the common sample grid, each searched
+    from its initial value (_extreme): from the defaults each is exact,
+    and from the pass thresholds each is its threshold when it passes and
+    exact when it fails.
 
     Each piece's control point box bounds its samples: the pair distance
     of robots i < j on piece k from below by the box of their control
@@ -293,9 +303,9 @@ def _position_extremes(trajectories, scenario, sample_dt):
         left, right = scaled_window(qi[q], pieces[k]), scaled_window(qj[q], pieces[k])
         return np.linalg.norm(left - right, axis=1).min()
 
-    pair = _extreme(pair_bounds, pair_distance)
+    pair = _extreme(pair_bounds, pair_distance, initial=initial[0])
 
-    obstacle = np.inf
+    obstacle = initial[1]
     obstacles = [box.world_box(scenario.grid) for box in scenario.obstacle_boxes()]
     if obstacles:
         oradii = np.asarray(scenario.obstacle_ellipsoid.radii)
@@ -310,7 +320,7 @@ def _position_extremes(trajectories, scenario, sample_dt):
             return np.linalg.norm(over, axis=1).min()
 
         gap = _box_gap(lo[:, None], hi[:, None], olo[None], ohi[None], oradii)
-        obstacle = _extreme(gap.ravel(), obstacle_distance)
+        obstacle = _extreme(gap.ravel(), obstacle_distance, initial=initial[1])
 
     work_lo, work_hi = scenario.grid.workspace_box()
 
@@ -322,7 +332,7 @@ def _position_extremes(trajectories, scenario, sample_dt):
         np.maximum(work_lo - lo, hi - work_hi).max(axis=1),
         overrun_of,
         highest=True,
-        initial=-np.inf,
+        initial=initial[2],
     )
     return float(pair), float(obstacle), float(overrun)
 
@@ -466,6 +476,10 @@ def smoothness_report(trajectories, continuity):
 
 @dataclass
 class ValidationReport:
+    """A verdict on a trajectory set and the numbers behind it, as given.
+    validate_trajectories returns an _AuditReport, which computes the
+    numbers it was not given on first read."""
+
     ok: bool
     min_pair_clearance: float
     min_obstacle_clearance: float
@@ -496,6 +510,36 @@ class ValidationReport:
             f.write(self.to_json())
 
 
+class _AuditReport(ValidationReport):
+    """validate_trajectories' report: ok and the problem lists as decided
+    there, and the trajectories and scenario they were decided on.  The
+    three position extremes (_position_extremes from its defaults) and the
+    peaks (dynamics_metrics) are computed by the exact searches, each once,
+    on first read, so a verdict that nothing reads further costs none of
+    them.  The report keeps its inputs, not the searches' sample caches."""
+
+    def __init__(
+        self, ok, trajectories, scenario, smoothness_problems, endpoint_problems, sample_dt
+    ):
+        self.ok = ok
+        self.smoothness_problems = smoothness_problems
+        self.endpoint_problems = endpoint_problems
+        self.sample_dt = sample_dt
+        self._inputs = (list(trajectories), scenario)
+
+    @cached_property
+    def _extremes(self):
+        return _position_extremes(*self._inputs, self.sample_dt)
+
+    @cached_property
+    def peaks(self):
+        return dynamics_metrics(self._inputs[0], sample_dt=max(self.sample_dt, 1e-3))
+
+    min_pair_clearance = property(lambda self: self._extremes[0])
+    min_obstacle_clearance = property(lambda self: self._extremes[1])
+    workspace_overrun = property(lambda self: self._extremes[2])
+
+
 def validate_trajectories(
     trajectories,
     scenario,
@@ -508,11 +552,15 @@ def validate_trajectories(
     Clearance thresholds are 2 for the pairwise ellipsoid metric and 1
     for the scaled obstacle distance, each minus its tolerance (_PAIR_TOL,
     _OBSTACLE_TOL); the workspace overrun may be at most _WORKSPACE_TOL.
-    Every check reads the derivative control points each trajectory
-    keeps.
+    ok runs each position search from its threshold, so only the pieces
+    whose bound can fail are sampled, and it is the exact extremes'
+    verdict.  The report's extremes and peaks come from the exact
+    searches, on first read (_AuditReport).  Every check reads the
+    derivative control points each trajectory keeps.
     """
-    pair, obstacle, overrun = _position_extremes(trajectories, scenario, sample_dt)
-    peaks = dynamics_metrics(trajectories, sample_dt=max(sample_dt, 1e-3))
+    pair, obstacle, overrun = _position_extremes(
+        trajectories, scenario, sample_dt, (2.0 - _PAIR_TOL, 1.0 - _OBSTACLE_TOL, _WORKSPACE_TOL)
+    )
     smooth = smoothness_report(trajectories, scenario.continuity)
 
     endpoint_problems = []
@@ -536,13 +584,4 @@ def validate_trajectories(
         and not smooth
         and not endpoint_problems
     )
-    return ValidationReport(
-        ok=bool(ok),
-        min_pair_clearance=pair,
-        min_obstacle_clearance=obstacle,
-        workspace_overrun=overrun,
-        peaks=peaks,
-        smoothness_problems=smooth,
-        endpoint_problems=endpoint_problems,
-        sample_dt=sample_dt,
-    )
+    return _AuditReport(bool(ok), trajectories, scenario, smooth, endpoint_problems, sample_dt)

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 import swarmplan.refine as refine_mod
-from swarmplan import geometry
-from swarmplan.bezier_opt import fallback_trajectory
+from swarmplan import bezier_opt, geometry
+from swarmplan.bezier_opt import (
+    PiecewiseBezierTrajectory,
+    fallback_trajectory,
+    optimize_trajectory,
+    waypoint_splines,
+)
+from swarmplan.corridor import build_corridors
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.opt_engine import QPInfeasibleError
 from swarmplan.refine import refine_trajectories, write_report_csv
 from swarmplan.scenario import GridSpec, ScenarioSpec
+from swarmplan.validate import smoothness_report, validate_trajectories
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 REPORT_FIELDS = [
@@ -120,14 +127,29 @@ class TestRefine:
         # each round's corridors are built from the control points of the
         # curves the robots fly now, and a piece lies in the hull of its
         # control points: every one of them satisfies every row of its
-        # robot's corridor, within optimize_trajectory's 1e-6 row check
+        # robot's corridor, within optimize_trajectory's 1e-6 row check.
+        # Round 0 flies the straight lines but starts its programs from
+        # the waypoint splines; every later round starts from the curves
+        # its corridors were built from
         sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         plan = solve_discrete(sc).postprocessed()
+        durations = [plan.dt] * plan.num_segments
+        straight = [
+            fallback_trajectory(w, durations, sc.degree, sc.continuity) for w in plan.waypoints
+        ]
+        splines = waypoint_splines(
+            plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
+        )
         real = refine_mod.optimize_trajectory
         worst = []
 
         def spy(*args):
             normals, offsets, current = args[3], args[4], args[8]
+            if not worst:
+                assert len(current) == plan.num_robots
+                for start, spline in zip(current, splines):
+                    assert np.array_equal(start.points, spline.points)
+                current = straight
             points = np.stack([t.points for t in current])
             rows = normals @ points.swapaxes(-1, -2) - offsets[..., None]
             worst.append(float(rows.max()))
@@ -155,6 +177,94 @@ class TestRefine:
         for it in (0, 1):
             assert any(m.startswith(f"iteration {it}: 8 QPs: 8 converged;") for m in log), log
         assert all(t.degree == degree for t in result.trajectories)
+
+
+class TestRoundZeroStart:
+    """Round 0's programs start from each robot's minimum-cost spline
+    through its waypoints (waypoint_splines)."""
+
+    @pytest.mark.parametrize("name", ["wall_windows_8", "pillars_6"])
+    def test_splines_pass_the_waypoints_at_rest(self, name):
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        plan = solve_discrete(sc).postprocessed()
+        durations = [plan.dt] * plan.num_segments
+        weights = tuple(sc.weights)
+        splines = waypoint_splines(plan.waypoints, durations, sc.degree, sc.continuity, weights)
+        assert len(splines) == plan.num_robots
+        knots = plan.dt * np.arange(plan.num_segments + 1)
+        for spline, waypoints in zip(splines, plan.waypoints):
+            assert np.array_equal(spline.durations, durations)
+            assert spline.degree == sc.degree
+            assert np.abs(spline.evaluate_many(knots) - waypoints).max() <= 1e-9
+        assert smoothness_report(splines, sc.continuity) == []
+        # the straight line also passes the waypoints at rest, so it differs
+        # from the minimum by a curve orthogonal to it in the cost's inner
+        # product: its cost is the spline's plus that of the difference
+        for spline, waypoints in zip(splines, plan.waypoints):
+            straight = fallback_trajectory(waypoints, durations, sc.degree, sc.continuity)
+            gap = PiecewiseBezierTrajectory(durations, straight.points - spline.points)
+            assert straight.cost(weights) == pytest.approx(
+                spline.cost(weights) + gap.cost(weights), rel=1e-9
+            )
+
+    def test_map_is_built_once_per_layout(self, small):
+        sc, plan = small
+        cache = bezier_opt._waypoint_spline_map
+        cache.cache_clear()
+        refine_trajectories(plan, sc, iterations=1)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+        refine_trajectories(plan, sc, iterations=1)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["wall_windows_8", "pillars_6"])
+    def test_spline_start_reaches_the_straight_start_optimum(self, name):
+        # round 0's programs, in the corridors of the straight lines
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        plan = solve_discrete(sc).postprocessed()
+        durations = [plan.dt] * plan.num_segments
+        d, c, weights = sc.degree, sc.continuity, tuple(sc.weights)
+        straight = [fallback_trajectory(w, durations, d, c) for w in plan.waypoints]
+        corridors = build_corridors(np.stack([t.points for t in straight]), sc)
+        args = (
+            plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
+            corridors.normals, corridors.offsets, d, c, weights,
+        )
+        old = optimize_trajectory(*args, straight)
+        new = optimize_trajectory(*args, waypoint_splines(plan.waypoints, durations, d, c, weights))
+        for results in (old, new):
+            assert all(out[2].stop == "converged" for out in results)
+        cost = sum(out[1] for out in old)
+        assert sum(out[1] for out in new) == pytest.approx(cost, rel=1e-9)
+        assert sum(out[2].iterations for out in new) < sum(out[2].iterations for out in old)
+
+    @pytest.mark.parametrize("processed", [False, True], ids=["one-piece", "postprocessed"])
+    def test_one_piece_plan_and_waiting_robot(self, processed):
+        # robot 1 never moves; the grid plan itself is one step, one piece
+        sc = ScenarioSpec(
+            grid=GridSpec(dims=(3, 3, 1), cell_size=0.5),
+            starts=[(0, 0, 0), (2, 2, 0)],
+            goals=[(1, 0, 0), (2, 2, 0)],
+        )
+        plan = solve_discrete(sc)
+        if processed:
+            plan = plan.postprocessed()
+        else:
+            assert plan.num_segments == 1
+        durations = [plan.dt] * plan.num_segments
+        splines = waypoint_splines(
+            plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
+        )
+        # the waiting robot's spline stays at its cell, to rounding
+        assert np.abs(splines[1].points - plan.waypoints[1, 0]).max() <= 1e-12
+        result = refine_trajectories(plan, sc, iterations=2)
+        assert result.ok
+        assert [row["iteration"] for row in result.rows] == [0, 1]
+        assert all(row["failed_count"] == 0 for row in result.rows)
+        again = validate_trajectories(
+            result.trajectories, sc,
+            expected_starts=plan.waypoints[:, 0], expected_goals=plan.waypoints[:, -1],
+        )
+        assert again.ok and again.to_dict() == result.validation.to_dict()
 
 
 class TestDegradation:

@@ -512,6 +512,8 @@ class TestBoundedSearch:
         )
         report = validate_trajectories(trajectories, sc, sample_dt=sample_dt)
         expected = dense.validate_trajectories(trajectories, sc, sample_dt=sample_dt)
+        # the verdict first, then every number, computed on this read
+        assert report.ok == expected.ok
         assert report.to_dict() == expected.to_dict()
         for gravity in (0.0, 9.81):
             assert dynamics_metrics(
@@ -524,10 +526,11 @@ class TestBoundedSearch:
         points[1][1][4, 2] = np.nan
         trajectories = [PiecewiseBezierTrajectory([0.25] * 3, p) for p in points]
         sc = scenario(obstacles=[(2, 2, 0)])
+        # the report computes its numbers on first read, so they are read here
         with np.errstate(invalid="ignore"):
             report = validate_trajectories(trajectories, sc)
             expected = dense.validate_trajectories(trajectories, sc)
-        assert same_report(report, expected)
+            assert same_report(report, expected)
         assert not report.ok
         # max(peak, nan) would keep the peak of the other robots alone
         assert all(np.isnan(v) for v in report.peaks.values())
@@ -539,12 +542,88 @@ class TestBoundedSearch:
         points[1][piece][index, 2] = np.inf
         trajectories = [PiecewiseBezierTrajectory([0.25] * 3, p) for p in points]
         sc = scenario(obstacles=[(2, 2, 0)])
+        # the report computes its numbers on first read, so they are read here
         with np.errstate(invalid="ignore"):
             report = validate_trajectories(trajectories, sc)
             expected = dense.validate_trajectories(trajectories, sc)
-        assert same_report(report, expected)
+            assert same_report(report, expected)
         assert not report.ok
         assert "robot 1 has a control point that is not finite" in report.smoothness_problems
+
+    @pytest.mark.parametrize("offset", [-1e-7, 0.0, 1e-7])
+    @pytest.mark.parametrize("check", ["pair", "obstacle", "workspace"])
+    def test_verdict_at_the_thresholds(self, check, offset):
+        # one extreme a hair past its pass threshold (offset < 0), at it or
+        # inside it (offset > 0), reached inside a moving piece
+        sc = scenario(obstacles=[(1, 1, 0)])
+        rx, ox = sc.radii[0], sc.obstacle_ellipsoid.radii[0]
+        hi = sc.grid.workspace_box()[1][0]
+        x = {
+            "pair": 1.25 + (2.0 - 1e-6 + offset) * rx,
+            "obstacle": 0.75 + (1.0 - 1e-6 + offset) * ox,
+            "workspace": hi + 1e-6 - offset,
+        }[check]
+        # robot 0 flies along y at x, past the obstacle's side; in the pair
+        # case robot 1 flies alongside it at x = 1.25
+        trajectories = [
+            fallback_trajectory(np.array([[x, 0.0, 0.0], [x, 1.0, 0.0]]), [0.5], 9, 4)
+        ]
+        if check == "pair":
+            trajectories.append(
+                fallback_trajectory(np.array([[1.25, 0.0, 0.0], [1.25, 1.0, 0.0]]), [0.5], 9, 4)
+            )
+        report = validate_trajectories(trajectories, sc)
+        expected = dense.validate_trajectories(trajectories, sc)
+        assert report.ok == expected.ok
+        if offset:
+            assert report.ok == (offset > 0)
+        assert same_report(report, expected)
+
+    def test_report_from_values(self, tmp_path):
+        # as the dense reference builds it
+        peaks = {"speed": 1.5, "accel": 3.0, "thrust": 10.5, "omega": 0.75}
+        report = ValidationReport(False, 2.5, np.inf, -0.25, peaks, ["a"], [], 1e-2)
+        assert report.min_pair_clearance == 2.5 and report.peaks is peaks
+        assert report.to_dict() == {
+            "ok": False, "min_pair_clearance": 2.5, "min_obstacle_clearance": np.inf,
+            "workspace_overrun": -0.25, "peaks": peaks, "smoothness_problems": ["a"],
+            "endpoint_problems": [], "sample_dt": 1e-2,
+        }
+        path = tmp_path / "validation.json"
+        report.save(path)
+        assert path.read_text() == report.to_json()
+        assert json.loads(path.read_text())["min_obstacle_clearance"] == np.inf
+
+    def test_peaks_computed_for_accepted_rounds_only(self, monkeypatch):
+        # refinement reads the peaks of each accepted round for its report
+        # row, and only the verdict of the straight lines
+        sc = ScenarioSpec.load(
+            os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "wall_windows_8.json")
+        )
+        plan = solve_discrete(sc).postprocessed()
+        durations = [plan.dt] * plan.num_segments
+        straight = [
+            fallback_trajectory(w, durations, sc.degree, sc.continuity) for w in plan.waypoints
+        ]
+        real = validate.dynamics_metrics
+        calls = []
+
+        def spy(trajectories, *args, **kwargs):
+            calls.append(list(trajectories))
+            return real(trajectories, *args, **kwargs)
+
+        monkeypatch.setattr(validate, "dynamics_metrics", spy)
+        accepted = []
+        result = refine.refine_trajectories(
+            plan, sc, on_accept=lambda it, t: accepted.append(t)
+        )
+        assert result.ok and len(result.rows) == len(accepted) == sc.refine_iterations
+        assert len(calls) == len(accepted)
+        for passed, trajectories in zip(calls, accepted):
+            assert all(a is b for a, b in zip(passed, trajectories))
+            assert not any(
+                np.array_equal(a.points, b.points) for a, b in zip(passed, straight)
+            )
 
     def test_refinement_candidates_match_dense(self, monkeypatch):
         sc = ScenarioSpec.load(
@@ -567,25 +646,32 @@ class TestBoundedSearch:
             assert report.to_dict() == expected.to_dict()
 
     def test_every_check_reads_the_trajectories_it_is_given(self, monkeypatch):
-        # no wrapper: the checks share each trajectory's own derivatives
+        # no wrapper: the checks share each trajectory's own derivatives.
+        # The verdict runs the position search and the smoothness check;
+        # reading the report runs the exact position search and the peaks
         seen = []
         for name in ("_position_extremes", "dynamics_metrics", "smoothness_report"):
             original = getattr(validate, name)
 
-            def spy(trajectories, *args, _original=original, **kwargs):
-                seen.append(list(trajectories))
+            def spy(trajectories, *args, _name=name, _original=original, **kwargs):
+                seen.append((_name, list(trajectories)))
                 return _original(trajectories, *args, **kwargs)
 
             monkeypatch.setattr(validate, name, spy)
         trajectories = TestValidateTrajectories().safe_pair()
-        validate.validate_trajectories(trajectories, scenario())
-        assert len(seen) == 3
-        for passed in seen:
+        report = validate.validate_trajectories(trajectories, scenario())
+        assert [name for name, _ in seen] == ["_position_extremes", "smoothness_report"]
+        report.to_dict()
+        assert [name for name, _ in seen] == [
+            "_position_extremes", "smoothness_report", "_position_extremes", "dynamics_metrics",
+        ]
+        for _, passed in seen:
             assert len(passed) == len(trajectories)
             assert all(a is b for a, b in zip(passed, trajectories))
 
     def test_validation_calls_dynamics_and_smoothness_once(self, monkeypatch):
-        # the tracer times both by their module-level names
+        # the tracer times both by their module-level names; the peaks are
+        # computed when first read, and only then
         counts = {}
         for name in ("dynamics_metrics", "smoothness_report"):
             original = getattr(validate, name)
@@ -595,5 +681,10 @@ class TestBoundedSearch:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(validate, name, counted)
-        validate.validate_trajectories(TestValidateTrajectories().safe_pair(), scenario())
+        report = validate.validate_trajectories(TestValidateTrajectories().safe_pair(), scenario())
+        assert report.ok
+        assert counts == {"smoothness_report": 1}
+        peaks = report.peaks
+        assert report.peaks is peaks
+        report.to_json()
         assert counts == {"dynamics_metrics": 1, "smoothness_report": 1}
