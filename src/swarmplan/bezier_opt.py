@@ -8,8 +8,7 @@ is one read-only (pieces, degree + 1, dim) array of control points with
 one duration per piece; a single piece is a one-piece trajectory.  The
 control points of each derivative curve form one such array too, which
 the trajectory computes once per order and keeps, so every reader (cost,
-corridor sampling, the warm start, validation, export) shares that one
-computation.
+corridors, validation, export) shares that one computation.
 
 The smoothing program writes the whole curve in the coefficients of a
 B-spline that is C^k at the knots by construction (de Boor, A Practical
@@ -20,10 +19,11 @@ derivatives over the remaining coefficients, subject to the corridor rows
 on the control points, is a convex QP per robot with no equality rows.
 Every robot of a plan shares its Hessian and its B-spline map, so
 optimize_trajectory hands the robots' programs to the solver together, as
-one batch, each starting from the coefficients of a given curve (the one
-its robot flies now, or in the first round its minimum-cost spline
-through its waypoints, waypoint_splines) and carrying only the corridor
-faces near that curve; the faces left out are checked at the answers.
+one batch, each starting from given coefficients (its robot's last
+accepted optimum, which the solver returns with it, or until then its
+minimum-cost spline through its waypoints, waypoint_splines) and carrying
+only the corridor faces near that start; the faces left out are checked
+at the answers.  A curve is never turned back into coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg
 
@@ -326,29 +325,23 @@ def _smoothing_space(durations, degree, continuity, weights):
     opt_engine.SmoothingSpace of its Hessian over the stacked control
     points and the map Z from the free B-spline coefficients to those
     points, with each axis interleaved (it checks the Hessian and builds
-    the Newton step's fixed maps once, for every round of a plan); the
-    (points, 2) weights of start and goal in them; and for one axis the
-    transpose of Z's block with the Cholesky factor of its Gram matrix
-    (None without a free coefficient), which fit a curve's coefficients
-    by least squares.  The cached matrices are shared: callers must not
-    modify them."""
+    the Newton step's fixed maps once, for every round of a plan); and the
+    (points, 2) weights of start and goal in them.  The cached matrices
+    are shared: callers must not modify them."""
     c = continuity
     costs = [control_point_cost(degree, tau, weights) for tau in durations]
     h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
     basis = spline_to_bernstein(durations, degree, continuity)
-    free = basis[:, c + 1 : -(c + 1)]
-    z = sparse.kron(free, sparse.identity(3), format="csr")
+    z = sparse.kron(basis[:, c + 1 : -(c + 1)], sparse.identity(3), format="csr")
     ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
-    gram = (free.T @ free).toarray()
-    fit = (free.T.tocsr(), scipy.linalg.cho_factor(gram) if gram.size else None)
-    return opt_engine.SmoothingSpace(h, z), ends, fit
+    return opt_engine.SmoothingSpace(h, z), ends
 
 
 @lru_cache(maxsize=16)
 def _waypoint_spline_map(durations, degree, continuity, weights):
-    """The map from a robot's pieces + 1 waypoints to the stacked control
-    values of its minimum-cost spline through them, for one axis: a CSR
-    array (pieces (degree + 1), pieces + 1).
+    """The map from a robot's pieces + 1 waypoints to the free coefficients
+    of its minimum-cost spline through them, for one axis: a CSR array
+    (free coefficients, pieces + 1).
 
     The spline is the smoothing program's curve (spline_to_bernstein, rest
     ends at the first and last waypoint) that passes through waypoint k at
@@ -364,13 +357,13 @@ def _waypoint_spline_map(durations, degree, continuity, weights):
     d, c, pieces = degree, continuity, len(durations)
     basis = spline_to_bernstein(durations, d, c)
     free = basis[:, c + 1 : -(c + 1)]
+    r = free.shape[1]
+    if not r:
+        return sparse.csr_array((0, pieces + 1))
     # the rest ends' coefficients sit at the first and the last waypoint
     x0 = np.zeros((basis.shape[0], pieces + 1))
     x0[:, 0] = basis[:, : c + 1].sum(axis=1)
     x0[:, -1] = basis[:, -(c + 1) :].sum(axis=1)
-    r = free.shape[1]
-    if not r:
-        return sparse.csr_array(x0)
     h = sparse.block_diag([control_point_cost(d, tau, weights) for tau in durations], format="csr")
     q = free.T @ h @ free
     scale = abs(q).max()
@@ -380,23 +373,22 @@ def _waypoint_spline_map(durations, degree, continuity, weights):
     kkt = sparse.block_array([[q / scale, g.T], [g, None]], format="csc")
     # the last pieces - 1 rows: each interior knot's position is its waypoint
     rhs = np.vstack([-(free.T @ h @ x0) / scale, np.eye(pieces - 1, pieces + 1, 1) - x0[at_knots]])
-    solution = scipy.sparse.linalg.splu(kkt).solve(rhs)
-    return sparse.csr_array(x0 + free @ solution[:r])
+    return sparse.csr_array(scipy.sparse.linalg.splu(kkt).solve(rhs)[:r])
 
 
 def waypoint_splines(waypoints, durations, degree, continuity, weights):
     """Each robot's minimum-cost spline through its waypoints (robots,
-    pieces + 1, 3): a trajectory of the smoothing program's knots, degree
-    and continuity, at rest at both ends (_waypoint_spline_map).  The
-    cached map is built once per piece layout and applied to every robot's
-    waypoints as one sparse product, with no BLAS call."""
+    pieces + 1, 3), at rest at both ends, with the smoothing program's
+    knots, degree and continuity (_waypoint_spline_map), as its free
+    coefficients (robots, 3 r), each axis interleaved as
+    optimize_trajectory takes them.  The cached map is built once per
+    piece layout and applied to every robot's waypoints as one sparse
+    product, with no BLAS call."""
     durations = tuple(float(t) for t in durations)
-    d, pieces = int(degree), len(durations)
-    m = _waypoint_spline_map(durations, d, int(continuity), tuple(weights))
+    m = _waypoint_spline_map(durations, int(degree), int(continuity), tuple(weights))
     w = np.asarray(waypoints, dtype=float)
-    points = m @ w.transpose(1, 0, 2).reshape(pieces + 1, -1)
-    points = points.reshape(pieces, d + 1, len(w), 3).transpose(2, 0, 1, 3)
-    return [PiecewiseBezierTrajectory(durations, p) for p in points]
+    coefficients = m @ w.transpose(1, 0, 2).reshape(len(durations) + 1, -1)
+    return coefficients.reshape(-1, len(w), 3).transpose(1, 0, 2).reshape(len(w), -1)
 
 
 # A corridor face enters a robot's first solve only where its smallest
@@ -427,16 +419,6 @@ def _kept_faces(normals, offsets, kept):
     return out, out_offsets
 
 
-def _coefficients(x, x0, fit):
-    """The free coefficients whose curve is nearest the stacked control
-    points x, in least squares: exact for a curve of the program's knots,
-    rest ends and continuity."""
-    free_t, gram = fit
-    if gram is None:
-        return np.zeros(0)
-    return scipy.linalg.cho_solve(gram, free_t @ (x - x0).reshape(-1, 3)).ravel()
-
-
 def optimize_trajectory(
     starts,
     goals,
@@ -446,7 +428,7 @@ def optimize_trajectory(
     degree,
     continuity,
     weights,
-    current=None,
+    coefficients=None,
 ):
     """Minimum-cost trajectories through corridor sequences, one per robot.
 
@@ -459,18 +441,18 @@ def optimize_trajectory(
     coefficients per axis sit at the start and the goal; the QP runs over
     the other coefficients.
 
-    current, when given, holds each robot's start curve of the same knots
-    and degree (refine_trajectories passes the curve the robot flies now,
-    or in round zero its waypoint spline): its interior point starts from
-    that curve's coefficients, fitted by least squares, and otherwise from
-    coefficients 0.  The fit is exact for a curve at rest at its ends and
-    C^continuity at the knots, such as a straight line, a waypoint spline
-    or an earlier optimum, and the start may lie outside the corridor.
+    coefficients, when given, holds each robot's free coefficients
+    (robots, 3 r), r per axis, in the order of the solver's coordinates c
+    (the stacked control points are x = x0 + Z c): its interior point
+    starts from them, and otherwise from coefficients 0.
+    refine_trajectories passes those its robot's last accepted answer came
+    with (QPResult.c), or while it has none those of its waypoint spline
+    (waypoint_splines); the start may lie outside the corridor.
 
-    Most faces are slack at the optimum, so a program started from a
-    current curve carries only the faces that can bind (Kelley's cutting
-    planes): those whose smallest slack over that curve's control points
-    is below _LAZY_FACE_SLACK.  Without a current curve every face is
+    Most faces are slack at the optimum, so a program started from given
+    coefficients carries only the faces that can bind (Kelley's cutting
+    planes): those whose smallest slack over the start curve's control
+    points is below _LAZY_FACE_SLACK.  Without coefficients every face is
     kept: coefficients 0 are no curve a robot flies, and their slacks
     say nothing about the optimum (from there every robot of
     wall_windows_8's round zero needed two or three solves).
@@ -488,11 +470,11 @@ def optimize_trajectory(
 
     Returns one entry per robot, none without robots: (trajectory, cost,
     result) with cost the trajectory's cost integral and result the
-    QPResult of its last solve (the stacked control points x and the
-    stop), whose iterations sum the steps of its solves, passes counts
-    them and faces counts the corridor faces the last one carried; or the
-    SolverError its program failed with (QPInfeasibleError when its
-    corridors admit no such curve).
+    QPResult of its last solve (the stacked control points x, their free
+    coefficients c and the stop), whose iterations sum the steps of its
+    solves, passes counts them and faces counts the corridor faces the
+    last one carried; or the SolverError its program failed with
+    (QPInfeasibleError when its corridors admit no such curve).
     """
     durations = [float(t) for t in durations]
     num_pieces = len(durations)
@@ -505,17 +487,15 @@ def optimize_trajectory(
     d = int(degree)
     c = int(continuity)
 
-    space, ends, fit = _smoothing_space(tuple(durations), d, c, tuple(weights))
+    space, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
     robots = len(normals)
     x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
-    start = np.zeros((robots, space.Z.shape[1]))
     shape = (num_pieces, d + 1, 3)
-    kept = np.ones(offsets.shape, dtype=bool)
-    if current is not None:
-        # the current curve itself, since it has these knots, rest ends and
-        # continuity
-        for t, traj in enumerate(current):
-            start[t] = _coefficients(traj.control_points().ravel(), x0[t], fit)
+    if coefficients is None:
+        start = np.zeros((robots, space.Z.shape[1]))
+        kept = np.ones(offsets.shape, dtype=bool)
+    else:
+        start = np.asarray(coefficients, dtype=float)
         first = (x0 + (space.Z @ start.T).T).reshape(robots, *shape)
         kept = _slack(normals, offsets, first) < _LAZY_FACE_SLACK
     out = [None] * robots

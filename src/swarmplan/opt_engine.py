@@ -184,6 +184,7 @@ class QuadraticProgram:
 @dataclass
 class QPResult:
     x: np.ndarray
+    c: np.ndarray  # x's coordinates in its affine set: x = x0 + Z c
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -676,9 +677,9 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
 
     A QuadraticProgram's H is checked to be PSD, and inconsistent equality
     rows raise QPInfeasibleError before any iteration.  It returns a
-    QPResult with the best iterate, whose equality multipliers are
-    recovered by least squares from the stationarity condition, or raises
-    its error.  A SmoothingBatch, whose SmoothingSpace has checked H,
+    QPResult with the best iterate x and its coordinates c (x = x0 + Z c),
+    whose equality multipliers are recovered by least squares from the
+    stationarity condition, or raises its error.  A SmoothingBatch, whose SmoothingSpace has checked H,
     returns a QPBatchResult: per instance the QPResult it gets when solved
     alone, or its error, returned rather than raised.
     """
@@ -733,7 +734,7 @@ def _solve(program, H, Z, x0, g, b, start, eps_abs, eps_rel):
     z = z * sigma[:, None]
     r_dual = r_dual * sigma
     results = [
-        QPResult(x[t], int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], str(stops[t]))
+        QPResult(x[t], c[t], int(steps[t]), float(r_prim[t]), float(r_dual[t]), z[t], str(stops[t]))
         if ok[t] else _failure(
             program.H, program.rows(t), g[t], b[t], float(r_prim[t]), float(r_dual[t]),
             steps[t], stops[t],

@@ -3,37 +3,39 @@
 Round zero gives every robot the straight-line rest-to-rest trajectory
 along its plan segments, every piece on one fixed ramp whatever its
 duration (fallback_trajectory).  Those share one velocity profile, so
-the grid plan's safety margins carry over and the set always exists.  Every
-round builds safe corridors from the current curves' control points
-(a straight line's lie on its plan segments) and re-optimizes every
-robot inside its corridor.  The robots' smoothing programs are
-independent (each sees only its own corridors), so one optimize_trajectory
-call per round solves them together as one batched interior point, in
-this process.  From round one on, each robot's program starts from the
-curve it flies now, which lies in the new corridor, since the corridor
-holds its control points (to rounding), so the robot's optimum costs no
-more than that curve.  The straight line costs about 1e6 times round
-zero's optimum, so round zero's programs start instead from each robot's
-minimum-cost spline through its waypoints (waypoint_splines), which
-reaches the same optimum in fewer interior-point steps; round zero's
-corridors are still built from the straight lines.  Each program
-carries only the corridor faces near its start; a robot whose answer
-violates a face it left out is solved again with it.  Each round logs
-how its programs stopped, their step range, the faces they carried out
-of all slots and how many robots were solved again.  Each robot's curve
-is its full program's optimum, the one it gets when solved alone, within
-the solver's tolerance.
+the grid plan's safety margins carry over and the set always exists.
+Every round builds safe corridors from the current curves' control
+points (a straight line's lie on its plan segments) and re-optimizes
+every robot inside its corridor.  The robots' smoothing programs are
+independent (each sees only its own corridors), so one
+optimize_trajectory call per round solves them together as one batched
+interior point, in this process.  Each robot's program starts from the
+free B-spline coefficients that refinement keeps beside its curve, never
+fitted to a curve: those the solver returned with the optimum it flies
+now (QPResult.c), whose curve lies in the new corridor, since the
+corridor holds its control points (to rounding), so the robot's optimum
+costs no more than that curve.  A robot still on its straight line, in
+round zero or frozen since, starts from its minimum-cost spline through
+its waypoints (waypoint_splines) instead: the straight line costs about
+1e6 times round zero's optimum, and the spline reaches the same optimum
+in fewer interior-point steps; its corridors are still built from the
+straight line.  Each program carries only the corridor faces near its
+start; a robot whose answer violates a face it left out is solved again
+with it.  Each round logs how its programs stopped, their step range,
+the faces they carried out of all slots and how many robots were solved
+again.  Each robot's curve is its full program's optimum, the one it
+gets when solved alone, within the solver's tolerance.
 
 Failures degrade per robot instead of aborting, by one rule: a robot
 without a full corridor (a pair or obstacle separator failed) or with an
 infeasible program keeps the curve it flies now, the straight line in
-round zero (each is logged).  Every pair is tried again in every round,
-and the other robots' corridors are built against the kept curves.  A
-whole round is discarded, ending refinement, if the resulting set does
-not validate or costs more than the set it would replace by more than a
-relative 1e-9, far above the rounding noise of a round in which nothing
-moved.  The result is usable after any round and only improves with more
-of them.
+round zero, and the coefficients its next program starts from (each is
+logged).  Every pair is tried again in every round, and the other
+robots' corridors are built against the kept curves.  A whole round is
+discarded, ending refinement, if the resulting set does not validate or
+costs more than the set it would replace by more than a relative 1e-9,
+far above the rounding noise of a round in which nothing moved.  The
+result is usable after any round and only improves with more of them.
 """
 
 from __future__ import annotations
@@ -146,6 +148,9 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         # back the evidence rather than trying to repair it here.
         return RefinementResult(best, validation, rows)
 
+    # each robot's free B-spline coefficients, beside its curve: its
+    # waypoint spline's until an accepted optimum replaces them
+    coefficients = waypoint_splines(plan.waypoints, durations, degree, continuity, weights)
     for it in range(iterations):
         t0 = time.perf_counter()
 
@@ -166,13 +171,8 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         blocked = corridors.failed_robots | paired
         candidates = list(best)
         candidate_costs = list(costs)
+        candidate_coefficients = coefficients.copy()
         free = [i for i in range(n) if i not in blocked]
-        # round zero starts from each robot's minimum-cost spline through
-        # its waypoints, every later round from the curve it flies now
-        if it == 0:
-            curves = waypoint_splines(plan.waypoints[free], durations, degree, continuity, weights)
-        else:
-            curves = [best[i] for i in free]
         results = optimize_trajectory(
             starts[free],
             goals[free],
@@ -182,7 +182,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             degree,
             continuity,
             weights,
-            curves,
+            coefficients[free],
         )
         emit(f"iteration {it}: {_qp_summary(results, corridors.offsets[0].size)}")
         failed = 0
@@ -192,6 +192,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
                 emit(f"iteration {it}: robot {i} keeps previous curve ({out})")
             else:
                 candidates[i], candidate_costs[i] = out[0], out[1]
+                candidate_coefficients[i] = out[2].c
 
         candidate_validation = validate_trajectories(
             candidates, scenario, expected_starts=starts, expected_goals=goals
@@ -208,7 +209,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             )
             break
         previous = best_cost
-        best, costs = candidates, candidate_costs
+        best, costs, coefficients = candidates, candidate_costs, candidate_coefficients
         best_cost = cost
         validation = candidate_validation
         if on_accept is not None:

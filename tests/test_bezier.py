@@ -788,10 +788,10 @@ def curve_cost(x, durations, weights):
     ).cost(weights)
 
 
-def solve_robots(inputs, robots, monkeypatch=None, current=None):
+def solve_robots(inputs, robots, monkeypatch=None, coefficients=None):
     """optimize_trajectory on the given robots of inputs, started from
-    their current curves when given; with monkeypatch, also every solve_qp
-    call it makes, as (program, result)."""
+    their rows of coefficients (one per robot of inputs) when given; with
+    monkeypatch, also every solve_qp call it makes, as (program, result)."""
     starts, goals, durations, corridors, *rest = inputs
     calls = []
     if monkeypatch is not None:
@@ -805,7 +805,7 @@ def solve_robots(inputs, robots, monkeypatch=None, current=None):
     out = optimize_trajectory(
         starts[robots], goals[robots], durations,
         corridors.normals[robots], corridors.offsets[robots], *rest,
-        None if current is None else [current[i] for i in robots],
+        None if coefficients is None else coefficients[robots],
     )
     return out, calls
 
@@ -817,6 +817,24 @@ def straight_lines(plan, scenario):
         fallback_trajectory(wp, durations, scenario.degree, scenario.continuity)
         for wp in plan.waypoints
     ]
+
+
+def fitted_coefficients(curves, degree, continuity):
+    """Each curve's free B-spline coefficients (curves, 3 r), each axis
+    interleaved as optimize_trajectory takes them: the least-squares fit of
+    its control points, less its rest ends, over the free columns of
+    spline_to_bernstein's map.  Exact for a curve of the smoothing
+    program's knots, rest ends and continuity, such as a straight line; a
+    test that warm-starts from a curve fits it here, as its own reference."""
+    c = continuity
+    basis = spline_to_bernstein(tuple(curves[0].durations.tolist()), degree, c).toarray()
+    ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
+    out = []
+    for curve in curves:
+        points = curve.points.reshape(-1, 3)
+        fit = np.linalg.lstsq(basis[:, c + 1 : -(c + 1)], points - ends @ points[[0, -1]], rcond=None)
+        out.append(fit[0].ravel())
+    return np.array(out)
 
 
 def plan_stops(name, iterations):
@@ -894,7 +912,7 @@ class TestSmoothingBatch:
         # every program closes its duality gap: none ends by breakdown or
         # stall, on the wall's round zero and on two other scenarios' plans,
         # in every solve_qp call of a round
-        wall = straight_lines(*wall_plan)
+        wall = fitted_coefficients(straight_lines(*wall_plan), *wall_round_zero[4:6])
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, wall)
         (batch, result), *_ = calls
         assert isinstance(batch, opt_engine.SmoothingBatch) and len(result.results) == 8
@@ -917,7 +935,8 @@ class TestSmoothingBatch:
         # each objective is divided by its value at the start point, so the
         # interior point sees the same data whatever the scale of H
         durations, weights = wall_round_zero[2], wall_round_zero[6]
-        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight_lines(*wall_plan))
+        straight = fitted_coefficients(straight_lines(*wall_plan), *wall_round_zero[4:6])
+        _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight)
         (batch, want), *_ = calls
         for factor in (1e-4, 1e4):
             space = opt_engine.SmoothingSpace(batch.H * factor, batch.Z)
@@ -935,10 +954,10 @@ class TestSmoothingBatch:
         box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([here + 1, 1 - here]))
         durations = [0.5] * 4
         hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4)
-        for current in (None, [hover]):
+        for start in (None, fitted_coefficients([hover], 9, 4)):
             (traj, cost, result), = optimize_trajectory(
                 [here], [here], durations, np.tile(box.A, (1, 4, 1, 1)),
-                np.tile(box.b, (1, 4, 1)), 9, 4, WEIGHTS, current,
+                np.tile(box.b, (1, 4, 1)), 9, 4, WEIGHTS, start,
             )
             assert result.stop == "converged"
             assert np.abs(traj.control_points() - here).max() <= 1e-8
@@ -947,17 +966,18 @@ class TestSmoothingBatch:
     def test_warm_start_reaches_the_cold_optimum_in_fewer_steps(
         self, wall_plan, wall_round_zero, monkeypatch
     ):
-        # the wall's round-one programs, started from the round-zero
-        # curves (as refinement does) and from coefficients 0.  The
-        # objectives are flat: double precision resolves a robot's cost to
-        # about 1e-5 relative, and the set cost to about 1e-7
+        # the wall's round-one programs, started from the coefficients of
+        # the round-zero optima (as refinement does) and from coefficients
+        # 0.  The objectives are flat: double precision resolves a robot's
+        # cost to about 1e-5 relative, and the set cost to about 1e-7
         plan, sc = wall_plan
         robots = list(range(8))
-        out, _ = solve_robots(wall_round_zero, robots, current=straight_lines(plan, sc))
-        round_zero = [traj for traj, _, _ in out]
-        corridors = build_corridors(np.stack([t.points for t in round_zero]), sc)
+        straight = fitted_coefficients(straight_lines(plan, sc), sc.degree, sc.continuity)
+        out, _ = solve_robots(wall_round_zero, robots, coefficients=straight)
+        corridors = build_corridors(np.stack([traj.points for traj, _, _ in out]), sc)
         inputs = (*wall_round_zero[:3], corridors, *wall_round_zero[4:])
         cold, cold_calls = solve_robots(inputs, robots, monkeypatch)
+        round_zero = np.array([result.c for _, _, result in out])
         warm, warm_calls = solve_robots(inputs, robots, monkeypatch, round_zero)
         assert [r.stop for r in cold_calls[0][1].results + warm_calls[0][1].results] == ["converged"] * 16
         cold_cost, warm_cost = (sum(out[1] for out in outs) for outs in (cold, warm))
@@ -968,7 +988,7 @@ class TestSmoothingBatch:
         assert sum(steps[1]) < 0.8 * sum(steps[0]) and max(steps[1]) <= max(steps[0])
 
     def test_warm_start_outside_the_corridor_still_solves(self, wall_plan, wall_round_zero):
-        # a current curve whose middle waypoints sit 2 m off: it has the
+        # a start curve whose middle waypoints sit 2 m off: it has the
         # program's knots, rest ends and continuity, but leaves the corridor
         plan, sc = wall_plan
         corridors = wall_round_zero[3].polyhedra
@@ -979,7 +999,9 @@ class TestSmoothingBatch:
         for i in robots:
             points = bent[i].control_points()
             assert max(poly.max_violation(p) for poly, p in zip(corridors[i], points)) > 1.0
-        warm, _ = solve_robots(wall_round_zero, robots, current=bent)
+        warm, _ = solve_robots(
+            wall_round_zero, robots, coefficients=fitted_coefficients(bent, sc.degree, sc.continuity)
+        )
         cold, _ = solve_robots(wall_round_zero, robots)
         for w, c in zip(warm, cold):
             assert w[2].stop == "converged"
@@ -1068,7 +1090,7 @@ class TestSmoothingBatch:
         # robot is solved again, and still each one's curve is the optimum
         # of its program with every face (_LAZY_FACE_SLACK infinite) within
         # the solver's tolerance, and meets every face of its corridor
-        wall = straight_lines(*wall_plan)
+        wall = fitted_coefficients(straight_lines(*wall_plan), *wall_round_zero[4:6])
         normals, offsets = wall_round_zero[3].normals, wall_round_zero[3].offsets
         robots = list(range(8))
         monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", math.inf)

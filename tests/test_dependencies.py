@@ -55,6 +55,32 @@ def test_geometry_imports_nothing_from_opt_engine():
     assert "opt_engine" not in package_imports((PACKAGE / "geometry.py").read_text())
 
 
+def imported_modules(source):
+    """The modules source imports by absolute name, a name imported from a
+    module counted as its submodule too (from scipy import linalg gives
+    scipy.linalg), sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted(found)
+
+
+def test_smoothing_imports_nothing_from_scipy_linalg():
+    # refinement carries each robot's B-spline coefficients, so no dense
+    # least-squares fit (and no LAPACK factor waking a BLAS worker thread)
+    # stands behind its warm starts
+    assert imported_modules("from scipy import linalg\nimport scipy.sparse.linalg\n") == [
+        "scipy", "scipy.linalg", "scipy.sparse.linalg",
+    ]
+    for name in ("bezier_opt.py", "refine.py"):
+        found = imported_modules((PACKAGE / name).read_text())
+        assert [m for m in found if m == "scipy.linalg" or m.startswith("scipy.linalg.")] == [], name
+
+
 def unused_imports(source):
     """The names source's imports bind that it never reads, sorted."""
     bound, read = set(), set()

@@ -153,6 +153,25 @@ class TestQP:
         res = solve_qp(qp)
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-7)
 
+    def test_result_gives_the_coordinates_of_x(self):
+        # x = x0 + Z c for the affine set as given: x free (Z the
+        # identity), equality rows (Z their null space) or (Z, x0)
+        rng = np.random.default_rng(5)
+        programs = [random_feasible_qp(rng) for _ in range(20)]
+        assert any(qp.A_eq.shape[0] for qp in programs)
+        for _ in range(10):
+            n, k = int(rng.integers(3, 7)), int(rng.integers(1, 3))
+            M, Z = rng.normal(size=(n, n)), rng.normal(size=(n, k))
+            x0, A_in = rng.normal(size=n), rng.normal(size=(4, n))
+            b_in = A_in @ (x0 + Z @ rng.normal(size=k)) + 0.5
+            programs.append(
+                QuadraticProgram(M @ M.T + np.eye(n), rng.normal(size=n), A_in=A_in, b_in=b_in, Z=Z, x0=x0)
+            )
+        for qp in programs:
+            res = solve_qp(qp)
+            assert res.c.shape == (qp.Z.shape[1],)
+            assert np.array_equal(res.x, qp.x0 + qp.Z @ res.c)
+
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(40):

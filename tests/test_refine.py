@@ -6,12 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from test_bezier import fitted_coefficients
+
 import swarmplan.refine as refine_mod
 from swarmplan import bezier_opt, geometry
 from swarmplan.bezier_opt import (
     PiecewiseBezierTrajectory,
     fallback_trajectory,
     optimize_trajectory,
+    spline_to_bernstein,
     waypoint_splines,
 )
 from swarmplan.corridor import build_corridors
@@ -47,6 +50,31 @@ def trio():
     )
     plan = solve_discrete(sc).postprocessed()
     return sc, plan
+
+
+def start_points(starts, goals, durations, normals, offsets, degree, continuity, weights, coefficients):
+    """The control points (robots, pieces, degree + 1, 3) of the curves
+    x0 + Z c that optimize_trajectory starts its programs from, given its
+    arguments, computed as it computes them."""
+    durations = tuple(float(t) for t in durations)
+    space, ends = bezier_opt._smoothing_space(durations, degree, continuity, tuple(weights))
+    x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
+    return (x0 + (space.Z @ coefficients.T).T).reshape(len(x0), len(durations), degree + 1, 3)
+
+
+def spline_curves(waypoints, coefficients, durations, degree, continuity):
+    """Each robot's trajectory of the given free coefficients, at rest at
+    its first and last waypoint: per axis the B-spline of coefficients
+    continuity + 1 times the start, then the row's, then continuity + 1
+    times the goal, through spline_to_bernstein's map."""
+    durations = tuple(float(t) for t in durations)
+    basis = spline_to_bernstein(durations, degree, continuity)
+    k = continuity + 1
+    out = []
+    for w, c in zip(waypoints, coefficients):
+        full = np.vstack([np.repeat(w[:1], k, axis=0), c.reshape(-1, 3), np.repeat(w[-1:], k, axis=0)])
+        out.append(PiecewiseBezierTrajectory(durations, (basis @ full).reshape(len(durations), -1, 3)))
+    return out
 
 
 class TestRefine:
@@ -129,8 +157,9 @@ class TestRefine:
         # control points: every one of them satisfies every row of its
         # robot's corridor, within optimize_trajectory's 1e-6 row check.
         # Round 0 flies the straight lines but starts its programs from
-        # the waypoint splines; every later round starts from the curves
-        # its corridors were built from
+        # exactly the waypoint splines' coefficients; every later round
+        # starts from coefficients whose curves (x0 + Z c) are the ones its
+        # corridors were built from
         sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         plan = solve_discrete(sc).postprocessed()
         durations = [plan.dt] * plan.num_segments
@@ -144,13 +173,12 @@ class TestRefine:
         worst = []
 
         def spy(*args):
-            normals, offsets, current = args[3], args[4], args[8]
-            if not worst:
-                assert len(current) == plan.num_robots
-                for start, spline in zip(current, splines):
-                    assert np.array_equal(start.points, spline.points)
-                current = straight
-            points = np.stack([t.points for t in current])
+            normals, offsets, coefficients = args[3], args[4], args[8]
+            if worst:
+                points = start_points(*args)
+            else:
+                assert np.array_equal(coefficients, splines)
+                points = np.stack([t.points for t in straight])
             rows = normals @ points.swapaxes(-1, -2) - offsets[..., None]
             worst.append(float(rows.max()))
             return real(*args)
@@ -189,7 +217,8 @@ class TestRoundZeroStart:
         plan = solve_discrete(sc).postprocessed()
         durations = [plan.dt] * plan.num_segments
         weights = tuple(sc.weights)
-        splines = waypoint_splines(plan.waypoints, durations, sc.degree, sc.continuity, weights)
+        coefficients = waypoint_splines(plan.waypoints, durations, sc.degree, sc.continuity, weights)
+        splines = spline_curves(plan.waypoints, coefficients, durations, sc.degree, sc.continuity)
         assert len(splines) == plan.num_robots
         knots = plan.dt * np.arange(plan.num_segments + 1)
         for spline, waypoints in zip(splines, plan.waypoints):
@@ -229,7 +258,7 @@ class TestRoundZeroStart:
             plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
             corridors.normals, corridors.offsets, d, c, weights,
         )
-        old = optimize_trajectory(*args, straight)
+        old = optimize_trajectory(*args, fitted_coefficients(straight, d, c))
         new = optimize_trajectory(*args, waypoint_splines(plan.waypoints, durations, d, c, weights))
         for results in (old, new):
             assert all(out[2].stop == "converged" for out in results)
@@ -251,9 +280,10 @@ class TestRoundZeroStart:
         else:
             assert plan.num_segments == 1
         durations = [plan.dt] * plan.num_segments
-        splines = waypoint_splines(
+        coefficients = waypoint_splines(
             plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
         )
+        splines = spline_curves(plan.waypoints, coefficients, durations, sc.degree, sc.continuity)
         # the waiting robot's spline stays at its cell, to rounding
         assert np.abs(splines[1].points - plan.waypoints[1, 0]).max() <= 1e-12
         result = refine_trajectories(plan, sc, iterations=2)
@@ -265,6 +295,92 @@ class TestRoundZeroStart:
             expected_starts=plan.waypoints[:, 0], expected_goals=plan.waypoints[:, -1],
         )
         assert again.ok and again.to_dict() == result.validation.to_dict()
+
+
+def spied_calls(monkeypatch):
+    """Every optimize_trajectory call refinement makes from now on, as (its
+    arguments, its results)."""
+    real = refine_mod.optimize_trajectory
+    calls = []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(refine_mod, "optimize_trajectory", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def wall_rounds():
+    """wall_windows_8's refinement: its plan and scenario, each
+    optimize_trajectory call as (its arguments, its results), and the
+    accepted sets."""
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+    plan = solve_discrete(sc).postprocessed()
+    accepted = []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spied_calls(mp)
+        result = refine_trajectories(plan, sc, on_accept=lambda it, t: accepted.append(t))
+    assert result.ok and len(accepted) == len(calls) == sc.refine_iterations
+    return plan, sc, calls, accepted
+
+
+class TestCarriedCoefficients:
+    """Refinement keeps each robot's free B-spline coefficients beside its
+    curve and starts its next program from them: no curve is turned back
+    into coefficients."""
+
+    def test_coefficients_give_each_accepted_rounds_control_points(self, wall_rounds):
+        # bit for bit: x0 + Z c, computed as optimize_trajectory computes
+        # its start points, is the curve the robot flies
+        _, _, calls, accepted = wall_rounds
+        for (args, results), trajectories in zip(calls, accepted, strict=True):
+            assert len(results) == len(trajectories) == 8
+            points = start_points(*args[:8], np.array([result.c for _, _, result in results]))
+            for p, trajectory in zip(points, trajectories):
+                assert np.array_equal(p, trajectory.points)
+
+    def test_each_round_starts_from_the_last_accepted_coefficients(self, wall_rounds):
+        plan, sc, calls, _ = wall_rounds
+        durations = [plan.dt] * plan.num_segments
+        splines = waypoint_splines(
+            plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
+        )
+        assert np.array_equal(calls[0][0][8], splines)
+        for (_, results), (args, _) in zip(calls, calls[1:]):
+            assert np.array_equal(args[8], np.array([result.c for _, _, result in results]))
+
+    def test_robot_frozen_in_round_zero_starts_from_its_spline(self, monkeypatch):
+        # robot 3's obstacle separator fails in round 0 only: it keeps its
+        # straight line, and round 1 starts it from its waypoint spline,
+        # as round 0 would have, and every other robot from its optimum
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        plan = solve_discrete(sc).postprocessed()
+        real = refine_mod.build_corridors
+        built = []
+
+        def no_obstacle_plane_for_robot_3_in_round_0(point_sets, scenario):
+            built.append(real(point_sets, scenario))
+            return dataclasses.replace(built[-1], failed_robots={3}) if len(built) == 1 else built[-1]
+
+        monkeypatch.setattr(refine_mod, "build_corridors", no_obstacle_plane_for_robot_3_in_round_0)
+        calls = spied_calls(monkeypatch)
+        log = []
+        result = refine_trajectories(plan, sc, iterations=2, log=log.append)
+        assert result.ok
+        assert [row["fallback_count"] for row in result.rows] == [1, 0]
+        (_, first), (args, second) = calls
+        assert len(first) == 7 and len(second) == 8
+        durations = [plan.dt] * plan.num_segments
+        splines = waypoint_splines(
+            plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
+        )
+        others = [0, 1, 2, 4, 5, 6, 7]
+        assert np.array_equal(args[8][3], splines[3])
+        assert np.array_equal(args[8][others], np.array([out[2].c for out in first]))
+        assert second[3][2].stop == "converged"
+        assert any(m.startswith("iteration 1: 8 QPs: 8 converged;") for m in log), log
 
 
 class TestDegradation:
@@ -431,7 +547,8 @@ class TestDegradation:
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))
                 straight = fallback_trajectory(plan.waypoints[i], durations, degree, continuity)
-                result = SimpleNamespace(stop="converged", iterations=0, faces=0, passes=1)
+                (c,) = fitted_coefficients([straight], degree, continuity)
+                result = SimpleNamespace(stop="converged", iterations=0, faces=0, passes=1, c=c)
                 out.append((straight, straight.cost(weights), result))
             return out
 

@@ -10,6 +10,8 @@ import os
 import numpy as np
 import pytest
 
+from test_bezier import fitted_coefficients
+
 from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
 from swarmplan.corridor import build_corridors
 from swarmplan.discrete_planner import (
@@ -98,8 +100,8 @@ def test_48_robot_cell_paths_are_pinned(wall_48):
 def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
     # refinement's round 0: corridors around the straight lines' control
     # points (which lie on the plan's segments), every program started
-    # from its straight line.  Each closes its duality gap, none ends by
-    # stall or breakdown
+    # from its straight line's coefficients.  Each closes its duality gap,
+    # none ends by stall or breakdown
     plan, sc = wall_32
     plan = plan.postprocessed()
     durations = [plan.dt] * plan.num_segments
@@ -112,6 +114,7 @@ def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
     out = optimize_trajectory(
         plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
         corridors.normals, corridors.offsets,
-        sc.degree, sc.continuity, tuple(sc.weights), straight,
+        sc.degree, sc.continuity, tuple(sc.weights),
+        fitted_coefficients(straight, sc.degree, sc.continuity),
     )
     assert [result.stop for _, _, result in out] == ["converged"] * 32
