@@ -399,47 +399,35 @@ def waypoint_splines(waypoints, durations, degree, continuity, weights):
 _LAZY_FACE_SLACK = 1.0
 
 
-def _slack(normals, offsets, points):
-    """Each face's smallest slack b - a . p over its piece's control
-    points: normals (T, P, F, 3), offsets (T, P, F) and points
-    (T, P, q, 3) give (T, P, F)."""
-    return offsets - (normals @ points.swapaxes(-1, -2)).max(axis=-1)
-
-
-def _kept_faces(normals, offsets, kept):
-    """The kept (T, P, F) slots of each robot and piece, in slot order, as
-    normals (T, P, F', 3) and offsets (T, P, F'), F' the largest kept
-    count of a piece; the unused slots hold the empty row 0 x <= 1."""
-    t, k, f = np.nonzero(kept)
-    slot = (np.cumsum(kept, axis=2) - 1)[t, k, f]
-    out = np.zeros((*kept.shape[:2], int(kept.sum(axis=2).max(initial=0)), 3))
+def _kept_faces(cells, normals, offsets, robots, pieces):
+    """Faces of the given robots (increasing), sorted by cell as
+    optimize_trajectory takes them, as normals (T, P, F', 3) and offsets
+    (T, P, F'), T = len(robots) and P = pieces: each piece's faces in order,
+    padded to F', the most of a piece, with the empty row 0 x <= 1."""
+    t, k = np.searchsorted(robots, cells[:, 0]), cells[:, 1]
+    key = cells @ (pieces, 1)
+    rank = np.arange(len(key)) - np.searchsorted(key, key)
+    out = np.zeros((len(robots), pieces, rank.max(initial=-1) + 1, 3))
     out_offsets = np.ones(out.shape[:3])
-    out[t, k, slot] = normals[t, k, f]
-    out_offsets[t, k, slot] = offsets[t, k, f]
+    out[t, k, rank] = normals
+    out_offsets[t, k, rank] = offsets
     return out, out_offsets
 
 
 def optimize_trajectory(
-    starts,
-    goals,
-    durations,
-    normals,
-    offsets,
-    degree,
-    continuity,
-    weights,
-    coefficients=None,
+    starts, goals, durations, cells, normals, offsets, degree, continuity, weights, coefficients=None
 ):
     """Minimum-cost trajectories through corridor sequences, one per robot.
 
     Robot t starts at rest at starts[t], ends at rest at goals[t], keeps
     derivatives continuous through order continuity at the knots, and
-    every piece k stays inside its corridor, the rows normals[t, k] . x <=
-    offsets[t, k] of a CorridorSet's arrays, because all its control points
-    do.  Each curve is a B-spline with those knots
-    (spline_to_bernstein), whose first and last continuity + 1
-    coefficients per axis sit at the start and the goal; the QP runs over
-    the other coefficients.
+    every piece k stays inside its corridor, because all its control points
+    do.  The corridors come as a CorridorSet's face list: face f, the row
+    normals[f] . x <= offsets[f], bounds robot cells[f, 0] (its index in
+    starts) on piece cells[f, 1], sorted by robot and piece.  Each curve is
+    a B-spline with those knots (spline_to_bernstein), whose first and last
+    continuity + 1 coefficients per axis sit at the start and the goal; the
+    QP runs over the other coefficients.
 
     coefficients, when given, holds each robot's free coefficients
     (robots, 3 r), r per axis, in the order of the solver's coordinates c
@@ -457,16 +445,16 @@ def optimize_trajectory(
     say nothing about the optimum (from there every robot of
     wall_windows_8's round zero needed two or three solves).
     The robots' programs form one SmoothingBatch for one solve_qp call;
-    each piece's kept faces stay in slot order, padded to the batch's
-    largest count with empty rows.  Every face left out is then checked
-    at each answer, and a robot whose answer violates one is solved again
-    with those faces added, starting from its start, until none is
-    violated.  Its answer, outside the added faces, is a poor start: from
-    there robot 3 of pillars_6 stalled with faces within 0.05 kept.  The
-    answer is the full program's: its Hessian is positive definite over
-    the free coefficients, so an optimum of fewer rows that satisfies all
-    of them is the optimum.  A robot's answer depends on
-    its batch only through the padding, within the solver's tolerance.
+    each piece's kept faces stay in order, padded to the batch's largest
+    count with empty rows.  Every face left out is then checked at each
+    answer, and a robot whose answer violates one is solved again with
+    those faces added, starting from its start, until none is violated.
+    Its answer, outside the added faces, is a poor start: from there robot
+    3 of pillars_6 stalled with faces within 0.05 kept.  The answer is the
+    full program's: its Hessian is positive definite over the free
+    coefficients, so an optimum of fewer rows that satisfies all of them
+    is the optimum.  A robot's answer depends on its batch only through
+    the padding, within the solver's tolerance.
 
     Returns one entry per robot, none without robots: (trajectory, cost,
     result) with cost the trajectory's cost integral and result the
@@ -478,51 +466,57 @@ def optimize_trajectory(
     """
     durations = [float(t) for t in durations]
     num_pieces = len(durations)
-    normals = np.asarray(normals, dtype=float)
+    cells = np.asarray(cells, dtype=int).reshape(-1, 2)
+    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
     offsets = np.asarray(offsets, dtype=float)
-    if normals.shape[1] != num_pieces:
-        raise ValueError("need one corridor per piece")
-    if not len(normals):
+    if (cells[:, 1] >= num_pieces).any():
+        raise ValueError("a corridor face names a piece past the last")
+    robots = len(starts)
+    if not robots:
         return []
     d = int(degree)
     c = int(continuity)
 
     space, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
-    robots = len(normals)
     x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
     shape = (num_pieces, d + 1, 3)
+    # robot t's faces, a range of the list
+    bounds = np.searchsorted(cells[:, 0], np.arange(robots + 1)).tolist()
+    faces = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def slack(t, points):
+        # robot t's faces' smallest slacks b - a . p over their pieces' points (P, q, 3)
+        f = faces[t]
+        return offsets[f] - (normals[f, None] @ points[cells[f, 1]].swapaxes(-1, -2))[:, 0].max(axis=-1)
+
     if coefficients is None:
         start = np.zeros((robots, space.Z.shape[1]))
-        kept = np.ones(offsets.shape, dtype=bool)
+        kept = np.ones(len(cells), dtype=bool)
     else:
         start = np.asarray(coefficients, dtype=float)
         first = (x0 + (space.Z @ start.T).T).reshape(robots, *shape)
-        kept = _slack(normals, offsets, first) < _LAZY_FACE_SLACK
+        kept = np.concatenate([slack(t, p) for t, p in enumerate(first)]) < _LAZY_FACE_SLACK
     out = [None] * robots
     steps = np.zeros(robots, dtype=int)
     passes = np.zeros(robots, dtype=int)
     todo = np.arange(robots)
     while todo.size:
-        batch = opt_engine.SmoothingBatch(
-            space, x0[todo], *_kept_faces(normals[todo], offsets[todo], kept[todo]), start[todo]
-        )
-        solved = []
+        mine = np.concatenate([np.flatnonzero(kept[faces[t]]) + bounds[t] for t in todo])
+        rows = _kept_faces(cells[mine], normals[mine], offsets[mine], todo, num_pieces)
+        batch = opt_engine.SmoothingBatch(space, x0[todo], *rows, start[todo])
+        again = []
         for t, result in zip(todo.tolist(), opt_engine.solve_qp(batch).results):
             if isinstance(result, opt_engine.SolverError):
                 out[t] = result
-            else:
-                solved.append((t, result))
-        rows = [t for t, _ in solved]
-        points = np.array([result.x for _, result in solved]).reshape(len(solved), *shape)
-        # every face at every answer, in one product
-        violations = -_slack(normals[rows], offsets[rows], points)
-        again = []
-        for (t, result), p, v in zip(solved, points, violations):
+                continue
+            f, p = faces[t], result.x.reshape(shape)
+            # every face of the robot at its answer
+            v = -slack(t, p)
             steps[t] += result.iterations
             passes[t] += 1
-            missed = (v > 0.0) & ~kept[t]
+            missed = (v > 0.0) & ~kept[f]
             if missed.any():
-                kept[t] |= missed
+                kept[f] |= missed
                 again.append(t)
             # the refinement loop treats an inaccurate answer the same as
             # an infeasible one, so fail loudly rather than return a sloppy
@@ -535,7 +529,7 @@ def optimize_trajectory(
                 # cancel its digits away (points near 5 m, H's entries to
                 # 3e11)
                 result = dataclasses.replace(
-                    result, iterations=int(steps[t]), faces=int(kept[t].sum()), passes=int(passes[t])
+                    result, iterations=int(steps[t]), faces=int(kept[f].sum()), passes=int(passes[t])
                 )
                 out[t] = (traj, traj.cost(weights), result)
         todo = np.array(again, dtype=int)

@@ -13,18 +13,19 @@ face each, pushed off the box by the clearance radius, and the workspace
 box caps every corridor.  Faces implied by the others are kept, since
 they leave the point set, and so the smoothing optimum, unchanged.
 
-Every corridor has F = 6 + B + N - 1 faces (B obstacle boxes, N robots)
-in fixed slots: the workspace faces, one per box in box order, then one
-per other robot in robot order, robot i's face against robot j at slot
-6 + B + j - (j > i).  A separator that fails (a pair too close for a
+A full corridor has 6 + B + N - 1 slots (B obstacle boxes, N robots):
+the workspace faces, one per box in box order, then one per other robot
+in robot order, robot i's face against robot j in slot 6 + B + j -
+(j > i).  The slots are only the order of the one face list that
+build_corridors returns.  A separator that fails (a pair too close for a
 margin plane, or a robot too close to an obstacle) is reported back
-instead of raising, and its slot holds the empty row 0 x <= 1: the
-robots it bounds get no full corridor that round and keep their current
-curves, against which every other corridor is built.
+instead of raising and leaves no face: the robots it bounds get no full
+corridor that round and keep their current curves, against which every
+other corridor is built.
 
-The smoothing programs do not carry every slot: optimize_trajectory
+The smoothing programs do not carry every face: optimize_trajectory
 keeps the faces near each robot's start curve and checks the rest at
-its answer, against these full arrays.
+its answer, against the full list.
 """
 
 from __future__ import annotations
@@ -41,30 +42,25 @@ _FACE_PRUNE_THRESHOLD = 64
 
 @dataclass
 class CorridorSet:
-    """Corridors as face arrays, plus the separation failures: row f of
-    robot t's corridor on piece k is normals[t, k, f] . x <= offsets[t, k, f],
-    in the slot order of the module docstring."""
+    """Corridors as one face list sorted by robot, piece and slot, plus the
+    separation failures: face f is normals[f] . x <= offsets[f] in robot
+    cells[f, 0]'s corridor on piece cells[f, 1], which holds at least the
+    workspace faces; slots counts a full corridor's slots."""
 
+    cells: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
+    slots: int
     failed_pairs: set = field(default_factory=set)
     failed_robots: set = field(default_factory=set)
 
     @property
-    def num_robots(self):
-        return self.normals.shape[0]
-
-    @property
-    def num_pieces(self):
-        return self.normals.shape[1]
-
-    @property
     def polyhedra(self):
         """The corridors as ConvexPolyhedron views, indexed [robot][piece]."""
-        return [
-            [ConvexPolyhedron(a, b) for a, b in zip(*robot)]
-            for robot in zip(self.normals, self.offsets)
-        ]
+        robots, pieces = self.cells[-1] + 1 if len(self.cells) else (0, 0)
+        ends = np.searchsorted(self.cells @ (pieces, 1), np.arange(robots * pieces + 1)).tolist()
+        polys = [ConvexPolyhedron(self.normals[a:b], self.offsets[a:b]) for a, b in zip(ends, ends[1:])]
+        return [polys[r * pieces : (r + 1) * pieces] for r in range(robots)]
 
 
 def support_norms(normals, ellipsoid):
@@ -125,13 +121,18 @@ def build_corridors(point_sets, scenario):
     n, num_pieces, m, _ = point_sets.shape
     boxes = scenario.obstacle_boxes()
     nb = len(boxes)
+    slots = 6 + nb + n - 1
+    # every face tried, as (key, normals, offsets, found): its key
+    # (robot pieces + piece) slots + slot is its own and sorts the list;
+    # first holds each (robot, piece)'s key of slot 0
+    first = np.arange(n * num_pieces)[:, None] * slots
     ws_a, ws_b = workspace_faces(scenario)
-    normals = np.zeros((n, num_pieces, 6 + nb + n - 1, 3))
-    offsets = np.ones(normals.shape[:3])
-    normals[:, :, :6] = ws_a
-    offsets[:, :, :6] = ws_b
-    failed = np.zeros(offsets.shape, dtype=bool)
+    faces = [(
+        (first + np.arange(6)).ravel(), np.tile(ws_a, (len(first), 1)), np.tile(ws_b, len(first)),
+        np.ones(6 * len(first), dtype=bool),
+    )]
 
+    failed_robots = set()
     if boxes:
         # instances in (robot, piece, box) order
         verts = np.array([box.vertices(scenario.grid) for box in boxes])
@@ -140,12 +141,13 @@ def build_corridors(point_sets, scenario):
         ell = scenario.obstacle_ellipsoid
         alpha, _, enorm, ok = svm_separate_batch(a_sets, b_sets, ell)
         touch = (b_sets @ alpha[:, :, None])[:, :, 0].min(axis=1)
-        normals[:, :, 6 : 6 + nb] = alpha.reshape(n, num_pieces, nb, 3)
-        offsets[:, :, 6 : 6 + nb] = (touch - support_norms(alpha, ell)).reshape(n, num_pieces, nb)
         # one-sided clearance: the raw slab must fit the clearance
         # radius, i.e. ||E_obs alpha_raw|| <= 2
-        failed[:, :, 6 : 6 + nb] = ~(ok & (enorm <= 2.0 + 1e-6)).reshape(n, num_pieces, nb)
-    failed_robots = set(np.flatnonzero(failed[:, :, 6 : 6 + nb].any(axis=(1, 2))).tolist())
+        found = ok & (enorm <= 2.0 + 1e-6)
+        faces.append(
+            ((first + 6 + np.arange(nb)).ravel(), alpha, touch - support_norms(alpha, ell), found)
+        )
+        failed_robots = set(np.flatnonzero(~found.reshape(n, -1).all(axis=1)).tolist())
 
     # pairs i < j in lexicographic order, then pieces
     i, j = np.triu_indices(n, k=1)
@@ -156,19 +158,15 @@ def build_corridors(point_sets, scenario):
             point_sets[i].reshape(-1, m, 3), point_sets[j].reshape(-1, m, 3), ell
         )
         shifts = support_norms(alpha, ell)
-        alpha = alpha.reshape(len(i), num_pieces, 3)
-        beta, shifts = beta.reshape(len(i), num_pieces), shifts.reshape(len(i), num_pieces)
-        slot_i, slot_j = 6 + nb + j - 1, 6 + nb + i
-        normals[i, :, slot_i] = alpha
-        offsets[i, :, slot_i] = beta - shifts
-        normals[j, :, slot_j] = -alpha
-        offsets[j, :, slot_j] = -(beta + shifts)
-        bad = ~(ok & (enorm <= 1.0 + 1e-6)).reshape(len(i), num_pieces)
-        failed[i, :, slot_i] = failed[j, :, slot_j] = bad
-        pair_failed = bad.any(axis=1)
-        failed_pairs = set(zip(i[pair_failed].tolist(), j[pair_failed].tolist()))
+        found = ok & (enorm <= 1.0 + 1e-6)
+        k = np.tile(np.arange(num_pieces), len(i))
+        i, j = np.repeat(i, num_pieces), np.repeat(j, num_pieces)
+        faces.append(((i * num_pieces + k) * slots + 6 + nb + j - 1, alpha, beta - shifts, found))
+        faces.append(((j * num_pieces + k) * slots + 6 + nb + i, -alpha, -(beta + shifts), found))
+        failed_pairs = set(zip(i[~found].tolist(), j[~found].tolist()))
 
-    # a failed separator leaves the empty row 0 x <= 1 in its slot
-    normals[failed] = 0.0
-    offsets[failed] = 1.0
-    return CorridorSet(normals, offsets, failed_pairs, failed_robots)
+    key, normals, offsets, found = (np.concatenate(part) for part in zip(*faces))
+    order = np.argsort(key)
+    order = order[found[order]]
+    cells = np.column_stack(np.divmod(key[order] // slots, num_pieces))
+    return CorridorSet(cells, normals[order], offsets[order], slots, failed_pairs, failed_robots)

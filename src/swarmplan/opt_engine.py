@@ -971,7 +971,8 @@ def solve_ilp(ilp, target=None):
     source arc routes it).  Presolve stays off: on the time-expanded flow
     programs it costs more time and memory than the search it saves.
 
-    Returns an ILPResult whose nodes counts the search nodes, root
+    Returns an ILPResult whose objective sums c over the columns at 1,
+    calling no BLAS routine, and whose nodes counts the search nodes, root
     included.  Raises ILPInfeasibleError when no binary assignment (with
     objective >= target) exists and ILPBudgetExceededError when the search
     reaches _ILP_NODE_LIMIT nodes.
@@ -1003,7 +1004,7 @@ def solve_ilp(ilp, target=None):
             raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
         z = np.round(x)
         if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
-            return ILPResult(z.astype(int), float(ilp.c @ z), 1)
+            return ILPResult(z.astype(int), float(ilp.c[z > 0].sum()), 1)
 
     constraints = []
     if ilp.A_eq.shape[0]:
@@ -1038,4 +1039,4 @@ def solve_ilp(ilp, target=None):
     z = np.round(res.x)
     if not ilp.feasible(z):
         raise SolverError("branch and cut returned an infeasible assignment")
-    return ILPResult(z.astype(int), float(ilp.c @ z), int(res.mip_node_count))
+    return ILPResult(z.astype(int), float(ilp.c[z > 0].sum()), int(res.mip_node_count))

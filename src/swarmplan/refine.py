@@ -173,18 +173,21 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
         candidate_costs = list(costs)
         candidate_coefficients = coefficients.copy()
         free = [i for i in range(n) if i not in blocked]
+        # the free robots' faces, each robot numbered by its place in free
+        faces = np.isin(corridors.cells[:, 0], free)
         results = optimize_trajectory(
             starts[free],
             goals[free],
             durations,
-            corridors.normals[free],
-            corridors.offsets[free],
+            np.column_stack([np.searchsorted(free, corridors.cells[faces, 0]), corridors.cells[faces, 1]]),
+            corridors.normals[faces],
+            corridors.offsets[faces],
             degree,
             continuity,
             weights,
             coefficients[free],
         )
-        emit(f"iteration {it}: {_qp_summary(results, corridors.offsets[0].size)}")
+        emit(f"iteration {it}: {_qp_summary(results, corridors.slots * len(durations))}")
         failed = 0
         for i, out in zip(free, results):
             if isinstance(out, opt_engine.SolverError):

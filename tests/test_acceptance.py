@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from compare_artifacts import artifact_differences
-from test_bezier import finite_difference, quadrature_cost
+from test_bezier import face_list, finite_difference, quadrature_cost
 from test_opt_engine import (
     assert_kkt,
     flow_reference,
@@ -302,10 +302,8 @@ def test_06_qp_objective_equals_cost_integral():
             a = np.vstack([np.eye(3), -np.eye(3)])
             b = np.concatenate([hi, -lo])
             corridors = [ConvexPolyhedron(a, b) for _ in range(pieces)]
-        normals = np.array([poly.A for poly in corridors])
-        offsets = np.array([poly.b for poly in corridors])
         (traj, objective, _), = optimize_trajectory(
-            [start], [goal], durations, normals[None], offsets[None], 9, 4, WEIGHTS
+            [start], [goal], durations, *face_list([corridors]), 9, 4, WEIGHTS
         )
         assert objective > 0
         assert objective == pytest.approx(quadrature_cost(traj, WEIGHTS), rel=1e-6)
@@ -484,3 +482,14 @@ def test_15_each_round_logs_how_its_qps_stopped(wall_run):
         assert slots == 8 * 24 * 20 and 0 < faces < slots / 2
         assert 0 <= again <= 8
         assert log.index(line) < log.index(f"iteration {it}: cost {row['cost']:.6g}")
+
+
+def test_wall_rounds_carry_their_pinned_faces(wall_run):
+    # the lazy face selection, pinned: the faces each round carried and the
+    # robots it solved again, as they were with every slot held densely
+    lines = [msg for msg in wall_run["log"] if " QPs: " in msg]
+    tails = [re.search(r"; (\d+ of \d+ corridor faces, \d+ solved again)$", m).group(1) for m in lines]
+    assert tails == [
+        f"{faces} of 3840 corridor faces, 0 solved again"
+        for faces in (1561, 1303, 1257, 1257, 1264, 1263)
+    ]

@@ -614,14 +614,40 @@ class TestFallback:
             assert curve == pytest.approx([bernstein_eval(ramp, t)[0] for t in s], abs=1e-12), d
 
 
+def face_list(polyhedra):
+    """[robot][piece] polytopes as optimize_trajectory's face list (cells,
+    normals, offsets): each polytope's rows in order, tagged with its
+    (robot, piece) cell."""
+    polys = [((t, k), poly) for t, robot in enumerate(polyhedra) for k, poly in enumerate(robot)]
+    cells = [cell for cell, poly in polys for _ in range(poly.num_faces)]
+    return (
+        np.array(cells, dtype=int).reshape(-1, 2),
+        np.concatenate([np.zeros((0, 3))] + [poly.A for _, poly in polys]),
+        np.concatenate([np.zeros(0)] + [poly.b for _, poly in polys]),
+    )
+
+
+def robot_faces(corridors, robots):
+    """The faces of the given robots of a CorridorSet as optimize_trajectory
+    takes them for those robots: robot robots[t]'s faces, in order, as
+    robot t's."""
+    rows = [np.flatnonzero(corridors.cells[:, 0] == r) for r in robots]
+    index = np.concatenate(rows)
+    robot = np.repeat(np.arange(len(robots)), [len(r) for r in rows])
+    cells = np.column_stack([robot, corridors.cells[index, 1]])
+    return cells, corridors.normals[index], corridors.offsets[index]
+
+
+def first_face(corridors, robot, piece):
+    """Index of the first face, the first workspace face, of a corridor."""
+    return int(np.flatnonzero((corridors.cells == (robot, piece)).all(axis=1))[0])
+
+
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
-    """optimize_trajectory for one robot through one polytope per piece,
-    all of one face count: its (trajectory, cost, result), or its error
-    raised."""
-    normals = np.array([poly.A for poly in corridors])[None]
-    offsets = np.array([poly.b for poly in corridors])[None]
+    """optimize_trajectory for one robot through one polytope per piece:
+    its (trajectory, cost, result), or its error raised."""
     out = optimize_trajectory(
-        [start], [goal], durations, normals, offsets, degree, continuity, weights
+        [start], [goal], durations, *face_list([corridors]), degree, continuity, weights
     )[0]
     if isinstance(out, Exception):
         raise out
@@ -748,15 +774,15 @@ class TestOptimizeTrajectory:
         monkeypatch.setattr(opt_engine, "SmoothingBatch", no_batch)
         out = optimize_trajectory(
             np.zeros((0, 3)), np.zeros((0, 3)), [0.25] * 3,
-            np.zeros((0, 3, 6, 3)), np.ones((0, 3, 6)), 9, 4, WEIGHTS,
+            np.zeros((0, 2), dtype=int), np.zeros((0, 3)), np.zeros(0), 9, 4, WEIGHTS,
         )
         assert out == []
 
     def test_corridor_count_mismatch_rejected(self):
+        # a face on a third piece of a two-piece trajectory
+        box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 2.0))
         with pytest.raises(ValueError, match="corridor"):
-            optimize_one(
-                np.zeros(3), np.ones(3), [0.25] * 2, self.free_corridors(3), 9, 4, WEIGHTS
-            )
+            optimize_one(np.zeros(3), np.ones(3), [0.25] * 2, [box] * 3, 9, 4, WEIGHTS)
 
 
 @pytest.fixture(scope="module")
@@ -803,8 +829,7 @@ def solve_robots(inputs, robots, monkeypatch=None, coefficients=None):
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)
     out = optimize_trajectory(
-        starts[robots], goals[robots], durations,
-        corridors.normals[robots], corridors.offsets[robots], *rest,
+        starts[robots], goals[robots], durations, *robot_faces(corridors, robots), *rest,
         None if coefficients is None else coefficients[robots],
     )
     return out, calls
@@ -956,8 +981,7 @@ class TestSmoothingBatch:
         hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4)
         for start in (None, fitted_coefficients([hover], 9, 4)):
             (traj, cost, result), = optimize_trajectory(
-                [here], [here], durations, np.tile(box.A, (1, 4, 1, 1)),
-                np.tile(box.b, (1, 4, 1)), 9, 4, WEIGHTS, start,
+                [here], [here], durations, *face_list([[box] * 4]), 9, 4, WEIGHTS, start,
             )
             assert result.stop == "converged"
             assert np.abs(traj.control_points() - here).max() <= 1e-8
@@ -1058,7 +1082,8 @@ class TestSmoothingBatch:
         # robot 3's piece 4 demands x below the workspace box it must also
         # stay in
         broken = dataclasses.replace(corridors, offsets=corridors.offsets.copy())
-        broken.offsets[3, 4, 0] = -corridors.offsets[3, 4, 3] - 1.0
+        f = first_face(corridors, 3, 4)
+        broken.offsets[f] = -corridors.offsets[f + 3] - 1.0
         inputs = (starts, goals, durations, broken, *rest)
         out, _ = solve_robots(inputs, list(range(8)))
         want, _ = solve_robots(wall_round_zero, list(range(8)))
@@ -1091,7 +1116,7 @@ class TestSmoothingBatch:
         # of its program with every face (_LAZY_FACE_SLACK infinite) within
         # the solver's tolerance, and meets every face of its corridor
         wall = fitted_coefficients(straight_lines(*wall_plan), *wall_round_zero[4:6])
-        normals, offsets = wall_round_zero[3].normals, wall_round_zero[3].offsets
+        polyhedra = wall_round_zero[3].polyhedra
         robots = list(range(8))
         monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", math.inf)
         full, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall)
@@ -1106,7 +1131,7 @@ class TestSmoothingBatch:
             assert got[2].iterations > calls[0][1].results[i].iterations
             assert got[1] == pytest.approx(want[1], rel=1e-6)
             points = got[0].control_points()
-            assert (normals[i] @ points.swapaxes(-1, -2) - offsets[i][..., None]).max() <= 1e-6
+            assert max(poly.max_violation(p) for poly, p in zip(polyhedra[i], points)) <= 1e-6
 
     def test_lazy_passes_write_identical_artifacts(self, tmp_path, monkeypatch):
         # two plans whose robots are solved again, with faces within 0.05 of

@@ -17,6 +17,7 @@ from swarmplan.corridor import (
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron, collision_free, svm_separate_batch
 from swarmplan.scenario import GridSpec, ScenarioSpec
+from test_bezier import face_list
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -60,26 +61,13 @@ def robot_through_obstacle():
     return segment_sets(wp), scenario(obstacles=[(1, 1, 0)])
 
 
-def face_arrays(polyhedra):
-    """[robot][piece] polytopes as optimize_trajectory's (normals, offsets),
-    each piece padded with empty rows 0 x <= 1 to the most faces."""
-    faces = max(poly.num_faces for robot in polyhedra for poly in robot)
-    normals = np.zeros((len(polyhedra), len(polyhedra[0]), faces, 3))
-    offsets = np.ones(normals.shape[:3])
-    for t, robot in enumerate(polyhedra):
-        for k, poly in enumerate(robot):
-            normals[t, k, : poly.num_faces] = poly.A
-            offsets[t, k, : poly.num_faces] = poly.b
-    return normals, offsets
-
-
 def reference_corridors(point_sets, sc):
-    """build_corridors' face layout assembled job by job from the same
+    """Every corridor's slots, dense, assembled job by job from the same
     batched separator calls: each corridor's faces appended one at a time,
     in (robot, piece, box) and then (pair, piece) order, with a failed
-    separator's face appended as the empty row 0 x <= 1.  Returns
-    (normals, offsets, failed_pairs, failed_robots, empty), empty marking
-    the failed faces."""
+    separator's slot holding the empty row 0 x <= 1.  Returns (normals,
+    offsets, failed_pairs, failed_robots, empty), normals (robots, pieces,
+    slots, 3) and empty marking the failed slots."""
     n, num_pieces = point_sets.shape[:2]
     ws_a, ws_b = workspace_faces(sc)
     faces_a = [[[ws_a] for _ in range(num_pieces)] for _ in range(n)]
@@ -207,8 +195,8 @@ class TestBuildCorridors:
         sc = scenario()
         sets = self.make_sets()
         corridors = build_corridors(sets, sc)
-        assert corridors.num_robots == 2
-        assert corridors.num_pieces == 3
+        assert [len(robot) for robot in corridors.polyhedra] == [3, 3]
+        assert corridors.slots == 6 + 1
         assert corridors.failed_pairs == set()
         assert corridors.failed_robots == set()
         for r in range(2):
@@ -294,12 +282,11 @@ class TestBuildCorridors:
         assert all(poly.num_faces < 71 for robot in pruned for poly in robot)
         costs = []
         free = [[ConvexPolyhedron()] * 6] * 2
-        for normals, offsets in (
-            (corridors.normals, corridors.offsets), face_arrays(pruned), face_arrays(free)
+        for faces in (
+            (corridors.cells, corridors.normals, corridors.offsets), face_list(pruned), face_list(free)
         ):
             out = optimize_trajectory(
-                wp[:, 0], wp[:, -1], [sc.dt] * 6, normals, offsets,
-                sc.degree, sc.continuity, sc.weights,
+                wp[:, 0], wp[:, -1], [sc.dt] * 6, *faces, sc.degree, sc.continuity, sc.weights,
             )
             costs.append(np.array([traj.cost(sc.weights) for traj, _, _ in out]))
         assert np.allclose(costs[0], costs[1], rtol=1e-8, atol=0.0)
@@ -307,11 +294,17 @@ class TestBuildCorridors:
         assert (costs[2] < 0.1 * costs[0]).all()
 
     def test_corridor_set_counts(self):
-        cs = CorridorSet(np.zeros((2, 1, 7, 3)), np.ones((2, 1, 7)))
-        assert cs.num_robots == 2
-        assert cs.num_pieces == 1
-        assert [[poly.num_faces for poly in robot] for robot in cs.polyhedra] == [[7], [7]]
-        assert CorridorSet(np.zeros((0, 3, 6, 3)), np.ones((0, 3, 6))).polyhedra == []
+        # each (robot, piece) cell's run of the sorted list is one polytope
+        counts = [[6, 7], [8, 6]]
+        cells = np.repeat([[t, k] for t in range(2) for k in range(2)], [6, 7, 8, 6], axis=0)
+        rng = np.random.default_rng(5)
+        cs = CorridorSet(cells, rng.normal(size=(27, 3)), rng.normal(size=27), 8)
+        polyhedra = cs.polyhedra
+        assert [[poly.num_faces for poly in robot] for robot in polyhedra] == counts
+        assert np.array_equal(polyhedra[1][0].A, cs.normals[13:21])
+        assert np.array_equal(polyhedra[1][0].b, cs.offsets[13:21])
+        empty = CorridorSet(np.zeros((0, 2), dtype=int), np.zeros((0, 3)), np.zeros(0), 6)
+        assert empty.polyhedra == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,15 +325,19 @@ def straight_line_sets(name, degree=None):
 
 
 class TestFaceLayout:
-    """build_corridors' arrays against the job-by-job reference assembly."""
+    """build_corridors' face list against the job-by-job dense reference:
+    face for face in slot order, with the failed slots left out."""
 
     def assert_layout(self, sets, sc):
         corridors = build_corridors(sets, sc)
         normals, offsets, failed_pairs, failed_robots, empty = reference_corridors(sets, sc)
         n, num_pieces = sets.shape[:2]
-        assert normals.shape == (n, num_pieces, 6 + len(sc.obstacle_boxes()) + n - 1, 3)
-        assert np.array_equal(corridors.normals, normals)
-        assert np.array_equal(corridors.offsets, offsets)
+        slots = 6 + len(sc.obstacle_boxes()) + n - 1
+        assert normals.shape == (n, num_pieces, slots, 3) and corridors.slots == slots
+        # argwhere and boolean indexing both run in (robot, piece, slot) order
+        assert np.array_equal(corridors.cells, np.argwhere(~empty)[:, :2])
+        assert np.array_equal(corridors.normals, normals[~empty])
+        assert np.array_equal(corridors.offsets, offsets[~empty])
         assert corridors.failed_pairs == failed_pairs
         assert corridors.failed_robots == failed_robots
         return corridors, empty
@@ -368,6 +365,7 @@ class TestFaceLayout:
         # so round zero separates the same hulls as the segments' endpoints
         sc, segments, points = straight_line_sets(name, degree)
         want, got = build_corridors(segments, sc), build_corridors(points, sc)
+        assert np.array_equal(got.cells, want.cells)
         assert np.allclose(got.normals, want.normals, rtol=0.0, atol=1e-12)
         assert np.allclose(got.offsets, want.offsets, rtol=0.0, atol=1e-12)
         assert (got.failed_pairs, got.failed_robots) == (want.failed_pairs, want.failed_robots)
@@ -376,15 +374,17 @@ class TestFaceLayout:
         sc = scenario(obstacles=[(2, 1, 0), (3, 3, 0)], starts=[(0, 0, 0)], goals=[(1, 0, 0)])
         wp = np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]])
         corridors, _ = self.assert_layout(segment_sets(wp), sc)
-        assert corridors.normals.shape == (1, 2, 6 + 2, 3)
+        assert corridors.slots == 6 + 2
+        assert corridors.cells.tolist() == [[0, 0]] * 8 + [[0, 1]] * 8
 
-    def test_failed_slots_hold_the_empty_row(self):
+    def test_a_failed_separator_leaves_no_face(self):
         for (sets, sc), slots in (
             (inseparable_pair(), [(0, 0, 6), (1, 0, 6)]),
             (robot_through_obstacle(), [(0, 0, 6)]),
         ):
             corridors, empty = self.assert_layout(sets, sc)
             assert [tuple(s) for s in np.argwhere(empty)] == slots
-            for t, k, f in slots:
-                assert corridors.normals[t, k, f].tolist() == [0.0, 0.0, 0.0]
-                assert corridors.offsets[t, k, f] == 1.0
+            assert len(corridors.cells) == empty.size - len(slots)
+            for t, k, _ in slots:
+                # the corridor keeps every other slot's face
+                assert (corridors.cells == (t, k)).all(axis=1).sum() == corridors.slots - 1

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from test_bezier import fitted_coefficients
+from test_bezier import first_face, fitted_coefficients, straight_lines
 
 import swarmplan.refine as refine_mod
-from swarmplan import bezier_opt, geometry
+from swarmplan import bezier_opt, corridor, geometry
 from swarmplan.bezier_opt import (
     PiecewiseBezierTrajectory,
     fallback_trajectory,
@@ -52,7 +52,9 @@ def trio():
     return sc, plan
 
 
-def start_points(starts, goals, durations, normals, offsets, degree, continuity, weights, coefficients):
+def start_points(
+    starts, goals, durations, cells, normals, offsets, degree, continuity, weights, coefficients
+):
     """The control points (robots, pieces, degree + 1, 3) of the curves
     x0 + Z c that optimize_trajectory starts its programs from, given its
     arguments, computed as it computes them."""
@@ -173,13 +175,15 @@ class TestRefine:
         worst = []
 
         def spy(*args):
-            normals, offsets, coefficients = args[3], args[4], args[8]
+            (cells, normals, offsets), coefficients = args[3:6], args[9]
             if worst:
                 points = start_points(*args)
             else:
                 assert np.array_equal(coefficients, splines)
                 points = np.stack([t.points for t in straight])
-            rows = normals @ points.swapaxes(-1, -2) - offsets[..., None]
+            # each face over its own robot's control points on its piece
+            face_points = points[cells[:, 0], cells[:, 1]]
+            rows = (normals[:, None] @ face_points.swapaxes(-1, -2))[:, 0] - offsets[:, None]
             worst.append(float(rows.max()))
             return real(*args)
 
@@ -256,7 +260,7 @@ class TestRoundZeroStart:
         corridors = build_corridors(np.stack([t.points for t in straight]), sc)
         args = (
             plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
-            corridors.normals, corridors.offsets, d, c, weights,
+            corridors.cells, corridors.normals, corridors.offsets, d, c, weights,
         )
         old = optimize_trajectory(*args, fitted_coefficients(straight, d, c))
         new = optimize_trajectory(*args, waypoint_splines(plan.waypoints, durations, d, c, weights))
@@ -337,7 +341,7 @@ class TestCarriedCoefficients:
         _, _, calls, accepted = wall_rounds
         for (args, results), trajectories in zip(calls, accepted, strict=True):
             assert len(results) == len(trajectories) == 8
-            points = start_points(*args[:8], np.array([result.c for _, _, result in results]))
+            points = start_points(*args[:9], np.array([result.c for _, _, result in results]))
             for p, trajectory in zip(points, trajectories):
                 assert np.array_equal(p, trajectory.points)
 
@@ -347,9 +351,9 @@ class TestCarriedCoefficients:
         splines = waypoint_splines(
             plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
         )
-        assert np.array_equal(calls[0][0][8], splines)
+        assert np.array_equal(calls[0][0][9], splines)
         for (_, results), (args, _) in zip(calls, calls[1:]):
-            assert np.array_equal(args[8], np.array([result.c for _, _, result in results]))
+            assert np.array_equal(args[9], np.array([result.c for _, _, result in results]))
 
     def test_robot_frozen_in_round_zero_starts_from_its_spline(self, monkeypatch):
         # robot 3's obstacle separator fails in round 0 only: it keeps its
@@ -377,8 +381,8 @@ class TestCarriedCoefficients:
             plan.waypoints, durations, sc.degree, sc.continuity, tuple(sc.weights)
         )
         others = [0, 1, 2, 4, 5, 6, 7]
-        assert np.array_equal(args[8][3], splines[3])
-        assert np.array_equal(args[8][others], np.array([out[2].c for out in first]))
+        assert np.array_equal(args[9][3], splines[3])
+        assert np.array_equal(args[9][others], np.array([out[2].c for out in first]))
         assert second[3][2].stop == "converged"
         assert any(m.startswith("iteration 1: 8 QPs: 8 converged;") for m in log), log
 
@@ -450,6 +454,52 @@ class TestDegradation:
             for p, q in zip(old.pieces, new.pieces):
                 assert np.array_equal(p.points, q.points)
 
+    def test_failed_pair_separator_leaves_no_face_and_freezes_both(self, trio, monkeypatch):
+        # pair (0, 2)'s separator fails on piece 1 in every round: neither
+        # robot has a face on that piece against the other, both keep their
+        # straight lines, and robot 1 keeps its faces against both
+        sc, plan = trio
+        assert not sc.obstacle_boxes()
+        pieces = plan.num_segments
+        real = corridor.svm_separate_batch
+
+        def no_margin_plane_for_pair_0_2_on_piece_1(a_sets, b_sets, ell):
+            alpha, beta, enorm, ok = real(a_sets, b_sets, ell)
+            # instances in (pair, piece) order, pair (0, 2) second
+            assert len(ok) == 3 * pieces
+            ok = ok.copy()
+            ok[pieces + 1] = False
+            return alpha, beta, enorm, ok
+
+        points = np.stack([t.points for t in straight_lines(plan, sc)])
+        want = build_corridors(points, sc)
+        monkeypatch.setattr(corridor, "svm_separate_batch", no_margin_plane_for_pair_0_2_on_piece_1)
+        got = build_corridors(points, sc)
+        assert (got.failed_pairs, got.failed_robots) == ({(0, 2)}, set())
+        # robot 0's face against robot 2 sits in slot 6 + 2 - 1, robot 2's
+        # against robot 0 in slot 6 + 0
+        drop = [first_face(want, 0, 1) + 7, first_face(want, 2, 1) + 6]
+        for name in ("cells", "normals", "offsets"):
+            assert np.array_equal(getattr(got, name), np.delete(getattr(want, name), drop, axis=0))
+        assert [(got.cells == (t, 1)).all(axis=1).sum() for t in range(3)] == [7, 8, 7]
+
+        calls = spied_calls(monkeypatch)
+        messages = []
+        result = refine_trajectories(plan, sc, iterations=2, log=messages.append)
+        assert result.ok and len(result.rows) == len(calls) >= 1
+        assert [m for m in messages if "frozen" in m] == [
+            f"iteration {it}: robots [0, 2] frozen on their previous curves: "
+            "no margin plane for pairs [(0, 2)]"
+            for it in range(len(calls))
+        ]
+        # only robot 1 is solved, as robot 0 of its call, on every piece
+        for args, results in calls:
+            assert len(results) == 1 and results[0][2].stop == "converged"
+            assert set(args[3][:, 0].tolist()) == {0}
+        assert all(row["fallback_count"] == 2 for row in result.rows)
+        for i in (0, 2):
+            assert np.array_equal(result.trajectories[i].points, points[i])
+
     def test_pair_failing_after_round_zero_degrades_only_its_robots(self, trio, monkeypatch):
         sc, plan = trio
         real = refine_mod.build_corridors
@@ -509,7 +559,8 @@ class TestDegradation:
             # robot 1 stays in the batch, but its first piece must lie
             # below the workspace box and inside it
             out = real(point_sets, scenario)
-            out.offsets[1, 0, 0] = -out.offsets[1, 0, 3] - 1.0
+            f = first_face(out, 1, 0)
+            out.offsets[f] = -out.offsets[f + 3] - 1.0
             return out
 
         reference = []
@@ -542,7 +593,7 @@ class TestDegradation:
             calls.extend(starts)
             if len(calls) <= n:
                 return real(starts, *args)
-            _, durations, _, _, degree, continuity, weights, _ = args
+            _, durations, _, _, _, degree, continuity, weights, _ = args
             out = []
             for start in starts:
                 i = next(i for i in range(n) if np.array_equal(plan.waypoints[i, 0], start))

@@ -113,7 +113,7 @@ def test_32_robot_round_zero_programs_stop_as_converged(wall_32):
     assert not corridors.failed_pairs and not corridors.failed_robots
     out = optimize_trajectory(
         plan.waypoints[:, 0], plan.waypoints[:, -1], durations,
-        corridors.normals, corridors.offsets,
+        corridors.cells, corridors.normals, corridors.offsets,
         sc.degree, sc.continuity, tuple(sc.weights),
         fitted_coefficients(straight, sc.degree, sc.continuity),
     )
