@@ -22,8 +22,9 @@ optimize_trajectory hands the robots' programs to the solver together, as
 one batch, each starting from given coefficients (its robot's last
 accepted optimum, which the solver returns with it, or until then its
 minimum-cost spline through its waypoints, waypoint_splines) and carrying
-only the corridor faces near that start; the faces left out are checked
-at the answers.  A curve is never turned back into coefficients.
+only the corridor faces near that start, as a face list that opt_engine
+lays out for the solver; the faces left out are checked at the answers.
+A curve is never turned back into coefficients.
 """
 
 from __future__ import annotations
@@ -238,12 +239,6 @@ def _csv_header(degree):
     return ["duration"] + [f"{axis}{i}" for axis in "xyz" for i in range(degree + 1)]
 
 
-def BezierPiece(duration, points):
-    """One polynomial piece, control points (degree + 1, dim), as a
-    one-piece trajectory."""
-    return PiecewiseBezierTrajectory([duration], [points])
-
-
 def _rest_to_rest_profile(degree, continuity):
     """Scalar Bernstein control values going 0 to 1 with derivatives
     1..continuity zero at both ends: the ramp of degree m = 2 continuity
@@ -334,7 +329,7 @@ def _smoothing_space(durations, degree, continuity, weights):
     basis = spline_to_bernstein(durations, degree, continuity)
     z = sparse.kron(basis[:, c + 1 : -(c + 1)], sparse.identity(3), format="csr")
     ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
-    return opt_engine.SmoothingSpace(h, z), ends
+    return opt_engine.SmoothingSpace(h, z, len(durations)), ends
 
 
 @lru_cache(maxsize=16)
@@ -399,23 +394,15 @@ def waypoint_splines(waypoints, durations, degree, continuity, weights):
 _LAZY_FACE_SLACK = 1.0
 
 
-def _kept_faces(cells, normals, offsets, robots, pieces):
-    """Faces of the given robots (increasing), sorted by cell as
-    optimize_trajectory takes them, as normals (T, P, F', 3) and offsets
-    (T, P, F'), T = len(robots) and P = pieces: each piece's faces in order,
-    padded to F', the most of a piece, with the empty row 0 x <= 1."""
-    t, k = np.searchsorted(robots, cells[:, 0]), cells[:, 1]
-    key = cells @ (pieces, 1)
-    rank = np.arange(len(key)) - np.searchsorted(key, key)
-    out = np.zeros((len(robots), pieces, rank.max(initial=-1) + 1, 3))
-    out_offsets = np.ones(out.shape[:3])
-    out[t, k, rank] = normals
-    out_offsets[t, k, rank] = offsets
-    return out, out_offsets
+def _slacks(cells, normals, offsets, points):
+    """Each face's smallest slack b - a . p over the control points p of
+    its cell, from the robots' points (robots, pieces, q, 3), in one pass
+    over the face list."""
+    return offsets - (normals[:, None] @ points[cells[:, 0], cells[:, 1]].swapaxes(-1, -2))[:, 0].max(-1)
 
 
 def optimize_trajectory(
-    starts, goals, durations, cells, normals, offsets, degree, continuity, weights, coefficients=None
+    starts, goals, durations, cells, normals, offsets, degree, continuity, weights, coefficients
 ):
     """Minimum-cost trajectories through corridor sequences, one per robot.
 
@@ -429,32 +416,28 @@ def optimize_trajectory(
     continuity + 1 coefficients per axis sit at the start and the goal; the
     QP runs over the other coefficients.
 
-    coefficients, when given, holds each robot's free coefficients
-    (robots, 3 r), r per axis, in the order of the solver's coordinates c
-    (the stacked control points are x = x0 + Z c): its interior point
-    starts from them, and otherwise from coefficients 0.
-    refine_trajectories passes those its robot's last accepted answer came
-    with (QPResult.c), or while it has none those of its waypoint spline
-    (waypoint_splines); the start may lie outside the corridor.
+    coefficients holds each robot's free coefficients (robots, 3 r), r per
+    axis, in the order of the solver's coordinates c (the stacked control
+    points are x = x0 + Z c), from which its interior point starts; the
+    start may lie outside the corridor.  refine_trajectories passes those
+    its robot's last accepted answer came with (QPResult.c), or while it
+    has none those of its waypoint spline (waypoint_splines).
 
-    Most faces are slack at the optimum, so a program started from given
-    coefficients carries only the faces that can bind (Kelley's cutting
-    planes): those whose smallest slack over the start curve's control
-    points is below _LAZY_FACE_SLACK.  Without coefficients every face is
-    kept: coefficients 0 are no curve a robot flies, and their slacks
-    say nothing about the optimum (from there every robot of
-    wall_windows_8's round zero needed two or three solves).
-    The robots' programs form one SmoothingBatch for one solve_qp call;
-    each piece's kept faces stay in order, padded to the batch's largest
-    count with empty rows.  Every face left out is then checked at each
-    answer, and a robot whose answer violates one is solved again with
-    those faces added, starting from its start, until none is violated.
-    Its answer, outside the added faces, is a poor start: from there robot
-    3 of pillars_6 stalled with faces within 0.05 kept.  The answer is the
-    full program's: its Hessian is positive definite over the free
+    Most faces are slack at the optimum, so each program carries only the
+    faces that can bind (Kelley's cutting planes): those whose smallest
+    slack over the start curve's control points is below
+    _LAZY_FACE_SLACK, found in one pass over the face list.  The robots'
+    programs form one SmoothingBatch for one solve_qp call.  Every face
+    left out is then checked at each answer, in one pass too, and a robot
+    whose answer violates one is solved again with those faces added,
+    starting from its start, until none is violated.  Its answer, outside
+    the added faces, is a poor start: from there robot 3 of pillars_6
+    stalled with faces within 0.05 kept.  The answer is the full
+    program's: its Hessian is positive definite over the free
     coefficients, so an optimum of fewer rows that satisfies all of them
     is the optimum.  A robot's answer depends on its batch only through
-    the padding, within the solver's tolerance.
+    the batch's padding of its rows (SmoothingBatch), within the solver's
+    tolerance.
 
     Returns one entry per robot, none without robots: (trajectory, cost,
     result) with cost the trajectory's cost integral and result the
@@ -480,57 +463,48 @@ def optimize_trajectory(
     space, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
     x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
     shape = (num_pieces, d + 1, 3)
-    # robot t's faces, a range of the list
-    bounds = np.searchsorted(cells[:, 0], np.arange(robots + 1)).tolist()
-    faces = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-    def slack(t, points):
-        # robot t's faces' smallest slacks b - a . p over their pieces' points (P, q, 3)
-        f = faces[t]
-        return offsets[f] - (normals[f, None] @ points[cells[f, 1]].swapaxes(-1, -2))[:, 0].max(axis=-1)
-
-    if coefficients is None:
-        start = np.zeros((robots, space.Z.shape[1]))
-        kept = np.ones(len(cells), dtype=bool)
-    else:
-        start = np.asarray(coefficients, dtype=float)
-        first = (x0 + (space.Z @ start.T).T).reshape(robots, *shape)
-        kept = np.concatenate([slack(t, p) for t, p in enumerate(first)]) < _LAZY_FACE_SLACK
+    start = np.asarray(coefficients, dtype=float)
+    # each robot's start curve's control points, and then its answer's
+    points = (x0 + (space.Z @ start.T).T).reshape(robots, *shape)
+    kept = _slacks(cells, normals, offsets, points) < _LAZY_FACE_SLACK
     out = [None] * robots
     steps = np.zeros(robots, dtype=int)
     passes = np.zeros(robots, dtype=int)
     todo = np.arange(robots)
     while todo.size:
-        mine = np.concatenate([np.flatnonzero(kept[faces[t]]) + bounds[t] for t in todo])
-        rows = _kept_faces(cells[mine], normals[mine], offsets[mine], todo, num_pieces)
-        batch = opt_engine.SmoothingBatch(space, x0[todo], *rows, start[todo])
-        again = []
+        mine = kept & np.isin(cells[:, 0], todo)
+        batch = opt_engine.SmoothingBatch(
+            space, x0[todo], np.column_stack([np.searchsorted(todo, cells[mine, 0]), cells[mine, 1]]),
+            normals[mine], offsets[mine], start[todo],
+        )
         for t, result in zip(todo.tolist(), opt_engine.solve_qp(batch).results):
-            if isinstance(result, opt_engine.SolverError):
-                out[t] = result
-                continue
-            f, p = faces[t], result.x.reshape(shape)
-            # every face of the robot at its answer
-            v = -slack(t, p)
-            steps[t] += result.iterations
-            passes[t] += 1
-            missed = (v > 0.0) & ~kept[f]
-            if missed.any():
-                kept[f] |= missed
-                again.append(t)
+            out[t] = result
+            if isinstance(result, opt_engine.QPResult):
+                points[t] = result.x.reshape(shape)
+                steps[t] += result.iterations
+                passes[t] += 1
+        # every face of the robots solved, at their answers
+        solved = [t for t in todo.tolist() if isinstance(out[t], opt_engine.QPResult)]
+        faces = np.flatnonzero(np.isin(cells[:, 0], solved))
+        v = -_slacks(cells[faces], normals[faces], offsets[faces], points)
+        missed = faces[(v > 0.0) & ~kept[faces]]
+        kept[missed] = True
+        worst = np.zeros(robots)
+        np.maximum.at(worst, cells[faces, 0], v)
+        carried = np.bincount(cells[kept, 0], minlength=robots)
+        todo = np.unique(cells[missed, 0])
+        for t in np.setdiff1d(solved, todo).tolist():
             # the refinement loop treats an inaccurate answer the same as
             # an infeasible one, so fail loudly rather than return a sloppy
             # curve
-            elif v.max(initial=0.0) > 1e-6:
+            if worst[t] > 1e-6:
                 out[t] = opt_engine.QPInfeasibleError("smoothing QP violated a corridor face")
-            else:
-                traj = PiecewiseBezierTrajectory(durations, p)
-                # the cost integral on the curve itself: 0.5 x'Hx would
-                # cancel its digits away (points near 5 m, H's entries to
-                # 3e11)
-                result = dataclasses.replace(
-                    result, iterations=int(steps[t]), faces=int(kept[f].sum()), passes=int(passes[t])
-                )
-                out[t] = (traj, traj.cost(weights), result)
-        todo = np.array(again, dtype=int)
+                continue
+            traj = PiecewiseBezierTrajectory(durations, points[t])
+            # the cost integral on the curve itself: 0.5 x'Hx would cancel
+            # its digits away (points near 5 m, H's entries to 3e11)
+            result = dataclasses.replace(
+                out[t], iterations=int(steps[t]), faces=int(carried[t]), passes=int(passes[t])
+            )
+            out[t] = (traj, traj.cost(weights), result)
     return out

@@ -14,10 +14,13 @@ its Newton matrix is formed by sparse products at every step.  The
 per-robot smoothing QPs of a refinement round come as one SmoothingBatch
 (_FacesProgram): one SmoothingSpace (H and one banded Z, a B-spline
 basis) for every robot, and rows that each apply one corridor face to
-one control point.  Its products work piece by piece as small dense
-matmuls; its Newton matrices are one 3x3 block per control point,
-carried to the band by a map that the SmoothingSpace builds once, with
-its check of H, for every batch that shares it.
+one control point.  The faces come as one list sorted by robot and
+piece; the batch pads each piece's rows with empty rows to the most
+faces of any of its pieces, a layout no other module sees.  Its
+products work piece by piece as small dense matmuls; its Newton
+matrices are one 3x3 block per control point, carried to the band by a
+map that the SmoothingSpace builds once, with its check of H, for every
+batch that shares it.
 
 Each instance's band gets its own factorization, so an instance stops on
 its own and gets the answer it gets alone.  Each starts from its own
@@ -204,18 +207,20 @@ class _Shape:
 
 class SmoothingSpace:
     """What every program of a SmoothingBatch shares: H (n, n), Z (n, r),
-    n being 3 times the number of control points, and the fixed parts of
-    their Newton step (_newton_maps).  H is checked to be symmetric PSD,
-    and the maps are built, once, here: a caller that keeps one space for
-    many batches, such as a plan's refinement rounds, pays for them once.
-    The arrays are shared and must not be modified."""
+    n being 3 times the number of control points of the given number of
+    pieces, and the fixed parts of their Newton step (_newton_maps).  H is
+    checked to be symmetric PSD, and the maps are built, once, here: a
+    caller that keeps one space for many batches, such as a plan's
+    refinement rounds, pays for them once.  The arrays are shared and must
+    not be modified."""
 
-    def __init__(self, H, Z):
+    def __init__(self, H, Z, pieces):
         self.H = sp.csr_matrix(H)
         self.Z = sp.csr_matrix(Z)
+        self.pieces = int(pieces)
         n = self.H.shape[0]
-        if self.H.shape != (n, n) or self.Z.shape[0] != n or n % 3:
-            raise ValueError("need H (n, n) and Z (n, r), n a multiple of 3")
+        if self.H.shape != (n, n) or self.Z.shape[0] != n or self.pieces < 1 or n % (3 * self.pieces):
+            raise ValueError("need H (n, n) and Z (n, r), n a multiple of 3 times the pieces")
         _check_psd(self.H)
         self.ZT = self.Z.T.tocsr()
         self.H_red, self.band_shape, self.const, self.to_band = _newton_maps(self.H, self.Z)
@@ -224,40 +229,60 @@ class SmoothingSpace:
 @dataclass
 class SmoothingBatch:
     """T programs  min 0.5 x'Hx  s.t.  x = x0 + Z c for some c, whose rows
-    are each one face of a polytope applied to one control point.
+    are each one corridor face applied to one control point.
 
-    x stacks the control points of P pieces, q points of 3 coordinates
-    per piece, point by point.  space, a SmoothingSpace, holds H (n, n)
-    and Z (n, r), shared by the batch; x0 is (T, n).  normals
-    (T, P, F, 3) and offsets (T, P, F) are each instance's faces: its row
-    (k, j, f), in that order, is normals[t, k, f] . x[k, j] <=
-    offsets[t, k, f].  start (T, r) holds the coordinates c each
-    instance's interior point starts from; they need not satisfy its rows.
-    solve_qp solves the instances together, and each one's answer is the
-    one it gets alone, with the same arrays.
+    x stacks the control points of the space's P pieces, q points of 3
+    coordinates per piece, point by point.  space, a SmoothingSpace, holds
+    H (n, n) and Z (n, r), shared by the batch; x0 is (T, n).  The faces
+    come as a list sorted by instance and piece, as a CorridorSet holds
+    them: face f, normals[f] . p <= offsets[f], binds every control point
+    p of instance cells[f, 0]'s piece cells[f, 1].  start (T, r) holds the
+    coordinates c each instance's interior point starts from; they need
+    not satisfy its rows.
+
+    The batch lays the rows out itself: each piece's faces in list order,
+    padded to F, the most faces of any piece of the batch, with the empty
+    row 0 . p <= 1; instance t's row (k, j, f) is its piece k's face f
+    applied to point j.  The solver runs over that padded layout, whose
+    rows enter each instance's duality measure, so an instance gets the
+    answer it gets alone bit for bit when its widest piece is the batch's,
+    and within the solver's tolerance otherwise.
     """
 
     space: SmoothingSpace
     x0: np.ndarray
+    cells: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
     start: np.ndarray
 
     def __post_init__(self):
         self.x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))
+        self.cells = np.asarray(self.cells, dtype=int).reshape(-1, 2)
         self.normals = np.asarray(self.normals, dtype=float)
         self.offsets = np.asarray(self.offsets, dtype=float)
         self.start = np.asarray(self.start, dtype=float)
         T, n = self.x0.shape
+        P = self.space.pieces
         if self.H.shape != (n, n):
             raise ValueError("the space's H and Z must match x0's (T, n)")
         if self.start.shape != (T, self.Z.shape[1]):
             raise ValueError("start must be (T, r), r being Z's columns")
-        shape = self.normals.shape
-        if len(shape) != 4 or shape[0] != T or shape[3] != 3 or not shape[1] or n % (3 * shape[1]):
-            raise ValueError("normals must be (T, P, F, 3), with n a multiple of 3 P")
-        if self.offsets.shape != self.normals.shape[:3]:
-            raise ValueError("offsets must be (T, P, F)")
+        F = len(self.cells)
+        if self.normals.shape != (F, 3) or self.offsets.shape != (F,):
+            raise ValueError("need cells (F, 2), normals (F, 3) and offsets (F,)")
+        if ((self.cells < 0) | (self.cells >= (T, P))).any():
+            raise ValueError("a face names an instance or a piece out of range")
+        key = self.cells @ (P, 1)
+        if (np.diff(key) < 0).any():
+            raise ValueError("faces must be sorted by instance and piece")
+        # each face's place among its piece's faces
+        rank = np.arange(F) - np.searchsorted(key, key)
+        t, k = self.cells.T
+        self._normals = np.zeros((T, P, rank.max(initial=-1) + 1, 3))
+        self._normals[t, k, rank] = self.normals
+        self._offsets = np.ones(self._normals.shape[:3])
+        self._offsets[t, k, rank] = self.offsets
 
     @property
     def H(self):
@@ -270,18 +295,13 @@ class SmoothingBatch:
     @property
     def points(self):
         """Control points per piece."""
-        return self.x0.shape[1] // (3 * self.normals.shape[1])
-
-    @property
-    def faces(self):
-        """The normals as columns, (T, P, 3, F)."""
-        return self.normals.swapaxes(-1, -2)
+        return self.x0.shape[1] // (3 * self.space.pieces)
 
     @property
     def b_in(self):
         """The right-hand sides of each instance's rows, (T, P q F)."""
-        T, P, F = self.offsets.shape
-        return np.broadcast_to(self.offsets[:, :, None], (T, P, self.points, F)).reshape(T, -1)
+        T, P, F = self._offsets.shape
+        return np.broadcast_to(self._offsets[:, :, None], (T, P, self.points, F)).reshape(T, -1)
 
     @property
     def A_eq(self):
@@ -293,16 +313,17 @@ class SmoothingBatch:
         """The shape of every instance's rows stacked, on the stacked x
         (T n).  The rows are applied piece by piece (_face_rows) and are
         never built as one matrix; instance(t) builds one instance's."""
-        return _Shape((self.offsets.size * self.points, self.x0.size))
+        return _Shape((self._offsets.size * self.points, self.x0.size))
 
     def instance(self, t):
-        """Instance t as a QuadraticProgram with explicit sparse rows."""
-        T, P, F, _ = self.normals.shape
+        """Instance t as a QuadraticProgram with explicit sparse rows, the
+        padded ones included, in the batch's row order."""
+        T, P, F, _ = self._normals.shape
         q, n = self.points, self.x0.shape[1]
         # row (k, j, f) has face f's normal in point (k, j)'s 3 columns
         point = np.arange(P * q).reshape(P, q, 1, 1)
         cols = np.broadcast_to(3 * point + np.arange(3), (P, q, F, 3))
-        data = np.broadcast_to(self.normals[t][:, None], cols.shape)
+        data = np.broadcast_to(self._normals[t][:, None], cols.shape)
         rows = sp.csr_matrix(
             (data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 3)), shape=(P * q * F, n)
         )
@@ -624,10 +645,10 @@ class _FacesProgram(_BandedNewton):
         self.Z, self.ZT = space.Z, space.ZT
         self.scale = scale
         self.batch = batch
-        self.normals, self.points = batch.normals, batch.points
-        self.faces = np.ascontiguousarray(batch.faces)
-        self.outer = (batch.normals[..., :, None] * batch.normals[..., None, :]).reshape(
-            *batch.normals.shape[:3], 9
+        self.normals, self.points = batch._normals, batch.points
+        self.faces = np.ascontiguousarray(self.normals.swapaxes(-1, -2))
+        self.outer = (self.normals[..., :, None] * self.normals[..., None, :]).reshape(
+            *self.normals.shape[:3], 9
         )
 
     def ineq(self, c):
@@ -686,7 +707,7 @@ def solve_qp(qp, eps_abs=1e-6, eps_rel=1e-6):
     if isinstance(qp, SmoothingBatch):
         return _solve(
             partial(_FacesProgram, qp), qp.H, qp.Z, qp.x0, np.zeros_like(qp.x0),
-            qp.b_in - _face_rows(qp.faces, qp.x0), qp.start, eps_abs, eps_rel,
+            qp.b_in - _face_rows(qp._normals.swapaxes(-1, -2), qp.x0), qp.start, eps_abs, eps_rel,
         )
     qp.check_psd()
     if _norm(qp.A_eq @ qp.x0 - qp.b_eq) > eps_abs + eps_rel * _norm(qp.b_eq):

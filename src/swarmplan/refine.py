@@ -188,6 +188,9 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             coefficients[free],
         )
         emit(f"iteration {it}: {_qp_summary(results, corridors.slots * len(durations))}")
+        # the programs hold their faces: the set (102 MB at 192 robots) is
+        # not kept under the next round's build
+        del corridors
         failed = 0
         for i, out in zip(free, results):
             if isinstance(out, opt_engine.SolverError):

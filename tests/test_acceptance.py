@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from compare_artifacts import artifact_differences
-from test_bezier import face_list, finite_difference, quadrature_cost
+from test_bezier import face_list, finite_difference, full_programs, quadrature_cost
 from test_opt_engine import (
     assert_kkt,
     flow_reference,
@@ -28,7 +28,7 @@ from test_opt_engine import (
     random_feasible_qp,
 )
 
-from swarmplan.bezier_opt import BezierPiece, optimize_trajectory
+from swarmplan.bezier_opt import PiecewiseBezierTrajectory
 from swarmplan.cli import main as cli_main
 from swarmplan.discrete_planner import (
     DiscreteInfeasibleError,
@@ -302,7 +302,7 @@ def test_06_qp_objective_equals_cost_integral():
             a = np.vstack([np.eye(3), -np.eye(3)])
             b = np.concatenate([hi, -lo])
             corridors = [ConvexPolyhedron(a, b) for _ in range(pieces)]
-        (traj, objective, _), = optimize_trajectory(
+        (traj, objective, _), = full_programs(
             [start], [goal], durations, *face_list([corridors]), 9, 4, WEIGHTS
         )
         assert objective > 0
@@ -395,11 +395,11 @@ def test_10_bernstein_partition_hull_and_derivative_properties():
         d = int(rng.integers(2, 10))
         pts = rng.normal(size=(d + 1, 3))
         duration = float(rng.uniform(0.2, 2.0))
-        piece = BezierPiece(duration, pts)
+        piece = PiecewiseBezierTrajectory([duration], [pts])
         ts = np.linspace(0.0, duration, 40)
         vals = piece.evaluate_many(ts)
         # constant curves reproduce their value: unity through the evaluator
-        flat = BezierPiece(duration, np.tile(pts[0], (d + 1, 1)))
+        flat = PiecewiseBezierTrajectory([duration], [np.tile(pts[0], (d + 1, 1))])
         assert np.abs(flat.evaluate_many(ts) - pts[0]).max() <= 1e-12
         # support containment in every direction bounds the hull
         dirs = rng.normal(size=(12, 3))
@@ -409,7 +409,7 @@ def test_10_bernstein_partition_hull_and_derivative_properties():
     rng = np.random.default_rng(43)
     for _ in range(50):
         d = int(rng.integers(4, 10))
-        piece = BezierPiece(1.0, rng.normal(size=(d + 1, 3)))
+        piece = PiecewiseBezierTrajectory([1.0], [rng.normal(size=(d + 1, 3))])
         for order in (1, 2, 3, 4):
             for t in (0.3, 0.5, 0.8):
                 exact = piece.evaluate(t, order=order)

@@ -20,12 +20,12 @@ from compare_artifacts import artifact_differences
 from test_opt_engine import assert_bands_match_dense
 
 from swarmplan.bezier_opt import (
-    BezierPiece,
     PiecewiseBezierTrajectory,
     control_point_cost,
     fallback_trajectory,
     optimize_trajectory,
     spline_to_bernstein,
+    waypoint_splines,
 )
 from swarmplan import bezier_opt, opt_engine
 from swarmplan.cli import main as cli_main
@@ -228,7 +228,7 @@ class TestBasisMatrices:
         rng = np.random.default_rng(1)
         for d, tau in [(5, 1.0), (9, 0.25)]:
             pts = rng.normal(size=(d + 1, 3))
-            traj = BezierPiece(tau, pts)
+            traj = PiecewiseBezierTrajectory([tau], [pts])
             h = control_point_cost(d, tau, WEIGHTS)
             direct = float(np.einsum("id,ij,jd->", pts, h, pts))
             assert direct == pytest.approx(quadrature_cost(traj, WEIGHTS), rel=1e-9)
@@ -239,7 +239,7 @@ class TestEvaluation:
         rng = np.random.default_rng(2)
         for d in (1, 2, 5, 9):
             pts = rng.normal(size=(d + 1, 3))
-            piece = BezierPiece(0.7, pts)
+            piece = PiecewiseBezierTrajectory([0.7], [pts])
             for s in np.linspace(0, 1, 9):
                 expected = bernstein_eval(pts, s)
                 assert np.allclose(piece.evaluate(0.7 * s), expected, atol=1e-12)
@@ -249,7 +249,7 @@ class TestEvaluation:
         for d in range(1, 10):
             tau = float(rng.uniform(0.1, 3.0))
             pts = rng.normal(size=(d + 1, 3)) * rng.uniform(0.1, 10)
-            piece = BezierPiece(tau, pts)
+            piece = PiecewiseBezierTrajectory([tau], [pts])
             ts = np.concatenate([[0.0, tau], rng.uniform(0, tau, size=25)])
             for order in range(5):
                 ref = hodograph(pts, tau, order)
@@ -263,7 +263,7 @@ class TestEvaluation:
         for _ in range(50):
             d = int(rng.integers(1, 10))
             p = rng.normal(size=3)
-            piece = BezierPiece(1.0, np.tile(p, (d + 1, 1)))
+            piece = PiecewiseBezierTrajectory([1.0], [np.tile(p, (d + 1, 1))])
             ts = rng.uniform(0, 1, size=11)
             assert np.abs(piece.evaluate_many(ts) - p).max() <= 1e-12
 
@@ -272,7 +272,7 @@ class TestEvaluation:
         for _ in range(100):
             d = int(rng.integers(1, 10))
             pts = rng.normal(size=(d + 1, 3)) * rng.uniform(0.1, 10)
-            piece = BezierPiece(float(rng.uniform(0.1, 3)), pts)
+            piece = PiecewiseBezierTrajectory([float(rng.uniform(0.1, 3))], [pts])
             ts = np.linspace(0, piece.duration, 33)
             vals = piece.evaluate_many(ts)
             assert (vals >= pts.min(axis=0) - 1e-9).all()
@@ -282,7 +282,7 @@ class TestEvaluation:
         rng = np.random.default_rng(5)
         for _ in range(10):
             pts = rng.normal(size=(10, 3))
-            piece = BezierPiece(1.0, pts)
+            piece = PiecewiseBezierTrajectory([1.0], [pts])
             for order in (1, 2, 3, 4):
                 for t in (0.3, 0.5, 0.8):
                     exact = piece.evaluate(t, order=order)
@@ -291,7 +291,7 @@ class TestEvaluation:
                     assert np.abs(exact - approx).max() <= 1e-4 * scale
 
     def test_derivative_points_drop_degree(self):
-        piece = BezierPiece(2.0, np.arange(12, dtype=float).reshape(4, 3))
+        piece = PiecewiseBezierTrajectory([2.0], [np.arange(12, dtype=float).reshape(4, 3)])
         assert piece.control_points(1).shape == (1, 3, 3)
         assert piece.control_points(4).shape == (1, 1, 3)
         assert np.allclose(piece.control_points(4), 0.0)
@@ -300,7 +300,7 @@ class TestEvaluation:
         rng = np.random.default_rng(6)
         d, tau = 9, 0.4
         pts = rng.normal(size=(d + 1, 3))
-        piece = BezierPiece(tau, pts)
+        piece = PiecewiseBezierTrajectory([tau], [pts])
         for order in range(5):
             row_s = endpoint_derivative_row(d, order, tau, at_start=True)
             row_e = endpoint_derivative_row(d, order, tau, at_start=False)
@@ -404,7 +404,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
     def test_piece_duration_must_be_finite_and_positive(self, duration):
         with pytest.raises(ValueError, match="duration"):
-            BezierPiece(duration, np.zeros((4, 3)))
+            PiecewiseBezierTrajectory([duration], [np.zeros((4, 3))])
 
     def test_evaluation_clamps_to_domain(self):
         rng = np.random.default_rng(8)
@@ -606,7 +606,7 @@ class TestFallback:
             assert (values[: c + 1] == 0.0).all() and (values[d - c :] == 1.0).all(), d
             free = values[c + 1 : d - c]
             assert ((free > 0.0) & (free < 1.0)).all(), d
-            piece = BezierPiece(1.0, values[:, None])
+            piece = PiecewiseBezierTrajectory([1.0], [values[:, None]])
             for order in range(1, c + 1):
                 assert piece.evaluate(0.0, order)[0] == 0.0, (d, order)
                 assert piece.evaluate(1.0, order)[0] == 0.0, (d, order)
@@ -643,10 +643,30 @@ def first_face(corridors, robot, piece):
     return int(np.flatnonzero((corridors.cells == (robot, piece)).all(axis=1))[0])
 
 
+def full_programs(starts, goals, durations, cells, normals, offsets, degree, continuity, weights):
+    """optimize_trajectory with every face kept (_LAZY_FACE_SLACK infinite),
+    each robot started from free coefficients 0: its full program from one
+    fixed start, whatever its corridors."""
+    c = continuity
+    r = spline_to_bernstein(tuple(float(t) for t in durations), degree, c).shape[1] - 2 * (c + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bezier_opt, "_LAZY_FACE_SLACK", math.inf)
+        return optimize_trajectory(
+            starts, goals, durations, cells, normals, offsets, degree, continuity, weights,
+            np.zeros((len(starts), 3 * r)),
+        )
+
+
+def widest(batch):
+    """The most faces any piece of a SmoothingBatch holds: the row count it
+    pads each piece to."""
+    return int(np.bincount(batch.cells @ (batch.space.pieces, 1), minlength=1).max())
+
+
 def optimize_one(start, goal, durations, corridors, degree, continuity, weights):
-    """optimize_trajectory for one robot through one polytope per piece:
-    its (trajectory, cost, result), or its error raised."""
-    out = optimize_trajectory(
+    """The full program (full_programs) of one robot through one polytope
+    per piece: its (trajectory, cost, result), or its error raised."""
+    out = full_programs(
         [start], [goal], durations, *face_list([corridors]), degree, continuity, weights
     )[0]
     if isinstance(out, Exception):
@@ -772,7 +792,7 @@ class TestOptimizeTrajectory:
             raise AssertionError("a batch was built")
 
         monkeypatch.setattr(opt_engine, "SmoothingBatch", no_batch)
-        out = optimize_trajectory(
+        out = full_programs(
             np.zeros((0, 3)), np.zeros((0, 3)), [0.25] * 3,
             np.zeros((0, 2), dtype=int), np.zeros((0, 3)), np.zeros(0), 9, 4, WEIGHTS,
         )
@@ -806,6 +826,14 @@ def wall_round_zero(wall_plan):
     )
 
 
+@pytest.fixture(scope="module")
+def wall_splines(wall_plan, wall_round_zero):
+    """Each wall robot's round-zero start, as refinement gives it: the free
+    coefficients of its waypoint spline."""
+    plan, sc = wall_plan
+    return waypoint_splines(plan.waypoints, wall_round_zero[2], sc.degree, sc.continuity, tuple(sc.weights))
+
+
 def curve_cost(x, durations, weights):
     """The cost of the curve whose stacked control points are x."""
     points = np.split(x, len(durations))
@@ -816,8 +844,9 @@ def curve_cost(x, durations, weights):
 
 def solve_robots(inputs, robots, monkeypatch=None, coefficients=None):
     """optimize_trajectory on the given robots of inputs, started from
-    their rows of coefficients (one per robot of inputs) when given; with
-    monkeypatch, also every solve_qp call it makes, as (program, result)."""
+    their rows of coefficients (one per robot of inputs) when given, and
+    otherwise their full programs (full_programs); with monkeypatch, also
+    every solve_qp call it makes, as (program, result)."""
     starts, goals, durations, corridors, *rest = inputs
     calls = []
     if monkeypatch is not None:
@@ -828,11 +857,20 @@ def solve_robots(inputs, robots, monkeypatch=None, coefficients=None):
             return calls[-1][1]
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)
-    out = optimize_trajectory(
-        starts[robots], goals[robots], durations, *robot_faces(corridors, robots), *rest,
-        None if coefficients is None else coefficients[robots],
-    )
-    return out, calls
+    args = (starts[robots], goals[robots], durations, *robot_faces(corridors, robots), *rest)
+    if coefficients is None:
+        return full_programs(*args), calls
+    return optimize_trajectory(*args, coefficients[robots]), calls
+
+
+def full_batch(inputs, robots, coefficients):
+    """The given robots' programs as one SmoothingBatch with every face of
+    their corridors, each started from its row of coefficients, posed as
+    optimize_trajectory poses them."""
+    starts, goals, durations, corridors, degree, continuity, weights = inputs
+    space, ends = bezier_opt._smoothing_space(tuple(durations), degree, continuity, tuple(weights))
+    x0 = np.array([(ends @ np.vstack([starts[i], goals[i]])).ravel() for i in robots])
+    return opt_engine.SmoothingBatch(space, x0, *robot_faces(corridors, robots), coefficients[robots])
 
 
 def straight_lines(plan, scenario):
@@ -887,15 +925,16 @@ def plan_stops(name, iterations):
 
 
 def round_calls(name, iterations, monkeypatch):
-    """Each refinement round of the named scenario as (the normals shape of
-    each of its solve_qp calls, in order, and its log line on its QPs)."""
+    """Each refinement round of the named scenario as (the (programs,
+    pieces, widest piece's faces) of each of its solve_qp calls, in order,
+    and its log line on its QPs)."""
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
     plan = solve_discrete(sc).postprocessed()
     real = opt_engine.solve_qp
     rounds, shapes = [], []
 
     def spy(qp, *args):
-        shapes.append(qp.normals.shape)
+        shapes.append((len(qp.x0), qp.space.pieces, widest(qp)))
         return real(qp, *args)
 
     def log(msg):
@@ -913,20 +952,22 @@ def round_calls(name, iterations, monkeypatch):
 class TestSmoothingBatch:
     """The smoothing programs of several robots as one SmoothingBatch."""
 
-    def test_robot_solves_alike_alone_and_in_any_batch(self, wall_round_zero, monkeypatch):
+    def test_robot_solves_alike_alone_and_in_any_batch(self, wall_round_zero, wall_splines):
         # bit for bit: the curve, the objective, the objective's constant f0
-        # and its scale sigma at the start point
+        # and its scale sigma at the start point.  Every batch holds its
+        # robots' whole round-zero face lists, whose pieces all have 20
+        # faces, so every batch pads to the same 20 rows per piece
         robots = list(range(8))
         seen = {i: [] for i in robots}
         for order in (robots, robots[::-1], robots[5:], robots[:5], *([i] for i in robots)):
-            out, calls = solve_robots(wall_round_zero, order, monkeypatch)
-            monkeypatch.undo()
-            ((batch, _),) = calls
+            batch = full_batch(wall_round_zero, order, wall_splines)
+            assert widest(batch) == 20 and len(batch.cells) == len(order) * 24 * 20
+            result = solve_qp(batch)
             f0, sigma = opt_engine._start_objective(
                 batch.H, batch.Z, batch.x0, np.zeros_like(batch.x0), batch.start
             )
             for t, i in enumerate(order):
-                x = out[t][2].x
+                x = result.results[t].x
                 seen[i].append((x, batch.instance(t).objective(x), f0[t], sigma[t]))
         for i in robots:
             alone = seen[i][-1]
@@ -947,7 +988,7 @@ class TestSmoothingBatch:
         # what a benchmark tracer reads of a solve_qp call: every robot's 24
         # pieces of 10 control points, with the faces that can bind of its
         # 20 slots
-        width = batch.normals.shape[2]
+        width = widest(batch)
         assert width <= 20
         assert batch.A_eq.shape[0] + batch.A_in.shape[0] == 8 * 24 * width * 10
         assert result.polished is False
@@ -964,7 +1005,7 @@ class TestSmoothingBatch:
         _, calls = solve_robots(wall_round_zero, list(range(8)), monkeypatch, straight)
         (batch, want), *_ = calls
         for factor in (1e-4, 1e4):
-            space = opt_engine.SmoothingSpace(batch.H * factor, batch.Z)
+            space = opt_engine.SmoothingSpace(batch.H * factor, batch.Z, batch.space.pieces)
             got = solve_qp(dataclasses.replace(batch, space=space))
             for g, w in zip(got.results, want.results, strict=True):
                 assert g.iterations == w.iterations
@@ -979,10 +1020,12 @@ class TestSmoothingBatch:
         box = ConvexPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([here + 1, 1 - here]))
         durations = [0.5] * 4
         hover = fallback_trajectory(np.tile(here, (5, 1)), durations, 9, 4)
-        for start in (None, fitted_coefficients([hover], 9, 4)):
-            (traj, cost, result), = optimize_trajectory(
-                [here], [here], durations, *face_list([[box] * 4]), 9, 4, WEIGHTS, start,
-            )
+        inputs = ([here], [here], durations, *face_list([[box] * 4]), 9, 4, WEIGHTS)
+        for out in (
+            full_programs(*inputs),
+            optimize_trajectory(*inputs, fitted_coefficients([hover], 9, 4)),
+        ):
+            (traj, cost, result), = out
             assert result.stop == "converged"
             assert np.abs(traj.control_points() - here).max() <= 1e-8
             assert cost <= 1e-9
@@ -1048,11 +1091,12 @@ class TestSmoothingBatch:
     def test_face_products_match_each_instance(self, wall_round_zero, monkeypatch):
         _, calls = solve_robots(wall_round_zero, [1, 2], monkeypatch)
         batch = calls[0][0]
+        program = opt_engine._FacesProgram(batch, np.ones(2))
         rng = np.random.default_rng(3)
         x = rng.normal(size=batch.x0.shape)
         z = rng.normal(size=(2, batch.A_in.shape[0] // 2))
-        rows_x = opt_engine._face_rows(batch.faces, x)
-        rows_t = opt_engine._face_rows_t(batch.normals, z, batch.points)
+        rows_x = opt_engine._face_rows(program.faces, x)
+        rows_t = opt_engine._face_rows_t(program.normals, z, program.points)
         for t in range(2):
             rows = batch.instance(t).A_in
             assert np.allclose(rows_x[t], rows @ x[t], rtol=1e-13, atol=1e-12)
@@ -1092,8 +1136,65 @@ class TestSmoothingBatch:
             if i != 3:
                 assert np.array_equal(out[i][2].x, want[i][2].x)
 
+    def test_padding_moves_a_narrower_robot_only_within_tolerance(
+        self, wall_round_zero, wall_splines, monkeypatch
+    ):
+        # the wall's round zero as refinement solves it, with lazy faces.
+        # The batch pads every piece to the most faces any of its pieces
+        # keeps, and the padded rows enter each program's duality measure:
+        # a robot whose widest piece is the batch's runs the rows it runs
+        # alone and gets its alone answer bit for bit; any other robot's
+        # cost agrees
+        robots = list(range(8))
+        together, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall_splines)
+        monkeypatch.undo()
+        ((batch, _),) = calls
+        cells = np.bincount(batch.cells @ (24, 1), minlength=8 * 24).reshape(8, 24)
+        assert batch.A_in.shape[0] == 8 * 24 * cells.max() * 10
+        full = cells.max(axis=1) == cells.max()
+        assert full.any() and not full.all()
+        for i in robots:
+            (alone,) = solve_robots(wall_round_zero, [i], coefficients=wall_splines)[0]
+            if full[i]:
+                assert np.array_equal(together[i][2].x, alone[2].x) and together[i][1] == alone[1]
+            else:
+                assert together[i][1] == pytest.approx(alone[1], rel=1e-9)
+
+    def test_slacks_match_a_loop_over_robots(self, wall_plan, wall_round_zero):
+        # the slacks of the whole face list in one pass equal, bit for bit,
+        # those of each robot's own range of it over its own points
+        plan, sc = wall_plan
+        corridors = wall_round_zero[3]
+        cells, normals, offsets = corridors.cells, corridors.normals, corridors.offsets
+        optima = [traj for traj, _, _ in solve_robots(wall_round_zero, list(range(8)))[0]]
+        for curves in (straight_lines(plan, sc), optima):
+            points = np.stack([curve.points for curve in curves])
+            want = []
+            for t, p in enumerate(points):
+                f = cells[:, 0] == t
+                pts = p[cells[f, 1]].swapaxes(-1, -2)
+                want.append(offsets[f] - (normals[f, None] @ pts)[:, 0].max(axis=-1))
+            assert np.array_equal(bezier_opt._slacks(cells, normals, offsets, points), np.concatenate(want))
+
+    def test_face_list_is_checked(self, wall_round_zero, wall_splines):
+        batch = full_batch(wall_round_zero, [0, 1], wall_splines)
+        cells, normals, offsets = batch.cells, batch.normals, batch.offsets
+        for message, faces in (
+            ("sorted", dict(cells=cells[::-1], normals=normals[::-1], offsets=offsets[::-1])),
+            ("range", dict(cells=np.vstack([cells, [2, 0]]), normals=np.vstack([normals, normals[:1]]),
+                           offsets=np.append(offsets, 1.0))),
+            ("range", dict(cells=np.vstack([[-1, 0], cells]), normals=np.vstack([normals[:1], normals]),
+                           offsets=np.append(1.0, offsets))),
+            ("range", dict(cells=np.vstack([cells, [1, 24]]), normals=np.vstack([normals, normals[:1]]),
+                           offsets=np.append(offsets, 1.0))),
+            ("need cells", dict(normals=normals[:-1])),
+            ("need cells", dict(offsets=offsets[:-1])),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(batch, **faces)
+
     @pytest.mark.parametrize(
-        "name, shape", [("wall_windows_8", (8, 24, 20, 3)), ("pillars_6", (6, 22, 75, 3))]
+        "name, shape", [("wall_windows_8", (8, 24, 20)), ("pillars_6", (6, 22, 75))]
     )
     def test_a_round_is_one_batch(self, name, shape, monkeypatch):
         # every robot has one slot per workspace side, per obstacle box and
@@ -1101,14 +1202,14 @@ class TestSmoothingBatch:
         # solve_qp call that holds every robot with the faces that can bind,
         # at most all of them; a further call holds only the robots solved
         # again
-        robots, pieces, faces, _ = shape
+        robots, pieces, faces = shape
         rounds = round_calls(name, 2, monkeypatch)
         assert len(rounds) == 2
         for (first, *again), line in rounds:
-            assert first[:2] == (robots, pieces) and first[2] <= faces and first[3] == 3
+            assert first[:2] == (robots, pieces) and first[2] <= faces
             solved_again = int(re.search(r"(\d+) solved again$", line).group(1))
             assert (again[0][0] if again else 0) == solved_again
-            assert all(n <= solved_again and p == pieces and f <= faces for n, p, f, _ in again)
+            assert all(n <= solved_again and p == pieces and f <= faces for n, p, f in again)
 
     def test_lazy_faces_reach_the_full_program(self, wall_plan, wall_round_zero, monkeypatch):
         # with only the faces within 0.05 of the round-zero start kept, every
@@ -1120,10 +1221,10 @@ class TestSmoothingBatch:
         robots = list(range(8))
         monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", math.inf)
         full, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall)
-        assert len(calls) == 1 and calls[0][0].normals.shape[2] == 20
+        assert len(calls) == 1 and widest(calls[0][0]) == 20
         monkeypatch.setattr(bezier_opt, "_LAZY_FACE_SLACK", 0.05)
         lazy, calls = solve_robots(wall_round_zero, robots, monkeypatch, wall)
-        assert len(calls) >= 2 and calls[0][0].normals.shape[2] < 20
+        assert len(calls) >= 2 and widest(calls[0][0]) < 20
         for i, (got, want) in enumerate(zip(lazy, full)):
             assert got[2].stop == "converged" and got[2].passes >= 2
             assert want[2].passes == 1 and want[2].faces == 24 * 20 > got[2].faces
@@ -1142,7 +1243,7 @@ class TestSmoothingBatch:
         calls = []
 
         def spy(qp, *args):
-            calls.append(qp.normals.shape[0])
+            calls.append(len(qp.x0))
             return real(qp, *args)
 
         monkeypatch.setattr(opt_engine, "solve_qp", spy)

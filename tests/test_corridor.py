@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from swarmplan.bezier_opt import fallback_trajectory, optimize_trajectory
+from swarmplan.bezier_opt import fallback_trajectory
 from swarmplan.corridor import (
     CorridorSet,
     build_corridors,
@@ -17,7 +17,7 @@ from swarmplan.corridor import (
 from swarmplan.discrete_planner import solve_discrete
 from swarmplan.geometry import ConvexPolyhedron, collision_free, svm_separate_batch
 from swarmplan.scenario import GridSpec, ScenarioSpec
-from test_bezier import face_list
+from test_bezier import face_list, full_programs
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -285,7 +285,7 @@ class TestBuildCorridors:
         for faces in (
             (corridors.cells, corridors.normals, corridors.offsets), face_list(pruned), face_list(free)
         ):
-            out = optimize_trajectory(
+            out = full_programs(
                 wp[:, 0], wp[:, -1], [sc.dt] * 6, *faces, sc.degree, sc.continuity, sc.weights,
             )
             costs.append(np.array([traj.cost(sc.weights) for traj, _, _ in out]))

@@ -283,10 +283,10 @@ class TestQP:
         block = np.kron(control_point_cost(9, 0.5, (0.0, 1.0, 0.0, 1.0)), np.eye(3))
         pieces = [block] * 24
         Z = scipy.sparse.identity(block.shape[0] * len(pieces))
-        opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z)
+        opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z, 24)
         pieces[11] = -block
         with pytest.raises(ValueError, match="positive semidefinite"):
-            opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z)
+            opt_engine.SmoothingSpace(scipy.linalg.block_diag(*pieces), Z, 24)
 
     def test_newton_bands_match_dense_assembly(self):
         # a general program's Newton matrix in band storage, for a dense Z

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,6 +145,23 @@ class TestRefine:
         ts = np.linspace(0, r1.trajectories[0].duration, 50)
         for t1, t2 in zip(r1.trajectories, r2.trajectories):
             assert np.array_equal(t1.evaluate_many(ts), t2.evaluate_many(ts))
+
+    def test_previous_corridor_set_is_freed_before_the_next_build(self, small, monkeypatch):
+        # at 192 robots a round's corridor set holds 102 MB, and the next
+        # round's pair separators set the plan's peak memory
+        real = refine_mod.build_corridors
+        built = []
+
+        def spy(*args):
+            assert all(ref() is None for ref in built)
+            out = real(*args)
+            built.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(refine_mod, "build_corridors", spy)
+        sc, plan = small
+        refine_trajectories(plan, sc, iterations=3)
+        assert len(built) >= 2
 
     def test_log_callback_receives_messages(self, small):
         sc, plan = small

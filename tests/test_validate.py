@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmplan.bezier_opt import (
-    BezierPiece,
     PiecewiseBezierTrajectory,
     bernstein_basis,
     fallback_trajectory,
@@ -56,12 +55,12 @@ def monomial_piece(coeffs, duration):
     """One-piece trajectory matching given per-axis monomial coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)  # (degree + 1, 3)
     degree = coeffs.shape[0] - 1
-    return BezierPiece(duration, monomial_to_bernstein(degree, duration) @ coeffs)
+    return PiecewiseBezierTrajectory([duration], [monomial_to_bernstein(degree, duration) @ coeffs])
 
 
 def static_trajectory(point, duration=1.0, degree=5):
     pts = np.tile(np.asarray(point, dtype=float), (degree + 1, 1))
-    return BezierPiece(duration, pts)
+    return PiecewiseBezierTrajectory([duration], [pts])
 
 
 class TestSampling:
@@ -153,7 +152,7 @@ class TestDynamicsMetrics:
 
     def test_matches_finite_difference_reimplementation(self):
         rng = np.random.default_rng(5)
-        traj = BezierPiece(2.0, rng.normal(size=(10, 3)))
+        traj = PiecewiseBezierTrajectory([2.0], [rng.normal(size=(10, 3))])
         peaks = dynamics_metrics([traj], sample_dt=0.01, gravity=0.0)
 
         ts = np.linspace(0.0, traj.duration, 201)
@@ -182,7 +181,7 @@ class TestDynamicsMetrics:
     def test_time_dilation_laws_without_gravity(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 3))
-        traj = BezierPiece(1.0, pts)
+        traj = PiecewiseBezierTrajectory([1.0], [pts])
         s = 2.0
         slow = traj.scaled(s)
         base = dynamics_metrics([traj], sample_dt=0.01, gravity=0.0)
@@ -198,10 +197,10 @@ class TestDynamicsMetrics:
         pts = rng.normal(size=(10, 3))
         pts[:3] = pts[0]
         pts[3] = pts[0]
-        rest = BezierPiece(1.0, pts)
+        rest = PiecewiseBezierTrajectory([1.0], [pts])
         pts = pts.copy()
         pts[3, 0] += 1e-13
-        noisy = BezierPiece(1.0, pts)
+        noisy = PiecewiseBezierTrajectory([1.0], [pts])
         base = dynamics_metrics([rest], sample_dt=0.01, gravity=0.0)
         peaks = dynamics_metrics([noisy], sample_dt=0.01, gravity=0.0)
         assert peaks["omega"] == pytest.approx(base["omega"], rel=1e-6)
@@ -211,7 +210,7 @@ class TestDynamicsMetrics:
     def test_gravity_breaks_omega_scaling(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))
-        traj = BezierPiece(1.0, pts)
+        traj = PiecewiseBezierTrajectory([1.0], [pts])
         base = dynamics_metrics([traj], sample_dt=0.01)
         scaled = dynamics_metrics([traj.scaled(2.0)], sample_dt=0.02)
         # the hover term does not dilate, so the ratio is not 1/2
