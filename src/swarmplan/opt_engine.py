@@ -32,8 +32,8 @@ weights of the tight and the slack rows spread past what the Cholesky
 can factor; an instance whose factorization fails there, with its
 residuals at their floor and its gap within _IPM_BREAKDOWN_GAP, has
 converged.  Programs whose best iterate misses the tolerance are
-classified by HiGHS LPs: a feasibility LP for infeasibility and a
-recession LP for unboundedness.  solve_qp_batch runs a batch of small
+classified by HiGHS LPs (_highs): a feasibility LP for infeasibility and
+a recession LP for unboundedness.  solve_qp_batch runs a batch of small
 programs one solve_qp at a time; no planner stage calls it.
 
 Max flow is scipy's csgraph routine on unit-capacity networks, and only
@@ -42,9 +42,17 @@ ILP with at most _ROOT_LP_MAX_COLUMNS columns starts from its root LP
 relaxation, solved to the end by HiGHS' dual simplex: the small
 time-expanded flow programs have an integral vertex there, which is
 returned as is.  A fractional root, or a larger program, goes to HiGHS'
-branch and cut (scipy.optimize.milp).  Both need vertex solutions and
+branch and cut, with symmetry detection off: the flow programs end at
+the root, so its result goes unused.  Both need vertex solutions and
 certified bounds, which an interior point on a degenerate flow polytope
-does not provide.
+does not provide.  Every HiGHS call is one _highs call, straight to the
+HiGHS binding inside scipy (scipy.optimize._highspy._core, private to
+scipy and stable at its pinned version), without the per-column Python
+of scipy's linprog and milp wrappers.  With symmetry detection off too,
+on a 2-core machine, the 16-robot two-layer wall's discrete stage fell
+from a median of 0.123 s to 0.079 s over 12 benchmark runs a side, and
+the 48-robot wall's from 1.33-1.44 s to 0.95-1.07 s, with every plan
+unchanged.
 """
 
 from __future__ import annotations
@@ -54,10 +62,10 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
+import scipy.optimize._highspy._core as _highspy
 import scipy.sparse as sp
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse.csgraph import maximum_flow
 
 
@@ -885,29 +893,14 @@ def _failure(H, A, g, b, r_prim, r_dual, iterations, stop):
     tolerance, in the coordinates c of its affine set: min 0.5 c'Hc + g'c
     subject to A c <= b."""
     r = H.shape[0]
-    rows = A if b.size else None
     # with no free coordinate the program is its fixed point, which can
     # only miss its rows
-    if not r or linprog(
-        np.zeros(r),
-        A_ub=rows,
-        b_ub=b if b.size else None,
-        bounds=(None, None),
-        method="highs",
-    ).status == 2:
+    if not r or _highs(np.zeros(r), [(A, -np.inf, b)], -np.inf, np.inf)[0] == _INFEASIBLE:
         return QPInfeasibleError("primal infeasible: the constraints admit no point")
     # min g'd over recession directions of the feasible set along which the
     # objective has no curvature; a negative value is an unbounded ray
-    ray = linprog(
-        g,
-        A_ub=rows,
-        b_ub=np.zeros(b.size) if b.size else None,
-        A_eq=H,
-        b_eq=np.zeros(r),
-        bounds=(-1.0, 1.0),
-        method="highs",
-    )
-    if ray.status == 0 and ray.fun < -_CERT_TOL * max(1.0, _norm(g)):
+    status, ray, _ = _highs(g, [(A, -np.inf, 0.0), (H, 0.0, 0.0)], -1.0, 1.0)
+    if status == _OPTIMAL and g @ ray < -_CERT_TOL * max(1.0, _norm(g)):
         return QPUnboundedError("dual infeasible: objective unbounded below along a ray")
     return QPMaxIterationsError(
         f"interior point missed tolerance after {iterations} iterations, stopped by "
@@ -974,6 +967,66 @@ _ILP_GAP_TOL = 1e-6
 _ROOT_LP_MAX_COLUMNS = 8192
 # branch-and-cut nodes allowed per program (one candidate makespan)
 _ILP_NODE_LIMIT = 20000
+# HiGHS' symmetry detection runs before the root of every branch and cut.
+# The flow programs' plans come from feasibility jump at the root (the
+# 16-robot two-layer wall: 0 LP iterations, 1 node), so its result goes
+# unused: switching it off took the 32-robot wall's discrete stage from
+# 0.50-0.75 to 0.44-0.54 s, and the 48-robot wall's from 1.08-1.28 to
+# 0.95-1.07 s, with every plan unchanged.  Nor does a deep search need it:
+# branch and cut proved the 32-robot wall's K = 18 program infeasible in
+# 41.1 s through milp with it, and in 40.0 s through _highs without
+_MIP_DETECT_SYMMETRY = False
+
+_OPTIMAL = _highspy.HighsModelStatus.kOptimal
+_INFEASIBLE = _highspy.HighsModelStatus.kInfeasible
+_NODE_LIMIT_REACHED = _highspy.HighsModelStatus.kSolutionLimit
+_SIMPLEX_DUAL = int(_highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+
+
+def _highs(cost, rows, lower, upper, integral=False):
+    """Minimize cost'x subject to lo <= A x <= hi for each (A, lo, hi) of
+    rows, in order, and lower <= x <= upper, by one HiGHS call through its
+    binding in scipy; bounds may be scalars, and A dense or sparse.
+
+    An LP runs with linprog's settings: presolve on, dual simplex.  With
+    integral every column is an integer, solved by branch and cut with
+    presolve off, at most _ILP_NODE_LIMIT nodes and relative gap 0 (HiGHS
+    stops at its absolute gap of 1e-6).  Returns (model status, x, nodes):
+    x is the column values of an optimal status and None otherwise; nodes
+    counts the branch-and-cut nodes, root included.
+    """
+    n = cost.size
+    rows = [(sp.csr_array(A), lo, hi) for A, lo, hi in rows if A.shape[0]]
+    A = sp.vstack([a for a, _, _ in rows] or [sp.csr_array((0, n))]).tocsc()
+    row_lower = np.concatenate([np.zeros(0)] + [np.broadcast_to(lo, a.shape[0]) for a, lo, _ in rows])
+    row_upper = np.concatenate([np.zeros(0)] + [np.broadcast_to(hi, a.shape[0]) for a, _, hi in rows])
+    highs = _highspy._Highs()
+    options = {"output_flag": False}
+    if integral:
+        options.update(
+            presolve="off",
+            mip_max_nodes=_ILP_NODE_LIMIT,
+            mip_rel_gap=0.0,
+            mip_detect_symmetry=_MIP_DETECT_SYMMETRY,
+        )
+    else:
+        options.update(presolve="on", simplex_strategy=_SIMPLEX_DUAL)
+    for key, value in options.items():
+        if highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected option {key} = {value!r}")
+    status = highs.passModel(
+        n, A.shape[0], A.nnz, int(_highspy.MatrixFormat.kColwise),
+        int(_highspy.ObjSense.kMinimize), 0.0, cost,
+        np.broadcast_to(lower, n), np.broadcast_to(upper, n), row_lower, row_upper,
+        A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+        np.full(n, int(integral), dtype=np.int32),
+    )
+    if status == _highspy.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    highs.run()
+    model_status = highs.getModelStatus()
+    x = np.array(highs.getSolution().col_value) if model_status == _OPTIMAL else None
+    return model_status, x, int(highs.getInfo().mip_node_count) if integral else 0
 
 
 def solve_ilp(ilp, target=None):
@@ -983,14 +1036,16 @@ def solve_ilp(ilp, target=None):
     relaxation first, to the end, with HiGHS' simplex: a vertex that is
     already integral and feasible is returned as is (1 node), and a root
     bound below target is infeasible without branching.  Otherwise, and
-    for every larger program, HiGHS' branch and cut (scipy.optimize.milp)
-    solves the program, with the row c'z >= target when a target is
-    given.  A target equal to the largest objective any binary point
-    reaches, the sum of the positive weights, forces the columns: branch
-    and cut starts with every positive-weight column fixed at 1 and every
-    negative-weight column at 0 (in the flow programs, every robot's
-    source arc routes it).  Presolve stays off: on the time-expanded flow
-    programs it costs more time and memory than the search it saves.
+    for every larger program, HiGHS' branch and cut solves the program,
+    with the row c'z >= target when a target is given.  A target equal to
+    the largest objective any binary point reaches, the sum of the
+    positive weights, forces the columns: branch and cut starts with every
+    positive-weight column fixed at 1 and every negative-weight column at
+    0 (in the flow programs, every robot's source arc routes it).
+    Presolve stays off: on the time-expanded flow programs it costs more
+    time and memory than the search it saves.  Symmetry detection is off
+    too (_MIP_DETECT_SYMMETRY).  Each solve is one _highs call, straight
+    to HiGHS' binding.
 
     Returns an ILPResult whose objective sums c over the columns at 1,
     calling no BLAS routine, and whose nodes counts the search nodes, root
@@ -1006,58 +1061,40 @@ def solve_ilp(ilp, target=None):
         if ilp.feasible(z) and (target is None or target <= _ILP_GAP_TOL):
             return ILPResult(z, 0.0, 0)
         raise ILPInfeasibleError("no feasible binary assignment")
+    equalities = (ilp.A_eq, ilp.b_eq, ilp.b_eq)
+    inequalities = (ilp.A_in, -np.inf, ilp.b_in)
     if n <= _ROOT_LP_MAX_COLUMNS:
-        root = linprog(
-            -ilp.c,
-            A_ub=ilp.A_in if ilp.A_in.shape[0] else None,
-            b_ub=ilp.b_in if ilp.A_in.shape[0] else None,
-            A_eq=ilp.A_eq if ilp.A_eq.shape[0] else None,
-            b_eq=ilp.b_eq if ilp.A_eq.shape[0] else None,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if root.status == 2:
+        # inequalities first, as linprog stacks them: with the equalities
+        # first, pillars_6's root LP ends at another vertex
+        status, x, _ = _highs(-ilp.c, [inequalities, equalities], 0.0, 1.0)
+        if status == _INFEASIBLE:
             raise ILPInfeasibleError("LP relaxation is infeasible")
-        if root.status != 0:
-            raise SolverError(f"LP relaxation failed with status {root.status}")
-        x, bound = root.x, -root.fun
+        if status != _OPTIMAL:
+            raise SolverError(f"LP relaxation ended with status {status.name}")
+        bound = float((ilp.c * x).sum())
         if target is not None and bound < target - _ILP_GAP_TOL:
             raise ILPInfeasibleError(f"LP bound {bound:.6g} is below target {target}")
         z = np.round(x)
         if np.abs(x - z).max() <= 1e-6 and ilp.feasible(z):
             return ILPResult(z.astype(int), float(ilp.c[z > 0].sum()), 1)
 
-    constraints = []
-    if ilp.A_eq.shape[0]:
-        constraints.append(LinearConstraint(ilp.A_eq, ilp.b_eq, ilp.b_eq))
-    if ilp.A_in.shape[0]:
-        constraints.append(LinearConstraint(ilp.A_in, -np.inf, ilp.b_in))
-    bounds = Bounds(0.0, 1.0)
+    rows = [equalities, inequalities]
+    lower, upper = 0.0, 1.0
     if target is not None:
-        constraints.append(
-            LinearConstraint(ilp.c[None, :], target - _ILP_GAP_TOL, np.inf)
-        )
+        rows.append((ilp.c[None, :], target - _ILP_GAP_TOL, np.inf))
         # only points that take every positive weight and no negative one
         # reach the sum of the positive weights
         if target >= ilp.c[ilp.c > 0].sum() - _ILP_GAP_TOL:
-            bounds = Bounds(ilp.c > 0, ilp.c >= 0)
-    # with the relative gap off, HiGHS stops at its absolute gap of 1e-6
-    res = milp(
-        -ilp.c,
-        integrality=np.ones(n),
-        bounds=bounds,
-        constraints=constraints,
-        options={"presolve": False, "node_limit": _ILP_NODE_LIMIT, "mip_rel_gap": 0.0},
-    )
-    if res.status == 2:
+            lower, upper = (ilp.c > 0).astype(float), (ilp.c >= 0).astype(float)
+    status, x, nodes = _highs(-ilp.c, rows, lower, upper, integral=True)
+    if status == _INFEASIBLE:
         raise ILPInfeasibleError("no feasible binary assignment")
-    if res.status != 0:
-        # node_limit is the only limit set; HiGHS reports it as a "solution
-        # limit", a model status scipy leaves unmapped (status 4)
-        if res.status == 1 or "limit reached" in res.message:
-            raise ILPBudgetExceededError(f"node limit {_ILP_NODE_LIMIT} reached")
-        raise SolverError(f"branch and cut failed: {res.message}")
-    z = np.round(res.x)
+    if status == _NODE_LIMIT_REACHED:
+        # mip_max_nodes is the only limit set; HiGHS reports it as a solution limit
+        raise ILPBudgetExceededError(f"node limit {_ILP_NODE_LIMIT} reached")
+    if status != _OPTIMAL:
+        raise SolverError(f"branch and cut ended with status {status.name}")
+    z = np.round(x)
     if not ilp.feasible(z):
         raise SolverError("branch and cut returned an infeasible assignment")
-    return ILPResult(z.astype(int), float(ilp.c[z > 0].sum()), int(res.mip_node_count))
+    return ILPResult(z.astype(int), float(ilp.c[z > 0].sum()), nodes)

@@ -99,3 +99,25 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(PACKAGE.rglob("*.py"))
     found = {str(p.relative_to(PACKAGE)): unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_scipy_modules(source):
+    """The modules of scipy that source imports and scipy keeps private (a
+    dotted part that starts with an underscore), sorted."""
+    return [
+        m for m in imported_modules(source)
+        if m.split(".")[0] == "scipy" and any(part.startswith("_") for part in m.split("."))
+    ]
+
+
+def test_only_opt_engine_imports_a_private_scipy_module_the_highs_binding():
+    # HiGHS' binding inside scipy is private to scipy: the scipy version
+    # pinned in CI keeps it stable, and one module depends on it
+    assert private_scipy_modules(
+        "import scipy.optimize\nfrom scipy.optimize._highspy import _core\n"
+    ) == ["scipy.optimize._highspy", "scipy.optimize._highspy._core"]
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = {str(p.relative_to(PACKAGE)): private_scipy_modules(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {
+        "opt_engine.py": ["scipy.optimize._highspy._core"]
+    }

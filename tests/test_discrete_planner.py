@@ -14,8 +14,9 @@ from collections import defaultdict, deque
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from test_acceptance import random_team_scenario
+from test_opt_engine import random_ilps
 
 from swarmplan import discrete_planner, opt_engine
 from swarmplan.discrete_planner import (
@@ -365,19 +366,21 @@ class TestSolveDiscrete:
         # arcs, and no other column, are fixed at 1
         sc = two_layer_wall()
         bounds = []
+        highs = opt_engine._highs
 
-        def recorded(*args, **kwargs):
-            bounds.append(kwargs["bounds"])
-            return milp(*args, **kwargs)
+        def recorded(cost, rows, col_lower, col_upper, integral=False):
+            if integral:
+                bounds.append((col_lower, col_upper))
+            return highs(cost, rows, col_lower, col_upper, integral=integral)
 
-        monkeypatch.setattr(opt_engine, "milp", recorded)
+        monkeypatch.setattr(opt_engine, "_highs", recorded)
         K = solve_discrete(sc).num_segments
         graph = TimeExpandedGraph(sc, EnvironmentGraph(sc), K)
         sources = np.flatnonzero(graph.kinds == discrete_planner.ARC_SOURCE)
         assert len(sources) == sc.num_robots == 16
         assert len(bounds) == 1
-        assert np.array_equal(np.flatnonzero(bounds[0].lb == 1), sources)
-        assert (bounds[0].ub == 1).all()
+        assert np.array_equal(np.flatnonzero(bounds[0][0] == 1), sources)
+        assert (bounds[0][1] == 1).all()
 
     @pytest.mark.parametrize("name, lp_calls", [("wall_windows_8", 1), ("two_layer_wall", 0)])
     def test_root_lp_runs_below_the_column_cap_only(self, monkeypatch, name, lp_calls):
@@ -389,12 +392,14 @@ class TestSolveDiscrete:
         else:
             sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, f"{name}.json"))
         calls = []
+        highs = opt_engine._highs
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return linprog(*args, **kwargs)
+        def counted(*args, integral=False, **kwargs):
+            if not integral:
+                calls.append(args)
+            return highs(*args, integral=integral, **kwargs)
 
-        monkeypatch.setattr(opt_engine, "linprog", counted)
+        monkeypatch.setattr(opt_engine, "_highs", counted)
         solve_discrete(sc)
         assert len(calls) == lp_calls
 
@@ -415,6 +420,87 @@ class TestSolveDiscrete:
         )
         assert root.status == 0
         assert np.abs(root.x - np.round(root.x)).max() <= 1e-6
+
+
+
+def public_milp(ilp, target=None):
+    """The program solve_ilp hands to branch and cut, posed to scipy's
+    public milp: the same rows in the same order, the same forced columns,
+    presolve off, relative gap 0, and HiGHS' default symmetry detection."""
+    constraints = []
+    if ilp.A_eq.shape[0]:
+        constraints.append(LinearConstraint(ilp.A_eq, ilp.b_eq, ilp.b_eq))
+    if ilp.A_in.shape[0]:
+        constraints.append(LinearConstraint(ilp.A_in, -np.inf, ilp.b_in))
+    bounds = Bounds(0, 1)
+    if target is not None:
+        constraints.append(LinearConstraint(ilp.c[None, :], target - 1e-6, np.inf))
+        if target >= ilp.c[ilp.c > 0].sum() - 1e-6:
+            bounds = Bounds(ilp.c > 0, ilp.c >= 0)
+    return milp(
+        -ilp.c,
+        integrality=np.ones(ilp.n),
+        bounds=bounds,
+        constraints=constraints or None,
+        options={"presolve": False, "node_limit": 20000, "mip_rel_gap": 0.0},
+    )
+
+
+def fractional_root_program():
+    """Three robots on two layers whose K = 2 program has a fractional
+    root LP (see test_fractional_root_goes_to_branch_and_cut)."""
+    sc = scenario(
+        (3, 3, 2), [(2, 0, 0), (1, 0, 0), (0, 2, 1)], [(1, 0, 1), (2, 0, 1), (2, 2, 1)]
+    )
+    env = EnvironmentGraph(sc)
+    return TimeExpandedGraph(sc, env, lower_bound_makespan(sc, env)).binary_program()
+
+
+class TestMatchesPublicMilp:
+    """solve_ilp calls HiGHS through its binding, with symmetry detection
+    off; scipy's public milp, with it on, is the reference."""
+
+    @pytest.mark.parametrize(
+        "cap", [opt_engine._ROOT_LP_MAX_COLUMNS, 0], ids=["root_lp", "branch_and_cut"]
+    )
+    def test_random_programs(self, monkeypatch, cap):
+        monkeypatch.setattr(opt_engine, "_ROOT_LP_MAX_COLUMNS", cap)
+        solved = 0
+        for ilp in random_ilps():
+            ref = public_milp(ilp)
+            if ref.status == 2:
+                with pytest.raises(ILPInfeasibleError):
+                    solve_ilp(ilp)
+                continue
+            assert ref.status == 0
+            res = solve_ilp(ilp)
+            assert abs(res.objective + ref.fun) <= 1e-9
+            assert ilp.feasible(res.z) and ilp.feasible(np.round(ref.x))
+            solved += 1
+        assert solved == 56
+
+    @pytest.mark.parametrize(
+        "cap", [opt_engine._ROOT_LP_MAX_COLUMNS, 0], ids=["root_lp", "branch_and_cut"]
+    )
+    def test_fractional_root_program(self, monkeypatch, cap):
+        monkeypatch.setattr(opt_engine, "_ROOT_LP_MAX_COLUMNS", cap)
+        ilp = fractional_root_program()
+        ref = public_milp(ilp, target=3)
+        assert ref.status == 0
+        res = solve_ilp(ilp, target=3)
+        assert abs(res.objective + ref.fun) <= 1e-9
+        assert ilp.feasible(res.z) and ilp.feasible(np.round(ref.x))
+
+    def test_two_layer_wall_gets_the_same_assignment(self):
+        # K = 14 is above the root LP's column cap: both calls are one
+        # branch and cut, ended at the root
+        sc = two_layer_wall()
+        ilp = TimeExpandedGraph(sc, EnvironmentGraph(sc), 14).binary_program()
+        ref = public_milp(ilp, target=16)
+        res = solve_ilp(ilp, target=16)
+        assert ref.status == 0 and ref.mip_node_count == 1
+        assert res.nodes == 1
+        assert np.array_equal(res.z, np.round(ref.x).astype(int))
 
 
 class TestDiscretePlan:

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from swarmplan import opt_engine
@@ -662,12 +661,13 @@ class TestCappedRootLP:
     def cap_at_zero(self, monkeypatch):
         monkeypatch.setattr(opt_engine, "_ROOT_LP_MAX_COLUMNS", 0)
         self.lp_calls = 0
+        highs = opt_engine._highs
 
-        def linprog(*args, **kwargs):
-            self.lp_calls += 1
-            return scipy.optimize.linprog(*args, **kwargs)
+        def counted(*args, integral=False, **kwargs):
+            self.lp_calls += not integral
+            return highs(*args, integral=integral, **kwargs)
 
-        monkeypatch.setattr(opt_engine, "linprog", linprog)
+        monkeypatch.setattr(opt_engine, "_highs", counted)
 
     def test_target_meets_the_optimum(self):
         assert solve_ilp(exclusion_ilp(), target=1).objective == 1.0
@@ -695,17 +695,19 @@ class TestCappedRootLP:
     ):
         # the largest objective is 2 + 3: only z = (1, 0, *, 1) reaches it
         bounds = []
+        highs = opt_engine._highs
 
-        def recorded(*args, **kwargs):
-            bounds.append(kwargs["bounds"])
-            return scipy.optimize.milp(*args, **kwargs)
+        def recorded(cost, rows, col_lower, col_upper, integral=False):
+            if integral:
+                bounds.append((col_lower, col_upper))
+            return highs(cost, rows, col_lower, col_upper, integral=integral)
 
-        monkeypatch.setattr(opt_engine, "milp", recorded)
+        monkeypatch.setattr(opt_engine, "_highs", recorded)
         ilp = BinaryILP(np.array([2.0, -1.0, 0.0, 3.0]), None, None, np.ones((1, 4)), [3.0])
         assert solve_ilp(ilp, target=target).objective == 5.0
         assert len(bounds) == 1
-        assert np.array_equal(np.broadcast_to(bounds[0].lb, 4), lower)
-        assert np.array_equal(np.broadcast_to(bounds[0].ub, 4), upper)
+        assert np.array_equal(np.broadcast_to(bounds[0][0], 4), lower)
+        assert np.array_equal(np.broadcast_to(bounds[0][1], 4), upper)
 
     def test_target_at_the_exhaustive_optimum_is_met(self):
         # 37 of these optima are the sum of their positive weights, so
