@@ -392,13 +392,24 @@ def waypoint_splines(waypoints, durations, degree, continuity, weights):
 # (optimize_trajectory).  The answers do not depend on it, only the work
 # does: smaller values carry fewer faces but solve more robots again.
 _LAZY_FACE_SLACK = 1.0
+# Faces per block of _slacks.  A block gathers its cells' control points
+# as one (block, q, 3) array, 2 MB at q = 10, where the whole face list
+# of the 192-robot wall (about 2.1 million faces) took about 510 MB, plus
+# a third of that for the product.  Every block runs the same matmul, so
+# each slack is the same bit for bit whatever the block size.
+_SLACK_BLOCK_FACES = 8192
 
 
 def _slacks(cells, normals, offsets, points):
     """Each face's smallest slack b - a . p over the control points p of
     its cell, from the robots' points (robots, pieces, q, 3), in one pass
-    over the face list."""
-    return offsets - (normals[:, None] @ points[cells[:, 0], cells[:, 1]].swapaxes(-1, -2))[:, 0].max(-1)
+    over the face list, _SLACK_BLOCK_FACES faces at a time."""
+    out = np.empty(len(offsets))
+    for lo in range(0, len(offsets), _SLACK_BLOCK_FACES):
+        block = slice(lo, lo + _SLACK_BLOCK_FACES)
+        gathered = points[cells[block, 0], cells[block, 1]].swapaxes(-1, -2)
+        out[block] = offsets[block] - (normals[block, None] @ gathered)[:, 0].max(-1)
+    return out
 
 
 def optimize_trajectory(

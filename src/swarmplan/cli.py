@@ -87,17 +87,23 @@ def _nonnegative_int(text):
     return value
 
 
-def _write_samples(traj, path):
-    count = max(2, int(round(traj.duration * SAMPLE_RATE)) + 1)
-    ts = np.linspace(0.0, traj.duration, count)
-    pos = traj.evaluate_many(ts)
-    vel = traj.evaluate_many(ts, 1)
-    acc = traj.evaluate_many(ts, 2)
-    rows = np.column_stack([ts, pos, vel, acc])
-    line = "%.17g," * 9 + "%.17g\n"
+def _time_column(duration):
+    """The sample times of a curve of this duration, and each row's text
+    of the t column."""
+    count = max(2, int(round(duration * SAMPLE_RATE)) + 1)
+    ts = np.linspace(0.0, duration, count)
+    return ts, ["%.17g," % t for t in ts.tolist()]
+
+
+def _write_samples(traj, path, time_column):
+    """Write traj's samples at the times of time_column, a _time_column of
+    its duration, which the robots of one plan share."""
+    ts, column = time_column
+    rows = np.column_stack([traj.evaluate_many(ts), traj.evaluate_many(ts, 1), traj.evaluate_many(ts, 2)])
+    line = "%.17g," * 8 + "%.17g\n"
     with open(path, "w", newline="") as f:
         f.write("t,x,y,z,vx,vy,vz,ax,ay,az\n")
-        f.writelines(line % tuple(row) for row in rows.tolist())
+        f.writelines(t + line % tuple(row) for t, row in zip(column, rows.tolist()))
 
 
 def cmd_plan(args):
@@ -138,9 +144,11 @@ def cmd_plan(args):
     os.makedirs(os.path.join(out, "trajectories"), exist_ok=True)
     os.makedirs(os.path.join(out, "samples"), exist_ok=True)
     plan.save(os.path.join(out, "discrete_plan.json"))
+    # every robot shares robot 0's piece durations, so one t column serves all
+    time_column = functools.cache(_time_column)
     for i, traj in enumerate(trajectories):
         traj.save_csv(os.path.join(out, "trajectories", f"robot_{i:03d}.csv"))
-        _write_samples(traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"))
+        _write_samples(traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"), time_column(traj.duration))
     write_report_csv(result.rows, os.path.join(out, "refine_report.csv"))
     validation.save(os.path.join(out, "validation.json"))
 

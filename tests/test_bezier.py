@@ -1176,6 +1176,21 @@ class TestSmoothingBatch:
                 want.append(offsets[f] - (normals[f, None] @ pts)[:, 0].max(axis=-1))
             assert np.array_equal(bezier_opt._slacks(cells, normals, offsets, points), np.concatenate(want))
 
+    def test_slacks_do_not_depend_on_the_block_size(self, wall_plan, wall_round_zero, monkeypatch):
+        # a binding face's slack sits near 0 and its sign decides a second
+        # solve, so blocks of any size, a last partial one included, give
+        # the same slacks bit for bit as one block of the whole list
+        plan, sc = wall_plan
+        corridors = wall_round_zero[3]
+        cells, normals, offsets = corridors.cells, corridors.normals, corridors.offsets
+        points = np.stack([curve.points for curve in straight_lines(plan, sc)])
+        monkeypatch.setattr(bezier_opt, "_SLACK_BLOCK_FACES", len(offsets))
+        whole = bezier_opt._slacks(cells, normals, offsets, points)
+        assert len(offsets) % 7 and len(offsets) > 7
+        for size in (1, 7, len(offsets) - 1):
+            monkeypatch.setattr(bezier_opt, "_SLACK_BLOCK_FACES", size)
+            assert np.array_equal(bezier_opt._slacks(cells, normals, offsets, points), whole), size
+
     def test_face_list_is_checked(self, wall_round_zero, wall_splines):
         batch = full_batch(wall_round_zero, [0, 1], wall_splines)
         cells, normals, offsets = batch.cells, batch.normals, batch.offsets
