@@ -16,12 +16,12 @@ they leave the point set, and so the smoothing optimum, unchanged.
 A full corridor has 6 + B + N - 1 slots (B obstacle boxes, N robots):
 the workspace faces, one per box in box order, then one per other robot
 in robot order, robot i's face against robot j in slot 6 + B + j -
-(j > i).  The slots are only the order of the one face list that
-build_corridors returns.  A separator that fails (a pair too close for a
-margin plane, or a robot too close to an obstacle) is reported back
-instead of raising and leaves no face: the robots it bounds get no full
-corridor that round and keep their current curves, against which every
-other corridor is built.
+(j > i).  build_corridors writes every face it tries into its (robot,
+piece, slot) place and returns the found ones in that order as one face
+list.  A separator that fails (a pair too close for a margin plane, or a
+robot too close to an obstacle) is reported back instead of raising and
+leaves no face: the robots it bounds get no full corridor that round and
+keep their current curves, against which every other corridor is built.
 
 The smoothing programs do not carry every face: optimize_trajectory
 keeps the faces near each robot's start curve and checks the rest at
@@ -126,15 +126,12 @@ def build_corridors(point_sets, scenario):
     boxes = scenario.obstacle_boxes()
     nb = len(boxes)
     slots = 6 + nb + n - 1
-    # every face tried, as (key, normals, offsets, found): its key
-    # (robot pieces + piece) slots + slot is its own and sorts the list;
-    # first holds each (robot, piece)'s key of slot 0
-    first = np.arange(n * num_pieces)[:, None] * slots
-    ws_a, ws_b = workspace_faces(scenario)
-    faces = [(
-        (first + np.arange(6)).ravel(), np.tile(ws_a, (len(first), 1)), np.tile(ws_b, len(first)),
-        np.ones(6 * len(first), dtype=bool),
-    )]
+    # every face tried, written into its (robot, piece, slot)
+    normals = np.empty((n, num_pieces, slots, 3))
+    offsets = np.empty((n, num_pieces, slots))
+    found = np.zeros((n, num_pieces, slots), dtype=bool)
+    normals[:, :, :6], offsets[:, :, :6] = workspace_faces(scenario)
+    found[:, :, :6] = True
 
     failed_robots = set()
     if boxes:
@@ -147,11 +144,11 @@ def build_corridors(point_sets, scenario):
         touch = (b_sets @ alpha[:, :, None])[:, :, 0].min(axis=1)
         # one-sided clearance: the raw slab must fit the clearance
         # radius, i.e. ||E_obs alpha_raw|| <= 2
-        found = ok & (enorm <= 2.0 + 1e-6)
-        faces.append(
-            ((first + 6 + np.arange(nb)).ravel(), alpha, touch - support_norms(alpha, ell), found)
-        )
-        failed_robots = set(np.flatnonzero(~found.reshape(n, -1).all(axis=1)).tolist())
+        box = np.s_[:, :, 6 : 6 + nb]
+        normals[box] = alpha.reshape(n, num_pieces, nb, 3)
+        offsets[box] = (touch - support_norms(alpha, ell)).reshape(n, num_pieces, nb)
+        found[box] = (ok & (enorm <= 2.0 + 1e-6)).reshape(n, num_pieces, nb)
+        failed_robots = set(np.flatnonzero(~found[box].all(axis=(1, 2))).tolist())
 
     # pairs i < j in lexicographic order, then pieces
     i, j = np.triu_indices(n, k=1)
@@ -162,15 +159,15 @@ def build_corridors(point_sets, scenario):
             point_sets[i].reshape(-1, m, 3), point_sets[j].reshape(-1, m, 3), ell
         )
         shifts = support_norms(alpha, ell)
-        found = ok & (enorm <= 1.0 + 1e-6)
+        ok = ok & (enorm <= 1.0 + 1e-6)
         k = np.tile(np.arange(num_pieces), len(i))
         i, j = np.repeat(i, num_pieces), np.repeat(j, num_pieces)
-        faces.append(((i * num_pieces + k) * slots + 6 + nb + j - 1, alpha, beta - shifts, found))
-        faces.append(((j * num_pieces + k) * slots + 6 + nb + i, -alpha, -(beta + shifts), found))
-        failed_pairs = set(zip(i[~found].tolist(), j[~found].tolist()))
+        # robot i's face against j sits in slot 6 + nb + j - 1, j's against i in 6 + nb + i
+        mine, theirs = (i, k, 6 + nb + j - 1), (j, k, 6 + nb + i)
+        normals[mine], offsets[mine], found[mine] = alpha, beta - shifts, ok
+        normals[theirs], offsets[theirs], found[theirs] = -alpha, -(beta + shifts), ok
+        failed_pairs = set(zip(i[~ok].tolist(), j[~ok].tolist()))
 
-    key, normals, offsets, found = (np.concatenate(part) for part in zip(*faces))
-    order = np.argsort(key)
-    order = order[found[order]]
-    cells = np.column_stack(np.divmod(key[order] // slots, num_pieces))
-    return CorridorSet(cells, normals[order], offsets[order], slots, failed_pairs, failed_robots)
+    # the found faces in C order: by robot, piece and slot
+    cells = np.ascontiguousarray(np.argwhere(found)[:, :2])
+    return CorridorSet(cells, normals[found], offsets[found], slots, failed_pairs, failed_robots)

@@ -13,9 +13,10 @@ a time-expanded graph with K+1 layers:
    index k+1.
 
 The graph is arrays: (K+1, V) reachability masks select the vertices,
-vertex ids are arithmetic in (v, k), and every arc is one entry of
-integer columns (tail, head, kind, cell, edge, layer).  Hop distances from
-the starts and the goals come from scipy's csgraph once per scenario.
+vertex ids are arithmetic in (v, k), and every arc is one entry of two
+integer columns, tail and head, in a fixed layout of slots that the
+arcs' existence mask selects.  Hop distances from the starts and the
+goals come from scipy's csgraph once per scenario.
 
 Rules that unit capacities cannot express become conflict rows of a
 binary program, one row a + b <= 1 per conflicting pair of arcs: the two
@@ -46,11 +47,6 @@ from .opt_engine import BinaryILP, FlowNetwork, ILPInfeasibleError
 # flow network terminals; every other vertex id is a u or w vertex
 SOURCE = 0
 SINK = 1
-
-# arc kinds, in the order a robot passes them: source -> u(v,0), then per
-# step either intra u(v,k) -> w(v,k) (a wait) or move u(v1,k) -> w(v2,k),
-# then hold w -> u of the next layer; finally intra and w(goal,K) -> sink
-ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK = range(5)
 
 # the makespan search gives up beyond this many times the grid's Manhattan
 # diameter in steps
@@ -144,11 +140,18 @@ class TimeExpandedGraph:
 
     Layers are pruned by reachability: an arc exists only if its tail can
     be reached from some start in time and its head can still reach some
-    goal, which leaves the routable flow unchanged.  Arcs are ordered by
-    source arcs, then layer by layer intra arcs (by cell), move arcs (by
-    edge; v1 -> v2, then v2 -> v1) and hold arcs (by cell), then the last
-    layer's intra arcs and the sink arcs.  An arc's cell is the cell it
-    ends in.
+    goal, which leaves the routable flow unchanged.
+
+    Arcs fill a fixed layout of slots, in the order a robot passes them:
+    one source arc per start, num_sources of them; then per step k a row
+    of step_slots, V intra slots u(v,k) -> w(v,k) (by cell), 2E move
+    slots (edge e's are 2e, u(v1,k) -> w(v2,k), and 2e + 1, u(v2,k) ->
+    w(v1,k)) and V hold slots w(v,k) -> u(v,k+1) (by cell); then the
+    last layer's intra slots and one sink slot per goal.  step_slots is
+    the (K, 2V + 2E) mask of the step slots that hold an arc, so an
+    arc's id is a running count of the slots that exist.  A u or w
+    vertex id is 2 + cell plus a multiple of V, so an arc ends in cell
+    (head - 2) mod V, and a sink arc leaves goal cell (tail - 2) mod V.
     """
 
     def __init__(self, scenario, env, K):
@@ -179,18 +182,15 @@ class TimeExpandedGraph:
 
         # one slot per possible arc, in arc order
         starts = np.array([env.index[s] for s in scenario.starts], dtype=np.intp)
-        exists = (
-            u_ok[0, starts],
-            np.concatenate(
-                [(u_ok & w_ok)[:K], move_ok.reshape(K, 2 * num_edges), w_ok[:K]], axis=1
-            ),
-            u_ok[K] & w_ok[K],
-            w_ok[K, goal_cells],
+        self.step_slots = np.concatenate(
+            [(u_ok & w_ok)[:K], move_ok.reshape(K, 2 * num_edges), w_ok[:K]], axis=1
         )
+        exists = (u_ok[0, starts], self.step_slots, u_ok[K] & w_ok[K], w_ok[K, goal_cells])
+        self.num_sources = int(exists[0].sum())
 
         def column(source, intra, move, hold, sink):
-            """One attribute of every arc, given its value in every slot of
-            each block; one column at a time keeps the peak memory small."""
+            """One end of every arc, given its vertex in every slot of each
+            block."""
             intra = np.broadcast_to(intra, (K + 1, num_cells))
             move = np.broadcast_to(move, (K, num_edges, 2)).reshape(K, 2 * num_edges)
             steps = np.concatenate(
@@ -214,23 +214,6 @@ class TimeExpandedGraph:
             u_id[0, starts], w_id, slots(w_id[:K, v2], w_id[:K, v1]), u_id[1:], SINK
         )
         self.num_vertices = 2 + 2 * (K + 1) * num_cells
-        # the flow bound reads only tails and heads; the other columns are
-        # built on first read
-        self._columns = {
-            "kinds": lambda: column(ARC_SOURCE, ARC_INTRA, ARC_MOVE, ARC_HOLD, ARC_SINK),
-            "cell": lambda: column(starts, cell, slots(v2, v1), cell, goal_cells),
-            "edge": lambda: column(-1, -1, np.arange(num_edges)[:, None], -1, -1),
-            "layer": lambda: column(0, layer, layer[:K, :, None], layer[:K], K),
-        }
-
-    def __getattr__(self, name):
-        """Build kinds, cell, edge or layer on first read and keep it."""
-        build = self.__dict__.get("_columns", {}).pop(name, None)
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = build()
-        setattr(self, name, value)
-        return value
 
     def flow_network(self):
         """The arcs as a unit-capacity network for the max-flow bound.
@@ -261,36 +244,38 @@ class TimeExpandedGraph:
         crossing rule: their endpoints fall under the column rule.
         """
         env = self.env
+        num_cells, num_edges = len(env.cells), len(env.edges)
         cs = self.scenario.grid.cell_size
         threshold = 2.0 * self.scenario.radii[2] - 1e-9
 
-        holds = np.flatnonzero(self.kinds == ARC_HOLD)
-        hold_at = np.full((self.K, len(env.cells)), -1, dtype=np.intp)
-        hold_at[self.layer[holds], self.cell[holds]] = holds
+        # arc ids of each step's move and hold slots, -1 where no arc: a
+        # running count of the step slots, after the source arcs
+        ok = self.step_slots
+        counts = ok.sum(axis=1)
+        first = self.num_sources + np.cumsum(counts) - counts + ok[:, :num_cells].sum(axis=1)
+        ids = first[:, None] - 1 + np.cumsum(ok[:, num_cells:], axis=1)
+        ids[~ok[:, num_cells:]] = -1
+        move, hold = ids[:, : 2 * num_edges], ids[:, 2 * num_edges :]
 
-        moves = np.flatnonzero(self.kinds == ARC_MOVE)
-        # side 1: the move into the edge's upper cell, in +axis
-        side = (self.cell[moves] == env.edges[self.edge[moves], 1]).astype(np.intp)
-        move_at = np.full((self.K, len(env.edges), 2), -1, dtype=np.intp)
-        move_at[self.layer[moves], self.edge[moves], side] = moves
+        def partners(table, slot, target):
+            """(table[k, slot], table[k, target]) for every step k where
+            target >= 0 and both arcs exist."""
+            has = target >= 0
+            a, b = table[:, slot[has]], table[:, target[has]]
+            both = (a >= 0) & (b >= 0)
+            return np.stack([a[both], b[both]], axis=1)
 
-        def partners(table, arcs, target, *rest):
-            """(arc, table[layer of arc, target, *rest]) where both exist."""
-            found = np.full(len(arcs), -1, dtype=np.intp)
-            ok = target >= 0
-            found[ok] = table[(self.layer[arcs[ok]], target[ok], *(r[ok] for r in rest))]
-            return np.stack([arcs, found], axis=1)[found >= 0]
-
-        # a swap pairs each move in -axis with its twin in +axis
-        back = side == 0
-        pairs = [partners(move_at, moves[back], self.edge[moves[back]], 1 - side[back])]
-        flat = env.edge_axis[self.edge[moves]] != 2
-        moves, side = moves[flat], side[flat]
+        # a swap is the two move slots of one edge: 2e and 2e + 1
+        pairs = [partners(move, np.arange(0, 2 * num_edges, 2), np.arange(1, 2 * num_edges, 2))]
+        flat = np.flatnonzero(env.edge_axis != 2)
+        flat_slots = (2 * flat[:, None] + (0, 1)).ravel()
+        cells = np.arange(num_cells)
         dz = 1
         while dz * cs < threshold:
-            pairs.append(partners(hold_at, holds, env.above(self.cell[holds], dz)))
-            edges = env.edges_above(self.edge[moves], dz)
-            pairs.append(partners(move_at, moves, edges, 1 - side))
+            pairs.append(partners(hold, cells, env.above(cells, dz)))
+            # move slot s crosses the slot 1 - s of the parallel edge above
+            up = env.edges_above(flat, dz)[:, None]
+            pairs.append(partners(move, flat_slots, np.where(up >= 0, 2 * up + (1, 0), -1).ravel()))
             dz += 1
         return np.concatenate(pairs)
 
@@ -298,7 +283,8 @@ class TimeExpandedGraph:
         """Maximize routed flow: one conservation row per u and w vertex,
         and one conflict row a + b <= 1 per conflicting pair."""
         n = len(self.tails)
-        c = (self.kinds == ARC_SOURCE).astype(float)
+        c = np.zeros(n)
+        c[: self.num_sources] = 1.0
 
         # conservation rows in order of each vertex's first appearance,
         # scanning arcs in order and each arc's head before its tail
@@ -346,17 +332,18 @@ class TimeExpandedGraph:
                 )
             return successor[vertices]
 
-        arc = active[self.kinds[active] == ARC_SOURCE]
-        path = [self.cell[arc]]
+        num_cells = len(self.env.cells)
+        arc = active[active < self.num_sources]
+        path = [(self.heads[arc] - 2) % num_cells]
         vertex = self.heads[arc]
         for _ in range(self.K):
             arc = step(vertex)
-            path.append(self.cell[arc])
+            path.append((self.heads[arc] - 2) % num_cells)
             vertex = self.heads[step(self.heads[arc])]
         final = step(vertex)
         sink = step(self.heads[final])
         paths = np.stack(path, axis=1).tolist()
-        return paths, self.goal_index[self.cell[sink]].tolist()
+        return paths, self.goal_index[(self.tails[sink] - 2) % num_cells].tolist()
 
 
 @dataclass

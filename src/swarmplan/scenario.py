@@ -241,6 +241,13 @@ class ScenarioSpec:
                 f"cell_size {self.grid.cell_size} must exceed twice the "
                 f"horizontal radius {max(self.radii[0], self.radii[1])}"
             )
+        # A robot in a free cell next to an obstacle cell is half a cell
+        # from its box, so no plan keeps a larger clearance radius.
+        if self.obstacles and self.obstacle_radius > 0.5 * self.grid.cell_size:
+            raise ValueError(
+                f"obstacle_radius {self.obstacle_radius} must not exceed half "
+                f"the cell_size {self.grid.cell_size}"
+            )
 
         if len(self.starts) != len(self.goals):
             raise ValueError("starts and goals must pair up one to one")

@@ -363,7 +363,7 @@ class TestSolveDiscrete:
 
     def test_two_layer_wall_branch_and_cut_starts_with_every_robot_routed(self, monkeypatch):
         # target = 16 is the program's largest objective, so its 16 source
-        # arcs, and no other column, are fixed at 1
+        # arcs, the graph's first arcs, and no other column, are fixed at 1
         sc = two_layer_wall()
         bounds = []
         highs = opt_engine._highs
@@ -376,7 +376,9 @@ class TestSolveDiscrete:
         monkeypatch.setattr(opt_engine, "_highs", recorded)
         K = solve_discrete(sc).num_segments
         graph = TimeExpandedGraph(sc, EnvironmentGraph(sc), K)
-        sources = np.flatnonzero(graph.kinds == discrete_planner.ARC_SOURCE)
+        sources = np.arange(graph.num_sources)
+        assert (graph.tails[sources] == discrete_planner.SOURCE).all()
+        assert (graph.tails[graph.num_sources :] != discrete_planner.SOURCE).all()
         assert len(sources) == sc.num_robots == 16
         assert len(bounds) == 1
         assert np.array_equal(np.flatnonzero(bounds[0][0] == 1), sources)
@@ -794,14 +796,38 @@ def oracle_scenarios():
     return cases
 
 
-@pytest.mark.parametrize("case", range(6))
-def test_array_graph_matches_loop_oracle(case):
-    # the array construction must hand HiGHS the very same program, row
-    # order included, and decompose every solution into the same paths
-    sc = oracle_scenarios()[case]
+def deep_conflict_scenarios():
+    """3x3x5 grids whose vertical radius reaches two (0.55) and three (0.8)
+    layers up, so the column and crossing rules run at dz >= 2; seeded,
+    drawn until ScenarioSpec accepts them and the flow bound exists."""
+    cells = list(itertools.product(range(3), range(3), range(5)))
+    rng = np.random.default_rng(47)
+    cases = []
+    for r_z in (0.55, 0.8, 0.55, 0.8):
+        while True:
+            pick = rng.choice(len(cells), size=8, replace=False)
+            try:
+                sc = scenario(
+                    (3, 3, 5),
+                    [cells[i] for i in pick[:4]],
+                    [cells[i] for i in pick[4:]],
+                    radii=(0.12, 0.12, r_z),
+                )
+                lower_bound_makespan(sc)
+            except (ValueError, DiscreteInfeasibleError):
+                continue
+            cases.append(sc)
+            break
+    return cases
+
+
+def assert_matches_loop_oracle(sc, offsets):
+    """The array construction hands HiGHS the very same program as the
+    loop oracle, row order included, at each K = lb + offset, and
+    decomposes every solution into the same paths."""
     env = EnvironmentGraph(sc)
     lb = lower_bound_makespan(sc, env)
-    for K in range(max(lb - 1, 0), lb + 2):
+    for K in [lb + d for d in offsets if lb + d >= 0]:
         graph = discrete_planner.TimeExpandedGraph(sc, env, K)
         loop = LoopTimeExpandedGraph(sc, K)
         ilp, ref = graph.binary_program(), loop.binary_program()
@@ -820,3 +846,23 @@ def test_array_graph_matches_loop_oracle(case):
         except ILPInfeasibleError:
             continue
         assert graph.extract_paths(z) == loop.extract_paths(z)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_array_graph_matches_loop_oracle(case):
+    assert_matches_loop_oracle(oracle_scenarios()[case], (-1, 0, 1))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_array_graph_matches_loop_oracle_several_layers_up(case):
+    sc = deep_conflict_scenarios()[case]
+    cs, r_z = sc.grid.cell_size, sc.radii[2]
+    assert 2 * cs < 2 * r_z and (3 * cs < 2 * r_z) == (r_z == 0.8)
+    assert_matches_loop_oracle(sc, (0, 1))
+
+
+def test_array_graph_matches_loop_oracle_at_team_size():
+    # the 32-robot wall at its makespan, 19
+    sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
+    assert lower_bound_makespan(sc) == 19
+    assert_matches_loop_oracle(sc, (0,))

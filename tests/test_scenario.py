@@ -1,15 +1,22 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from swarmplan.cli import main as cli_main
+from swarmplan.discrete_planner import solve_discrete
+from swarmplan.refine import refine_trajectories
 from swarmplan.scenario import (
     GridSpec,
     ObstacleBox,
     ScenarioSpec,
     merge_obstacle_cells,
 )
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def base_scenario(**overrides):
@@ -170,6 +177,32 @@ class TestScenarioValidation:
             base_scenario(refine_iterations=-1)
         with pytest.raises(ValueError):
             base_scenario(continuity=0)
+
+    def test_obstacle_radius_above_half_a_cell_rejected(self, tmp_path, capsys):
+        # wall_windows_8 (cell size 0.5) has free cells beside its wall's
+        # obstacle cells, half a cell from the wall's box; at 0.2501 its
+        # straight-line baseline fails validation, so the plan exits
+        # without a refinement round
+        data = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json")).to_dict()
+        data["obstacle_radius"] = 0.2501
+        with pytest.raises(ValueError, match="obstacle_radius 0.2501 must not exceed half"):
+            ScenarioSpec.from_dict(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli_main(["plan", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: obstacle_radius 0.2501")
+        assert not out.exists()
+        # no obstacle cell, no bound
+        base_scenario(obstacle_radius=1.0)
+
+    def test_obstacle_radius_of_half_a_cell_plans_and_validates(self):
+        sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_8.json"))
+        sc = dataclasses.replace(sc, obstacle_radius=0.25)
+        result = refine_trajectories(solve_discrete(sc).postprocessed(), sc, iterations=1)
+        assert len(result.rows) == 1
+        assert result.validation.ok
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
