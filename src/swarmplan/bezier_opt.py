@@ -316,27 +316,15 @@ def spline_to_bernstein(durations, degree, continuity):
 
 @lru_cache(maxsize=16)
 def _smoothing_space(durations, degree, continuity, weights):
-    """The parts of the smoothing QP that every robot shares: an
-    opt_engine.SmoothingSpace of its Hessian over the stacked control
-    points and the map Z from the free B-spline coefficients to those
-    points, with each axis interleaved (it checks the Hessian and builds
-    the Newton step's fixed maps once, for every round of a plan); and the
-    (points, 2) weights of start and goal in them.  The cached matrices
-    are shared: callers must not modify them."""
-    c = continuity
-    costs = [control_point_cost(degree, tau, weights) for tau in durations]
-    h = sparse.kron(sparse.block_diag(costs), sparse.identity(3), format="csr")
-    basis = spline_to_bernstein(durations, degree, continuity)
-    z = sparse.kron(basis[:, c + 1 : -(c + 1)], sparse.identity(3), format="csr")
-    ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
-    return opt_engine.SmoothingSpace(h, z, len(durations)), ends
-
-
-@lru_cache(maxsize=16)
-def _waypoint_spline_map(durations, degree, continuity, weights):
-    """The map from a robot's pieces + 1 waypoints to the free coefficients
-    of its minimum-cost spline through them, for one axis: a CSR array
-    (free coefficients, pieces + 1).
+    """The parts of the smoothing programs that every robot of a plan
+    shares, built once per piece layout: an opt_engine.SmoothingSpace of
+    their Hessian over the stacked control points and the map Z from the
+    free B-spline coefficients to those points, with each axis interleaved
+    (it checks the Hessian and builds the Newton step's fixed maps once,
+    for every round of a plan); the (points, 2) weights of start and goal
+    in them; and the waypoint-spline map, a CSR array (free coefficients,
+    pieces + 1) from a robot's pieces + 1 waypoints to the free
+    coefficients of its minimum-cost spline through them, for one axis.
 
     The spline is the smoothing program's curve (spline_to_bernstein, rest
     ends at the first and last waypoint) that passes through waypoint k at
@@ -347,19 +335,24 @@ def _waypoint_spline_map(durations, degree, continuity, weights):
     (SuperLU), and solved for each waypoint's column.  Q is positive
     definite over the free coefficients and G has full row rank, since
     the straight line passes any waypoints, so the system is regular; Q
-    is divided by its largest entry to bring it to G's scale.  The
-    cached map is shared: callers must not modify it."""
+    is divided by its largest entry to bring it to G's scale.  The cached
+    matrices are shared: callers must not modify them."""
     d, c, pieces = degree, continuity, len(durations)
+    h = sparse.block_diag([control_point_cost(d, tau, weights) for tau in durations], format="csr")
     basis = spline_to_bernstein(durations, d, c)
     free = basis[:, c + 1 : -(c + 1)]
+    ends = np.column_stack([basis[:, : c + 1].sum(axis=1), basis[:, -(c + 1) :].sum(axis=1)])
+    space = opt_engine.SmoothingSpace(
+        sparse.kron(h, sparse.identity(3), format="csr"),
+        sparse.kron(free, sparse.identity(3), format="csr"),
+        pieces,
+    )
     r = free.shape[1]
     if not r:
-        return sparse.csr_array((0, pieces + 1))
+        return space, ends, sparse.csr_array((0, pieces + 1))
     # the rest ends' coefficients sit at the first and the last waypoint
     x0 = np.zeros((basis.shape[0], pieces + 1))
-    x0[:, 0] = basis[:, : c + 1].sum(axis=1)
-    x0[:, -1] = basis[:, -(c + 1) :].sum(axis=1)
-    h = sparse.block_diag([control_point_cost(d, tau, weights) for tau in durations], format="csr")
+    x0[:, [0, -1]] = ends
     q = free.T @ h @ free
     scale = abs(q).max()
     # the first control point of piece k is the position at knot k
@@ -368,19 +361,19 @@ def _waypoint_spline_map(durations, degree, continuity, weights):
     kkt = sparse.block_array([[q / scale, g.T], [g, None]], format="csc")
     # the last pieces - 1 rows: each interior knot's position is its waypoint
     rhs = np.vstack([-(free.T @ h @ x0) / scale, np.eye(pieces - 1, pieces + 1, 1) - x0[at_knots]])
-    return sparse.csr_array(scipy.sparse.linalg.splu(kkt).solve(rhs)[:r])
+    return space, ends, sparse.csr_array(scipy.sparse.linalg.splu(kkt).solve(rhs)[:r])
 
 
 def waypoint_splines(waypoints, durations, degree, continuity, weights):
     """Each robot's minimum-cost spline through its waypoints (robots,
     pieces + 1, 3), at rest at both ends, with the smoothing program's
-    knots, degree and continuity (_waypoint_spline_map), as its free
-    coefficients (robots, 3 r), each axis interleaved as
-    optimize_trajectory takes them.  The cached map is built once per
-    piece layout and applied to every robot's waypoints as one sparse
-    product, with no BLAS call."""
+    knots, degree and continuity, as its free coefficients (robots, 3 r),
+    each axis interleaved as optimize_trajectory takes them.  The
+    waypoint-spline map is built once per plan, with the Hessian and the
+    B-spline map (_smoothing_space), and applied to every robot's
+    waypoints as one sparse product, with no BLAS call."""
     durations = tuple(float(t) for t in durations)
-    m = _waypoint_spline_map(durations, int(degree), int(continuity), tuple(weights))
+    m = _smoothing_space(durations, int(degree), int(continuity), tuple(weights))[2]
     w = np.asarray(waypoints, dtype=float)
     coefficients = m @ w.transpose(1, 0, 2).reshape(len(durations) + 1, -1)
     return coefficients.reshape(-1, len(w), 3).transpose(1, 0, 2).reshape(len(w), -1)
@@ -471,7 +464,7 @@ def optimize_trajectory(
     d = int(degree)
     c = int(continuity)
 
-    space, ends = _smoothing_space(tuple(durations), d, c, tuple(weights))
+    space, ends, _ = _smoothing_space(tuple(durations), d, c, tuple(weights))
     x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
     shape = (num_pieces, d + 1, 3)
     start = np.asarray(coefficients, dtype=float)

@@ -145,10 +145,10 @@ def cmd_plan(args):
     os.makedirs(os.path.join(out, "samples"), exist_ok=True)
     plan.save(os.path.join(out, "discrete_plan.json"))
     # every robot shares robot 0's piece durations, so one t column serves all
-    time_column = functools.cache(_time_column)
+    time_column = _time_column(trajectories[0].duration)
     for i, traj in enumerate(trajectories):
         traj.save_csv(os.path.join(out, "trajectories", f"robot_{i:03d}.csv"))
-        _write_samples(traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"), time_column(traj.duration))
+        _write_samples(traj, os.path.join(out, "samples", f"robot_{i:03d}.csv"), time_column)
     write_report_csv(result.rows, os.path.join(out, "refine_report.csv"))
     validation.save(os.path.join(out, "validation.json"))
 

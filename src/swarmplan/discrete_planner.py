@@ -15,8 +15,10 @@ a time-expanded graph with K+1 layers:
 The graph is arrays: (K+1, V) reachability masks select the vertices,
 vertex ids are arithmetic in (v, k), and every arc is one entry of two
 integer columns, tail and head, in a fixed layout of slots that the
-arcs' existence mask selects.  Hop distances from the starts and the
-goals come from scipy's csgraph once per scenario.
+arcs' existence mask selects.  The start and goal cell ids, and hop
+distances from them, come once per scenario, the distances from scipy's
+csgraph.  The source arcs are the first arcs, in start order, so the
+paths of a routed flow come out in robot order.
 
 Rules that unit capacities cannot express become conflict rows of a
 binary program, one row a + b <= 1 per conflicting pair of arcs: the two
@@ -58,19 +60,22 @@ class DiscreteInfeasibleError(Exception):
 
 
 class EnvironmentGraph:
-    """Free cells of a scenario, the adjacency between them, and every
+    """Free cells of a scenario, the adjacency between them, the ids of the
+    robots' start and goal cells (starts, goals) in robot order, and every
     cell's hop distance from the nearest start and from the nearest goal
     (inf where unreachable)."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.cells = scenario.free_cells()
-        self.index = {c: i for i, c in enumerate(self.cells)}
         num_cells = len(self.cells)
         self.coords = np.array(self.cells, dtype=np.intp).reshape(num_cells, 3)
         # dense grid of cell ids, -1 where blocked
         self.cell_id = np.full(scenario.grid.dims, -1, dtype=np.intp)
         self.cell_id[tuple(self.coords.T)] = np.arange(num_cells)
+        self.starts, self.goals = (
+            self.cell_id[tuple(np.array(cells).T)] for cells in (scenario.starts, scenario.goals)
+        )
 
         # edges run from a cell to its neighbor one step up an axis, ordered
         # by cell, then axis
@@ -88,16 +93,11 @@ class EnvironmentGraph:
         self.adjacency = sparse.csr_matrix(
             (np.ones(len(tails)), tuple(self.edges.T)), shape=(num_cells, num_cells)
         )
-        self.start_dist = self._hops(scenario.starts)
-        self.goal_dist = self._hops(scenario.goals)
-
-    def _hops(self, seed_cells):
-        return csgraph.dijkstra(
-            self.adjacency,
-            directed=False,
-            unweighted=True,
-            min_only=True,
-            indices=[self.index[c] for c in seed_cells],
+        self.start_dist, self.goal_dist = (
+            csgraph.dijkstra(
+                self.adjacency, directed=False, unweighted=True, min_only=True, indices=seeds
+            )
+            for seeds in (self.starts, self.goals)
         )
 
     def above(self, cells, dz):
@@ -119,8 +119,7 @@ class EnvironmentGraph:
 def _check_goal_reachability(scenario, env):
     """Goals must be coverable by the starts component by component."""
     count, labels = csgraph.connected_components(env.adjacency, directed=False)
-    start_labels = labels[[env.index[s] for s in scenario.starts]]
-    goal_labels = labels[[env.index[g] for g in scenario.goals]]
+    start_labels, goal_labels = labels[env.starts], labels[env.goals]
     start_counts = np.bincount(start_labels, minlength=count)
     goal_counts = np.bincount(goal_labels, minlength=count)
     for g, comp in zip(scenario.goals, goal_labels):
@@ -143,11 +142,13 @@ class TimeExpandedGraph:
     goal, which leaves the routable flow unchanged.
 
     Arcs fill a fixed layout of slots, in the order a robot passes them:
-    one source arc per start, num_sources of them; then per step k a row
-    of step_slots, V intra slots u(v,k) -> w(v,k) (by cell), 2E move
-    slots (edge e's are 2e, u(v1,k) -> w(v2,k), and 2e + 1, u(v2,k) ->
-    w(v1,k)) and V hold slots w(v,k) -> u(v,k+1) (by cell); then the
-    last layer's intra slots and one sink slot per goal.  step_slots is
+    one source arc per start, in start order, num_sources of them, so a
+    flow that routes every robot decomposes into paths in robot order
+    (extract_paths); then per step k a row of step_slots, V intra slots
+    u(v,k) -> w(v,k) (by cell), 2E move slots (edge e's are 2e,
+    u(v1,k) -> w(v2,k), and 2e + 1, u(v2,k) -> w(v1,k)) and V hold slots
+    w(v,k) -> u(v,k+1) (by cell); then the last layer's intra slots and
+    one sink slot per goal.  step_slots is
     the (K, 2V + 2E) mask of the step slots that hold an arc, so an
     arc's id is a running count of the slots that exist.  A u or w
     vertex id is 2 + cell plus a multiple of V, so an arc ends in cell
@@ -160,7 +161,7 @@ class TimeExpandedGraph:
         self.K = K
         num_cells = len(env.cells)
         num_edges = len(env.edges)
-        goal_cells = np.array([env.index[g] for g in scenario.goals], dtype=np.intp)
+        starts, goal_cells = env.starts, env.goals
         self.goal_index = np.full(num_cells, -1, dtype=np.intp)
         self.goal_index[goal_cells] = np.arange(len(goal_cells))
 
@@ -181,7 +182,6 @@ class TimeExpandedGraph:
         move_ok = np.stack([u_ok[:K, v1] & w_ok[:K, v2], u_ok[:K, v2] & w_ok[:K, v1]], axis=-1)
 
         # one slot per possible arc, in arc order
-        starts = np.array([env.index[s] for s in scenario.starts], dtype=np.intp)
         self.step_slots = np.concatenate(
             [(u_ok & w_ok)[:K], move_ok.reshape(K, 2 * num_edges), w_ok[:K]], axis=1
         )
@@ -315,7 +315,9 @@ class TimeExpandedGraph:
 
         Every u and w vertex passes at most one unit, so following the
         flow from each source arc is unambiguous: one intra or move arc
-        per step, then the hold into the next layer.
+        per step, then the hold into the next layer.  Returns the paths as
+        cell ids, one per routed source arc in start order, and each one's
+        goal index.
         """
         active = np.flatnonzero(np.asarray(z) > 0.5)
         out_degree = np.bincount(self.tails[active], minlength=self.num_vertices)
@@ -520,10 +522,7 @@ def lower_bound_makespan(scenario, env=None):
     _check_goal_reachability(scenario, env)
     cap = _step_cap(scenario)
     # inf where some start reaches no goal
-    hops = max(
-        env.goal_dist[[env.index[s] for s in scenario.starts]].max(),
-        env.start_dist[[env.index[g] for g in scenario.goals]].max(),
-    )
+    hops = max(env.goal_dist[env.starts].max(), env.start_dist[env.goals].max())
     for K in range(int(min(hops, cap + 1)), cap + 1):
         network = TimeExpandedGraph(scenario, env, K).flow_network()
         if opt_engine.max_flow(network) >= scenario.num_robots:
@@ -551,30 +550,19 @@ def solve_discrete(scenario):
             result = opt_engine.solve_ilp(graph.binary_program(), target=n)
         except ILPInfeasibleError:
             continue
-        cell_paths, goal_choice = graph.extract_paths(result.z)
-
-        # Flow paths are attached to start cells, not robots; match them
-        # back to the scenario's robot order.
-        by_start = {p[0]: (p, g) for p, g in zip(cell_paths, goal_choice)}
-        ordered_paths = []
-        assignment = []
-        for s in scenario.starts:
-            path, g = by_start[env.index[s]]
-            ordered_paths.append([env.cells[v] for v in path])
-            assignment.append(g)
-
-        problems = check_discrete_rules(ordered_paths, scenario)
+        # the source arcs come in start order, so the paths are in robot order
+        paths, assignment = graph.extract_paths(result.z)
+        coords = env.coords[paths]
+        cell_paths = [[tuple(c) for c in p] for p in coords.tolist()]
+        problems = check_discrete_rules(cell_paths, scenario)
         if problems:
             raise opt_engine.SolverError(
                 "flow solution violates motion rules: " + "; ".join(problems[:3])
             )
-        waypoints = np.array(
-            [[scenario.grid.cell_center(c) for c in path] for path in ordered_paths]
-        )
         return DiscretePlan(
             dt=scenario.dt,
-            waypoints=waypoints,
+            waypoints=scenario.grid.cell_centers(coords).reshape(coords.shape),
             assignment=assignment,
-            cell_paths=[[tuple(c) for c in p] for p in ordered_paths],
+            cell_paths=cell_paths,
         )
     raise DiscreteInfeasibleError(f"no conflict-free grid plan within {cap} steps")

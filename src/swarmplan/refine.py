@@ -33,9 +33,11 @@ round zero, and the coefficients its next program starts from (each is
 logged).  Every pair is tried again in every round, and the other
 robots' corridors are built against the kept curves.  A whole round is
 discarded, ending refinement, if the resulting set does not validate or
-costs more than the set it would replace by more than a relative 1e-9,
-far above the rounding noise of a round in which nothing moved.  The
-result is usable after any round and only improves with more of them.
+costs more than the set it would replace by more than 1e-9 of that
+set's cost, or of 1 where the cost is below 1 (a hovering team's is
+about 0), far above the rounding noise of a round in which nothing
+moved.  The result is usable after any round and only improves with
+more of them.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from .validate import validate_trajectories
 
 _RELATIVE_COST_STOP = 1e-3
 # a round is rejected only when it raises the set cost by more than this,
-# relative: handover_3's third round repeats its second, and rounding
-# variants of the solver moved it by -2e-12 to +1.4e-12
+# relative, or absolute below cost 1: handover_3's third round repeats its
+# second, and rounding variants of the solver moved it by -2e-12 to
+# +1.4e-12
 _RELATIVE_COST_RISE = 1e-9
 
 
@@ -208,7 +211,7 @@ def refine_trajectories(plan, scenario, iterations=None, log=None, on_accept=Non
             break
 
         cost = _total_cost(candidate_costs)
-        if cost - best_cost > _RELATIVE_COST_RISE * abs(best_cost):
+        if cost - best_cost > _RELATIVE_COST_RISE * max(1.0, abs(best_cost)):
             emit(
                 f"iteration {it}: candidate cost {cost:.6g} is above the "
                 f"accepted {best_cost:.6g}, keeping previous"

@@ -868,7 +868,7 @@ def full_batch(inputs, robots, coefficients):
     their corridors, each started from its row of coefficients, posed as
     optimize_trajectory poses them."""
     starts, goals, durations, corridors, degree, continuity, weights = inputs
-    space, ends = bezier_opt._smoothing_space(tuple(durations), degree, continuity, tuple(weights))
+    space, ends, _ = bezier_opt._smoothing_space(tuple(durations), degree, continuity, tuple(weights))
     x0 = np.array([(ends @ np.vstack([starts[i], goals[i]])).ravel() for i in robots])
     return opt_engine.SmoothingBatch(space, x0, *robot_faces(corridors, robots), coefficients[robots])
 

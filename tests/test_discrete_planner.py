@@ -845,7 +845,10 @@ def assert_matches_loop_oracle(sc, offsets):
             z = solve_ilp(ilp, target=sc.num_robots).z
         except ILPInfeasibleError:
             continue
-        assert graph.extract_paths(z) == loop.extract_paths(z)
+        paths, goals = graph.extract_paths(z)
+        # the source arcs come first, in start order: the paths are in robot order
+        assert [p[0] for p in paths] == env.starts.tolist()
+        assert (paths, goals) == loop.extract_paths(z)
 
 
 @pytest.mark.parametrize("case", range(6))

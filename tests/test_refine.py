@@ -60,7 +60,7 @@ def start_points(
     x0 + Z c that optimize_trajectory starts its programs from, given its
     arguments, computed as it computes them."""
     durations = tuple(float(t) for t in durations)
-    space, ends = bezier_opt._smoothing_space(durations, degree, continuity, tuple(weights))
+    space, ends, _ = bezier_opt._smoothing_space(durations, degree, continuity, tuple(weights))
     x0 = np.array([(ends @ np.vstack([s, g])).ravel() for s, g in zip(starts, goals)])
     return (x0 + (space.Z @ coefficients.T).T).reshape(len(x0), len(durations), degree + 1, 3)
 
@@ -259,13 +259,15 @@ class TestRoundZeroStart:
             )
 
     def test_map_is_built_once_per_layout(self, small):
+        # the waypoint splines build the layout's smoothing setup, and the
+        # one round's programs and the second plan read it back
         sc, plan = small
-        cache = bezier_opt._waypoint_spline_map
+        cache = bezier_opt._smoothing_space
         cache.cache_clear()
         refine_trajectories(plan, sc, iterations=1)
-        assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
-        refine_trajectories(plan, sc, iterations=1)
         assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+        refine_trajectories(plan, sc, iterations=1)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (3, 1)
 
     @pytest.mark.parametrize("name", ["wall_windows_8", "pillars_6"])
     def test_spline_start_reaches_the_straight_start_optimum(self, name):
@@ -687,6 +689,27 @@ class TestDegradation:
         assert not any("keeping previous" in m for m in messages)
         assert len(result.rows) == 3
         assert [row["cost"] for row in result.rows] == costs[1:4]
+
+    @pytest.mark.parametrize(
+        "dims, starts, goals",
+        [
+            ((3, 3, 1), [(1, 1, 0)], [(1, 1, 0)]),
+            ((3, 1, 1), [(0, 0, 0), (2, 0, 0)], [(2, 0, 0), (0, 0, 0)]),
+        ],
+        ids=["one robot", "swapped goals"],
+    )
+    def test_hovering_team_is_refined(self, dims, starts, goals):
+        # makespan 0: the set costs about 0 (1e-18 after a round), so a rise
+        # relative to the accepted cost alone rejected every round
+        sc = ScenarioSpec(grid=GridSpec(dims=dims, cell_size=0.5), starts=starts, goals=goals)
+        plan = solve_discrete(sc).postprocessed()
+        messages = []
+        result = refine_trajectories(plan, sc, log=messages.append)
+        assert result.ok
+        assert not any("keeping previous" in m for m in messages)
+        # round 1 repeats round 0, and the relative cost stop ends refinement
+        assert [row["iteration"] for row in result.rows] == [0, 1]
+        assert all(abs(row["cost"]) < 1e-12 for row in result.rows)
 
 
 class TestReportCsv:

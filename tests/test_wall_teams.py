@@ -65,10 +65,7 @@ def test_32_robot_bound_walks_six_horizons_above_the_hop_bound():
     # let all 32 through only by step 19
     sc = ScenarioSpec.load(os.path.join(SCENARIO_DIR, "wall_windows_32.json"))
     env = EnvironmentGraph(sc)
-    hops = max(
-        env.goal_dist[[env.index[s] for s in sc.starts]].max(),
-        env.start_dist[[env.index[g] for g in sc.goals]].max(),
-    )
+    hops = max(env.goal_dist[env.starts].max(), env.start_dist[env.goals].max())
     assert hops == 13
     assert lower_bound_makespan(sc, env) == 19
     assert max_flow(TimeExpandedGraph(sc, env, 18).flow_network()) < 32
